@@ -2,26 +2,20 @@
 //!
 //! Runs three fixed-seed scenarios end to end, plus a calendar
 //! schedule/pop microbenchmark, and writes the measured throughput to
-//! `BENCH_pr2.json` at the repository root (or the path given as the
-//! first positional argument):
+//! `BENCH_current.json` in the working directory (or the path given as
+//! the first positional argument):
 //!
 //! 1. **mmk_balanced** — an M/M/16 cluster behind a join-shortest-queue
-//!    load balancer with the analytic fast path pinned **off**, the pure
-//!    calendar hot path: binary-heap churn plus per-arrival routing with
-//!    no fault machinery.
-//! 2. **mmk_balanced_fastpath** — the identical configuration and seed
-//!    with `fastpath=auto`, which routes the run onto the analytic fast
-//!    path. The ratio of the two throughputs is the tracked fast-path
-//!    speedup (non-gating; the bit-identity of the two estimate sets IS
-//!    gating, via `--check`).
-//! 3. **mmk_faults** — the same cluster with an exponential
+//!    load balancer: per-arrival routing with no fault machinery. At 17
+//!    pending events the runner puts it on the analytic fast path.
+//! 2. **mmk_faults** — the same cluster with an exponential
 //!    failure/repair process and the availability metric, exercising
 //!    cancellations (timeout cancels, repair reschedules) and the
 //!    stranded-job path.
-//! 4. **mmk_resilience** — the same cluster behind bounded-queue
+//! 3. **mmk_resilience** — the same cluster behind bounded-queue
 //!    admission control with hedged requests, exercising the per-arrival
 //!    admission check and the hedge launch/cancel churn.
-//! 5. **sweep** — a 6-config grid (utilization × cluster size) through
+//! 4. **sweep** — a 6-config grid (utilization × cluster size) through
 //!    the work-stealing sweep orchestrator with a fixed worker count,
 //!    measuring aggregate grid throughput.
 //!
@@ -79,12 +73,7 @@ fn scenarios() -> Vec<Scenario> {
         Scenario {
             name: "mmk_balanced",
             seed: 42,
-            config: base.clone().with_fastpath(FastPathMode::Off),
-        },
-        Scenario {
-            name: "mmk_balanced_fastpath",
-            seed: 42,
-            config: base.clone().with_fastpath(FastPathMode::Auto),
+            config: base.clone(),
         },
         Scenario {
             name: "mmk_faults",
@@ -215,11 +204,7 @@ fn peak_rss_kb() -> Option<u64> {
 
 /// `--check`: run every scenario twice (and once instrumented) and fail
 /// on any estimate drift. The instrumented comparison is the telemetry
-/// bit-identity gate: observation must not perturb the simulation. Every
-/// scenario is additionally re-run with `fastpath=force` and
-/// `fastpath=off`: eligible scenarios compare the two engines directly,
-/// ineligible ones confirm the forced mode still falls back cleanly —
-/// either way the estimates must match bit for bit.
+/// bit-identity gate: observation must not perturb the simulation.
 fn determinism_check() -> ExitCode {
     let mut ok = true;
     for scenario in &scenarios() {
@@ -250,33 +235,6 @@ fn determinism_check() -> ExitCode {
                 scenario.name,
                 a.events_fired,
                 a.estimates.len()
-            );
-        }
-        let forced = run_serial(
-            &scenario.config.clone().with_fastpath(FastPathMode::Force),
-            scenario.seed,
-        )
-        .expect("baseline scenario config is valid");
-        let calendar = run_serial(
-            &scenario.config.clone().with_fastpath(FastPathMode::Off),
-            scenario.seed,
-        )
-        .expect("baseline scenario config is valid");
-        let f_json = serde_json::to_string(&forced.estimates).expect("estimates serialize");
-        let c_json = serde_json::to_string(&calendar.estimates).expect("estimates serialize");
-        if forced.events_fired != calendar.events_fired
-            || forced.simulated_seconds.to_bits() != calendar.simulated_seconds.to_bits()
-            || f_json != c_json
-        {
-            eprintln!(
-                "FAST-PATH DIVERGENCE in {}: events {} (force) vs {} (off), estimates\n  {}\nvs\n  {}",
-                scenario.name, forced.events_fired, calendar.events_fired, f_json, c_json
-            );
-            ok = false;
-        } else {
-            println!(
-                "{}: fastpath force == off ({} events, estimates bit-identical)",
-                scenario.name, forced.events_fired
             );
         }
     }
@@ -347,7 +305,7 @@ fn main() -> ExitCode {
         .iter()
         .find(|a| !a.starts_with("--"))
         .cloned()
-        .unwrap_or_else(|| "BENCH_pr2.json".to_string());
+        .unwrap_or_else(|| "BENCH_current.json".to_string());
 
     const MICRO_N: u64 = 1_000_000;
     let (schedule_per_s, pop_per_s) = calendar_microbench(MICRO_N);
@@ -357,8 +315,6 @@ fn main() -> ExitCode {
     );
 
     let mut entries = Vec::new();
-    let mut calendar_rate = None;
-    let mut fastpath_rate = None;
     for scenario in &scenarios() {
         // One untimed warm-up run so the timed run sees hot caches and a
         // grown heap, then the measured run, then the instrumented run
@@ -382,11 +338,6 @@ fn main() -> ExitCode {
             report.converged,
             overhead_pct,
         );
-        match scenario.name {
-            "mmk_balanced" => calendar_rate = Some(report.events_per_second()),
-            "mmk_balanced_fastpath" => fastpath_rate = Some(report.events_per_second()),
-            _ => {}
-        }
         entries.push(format!(
             concat!(
                 "    {{\n",
@@ -412,18 +363,6 @@ fn main() -> ExitCode {
             overhead_pct,
         ));
     }
-
-    // The tracked fast-path figure: same config, same seed, calendar vs
-    // analytic fast path. Non-gating (wall-clock), but written to the
-    // BENCH artifact so the trend job can chart it.
-    let speedup = match (calendar_rate, fastpath_rate) {
-        (Some(cal), Some(fast)) if cal > 0.0 => fast / cal,
-        _ => 1.0,
-    };
-    println!(
-        "      fastpath: {:>9.2}x speedup over the calendar engine (same seed, bit-identical estimates)",
-        speedup
-    );
 
     // The sweep scenario: aggregate grid throughput through the
     // work-stealing orchestrator at a fixed worker count.
@@ -457,11 +396,6 @@ fn main() -> ExitCode {
             "    \"schedule_per_second\": {:.1},\n",
             "    \"pop_per_second\": {:.1}\n",
             "  }},\n",
-            "  \"fastpath\": {{\n",
-            "    \"calendar_events_per_second\": {:.1},\n",
-            "    \"fastpath_events_per_second\": {:.1},\n",
-            "    \"speedup\": {:.4}\n",
-            "  }},\n",
             "  \"sweep\": {{\n",
             "    \"configs\": {},\n",
             "    \"completed\": {},\n",
@@ -477,9 +411,6 @@ fn main() -> ExitCode {
         MICRO_N,
         schedule_per_s,
         pop_per_s,
-        calendar_rate.unwrap_or(0.0),
-        fastpath_rate.unwrap_or(0.0),
-        speedup,
         sweep_report.total_configs,
         sweep_report.completed.len(),
         sweep_report.runtime.workers,

@@ -79,10 +79,9 @@ pub mod prelude {
     pub use bighouse_sim::{
         config_seed, run_resumable, run_serial, run_sweep, run_until_calibrated, AdmissionPolicy,
         ArrivalMode, AuditConfig, AuditReport, AuditViolation, AuditWarning, CheckpointConfig,
-        ClassDisposition, ClusterSim, ConfigOutcome, ExecBackend, ExperimentConfig, FastPathMode,
-        FaultSummary, HedgePolicy, MetricKind, OverloadRamp, ParallelOutcome, ParallelRunner,
-        ProcLimits, ProcSlaveConfig, QuarantinedConfig, ResilienceConfig, ResilienceSummary,
-        RunOptions,
+        ClassDisposition, ClusterSim, ConfigOutcome, ExecBackend, ExperimentConfig, FaultSummary,
+        HedgePolicy, MetricKind, OverloadRamp, ParallelOutcome, ParallelRunner, ProcLimits,
+        ProcSlaveConfig, QuarantinedConfig, ResilienceConfig, ResilienceSummary, RunOptions,
         RuntimeStats, SheddingPolicy, SimError, SimulationReport, SweepEntry, SweepError,
         SweepEvent, SweepEventHook, SweepOptions, SweepReport, SweepRuntime, TerminationReason,
     };

@@ -3,7 +3,7 @@
 //! ```text
 //! bighouse run <experiment.json> [seed=N] [out=report.json]
 //!              [checkpoint-dir=DIR] [checkpoint-interval=EPOCHS]
-//!              [epoch-events=N] [fastpath=auto|off|force] [telemetry=out.json]
+//!              [epoch-events=N] [telemetry=out.json]
 //!              [backend=threads|lockstep|processes] [--slave-processes]
 //!              [slave-mem-mb=N] [slave-cpu-secs=S]
 //!              [--resume] [--paranoid] [--telemetry-summary]
@@ -34,9 +34,8 @@ use std::time::Duration;
 use bighouse::dists::Distribution;
 use bighouse::sim::{
     run_resumable, run_serial, run_sweep, AuditConfig, CheckpointConfig, ExecBackend,
-    FastPathMode, ParallelRunner, ProcChaos, ProcLimits, ProcSlaveConfig, RunOptions,
-    RuntimeStats, SimError, SimulationReport, SweepEntry, SweepEvent, SweepOptions,
-    TerminationReason,
+    ParallelRunner, ProcChaos, ProcLimits, ProcSlaveConfig, RunOptions, RuntimeStats, SimError,
+    SimulationReport, SweepEntry, SweepEvent, SweepOptions, TerminationReason,
 };
 use bighouse::telemetry::TelemetrySnapshot;
 use bighouse::workloads::{StandardWorkload, Workload};
@@ -187,8 +186,7 @@ fn print_usage() {
     println!("USAGE:");
     println!("  bighouse run <experiment.json> [seed=N] [out=report.json]");
     println!("               [checkpoint-dir=DIR] [checkpoint-interval=EPOCHS]");
-    println!("               [epoch-events=N] [fastpath=auto|off|force]");
-    println!("               [telemetry=out.json]");
+    println!("               [epoch-events=N] [telemetry=out.json]");
     println!("               [backend=threads|lockstep|processes] [--slave-processes]");
     println!("               [slave-mem-mb=N] [slave-cpu-secs=S]");
     println!("               [--resume] [--paranoid] [--telemetry-summary]");
@@ -204,12 +202,6 @@ fn print_usage() {
     println!("      latency histograms, phase transitions) and writes the snapshot");
     println!("      as JSON; --telemetry-summary prints a human-readable table.");
     println!("      Telemetry is observational: estimates stay bit-identical.");
-    println!("      fastpath=auto (default) batch-computes departures for plain");
-    println!("      G/G/k FCFS configurations on the analytic fast path — same");
-    println!("      RNG stream, bit-identical estimates, several times faster;");
-    println!("      fastpath=off pins the full event calendar, fastpath=force");
-    println!("      states intent for differential CI comparisons (an ineligible");
-    println!("      config still falls back to the calendar).");
     println!("      With slaves > 1 in the spec, --slave-processes (or");
     println!("      backend=processes) sandboxes every slave in a child OS");
     println!("      process over a checksummed IPC fabric: a slave that");
@@ -355,14 +347,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     if telemetry_out.is_some() || telemetry_summary {
         config = config.with_telemetry(true);
-    }
-    // fastpath=... on the command line overrides the spec's block: handy
-    // for differential runs of one spec file under both engines.
-    if let Some(mode) = kv_arg(args, "fastpath") {
-        let mode: FastPathMode = mode
-            .parse()
-            .map_err(|e: SimError| CliError::Usage(e.to_string()))?;
-        config = config.with_fastpath(mode);
     }
 
     let report: SimulationReport = match spec.slaves {

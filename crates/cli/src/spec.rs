@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 use bighouse::faults::{FaultSpec, RetrySpec};
 use bighouse::models::{DvfsModel, IdlePolicy, LinearPowerModel, PowerCapper};
 use bighouse::sim::{
-    AdmissionPolicy, AuditConfig, ExperimentConfig, FastPathMode, HedgePolicy, MetricKind,
-    OverloadRamp, ResilienceConfig, SheddingPolicy,
+    AdmissionPolicy, AuditConfig, ExperimentConfig, HedgePolicy, MetricKind, OverloadRamp,
+    ResilienceConfig, SheddingPolicy,
 };
 use bighouse::workloads::{StandardWorkload, Workload};
 
@@ -350,11 +350,6 @@ pub struct ExperimentSpec {
     /// hedged requests, overload ramp, SLO tracking.
     #[serde(default)]
     pub resilience: Option<ResilienceSpec>,
-    /// Analytic fast-path mode: `"auto"` (default), `"off"`, or
-    /// `"force"`. Eligible plain G/G/k FCFS configurations run on the
-    /// batched fast engine; estimates are bit-identical either way.
-    #[serde(default)]
-    pub fastpath: Option<FastPathMode>,
 }
 
 impl ExperimentSpec {
@@ -401,7 +396,6 @@ impl ExperimentSpec {
             slaves: None,
             paranoid: None,
             resilience: None,
-            fastpath: None,
         }
     }
 
@@ -541,9 +535,6 @@ impl ExperimentSpec {
         }
         if let Some(resilience) = &self.resilience {
             config = config.with_resilience(resilience.to_config());
-        }
-        if let Some(mode) = self.fastpath {
-            config = config.with_fastpath(mode);
         }
         for name in &self.metrics {
             let kind = match name.as_str() {
@@ -902,19 +893,22 @@ mod tests {
     }
 
     #[test]
-    fn fastpath_mode_decodes_and_defaults_to_auto() {
-        let spec =
-            ExperimentSpec::from_json(r#"{"workload": {"standard": "web"}, "fastpath": "off"}"#)
-                .unwrap();
-        assert_eq!(spec.fastpath, Some(FastPathMode::Off));
-        let config = spec.resolve().unwrap();
-        assert_eq!(config.fastpath(), FastPathMode::Off);
-        let omitted = ExperimentSpec::from_json(r#"{"workload": {"standard": "web"}}"#).unwrap();
-        assert_eq!(omitted.fastpath, None);
-        assert_eq!(omitted.resolve().unwrap().fastpath(), FastPathMode::Auto);
-        let bad =
-            ExperimentSpec::from_json(r#"{"workload": {"standard": "web"}, "fastpath": "fast"}"#);
-        assert!(matches!(bad, Err(SpecError::Format(_))));
+    fn retired_fastpath_key_still_loads_and_changes_nothing() {
+        // Specs written while `fastpath` was a field keep loading: the key
+        // is ignored like any unknown one, in a spec and in a sweep base.
+        let plain = r#"{"workload": {"standard": "web"}, "utilization": 0.5,
+            "accuracy": 0.2, "warmup": 50, "calibration": 500"#;
+        let run = |json: &str| {
+            let config = ExperimentSpec::from_json(json).unwrap().resolve().unwrap();
+            bighouse::sim::run_serial(&config, 2012).unwrap().estimates
+        };
+        let legacy = format!(r#"{plain}, "fastpath": "off"}}"#);
+        assert_eq!(run(&legacy), run(&format!("{plain}}}")));
+        let sweep = crate::SweepSpec::from_json(&format!(r#"{{"base": {legacy}}}"#)).unwrap();
+        assert_eq!(
+            sweep.base,
+            ExperimentSpec::from_json(&format!("{plain}}}")).unwrap()
+        );
     }
 
     #[test]

@@ -1,15 +1,17 @@
 //! Bucket-guided inverse-CDF evaluation for [`Empirical`] distributions.
 //!
 //! [`Empirical::sample`] binary-searches the full quantile table on every
-//! draw — cheap in isolation, but it dominates the per-event budget of the
-//! simulator's analytic fast path, where everything else has been reduced
-//! to a handful of integer ops. [`QuantileGuide`] precomputes, for each of
-//! `G` uniform probability buckets, the index range of quantile points the
-//! full-table search could land in; a guided lookup then runs the *same*
-//! `partition_point` over that (usually 0–2 element) sub-slice and applies
-//! the *same* interpolation arithmetic, so it returns **bit-identical**
-//! results to the unguided path for every input. That invariance is what
-//! lets the fast path substitute guided draws without perturbing estimates.
+//! draw, and the simulator makes one or two draws per event.
+//! [`QuantileGuide`] precomputes, for each of `G` uniform probability
+//! buckets, the index range of quantile points the full-table search could
+//! land in; a guided lookup then runs the *same* `partition_point` over
+//! that (usually 0–2 element) sub-slice and applies the *same*
+//! interpolation arithmetic, so it returns **bit-identical** results to the
+//! unguided path for every input. That invariance is what lets the cluster
+//! simulation make every workload draw through a guide without perturbing
+//! estimates. The tests here hold it on one exponential table;
+//! `bighouse-workloads` holds it on the tables the simulator actually
+//! samples (every standard workload, plain and load-scaled).
 
 use crate::empirical::Empirical;
 

@@ -535,16 +535,12 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// The audit and telemetry configurations are deliberately excluded: both
 /// are purely observational (bit-identical estimates), so toggling them
 /// must not invalidate an existing checkpoint — a run started plain can
-/// resume audited or instrumented. The fast-path mode is excluded for the
-/// same reason: the fast engine is estimate-bit-identical to the
-/// calendar, so a run checkpointed under one mode can resume under any
-/// other without perturbing the trajectory.
+/// resume audited or instrumented.
 #[must_use]
 pub fn config_fingerprint(config: &ExperimentConfig, master_seed: u64) -> u64 {
     let mut config = config.clone();
     config.audit = None;
     config.telemetry = false;
-    config.fastpath = crate::fastpath::FastPathMode::default();
     let rendered = format!("{config:?}|seed={master_seed}");
     fnv1a(rendered.as_bytes())
 }
@@ -727,18 +723,6 @@ mod tests {
             config_fingerprint(&plain, 1),
             config_fingerprint(&audited, 1)
         );
-    }
-
-    #[test]
-    fn fingerprint_ignores_fastpath_mode() {
-        // The fast path is estimate-bit-identical to the calendar, so a
-        // checkpoint written under any mode must resume under any other.
-        use crate::fastpath::FastPathMode;
-        let auto = ExperimentConfig::new(Workload::standard(StandardWorkload::Web));
-        let off = auto.clone().with_fastpath(FastPathMode::Off);
-        let force = auto.clone().with_fastpath(FastPathMode::Force);
-        assert_eq!(config_fingerprint(&auto, 1), config_fingerprint(&off, 1));
-        assert_eq!(config_fingerprint(&auto, 1), config_fingerprint(&force, 1));
     }
 
     #[test]

@@ -6,14 +6,14 @@ use bighouse_des::{
     Calendar, CalendarStats, Control, EventHandle, FastMap, ProgressViolation, RunStats, SimRng,
     Simulation, Time,
 };
-use bighouse_dists::{Distribution, QuantileGuide};
+use bighouse_dists::QuantileGuide;
 use bighouse_models::{FinishedJob, Job, JobId, LoadBalancer, PowerCapper, Server};
 use bighouse_stats::{HistogramSpec, MetricId, Phase, StatsCollection};
 
 use crate::audit::{AuditLedger, AuditReport, Auditor, SeededBug};
 use crate::config::{ArrivalMode, ExperimentConfig, MetricKind};
 use crate::error::SimError;
-use crate::fastpath::FastPathMode;
+use crate::fastpath::FAST_PATH_MAX_SLOTS;
 use crate::report::{ClusterSummary, FaultSummary};
 use crate::resilience::{AdmissionPolicy, ResilienceState, ResilienceSummary};
 use crate::telemetry::ClusterTelemetry;
@@ -114,6 +114,15 @@ pub struct ClusterSim {
     balancer: Option<LoadBalancer>,
     capper: Option<PowerCapper>,
     rng: SimRng,
+    /// Guided samplers over the workload's two tables: bit-identical to
+    /// `Empirical::sample` on the same raw draw, without the full-table
+    /// binary search. Every workload draw of either engine goes through
+    /// them.
+    service_guide: QuantileGuide,
+    interarrival_guide: QuantileGuide,
+    /// The one completion buffer `Server::arrive_into`/`sync_into` fill,
+    /// reused across events instead of a fresh `Vec` per arrival.
+    finished: Vec<FinishedJob>,
     stats: StatsCollection,
     response_id: MetricId,
     waiting_id: Option<MetricId>,
@@ -279,6 +288,9 @@ impl ClusterSim {
             attention: vec![None; n],
             balancer,
             rng: SimRng::from_seed(seed),
+            service_guide: QuantileGuide::new(config.workload.service()),
+            interarrival_guide: QuantileGuide::new(config.workload.interarrival()),
+            finished: Vec::new(),
             stats,
             response_id,
             waiting_id,
@@ -359,11 +371,43 @@ impl ClusterSim {
     /// workload draw — the identical RNG sequence as before the ramp
     /// existed.
     fn next_interarrival(&mut self, now: Time) -> f64 {
-        let dt = self.config.workload.interarrival().sample(&mut self.rng);
+        let dt = self.interarrival_guide.sample_from_bits(self.rng.raw_u64());
         match self.config.resilience.as_ref().and_then(|r| r.ramp) {
             Some(ramp) if ramp.active_at(now.as_seconds()) => dt / ramp.multiplier,
             _ => dt,
         }
+    }
+
+    /// Draws one service demand (one RNG draw), floored away from zero.
+    fn draw_service(&mut self) -> f64 {
+        self.service_guide
+            .sample_from_bits(self.rng.raw_u64())
+            .max(1e-12)
+    }
+
+    /// Lands `job` on `server`, leaving the completions that folding the
+    /// server forward to `now` produced in the shared buffer.
+    fn land(&mut self, server: usize, job: Job, now: Time) {
+        if let Some(t) = self.telemetry.as_deref_mut() {
+            t.note_queue_depth(self.servers[server].outstanding());
+        }
+        self.finished.clear();
+        self.servers[server].arrive_into(job, now, &mut self.finished);
+    }
+
+    /// Folds `server` forward to `now`, leaving its completions in the
+    /// shared buffer.
+    fn sync_server(&mut self, server: usize, now: Time) {
+        self.finished.clear();
+        self.servers[server].sync_into(now, &mut self.finished);
+    }
+
+    /// Records the shared buffer's completions. The buffer is lent out for
+    /// the call: nothing `record_finished` reaches fills it again.
+    fn record_buffered(&mut self, cal: &mut Calendar<ClusterEvent>) {
+        let finished = std::mem::take(&mut self.finished);
+        self.record_finished(&finished, cal);
+        self.finished = finished;
     }
 
     /// The statistics engine (read access).
@@ -621,13 +665,17 @@ impl ClusterSim {
         self.telemetry.take()
     }
 
-    /// The configured engine-selection mode for the analytic fast path.
-    pub(crate) fn fastpath_mode(&self) -> FastPathMode {
-        self.config.fastpath()
+    /// Arrival streams: one per server, or the single balanced front end.
+    fn arrival_streams(&self) -> usize {
+        match self.config.arrival_mode {
+            ArrivalMode::PerServer => self.servers.len(),
+            ArrivalMode::LoadBalanced(_) => 1,
+        }
     }
 
-    /// Whether this configuration is a plain G/G/k FCFS segment the
-    /// analytic fast path can run with bit-identical estimates.
+    /// Whether this configuration is a plain G/G/k FCFS segment small
+    /// enough that the analytic fast path beats the calendar, with
+    /// bit-identical estimates either way.
     ///
     /// Eligible configurations use only the arrival/attention event pair:
     /// no fault process, no retries, no resilience machinery, no auditing,
@@ -636,10 +684,13 @@ impl ClusterSim {
     /// remaining-work tracking or epoch boundaries matter. Idle policies,
     /// DVFS, power models, and both arrival modes are all allowed: they
     /// live inside [`Server`]'s own state fold, which the fast path reuses
-    /// verbatim.
+    /// verbatim. The fast path finds the next event by scanning every
+    /// slot, so it also needs `streams + servers` within
+    /// [`FAST_PATH_MAX_SLOTS`]; past that the heap calendar is faster.
     #[must_use]
     pub fn fastpath_eligible(&self) -> bool {
-        self.config.faults.is_none()
+        self.arrival_streams() + self.servers.len() <= FAST_PATH_MAX_SLOTS
+            && self.config.faults.is_none()
             && self.config.retry.is_none()
             && self.config.resilience.is_none()
             && self.config.audit.is_none()
@@ -836,15 +887,19 @@ impl ClusterSim {
         }
     }
 
-    fn inject(&mut self, server: usize, now: Time, cal: &mut Calendar<ClusterEvent>) {
-        let size = self.config.workload.service().sample(&mut self.rng);
-        let job = Job::new(JobId::new(self.job_counter), now, size.max(1e-12));
+    /// The untracked arrival: one service draw and a fresh job on
+    /// `server`, its completions left in the shared buffer for the calling
+    /// engine to record.
+    fn inject_buffered(&mut self, server: usize, now: Time) {
+        let size = self.draw_service();
+        let job = Job::new(JobId::new(self.job_counter), now, size);
         self.job_counter += 1;
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.note_queue_depth(self.servers[server].outstanding());
-        }
-        let finished = self.servers[server].arrive(job, now);
-        self.record_finished(&finished, cal);
+        self.land(server, job, now);
+    }
+
+    fn inject(&mut self, server: usize, now: Time, cal: &mut Calendar<ClusterEvent>) {
+        self.inject_buffered(server, now);
+        self.record_buffered(cal);
     }
 
     /// Admits a request under tracking: runs it past admission control and
@@ -856,8 +911,8 @@ impl ClusterSim {
         if self.resilience.is_some() && !self.admit_gate(class, now) {
             return;
         }
-        let size = self.config.workload.service().sample(&mut self.rng);
-        let job = Job::new(JobId::new(self.job_counter), now, size.max(1e-12));
+        let size = self.draw_service();
+        let job = Job::new(JobId::new(self.job_counter), now, size);
         self.job_counter += 1;
         self.n_admitted += 1;
         let key = job.id().raw();
@@ -992,11 +1047,8 @@ impl ClusterSim {
                 if let Some(req) = self.requests.get_mut(&key) {
                     req.server = Some(s);
                 }
-                if let Some(t) = self.telemetry.as_deref_mut() {
-                    t.note_queue_depth(self.servers[s].outstanding());
-                }
-                let finished = self.servers[s].arrive(job, now);
-                self.record_finished(&finished, cal);
+                self.land(s, job, now);
+                self.record_buffered(cal);
                 self.reschedule_attention(s, now, cal);
                 self.arm_hedge(key, cal);
             }
@@ -1056,10 +1108,10 @@ impl ClusterSim {
         let Some(s) = target else {
             return; // nowhere to hedge to right now
         };
-        let size = self.config.workload.service().sample(&mut self.rng);
+        let size = self.draw_service();
         let hid = self.job_counter;
         self.job_counter += 1;
-        let job = Job::new(JobId::new(hid), arrival, size.max(1e-12));
+        let job = Job::new(JobId::new(hid), arrival, size);
         if let Some(req) = self.requests.get_mut(&key) {
             req.hedge = Some(HedgeJob {
                 job: hid,
@@ -1070,11 +1122,8 @@ impl ClusterSim {
         if let Some(state) = self.resilience.as_deref_mut() {
             state.hedges_launched += 1;
         }
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.note_queue_depth(self.servers[s].outstanding());
-        }
-        let finished = self.servers[s].arrive(job, now);
-        self.record_finished(&finished, cal);
+        self.land(s, job, now);
+        self.record_buffered(cal);
         self.reschedule_attention(s, now, cal);
     }
 
@@ -1245,9 +1294,9 @@ impl ClusterSim {
         // a heavy-tailed workload has enough of those to poison the run.
         // The job id and arrival are preserved so the recorded response
         // time still spans the whole request saga.
-        let size = self.config.workload.service().sample(&mut self.rng);
+        let size = self.draw_service();
         if let Some(req) = self.requests.get_mut(&key) {
-            req.job = Job::new(req.job.id(), req.job.arrival(), size.max(1e-12));
+            req.job = Job::new(req.job.id(), req.job.arrival(), size);
         }
         self.arm_timeout(key, cal);
         self.try_place(key, now, cal);
@@ -1268,8 +1317,8 @@ impl ClusterSim {
         let mut utilizations = std::mem::take(&mut self.epoch_utilizations);
         utilizations.clear();
         for s in 0..self.servers.len() {
-            let finished = self.servers[s].sync(now);
-            self.record_finished(&finished, cal);
+            self.sync_server(s, now);
+            self.record_buffered(cal);
             utilizations.push(self.servers[s].take_epoch_utilization(now));
         }
         if let Some(t) = self.telemetry.as_deref_mut() {
@@ -1411,8 +1460,8 @@ impl Simulation for ClusterSim {
             }
             ClusterEvent::Attention { server } => {
                 self.attention[server] = None;
-                let finished = self.servers[server].sync(now);
-                self.record_finished(&finished, cal);
+                self.sync_server(server, now);
+                self.record_buffered(cal);
                 self.reschedule_attention(server, now, cal);
             }
             ClusterEvent::CappingEpoch => {
@@ -1476,10 +1525,8 @@ const VACANT: u128 = u128::MAX;
 /// slots as packed `(time, seq)` keys (the exact key format the real
 /// [`Calendar`] sorts by), and the next event is a linear minimum scan.
 /// Handler dispatch, event payloads, and `EventHandle` bookkeeping all
-/// disappear; service/interarrival draws go through [`QuantileGuide`]
-/// (bit-identical to the unguided sampler, byte-for-byte the same RNG
-/// stream); completions land in one reusable buffer instead of a fresh
-/// `Vec` per event.
+/// disappear. Workload draws and the completion buffer are the
+/// simulation's own, shared with the calendar engine.
 ///
 /// **Bit-identity contract**: the engine replays the calendar engine's
 /// exact semantics — the same RNG draws in the same order, the same
@@ -1506,10 +1553,6 @@ pub(crate) struct FastEngine {
     fired: u64,
     cancelled: u64,
     depth_high_water: usize,
-    service_guide: QuantileGuide,
-    interarrival_guide: QuantileGuide,
-    /// Reusable completion buffer (the "batch" in batched departures).
-    finished: Vec<FinishedJob>,
     /// Cached convergence verdict. `StatsCollection` phases only change
     /// when an observation is recorded, so the flag is refreshed after
     /// exactly those events — the stop fires at the same event boundary
@@ -1524,12 +1567,7 @@ impl FastEngine {
         debug_assert!(sim.fastpath_eligible(), "fast engine on ineligible sim");
         sim.note_fastpath_entry();
         let n = sim.servers.len();
-        let service_guide = QuantileGuide::new(sim.config.workload.service());
-        let interarrival_guide = QuantileGuide::new(sim.config.workload.interarrival());
-        let streams = match sim.config.arrival_mode {
-            ArrivalMode::PerServer => n,
-            ArrivalMode::LoadBalanced(_) => 1,
-        };
+        let streams = sim.arrival_streams();
         let mut engine = FastEngine {
             sim,
             now: Time::ZERO,
@@ -1541,13 +1579,10 @@ impl FastEngine {
             fired: 0,
             cancelled: 0,
             depth_high_water: 0,
-            service_guide,
-            interarrival_guide,
-            finished: Vec::new(),
             should_stop: false,
         };
         for stream in 0..streams {
-            let dt = engine.next_interarrival();
+            let dt = engine.sim.next_interarrival(engine.now);
             engine.arrival_keys[stream] = engine.pack(engine.now + dt);
         }
         // Restored (resumed-epoch) statistics may already be converged;
@@ -1622,14 +1657,6 @@ impl FastEngine {
         (u128::from((at.as_seconds() + 0.0).to_bits()) << 64) | u128::from(seq)
     }
 
-    /// One workload interarrival draw through the guided sampler — the
-    /// identical value and stream position as `ClusterSim::next_interarrival`
-    /// (no ramp: resilience is fast-path ineligible).
-    fn next_interarrival(&mut self) -> f64 {
-        let bits = self.sim.rng.raw_u64();
-        self.interarrival_guide.sample_from_bits(bits)
-    }
-
     /// Pops and handles the earliest pending event. Returns `false` when
     /// the virtual calendar is empty (mirroring a drained real calendar).
     fn fire_next(&mut self) -> bool {
@@ -1671,6 +1698,7 @@ impl FastEngine {
     /// Replays `ClusterEvent::Arrival` / `ClusterEvent::BalancedArrival`
     /// for stream `stream`, in the calendar handler's exact order: inject,
     /// reschedule attention, draw the next interarrival, schedule it.
+    /// Returns whether any observation was recorded.
     fn handle_arrival(&mut self, stream: usize) -> bool {
         let now = self.now;
         let server = match self.sim.config.arrival_mode {
@@ -1685,10 +1713,11 @@ impl FastEngine {
         };
         let mut recorded = false;
         if let Some(server) = server {
-            recorded = self.inject(server, now);
+            self.sim.inject_buffered(server, now);
+            recorded = self.record_finished(now);
             self.reschedule_attention(server, now);
         }
-        let dt = self.next_interarrival();
+        let dt = self.sim.next_interarrival(now);
         assert!(
             dt.is_finite() && dt >= 0.0,
             "event delay must be finite and non-negative, got {dt}"
@@ -1701,40 +1730,25 @@ impl FastEngine {
     /// forward, record its completions, re-arm its next event.
     fn handle_attention(&mut self, server: usize) -> bool {
         let now = self.now;
-        self.finished.clear();
-        self.sim.servers[server].sync_into(now, &mut self.finished);
+        self.sim.sync_server(server, now);
         let recorded = self.record_finished(now);
         self.reschedule_attention(server, now);
         recorded
     }
 
-    /// Replays `ClusterSim::inject`: one guided service draw, the job
-    /// lands on `server`, completions recorded. Returns whether any
-    /// observation was recorded.
-    fn inject(&mut self, server: usize, now: Time) -> bool {
-        let bits = self.sim.rng.raw_u64();
-        let size = self.service_guide.sample_from_bits(bits);
-        let job = Job::new(JobId::new(self.sim.job_counter), now, size.max(1e-12));
-        self.sim.job_counter += 1;
-        if let Some(t) = self.sim.telemetry.as_deref_mut() {
-            t.note_queue_depth(self.sim.servers[server].outstanding());
-        }
-        self.finished.clear();
-        self.sim.servers[server].arrive_into(job, now, &mut self.finished);
-        self.record_finished(now)
-    }
-
-    /// Replays `ClusterSim::record_finished` for the eligible feature set
-    /// (no audit vetting, no zombies, no request tracking), in the same
-    /// observation order.
+    /// Replays `ClusterSim::record_finished` over the simulation's
+    /// completion buffer for the eligible feature set (no audit vetting,
+    /// no zombies, no request tracking), in the same observation order.
     fn record_finished(&mut self, now: Time) -> bool {
-        if self.finished.is_empty() {
+        let n = self.sim.finished.len();
+        if n == 0 {
             return false;
         }
         if let Some(t) = self.sim.telemetry.as_deref_mut() {
-            t.note_fastpath_batched_departures(self.finished.len() as u64);
+            t.note_fastpath_batched_departures(n as u64);
         }
-        for f in &self.finished {
+        for i in 0..n {
+            let f = self.sim.finished[i];
             self.sim
                 .observe(self.sim.response_id, "response_time", f.response_time(), now);
             if let Some(id) = self.sim.waiting_id {
@@ -1768,6 +1782,7 @@ impl FastEngine {
 mod tests {
     use super::*;
     use bighouse_des::Engine;
+    use bighouse_dists::Distribution;
     use bighouse_faults::{FaultProcess, RetryPolicy};
     use bighouse_workloads::{StandardWorkload, Workload};
 
@@ -1912,6 +1927,33 @@ mod tests {
     }
 
     #[test]
+    fn restored_converged_stats_stop_both_engines_at_the_first_event() {
+        // A resumed epoch can start on statistics that already converged:
+        // the calendar engine handles one event and stops, and the fast
+        // engine's cached verdict must be primed to do the same.
+        let (converged, ..) = run(quick_config(), 16);
+        assert!(converged.stats().all_converged());
+        let stats = converged.into_stats();
+
+        let mut cal_sim = ClusterSim::new(quick_config(), 17).unwrap();
+        cal_sim.restore_stats(stats.clone()).unwrap();
+        let mut cal = Calendar::new();
+        cal_sim.prime(&mut cal);
+        let mut engine = Engine::from_parts(cal_sim, cal);
+        let cal_run = engine.run_with_limit(1_000);
+
+        let mut fast_sim = ClusterSim::new(quick_config(), 17).unwrap();
+        fast_sim.restore_stats(stats).unwrap();
+        let mut fast = FastEngine::new(fast_sim);
+        let fast_run = fast.run_with_limit(1_000);
+
+        assert_eq!(cal_run.events_fired, 1);
+        assert_eq!(fast_run.events_fired, 1);
+        assert!(cal_run.stopped_by_simulation && fast_run.stopped_by_simulation);
+        assert_eq!(engine.now(), fast.now());
+    }
+
+    #[test]
     fn fastpath_eligibility_tracks_config_features() {
         use crate::resilience::ResilienceConfig;
 
@@ -1944,6 +1986,16 @@ mod tests {
         assert!(
             !bugged.fastpath_eligible(),
             "seeded bugs disarm the fast path"
+        );
+
+        // 32 per-server streams + 32 servers fill the slot cap exactly.
+        let at_cap = ClusterSim::new(quick_config().with_servers(32), 1).unwrap();
+        assert_eq!(32 + 32, FAST_PATH_MAX_SLOTS);
+        assert!(at_cap.fastpath_eligible());
+        let over_cap = ClusterSim::new(quick_config().with_servers(33), 1).unwrap();
+        assert!(
+            !over_cap.fastpath_eligible(),
+            "66 slots exceed the scan cap"
         );
     }
 

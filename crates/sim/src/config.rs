@@ -7,7 +7,6 @@ use bighouse_workloads::Workload;
 
 use crate::audit::AuditConfig;
 use crate::error::SimError;
-use crate::fastpath::FastPathMode;
 use crate::resilience::ResilienceConfig;
 
 /// How arrivals reach the cluster's servers.
@@ -111,11 +110,6 @@ pub struct ExperimentConfig {
     pub(crate) resilience: Option<ResilienceConfig>,
     pub(crate) audit: Option<AuditConfig>,
     pub(crate) telemetry: bool,
-    /// Engine selection for plain G/G/k FCFS segments (see
-    /// [`FastPathMode`]). Defaults to [`FastPathMode::Auto`]; absent from
-    /// older serialized configs, which deserialize to the default.
-    #[serde(default)]
-    pub(crate) fastpath: FastPathMode,
 }
 
 impl ExperimentConfig {
@@ -144,7 +138,6 @@ impl ExperimentConfig {
             resilience: None,
             audit: None,
             telemetry: false,
-            fastpath: FastPathMode::Auto,
         }
     }
 
@@ -395,29 +388,6 @@ impl ExperimentConfig {
     #[must_use]
     pub fn telemetry_enabled(&self) -> bool {
         self.telemetry
-    }
-
-    /// Selects the engine for plain G/G/k FCFS segments: [`Auto`]
-    /// (default) uses the analytic fast path whenever the configuration is
-    /// eligible, [`Off`] always runs the full event calendar, and
-    /// [`Force`] requests the fast path but still falls back to the
-    /// calendar on ineligible configurations. All three modes produce
-    /// bit-identical estimates — the fast path consumes the identical RNG
-    /// stream and records the identical observation sequence.
-    ///
-    /// [`Auto`]: FastPathMode::Auto
-    /// [`Off`]: FastPathMode::Off
-    /// [`Force`]: FastPathMode::Force
-    #[must_use]
-    pub fn with_fastpath(mut self, mode: FastPathMode) -> Self {
-        self.fastpath = mode;
-        self
-    }
-
-    /// The configured fast-path mode.
-    #[must_use]
-    pub fn fastpath(&self) -> FastPathMode {
-        self.fastpath
     }
 
     /// The configured workload.

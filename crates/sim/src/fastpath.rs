@@ -13,76 +13,30 @@
 //! order, records the same observations in the same sequence, and checks
 //! convergence at the same event boundaries as the calendar engine — so
 //! every estimate (mean, quantiles, confidence intervals) comes out
-//! bit-identical, not merely statistically equivalent. Eligibility is
-//! decided once per engine build from the configuration alone (see
-//! `ClusterSim::fastpath_eligible`); any feature that makes remaining-work
-//! tracking matter — faults, retries, resilience, auditing, epoch-paced
-//! metrics — routes the run to the calendar engine instead.
-
-use std::fmt;
-use std::str::FromStr;
+//! bit-identical, not merely statistically equivalent. The engine is
+//! chosen once per engine build from the configuration alone (see
+//! `ClusterSim::fastpath_eligible`), never by the user: any feature that
+//! makes remaining-work tracking matter — faults, retries, resilience,
+//! auditing, epoch-paced metrics — and any cluster with more than
+//! [`FAST_PATH_MAX_SLOTS`] pending-event slots runs on the calendar engine.
 
 use bighouse_des::{Calendar, CalendarStats, Engine, ProgressGuard, RunStats, Time};
 
 use crate::cluster::{ClusterSim, FastEngine};
-use crate::error::SimError;
 
-/// Engine selection for plain G/G/k FCFS segments.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize,
-)]
-#[serde(rename_all = "lowercase")]
-pub enum FastPathMode {
-    /// Use the fast path whenever the configuration is eligible (the
-    /// default). Safe because the fast path is estimate-bit-identical.
-    #[default]
-    Auto,
-    /// Always run the full event calendar.
-    Off,
-    /// Request the fast path. Behaves like [`FastPathMode::Auto`] — an
-    /// ineligible configuration still falls back to the calendar — but
-    /// states intent, and the differential CI pipeline runs every scenario
-    /// under `force` and `off` to gate on byte-equal estimates.
-    Force,
-}
-
-impl FastPathMode {
-    /// The mode's lowercase spec/CLI name.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            FastPathMode::Auto => "auto",
-            FastPathMode::Off => "off",
-            FastPathMode::Force => "force",
-        }
-    }
-}
-
-impl fmt::Display for FastPathMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for FastPathMode {
-    type Err = SimError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "auto" => Ok(FastPathMode::Auto),
-            "off" => Ok(FastPathMode::Off),
-            "force" => Ok(FastPathMode::Force),
-            other => Err(SimError::InvalidConfig(format!(
-                "unknown fastpath mode {other:?} (expected auto, off, or force)"
-            ))),
-        }
-    }
-}
+/// The largest pending-event population (`streams + servers`: one arrival
+/// slot per stream, one attention slot per server) the fast path is chosen
+/// for. Its next-event search scans every slot, so its per-event cost grows
+/// with the cluster while the heap calendar's grows with its logarithm.
+/// Measured on per-server M/M/4 at `2N` slots, fast-path ÷ calendar
+/// events/s: 16 slots 1.20, 32 → 1.17, 64 → 1.05, 128 → 0.79, 256 → 0.61,
+/// 512 → 0.44 (DESIGN.md "Analytic fast path").
+pub const FAST_PATH_MAX_SLOTS: usize = 64;
 
 /// A primed engine, ready to run: either the full calendar engine or the
 /// analytic fast path. Built by [`AnyEngine::build`], which applies the
-/// mode/eligibility decision exactly once per engine and notes the outcome
-/// on the telemetry counters (`fastpath.entries` / `fastpath.bailouts`).
+/// eligibility decision exactly once per engine and notes the outcome on
+/// the telemetry counters (`fastpath.entries` / `fastpath.bailouts`).
 #[derive(Debug)]
 pub(crate) enum AnyEngine {
     /// The full discrete-event calendar engine.
@@ -94,16 +48,10 @@ pub(crate) enum AnyEngine {
 impl AnyEngine {
     /// Primes `sim` and wraps it in the engine its configuration selects.
     pub(crate) fn build(mut sim: ClusterSim) -> AnyEngine {
-        let mode = sim.fastpath_mode();
-        let eligible = sim.fastpath_eligible();
-        if eligible && mode != FastPathMode::Off {
+        if sim.fastpath_eligible() {
             AnyEngine::Fast(FastEngine::new(sim))
         } else {
-            if !eligible {
-                // Note the bailout regardless of mode, so `force` and
-                // `off` emit identical telemetry on ineligible scenarios.
-                sim.note_fastpath_bailout();
-            }
+            sim.note_fastpath_bailout();
             let mut cal = Calendar::new();
             sim.prime(&mut cal);
             AnyEngine::Cal(Engine::from_parts(sim, cal))
@@ -170,34 +118,5 @@ impl AnyEngine {
             AnyEngine::Cal(engine) => engine.into_simulation(),
             AnyEngine::Fast(engine) => engine.into_simulation(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mode_round_trips_through_str() {
-        for mode in [FastPathMode::Auto, FastPathMode::Off, FastPathMode::Force] {
-            assert_eq!(mode.name().parse::<FastPathMode>().unwrap(), mode);
-            assert_eq!(mode.to_string(), mode.name());
-        }
-        assert!("fast".parse::<FastPathMode>().is_err());
-    }
-
-    #[test]
-    fn mode_serde_uses_lowercase_names() {
-        for mode in [FastPathMode::Auto, FastPathMode::Off, FastPathMode::Force] {
-            let json = serde_json::to_string(&mode).unwrap();
-            assert_eq!(json, format!("\"{}\"", mode.name()));
-            let back: FastPathMode = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, mode);
-        }
-    }
-
-    #[test]
-    fn default_is_auto() {
-        assert_eq!(FastPathMode::default(), FastPathMode::Auto);
     }
 }

@@ -35,12 +35,13 @@
 //!   before it can poison an estimator, and livelocks/event storms are
 //!   broken with an honest partial report ([`AuditReport`]) instead of a
 //!   hang. With auditing off the estimates are bit-identical.
-//! - The analytic fast path ([`ExperimentConfig::with_fastpath`])
-//!   recognizes plain G/G/k FCFS configurations — no faults, no capping
-//!   epochs, no resilience — and batch-computes departures without the
-//!   binary-heap calendar, consuming the identical RNG stream so every
-//!   estimate stays bit-identical to the calendar engine. [`FastPathMode`]
-//!   selects `auto` (default), `off`, or `force`.
+//! - The analytic fast path runs plain G/G/k FCFS configurations — no
+//!   faults, no capping epochs, no resilience — of at most
+//!   [`FAST_PATH_MAX_SLOTS`] pending events without the binary-heap
+//!   calendar, consuming the identical RNG stream so every estimate stays
+//!   bit-identical to the calendar engine. The runners pick the engine
+//!   from the configuration ([`ClusterSim::fastpath_eligible`]); there is
+//!   nothing to set.
 //! - [`run_sweep`] orchestrates whole experiment *grids* across a
 //!   work-stealing pool: per-config panic isolation and deadlines,
 //!   bounded retry with quarantine of poison configs, deterministic
@@ -93,7 +94,7 @@ pub use checkpoint::{
 pub use cluster::ClusterSim;
 pub use config::{ArrivalMode, ExperimentConfig, MetricKind};
 pub use error::SimError;
-pub use fastpath::FastPathMode;
+pub use fastpath::FAST_PATH_MAX_SLOTS;
 pub use multitier::{run_multi_tier, MultiTierConfig, TierConfig};
 pub use parallel::{ParallelOutcome, ParallelRunner};
 #[doc(hidden)]

@@ -60,9 +60,8 @@ pub(crate) struct ClusterTelemetry {
     last_epoch_utilization_mean: Option<f64>,
     /// Engine builds that entered the analytic fast path.
     fastpath_entries: u64,
-    /// Engine builds that fell back to the calendar on an ineligible
-    /// configuration (counted identically whatever the requested mode, so
-    /// `force` and `off` telemetry stays byte-comparable).
+    /// Engine builds that ran the calendar: a fast-path-ineligible
+    /// feature, or more pending-event slots than the fast path scans.
     fastpath_bailouts: u64,
     /// Departures the fast path batch-processed (hot: plain field).
     fastpath_batched_departures: u64,
@@ -114,8 +113,8 @@ impl ClusterTelemetry {
         self.fastpath_entries += 1;
     }
 
-    /// Counts an engine build that bailed out to the calendar because the
-    /// configuration is fast-path ineligible.
+    /// Counts an engine build that ran the calendar instead of the fast
+    /// path.
     #[inline]
     pub(crate) fn note_fastpath_bailout(&mut self) {
         self.fastpath_bailouts += 1;
@@ -200,9 +199,8 @@ impl ClusterTelemetry {
             ..
         } = self;
         rec.counter_add("stats.samples_recorded", samples_recorded);
-        // Always emitted, even at zero: the fast-path decision is part of
-        // every run's deterministic record, and a missing key would make
-        // `force` vs `off` snapshots structurally incomparable.
+        // Always emitted, even at zero: which engine ran is part of every
+        // run's deterministic record.
         rec.counter_add("fastpath.entries", fastpath_entries);
         rec.counter_add("fastpath.bailouts", fastpath_bailouts);
         rec.counter_add("fastpath.batched_departures", fastpath_batched_departures);

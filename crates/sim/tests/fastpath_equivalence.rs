@@ -1,30 +1,37 @@
 //! Differential fast-path-vs-DES equivalence: the analytic fast path must
 //! be **bit-identical** to the calendar engine, not statistically close.
 //!
-//! Three contracts, all load-bearing for CI:
+//! Four contracts:
 //!
-//! 1. For every eligible G/G/k FCFS configuration, `fastpath=force` and
-//!    `fastpath=off` produce bit-identical estimates, event counts, and
-//!    simulated time — the fast engine consumes the same RNG stream in
-//!    the same order, so every per-request departure time matches.
-//! 2. Ineligible configurations (faults armed, hedging on, auditing on)
-//!    never enter the fast path, even under `force`: the telemetry
-//!    counters prove the engine selection, and force-vs-off stays
-//!    trivially bit-identical because both take the calendar.
-//! 3. Fast-path M/M/k estimates agree with the closed forms in
+//! 1. For every eligible G/G/k FCFS configuration, the runners (which put
+//!    it on the fast path) and a hand-driven calendar engine produce
+//!    bit-identical estimates, event counts, and simulated time — the fast
+//!    engine consumes the same RNG stream in the same order, so every
+//!    per-request departure time matches.
+//! 2. Ineligible configurations (faults armed, hedging on, auditing on, or
+//!    more pending-event slots than `FAST_PATH_MAX_SLOTS`) never enter the
+//!    fast path: the telemetry counters prove the engine selection, and
+//!    the runner's calendar matches the hand-driven one.
+//! 3. The selection flips exactly at the slot cap, with identical
+//!    estimates on both sides of it.
+//! 4. Fast-path M/M/k estimates agree with the closed forms in
 //!    `bighouse-analytic` — the same oracle the calendar engine is
 //!    validated against.
-//!
-//! Comparisons use `f64::to_bits`, never formatted strings.
+
+mod common;
 
 use bighouse_analytic::mmk;
 use bighouse_faults::FaultProcess;
 use bighouse_models::BalancerPolicy;
 use bighouse_sim::{
-    run_resumable, run_serial, ArrivalMode, AuditConfig, ExperimentConfig, FastPathMode,
-    MetricKind, ResilienceConfig, RunOptions, SimulationReport,
+    run_resumable, run_serial, ArrivalMode, AuditConfig, ExperimentConfig, MetricKind,
+    ResilienceConfig, RunOptions, FAST_PATH_MAX_SLOTS,
 };
 use bighouse_workloads::{StandardWorkload, TaskMoments, Workload};
+
+use common::{
+    assert_bit_identical, calendar_run, calendar_run_resumable, fastpath_counters, Outcome,
+};
 
 /// A synthesized G/G/k workload with the given service-time shape
 /// (`cv` = σ/mean): 0.3 is nearly deterministic, 1.0 is exponential
@@ -41,71 +48,31 @@ fn ggk_workload(service_cv: f64) -> Workload {
     .expect("moment pairs are fittable")
 }
 
+/// Event cap of [`eligible_config`] runs.
+const MAX_EVENTS: u64 = 400_000;
+
 fn eligible_config(service_cv: f64, utilization: f64, servers: usize) -> ExperimentConfig {
     ExperimentConfig::new(ggk_workload(service_cv).at_utilization(utilization, 4))
         .with_servers(servers)
         .with_target_accuracy(0.05)
         .with_warmup(100)
         .with_calibration(500)
-        .with_max_events(400_000)
+        .with_max_events(MAX_EVENTS)
 }
 
-fn run_with_mode(config: &ExperimentConfig, mode: FastPathMode, seed: u64) -> SimulationReport {
-    run_serial(&config.clone().with_fastpath(mode), seed).expect("config is valid")
-}
-
-/// Bit-exact comparison of everything derived from per-request departure
-/// times: the estimates (means, CI half-widths, quantiles), the final
-/// simulated clock, the event count, and the job/energy accounting.
-fn assert_reports_bit_identical(a: &SimulationReport, b: &SimulationReport, context: &str) {
-    assert_eq!(a.events_fired, b.events_fired, "{context}: events differ");
-    assert_eq!(
-        a.simulated_seconds.to_bits(),
-        b.simulated_seconds.to_bits(),
-        "{context}: simulated time differs"
+/// Runs `config` through `run_serial` and through the hand-driven calendar
+/// engine and asserts the two agree bit for bit.
+fn assert_runner_matches_calendar(config: &ExperimentConfig, seed: u64, context: &str) {
+    let runner = run_serial(config, seed).expect("config is valid");
+    assert_bit_identical(
+        &Outcome::of(&runner),
+        &calendar_run(config, seed, MAX_EVENTS),
+        context,
     );
-    assert_eq!(a.converged, b.converged, "{context}: convergence differs");
-    assert_eq!(
-        a.cluster.jobs_completed, b.cluster.jobs_completed,
-        "{context}: completion counts differ"
-    );
-    assert_eq!(
-        a.cluster.total_energy_joules.to_bits(),
-        b.cluster.total_energy_joules.to_bits(),
-        "{context}: energy accounting differs"
-    );
-    assert_eq!(a.estimates.len(), b.estimates.len(), "{context}");
-    for (ea, eb) in a.estimates.iter().zip(&b.estimates) {
-        assert_eq!(ea.name, eb.name, "{context}");
-        assert_eq!(ea.mean.to_bits(), eb.mean.to_bits(), "{context}: {}", ea.name);
-        assert_eq!(
-            ea.std_dev.to_bits(),
-            eb.std_dev.to_bits(),
-            "{context}: {}",
-            ea.name
-        );
-        assert_eq!(
-            ea.mean_half_width.to_bits(),
-            eb.mean_half_width.to_bits(),
-            "{context}: {}",
-            ea.name
-        );
-        assert_eq!(ea.samples_kept, eb.samples_kept, "{context}: {}", ea.name);
-        assert_eq!(ea.lag, eb.lag, "{context}: {}", ea.name);
-        for (qa, qb) in ea.quantiles.iter().zip(&eb.quantiles) {
-            assert_eq!(
-                qa.value.to_bits(),
-                qb.value.to_bits(),
-                "{context}: {} q{}",
-                ea.name,
-                qa.q
-            );
-        }
-    }
 }
 
 #[test]
-fn force_and_off_are_bit_identical_across_ggk_shapes() {
+fn fast_path_and_calendar_are_bit_identical_across_ggk_shapes() {
     // Service shape × cluster size × load, per-server and load-balanced:
     // every combination must agree engine-vs-engine down to the last bit.
     let mut case = 0u64;
@@ -119,12 +86,9 @@ fn force_and_off_are_bit_identical_across_ggk_shapes() {
             ];
             for config in configs {
                 case += 1;
-                let seed = 9000 + case;
-                let fast = run_with_mode(&config, FastPathMode::Force, seed);
-                let calendar = run_with_mode(&config, FastPathMode::Off, seed);
-                assert_reports_bit_identical(
-                    &fast,
-                    &calendar,
+                assert_runner_matches_calendar(
+                    &config,
+                    9000 + case,
                     &format!("cv={service_cv} servers={servers} u={utilization} case={case}"),
                 );
             }
@@ -137,63 +101,25 @@ fn waiting_time_metric_stays_bit_identical() {
     // The waiting-time observation path has its own conditional record
     // (only positive waits are observed); it must match exactly too.
     let config = eligible_config(1.0, 0.7, 2).with_metric(MetricKind::WaitingTime);
-    let fast = run_with_mode(&config, FastPathMode::Force, 77);
-    let calendar = run_with_mode(&config, FastPathMode::Off, 77);
-    assert_reports_bit_identical(&fast, &calendar, "waiting-time");
-}
-
-#[test]
-fn auto_mode_matches_both_explicit_modes() {
-    let config = eligible_config(1.0, 0.6, 4);
-    let auto = run_with_mode(&config, FastPathMode::Auto, 31);
-    let forced = run_with_mode(&config, FastPathMode::Force, 31);
-    let calendar = run_with_mode(&config, FastPathMode::Off, 31);
-    assert_reports_bit_identical(&auto, &forced, "auto-vs-force");
-    assert_reports_bit_identical(&auto, &calendar, "auto-vs-off");
-}
-
-/// Telemetry proof of engine selection: the fast-path counters record
-/// entries on eligible runs and bailouts on ineligible ones.
-fn fastpath_counters(config: &ExperimentConfig, seed: u64) -> (u64, u64, u64) {
-    let report = run_serial(&config.clone().with_telemetry(true), seed).expect("valid config");
-    let snap = report.runtime.telemetry.expect("telemetry on");
-    (
-        snap.counters["fastpath.entries"],
-        snap.counters["fastpath.bailouts"],
-        snap.counters["fastpath.batched_departures"],
-    )
+    assert_runner_matches_calendar(&config, 77, "waiting-time");
 }
 
 #[test]
 fn eligible_run_enters_fast_path_and_batches_departures() {
-    let config = eligible_config(1.0, 0.6, 2).with_fastpath(FastPathMode::Force);
-    let (entries, bailouts, batched) = fastpath_counters(&config, 5);
-    assert_eq!(entries, 1, "eligible forced run must enter the fast path");
+    let (entries, bailouts, batched) = fastpath_counters(&eligible_config(1.0, 0.6, 2), 5);
+    assert_eq!(entries, 1, "an eligible run must enter the fast path");
     assert_eq!(bailouts, 0);
     assert!(batched > 0, "departures must be batch-recorded");
 }
 
 #[test]
-fn off_mode_never_enters_even_when_eligible() {
-    let config = eligible_config(1.0, 0.6, 2).with_fastpath(FastPathMode::Off);
-    let (entries, bailouts, batched) = fastpath_counters(&config, 5);
-    assert_eq!(entries, 0, "off must pin the calendar engine");
-    assert_eq!(bailouts, 0, "off is a choice, not a bailout");
-    assert_eq!(batched, 0);
-}
-
-#[test]
-fn ineligible_configs_never_enter_fast_path_even_under_force() {
+fn ineligible_configs_never_enter_fast_path() {
     let faulty = eligible_config(1.0, 0.6, 2)
         .with_faults(FaultProcess::exponential(20.0, 2.0).unwrap())
-        .with_metric(MetricKind::Availability)
-        .with_fastpath(FastPathMode::Force);
-    let hedged = eligible_config(1.0, 0.6, 2)
-        .with_resilience(ResilienceConfig::new().with_hedge(0.05))
-        .with_fastpath(FastPathMode::Force);
-    let audited = eligible_config(1.0, 0.6, 2)
-        .with_audit(AuditConfig::default())
-        .with_fastpath(FastPathMode::Force);
+        .with_metric(MetricKind::Availability);
+    let hedged =
+        eligible_config(1.0, 0.6, 2).with_resilience(ResilienceConfig::new().with_hedge(0.05));
+    let audited = eligible_config(1.0, 0.6, 2).with_audit(AuditConfig::default());
     for (name, config) in [("faults", faulty), ("hedging", hedged), ("audit", audited)] {
         let (entries, bailouts, batched) = fastpath_counters(&config, 6);
         assert_eq!(entries, 0, "{name}: must not enter the fast path");
@@ -203,32 +129,46 @@ fn ineligible_configs_never_enter_fast_path_even_under_force() {
 }
 
 #[test]
-fn fault_arming_falls_back_with_estimates_bit_identical_to_pure_des() {
-    // The acceptance scenario: a configuration that would be eligible
-    // except for an armed fault process must take the calendar under
-    // every mode, and `force` must change nothing about the estimates.
-    let config = eligible_config(1.0, 0.7, 4)
-        .with_faults(FaultProcess::exponential(30.0, 1.0).unwrap())
-        .with_metric(MetricKind::Availability);
-    let forced = run_with_mode(&config, FastPathMode::Force, 91);
-    let pure_des = run_with_mode(&config, FastPathMode::Off, 91);
-    assert_reports_bit_identical(&forced, &pure_des, "fault-fallback");
+fn engine_selection_flips_at_the_slot_cap_with_identical_estimates() {
+    // Per-server arrivals occupy two slots per server (its stream, its
+    // attention event): 32 servers sit exactly on the cap, 33 are past it.
+    let at_cap = FAST_PATH_MAX_SLOTS / 2;
+    for (servers, fast) in [(at_cap, true), (at_cap + 1, false)] {
+        let config = eligible_config(1.0, 0.6, servers);
+        let (entries, bailouts, _) = fastpath_counters(&config, 64);
+        if fast {
+            assert!(entries >= 1, "{servers} servers fit the fast path");
+            assert_eq!(bailouts, 0);
+        } else {
+            assert_eq!(entries, 0, "{servers} servers exceed the slot cap");
+            assert!(bailouts >= 1);
+        }
+        assert_runner_matches_calendar(&config, 64, &format!("{servers} servers"));
+    }
 }
 
 #[test]
-fn resumable_epochs_stay_bit_identical_across_modes() {
-    // The epoch-structured runner rebuilds an engine per epoch; mode
-    // selection must not disturb the restored-statistics trajectory.
+fn fault_arming_falls_back_with_estimates_bit_identical_to_pure_des() {
+    // A configuration that would be eligible except for an armed fault
+    // process: the runner's calendar is the hand-driven calendar.
+    let config = eligible_config(1.0, 0.7, 4)
+        .with_faults(FaultProcess::exponential(30.0, 1.0).unwrap())
+        .with_metric(MetricKind::Availability);
+    assert_runner_matches_calendar(&config, 91, "fault-fallback");
+}
+
+#[test]
+fn resumable_epochs_stay_bit_identical_to_the_calendar() {
+    // The epoch-structured runner rebuilds an engine per epoch on top of
+    // restored statistics; the fast path must follow the same trajectory.
     let config = eligible_config(1.0, 0.6, 2);
     let opts = RunOptions {
         epoch_events: 20_000,
         ..RunOptions::default()
     };
-    let fast = run_resumable(&config.clone().with_fastpath(FastPathMode::Force), 17, &opts)
-        .expect("valid config");
-    let calendar = run_resumable(&config.clone().with_fastpath(FastPathMode::Off), 17, &opts)
-        .expect("valid config");
-    assert_reports_bit_identical(&fast, &calendar, "resumable");
+    let fast = run_resumable(&config, 17, &opts).expect("valid config");
+    let calendar = calendar_run_resumable(&config, 17, opts.epoch_events, MAX_EVENTS);
+    assert_bit_identical(&Outcome::of(&fast), &calendar, "resumable");
 }
 
 #[test]
@@ -250,8 +190,7 @@ fn fast_path_mmk_estimates_agree_with_closed_forms() {
         .with_target_accuracy(0.02)
         .with_warmup(500)
         .with_calibration(2_000)
-        .with_max_events(8_000_000)
-        .with_fastpath(FastPathMode::Force);
+        .with_max_events(8_000_000);
     let report = run_serial(&config, 2012).expect("valid config");
     assert!(report.converged, "the oracle comparison needs a converged run");
     let est = report.metric("response_time").expect("metric tracked");
@@ -267,8 +206,8 @@ fn fast_path_mmk_estimates_agree_with_closed_forms() {
         rel_err
     );
     // And the exact same estimate must come off the calendar engine.
-    let calendar = run_serial(&config.clone().with_fastpath(FastPathMode::Off), 2012).unwrap();
-    assert_reports_bit_identical(&report, &calendar, "mmk-oracle");
+    let calendar = calendar_run(&config, 2012, 8_000_000);
+    assert_bit_identical(&Outcome::of(&report), &calendar, "mmk-oracle");
 }
 
 #[test]
@@ -284,9 +223,8 @@ fn standard_workloads_are_eligible_and_bit_identical() {
             .with_target_accuracy(0.1)
             .with_warmup(50)
             .with_calibration(500);
-        let seed = 300 + i as u64;
-        let fast = run_with_mode(&config, FastPathMode::Force, seed);
-        let calendar = run_with_mode(&config, FastPathMode::Off, seed);
-        assert_reports_bit_identical(&fast, &calendar, which.name());
+        let runner = run_serial(&config, 300 + i as u64).expect("config is valid");
+        let calendar = calendar_run(&config, 300 + i as u64, u64::MAX);
+        assert_bit_identical(&Outcome::of(&runner), &calendar, which.name());
     }
 }

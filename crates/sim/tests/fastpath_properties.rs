@@ -1,20 +1,26 @@
 //! Property-based fast-path equivalence: for *randomized* G/G/k FCFS
 //! configurations — exponential-ish, near-deterministic, and heavy-tailed
 //! service shapes, varying core counts, server counts, and loads — the
-//! analytic fast path must produce estimates bit-identical to the full
-//! event calendar, and ineligible configurations must never enter it.
+//! analytic fast path (which the runner selects for them) must produce
+//! estimates bit-identical to a hand-driven event calendar, and ineligible
+//! configurations must never enter it.
 //!
 //! The fixed-matrix companion lives in `fastpath_equivalence.rs`; this
 //! file explores the configuration space proptest-style. Case counts are
 //! kept low because every case is two full (event-capped) runs.
 
+mod common;
+
 use proptest::prelude::*;
 
 use bighouse_faults::FaultProcess;
-use bighouse_sim::{
-    run_serial, ExperimentConfig, FastPathMode, MetricKind, ResilienceConfig, SimulationReport,
-};
+use bighouse_sim::{run_serial, ExperimentConfig, MetricKind, ResilienceConfig};
 use bighouse_workloads::{TaskMoments, Workload};
+
+use common::{calendar_run, fastpath_counters};
+
+/// Event cap of [`ggk_config`] runs.
+const MAX_EVENTS: u64 = 150_000;
 
 /// A synthesized G/G/k workload: `service_cv` sweeps the moment fitter
 /// across its low-CV (Erlang, near-deterministic), exponential, and
@@ -39,20 +45,7 @@ fn ggk_config(
         .with_target_accuracy(0.2)
         .with_warmup(20)
         .with_calibration(200)
-        .with_max_events(150_000)
-}
-
-fn run_with_mode(config: &ExperimentConfig, mode: FastPathMode, seed: u64) -> SimulationReport {
-    run_serial(&config.clone().with_fastpath(mode), seed).expect("config is valid")
-}
-
-fn fastpath_counters(config: &ExperimentConfig, seed: u64) -> (u64, u64) {
-    let report = run_serial(&config.clone().with_telemetry(true), seed).expect("valid config");
-    let snap = report.runtime.telemetry.expect("telemetry on");
-    (
-        snap.counters["fastpath.entries"],
-        snap.counters["fastpath.bailouts"],
-    )
+        .with_max_events(MAX_EVENTS)
 }
 
 proptest! {
@@ -72,25 +65,25 @@ proptest! {
         cores in 1usize..6,
     ) {
         let config = ggk_config(service_cv, utilization, servers, cores);
-        let fast = run_with_mode(&config, FastPathMode::Force, seed);
-        let calendar = run_with_mode(&config, FastPathMode::Off, seed);
+        let fast = run_serial(&config, seed).expect("config is valid");
+        let calendar = calendar_run(&config, seed, MAX_EVENTS);
         prop_assert_eq!(fast.events_fired, calendar.events_fired);
         prop_assert_eq!(
             fast.simulated_seconds.to_bits(),
             calendar.simulated_seconds.to_bits()
         );
-        prop_assert_eq!(fast.cluster.jobs_completed, calendar.cluster.jobs_completed);
+        prop_assert_eq!(fast.cluster.jobs_completed, calendar.jobs_completed);
         prop_assert_eq!(
             fast.cluster.total_energy_joules.to_bits(),
-            calendar.cluster.total_energy_joules.to_bits()
+            calendar.total_energy_joules.to_bits()
         );
         prop_assert_eq!(fast.estimates, calendar.estimates);
     }
 
     /// Ineligible configurations never enter the fast path, no matter the
     /// seed or load: a run with faults armed or hedging on must bail out
-    /// to the calendar even under `force`, and the differential estimates
-    /// stay trivially identical because both modes take the same engine.
+    /// to the calendar, and what the runner's calendar produces is what
+    /// the hand-driven one does.
     #[test]
     fn ineligible_configs_never_enter_fast_path(
         seed in any::<u64>(),
@@ -103,14 +96,13 @@ proptest! {
         } else {
             base.with_faults(FaultProcess::exponential(20.0, 2.0).unwrap())
                 .with_metric(MetricKind::Availability)
-        }
-        .with_fastpath(FastPathMode::Force);
-        let (entries, bailouts) = fastpath_counters(&config, seed);
+        };
+        let (entries, bailouts, _) = fastpath_counters(&config, seed);
         prop_assert_eq!(entries, 0, "ineligible config entered the fast path");
         prop_assert_eq!(bailouts, 1);
-        let forced = run_with_mode(&config, FastPathMode::Force, seed);
-        let calendar = run_with_mode(&config, FastPathMode::Off, seed);
-        prop_assert_eq!(forced.events_fired, calendar.events_fired);
-        prop_assert_eq!(forced.estimates, calendar.estimates);
+        let runner = run_serial(&config, seed).expect("config is valid");
+        let calendar = calendar_run(&config, seed, MAX_EVENTS);
+        prop_assert_eq!(runner.events_fired, calendar.events_fired);
+        prop_assert_eq!(runner.estimates, calendar.estimates);
     }
 }

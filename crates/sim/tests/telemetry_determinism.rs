@@ -15,7 +15,7 @@
 
 use bighouse_faults::{FaultProcess, RetryPolicy};
 use bighouse_sim::{
-    run_resumable, run_serial, ArrivalMode, ExperimentConfig, FastPathMode, MetricKind, RunOptions,
+    run_resumable, run_serial, ArrivalMode, ExperimentConfig, MetricKind, RunOptions,
 };
 use bighouse_telemetry::TelemetrySnapshot;
 use bighouse_workloads::{StandardWorkload, Workload};
@@ -218,32 +218,39 @@ fn fastpath_counters_are_deterministic_and_sit_outside_the_wall_quarantine() {
 }
 
 #[test]
-fn ineligible_snapshots_are_bit_identical_across_fastpath_modes() {
-    // An ineligible scenario falls back to the calendar under every mode,
-    // so `force` and `off` must produce the same telemetry down to the
-    // bailout counter — the differential CI job relies on this when it
-    // sweeps specs whose scenarios are not fast-path eligible.
-    let config = quick_config()
+fn every_emitted_fastpath_key_is_documented() {
+    // An eligible and an ineligible run between them emit every
+    // `fastpath.*` key; TELEMETRY.md must name each one.
+    let documented = include_str!("../../../TELEMETRY.md");
+    let eligible = quick_config().with_telemetry(true);
+    let ineligible = eligible
+        .clone()
         .with_servers(2)
-        .with_telemetry(true)
         .with_faults(FaultProcess::exponential(20.0, 2.0).unwrap())
         .with_metric(MetricKind::Availability)
         .with_calibration(200);
-    let forced = run_serial(&config.clone().with_fastpath(FastPathMode::Force), 86).unwrap();
-    let off = run_serial(&config.clone().with_fastpath(FastPathMode::Off), 86).unwrap();
-    assert_estimates_bit_identical(&forced, &off, "ineligible force-vs-off");
-    let snap_forced = forced.runtime.telemetry.expect("telemetry on");
-    let snap_off = off.runtime.telemetry.expect("telemetry on");
-    assert_eq!(
-        snap_forced.counters["fastpath.entries"], 0,
-        "ineligible scenario must not enter the fast path even under force"
-    );
-    assert_eq!(snap_forced.counters["fastpath.bailouts"], 1);
-    // The bailout is noted regardless of mode, so the two snapshots are
-    // the *same* deterministic object — same calendar work, same stats,
-    // same mode-selection counters — and the comparison needs no carve-out.
-    assert_eq!(snap_off.counters["fastpath.bailouts"], 1);
-    assert_eq!(deterministic(&snap_forced), deterministic(&snap_off));
+    let mut seen = 0;
+    for (config, bailouts) in [(eligible, 0), (ineligible, 1)] {
+        let snap = run_serial(&config, 86)
+            .unwrap()
+            .runtime
+            .telemetry
+            .expect("telemetry on");
+        assert_eq!(snap.counters["fastpath.bailouts"], bailouts);
+        assert_eq!(snap.counters["fastpath.entries"], 1 - bailouts);
+        let keys = (snap.counters.keys())
+            .chain(snap.gauges.keys())
+            .chain(snap.histograms.keys())
+            .chain(snap.wall.keys());
+        for key in keys.filter(|k| k.starts_with("fastpath.")) {
+            seen += 1;
+            assert!(
+                documented.contains(&format!("`{key}`")),
+                "{key} is emitted but absent from TELEMETRY.md"
+            );
+        }
+    }
+    assert!(seen >= 6, "both runs emit the three fastpath counters");
 }
 
 #[test]

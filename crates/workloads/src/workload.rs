@@ -303,6 +303,44 @@ mod tests {
     }
 
     #[test]
+    fn guided_draws_match_unguided_on_every_workload_table() {
+        // The simulator draws every interarrival and service time through
+        // a `QuantileGuide`, so the guide must agree with `Empirical::sample`
+        // draw for draw on the tables it actually sees: all five standard
+        // workloads and a heavy-tailed synthesized one (tail-refinement
+        // points included), plain and rescaled by `at_utilization`.
+        use bighouse_dists::QuantileGuide;
+        use rand::RngCore;
+
+        let heavy = Workload::synthesize(
+            "heavy",
+            TaskMoments::new(10e-3, 10e-3),
+            TaskMoments::new(5e-3, 12.5e-3),
+            99,
+        )
+        .unwrap();
+        let workloads = (StandardWorkload::ALL.into_iter().map(Workload::standard))
+            .chain(std::iter::once(heavy));
+        for (i, plain) in workloads.enumerate() {
+            for w in [plain.at_utilization(0.7, 4), plain] {
+                for table in [w.service(), w.interarrival()] {
+                    let guide = QuantileGuide::new(table);
+                    let mut unguided = StdRng::seed_from_u64(i as u64);
+                    let mut guided = unguided.clone();
+                    for draw in 0..100_000 {
+                        assert_eq!(
+                            table.sample(&mut unguided).to_bits(),
+                            guide.sample_from_bits(guided.next_u64()).to_bits(),
+                            "{}: draw {draw}",
+                            w.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn save_load_round_trip() {
         let dir = std::env::temp_dir().join("bighouse-workload-test");
         std::fs::create_dir_all(&dir).unwrap();
