@@ -10,6 +10,9 @@
 //! the protocol overheads the paper discusses: every slave must warm up and
 //! calibrate before contributing samples, so scalability saturates once
 //! per-slave calibration rivals each slave's share of the measurement.
+//! The master decides at chunk barriers, so the critical-path and
+//! work-speedup columns are the same on every run of a given seed; only the
+//! wall columns vary.
 //!
 //! Run with: `cargo run --release -p bighouse-bench --bin fig10_parallel`
 //! Optional: `accuracy=0.02 seed=31 max_slaves=16`

@@ -4,7 +4,7 @@
 //! bighouse run <experiment.json> [seed=N] [out=report.json]
 //!              [checkpoint-dir=DIR] [checkpoint-interval=EPOCHS]
 //!              [epoch-events=N] [telemetry=out.json]
-//!              [backend=threads|lockstep|processes] [--slave-processes]
+//!              [backend=threads|processes] [--slave-processes]
 //!              [slave-mem-mb=N] [slave-cpu-secs=S]
 //!              [--resume] [--paranoid] [--telemetry-summary]
 //! bighouse sweep <sweep.json> [seed=N] [out=report.json]
@@ -187,7 +187,7 @@ fn print_usage() {
     println!("  bighouse run <experiment.json> [seed=N] [out=report.json]");
     println!("               [checkpoint-dir=DIR] [checkpoint-interval=EPOCHS]");
     println!("               [epoch-events=N] [telemetry=out.json]");
-    println!("               [backend=threads|lockstep|processes] [--slave-processes]");
+    println!("               [backend=threads|processes] [--slave-processes]");
     println!("               [slave-mem-mb=N] [slave-cpu-secs=S]");
     println!("               [--resume] [--paranoid] [--telemetry-summary]");
     println!("      Run the experiment described by a JSON configuration file;");
@@ -207,9 +207,10 @@ fn print_usage() {
     println!("      process over a checksummed IPC fabric: a slave that");
     println!("      segfaults, aborts, or is OOM-killed is respawned from its");
     println!("      epoch checkpoint with bit-identical final estimates.");
-    println!("      backend=lockstep runs the same deterministic epoch-barrier");
-    println!("      protocol on in-process threads. slave-mem-mb / slave-cpu-secs");
-    println!("      arm per-child resource caps (a slave over its cap exits 75");
+    println!("      backend=threads (the default; backend=lockstep is a synonym)");
+    println!("      runs the same deterministic chunk-barrier protocol on");
+    println!("      in-process threads. slave-mem-mb / slave-cpu-secs arm");
+    println!("      per-child resource caps (a slave over its cap exits 75");
     println!("      and is counted, not resurrected).");
     println!("  bighouse sweep <sweep.json> [seed=N] [out=report.json]");
     println!("               [checkpoint-dir=DIR] [workers=N] [--isolate]");
@@ -272,12 +273,11 @@ fn limits_args(args: &[String]) -> Result<ProcLimits, CliError> {
     })
 }
 
-/// Parses the execution-backend selection for parallel runs:
-/// `--slave-processes` (or `backend=processes`) sandboxes each slave in a
-/// child OS process behind the checksummed IPC fabric; `backend=lockstep`
-/// runs the same deterministic epoch-barrier protocol on in-process
-/// threads; `backend=threads` (the default) is the free-running thread
-/// pool.
+/// Parses the transport selection for parallel runs: `--slave-processes`
+/// (or `backend=processes`) sandboxes each slave in a child OS process
+/// behind the checksummed IPC fabric; `backend=threads` (the default, with
+/// `lockstep` as a synonym from when there were two thread backends) runs
+/// the same deterministic chunk-barrier protocol on in-process threads.
 fn backend_arg(args: &[String]) -> Result<ExecBackend, CliError> {
     let backend = kv_arg(args, "backend");
     if flag_arg(args, "slave-processes") || backend.as_deref() == Some("processes") {
@@ -287,10 +287,9 @@ fn backend_arg(args: &[String]) -> Result<ExecBackend, CliError> {
         }));
     }
     match backend.as_deref() {
-        None | Some("threads") => Ok(ExecBackend::Threads),
-        Some("lockstep") => Ok(ExecBackend::ThreadLockstep),
+        None | Some("threads" | "lockstep") => Ok(ExecBackend::ThreadLockstep),
         Some(other) => Err(CliError::Usage(format!(
-            "bad backend `{other}` (expected threads, lockstep, or processes)"
+            "bad backend `{other}` (expected threads or processes)"
         ))),
     }
 }
@@ -360,8 +359,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             eprintln!(
                 "running with {slaves} parallel slaves ({} backend, master seed {seed})...",
                 match &backend {
-                    ExecBackend::Threads => "thread",
-                    ExecBackend::ThreadLockstep => "lockstep",
+                    ExecBackend::ThreadLockstep => "thread",
                     ExecBackend::Processes(_) => "process",
                 }
             );
@@ -369,7 +367,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                 .with_interrupt(interrupt_flag())
                 .with_backend(backend);
             // epoch-events also sizes the slaves' checkpoint epochs (the
-            // granularity of crash recovery and of the lockstep barrier).
+            // granularity of crash recovery).
             if kv_arg(args, "epoch-events").is_some() && epoch_events > 0 {
                 runner = runner.with_slave_epoch(epoch_events);
             }

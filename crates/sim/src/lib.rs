@@ -96,10 +96,10 @@ pub use config::{ArrivalMode, ExperimentConfig, MetricKind};
 pub use error::SimError;
 pub use fastpath::FAST_PATH_MAX_SLOTS;
 pub use multitier::{run_multi_tier, MultiTierConfig, TierConfig};
-pub use parallel::{ParallelOutcome, ParallelRunner};
 #[doc(hidden)]
-pub use procslave::ProcChaos;
-pub use procslave::{slave_main, ExecBackend, ProcLimits, ProcSlaveConfig};
+pub use parallel::ProcChaos;
+pub use parallel::{ExecBackend, ParallelOutcome, ParallelRunner};
+pub use procslave::{slave_main, ProcLimits, ProcSlaveConfig};
 pub use report::{ClusterSummary, FaultSummary, RuntimeStats, SimulationReport, TerminationReason};
 pub use resilience::{
     AdmissionPolicy, ClassDisposition, HedgePolicy, OverloadRamp, ResilienceConfig,

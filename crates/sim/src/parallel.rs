@@ -8,22 +8,51 @@
 //! accuracy. Finally, in the merge phase, each slave sends its histogram to
 //! the master, which aggregates the histograms and reports estimates."
 //!
-//! Slaves here are OS threads; the protocol (bin-scheme broadcast, unique
-//! seeds, per-slave warm-up/calibration, aggregate-size monitoring,
-//! histogram merge) is exactly the paper's. The paper's hosts were separate
-//! machines — see DESIGN.md substitution 3.
+//! This module owns that protocol: the messages, the slave's half
+//! ([`slave_session`]), the master's half ([`supervise`]) and the in-thread
+//! transport. [`crate::procslave`] adds what exists because of a process
+//! boundary — the frame codec, the child-process transport and the child's
+//! entry point — on top of the same two halves. The dependency runs one
+//! way: this module names `procslave` only where [`ExecBackend::Processes`]
+//! forces it, for the variant's payload and for the transport constructor
+//! in [`ParallelRunner::run`]. The paper's hosts were separate machines —
+//! see DESIGN.md substitution 3.
 //!
-//! The master is a **supervisor**: each slave runs in deterministic epochs
-//! and sends the master an in-memory checkpoint of its statistics at every
-//! epoch boundary. A slave that panics (or stalls past an optional
-//! per-slave timeout) is *resurrected* from its last checkpoint — with a
-//! fresh incarnation number fencing off any stale messages — up to a
-//! bounded number of restarts with exponential backoff. Because each epoch
-//! draws its seed deterministically from the slave's seed and epoch index,
-//! the resurrected slave replays the lost partial epoch identically, so
-//! the sample pool keeps its full size. Only when restarts are exhausted
-//! does the runner fall back to the original drop-dead-slave semantics
+//! # Decide at chunks, recover at epochs
+//!
+//! A slave simulates in chunks of [`CHUNK_EVENTS`] events. After every
+//! chunk it sends an [`UpFrame::Heartbeat`] carrying its per-metric sample
+//! moments and **parks** until the master answers with a [`Directive`].
+//! The master evaluates aggregate sufficiency only when every live slave
+//! has parked at the same chunk barrier, on the moments each sent with
+//! that chunk, so the stopping decision is a pure function of (config,
+//! seeds, epoch size, slave count) — never of wall-clock scheduling — and
+//! a run stops within one chunk per slave of the sample it needed.
+//!
+//! Every `slave_epoch_events` events (a whole number of chunks, the last
+//! one short if need be) the slave ends an *epoch*: it rebuilds its
+//! simulation from a seed derived from (slave seed, epoch index) and ships
+//! an [`UpFrame::EpochDone`] checkpoint of its statistics, which the master
+//! stores and nobody waits on. A slave that panics, is SIGKILLed, or stalls
+//! past the optional per-slave timeout is *resurrected* from that
+//! checkpoint with a fresh incarnation number fencing off stale frames, up
+//! to a bounded number of restarts with full-jitter backoff. It replays the
+//! lost chunks from the same epoch seed, the master answers the barriers
+//! it has already decided the way it decided them, and the final report is
+//! bit-identical to an undisturbed run on either transport. Only when
+//! restarts are exhausted does the runner drop the slave
 //! ([`ParallelOutcome::dead_slaves`]).
+//!
+//! ```text
+//!            spawn(inc=0)                 Heartbeat        Directive
+//!  [FRESH] ──────────────▶ [RUNNING] ───────────────▶ [PARKED] ─────▶ [RUNNING]
+//!                              │  crash/stall/SIGKILL      │ Finalize
+//!                              ▼  (incarnation fenced)     ▼
+//!                         [RESPAWN WAIT] ── full-jitter ──▶ spawn(inc+1) from the
+//!                              │  restarts exhausted        last EpochDone checkpoint
+//!                              ▼
+//!                           [DEAD]  (dropped from the merge, reported honestly)
+//! ```
 //!
 //! An optional wall-clock watchdog ([`ParallelRunner::with_watchdog`])
 //! bounds runs whose accuracy target is unreachable, and a cooperative
@@ -38,6 +67,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
+use serde::{Deserialize, Serialize};
 
 use bighouse_des::SeedStream;
 use bighouse_stats::{
@@ -47,28 +77,25 @@ use bighouse_stats::{
 use bighouse_telemetry::{MemoryRecorder, Recorder as _, TelemetrySnapshot};
 
 use crate::audit::{AuditConfig, AuditReport};
+use crate::checkpoint::fnv1a;
 use crate::cluster::ClusterSim;
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
 use crate::fastpath::AnyEngine;
-use crate::procslave::{
-    full_jitter_backoff, ExecBackend, FinalShard, ProcChaos, SlaveTelemetryShard,
-};
-use crate::report::TerminationReason;
+use crate::report::{SimulationReport, TerminationReason};
 use crate::runner::run_until_calibrated;
 
-/// How many events each slave simulates between progress reports to the
-/// master.
-pub(crate) const CHUNK_EVENTS: u64 = 20_000;
+/// How many events a slave simulates between chunk barriers.
+const CHUNK_EVENTS: u64 = 20_000;
 
 /// How often the master re-checks deadlines, interrupts, and due respawns
 /// while waiting for slave messages.
-pub(crate) const WATCHDOG_TICK: Duration = Duration::from_millis(25);
+const WATCHDOG_TICK: Duration = Duration::from_millis(25);
 
 /// Base delay before a crashed slave's first restart; doubles per attempt
 /// (with full jitter — see [`full_jitter_backoff`] — so a pool of
 /// simultaneously crashed slaves does not respawn in lockstep).
-pub(crate) const RESTART_BACKOFF: Duration = Duration::from_millis(25);
+const RESTART_BACKOFF: Duration = Duration::from_millis(25);
 
 /// The result of a parallel run.
 #[derive(Debug, Clone)]
@@ -103,9 +130,9 @@ pub struct ParallelOutcome {
     /// fails the whole run.
     pub audit: Option<AuditReport>,
     /// Master-side telemetry (`None` unless the experiment enables
-    /// telemetry). Unlike serial telemetry, parallel counters include
-    /// timing-dependent facts (per-slave event totals, message counts), so
-    /// this snapshot is **not** covered by the bit-identity guarantee.
+    /// telemetry). Like serial telemetry, everything outside its `wall`
+    /// map is a pure function of the configuration, seed, slave count and
+    /// epoch size — of an undisturbed run: resurrections are counted.
     pub telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -125,128 +152,222 @@ impl ParallelOutcome {
 
 /// A slave's resumable state: everything the master needs to restart it
 /// without losing samples. Checkpointed at epoch boundaries, when no
-/// calendar state is in flight. Serializable so the process backend can
+/// calendar state is in flight. Serializable so the process transport can
 /// ship it across the IPC fabric verbatim.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SlaveState {
     /// Next epoch index to simulate.
-    pub(crate) epoch: u64,
+    epoch: u64,
     /// Events simulated across completed epochs.
-    pub(crate) events: u64,
+    events: u64,
+    /// Chunk barriers passed across completed epochs, so a resurrection
+    /// resumes the barrier numbering where the checkpoint left it.
+    #[serde(default)]
+    barriers: u64,
     /// Statistics accumulated so far (`None` before the first epoch).
-    pub(crate) stats: Option<StatsCollection>,
+    stats: Option<StatsCollection>,
 }
 
-/// Messages slaves send the master. Every message carries the sender's
-/// incarnation so the master can ignore stragglers from an abandoned
-/// (timed-out but still running) incarnation of the same slave.
-enum SlaveMessage {
-    Progress {
+/// Which transport carries [`ParallelRunner`]'s slaves. Both run the same
+/// protocol and produce bit-identical results.
+#[derive(Debug, Clone, Default)]
+pub enum ExecBackend {
+    /// Threads of this process, over in-memory channels.
+    #[default]
+    ThreadLockstep,
+    /// Sandboxed child OS processes over the checksummed frame fabric
+    /// (see [`crate::procslave`]).
+    Processes(crate::procslave::ProcSlaveConfig),
+}
+
+// ---------------------------------------------------------------------------
+// Protocol messages
+// ---------------------------------------------------------------------------
+
+/// Master → slave barrier decision.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Directive {
+    /// Simulate the next chunk.
+    Continue,
+    /// Stop at the parked chunk boundary and deliver the final shard.
+    Finalize,
+}
+
+/// Chaos hooks for crash-safety tests: deterministic faults injected into
+/// exactly one slave's **first** incarnation.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub enum ProcChaos {
+    /// Master SIGKILLs the slave's child mid-epoch (on the first heartbeat
+    /// after its first epoch checkpoint). Thread transports treat this as
+    /// [`ProcChaos::PanicAfterFirstEpoch`] — a thread cannot be killed.
+    KillMidEpoch {
+        /// Victim slave index.
         slave: usize,
-        incarnation: u32,
-        moments: Vec<Option<RunningStats>>,
     },
-    /// An epoch boundary: the slave's full resumable state.
-    Checkpoint {
+    /// The slave calls `std::process::abort()` right after its first epoch
+    /// checkpoint — the failure `catch_unwind` cannot contain.
+    AbortAfterFirstEpoch {
+        /// Victim slave index.
         slave: usize,
+    },
+    /// The slave panics right after its first epoch checkpoint.
+    PanicAfterFirstEpoch {
+        /// Victim slave index.
+        slave: usize,
+    },
+}
+
+impl ProcChaos {
+    pub(crate) fn victim(&self) -> usize {
+        match *self {
+            ProcChaos::KillMidEpoch { slave }
+            | ProcChaos::AbortAfterFirstEpoch { slave }
+            | ProcChaos::PanicAfterFirstEpoch { slave } => slave,
+        }
+    }
+
+    /// Parses the `BIGHOUSE_PROC_CHAOS` environment convention
+    /// (`kill:N` / `abort:N` / `panic:N`).
+    #[doc(hidden)]
+    pub fn from_env_str(s: &str) -> Option<ProcChaos> {
+        let (kind, idx) = s.split_once(':')?;
+        let slave = idx.trim().parse().ok()?;
+        match kind.trim() {
+            "kill" => Some(ProcChaos::KillMidEpoch { slave }),
+            "abort" => Some(ProcChaos::AbortAfterFirstEpoch { slave }),
+            "panic" => Some(ProcChaos::PanicAfterFirstEpoch { slave }),
+            _ => None,
+        }
+    }
+}
+
+/// Everything a finished slave delivers for the merge, plus its telemetry
+/// shard. Also the unit [`merge_finals`] consumes.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct FinalShard {
+    /// Per-metric histograms (`None` where the metric saw no data).
+    pub histograms: Vec<Option<Histogram>>,
+    /// Per-metric autocorrelation lags.
+    pub lags: Vec<usize>,
+    /// Per-metric raw observation counts.
+    pub total_observed: Vec<u64>,
+    /// Events the slave simulated across completed epochs.
+    pub events: u64,
+    /// Merged invariant-audit report for this slave's incarnation.
+    pub audit: Option<AuditReport>,
+    /// The slave's own counters, merged into master telemetry.
+    pub telemetry: SlaveTelemetryShard,
+}
+
+/// A slave's self-reported counters; riding the final frame keeps the
+/// fabric's data flow one-directional and cheap.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+pub struct SlaveTelemetryShard {
+    /// Epochs completed by this incarnation.
+    pub epochs: u64,
+    /// Heartbeats sent by this incarnation.
+    pub heartbeats: u64,
+}
+
+/// Slave → master frames. Every frame carries the sender's incarnation so
+/// the master can fence messages from abandoned incarnations.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum UpFrame {
+    /// The slave accepted its hello and is about to simulate.
+    Ready {
+        /// Sender slave index.
+        slave: usize,
+        /// Sender incarnation.
         incarnation: u32,
+    },
+    /// Chunk barrier, sent every 20 000 events: liveness for the
+    /// stall deadline, plus everything the stopping rule reads. The slave
+    /// now blocks until the master answers with a [`Directive`].
+    Heartbeat {
+        /// Sender slave index.
+        slave: usize,
+        /// Sender incarnation.
+        incarnation: u32,
+        /// Events simulated so far (cumulative, incl. restored checkpoint).
+        events: u64,
+        /// Chunks completed since the run began (cumulative, incl. restored
+        /// checkpoint) — the index of the barrier this frame parks at.
+        barrier: u64,
+        /// Per-metric sample moments at this chunk boundary.
+        moments: Vec<Option<RunningStats>>,
+        /// Whether the slave's event cap is exhausted (it cannot continue).
+        exhausted: bool,
+    },
+    /// Epoch checkpoint: the slave's full resumable state, stored by the
+    /// master for resurrection. Nobody waits on it.
+    EpochDone {
+        /// Sender slave index.
+        slave: usize,
+        /// Sender incarnation.
+        incarnation: u32,
+        /// Checkpoint at the epoch boundary.
         state: Box<SlaveState>,
     },
+    /// Terminal frame of a successful incarnation.
     Final {
+        /// Sender slave index.
         slave: usize,
+        /// Sender incarnation.
         incarnation: u32,
-        /// The merge shard — the same unit the process backend ships over
-        /// the IPC fabric, so both backends share one merge path.
+        /// The merge shard.
         shard: Box<FinalShard>,
     },
-    /// The slave panicked (or failed to build); it will send nothing else.
-    Died { slave: usize, incarnation: u32 },
+    /// The whole-run report of a [`crate::procslave::HelloJob::Solo`] child.
+    SoloReport(Box<SimulationReport>),
+    /// Terminal frame of a failed incarnation: a typed error and the exit
+    /// code the child is about to die with.
+    Fatal {
+        /// Sender slave index.
+        slave: usize,
+        /// Sender incarnation.
+        incarnation: u32,
+        /// Rendering of the error.
+        error: String,
+        /// The exit code the child will exit with (see
+        /// [`crate::procslave::exit_code`]).
+        code: u8,
+    },
 }
 
-/// Per-slave supervision bookkeeping held by the master.
-struct Supervision {
-    /// Current incarnation of each slave; messages from older incarnations
-    /// are fenced off.
-    incarnations: Vec<u32>,
-    /// Restarts still available to each slave.
-    restarts_left: Vec<u32>,
-    /// Last checkpoint received from each slave (fresh state initially).
-    checkpoints: Vec<SlaveState>,
-    /// When each slave's pending respawn becomes due.
-    respawn_at: Vec<Option<Instant>>,
-    /// Slaves that delivered their Final.
-    finished: Vec<bool>,
-    /// Slaves that died permanently (restarts exhausted).
-    dead: Vec<bool>,
-    /// Last time the master heard from each slave's live incarnation.
-    last_heard: Vec<Instant>,
-}
-
-impl Supervision {
-    fn new(slaves: usize, max_restarts: u32) -> Self {
-        let now = Instant::now();
-        Supervision {
-            incarnations: vec![0; slaves],
-            restarts_left: vec![max_restarts; slaves],
-            checkpoints: vec![SlaveState::default(); slaves],
-            respawn_at: vec![None; slaves],
-            finished: vec![false; slaves],
-            dead: vec![false; slaves],
-            last_heard: vec![now; slaves],
-        }
-    }
-
-    /// Whether the slave has reached a terminal state (Final delivered or
-    /// permanently dead).
-    fn settled(&self, slave: usize) -> bool {
-        self.finished[slave] || self.dead[slave]
-    }
-}
-
-/// Handles one observed slave death (panic or stall): either schedules a
-/// resurrection from the last checkpoint, or — restarts exhausted — marks
-/// the slave permanently dead and re-evaluates convergence without it.
-fn record_death(
-    slave: usize,
-    sup: &mut Supervision,
-    latest: &mut [Vec<Option<RunningStats>>],
-    specs: &[MetricSpec],
-    outcome: &mut ParallelOutcome,
-    max_restarts: u32,
-) {
-    sup.incarnations[slave] += 1;
-    if sup.restarts_left[slave] > 0 {
-        sup.restarts_left[slave] -= 1;
-        let attempt = max_restarts - sup.restarts_left[slave]; // 1-based
-        let backoff = full_jitter_backoff(RESTART_BACKOFF, attempt, slave as u64);
-        sup.respawn_at[slave] = Some(Instant::now() + backoff);
-        // Until the resurrection reports in, count the slave's sample pool
-        // at its checkpointed (guaranteed-recoverable) size.
-        latest[slave] = checkpoint_moments(&sup.checkpoints[slave], specs.len());
-    } else {
-        sup.dead[slave] = true;
-        outcome.dead_slaves.push(slave);
-        // A dead slave's samples never reach the merge; forget its
-        // progress so convergence is not declared on data that will not
-        // be delivered.
-        latest[slave] = vec![None; specs.len()];
-        if outcome.converged && !aggregate_sufficient(specs, latest) {
-            outcome.converged = false;
-            // Too late to restart the survivors (they may already be
-            // finishing); report honestly.
+impl UpFrame {
+    fn sender(&self) -> Option<(usize, u32)> {
+        match *self {
+            UpFrame::Ready { slave, incarnation }
+            | UpFrame::Heartbeat {
+                slave, incarnation, ..
+            }
+            | UpFrame::EpochDone {
+                slave, incarnation, ..
+            }
+            | UpFrame::Final {
+                slave, incarnation, ..
+            }
+            | UpFrame::Fatal {
+                slave, incarnation, ..
+            } => Some((slave, incarnation)),
+            UpFrame::SoloReport(_) => None,
         }
     }
 }
 
-/// The per-metric sample moments recoverable from a slave checkpoint.
-pub(crate) fn checkpoint_moments(state: &SlaveState, metrics: usize) -> Vec<Option<RunningStats>> {
-    match &state.stats {
-        Some(stats) => stats
-            .iter()
-            .map(|m| m.histogram().map(|h| *h.moments()))
-            .collect(),
-        None => vec![None; metrics],
-    }
+/// Doubling backoff with **full jitter**: a delay drawn uniformly from
+/// `(0, base·2^min(attempt-1, 6)]`, deterministically from `(salt,
+/// attempt)` — so respawn/retry storms decorrelate across a pool without
+/// introducing nondeterminism. Floored at 1 ms so a respawn can never
+/// hot-loop.
+pub(crate) fn full_jitter_backoff(base: Duration, attempt: u32, salt: u64) -> Duration {
+    let cap = base * 2u32.pow(attempt.saturating_sub(1).min(6));
+    let mut bytes = [0u8; 12];
+    bytes[..8].copy_from_slice(&salt.to_le_bytes());
+    bytes[8..].copy_from_slice(&attempt.to_le_bytes());
+    let frac = (fnv1a(&bytes) >> 11) as f64 / (1u64 << 53) as f64;
+    cap.mul_f64(frac).max(Duration::from_millis(1))
 }
 
 /// The distributed-simulation coordinator.
@@ -264,17 +385,17 @@ pub(crate) fn checkpoint_moments(state: &SlaveState, metrics: usize) -> Vec<Opti
 /// ```
 #[derive(Debug)]
 pub struct ParallelRunner {
-    pub(crate) config: ExperimentConfig,
-    pub(crate) slaves: usize,
-    pub(crate) watchdog: Option<f64>,
-    pub(crate) max_restarts: u32,
-    pub(crate) slave_epoch_events: u64,
-    pub(crate) slave_stall_timeout: Option<Duration>,
-    pub(crate) interrupt: Option<Arc<AtomicBool>>,
-    pub(crate) backend: ExecBackend,
-    pub(crate) proc_chaos: Option<ProcChaos>,
-    pub(crate) forced_panic: Option<usize>,
-    pub(crate) persistent_panic: Option<usize>,
+    config: ExperimentConfig,
+    slaves: usize,
+    watchdog: Option<f64>,
+    max_restarts: u32,
+    slave_epoch_events: u64,
+    slave_stall_timeout: Option<Duration>,
+    interrupt: Option<Arc<AtomicBool>>,
+    backend: ExecBackend,
+    proc_chaos: Option<ProcChaos>,
+    forced_panic: Option<usize>,
+    persistent_panic: Option<usize>,
 }
 
 impl ParallelRunner {
@@ -301,11 +422,9 @@ impl ParallelRunner {
         }
     }
 
-    /// Selects the execution substrate: free-running threads (the default;
-    /// fastest convergence, scheduling-dependent stopping point),
-    /// deterministic epoch-lockstep threads, or sandboxed child OS
-    /// processes over the checksummed IPC fabric (see
-    /// [`crate::procslave`]). The lockstep backends produce bit-identical
+    /// Selects the transport the slaves run on: threads of this process
+    /// (the default) or sandboxed child OS processes over the checksummed
+    /// IPC fabric (see [`crate::procslave`]). Both produce bit-identical
     /// estimates for a given (config, seed, slave count, epoch size) —
     /// even across transports and slave crashes.
     #[must_use]
@@ -315,8 +434,8 @@ impl ParallelRunner {
     }
 
     /// Chaos hook: injects a deterministic crash (kill/abort/panic) into
-    /// one slave's first incarnation. Honored by the lockstep backends;
-    /// the free-running thread backend ignores it.
+    /// one slave's first incarnation, right after its first epoch
+    /// checkpoint.
     #[doc(hidden)]
     #[must_use]
     pub fn with_proc_chaos(mut self, chaos: ProcChaos) -> Self {
@@ -357,7 +476,8 @@ impl ParallelRunner {
 
     /// Sets the slave checkpoint epoch in events. Smaller epochs bound the
     /// work a resurrection replays; larger epochs reduce checkpoint
-    /// traffic.
+    /// traffic. The stopping decision is made every 20 000 events
+    /// whatever the epoch.
     ///
     /// # Panics
     ///
@@ -431,17 +551,6 @@ impl ParallelRunner {
     /// and [`SimError::NoSurvivingSlaves`] if every slave dies permanently
     /// before delivering results.
     pub fn run(&self, master_seed: u64) -> Result<ParallelOutcome, SimError> {
-        match &self.backend {
-            ExecBackend::Threads => self.run_threads(master_seed),
-            ExecBackend::ThreadLockstep => crate::procslave::run_lockstep(self, master_seed, None),
-            ExecBackend::Processes(cfg) => {
-                crate::procslave::run_lockstep(self, master_seed, Some(cfg))
-            }
-        }
-    }
-
-    /// The original free-running thread backend.
-    fn run_threads(&self, master_seed: u64) -> Result<ParallelOutcome, SimError> {
         let start = Instant::now();
 
         // Phase 1–2: master warm-up + calibration fixes the bin schemes.
@@ -456,294 +565,26 @@ impl ParallelRunner {
             .collect();
 
         // Phases 3–6: slaves with unique seeds, aggregate monitoring, merge.
-        let stop = AtomicBool::new(false);
-        let (tx, rx) = channel::unbounded::<SlaveMessage>();
-        let mut seeds = SeedStream::new(master_seed ^ 0x5A5A_5A5A_5A5A_5A5A);
-        let slave_seeds: Vec<u64> = (0..self.slaves).map(|_| seeds.next_seed()).collect();
-
-        let mut outcome = ParallelOutcome {
-            estimates: Vec::new(),
-            converged: false,
-            termination: TerminationReason::Deadline,
-            master_calibration_events: master_events,
-            slave_events: vec![0; self.slaves],
-            dead_slaves: Vec::new(),
-            resurrections: 0,
-            watchdog_fired: false,
-            wall_seconds: 0.0,
-            audit: None,
-            telemetry: None,
-        };
-        let mut interrupted = false;
-        // Message tallies for master-side telemetry; kept as plain locals
-        // (the counts are cheap whether or not telemetry is on).
-        let mut n_progress: u64 = 0;
-        let mut n_checkpoint_msgs: u64 = 0;
-        let mut n_finals: u64 = 0;
-        let mut merge_seconds = 0.0;
-
-        let deadline = self.watchdog.map(|s| start + Duration::from_secs_f64(s));
-
-        std::thread::scope(|scope| {
-            // Spawns (or respawns) one incarnation of a slave, resuming
-            // from the given checkpoint state. The channel sender is
-            // cloned per incarnation; the master keeps the original alive
-            // so respawns stay possible until the run settles.
-            let spawn_slave = |slave: usize, incarnation: u32, state: SlaveState| {
-                let tx = tx.clone();
-                let stop = &stop;
-                let config = &self.config;
-                let bin_schemes = &bin_schemes;
-                let seed = slave_seeds[slave];
-                let epoch_events = self.slave_epoch_events;
-                let forced = (self.forced_panic == Some(slave) && incarnation == 0)
-                    || self.persistent_panic == Some(slave);
-                scope.spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        if forced {
-                            panic!("forced slave panic (test hook)");
-                        }
-                        run_slave(
-                            slave,
-                            incarnation,
-                            seed,
-                            config,
-                            bin_schemes,
-                            state,
-                            epoch_events,
-                            stop,
-                            &tx,
-                        )
-                    }));
-                    // A panic (or a build error) means no Final will come;
-                    // tell the master not to wait for one.
-                    if !matches!(result, Ok(Ok(()))) {
-                        let _ = tx.send(SlaveMessage::Died { slave, incarnation });
-                    }
-                });
-            };
-
-            let mut sup = Supervision::new(self.slaves, self.max_restarts);
-            for slave in 0..self.slaves {
-                spawn_slave(slave, 0, SlaveState::default());
-            }
-
-            // Master: monitor aggregate sample size, supervise slave
-            // lifecycles, declare convergence when every metric's merged
-            // sample reaches its requirement.
-            let mut latest: Vec<Vec<Option<RunningStats>>> =
-                vec![vec![None; specs.len()]; self.slaves];
-            let mut finals: Vec<Option<Box<FinalShard>>> = (0..self.slaves).map(|_| None).collect();
-            while (0..self.slaves).any(|s| !sup.settled(s)) {
-                let msg = match rx.recv_timeout(WATCHDOG_TICK) {
-                    Ok(msg) => Some(msg),
-                    Err(channel::RecvTimeoutError::Timeout) => None,
-                    // Unreachable while the master holds `tx`, but bail
-                    // rather than spin if it ever happens.
-                    Err(channel::RecvTimeoutError::Disconnected) => break,
-                };
-
-                if let Some(flag) = &self.interrupt {
-                    if !interrupted && flag.load(Ordering::Relaxed) {
-                        // Graceful wind-down: stop the slaves and merge
-                        // whatever they deliver.
-                        interrupted = true;
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-                if let Some(d) = deadline {
-                    if !outcome.watchdog_fired
-                        && !stop.load(Ordering::Relaxed)
-                        && Instant::now() >= d
-                    {
-                        // Out of wall-clock budget: stop the slaves and
-                        // settle for whatever sample they deliver.
-                        outcome.watchdog_fired = true;
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                }
-
-                match msg {
-                    None => {}
-                    Some(SlaveMessage::Progress {
-                        slave,
-                        incarnation,
-                        moments,
-                    }) => {
-                        n_progress += 1;
-                        if incarnation == sup.incarnations[slave] && !sup.settled(slave) {
-                            sup.last_heard[slave] = Instant::now();
-                            latest[slave] = moments;
-                            if !stop.load(Ordering::Relaxed)
-                                && aggregate_sufficient(&specs, &latest)
-                            {
-                                outcome.converged = true;
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                    Some(SlaveMessage::Checkpoint {
-                        slave,
-                        incarnation,
-                        state,
-                    }) => {
-                        n_checkpoint_msgs += 1;
-                        if incarnation == sup.incarnations[slave] && !sup.settled(slave) {
-                            sup.last_heard[slave] = Instant::now();
-                            sup.checkpoints[slave] = *state;
-                        }
-                    }
-                    Some(SlaveMessage::Died { slave, incarnation })
-                        if incarnation == sup.incarnations[slave] && !sup.settled(slave) =>
-                    {
-                        record_death(
-                            slave,
-                            &mut sup,
-                            &mut latest,
-                            &specs,
-                            &mut outcome,
-                            self.max_restarts,
-                        );
-                    }
-                    // A death notice from a fenced (stale) incarnation.
-                    Some(SlaveMessage::Died { .. }) => {}
-                    Some(SlaveMessage::Final {
-                        slave,
-                        incarnation,
-                        shard,
-                    }) => {
-                        n_finals += 1;
-                        if incarnation == sup.incarnations[slave] && !sup.settled(slave) {
-                            sup.finished[slave] = true;
-                            if shard.audit.as_ref().is_some_and(|a| !a.passed()) {
-                                // One slave's broken invariants poison the
-                                // merge; wind everyone down now.
-                                stop.store(true, Ordering::Relaxed);
-                            }
-                            finals[slave] = Some(shard);
-                        }
-                    }
-                }
-
-                // Stall watchdog: a slave the master has not heard from in
-                // too long is presumed wedged. Abandon its incarnation
-                // (stale messages are fenced) and schedule a resurrection.
-                if let Some(timeout) = self.slave_stall_timeout {
-                    let now = Instant::now();
-                    for slave in 0..self.slaves {
-                        if !sup.settled(slave)
-                            && sup.respawn_at[slave].is_none()
-                            && now.duration_since(sup.last_heard[slave]) > timeout
-                        {
-                            record_death(
-                                slave,
-                                &mut sup,
-                                &mut latest,
-                                &specs,
-                                &mut outcome,
-                                self.max_restarts,
-                            );
-                        }
-                    }
-                }
-
-                // Launch due resurrections. Respawns proceed even after
-                // `stop`: a resurrected slave immediately finalizes from
-                // its restored checkpoint, preserving its sample pool in
-                // the merge.
-                let now = Instant::now();
-                for slave in 0..self.slaves {
-                    if sup.respawn_at[slave].is_some_and(|at| now >= at) {
-                        sup.respawn_at[slave] = None;
-                        sup.last_heard[slave] = now;
-                        outcome.resurrections += 1;
-                        spawn_slave(
-                            slave,
-                            sup.incarnations[slave],
-                            sup.checkpoints[slave].clone(),
-                        );
-                    }
-                }
-            }
-
-            // Merge phase: combine surviving slave histograms bin-wise.
-            let merge_start = Instant::now();
-            outcome.estimates = merge_finals(&specs, &finals, &mut outcome.slave_events);
-            merge_seconds = merge_start.elapsed().as_secs_f64();
-            for shard in finals.iter().flatten() {
-                if let Some(audit) = &shard.audit {
-                    outcome
-                        .audit
-                        .get_or_insert_with(AuditReport::default)
-                        .merge(audit);
-                }
-            }
-            // The spawner borrows the master's sender; release both before
-            // the scope joins any straggler threads.
-            drop(spawn_slave);
-            drop(tx);
+        let mut seed_stream = SeedStream::new(master_seed ^ 0x5A5A_5A5A_5A5A_5A5A);
+        let seeds: Vec<u64> = (0..self.slaves).map(|_| seed_stream.next_seed()).collect();
+        let ctx = Arc::new(SharedCtx {
+            config: Arc::new(self.config.clone()),
+            bin_schemes: Arc::new(bin_schemes),
+            seeds,
+            epoch_events: self.slave_epoch_events,
+            chaos: self.proc_chaos,
         });
-
-        outcome.dead_slaves.sort_unstable();
-        if outcome.dead_slaves.len() == self.slaves {
-            return Err(SimError::NoSurvivingSlaves {
-                panicked: outcome.dead_slaves.len(),
-            });
-        }
-        let audit_failed = outcome.audit.as_ref().is_some_and(|a| !a.passed());
-        if audit_failed {
-            // Merged estimates built on violated invariants must never be
-            // reported as converged.
-            outcome.converged = false;
-        }
-        outcome.termination = if audit_failed {
-            if outcome.audit.as_ref().is_some_and(AuditReport::livelocked) {
-                TerminationReason::Livelock
-            } else {
-                TerminationReason::AuditViolation
+        match &self.backend {
+            ExecBackend::ThreadLockstep => {
+                let transport = ThreadTransport::new(ctx, self);
+                supervise(self, &specs, transport, master_events, start)
             }
-        } else if interrupted {
-            TerminationReason::Interrupted
-        } else if outcome.converged {
-            TerminationReason::Converged
-        } else {
-            TerminationReason::Deadline
-        };
-        outcome.wall_seconds = start.elapsed().as_secs_f64();
-        if self.config.telemetry_enabled() {
-            let mut rec = MemoryRecorder::new();
-            rec.counter_add("parallel.slaves", self.slaves as u64);
-            rec.counter_add(
-                "parallel.master_calibration_events",
-                outcome.master_calibration_events,
-            );
-            rec.counter_add("parallel.resurrections", outcome.resurrections);
-            rec.counter_add("parallel.dead_slaves", outcome.dead_slaves.len() as u64);
-            rec.counter_add("parallel.progress_messages", n_progress);
-            rec.counter_add("parallel.checkpoint_messages", n_checkpoint_msgs);
-            rec.counter_add("parallel.final_messages", n_finals);
-            rec.gauge_set(
-                "parallel.slave_events_total",
-                outcome.slave_events.iter().sum::<u64>() as f64,
-            );
-            rec.wall_set("wall_seconds", outcome.wall_seconds);
-            rec.wall_set("parallel.merge_seconds", merge_seconds);
-            let mut snap = rec.snapshot();
-            // Per-slave facts carry dynamic (index-named) keys, inserted at
-            // assembly like the per-metric stats keys in serial runs.
-            for (i, &events) in outcome.slave_events.iter().enumerate() {
-                snap.counters
-                    .insert(format!("parallel.slave{i}.events"), events);
-                if outcome.wall_seconds > 0.0 {
-                    snap.wall.insert(
-                        format!("parallel.slave{i}.events_per_second"),
-                        events as f64 / outcome.wall_seconds,
-                    );
-                }
+            ExecBackend::Processes(cfg) => {
+                let transport =
+                    crate::procslave::ProcessTransport::new(ctx, self.slaves, cfg.clone());
+                supervise(self, &specs, transport, master_events, start)
             }
-            outcome.telemetry = Some(snap);
         }
-        Ok(outcome)
     }
 }
 
@@ -751,7 +592,7 @@ impl ParallelRunner {
 /// slave's seed and the epoch index — so a resurrected slave replays a
 /// lost partial epoch with exactly the trajectory the dead incarnation
 /// would have had.
-pub(crate) fn epoch_seed(slave_seed: u64, epoch: u64) -> u64 {
+fn epoch_seed(slave_seed: u64, epoch: u64) -> u64 {
     let mut stream = SeedStream::new(slave_seed);
     let mut seed = stream.next_seed();
     for _ in 0..epoch {
@@ -760,29 +601,68 @@ pub(crate) fn epoch_seed(slave_seed: u64, epoch: u64) -> u64 {
     seed
 }
 
-/// One incarnation of one slave: epoch-structured simulation resumed from
-/// `state`, reporting progress every chunk and a checkpoint every epoch.
-#[allow(clippy::too_many_arguments)]
-fn run_slave(
-    slave: usize,
-    incarnation: u32,
-    slave_seed: u64,
-    config: &ExperimentConfig,
-    bin_schemes: &HashMap<String, HistogramSpec>,
-    mut state: SlaveState,
-    epoch_events: u64,
-    stop: &AtomicBool,
-    tx: &channel::Sender<SlaveMessage>,
-) -> Result<(), SimError> {
-    // The circuit breaker and the audit report both span epochs within an
-    // incarnation. (A resurrection restarts them — the lost incarnation's
-    // report died with it — which only loses sweeps, never samples.)
+// ---------------------------------------------------------------------------
+// Slave session (shared by the in-thread and in-child slave loops)
+// ---------------------------------------------------------------------------
+
+/// The slave's half of the fabric, abstracted over thread channels vs.
+/// stdio frames.
+pub(crate) trait SlaveLink {
+    /// Ships a frame to the master; `false` means the master is gone.
+    fn send(&mut self, frame: UpFrame) -> bool;
+    /// Blocks until the master decides the parked barrier. Wind-down
+    /// (Shutdown frame, stop flag, severed link) returns `Finalize`.
+    fn wait_directive(&mut self) -> Directive;
+    /// Cooperative stop signal (interrupt, kill of this incarnation).
+    fn should_stop(&self) -> bool;
+    /// Child-side resource-cap check; `Some` means a cap was exceeded, and
+    /// the session ends with [`SimError::SlaveProcess`].
+    fn limit_exceeded(&mut self) -> Option<String>;
+}
+
+pub(crate) struct SessionParams {
+    pub(crate) slave: usize,
+    pub(crate) incarnation: u32,
+    pub(crate) slave_seed: u64,
+    pub(crate) epoch_events: u64,
+    pub(crate) config: Arc<ExperimentConfig>,
+    pub(crate) bin_schemes: Arc<HashMap<String, HistogramSpec>>,
+    pub(crate) state: SlaveState,
+    pub(crate) winddown: bool,
+    pub(crate) chaos: Option<ProcChaos>,
+}
+
+/// One incarnation of one slave, on either transport: restore the
+/// checkpoint, then simulate chunk by chunk, parking after every chunk
+/// until the master's directive and checkpointing at every epoch boundary.
+pub(crate) fn slave_session<L: SlaveLink>(link: &mut L, p: SessionParams) -> Result<(), SimError> {
+    let SessionParams {
+        slave,
+        incarnation,
+        slave_seed,
+        epoch_events,
+        config,
+        bin_schemes,
+        mut state,
+        winddown,
+        chaos,
+    } = p;
+    let mut telemetry = SlaveTelemetryShard::default();
+    // The circuit breaker and the audit report span epochs within an
+    // incarnation (a resurrection restarts them — losing sweeps, never
+    // samples).
     let mut guard = config.audit().map(AuditConfig::progress_guard);
     let mut audit_total: Option<AuditReport> = None;
     let mut audit_tripped = false;
-    while !stop.load(Ordering::Relaxed) && !audit_tripped && state.events < config.max_events {
+
+    if !link.send(UpFrame::Ready { slave, incarnation }) {
+        return Ok(());
+    }
+
+    let mut finalize = winddown;
+    while !finalize && !link.should_stop() && !audit_tripped && state.events < config.max_events {
         let seed = epoch_seed(slave_seed, state.epoch);
-        let mut sim = ClusterSim::new_slave(config.clone(), seed, bin_schemes)?;
+        let mut sim = ClusterSim::new_slave((*config).clone(), seed, &bin_schemes)?;
         if let Some(stats) = state.stats.take() {
             sim.restore_stats(stats)?;
         }
@@ -790,7 +670,7 @@ fn run_slave(
         let budget = epoch_events.min(config.max_events - state.events);
         let mut fired = 0u64;
         let mut drained = false;
-        while !stop.load(Ordering::Relaxed) && fired < budget {
+        while !finalize && !link.should_stop() && fired < budget {
             let chunk = CHUNK_EVENTS.min(budget - fired);
             let run = match guard.as_mut() {
                 Some(guard) => engine.run_guarded(chunk, guard),
@@ -808,17 +688,29 @@ fn run_slave(
                 drained = true; // cannot happen with open arrivals
                 break;
             }
-            let moments: Vec<Option<RunningStats>> = engine
+            if let Some(detail) = link.limit_exceeded() {
+                return Err(SimError::SlaveProcess { slave, detail });
+            }
+            telemetry.heartbeats += 1;
+            state.barriers += 1;
+            let moments = engine
                 .simulation()
                 .stats()
                 .iter()
                 .map(|m| m.histogram().map(|h| *h.moments()))
                 .collect();
-            let _ = tx.send(SlaveMessage::Progress {
+            if !link.send(UpFrame::Heartbeat {
                 slave,
                 incarnation,
+                events: state.events + fired,
+                barrier: state.barriers,
                 moments,
-            });
+                exhausted: state.events + fired >= config.max_events,
+            }) {
+                // Master gone: nothing to merge into; wind down.
+                return Ok(());
+            }
+            finalize = link.wait_directive() == Directive::Finalize;
         }
         state.events += fired;
         let finished_epoch = fired == budget && !drained && !audit_tripped;
@@ -831,17 +723,32 @@ fn run_slave(
                 .merge(&epoch_audit);
         }
         state.stats = Some(sim.into_stats());
-        if finished_epoch && !stop.load(Ordering::Relaxed) {
-            state.epoch += 1;
-            let _ = tx.send(SlaveMessage::Checkpoint {
-                slave,
-                incarnation,
-                state: Box::new(state.clone()),
-            });
-        } else {
+        if !finished_epoch || finalize || link.should_stop() {
             break;
         }
+        state.epoch += 1;
+        telemetry.epochs += 1;
+        if !link.send(UpFrame::EpochDone {
+            slave,
+            incarnation,
+            state: Box::new(state.clone()),
+        }) {
+            return Ok(());
+        }
+        if incarnation == 0 && state.epoch == 1 {
+            match chaos {
+                Some(ProcChaos::AbortAfterFirstEpoch { slave: victim }) if victim == slave => {
+                    // The failure catch_unwind cannot contain.
+                    std::process::abort();
+                }
+                Some(ProcChaos::PanicAfterFirstEpoch { slave: victim }) if victim == slave => {
+                    panic!("forced slave panic (chaos hook)");
+                }
+                _ => {}
+            }
+        }
     }
+
     let (histograms, lags, total_observed) = match &state.stats {
         Some(stats) => (
             stats.iter().map(|m| m.histogram().cloned()).collect(),
@@ -850,7 +757,7 @@ fn run_slave(
         ),
         None => (Vec::new(), Vec::new(), Vec::new()),
     };
-    let _ = tx.send(SlaveMessage::Final {
+    let _ = link.send(UpFrame::Final {
         slave,
         incarnation,
         shard: Box::new(FinalShard {
@@ -859,18 +766,641 @@ fn run_slave(
             total_observed,
             events: state.events,
             audit: audit_total,
-            telemetry: SlaveTelemetryShard::default(),
+            telemetry,
         }),
     });
     Ok(())
 }
 
+// ---------------------------------------------------------------------------
+// Transports (master side)
+// ---------------------------------------------------------------------------
+
+/// What the supervision loop consumes, regardless of transport.
+pub(crate) enum SlaveEvent {
+    Up(UpFrame),
+    /// The slave's link died without a terminal frame: thread panicked,
+    /// child exited or its stream was severed/corrupted.
+    Gone {
+        slave: usize,
+        incarnation: u32,
+    },
+}
+
+/// What every incarnation of every slave of one run is spawned with.
+pub(crate) struct SharedCtx {
+    pub(crate) config: Arc<ExperimentConfig>,
+    pub(crate) bin_schemes: Arc<HashMap<String, HistogramSpec>>,
+    pub(crate) seeds: Vec<u64>,
+    pub(crate) epoch_events: u64,
+    pub(crate) chaos: Option<ProcChaos>,
+}
+
+/// What only a transport with a wire can count; all zero for threads.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct WireCounters {
+    pub(crate) frames_sent: u64,
+    pub(crate) frames_received: u64,
+    pub(crate) frame_decode_failures: u64,
+    /// Children that reported exceeding a self-enforced resource cap.
+    pub(crate) cap_kills: u64,
+}
+
+pub(crate) trait Transport {
+    /// Spawns (or respawns) one incarnation of a slave from a checkpoint.
+    fn spawn(
+        &mut self,
+        slave: usize,
+        incarnation: u32,
+        state: SlaveState,
+        winddown: bool,
+    ) -> Result<(), SimError>;
+    /// Answers a parked slave's barrier.
+    fn directive(&mut self, slave: usize, d: Directive);
+    /// Cooperative wind-down signal to every live slave.
+    fn interrupt_all(&mut self);
+    /// Forcefully terminates one slave's current incarnation (SIGKILL for
+    /// processes, flag-abandonment for threads). Always reaps.
+    fn kill(&mut self, slave: usize);
+    /// Waits up to `timeout` for the next event.
+    fn recv_timeout(&mut self, timeout: Duration) -> Option<SlaveEvent>;
+    /// Final cleanup: cooperative wind-down, then force; joins/reaps every
+    /// child so no zombie or orphan survives the run.
+    fn reap(&mut self);
+    /// Wire-level tallies so far.
+    fn wire_counters(&self) -> WireCounters;
+}
+
+// --- threads ---------------------------------------------------------------
+
+struct ThreadSlot {
+    directive_tx: channel::Sender<Directive>,
+    inc_stop: Arc<AtomicBool>,
+}
+
+struct ThreadTransport {
+    ctx: Arc<SharedCtx>,
+    tx: channel::Sender<SlaveEvent>,
+    rx: channel::Receiver<SlaveEvent>,
+    global_stop: Arc<AtomicBool>,
+    slots: Vec<Option<ThreadSlot>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+    forced_panic: Option<usize>,
+    persistent_panic: Option<usize>,
+}
+
+struct ThreadLink {
+    tx: channel::Sender<SlaveEvent>,
+    directive_rx: channel::Receiver<Directive>,
+    global_stop: Arc<AtomicBool>,
+    inc_stop: Arc<AtomicBool>,
+}
+
+impl SlaveLink for ThreadLink {
+    fn send(&mut self, frame: UpFrame) -> bool {
+        self.tx.send(SlaveEvent::Up(frame)).is_ok()
+    }
+
+    fn wait_directive(&mut self) -> Directive {
+        loop {
+            if self.should_stop() {
+                return Directive::Finalize;
+            }
+            match self.directive_rx.recv_timeout(Duration::from_millis(5)) {
+                Ok(d) => return d,
+                Err(channel::RecvTimeoutError::Timeout) => {}
+                Err(channel::RecvTimeoutError::Disconnected) => return Directive::Finalize,
+            }
+        }
+    }
+
+    fn should_stop(&self) -> bool {
+        self.global_stop.load(Ordering::Relaxed) || self.inc_stop.load(Ordering::Relaxed)
+    }
+
+    fn limit_exceeded(&mut self) -> Option<String> {
+        None // caps are meaningful only across a process boundary
+    }
+}
+
+impl ThreadTransport {
+    fn new(ctx: Arc<SharedCtx>, runner: &ParallelRunner) -> Self {
+        let (tx, rx) = channel::unbounded();
+        ThreadTransport {
+            ctx,
+            tx,
+            rx,
+            global_stop: Arc::new(AtomicBool::new(false)),
+            slots: (0..runner.slaves).map(|_| None).collect(),
+            handles: Vec::new(),
+            forced_panic: runner.forced_panic,
+            persistent_panic: runner.persistent_panic,
+        }
+    }
+}
+
+impl Transport for ThreadTransport {
+    fn spawn(
+        &mut self,
+        slave: usize,
+        incarnation: u32,
+        state: SlaveState,
+        winddown: bool,
+    ) -> Result<(), SimError> {
+        let (directive_tx, directive_rx) = channel::unbounded();
+        let inc_stop = Arc::new(AtomicBool::new(false));
+        self.slots[slave] = Some(ThreadSlot {
+            directive_tx,
+            inc_stop: Arc::clone(&inc_stop),
+        });
+        // A thread cannot be SIGKILLed or survive an abort; in-process the
+        // kill/abort chaos hooks degrade to a panic at the same point.
+        let chaos = self.ctx.chaos.map(|c| match c {
+            ProcChaos::KillMidEpoch { slave } | ProcChaos::AbortAfterFirstEpoch { slave } => {
+                ProcChaos::PanicAfterFirstEpoch { slave }
+            }
+            other => other,
+        });
+        let panic_at_spawn = (self.forced_panic == Some(slave) && incarnation == 0)
+            || self.persistent_panic == Some(slave);
+        let params = SessionParams {
+            slave,
+            incarnation,
+            slave_seed: self.ctx.seeds[slave],
+            epoch_events: self.ctx.epoch_events,
+            config: Arc::clone(&self.ctx.config),
+            bin_schemes: Arc::clone(&self.ctx.bin_schemes),
+            state,
+            winddown,
+            chaos,
+        };
+        let tx = self.tx.clone();
+        let gone_tx = self.tx.clone();
+        let global_stop = Arc::clone(&self.global_stop);
+        self.handles.push(std::thread::spawn(move || {
+            let mut link = ThreadLink {
+                tx,
+                directive_rx,
+                global_stop,
+                inc_stop,
+            };
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                if panic_at_spawn {
+                    panic!("forced slave panic (test hook)");
+                }
+                slave_session(&mut link, params)
+            }));
+            if !matches!(result, Ok(Ok(()))) {
+                let _ = gone_tx.send(SlaveEvent::Gone { slave, incarnation });
+            }
+        }));
+        Ok(())
+    }
+
+    fn directive(&mut self, slave: usize, d: Directive) {
+        if let Some(slot) = &self.slots[slave] {
+            let _ = slot.directive_tx.send(d);
+        }
+    }
+
+    fn interrupt_all(&mut self) {
+        self.global_stop.store(true, Ordering::Relaxed);
+    }
+
+    fn kill(&mut self, slave: usize) {
+        // Abandon the incarnation: its stop flag makes it exit at the next
+        // chunk or directive wait, and its messages are already fenced.
+        if let Some(slot) = self.slots[slave].take() {
+            slot.inc_stop.store(true, Ordering::Relaxed);
+        }
+    }
+
+    fn recv_timeout(&mut self, timeout: Duration) -> Option<SlaveEvent> {
+        self.rx.recv_timeout(timeout).ok()
+    }
+
+    fn reap(&mut self) {
+        self.global_stop.store(true, Ordering::Relaxed);
+        self.slots.iter_mut().for_each(|s| *s = None);
+        for handle in self.handles.drain(..) {
+            let _ = handle.join();
+        }
+    }
+
+    fn wire_counters(&self) -> WireCounters {
+        WireCounters::default() // in-process channels: no frames on a wire
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The supervisor (master side)
+// ---------------------------------------------------------------------------
+
+struct Barrier {
+    /// Highest chunk barrier for which a directive has been decided.
+    decided: u64,
+    /// Once set, every barrier from this one on resolves to Finalize.
+    finalize_at: Option<u64>,
+    /// Per-slave parked barrier (a Heartbeat awaiting its directive).
+    parked: Vec<Option<u64>>,
+    /// Per-slave "cannot continue" flag from its latest Heartbeat.
+    exhausted: Vec<bool>,
+}
+
+/// Everything the master tracks about a run in flight, in one place so
+/// that a slave's death — wherever it is observed — is one call.
+struct Supervision<'a> {
+    specs: &'a [MetricSpec],
+    max_restarts: u32,
+    /// Current incarnation of each slave; frames from older incarnations
+    /// are fenced off.
+    incarnations: Vec<u32>,
+    /// Restarts still available to each slave.
+    restarts_left: Vec<u32>,
+    /// Last epoch checkpoint received from each slave (fresh state
+    /// initially).
+    checkpoints: Vec<SlaveState>,
+    /// When each slave's pending respawn becomes due.
+    respawn_at: Vec<Option<Instant>>,
+    /// Slaves that delivered their Final.
+    finished: Vec<bool>,
+    /// Slaves that died permanently (restarts exhausted).
+    dead: Vec<bool>,
+    /// Last time the master heard from each slave's live incarnation.
+    last_heard: Vec<Instant>,
+    barrier: Barrier,
+    /// Per-slave sample moments at the newest barrier each has parked at.
+    latest: Vec<Vec<Option<RunningStats>>>,
+    outcome: ParallelOutcome,
+    /// Wind-down has begun (interrupt, watchdog, or a poisoned audit): no
+    /// further barrier is decided.
+    stop_requested: bool,
+}
+
+impl<'a> Supervision<'a> {
+    fn new(slaves: usize, specs: &'a [MetricSpec], max_restarts: u32, master_events: u64) -> Self {
+        Supervision {
+            specs,
+            max_restarts,
+            incarnations: vec![0; slaves],
+            restarts_left: vec![max_restarts; slaves],
+            checkpoints: vec![SlaveState::default(); slaves],
+            respawn_at: vec![None; slaves],
+            finished: vec![false; slaves],
+            dead: vec![false; slaves],
+            last_heard: vec![Instant::now(); slaves],
+            barrier: Barrier {
+                decided: 0,
+                finalize_at: None,
+                parked: vec![None; slaves],
+                exhausted: vec![false; slaves],
+            },
+            latest: vec![vec![None; specs.len()]; slaves],
+            outcome: ParallelOutcome {
+                estimates: Vec::new(),
+                converged: false,
+                termination: TerminationReason::Deadline,
+                master_calibration_events: master_events,
+                slave_events: vec![0; slaves],
+                dead_slaves: Vec::new(),
+                resurrections: 0,
+                watchdog_fired: false,
+                wall_seconds: 0.0,
+                audit: None,
+                telemetry: None,
+            },
+            stop_requested: false,
+        }
+    }
+
+    /// Whether the slave has reached a terminal state (Final delivered or
+    /// permanently dead).
+    fn settled(&self, slave: usize) -> bool {
+        self.finished[slave] || self.dead[slave]
+    }
+
+    /// One observed death (crash, stall, severed link, failed spawn): reap
+    /// what is left of the incarnation and fence it, then either schedule
+    /// a full-jitter-backoff resurrection from the last checkpoint or —
+    /// restarts exhausted — mark the slave permanently dead; either way
+    /// the pending barrier may now be complete without it.
+    fn slave_died<T: Transport>(&mut self, slave: usize, transport: &mut T) {
+        transport.kill(slave);
+        self.incarnations[slave] += 1;
+        self.barrier.parked[slave] = None;
+        if self.restarts_left[slave] > 0 {
+            self.restarts_left[slave] -= 1;
+            let attempt = self.max_restarts - self.restarts_left[slave]; // 1-based
+            let backoff = full_jitter_backoff(RESTART_BACKOFF, attempt, slave as u64);
+            self.respawn_at[slave] = Some(Instant::now() + backoff);
+        } else {
+            self.dead[slave] = true;
+            self.outcome.dead_slaves.push(slave);
+            // A dead slave's samples never reach the merge; forget its
+            // progress so convergence is not declared on data that will
+            // not be delivered. Too late to restart the survivors (they
+            // may already be finishing); report honestly.
+            self.latest[slave] = vec![None; self.specs.len()];
+            if self.outcome.converged && !aggregate_sufficient(self.specs, &self.latest) {
+                self.outcome.converged = false;
+            }
+        }
+        self.try_decide(transport);
+    }
+
+    /// Completes the pending barrier if every live participant has parked:
+    /// evaluates aggregate sufficiency on the moments each sent with that
+    /// chunk (the deterministic stopping rule) and broadcasts the directive.
+    fn try_decide<T: Transport>(&mut self, transport: &mut T) {
+        if self.barrier.finalize_at.is_some() || self.stop_requested {
+            // Finalization is already answered per-Heartbeat; wind-down is
+            // driven by Shutdown frames.
+            return;
+        }
+        let next = self.barrier.decided + 1;
+        let participants: Vec<usize> = (0..self.incarnations.len())
+            .filter(|&s| !self.settled(s))
+            .collect();
+        if participants.is_empty()
+            || !participants
+                .iter()
+                .all(|&s| self.barrier.parked[s] == Some(next))
+        {
+            return;
+        }
+        let sufficient = aggregate_sufficient(self.specs, &self.latest);
+        let all_exhausted = participants.iter().all(|&s| self.barrier.exhausted[s]);
+        self.barrier.decided = next;
+        let d = if sufficient || all_exhausted {
+            self.outcome.converged = sufficient;
+            self.barrier.finalize_at = Some(next);
+            Directive::Finalize
+        } else {
+            Directive::Continue
+        };
+        for &slave in &participants {
+            self.barrier.parked[slave] = None;
+            transport.directive(slave, d);
+        }
+    }
+}
+
+#[allow(clippy::too_many_lines)]
+fn supervise<T: Transport>(
+    runner: &ParallelRunner,
+    specs: &[MetricSpec],
+    mut transport: T,
+    master_events: u64,
+    start: Instant,
+) -> Result<ParallelOutcome, SimError> {
+    let slaves = runner.slaves;
+    let mut sup = Supervision::new(slaves, specs, runner.max_restarts, master_events);
+    let mut shards: Vec<Option<Box<FinalShard>>> = (0..slaves).map(|_| None).collect();
+    let mut interrupted = false;
+    // The master-side kill chaos arms on the victim's first epoch
+    // checkpoint and fires on its next heartbeat — genuinely mid-epoch.
+    let kill_chaos_victim = match runner.proc_chaos {
+        Some(ProcChaos::KillMidEpoch { slave }) => Some(slave),
+        _ => None,
+    };
+    let mut kill_chaos_armed = false;
+
+    let deadline = runner.watchdog.map(|s| start + Duration::from_secs_f64(s));
+
+    for slave in 0..slaves {
+        if transport
+            .spawn(slave, 0, SlaveState::default(), false)
+            .is_err()
+        {
+            sup.slave_died(slave, &mut transport);
+        }
+    }
+
+    while (0..slaves).any(|s| !sup.settled(s)) {
+        let event = transport.recv_timeout(WATCHDOG_TICK);
+
+        if let Some(flag) = &runner.interrupt {
+            if !interrupted && flag.load(Ordering::Relaxed) {
+                interrupted = true;
+                sup.stop_requested = true;
+                transport.interrupt_all();
+            }
+        }
+        if let Some(d) = deadline {
+            if !sup.outcome.watchdog_fired && !sup.stop_requested && Instant::now() >= d {
+                sup.outcome.watchdog_fired = true;
+                sup.stop_requested = true;
+                transport.interrupt_all();
+            }
+        }
+
+        match event {
+            None => {}
+            Some(SlaveEvent::Up(frame)) => {
+                let Some((slave, incarnation)) = frame.sender() else {
+                    continue; // SoloReport has no business in a parallel run
+                };
+                if slave >= slaves || incarnation != sup.incarnations[slave] || sup.settled(slave) {
+                    continue; // fenced: a stale or nonsensical incarnation
+                }
+                sup.last_heard[slave] = Instant::now();
+                match frame {
+                    UpFrame::Ready { .. } => {}
+                    UpFrame::Heartbeat {
+                        barrier: completed,
+                        moments,
+                        exhausted,
+                        ..
+                    } => {
+                        if kill_chaos_armed && kill_chaos_victim == Some(slave) && incarnation == 0
+                        {
+                            kill_chaos_armed = false;
+                            sup.slave_died(slave, &mut transport);
+                        } else if let Some(n) = sup.barrier.finalize_at {
+                            let d = if completed >= n {
+                                Directive::Finalize
+                            } else {
+                                Directive::Continue
+                            };
+                            transport.directive(slave, d);
+                        } else if completed <= sup.barrier.decided {
+                            // A respawn catching up through already-decided
+                            // barriers (deterministic replay).
+                            transport.directive(slave, Directive::Continue);
+                        } else {
+                            sup.latest[slave] = moments;
+                            sup.barrier.exhausted[slave] = exhausted;
+                            sup.barrier.parked[slave] = Some(completed);
+                            sup.try_decide(&mut transport);
+                        }
+                    }
+                    UpFrame::EpochDone { state, .. } => {
+                        sup.checkpoints[slave] = *state;
+                        if kill_chaos_victim == Some(slave) && incarnation == 0 {
+                            kill_chaos_armed = true;
+                        }
+                    }
+                    UpFrame::Final { shard, .. } => {
+                        sup.finished[slave] = true;
+                        sup.barrier.parked[slave] = None;
+                        if shard.audit.as_ref().is_some_and(|a| !a.passed()) && !sup.stop_requested
+                        {
+                            // One slave's broken invariants poison the
+                            // merge; wind everyone down now.
+                            sup.stop_requested = true;
+                            transport.interrupt_all();
+                        }
+                        shards[slave] = Some(shard);
+                        sup.try_decide(&mut transport);
+                    }
+                    UpFrame::Fatal { .. } => sup.slave_died(slave, &mut transport),
+                    UpFrame::SoloReport(_) => unreachable!("filtered above"),
+                }
+            }
+            Some(SlaveEvent::Gone { slave, incarnation })
+                if slave < slaves
+                    && incarnation == sup.incarnations[slave]
+                    && !sup.settled(slave) =>
+            {
+                sup.slave_died(slave, &mut transport);
+            }
+            Some(SlaveEvent::Gone { .. }) => {} // stale incarnation or already settled
+        }
+
+        // Stall watchdog: a slave the master has not heard from in too
+        // long is presumed wedged; SIGKILL it (processes) or abandon the
+        // incarnation (threads) and schedule a resurrection.
+        if let Some(timeout) = runner.slave_stall_timeout {
+            let now = Instant::now();
+            for slave in 0..slaves {
+                if !sup.settled(slave)
+                    && sup.respawn_at[slave].is_none()
+                    && sup.barrier.parked[slave].is_none()
+                    && now.duration_since(sup.last_heard[slave]) > timeout
+                {
+                    sup.slave_died(slave, &mut transport);
+                }
+            }
+        }
+
+        // Launch due resurrections. Respawns proceed even after stop: a
+        // resurrected slave finalizes from its restored checkpoint, so its
+        // sample pool stays in the merge.
+        let now = Instant::now();
+        for slave in 0..slaves {
+            if sup.respawn_at[slave].is_some_and(|at| now >= at) {
+                sup.respawn_at[slave] = None;
+                sup.last_heard[slave] = now;
+                sup.outcome.resurrections += 1;
+                let state = sup.checkpoints[slave].clone();
+                // If wind-down already began (or the run finalized at a
+                // barrier the checkpoint has reached), the respawn must
+                // not simulate past the decided trajectory.
+                let winddown = sup.stop_requested
+                    || sup.barrier.finalize_at.is_some_and(|n| state.barriers >= n);
+                if transport
+                    .spawn(slave, sup.incarnations[slave], state, winddown)
+                    .is_err()
+                {
+                    sup.slave_died(slave, &mut transport);
+                }
+            }
+        }
+    }
+
+    transport.reap();
+
+    let mut outcome = sup.outcome;
+    // Merge phase: combine surviving slave histograms bin-wise.
+    outcome.estimates = merge_finals(specs, &shards, &mut outcome.slave_events);
+    for shard in shards.iter().flatten() {
+        if let Some(audit) = &shard.audit {
+            outcome
+                .audit
+                .get_or_insert_with(AuditReport::default)
+                .merge(audit);
+        }
+    }
+    outcome.dead_slaves.sort_unstable();
+    if outcome.dead_slaves.len() == slaves {
+        return Err(SimError::NoSurvivingSlaves {
+            panicked: outcome.dead_slaves.len(),
+        });
+    }
+    let audit_failed = outcome.audit.as_ref().is_some_and(|a| !a.passed());
+    if audit_failed {
+        // Merged estimates built on violated invariants must never be
+        // reported as converged.
+        outcome.converged = false;
+    }
+    outcome.termination = if audit_failed {
+        if outcome.audit.as_ref().is_some_and(AuditReport::livelocked) {
+            TerminationReason::Livelock
+        } else {
+            TerminationReason::AuditViolation
+        }
+    } else if interrupted {
+        TerminationReason::Interrupted
+    } else if outcome.converged {
+        TerminationReason::Converged
+    } else {
+        TerminationReason::Deadline
+    };
+    outcome.wall_seconds = start.elapsed().as_secs_f64();
+    if runner.config.telemetry_enabled() {
+        let wire = transport.wire_counters();
+        let mut rec = MemoryRecorder::new();
+        rec.counter_add("parallel.slaves", slaves as u64);
+        rec.counter_add(
+            "parallel.master_calibration_events",
+            outcome.master_calibration_events,
+        );
+        rec.counter_add("parallel.resurrections", outcome.resurrections);
+        rec.counter_add("parallel.dead_slaves", outcome.dead_slaves.len() as u64);
+        rec.counter_add("procslave.frames_sent", wire.frames_sent);
+        rec.counter_add("procslave.frames_received", wire.frames_received);
+        rec.counter_add(
+            "procslave.frame_decode_failures",
+            wire.frame_decode_failures,
+        );
+        rec.counter_add("procslave.respawns", outcome.resurrections);
+        rec.counter_add("procslave.cap_kills", wire.cap_kills);
+        rec.counter_add(
+            "procslave.slave_epochs",
+            shards
+                .iter()
+                .flatten()
+                .map(|s| s.telemetry.epochs)
+                .sum::<u64>(),
+        );
+        rec.counter_add(
+            "procslave.slave_heartbeats",
+            shards
+                .iter()
+                .flatten()
+                .map(|s| s.telemetry.heartbeats)
+                .sum::<u64>(),
+        );
+        rec.gauge_set(
+            "parallel.slave_events_total",
+            outcome.slave_events.iter().sum::<u64>() as f64,
+        );
+        rec.wall_set("wall_seconds", outcome.wall_seconds);
+        let mut snap = rec.snapshot();
+        // Per-slave facts carry dynamic (index-named) keys, inserted at
+        // assembly like the per-metric stats keys in serial runs.
+        for (i, &events) in outcome.slave_events.iter().enumerate() {
+            snap.counters
+                .insert(format!("parallel.slave{i}.events"), events);
+        }
+        outcome.telemetry = Some(snap);
+    }
+    Ok(outcome)
+}
+
 /// Whether the merged sample across slaves satisfies every metric's
 /// requirement (paper Eqs. 2–3 applied to the aggregate).
-pub(crate) fn aggregate_sufficient(
-    specs: &[MetricSpec],
-    latest: &[Vec<Option<RunningStats>>],
-) -> bool {
+fn aggregate_sufficient(specs: &[MetricSpec], latest: &[Vec<Option<RunningStats>>]) -> bool {
     for (idx, spec) in specs.iter().enumerate() {
         let mut merged = RunningStats::new();
         for slave in latest {
@@ -909,9 +1439,9 @@ pub(crate) fn aggregate_sufficient(
     true
 }
 
-/// Merge phase shared by every backend: bin-wise histogram merge of the
+/// Merge phase: bin-wise histogram merge of the
 /// surviving slaves' final shards (indexed by slave).
-pub(crate) fn merge_finals(
+fn merge_finals(
     specs: &[MetricSpec],
     finals: &[Option<Box<FinalShard>>],
     slave_events: &mut [u64],
@@ -982,6 +1512,31 @@ mod tests {
     }
 
     #[test]
+    fn default_backend_is_bit_reproducible() {
+        // No backend named: what a caller gets by default must not depend
+        // on how the host schedules the slave threads.
+        let run = || ParallelRunner::new(quick_config(), 3).run(424_242).unwrap();
+        let a = run();
+        let b = run();
+        assert!(a.converged);
+        assert_eq!(a.slave_events, b.slave_events);
+        assert_eq!(a.estimates, b.estimates, "runs must be bit-identical");
+    }
+
+    #[test]
+    fn stopping_decision_is_made_at_chunk_barriers() {
+        // A run that needs well under one epoch per slave stops at the
+        // first chunk barrier where the aggregate suffices: every slave at
+        // the same event count, none of them having finished an epoch.
+        let runner = ParallelRunner::new(quick_config(), 3);
+        let outcome = runner.run(99).unwrap();
+        assert!(outcome.converged);
+        let events = outcome.slave_events[0];
+        assert!(outcome.slave_events.iter().all(|&e| e == events));
+        assert!(events.is_multiple_of(CHUNK_EVENTS) && events < runner.slave_epoch_events);
+    }
+
+    #[test]
     fn parallel_agrees_with_tight_serial_reference() {
         // Compare the merged parallel estimate against a high-accuracy
         // serial reference (E = 0.01), not against another equally noisy
@@ -1011,12 +1566,18 @@ mod tests {
 
     #[test]
     fn event_capped_run_reports_unconverged() {
+        // The cap lands inside the second epoch, so the last epoch's
+        // budget is the short one.
         let config = quick_config()
             .with_target_accuracy(0.01)
             .with_max_events(60_000);
-        let outcome = ParallelRunner::new(config, 2).run(55).unwrap();
+        let outcome = ParallelRunner::new(config, 2)
+            .with_slave_epoch(50_000)
+            .run(55)
+            .unwrap();
         assert!(!outcome.converged);
         assert_eq!(outcome.termination, TerminationReason::Deadline);
+        assert_eq!(outcome.slave_events, vec![60_000, 60_000]);
     }
 
     #[test]
@@ -1042,10 +1603,43 @@ mod tests {
     }
 
     #[test]
+    fn chaos_mid_run_recovers_bit_identically() {
+        // The determinism claim under fire: a slave crashing (or killed by
+        // the master on its next heartbeat) right after its first epoch
+        // checkpoint is resurrected, replays, and the merged estimates
+        // equal the undisturbed run's exactly — also when the epoch is not
+        // a whole number of chunks. Accuracy is tight enough that the run
+        // spans several epochs: the hooks arm on the first epoch
+        // checkpoint, which a run that stops inside its first epoch never
+        // writes.
+        for (epoch, slaves, chaos) in [
+            (50_000, 2, ProcChaos::PanicAfterFirstEpoch { slave: 1 }),
+            (70_000, 3, ProcChaos::PanicAfterFirstEpoch { slave: 2 }),
+            (70_000, 3, ProcChaos::KillMidEpoch { slave: 1 }),
+        ] {
+            let runner = || {
+                ParallelRunner::new(quick_config().with_target_accuracy(0.01), slaves)
+                    .with_slave_epoch(epoch)
+            };
+            let clean = runner().run(777).unwrap();
+            let chaotic = runner().with_proc_chaos(chaos).run(777).unwrap();
+            assert!(clean.converged && clean.slave_events[0] >= 2 * epoch);
+            assert!(chaotic.resurrections >= 1, "{chaos:?} did not fire");
+            assert!(chaotic.dead_slaves.is_empty());
+            assert_eq!(clean.slave_events, chaotic.slave_events, "{chaos:?}");
+            assert_eq!(
+                clean.estimates, chaotic.estimates,
+                "resurrection must reproduce the undisturbed trajectory ({chaos:?})"
+            );
+        }
+    }
+
+    #[test]
     fn persistently_panicking_slave_falls_back_to_drop_semantics() {
         // A slave that dies on every incarnation exhausts its restart
         // budget and the runner degrades to the original drop behavior.
         let outcome = ParallelRunner::new(quick_config(), 3)
+            .with_slave_epoch(50_000)
             .with_persistent_panic(1)
             .with_max_restarts(1)
             .run(88)
@@ -1177,5 +1771,43 @@ mod tests {
         assert!(audit.checks_run > 0);
         // Both slaves contributed sweeps to the merged report.
         assert!(audit.observations_checked > 0);
+    }
+
+    #[test]
+    fn full_jitter_is_deterministic_bounded_and_decorrelated() {
+        let base = Duration::from_millis(25);
+        for attempt in 1..=10u32 {
+            let cap = base * 2u32.pow((attempt - 1).min(6));
+            for salt in 0..8u64 {
+                let d = full_jitter_backoff(base, attempt, salt);
+                assert!(d >= Duration::from_millis(1));
+                assert!(d <= cap, "attempt {attempt} salt {salt}: {d:?} > {cap:?}");
+                assert_eq!(d, full_jitter_backoff(base, attempt, salt));
+            }
+        }
+        // Different salts must not synchronize (the respawn-storm fix).
+        let delays: std::collections::HashSet<Duration> = (0..16u64)
+            .map(|s| full_jitter_backoff(base, 3, s))
+            .collect();
+        assert!(delays.len() > 8, "jitter collapsed: {delays:?}");
+    }
+
+    #[test]
+    fn proc_chaos_env_parsing() {
+        assert_eq!(
+            ProcChaos::from_env_str("kill:2"),
+            Some(ProcChaos::KillMidEpoch { slave: 2 })
+        );
+        assert_eq!(
+            ProcChaos::from_env_str("abort:0"),
+            Some(ProcChaos::AbortAfterFirstEpoch { slave: 0 })
+        );
+        assert_eq!(
+            ProcChaos::from_env_str("panic:1"),
+            Some(ProcChaos::PanicAfterFirstEpoch { slave: 1 })
+        );
+        assert_eq!(ProcChaos::from_env_str("frobnicate:1"), None);
+        assert_eq!(ProcChaos::from_env_str("kill"), None);
+        assert_eq!(ProcChaos::from_env_str("kill:x"), None);
     }
 }

@@ -1,13 +1,22 @@
-//! Process-isolated slave supervision over a checksummed IPC fabric.
+//! Process-isolated slaves: what the parallel runner needs *because of a
+//! process boundary*.
 //!
-//! BigHouse's deployment model (Figure 3) runs slaves as *separate
-//! processes on separate machines*; the thread backend in [`crate::parallel`]
-//! collapses that into one address space, where a single slave abort, OOM
-//! kill, or segfault destroys the whole run. This module restores the
-//! process boundary: slaves run as sandboxed child OS processes (a re-exec
-//! of the current binary via the hidden `bighouse __slave` entrypoint)
-//! speaking a length-prefixed, FNV-1a-checksummed, versioned frame protocol
-//! over stdin/stdout.
+//! BigHouse's deployment model (Figure 3) runs slaves as separate
+//! processes on separate machines; the thread transport in
+//! [`crate::parallel`] collapses that into one address space, where a
+//! single slave abort, OOM kill, or segfault destroys the whole run. This
+//! module restores the process boundary: slaves run as sandboxed child OS
+//! processes (a re-exec of the current binary via the hidden
+//! `bighouse __slave` entrypoint) speaking a length-prefixed,
+//! FNV-1a-checksummed, versioned frame protocol over stdin/stdout.
+//!
+//! The protocol itself — the messages, the slave session, the supervisor,
+//! chunk barriers and epoch checkpoints — lives in that module and is the
+//! same on both transports. Here are the frame codec, the
+//! `ProcessTransport` the supervisor drives, the child's half of the
+//! link with its self-enforced resource caps ([`ProcLimits`]), the child
+//! entry point ([`slave_main`]) and whole-run children for sweep isolation
+//! ([`run_solo_in_child`]).
 //!
 //! # Frame format
 //!
@@ -19,37 +28,9 @@
 //! version skew — surfaces as [`SimError::Frame`], never a panic and never
 //! a silently-accepted frame ([`read_frame`] / [`write_frame`] are public
 //! precisely so the fuzz suite can attack them directly).
-//!
-//! # Deterministic epoch lockstep
-//!
-//! Both the in-thread and the process transport run the same supervisor
-//! core: slaves simulate epoch by epoch, report an [`UpFrame::EpochDone`]
-//! checkpoint at every boundary, and block until the master answers with a
-//! [`Directive`]. The master evaluates aggregate sufficiency **only at
-//! epoch barriers**, on epoch-boundary moments, so the stopping decision is
-//! a pure function of (config, seeds, epoch size, slave count) — never of
-//! wall-clock scheduling. A slave SIGKILLed (or aborted) mid-epoch is
-//! respawned from its last checkpoint with a fresh incarnation, *re-parks*
-//! at its checkpointed barrier, replays the lost partial epoch from the
-//! same deterministic epoch seed, and the run's final report is
-//! bit-identical to an undisturbed run on either transport.
-//!
-//! # Kill/respawn state machine
-//!
-//! ```text
-//!            spawn(inc=0)                 EpochDone        Directive
-//!  [FRESH] ──────────────▶ [RUNNING] ───────────────▶ [PARKED] ─────▶ [RUNNING]
-//!                              │  crash/stall/SIGKILL      │ Finalize
-//!                              ▼  (incarnation fenced)     ▼
-//!                         [RESPAWN WAIT] ── full-jitter ──▶ spawn(inc+1), re-park
-//!                              │  restarts exhausted
-//!                              ▼
-//!                           [DEAD]  (dropped from the merge, reported honestly)
-//! ```
 
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,27 +41,24 @@ use crossbeam::channel;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 
-use bighouse_des::SeedStream;
-use bighouse_stats::{Histogram, HistogramSpec, MetricSpec, RunningStats};
-use bighouse_telemetry::{MemoryRecorder, Recorder as _};
+use bighouse_stats::HistogramSpec;
 
-use crate::audit::{AuditConfig, AuditReport};
 use crate::checkpoint::fnv1a;
-use crate::cluster::ClusterSim;
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
-use crate::fastpath::AnyEngine;
 use crate::parallel::{
-    aggregate_sufficient, checkpoint_moments, epoch_seed, merge_finals, ParallelOutcome,
-    ParallelRunner, CHUNK_EVENTS, RESTART_BACKOFF, WATCHDOG_TICK,
+    slave_session, SessionParams, SharedCtx, SlaveEvent, SlaveLink, Transport, WireCounters,
 };
-pub use crate::parallel::SlaveState;
-use crate::report::{SimulationReport, TerminationReason};
-use crate::runner::{run_resumable, run_until_calibrated, RunOptions};
+pub use crate::parallel::{
+    Directive, ExecBackend, FinalShard, ProcChaos, SlaveState, SlaveTelemetryShard, UpFrame,
+};
+use crate::report::SimulationReport;
+use crate::runner::{run_resumable, RunOptions};
 
 /// Protocol version stamped into every frame body; a master and a slave
-/// from different builds refuse to talk rather than mis-merge.
-pub const PROTOCOL_VERSION: u8 = 1;
+/// from different builds refuse to talk rather than mis-merge. Version 2
+/// moved the barrier from the epoch to the chunk.
+pub const PROTOCOL_VERSION: u8 = 2;
 
 /// Upper bound on a frame body. A corrupted length prefix must not make
 /// the decoder allocate gigabytes before the checksum can reject it.
@@ -151,7 +129,10 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<b
             Ok(0) if filled == 0 => return Ok(false),
             Ok(0) => {
                 return Err(SimError::Frame {
-                    detail: format!("truncated {what}: EOF after {filled} of {} bytes", buf.len()),
+                    detail: format!(
+                        "truncated {what}: EOF after {filled} of {} bytes",
+                        buf.len()
+                    ),
                 })
             }
             Ok(n) => filled += n,
@@ -221,17 +202,8 @@ pub fn read_frame<R: Read, T: DeserializeOwned>(r: &mut R) -> Result<Option<T>, 
 }
 
 // ---------------------------------------------------------------------------
-// Wire protocol
+// Down frames and child configuration (up frames: `crate::parallel`)
 // ---------------------------------------------------------------------------
-
-/// Master → slave barrier decision.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Directive {
-    /// Simulate the next epoch.
-    Continue,
-    /// Stop at the current epoch boundary and deliver the final shard.
-    Finalize,
-}
 
 /// Caps a slave child enforces on itself at chunk boundaries (read from
 /// `/proc/self`; a hard rlimit would need libc). Exceeding a cap exits
@@ -248,55 +220,6 @@ pub struct ProcLimits {
 impl ProcLimits {
     fn armed(&self) -> bool {
         self.max_rss_bytes.is_some() || self.max_cpu_seconds.is_some()
-    }
-}
-
-/// Chaos hooks for crash-safety tests: deterministic faults injected into
-/// exactly one slave's **first** incarnation.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ProcChaos {
-    /// Master SIGKILLs the slave's child mid-epoch (on the first heartbeat
-    /// after its first epoch checkpoint). Thread transports treat this as
-    /// [`ProcChaos::PanicAfterFirstEpoch`] — a thread cannot be killed.
-    KillMidEpoch {
-        /// Victim slave index.
-        slave: usize,
-    },
-    /// The slave calls `std::process::abort()` right after its first epoch
-    /// checkpoint — the failure `catch_unwind` cannot contain.
-    AbortAfterFirstEpoch {
-        /// Victim slave index.
-        slave: usize,
-    },
-    /// The slave panics right after its first epoch checkpoint.
-    PanicAfterFirstEpoch {
-        /// Victim slave index.
-        slave: usize,
-    },
-}
-
-impl ProcChaos {
-    fn victim(&self) -> usize {
-        match *self {
-            ProcChaos::KillMidEpoch { slave }
-            | ProcChaos::AbortAfterFirstEpoch { slave }
-            | ProcChaos::PanicAfterFirstEpoch { slave } => slave,
-        }
-    }
-
-    /// Parses the `BIGHOUSE_PROC_CHAOS` environment convention
-    /// (`kill:N` / `abort:N` / `panic:N`).
-    #[doc(hidden)]
-    pub fn from_env_str(s: &str) -> Option<ProcChaos> {
-        let (kind, idx) = s.split_once(':')?;
-        let slave = idx.trim().parse().ok()?;
-        match kind.trim() {
-            "kill" => Some(ProcChaos::KillMidEpoch { slave }),
-            "abort" => Some(ProcChaos::AbortAfterFirstEpoch { slave }),
-            "panic" => Some(ProcChaos::PanicAfterFirstEpoch { slave }),
-            _ => None,
-        }
     }
 }
 
@@ -351,139 +274,11 @@ pub enum DownFrame {
         /// The work order (boxed: it dwarfs the other variants).
         job: Box<HelloJob>,
     },
-    /// Barrier decision for the slave's parked epoch.
+    /// Barrier decision for the slave's parked chunk.
     Directive(Directive),
     /// Cooperative wind-down: finalize from current state and exit.
     Shutdown,
 }
-
-/// Everything a finished slave delivers for the merge, plus its telemetry
-/// shard. Also the unit [`merge_finals`] consumes for both backends.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FinalShard {
-    /// Per-metric histograms (`None` where the metric saw no data).
-    pub histograms: Vec<Option<Histogram>>,
-    /// Per-metric autocorrelation lags.
-    pub lags: Vec<usize>,
-    /// Per-metric raw observation counts.
-    pub total_observed: Vec<u64>,
-    /// Events the slave simulated across completed epochs.
-    pub events: u64,
-    /// Merged invariant-audit report for this slave's incarnation.
-    pub audit: Option<AuditReport>,
-    /// The slave's own counters, merged into master telemetry.
-    pub telemetry: SlaveTelemetryShard,
-}
-
-/// A slave's self-reported counters; riding the final frame keeps the
-/// fabric's data flow one-directional and cheap.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct SlaveTelemetryShard {
-    /// Epochs completed by this incarnation.
-    pub epochs: u64,
-    /// Heartbeats sent by this incarnation.
-    pub heartbeats: u64,
-}
-
-/// Slave → master frames. Every frame carries the sender's incarnation so
-/// the master can fence messages from abandoned incarnations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum UpFrame {
-    /// The slave accepted its hello and is about to simulate.
-    Ready {
-        /// Sender slave index.
-        slave: usize,
-        /// Sender incarnation.
-        incarnation: u32,
-    },
-    /// Liveness signal, sent every chunk; feeds the stall deadline.
-    Heartbeat {
-        /// Sender slave index.
-        slave: usize,
-        /// Sender incarnation.
-        incarnation: u32,
-        /// Events simulated so far (cumulative, incl. restored checkpoint).
-        events: u64,
-    },
-    /// Epoch barrier: the slave's full resumable state. The slave now
-    /// blocks until the master answers with a [`Directive`].
-    EpochDone {
-        /// Sender slave index.
-        slave: usize,
-        /// Sender incarnation.
-        incarnation: u32,
-        /// Checkpoint at the epoch boundary.
-        state: Box<SlaveState>,
-        /// Whether the slave's event cap is exhausted (it cannot continue).
-        exhausted: bool,
-    },
-    /// Terminal frame of a successful incarnation.
-    Final {
-        /// Sender slave index.
-        slave: usize,
-        /// Sender incarnation.
-        incarnation: u32,
-        /// The merge shard.
-        shard: Box<FinalShard>,
-    },
-    /// The whole-run report of a [`HelloJob::Solo`] child.
-    SoloReport(Box<SimulationReport>),
-    /// Terminal frame of a failed incarnation: a typed error and the exit
-    /// code the child is about to die with.
-    Fatal {
-        /// Sender slave index.
-        slave: usize,
-        /// Sender incarnation.
-        incarnation: u32,
-        /// Rendering of the error.
-        error: String,
-        /// The exit code the child will exit with (see [`exit_code`]).
-        code: u8,
-    },
-}
-
-impl UpFrame {
-    fn sender(&self) -> Option<(usize, u32)> {
-        match *self {
-            UpFrame::Ready { slave, incarnation }
-            | UpFrame::Heartbeat {
-                slave, incarnation, ..
-            }
-            | UpFrame::EpochDone {
-                slave, incarnation, ..
-            }
-            | UpFrame::Final {
-                slave, incarnation, ..
-            }
-            | UpFrame::Fatal {
-                slave, incarnation, ..
-            } => Some((slave, incarnation)),
-            UpFrame::SoloReport(_) => None,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Backoff with full jitter
-// ---------------------------------------------------------------------------
-
-/// Doubling backoff with **full jitter**: a delay drawn uniformly from
-/// `(0, base·2^min(attempt-1, 6)]`, deterministically from `(salt,
-/// attempt)` — so respawn/retry storms decorrelate across a pool without
-/// introducing nondeterminism. Floored at 1 ms so a respawn can never
-/// hot-loop.
-pub(crate) fn full_jitter_backoff(base: Duration, attempt: u32, salt: u64) -> Duration {
-    let cap = base * 2u32.pow(attempt.saturating_sub(1).min(6));
-    let mut bytes = [0u8; 12];
-    bytes[..8].copy_from_slice(&salt.to_le_bytes());
-    bytes[8..].copy_from_slice(&attempt.to_le_bytes());
-    let frac = (fnv1a(&bytes) >> 11) as f64 / (1u64 << 53) as f64;
-    cap.mul_f64(frac).max(Duration::from_millis(1))
-}
-
-// ---------------------------------------------------------------------------
-// Backend selection
-// ---------------------------------------------------------------------------
 
 /// How to spawn the child processes of [`ExecBackend::Processes`].
 #[derive(Debug, Clone)]
@@ -507,426 +302,9 @@ impl Default for ProcSlaveConfig {
     }
 }
 
-/// Which execution substrate [`ParallelRunner`] drives.
-#[derive(Debug, Clone, Default)]
-pub enum ExecBackend {
-    /// Free-running threads (the original backend): fastest convergence,
-    /// but the stopping decision depends on scheduling, so runs are not
-    /// reproducible bit-for-bit.
-    #[default]
-    Threads,
-    /// Deterministic epoch-lockstep threads: same protocol as
-    /// [`ExecBackend::Processes`], same bit-identical results, no process
-    /// boundary.
-    ThreadLockstep,
-    /// Sandboxed child OS processes over the checksummed frame fabric.
-    Processes(ProcSlaveConfig),
-}
-
 // ---------------------------------------------------------------------------
-// Slave session (shared by the in-thread and in-child slave loops)
+// The process transport (master side)
 // ---------------------------------------------------------------------------
-
-/// The slave's half of the fabric, abstracted over thread channels vs.
-/// stdio frames.
-trait SlaveLink {
-    /// Ships a frame to the master; `false` means the master is gone.
-    fn send(&mut self, frame: UpFrame) -> bool;
-    /// Blocks until the master decides the parked barrier. Wind-down
-    /// (Shutdown frame, stop flag, severed link) returns `Finalize`.
-    fn wait_directive(&mut self) -> Directive;
-    /// Cooperative stop signal (interrupt, kill of this incarnation).
-    fn should_stop(&self) -> bool;
-    /// Child-side resource-cap check; `Some` means a cap was exceeded.
-    fn limit_exceeded(&mut self) -> Option<String>;
-}
-
-struct SessionParams {
-    slave: usize,
-    incarnation: u32,
-    slave_seed: u64,
-    epoch_events: u64,
-    config: Arc<ExperimentConfig>,
-    bin_schemes: Arc<HashMap<String, HistogramSpec>>,
-    state: SlaveState,
-    winddown: bool,
-    chaos: Option<ProcChaos>,
-}
-
-/// One incarnation of one lockstep slave, on either transport: restore the
-/// checkpoint, re-park at its barrier if this is a respawn, then simulate
-/// epoch by epoch, parking at every boundary until the master's directive.
-fn slave_session<L: SlaveLink>(link: &mut L, p: SessionParams) -> Result<(), SimError> {
-    let SessionParams {
-        slave,
-        incarnation,
-        slave_seed,
-        epoch_events,
-        config,
-        bin_schemes,
-        mut state,
-        winddown,
-        chaos,
-    } = p;
-    let mut telemetry = SlaveTelemetryShard::default();
-    // The circuit breaker and the audit report span epochs within an
-    // incarnation (a resurrection restarts them — losing sweeps, never
-    // samples), exactly like the thread backend.
-    let mut guard = config.audit().map(AuditConfig::progress_guard);
-    let mut audit_total: Option<AuditReport> = None;
-    let mut audit_tripped = false;
-
-    if !link.send(UpFrame::Ready { slave, incarnation }) {
-        return Ok(());
-    }
-
-    // A respawned incarnation re-enters the barrier protocol at its
-    // checkpointed epoch: the master answers Continue (a catch-up replay
-    // or an already-decided barrier) or Finalize. Without the re-park a
-    // respawn could run ahead of an undecided barrier and deadlock it.
-    let mut run_epochs = !winddown;
-    if run_epochs && incarnation > 0 {
-        let exhausted = state.events >= config.max_events;
-        if !link.send(UpFrame::EpochDone {
-            slave,
-            incarnation,
-            state: Box::new(state.clone()),
-            exhausted,
-        }) {
-            return Ok(());
-        }
-        if link.wait_directive() == Directive::Finalize {
-            run_epochs = false;
-        }
-    }
-
-    while run_epochs
-        && !link.should_stop()
-        && !audit_tripped
-        && state.events < config.max_events
-    {
-        let seed = epoch_seed(slave_seed, state.epoch);
-        let mut sim = ClusterSim::new_slave((*config).clone(), seed, &bin_schemes)?;
-        if let Some(stats) = state.stats.take() {
-            sim.restore_stats(stats)?;
-        }
-        let mut engine = AnyEngine::build(sim);
-        let budget = epoch_events.min(config.max_events - state.events);
-        let mut fired = 0u64;
-        let mut drained = false;
-        while !link.should_stop() && fired < budget {
-            let chunk = CHUNK_EVENTS.min(budget - fired);
-            let run = match guard.as_mut() {
-                Some(guard) => engine.run_guarded(chunk, guard),
-                None => engine.run_with_limit(chunk),
-            };
-            fired += run.events_fired;
-            if run.stopped_by_guard || engine.simulation().audit_failed() {
-                if let Some(violation) = guard.as_ref().and_then(|g| g.violation()) {
-                    engine.simulation_mut().record_progress_violation(violation);
-                }
-                audit_tripped = true;
-                break;
-            }
-            if run.events_fired == 0 {
-                drained = true; // cannot happen with open arrivals
-                break;
-            }
-            if let Some(what) = link.limit_exceeded() {
-                let _ = link.send(UpFrame::Fatal {
-                    slave,
-                    incarnation,
-                    error: what.clone(),
-                    code: exit_code::RESOURCE,
-                });
-                return Err(SimError::SlaveProcess {
-                    slave,
-                    detail: what,
-                });
-            }
-            telemetry.heartbeats += 1;
-            if !link.send(UpFrame::Heartbeat {
-                slave,
-                incarnation,
-                events: state.events + fired,
-            }) {
-                // Master gone: nothing to merge into; wind down.
-                return Ok(());
-            }
-        }
-        state.events += fired;
-        let finished_epoch = fired == budget && !drained && !audit_tripped;
-        let now = engine.now();
-        let mut sim = engine.into_simulation();
-        sim.finalize_audit(now);
-        if let Some(epoch_audit) = sim.take_audit() {
-            audit_total
-                .get_or_insert_with(AuditReport::default)
-                .merge(&epoch_audit);
-        }
-        state.stats = Some(sim.into_stats());
-        if finished_epoch && !link.should_stop() {
-            state.epoch += 1;
-            telemetry.epochs += 1;
-            let exhausted = state.events >= config.max_events;
-            if !link.send(UpFrame::EpochDone {
-                slave,
-                incarnation,
-                state: Box::new(state.clone()),
-                exhausted,
-            }) {
-                return Ok(());
-            }
-            if incarnation == 0 && state.epoch == 1 {
-                match chaos {
-                    Some(ProcChaos::AbortAfterFirstEpoch { slave: victim }) if victim == slave => {
-                        // The failure catch_unwind cannot contain.
-                        std::process::abort();
-                    }
-                    Some(ProcChaos::PanicAfterFirstEpoch { slave: victim }) if victim == slave => {
-                        panic!("forced slave panic (chaos hook)");
-                    }
-                    _ => {}
-                }
-            }
-            if link.wait_directive() == Directive::Finalize {
-                break;
-            }
-        } else {
-            break;
-        }
-    }
-
-    let (histograms, lags, total_observed) = match &state.stats {
-        Some(stats) => (
-            stats.iter().map(|m| m.histogram().cloned()).collect(),
-            stats.iter().map(|m| m.lag()).collect(),
-            stats.iter().map(|m| m.total_observed()).collect(),
-        ),
-        None => (Vec::new(), Vec::new(), Vec::new()),
-    };
-    let _ = link.send(UpFrame::Final {
-        slave,
-        incarnation,
-        shard: Box::new(FinalShard {
-            histograms,
-            lags,
-            total_observed,
-            events: state.events,
-            audit: audit_total,
-            telemetry,
-        }),
-    });
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
-// Transports (master side)
-// ---------------------------------------------------------------------------
-
-/// What the supervision loop consumes, regardless of transport.
-enum SlaveEvent {
-    Up(UpFrame),
-    /// The slave's link died without a terminal frame: thread panicked,
-    /// child exited or its stream was severed/corrupted.
-    Gone { slave: usize, incarnation: u32 },
-}
-
-struct SharedCtx {
-    config: Arc<ExperimentConfig>,
-    bin_schemes: Arc<HashMap<String, HistogramSpec>>,
-    seeds: Vec<u64>,
-    epoch_events: u64,
-    chaos: Option<ProcChaos>,
-}
-
-trait Transport {
-    /// Spawns (or respawns) one incarnation of a slave from a checkpoint.
-    fn spawn(
-        &mut self,
-        slave: usize,
-        incarnation: u32,
-        state: SlaveState,
-        winddown: bool,
-    ) -> Result<(), SimError>;
-    /// Answers a parked slave's barrier.
-    fn directive(&mut self, slave: usize, d: Directive);
-    /// Cooperative wind-down signal to every live slave.
-    fn interrupt_all(&mut self);
-    /// Forcefully terminates one slave's current incarnation (SIGKILL for
-    /// processes, flag-abandonment for threads). Always reaps.
-    fn kill(&mut self, slave: usize);
-    /// Waits up to `timeout` for the next event.
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<SlaveEvent>;
-    /// Final cleanup: cooperative wind-down, then force; joins/reaps every
-    /// child so no zombie or orphan survives the run.
-    fn reap(&mut self);
-    /// (frames_sent, frames_received, frame_decode_failures) so far.
-    fn frame_counters(&self) -> (u64, u64, u64);
-}
-
-// --- threads ---------------------------------------------------------------
-
-struct ThreadSlot {
-    directive_tx: channel::Sender<Directive>,
-    inc_stop: Arc<AtomicBool>,
-}
-
-struct ThreadTransport {
-    ctx: Arc<SharedCtx>,
-    tx: channel::Sender<SlaveEvent>,
-    rx: channel::Receiver<SlaveEvent>,
-    global_stop: Arc<AtomicBool>,
-    slots: Vec<Option<ThreadSlot>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-    forced_panic: Option<usize>,
-    persistent_panic: Option<usize>,
-}
-
-struct ThreadLink {
-    tx: channel::Sender<SlaveEvent>,
-    directive_rx: channel::Receiver<Directive>,
-    global_stop: Arc<AtomicBool>,
-    inc_stop: Arc<AtomicBool>,
-}
-
-impl SlaveLink for ThreadLink {
-    fn send(&mut self, frame: UpFrame) -> bool {
-        self.tx.send(SlaveEvent::Up(frame)).is_ok()
-    }
-
-    fn wait_directive(&mut self) -> Directive {
-        loop {
-            if self.should_stop() {
-                return Directive::Finalize;
-            }
-            match self.directive_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(d) => return d,
-                Err(channel::RecvTimeoutError::Timeout) => {}
-                Err(channel::RecvTimeoutError::Disconnected) => return Directive::Finalize,
-            }
-        }
-    }
-
-    fn should_stop(&self) -> bool {
-        self.global_stop.load(Ordering::Relaxed) || self.inc_stop.load(Ordering::Relaxed)
-    }
-
-    fn limit_exceeded(&mut self) -> Option<String> {
-        None // caps are meaningful only across a process boundary
-    }
-}
-
-impl ThreadTransport {
-    fn new(ctx: Arc<SharedCtx>, slaves: usize, runner: &ParallelRunner) -> Self {
-        let (tx, rx) = channel::unbounded();
-        ThreadTransport {
-            ctx,
-            tx,
-            rx,
-            global_stop: Arc::new(AtomicBool::new(false)),
-            slots: (0..slaves).map(|_| None).collect(),
-            handles: Vec::new(),
-            forced_panic: runner.forced_panic,
-            persistent_panic: runner.persistent_panic,
-        }
-    }
-}
-
-impl Transport for ThreadTransport {
-    fn spawn(
-        &mut self,
-        slave: usize,
-        incarnation: u32,
-        state: SlaveState,
-        winddown: bool,
-    ) -> Result<(), SimError> {
-        let (directive_tx, directive_rx) = channel::unbounded();
-        let inc_stop = Arc::new(AtomicBool::new(false));
-        self.slots[slave] = Some(ThreadSlot {
-            directive_tx,
-            inc_stop: Arc::clone(&inc_stop),
-        });
-        // A thread cannot be SIGKILLed or survive an abort; in-process the
-        // kill/abort chaos hooks degrade to a panic at the same point.
-        let chaos = self.ctx.chaos.map(|c| match c {
-            ProcChaos::KillMidEpoch { slave } | ProcChaos::AbortAfterFirstEpoch { slave } => {
-                ProcChaos::PanicAfterFirstEpoch { slave }
-            }
-            other => other,
-        });
-        let panic_at_spawn = (self.forced_panic == Some(slave) && incarnation == 0)
-            || self.persistent_panic == Some(slave);
-        let params = SessionParams {
-            slave,
-            incarnation,
-            slave_seed: self.ctx.seeds[slave],
-            epoch_events: self.ctx.epoch_events,
-            config: Arc::clone(&self.ctx.config),
-            bin_schemes: Arc::clone(&self.ctx.bin_schemes),
-            state,
-            winddown,
-            chaos,
-        };
-        let tx = self.tx.clone();
-        let gone_tx = self.tx.clone();
-        let global_stop = Arc::clone(&self.global_stop);
-        self.handles.push(std::thread::spawn(move || {
-            let mut link = ThreadLink {
-                tx,
-                directive_rx,
-                global_stop,
-                inc_stop,
-            };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if panic_at_spawn {
-                    panic!("forced slave panic (test hook)");
-                }
-                slave_session(&mut link, params)
-            }));
-            if !matches!(result, Ok(Ok(()))) {
-                let _ = gone_tx.send(SlaveEvent::Gone { slave, incarnation });
-            }
-        }));
-        Ok(())
-    }
-
-    fn directive(&mut self, slave: usize, d: Directive) {
-        if let Some(slot) = &self.slots[slave] {
-            let _ = slot.directive_tx.send(d);
-        }
-    }
-
-    fn interrupt_all(&mut self) {
-        self.global_stop.store(true, Ordering::Relaxed);
-    }
-
-    fn kill(&mut self, slave: usize) {
-        // Abandon the incarnation: its stop flag makes it exit at the next
-        // chunk or directive wait, and its messages are already fenced.
-        if let Some(slot) = self.slots[slave].take() {
-            slot.inc_stop.store(true, Ordering::Relaxed);
-        }
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Option<SlaveEvent> {
-        self.rx.recv_timeout(timeout).ok()
-    }
-
-    fn reap(&mut self) {
-        self.global_stop.store(true, Ordering::Relaxed);
-        self.slots.iter_mut().for_each(|s| *s = None);
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-
-    fn frame_counters(&self) -> (u64, u64, u64) {
-        (0, 0, 0) // in-process channels: no frames on a wire
-    }
-}
-
-// --- processes -------------------------------------------------------------
 
 struct ProcSlot {
     child: Child,
@@ -934,7 +312,9 @@ struct ProcSlot {
     reader: std::thread::JoinHandle<()>,
 }
 
-struct ProcessTransport {
+/// The supervisor's transport over child processes: one child per
+/// incarnation, a reader thread per child decoding its stdout.
+pub(crate) struct ProcessTransport {
     ctx: Arc<SharedCtx>,
     cfg: ProcSlaveConfig,
     tx: channel::Sender<SlaveEvent>,
@@ -943,10 +323,11 @@ struct ProcessTransport {
     frames_sent: u64,
     frames_received: Arc<AtomicU64>,
     decode_failures: Arc<AtomicU64>,
+    cap_kills: Arc<AtomicU64>,
 }
 
 impl ProcessTransport {
-    fn new(ctx: Arc<SharedCtx>, slaves: usize, cfg: ProcSlaveConfig) -> Self {
+    pub(crate) fn new(ctx: Arc<SharedCtx>, slaves: usize, cfg: ProcSlaveConfig) -> Self {
         let (tx, rx) = channel::unbounded();
         ProcessTransport {
             ctx,
@@ -957,6 +338,7 @@ impl ProcessTransport {
             frames_sent: 0,
             frames_received: Arc::new(AtomicU64::new(0)),
             decode_failures: Arc::new(AtomicU64::new(0)),
+            cap_kills: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -1010,7 +392,10 @@ impl Transport for ProcessTransport {
                 bin_schemes: (*self.ctx.bin_schemes).clone(),
                 state,
                 winddown,
-                chaos: self.ctx.chaos.filter(|c| incarnation == 0 && c.victim() == slave),
+                chaos: self
+                    .ctx
+                    .chaos
+                    .filter(|c| incarnation == 0 && c.victim() == slave),
             }),
         };
         if let Err(e) = write_frame(&mut stdin, &hello) {
@@ -1022,12 +407,20 @@ impl Transport for ProcessTransport {
         let tx = self.tx.clone();
         let frames = Arc::clone(&self.frames_received);
         let failures = Arc::clone(&self.decode_failures);
+        let cap_kills = Arc::clone(&self.cap_kills);
         let reader = std::thread::spawn(move || {
             let mut r = BufReader::new(stdout);
             loop {
                 match read_frame::<_, UpFrame>(&mut r) {
                     Ok(Some(frame)) => {
                         frames.fetch_add(1, Ordering::Relaxed);
+                        if let UpFrame::Fatal {
+                            code: exit_code::RESOURCE,
+                            ..
+                        } = frame
+                        {
+                            cap_kills.fetch_add(1, Ordering::Relaxed);
+                        }
                         if tx.send(SlaveEvent::Up(frame)).is_err() {
                             break;
                         }
@@ -1102,12 +495,13 @@ impl Transport for ProcessTransport {
         }
     }
 
-    fn frame_counters(&self) -> (u64, u64, u64) {
-        (
-            self.frames_sent,
-            self.frames_received.load(Ordering::Relaxed),
-            self.decode_failures.load(Ordering::Relaxed),
-        )
+    fn wire_counters(&self) -> WireCounters {
+        WireCounters {
+            frames_sent: self.frames_sent,
+            frames_received: self.frames_received.load(Ordering::Relaxed),
+            frame_decode_failures: self.decode_failures.load(Ordering::Relaxed),
+            cap_kills: self.cap_kills.load(Ordering::Relaxed),
+        }
     }
 }
 
@@ -1118,502 +512,6 @@ impl Drop for ProcessTransport {
         for slave in 0..self.slots.len() {
             self.kill(slave);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The lockstep supervisor (master side)
-// ---------------------------------------------------------------------------
-
-struct Barrier {
-    /// Highest epoch index for which a directive has been decided.
-    decided: u64,
-    /// Once set, every barrier from this epoch on resolves to Finalize.
-    finalize_at: Option<u64>,
-    /// Per-slave parked epoch (an EpochDone awaiting its directive).
-    parked: Vec<Option<u64>>,
-    /// Per-slave "cannot continue" flag from its latest EpochDone.
-    exhausted: Vec<bool>,
-}
-
-pub(crate) fn run_lockstep(
-    runner: &ParallelRunner,
-    master_seed: u64,
-    proc_cfg: Option<&ProcSlaveConfig>,
-) -> Result<ParallelOutcome, SimError> {
-    let start = Instant::now();
-    let (bin_schemes, master_events) = run_until_calibrated(&runner.config, master_seed)?;
-    let specs: Vec<MetricSpec> = runner
-        .config
-        .metric_specs()
-        .into_iter()
-        .map(|(_, spec)| spec)
-        .collect();
-    // Identical seed derivation to the free-running thread backend, so the
-    // sample pools are comparable across all three backends.
-    let mut seed_stream = SeedStream::new(master_seed ^ 0x5A5A_5A5A_5A5A_5A5A);
-    let seeds: Vec<u64> = (0..runner.slaves).map(|_| seed_stream.next_seed()).collect();
-    let ctx = Arc::new(SharedCtx {
-        config: Arc::new(runner.config.clone()),
-        bin_schemes: Arc::new(bin_schemes),
-        seeds,
-        epoch_events: runner.slave_epoch_events,
-        chaos: runner.proc_chaos,
-    });
-    match proc_cfg {
-        Some(cfg) => {
-            let transport = ProcessTransport::new(Arc::clone(&ctx), runner.slaves, cfg.clone());
-            supervise(runner, &specs, transport, master_events, start)
-        }
-        None => {
-            let transport = ThreadTransport::new(Arc::clone(&ctx), runner.slaves, runner);
-            supervise(runner, &specs, transport, master_events, start)
-        }
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn supervise<T: Transport>(
-    runner: &ParallelRunner,
-    specs: &[MetricSpec],
-    mut transport: T,
-    master_events: u64,
-    start: Instant,
-) -> Result<ParallelOutcome, SimError> {
-    let slaves = runner.slaves;
-    let mut outcome = ParallelOutcome {
-        estimates: Vec::new(),
-        converged: false,
-        termination: TerminationReason::Deadline,
-        master_calibration_events: master_events,
-        slave_events: vec![0; slaves],
-        dead_slaves: Vec::new(),
-        resurrections: 0,
-        watchdog_fired: false,
-        wall_seconds: 0.0,
-        audit: None,
-        telemetry: None,
-    };
-    let mut sup = LockstepSupervision::new(slaves, runner.max_restarts);
-    let mut barrier = Barrier {
-        decided: 0,
-        finalize_at: None,
-        parked: vec![None; slaves],
-        exhausted: vec![false; slaves],
-    };
-    let mut latest: Vec<Vec<Option<RunningStats>>> = vec![vec![None; specs.len()]; slaves];
-    let mut shards: Vec<Option<Box<FinalShard>>> = (0..slaves).map(|_| None).collect();
-    let mut interrupted = false;
-    let mut stop_requested = false;
-    let mut cap_kills = 0u64;
-    // The master-side kill chaos arms after the victim's first epoch
-    // checkpoint and fires on its next heartbeat — genuinely mid-epoch.
-    let kill_chaos_victim = match runner.proc_chaos {
-        Some(ProcChaos::KillMidEpoch { slave }) => Some(slave),
-        _ => None,
-    };
-    let mut kill_chaos_armed = false;
-    let mut kill_chaos_fired = false;
-
-    let deadline = runner
-        .watchdog
-        .map(|s| start + Duration::from_secs_f64(s));
-
-    for slave in 0..slaves {
-        if transport
-            .spawn(slave, 0, SlaveState::default(), false)
-            .is_err()
-        {
-            sup.record_death(slave, &mut barrier, &mut latest, specs, &mut outcome);
-        }
-    }
-
-    while (0..slaves).any(|s| !sup.settled(s)) {
-        let event = transport.recv_timeout(WATCHDOG_TICK);
-
-        if let Some(flag) = &runner.interrupt {
-            if !interrupted && flag.load(Ordering::Relaxed) {
-                interrupted = true;
-                stop_requested = true;
-                transport.interrupt_all();
-            }
-        }
-        if let Some(d) = deadline {
-            if !outcome.watchdog_fired && !stop_requested && Instant::now() >= d {
-                outcome.watchdog_fired = true;
-                stop_requested = true;
-                transport.interrupt_all();
-            }
-        }
-
-        match event {
-            None => {}
-            Some(SlaveEvent::Up(frame)) => {
-                let Some((slave, incarnation)) = frame.sender() else {
-                    continue; // SoloReport has no business in a lockstep run
-                };
-                if slave >= slaves
-                    || incarnation != sup.incarnations[slave]
-                    || sup.settled(slave)
-                {
-                    continue; // fenced: a stale or nonsensical incarnation
-                }
-                sup.last_heard[slave] = Instant::now();
-                match frame {
-                    UpFrame::Ready { .. } => {}
-                    UpFrame::Heartbeat { .. } => {
-                        if kill_chaos_victim == Some(slave)
-                            && kill_chaos_armed
-                            && !kill_chaos_fired
-                            && incarnation == 0
-                        {
-                            kill_chaos_fired = true;
-                            transport.kill(slave);
-                            sup.record_death(slave, &mut barrier, &mut latest, specs, &mut outcome);
-                            try_decide(
-                                &mut barrier,
-                                &sup,
-                                &mut latest,
-                                specs,
-                                &mut outcome,
-                                stop_requested,
-                                &mut transport,
-                            );
-                        }
-                    }
-                    UpFrame::EpochDone {
-                        state, exhausted, ..
-                    } => {
-                        let completed = state.epoch;
-                        sup.checkpoints[slave] = (*state).clone();
-                        latest[slave] = checkpoint_moments(&state, specs.len());
-                        barrier.exhausted[slave] = exhausted;
-                        if kill_chaos_victim == Some(slave) && incarnation == 0 {
-                            kill_chaos_armed = true;
-                        }
-                        if let Some(n) = barrier.finalize_at {
-                            let d = if completed >= n {
-                                Directive::Finalize
-                            } else {
-                                Directive::Continue
-                            };
-                            transport.directive(slave, d);
-                        } else if completed <= barrier.decided {
-                            // A respawn catching up through already-decided
-                            // barriers (deterministic replay).
-                            transport.directive(slave, Directive::Continue);
-                        } else {
-                            barrier.parked[slave] = Some(completed);
-                            try_decide(
-                                &mut barrier,
-                                &sup,
-                                &mut latest,
-                                specs,
-                                &mut outcome,
-                                stop_requested,
-                                &mut transport,
-                            );
-                        }
-                    }
-                    UpFrame::Final { shard, .. } => {
-                        sup.finished[slave] = true;
-                        barrier.parked[slave] = None;
-                        if shard.audit.as_ref().is_some_and(|a| !a.passed()) && !stop_requested {
-                            // One slave's broken invariants poison the
-                            // merge; wind everyone down now.
-                            stop_requested = true;
-                            transport.interrupt_all();
-                        }
-                        shards[slave] = Some(shard);
-                        try_decide(
-                            &mut barrier,
-                            &sup,
-                            &mut latest,
-                            specs,
-                            &mut outcome,
-                            stop_requested,
-                            &mut transport,
-                        );
-                    }
-                    UpFrame::Fatal { code, .. } => {
-                        if code == exit_code::RESOURCE {
-                            cap_kills += 1;
-                        }
-                        transport.kill(slave);
-                        sup.record_death(slave, &mut barrier, &mut latest, specs, &mut outcome);
-                        try_decide(
-                            &mut barrier,
-                            &sup,
-                            &mut latest,
-                            specs,
-                            &mut outcome,
-                            stop_requested,
-                            &mut transport,
-                        );
-                    }
-                    UpFrame::SoloReport(_) => unreachable!("filtered above"),
-                }
-            }
-            Some(SlaveEvent::Gone { slave, incarnation })
-                if slave < slaves && incarnation == sup.incarnations[slave] && !sup.settled(slave) =>
-            {
-                transport.kill(slave); // reap whatever is left
-                sup.record_death(slave, &mut barrier, &mut latest, specs, &mut outcome);
-                try_decide(
-                    &mut barrier,
-                    &sup,
-                    &mut latest,
-                    specs,
-                    &mut outcome,
-                    stop_requested,
-                    &mut transport,
-                );
-            }
-            Some(SlaveEvent::Gone { .. }) => {} // stale incarnation or already settled
-        }
-
-        // Stall watchdog: a slave the master has not heard from in too
-        // long is presumed wedged; SIGKILL it (processes) or abandon the
-        // incarnation (threads) and schedule a resurrection.
-        if let Some(timeout) = runner.slave_stall_timeout {
-            let now = Instant::now();
-            for slave in 0..slaves {
-                if !sup.settled(slave)
-                    && sup.respawn_at[slave].is_none()
-                    && barrier.parked[slave].is_none()
-                    && now.duration_since(sup.last_heard[slave]) > timeout
-                {
-                    transport.kill(slave);
-                    sup.record_death(slave, &mut barrier, &mut latest, specs, &mut outcome);
-                    try_decide(
-                        &mut barrier,
-                        &sup,
-                        &mut latest,
-                        specs,
-                        &mut outcome,
-                        stop_requested,
-                        &mut transport,
-                    );
-                }
-            }
-        }
-
-        // Launch due resurrections. Respawns proceed even after stop: a
-        // resurrected slave finalizes from its restored checkpoint, so its
-        // sample pool stays in the merge.
-        let now = Instant::now();
-        for slave in 0..slaves {
-            if sup.respawn_at[slave].is_some_and(|at| now >= at) {
-                sup.respawn_at[slave] = None;
-                sup.last_heard[slave] = now;
-                outcome.resurrections += 1;
-                let state = sup.checkpoints[slave].clone();
-                // If wind-down already began (or the run finalized at an
-                // epoch the checkpoint has reached), the respawn must not
-                // simulate past the decided trajectory.
-                let winddown = stop_requested
-                    || barrier
-                        .finalize_at
-                        .is_some_and(|n| state.epoch >= n);
-                if transport
-                    .spawn(slave, sup.incarnations[slave], state, winddown)
-                    .is_err()
-                {
-                    sup.record_death(slave, &mut barrier, &mut latest, specs, &mut outcome);
-                    try_decide(
-                        &mut barrier,
-                        &sup,
-                        &mut latest,
-                        specs,
-                        &mut outcome,
-                        stop_requested,
-                        &mut transport,
-                    );
-                }
-            }
-        }
-    }
-
-    transport.reap();
-
-    outcome.estimates = merge_finals(specs, &shards, &mut outcome.slave_events);
-    for shard in shards.iter().flatten() {
-        if let Some(audit) = &shard.audit {
-            outcome
-                .audit
-                .get_or_insert_with(AuditReport::default)
-                .merge(audit);
-        }
-    }
-    outcome.dead_slaves.sort_unstable();
-    if outcome.dead_slaves.len() == slaves {
-        return Err(SimError::NoSurvivingSlaves {
-            panicked: outcome.dead_slaves.len(),
-        });
-    }
-    let audit_failed = outcome.audit.as_ref().is_some_and(|a| !a.passed());
-    if audit_failed {
-        outcome.converged = false;
-    }
-    outcome.termination = if audit_failed {
-        if outcome.audit.as_ref().is_some_and(AuditReport::livelocked) {
-            TerminationReason::Livelock
-        } else {
-            TerminationReason::AuditViolation
-        }
-    } else if interrupted {
-        TerminationReason::Interrupted
-    } else if outcome.converged {
-        TerminationReason::Converged
-    } else {
-        TerminationReason::Deadline
-    };
-    outcome.wall_seconds = start.elapsed().as_secs_f64();
-    if runner.config.telemetry_enabled() {
-        let (sent, received, decode_failures) = transport.frame_counters();
-        let mut rec = MemoryRecorder::new();
-        rec.counter_add("parallel.slaves", slaves as u64);
-        rec.counter_add(
-            "parallel.master_calibration_events",
-            outcome.master_calibration_events,
-        );
-        rec.counter_add("parallel.resurrections", outcome.resurrections);
-        rec.counter_add("parallel.dead_slaves", outcome.dead_slaves.len() as u64);
-        rec.counter_add("procslave.frames_sent", sent);
-        rec.counter_add("procslave.frames_received", received);
-        rec.counter_add("procslave.frame_decode_failures", decode_failures);
-        rec.counter_add("procslave.respawns", outcome.resurrections);
-        rec.counter_add("procslave.cap_kills", cap_kills);
-        rec.counter_add(
-            "procslave.slave_epochs",
-            shards
-                .iter()
-                .flatten()
-                .map(|s| s.telemetry.epochs)
-                .sum::<u64>(),
-        );
-        rec.counter_add(
-            "procslave.slave_heartbeats",
-            shards
-                .iter()
-                .flatten()
-                .map(|s| s.telemetry.heartbeats)
-                .sum::<u64>(),
-        );
-        rec.gauge_set(
-            "parallel.slave_events_total",
-            outcome.slave_events.iter().sum::<u64>() as f64,
-        );
-        rec.wall_set("wall_seconds", outcome.wall_seconds);
-        let mut snap = rec.snapshot();
-        for (i, &events) in outcome.slave_events.iter().enumerate() {
-            snap.counters
-                .insert(format!("parallel.slave{i}.events"), events);
-        }
-        outcome.telemetry = Some(snap);
-    }
-    Ok(outcome)
-}
-
-/// Lockstep supervision bookkeeping (a sibling of the thread backend's
-/// `Supervision`, extended with barrier-aware death handling).
-struct LockstepSupervision {
-    incarnations: Vec<u32>,
-    restarts_left: Vec<u32>,
-    checkpoints: Vec<SlaveState>,
-    respawn_at: Vec<Option<Instant>>,
-    finished: Vec<bool>,
-    dead: Vec<bool>,
-    last_heard: Vec<Instant>,
-    max_restarts: u32,
-}
-
-impl LockstepSupervision {
-    fn new(slaves: usize, max_restarts: u32) -> Self {
-        let now = Instant::now();
-        LockstepSupervision {
-            incarnations: vec![0; slaves],
-            restarts_left: vec![max_restarts; slaves],
-            checkpoints: vec![SlaveState::default(); slaves],
-            respawn_at: vec![None; slaves],
-            finished: vec![false; slaves],
-            dead: vec![false; slaves],
-            last_heard: vec![now; slaves],
-            max_restarts,
-        }
-    }
-
-    fn settled(&self, slave: usize) -> bool {
-        self.finished[slave] || self.dead[slave]
-    }
-
-    /// One observed death: fence the incarnation, then either schedule a
-    /// full-jitter-backoff resurrection from the last checkpoint or mark
-    /// the slave permanently dead.
-    fn record_death(
-        &mut self,
-        slave: usize,
-        barrier: &mut Barrier,
-        latest: &mut [Vec<Option<RunningStats>>],
-        specs: &[MetricSpec],
-        outcome: &mut ParallelOutcome,
-    ) {
-        self.incarnations[slave] += 1;
-        barrier.parked[slave] = None;
-        if self.restarts_left[slave] > 0 {
-            self.restarts_left[slave] -= 1;
-            let attempt = self.max_restarts - self.restarts_left[slave]; // 1-based
-            let backoff = full_jitter_backoff(RESTART_BACKOFF, attempt, slave as u64);
-            self.respawn_at[slave] = Some(Instant::now() + backoff);
-            latest[slave] = checkpoint_moments(&self.checkpoints[slave], specs.len());
-        } else {
-            self.dead[slave] = true;
-            outcome.dead_slaves.push(slave);
-            latest[slave] = vec![None; specs.len()];
-            if outcome.converged && !aggregate_sufficient(specs, latest) {
-                outcome.converged = false;
-            }
-        }
-    }
-}
-
-/// Completes the pending barrier if every live participant has parked:
-/// evaluates aggregate sufficiency on epoch-boundary moments (the
-/// deterministic stopping rule) and broadcasts the directive.
-fn try_decide<T: Transport>(
-    barrier: &mut Barrier,
-    sup: &LockstepSupervision,
-    latest: &mut [Vec<Option<RunningStats>>],
-    specs: &[MetricSpec],
-    outcome: &mut ParallelOutcome,
-    stop_requested: bool,
-    transport: &mut T,
-) {
-    if barrier.finalize_at.is_some() || stop_requested {
-        // Finalization is already broadcast per-EpochDone; wind-down is
-        // driven by Shutdown frames.
-        return;
-    }
-    let next = barrier.decided + 1;
-    let participants: Vec<usize> = (0..sup.incarnations.len())
-        .filter(|&s| !sup.settled(s))
-        .collect();
-    if participants.is_empty() || !participants.iter().all(|&s| barrier.parked[s] == Some(next)) {
-        return;
-    }
-    let sufficient = aggregate_sufficient(specs, latest);
-    let all_exhausted = participants.iter().all(|&s| barrier.exhausted[s]);
-    barrier.decided = next;
-    let d = if sufficient || all_exhausted {
-        outcome.converged = sufficient;
-        barrier.finalize_at = Some(next);
-        Directive::Finalize
-    } else {
-        Directive::Continue
-    };
-    for &slave in &participants {
-        barrier.parked[slave] = None;
-        transport.directive(slave, d);
     }
 }
 
@@ -1712,23 +610,21 @@ pub fn slave_main() -> u8 {
     {
         let stop = Arc::clone(&stop);
         let frame_poison = Arc::clone(&frame_poison);
-        std::thread::spawn(move || {
-            loop {
-                match read_frame::<_, DownFrame>(&mut stdin) {
-                    Ok(Some(DownFrame::Directive(d))) => {
-                        if directive_tx.send(d).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(Some(DownFrame::Shutdown)) | Ok(Some(DownFrame::Hello { .. })) | Ok(None) => {
-                        stop.store(true, Ordering::Relaxed);
+        std::thread::spawn(move || loop {
+            match read_frame::<_, DownFrame>(&mut stdin) {
+                Ok(Some(DownFrame::Directive(d))) => {
+                    if directive_tx.send(d).is_err() {
                         break;
                     }
-                    Err(_) => {
-                        frame_poison.store(true, Ordering::Relaxed);
-                        stop.store(true, Ordering::Relaxed);
-                        break;
-                    }
+                }
+                Ok(Some(DownFrame::Shutdown)) | Ok(Some(DownFrame::Hello { .. })) | Ok(None) => {
+                    stop.store(true, Ordering::Relaxed);
+                    break;
+                }
+                Err(_) => {
+                    frame_poison.store(true, Ordering::Relaxed);
+                    stop.store(true, Ordering::Relaxed);
+                    break;
                 }
             }
         });
@@ -1765,15 +661,20 @@ pub fn slave_main() -> u8 {
             };
             match slave_session(&mut link, params) {
                 Ok(()) => exit_code::OK,
-                Err(SimError::SlaveProcess { .. }) => exit_code::RESOURCE,
                 Err(e) => {
+                    // An exceeded cap is the one failure of the child's
+                    // own making that the master may cure by respawning.
+                    let code = match e {
+                        SimError::SlaveProcess { .. } => exit_code::RESOURCE,
+                        _ => exit_code::SIM,
+                    };
                     let _ = link.send(UpFrame::Fatal {
                         slave,
                         incarnation,
                         error: e.to_string(),
-                        code: exit_code::SIM,
+                        code,
                     });
-                    exit_code::SIM
+                    code
                 }
             }
         }
@@ -1956,23 +857,20 @@ pub fn run_solo_in_child(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bighouse_workloads::{StandardWorkload, Workload};
-
-    fn quick_config() -> ExperimentConfig {
-        ExperimentConfig::new(Workload::standard(StandardWorkload::Web))
-            .with_utilization(0.5)
-            .with_target_accuracy(0.1)
-            .with_warmup(50)
-            .with_calibration(500)
-            .with_max_events(20_000_000)
-    }
+    use bighouse_stats::RunningStats;
 
     #[test]
     fn frame_roundtrip() {
+        let mut stats = RunningStats::new();
+        stats.push(1.5);
+        stats.push(4.0);
         let frame = UpFrame::Heartbeat {
             slave: 3,
             incarnation: 7,
             events: 123_456,
+            barrier: 6,
+            moments: vec![Some(stats), None],
+            exhausted: true,
         };
         let mut buf = Vec::new();
         write_frame(&mut buf, &frame).unwrap();
@@ -1983,8 +881,13 @@ mod tests {
                 slave,
                 incarnation,
                 events,
+                barrier,
+                moments,
+                exhausted,
             } => {
                 assert_eq!((slave, incarnation, events), (3, 7, 123_456));
+                assert_eq!((barrier, exhausted), (6, true));
+                assert_eq!(moments, vec![Some(stats), None]);
             }
             other => panic!("wrong frame: {other:?}"),
         }
@@ -2028,138 +931,20 @@ mod tests {
 
     #[test]
     fn version_skew_is_rejected() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &DownFrame::Shutdown).unwrap();
-        buf[4] = PROTOCOL_VERSION + 1; // version byte, first of the body
-        // Recompute the checksum so only the version check can reject it.
-        let len = buf.len();
-        let sum = fnv1a(&buf[4..len - 8]);
-        buf[len - 8..].copy_from_slice(&sum.to_le_bytes());
-        let mut cursor = &buf[..];
-        let err = read_frame::<_, DownFrame>(&mut cursor).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
-    }
-
-    #[test]
-    fn full_jitter_is_deterministic_bounded_and_decorrelated() {
-        let base = Duration::from_millis(25);
-        for attempt in 1..=10u32 {
-            let cap = base * 2u32.pow((attempt - 1).min(6));
-            for salt in 0..8u64 {
-                let d = full_jitter_backoff(base, attempt, salt);
-                assert!(d >= Duration::from_millis(1));
-                assert!(d <= cap, "attempt {attempt} salt {salt}: {d:?} > {cap:?}");
-                assert_eq!(d, full_jitter_backoff(base, attempt, salt));
-            }
+        // A newer build's frame, and a version-1 frame (the epoch-barrier
+        // protocol, whose Heartbeat carried no barrier).
+        for version in [PROTOCOL_VERSION + 1, 1] {
+            let mut buf = Vec::new();
+            write_frame(&mut buf, &DownFrame::Shutdown).unwrap();
+            buf[4] = version; // version byte, first of the body
+                              // Recompute the checksum so only the version check can reject it.
+            let len = buf.len();
+            let sum = fnv1a(&buf[4..len - 8]);
+            buf[len - 8..].copy_from_slice(&sum.to_le_bytes());
+            let mut cursor = &buf[..];
+            let err = read_frame::<_, DownFrame>(&mut cursor).unwrap_err();
+            assert!(matches!(err, SimError::Frame { .. }), "{err}");
+            assert!(err.to_string().contains("version"), "{err}");
         }
-        // Different salts must not synchronize (the respawn-storm fix).
-        let delays: std::collections::HashSet<Duration> =
-            (0..16u64).map(|s| full_jitter_backoff(base, 3, s)).collect();
-        assert!(delays.len() > 8, "jitter collapsed: {delays:?}");
-    }
-
-    #[test]
-    fn thread_lockstep_is_bit_reproducible() {
-        let run = || {
-            ParallelRunner::new(quick_config(), 2)
-                .with_backend(ExecBackend::ThreadLockstep)
-                .with_slave_epoch(50_000)
-                .run(424_242)
-                .unwrap()
-        };
-        let a = run();
-        let b = run();
-        assert!(a.converged);
-        let ea = serde_json::to_string(&a.estimates).unwrap();
-        let eb = serde_json::to_string(&b.estimates).unwrap();
-        assert_eq!(ea, eb, "lockstep runs must be bit-identical");
-    }
-
-    #[test]
-    fn lockstep_panic_chaos_recovers_bit_identically() {
-        // The determinism claim under fire: a slave crashing right after
-        // its first epoch checkpoint is resurrected, replays, and the
-        // merged estimates equal the undisturbed run's exactly.
-        let clean = ParallelRunner::new(quick_config(), 2)
-            .with_backend(ExecBackend::ThreadLockstep)
-            .with_slave_epoch(50_000)
-            .run(777)
-            .unwrap();
-        let chaotic = ParallelRunner::new(quick_config(), 2)
-            .with_backend(ExecBackend::ThreadLockstep)
-            .with_slave_epoch(50_000)
-            .with_proc_chaos(ProcChaos::PanicAfterFirstEpoch { slave: 1 })
-            .run(777)
-            .unwrap();
-        assert!(chaotic.resurrections >= 1, "the chaos hook did not fire");
-        assert!(chaotic.dead_slaves.is_empty());
-        assert_eq!(
-            serde_json::to_string(&clean.estimates).unwrap(),
-            serde_json::to_string(&chaotic.estimates).unwrap(),
-            "resurrection must reproduce the undisturbed trajectory"
-        );
-    }
-
-    #[test]
-    fn lockstep_event_cap_reports_unconverged() {
-        let config = quick_config()
-            .with_target_accuracy(0.01)
-            .with_max_events(60_000);
-        let outcome = ParallelRunner::new(config, 2)
-            .with_backend(ExecBackend::ThreadLockstep)
-            .with_slave_epoch(50_000)
-            .run(55)
-            .unwrap();
-        assert!(!outcome.converged);
-        assert_eq!(outcome.termination, TerminationReason::Deadline);
-    }
-
-    #[test]
-    fn lockstep_interrupt_winds_down() {
-        let flag = Arc::new(AtomicBool::new(true));
-        let config = quick_config()
-            .with_target_accuracy(0.0005)
-            .with_max_events(u64::MAX / 2);
-        let outcome = ParallelRunner::new(config, 2)
-            .with_backend(ExecBackend::ThreadLockstep)
-            .with_interrupt(Arc::clone(&flag))
-            .run(43)
-            .unwrap();
-        assert_eq!(outcome.termination, TerminationReason::Interrupted);
-        assert!(!outcome.converged);
-        assert!(outcome.wall_seconds < 30.0);
-    }
-
-    #[test]
-    fn lockstep_persistent_crasher_is_dropped() {
-        let outcome = ParallelRunner::new(quick_config(), 3)
-            .with_backend(ExecBackend::ThreadLockstep)
-            .with_slave_epoch(50_000)
-            .with_persistent_panic(1)
-            .with_max_restarts(1)
-            .run(88)
-            .unwrap();
-        assert_eq!(outcome.dead_slaves, vec![1]);
-        assert_eq!(outcome.resurrections, 1);
-        assert!(outcome.metric("response_time").is_some());
-    }
-
-    #[test]
-    fn proc_chaos_env_parsing() {
-        assert_eq!(
-            ProcChaos::from_env_str("kill:2"),
-            Some(ProcChaos::KillMidEpoch { slave: 2 })
-        );
-        assert_eq!(
-            ProcChaos::from_env_str("abort:0"),
-            Some(ProcChaos::AbortAfterFirstEpoch { slave: 0 })
-        );
-        assert_eq!(
-            ProcChaos::from_env_str("panic:1"),
-            Some(ProcChaos::PanicAfterFirstEpoch { slave: 1 })
-        );
-        assert_eq!(ProcChaos::from_env_str("frobnicate:1"), None);
-        assert_eq!(ProcChaos::from_env_str("kill"), None);
-        assert_eq!(ProcChaos::from_env_str("kill:x"), None);
     }
 }

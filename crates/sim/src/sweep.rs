@@ -57,7 +57,8 @@ use crate::audit::AuditReport;
 use crate::checkpoint::{config_fingerprint, fnv1a, CheckpointConfig, CheckpointStore};
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
-use crate::procslave::{full_jitter_backoff, run_solo_in_child, ProcSlaveConfig};
+use crate::parallel::full_jitter_backoff;
+use crate::procslave::{run_solo_in_child, ProcSlaveConfig};
 use crate::report::{SimulationReport, TerminationReason};
 use crate::runner::{run_resumable, RunOptions};
 

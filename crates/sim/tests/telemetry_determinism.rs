@@ -15,7 +15,8 @@
 
 use bighouse_faults::{FaultProcess, RetryPolicy};
 use bighouse_sim::{
-    run_resumable, run_serial, ArrivalMode, ExperimentConfig, MetricKind, RunOptions,
+    run_resumable, run_serial, ArrivalMode, ExperimentConfig, MetricKind, ParallelRunner,
+    RunOptions,
 };
 use bighouse_telemetry::TelemetrySnapshot;
 use bighouse_workloads::{StandardWorkload, Workload};
@@ -251,6 +252,46 @@ fn every_emitted_fastpath_key_is_documented() {
         }
     }
     assert!(seen >= 6, "both runs emit the three fastpath counters");
+}
+
+#[test]
+fn parallel_snapshots_are_deterministic_and_every_key_is_documented() {
+    // The parallel runner decides at chunk barriers, so its telemetry is
+    // under the same contract as a serial run's; and TELEMETRY.md must
+    // name every `parallel.*` / `procslave.*` key it emits (per-slave keys
+    // under their `<i>` placeholder).
+    let documented = include_str!("../../../TELEMETRY.md");
+    let run = || {
+        ParallelRunner::new(quick_config().with_telemetry(true), 3)
+            .run(87)
+            .unwrap()
+            .telemetry
+            .expect("telemetry on")
+    };
+    let snap = run();
+    assert_eq!(deterministic(&snap), deterministic(&run()));
+    assert!(snap.wall.contains_key("wall_seconds"));
+    let keys = (snap.counters.keys())
+        .chain(snap.gauges.keys())
+        .chain(snap.histograms.keys())
+        .chain(snap.wall.keys());
+    let mut seen = 0;
+    for key in keys.filter(|k| k.starts_with("parallel.") || k.starts_with("procslave.")) {
+        seen += 1;
+        let per_slave = key
+            .strip_prefix("parallel.slave")
+            .and_then(|rest| rest.split_once('.'))
+            .filter(|(index, _)| index.parse::<usize>().is_ok());
+        let listed = match per_slave {
+            Some((_, fact)) => format!("parallel.slave<i>.{fact}"),
+            None => key.clone(),
+        };
+        assert!(
+            documented.contains(&format!("`{listed}`")),
+            "{key} is emitted but absent from TELEMETRY.md"
+        );
+    }
+    assert!(seen >= 15, "twelve fixed keys and one per slave: {seen}");
 }
 
 #[test]
