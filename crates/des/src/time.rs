@@ -36,6 +36,7 @@ impl Time {
     /// # Panics
     ///
     /// Panics if `seconds` is negative, NaN, or infinite.
+    #[inline]
     #[must_use]
     pub fn from_seconds(seconds: f64) -> Self {
         assert!(
@@ -46,12 +47,14 @@ impl Time {
     }
 
     /// Returns the timestamp as seconds since simulation start.
+    #[inline]
     #[must_use]
     pub fn as_seconds(self) -> f64 {
         self.0
     }
 
     /// Returns the later of two timestamps.
+    #[inline]
     #[must_use]
     pub fn max(self, other: Time) -> Time {
         if self >= other {
@@ -62,6 +65,7 @@ impl Time {
     }
 
     /// Returns the earlier of two timestamps.
+    #[inline]
     #[must_use]
     pub fn min(self, other: Time) -> Time {
         if self <= other {
@@ -81,12 +85,14 @@ impl Default for Time {
 impl Eq for Time {}
 
 impl PartialOrd for Time {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Time {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // Valid because construction forbids NaN.
         self.0.partial_cmp(&other.0).expect("Time is never NaN")
@@ -107,12 +113,14 @@ impl Add<f64> for Time {
     /// # Panics
     ///
     /// Panics if the result would be negative or non-finite.
+    #[inline]
     fn add(self, rhs: f64) -> Time {
         Time::from_seconds(self.0 + rhs)
     }
 }
 
 impl AddAssign<f64> for Time {
+    #[inline]
     fn add_assign(&mut self, rhs: f64) {
         *self = *self + rhs;
     }
@@ -122,6 +130,7 @@ impl Sub for Time {
     type Output = f64;
 
     /// Returns the signed duration `self - rhs` in seconds.
+    #[inline]
     fn sub(self, rhs: Time) -> f64 {
         self.0 - rhs.0
     }

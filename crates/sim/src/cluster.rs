@@ -1521,7 +1521,7 @@ const VACANT: u128 = u128::MAX;
 /// An eligible configuration's calendar only ever holds one arrival event
 /// per stream plus at most one attention event per server — a fixed,
 /// statically known population. The fast engine exploits that: instead of
-/// a binary heap with handle indirection, pending events live in fixed
+/// a 4-ary heap with handle indirection, pending events live in fixed
 /// slots as packed `(time, seq)` keys (the exact key format the real
 /// [`Calendar`] sorts by), and the next event is a linear minimum scan.
 /// Handler dispatch, event payloads, and `EventHandle` bookkeeping all
@@ -1616,10 +1616,6 @@ impl FastEngine {
 
     pub(crate) fn simulation(&self) -> &ClusterSim {
         &self.sim
-    }
-
-    pub(crate) fn simulation_mut(&mut self) -> &mut ClusterSim {
-        &mut self.sim
     }
 
     pub(crate) fn into_simulation(self) -> ClusterSim {

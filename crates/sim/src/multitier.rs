@@ -389,11 +389,7 @@ pub fn run_multi_tier(config: &MultiTierConfig, seed: u64) -> SimulationReport {
     let converged = sim.stats.all_converged();
     let mut report = SimulationReport {
         converged,
-        termination: if converged {
-            crate::report::TerminationReason::Converged
-        } else {
-            crate::report::TerminationReason::Deadline
-        },
+        termination: crate::report::TerminationReason::classify(None, false, converged),
         estimates: sim.stats.estimates(),
         events_fired: run.events_fired,
         simulated_seconds: now.as_seconds(),

@@ -78,10 +78,9 @@ use bighouse_telemetry::{MemoryRecorder, Recorder as _, TelemetrySnapshot};
 
 use crate::audit::{AuditConfig, AuditReport};
 use crate::checkpoint::fnv1a;
-use crate::cluster::ClusterSim;
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
-use crate::fastpath::AnyEngine;
+use crate::fastpath::Epoch;
 use crate::report::{SimulationReport, TerminationReason};
 use crate::runner::run_until_calibrated;
 
@@ -662,25 +661,15 @@ pub(crate) fn slave_session<L: SlaveLink>(link: &mut L, p: SessionParams) -> Res
     let mut finalize = winddown;
     while !finalize && !link.should_stop() && !audit_tripped && state.events < config.max_events {
         let seed = epoch_seed(slave_seed, state.epoch);
-        let mut sim = ClusterSim::new_slave((*config).clone(), seed, &bin_schemes)?;
-        if let Some(stats) = state.stats.take() {
-            sim.restore_stats(stats)?;
-        }
-        let mut engine = AnyEngine::build(sim);
+        let mut epoch = Epoch::start(&config, seed, Some(&*bin_schemes), state.stats.take())?;
         let budget = epoch_events.min(config.max_events - state.events);
         let mut fired = 0u64;
         let mut drained = false;
         while !finalize && !link.should_stop() && fired < budget {
             let chunk = CHUNK_EVENTS.min(budget - fired);
-            let run = match guard.as_mut() {
-                Some(guard) => engine.run_guarded(chunk, guard),
-                None => engine.run_with_limit(chunk),
-            };
+            let run = epoch.advance(chunk, guard.as_mut());
             fired += run.events_fired;
-            if run.stopped_by_guard || engine.simulation().audit_failed() {
-                if let Some(violation) = guard.as_ref().and_then(|g| g.violation()) {
-                    engine.simulation_mut().record_progress_violation(violation);
-                }
+            if epoch.tripped(&run) {
                 audit_tripped = true;
                 break;
             }
@@ -693,7 +682,7 @@ pub(crate) fn slave_session<L: SlaveLink>(link: &mut L, p: SessionParams) -> Res
             }
             telemetry.heartbeats += 1;
             state.barriers += 1;
-            let moments = engine
+            let moments = epoch
                 .simulation()
                 .stats()
                 .iter()
@@ -714,15 +703,13 @@ pub(crate) fn slave_session<L: SlaveLink>(link: &mut L, p: SessionParams) -> Res
         }
         state.events += fired;
         let finished_epoch = fired == budget && !drained && !audit_tripped;
-        let now = engine.now();
-        let mut sim = engine.into_simulation();
-        sim.finalize_audit(now);
-        if let Some(epoch_audit) = sim.take_audit() {
+        let end = epoch.finish();
+        if let Some(epoch_audit) = end.audit {
             audit_total
                 .get_or_insert_with(AuditReport::default)
                 .merge(&epoch_audit);
         }
-        state.stats = Some(sim.into_stats());
+        state.stats = Some(end.stats);
         if !finished_epoch || finalize || link.should_stop() {
             break;
         }
@@ -1333,19 +1320,8 @@ fn supervise<T: Transport>(
         // reported as converged.
         outcome.converged = false;
     }
-    outcome.termination = if audit_failed {
-        if outcome.audit.as_ref().is_some_and(AuditReport::livelocked) {
-            TerminationReason::Livelock
-        } else {
-            TerminationReason::AuditViolation
-        }
-    } else if interrupted {
-        TerminationReason::Interrupted
-    } else if outcome.converged {
-        TerminationReason::Converged
-    } else {
-        TerminationReason::Deadline
-    };
+    outcome.termination =
+        TerminationReason::classify(outcome.audit.as_ref(), interrupted, outcome.converged);
     outcome.wall_seconds = start.elapsed().as_secs_f64();
     if runner.config.telemetry_enabled() {
         let wire = transport.wire_counters();

@@ -111,6 +111,32 @@ pub enum TerminationReason {
     Livelock,
 }
 
+impl TerminationReason {
+    /// Classifies a finished run, for every runner. Audit violations
+    /// dominate — a run must never claim convergence on corrupt accounting
+    /// — with livelocks called out distinctly; then an interrupt, which
+    /// the caller reports only if it cut the run short; and otherwise the
+    /// convergence flag decides.
+    pub(crate) fn classify(
+        audit: Option<&AuditReport>,
+        interrupted: bool,
+        converged: bool,
+    ) -> TerminationReason {
+        match audit {
+            Some(report) if !report.passed() => {
+                if report.livelocked() {
+                    TerminationReason::Livelock
+                } else {
+                    TerminationReason::AuditViolation
+                }
+            }
+            _ if interrupted => TerminationReason::Interrupted,
+            _ if converged => TerminationReason::Converged,
+            _ => TerminationReason::Deadline,
+        }
+    }
+}
+
 impl std::fmt::Display for TerminationReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -359,6 +385,45 @@ mod tests {
             "audit-violation"
         );
         assert_eq!(TerminationReason::Livelock.to_string(), "livelock");
+    }
+
+    #[test]
+    fn classification_precedence() {
+        use crate::audit::AuditViolation;
+        use TerminationReason as T;
+        let with = |violations| AuditReport {
+            enabled: true,
+            violations,
+            ..AuditReport::default()
+        };
+        let clean = with(vec![]);
+        let broken = with(vec![AuditViolation::CompletionMismatch {
+            server_completed: 10,
+            observed: 9,
+        }]);
+        let stuck = with(vec![AuditViolation::Livelock { events: 100_000 }]);
+        // (audit, interrupted, converged) → reason: each input outranks
+        // every one to its right.
+        let table = [
+            (Some(&stuck), true, true, T::Livelock),
+            (Some(&stuck), false, false, T::Livelock),
+            (Some(&broken), true, true, T::AuditViolation),
+            (Some(&broken), false, true, T::AuditViolation),
+            (Some(&clean), true, true, T::Interrupted),
+            (None, true, true, T::Interrupted),
+            (None, true, false, T::Interrupted),
+            (Some(&clean), false, true, T::Converged),
+            (None, false, true, T::Converged),
+            (Some(&clean), false, false, T::Deadline),
+            (None, false, false, T::Deadline),
+        ];
+        for (audit, interrupted, converged, expected) in table {
+            assert_eq!(
+                T::classify(audit, interrupted, converged),
+                expected,
+                "audit {audit:?}, interrupted {interrupted}, converged {converged}"
+            );
+        }
     }
 
     #[test]

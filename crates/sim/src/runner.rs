@@ -12,10 +12,9 @@ use bighouse_telemetry::{MemoryRecorder, Recorder as _, TelemetrySnapshot};
 
 use crate::audit::{AuditConfig, AuditReport};
 use crate::checkpoint::{config_fingerprint, CheckpointConfig, CheckpointStore, RunState};
-use crate::cluster::ClusterSim;
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
-use crate::fastpath::AnyEngine;
+use crate::fastpath::Epoch;
 use crate::report::{RuntimeStats, SimulationReport, TerminationReason};
 use crate::telemetry::assemble_snapshot;
 
@@ -33,63 +32,35 @@ use crate::telemetry::assemble_snapshot;
 /// See the [crate-level documentation](crate).
 pub fn run_serial(config: &ExperimentConfig, seed: u64) -> Result<SimulationReport, SimError> {
     let start = Instant::now();
-    let sim = ClusterSim::new(config.clone(), seed)?;
-    let mut engine = AnyEngine::build(sim);
+    let mut epoch = Epoch::start(config, seed, None, None)?;
     let mut guard = config.audit().map(AuditConfig::progress_guard);
-    let run = match guard.as_mut() {
-        Some(guard) => engine.run_guarded(config.max_events, guard),
-        None => engine.run_with_limit(config.max_events),
-    };
-    let now = engine.now();
-    let cal_stats = engine.calendar_stats();
-    let mut sim = engine.into_simulation();
-    if let Some(violation) = guard.and_then(|g| g.violation()) {
-        sim.record_progress_violation(violation);
-    }
-    sim.finalize_audit(now);
-    let audit = sim.take_audit();
-    let audit_failed = audit.as_ref().is_some_and(|a| !a.passed());
-    let converged = sim.stats().all_converged() && !audit_failed;
+    let run = epoch.advance(config.max_events, guard.as_mut());
+    let end = epoch.finish();
+    let audit_failed = end.audit.as_ref().is_some_and(|a| !a.passed());
+    let converged = end.stats.all_converged() && !audit_failed;
     let wall_seconds = start.elapsed().as_secs_f64();
-    let telemetry = sim.take_telemetry().map(|t| {
+    let telemetry = end.telemetry.map(|rec| {
         assemble_snapshot(
-            &t.into_recorder(),
-            Some(sim.stats()),
-            &cal_stats,
+            &rec,
+            Some(&end.stats),
+            &end.calendar,
             run.events_fired,
             wall_seconds,
         )
     });
     Ok(SimulationReport {
         converged,
-        termination: termination_for(converged, audit.as_ref()),
-        estimates: sim.stats().estimates(),
+        termination: TerminationReason::classify(end.audit.as_ref(), false, converged),
+        estimates: end.stats.estimates(),
         events_fired: run.events_fired,
-        simulated_seconds: now.as_seconds(),
+        simulated_seconds: end.now.as_seconds(),
         runtime: RuntimeStats {
             wall_seconds,
             telemetry,
         },
-        cluster: sim.summary(now),
-        audit,
+        cluster: end.cluster,
+        audit: end.audit,
     })
-}
-
-/// Classifies a finished run: audit violations dominate (a run must never
-/// claim convergence on corrupt accounting), livelocks are called out
-/// distinctly, and otherwise the convergence flag decides.
-fn termination_for(converged: bool, audit: Option<&AuditReport>) -> TerminationReason {
-    match audit {
-        Some(report) if !report.passed() => {
-            if report.livelocked() {
-                TerminationReason::Livelock
-            } else {
-                TerminationReason::AuditViolation
-            }
-        }
-        _ if converged => TerminationReason::Converged,
-        _ => TerminationReason::Deadline,
-    }
 }
 
 /// Options for [`run_resumable`]: epoch structure, checkpointing, resume,
@@ -263,73 +234,47 @@ pub fn run_resumable(
     // local — a resume restarts its windows, which only makes it *more*
     // lenient, never spuriously trips it.)
     let mut guard = config.audit().map(AuditConfig::progress_guard);
-    let termination = loop {
-        if let Some(report) = &state.audit {
-            if !report.passed() {
-                break if report.livelocked() {
-                    TerminationReason::Livelock
-                } else {
-                    TerminationReason::AuditViolation
-                };
-            }
+    let interrupted = loop {
+        let audit_failed = state.audit.as_ref().is_some_and(|a| !a.passed());
+        if audit_failed || state.converged() || state.events_done >= config.max_events {
+            break false;
         }
-        if state.converged() {
-            break TerminationReason::Converged;
-        }
-        if state.events_done >= config.max_events {
-            break TerminationReason::Deadline;
-        }
-        if opts.interrupted() {
-            break TerminationReason::Interrupted;
-        }
-        if let Some(max) = opts.max_epochs {
-            if state.next_epoch - start_epoch >= max {
-                break TerminationReason::Interrupted;
-            }
+        // A stop request only counts while there is work left to stop.
+        if opts.interrupted()
+            || opts
+                .max_epochs
+                .is_some_and(|max| state.next_epoch - start_epoch >= max)
+        {
+            break true;
         }
 
         let seed = state.seeds.next_seed();
-        let mut sim = ClusterSim::new(config.clone(), seed)?;
-        if let Some(stats) = state.stats.take() {
-            sim.restore_stats(stats)?;
-        }
-        let mut engine = AnyEngine::build(sim);
+        let mut epoch = Epoch::start(config, seed, None, state.stats.take())?;
         let budget = opts
             .epoch_budget()
             .min(config.max_events - state.events_done);
-        let run = match guard.as_mut() {
-            Some(guard) => engine.run_guarded(budget, guard),
-            None => engine.run_with_limit(budget),
-        };
+        let run = epoch.advance(budget, guard.as_mut());
         if run.events_fired == 0 && !run.stopped_by_guard {
             return Err(SimError::CalendarDrained {
                 phase: "measurement",
             });
         }
-        let now = engine.now();
-        let epoch_cal = engine.calendar_stats();
-        let mut sim = engine.into_simulation();
-        if run.stopped_by_guard {
-            if let Some(violation) = guard.as_ref().and_then(|g| g.violation()) {
-                sim.record_progress_violation(violation);
-            }
-        }
-        state.totals.absorb(&sim.summary(now), now.as_seconds());
-        sim.finalize_audit(now);
-        if let Some(epoch_audit) = sim.take_audit() {
+        let end = epoch.finish();
+        state.totals.absorb(&end.cluster, end.now.as_seconds());
+        if let Some(epoch_audit) = end.audit {
             state
                 .audit
                 .get_or_insert_with(AuditReport::default)
                 .merge(&epoch_audit);
         }
         if let Some((rec, cal_acc)) = tel_acc.as_mut() {
-            cal_acc.absorb(&epoch_cal);
+            cal_acc.absorb(&end.calendar);
             rec.counter_add("sim.epochs", 1);
-            if let Some(t) = sim.take_telemetry() {
-                rec.absorb(&t.into_recorder());
+            if let Some(epoch_rec) = end.telemetry {
+                rec.absorb(&epoch_rec);
             }
         }
-        state.stats = Some(sim.into_stats());
+        state.stats = Some(end.stats);
         state.events_done += run.events_fired;
         state.next_epoch += 1;
 
@@ -356,6 +301,8 @@ pub fn run_resumable(
             state.wall_seconds,
         )
     });
+    let termination =
+        TerminationReason::classify(state.audit.as_ref(), interrupted, state.converged());
     Ok(report_from_state(config, &state, termination, telemetry))
 }
 
@@ -396,24 +343,17 @@ pub fn run_until_calibrated(
     config: &ExperimentConfig,
     seed: u64,
 ) -> Result<(HashMap<String, HistogramSpec>, u64), SimError> {
-    let sim = ClusterSim::new(config.clone(), seed)?;
-    let mut engine = AnyEngine::build(sim);
+    let mut epoch = Epoch::start(config, seed, None, None)?;
     const CHUNK: u64 = 1_000;
     let mut events = 0u64;
     let mut guard = config.audit().map(AuditConfig::progress_guard);
-    while !engine.simulation().all_calibrated() {
-        let run = match guard.as_mut() {
-            Some(guard) => engine.run_guarded(CHUNK, guard),
-            None => engine.run_with_limit(CHUNK),
-        };
+    while !epoch.simulation().all_calibrated() {
+        let run = epoch.advance(CHUNK, guard.as_mut());
         events += run.events_fired;
-        if run.stopped_by_guard || engine.simulation().audit_failed() {
-            if let Some(violation) = guard.as_ref().and_then(|g| g.violation()) {
-                engine.simulation_mut().record_progress_violation(violation);
-            }
-            let violation = engine
-                .simulation_mut()
-                .take_audit()
+        if epoch.tripped(&run) {
+            let violation = epoch
+                .finish()
+                .audit
                 .and_then(|report| report.violations.first().map(ToString::to_string))
                 .unwrap_or_else(|| "progress guard tripped".to_owned());
             return Err(SimError::AuditFailed {
@@ -433,7 +373,7 @@ pub fn run_until_calibrated(
             });
         }
     }
-    Ok((engine.simulation().histogram_specs(), events))
+    Ok((epoch.simulation().histogram_specs(), events))
 }
 
 #[cfg(test)]
@@ -499,6 +439,7 @@ mod tests {
         // seed must agree on every estimate down to the last f64 bit. JSON
         // round-trips f64s losslessly, so string equality is bit equality.
         use crate::config::ArrivalMode;
+        use crate::resilience::{AdmissionPolicy, ResilienceConfig};
         use bighouse_faults::FaultProcess;
         use bighouse_models::BalancerPolicy;
         let configs = [
@@ -511,6 +452,15 @@ mod tests {
                 .with_faults(FaultProcess::exponential(20.0, 2.0).unwrap())
                 .with_metric(MetricKind::Availability)
                 .with_calibration(200),
+            quick_config()
+                .with_servers(4)
+                .with_arrival_mode(ArrivalMode::LoadBalanced(BalancerPolicy::JoinShortestQueue))
+                .with_resilience(
+                    ResilienceConfig::new()
+                        .with_admission(AdmissionPolicy::BoundedQueue { capacity: 64 })
+                        .with_hedge(0.02),
+                )
+                .with_metric(MetricKind::ShedRate),
         ];
         for (i, config) in configs.iter().enumerate() {
             let a = run_serial(config, 40 + i as u64).unwrap();

@@ -15,8 +15,8 @@
 
 use bighouse_faults::{FaultProcess, RetryPolicy};
 use bighouse_sim::{
-    run_resumable, run_serial, ArrivalMode, ExperimentConfig, MetricKind, ParallelRunner,
-    RunOptions,
+    run_resumable, run_serial, AdmissionPolicy, ArrivalMode, ExperimentConfig, MetricKind,
+    ParallelRunner, ResilienceConfig, RunOptions,
 };
 use bighouse_telemetry::TelemetrySnapshot;
 use bighouse_workloads::{StandardWorkload, Workload};
@@ -107,6 +107,17 @@ fn telemetry_on_matches_telemetry_off_bit_for_bit() {
             .with_retry(RetryPolicy::new(1.0))
             .with_metric(MetricKind::Availability)
             .with_calibration(200),
+        quick_config()
+            .with_servers(4)
+            .with_arrival_mode(ArrivalMode::LoadBalanced(
+                bighouse_models::BalancerPolicy::JoinShortestQueue,
+            ))
+            .with_resilience(
+                ResilienceConfig::new()
+                    .with_admission(AdmissionPolicy::BoundedQueue { capacity: 64 })
+                    .with_hedge(0.02),
+            )
+            .with_metric(MetricKind::ShedRate),
     ];
     for (i, config) in configs.iter().enumerate() {
         let seed = 70 + i as u64;
