@@ -207,16 +207,16 @@ fn print_usage() {
     println!("      process over a checksummed IPC fabric: a slave that");
     println!("      segfaults, aborts, or is OOM-killed is respawned from its");
     println!("      epoch checkpoint with bit-identical final estimates.");
-    println!("      backend=threads (the default; backend=lockstep is a synonym)");
-    println!("      runs the same deterministic chunk-barrier protocol on");
-    println!("      in-process threads. slave-mem-mb / slave-cpu-secs arm");
+    println!("      backend=threads (the default) runs the same deterministic");
+    println!("      chunk-barrier protocol on in-process threads.");
+    println!("      slave-mem-mb / slave-cpu-secs arm");
     println!("      per-child resource caps (a slave over its cap exits 75");
     println!("      and is counted, not resurrected).");
     println!("  bighouse sweep <sweep.json> [seed=N] [out=report.json]");
     println!("               [checkpoint-dir=DIR] [workers=N] [--isolate]");
     println!("               [--resume] [--paranoid] [--telemetry]");
     println!("      Run an experiment grid (a base spec crossed with value axes)");
-    println!("      on a work-stealing pool. Each config gets a deterministic");
+    println!("      on a worker pool. Each config gets a deterministic");
     println!("      seed derived from its id; panicking or stalling configs are");
     println!("      retried with backoff and quarantined instead of sinking the");
     println!("      sweep. With checkpoint-dir the completed-config ledger is");
@@ -275,8 +275,7 @@ fn limits_args(args: &[String]) -> Result<ProcLimits, CliError> {
 
 /// Parses the transport selection for parallel runs: `--slave-processes`
 /// (or `backend=processes`) sandboxes each slave in a child OS process
-/// behind the checksummed IPC fabric; `backend=threads` (the default, with
-/// `lockstep` as a synonym from when there were two thread backends) runs
+/// behind the checksummed IPC fabric; `backend=threads` (the default) runs
 /// the same deterministic chunk-barrier protocol on in-process threads.
 fn backend_arg(args: &[String]) -> Result<ExecBackend, CliError> {
     let backend = kv_arg(args, "backend");
@@ -287,7 +286,7 @@ fn backend_arg(args: &[String]) -> Result<ExecBackend, CliError> {
         }));
     }
     match backend.as_deref() {
-        None | Some("threads" | "lockstep") => Ok(ExecBackend::ThreadLockstep),
+        None | Some("threads") => Ok(ExecBackend::ThreadLockstep),
         Some(other) => Err(CliError::Usage(format!(
             "bad backend `{other}` (expected threads or processes)"
         ))),
@@ -434,9 +433,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                 resume,
                 max_epochs: None,
                 interrupt: Some(interrupt_flag()),
-                // The config already carries the audit when --paranoid is
-                // set; no per-run override needed.
-                audit: None,
             };
             run_resumable(&config, seed, &opts).map_err(|e| e.to_string())?
         }
@@ -627,7 +623,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         checkpoint: checkpoint_dir.map(CheckpointConfig::new),
         resume,
         interrupt: Some(interrupt_flag()),
-        pin_cores: sweep.pin_cores,
         isolate_processes: isolate,
         on_event: Some(Arc::new(|event: &SweepEvent| match event {
             SweepEvent::Completed {

@@ -386,7 +386,9 @@ impl ExperimentSpec {
             }),
             faults: None,
             retry: None,
-            metrics: vec!["response_time".into(), "capping_level".into()],
+            metrics: [MetricKind::ResponseTime, MetricKind::CappingLevel]
+                .map(|kind| kind.name().to_owned())
+                .to_vec(),
             accuracy: 0.05,
             confidence: 0.95,
             quantile: 0.95,
@@ -537,24 +539,12 @@ impl ExperimentSpec {
             config = config.with_resilience(resilience.to_config());
         }
         for name in &self.metrics {
-            let kind = match name.as_str() {
-                "response_time" => MetricKind::ResponseTime,
-                "waiting_time" => MetricKind::WaitingTime,
-                "capping_level" => MetricKind::CappingLevel,
-                "server_power" => MetricKind::ServerPower,
-                "availability" => MetricKind::Availability,
-                "shed_rate" => MetricKind::ShedRate,
-                "hedge_win_rate" => MetricKind::HedgeWinRate,
-                "goodput_fraction" => MetricKind::GoodputFraction,
-                "slo_attainment" => MetricKind::SloAttainment,
-                other => {
-                    return Err(SpecError::Invalid(format!(
-                        "unknown metric `{other}` (expected response_time, waiting_time, \
-                         capping_level, server_power, availability, shed_rate, \
-                         hedge_win_rate, goodput_fraction, or slo_attainment)"
-                    )))
-                }
-            };
+            let kind = MetricKind::from_name(name).ok_or_else(|| {
+                SpecError::Invalid(format!(
+                    "unknown metric `{name}` (expected one of: {})",
+                    MetricKind::ALL.map(|kind| kind.name()).join(", ")
+                ))
+            })?;
             config = config.with_metric(kind);
         }
         Ok(config)
@@ -601,12 +591,23 @@ mod tests {
     }
 
     #[test]
-    fn unknown_metric_rejected() {
-        let spec = ExperimentSpec::from_json(
-            r#"{"workload": {"standard": "web"}, "metrics": ["latency"]}"#,
-        )
-        .unwrap();
-        assert!(matches!(spec.resolve(), Err(SpecError::Invalid(_))));
+    fn every_metric_kind_is_a_spec_name_and_the_error_lists_them_all() {
+        let resolve = |name: &str| {
+            let metrics = vec![name.to_owned()];
+            let spec = ExperimentSpec {
+                metrics,
+                ..ExperimentSpec::template()
+            };
+            spec.resolve()
+        };
+        for kind in MetricKind::ALL {
+            let specs = resolve(kind.name()).unwrap().metric_specs();
+            assert!(specs.iter().any(|(k, _)| *k == kind), "{}", kind.name());
+        }
+        let err = resolve("latency").unwrap_err().to_string();
+        let (_, listed) = err.split_once("expected one of: ").expect("a name list");
+        let listed: Vec<&str> = listed.trim_end_matches(')').split(", ").collect();
+        assert_eq!(listed, MetricKind::ALL.map(|kind| kind.name()));
     }
 
     #[test]
@@ -895,7 +896,8 @@ mod tests {
     #[test]
     fn retired_fastpath_key_still_loads_and_changes_nothing() {
         // Specs written while `fastpath` was a field keep loading: the key
-        // is ignored like any unknown one, in a spec and in a sweep base.
+        // is ignored like any unknown one, in a spec and in a sweep base —
+        // as is a sweep file's retired `pin_cores`.
         let plain = r#"{"workload": {"standard": "web"}, "utilization": 0.5,
             "accuracy": 0.2, "warmup": 50, "calibration": 500"#;
         let run = |json: &str| {
@@ -904,10 +906,12 @@ mod tests {
         };
         let legacy = format!(r#"{plain}, "fastpath": "off"}}"#);
         assert_eq!(run(&legacy), run(&format!("{plain}}}")));
-        let sweep = crate::SweepSpec::from_json(&format!(r#"{{"base": {legacy}}}"#)).unwrap();
+        let sweep =
+            crate::SweepSpec::from_json(&format!(r#"{{"base": {legacy}, "pin_cores": true}}"#))
+                .unwrap();
         assert_eq!(
-            sweep.base,
-            ExperimentSpec::from_json(&format!("{plain}}}")).unwrap()
+            sweep,
+            crate::SweepSpec::from_json(&format!(r#"{{"base": {plain}}}}}"#)).unwrap()
         );
     }
 

@@ -66,9 +66,6 @@ pub struct SweepSpec {
     /// Events per checkpoint epoch inside each config (0 = default).
     #[serde(default)]
     pub epoch_events: u64,
-    /// Pin workers to cores round-robin (Linux only; best effort).
-    #[serde(default)]
-    pub pin_cores: bool,
     /// Run every config attempt in a sandboxed child process (the same
     /// as passing `--isolate` on the command line): poison configs that
     /// abort, segfault, or wedge mid-epoch are killed and quarantined as
@@ -408,7 +405,6 @@ mod tests {
         assert_eq!(s.max_retries, 2);
         assert_eq!(s.config_deadline_seconds, None);
         assert_eq!(s.epoch_events, 0);
-        assert!(!s.pin_cores);
         assert!(!s.isolate_processes);
     }
 

@@ -604,10 +604,9 @@ fn parallel_spec(dir: &std::path::Path, accuracy: f64, slaves: u64) -> std::path
 
 /// A slave SIGKILLed mid-run under the process backend must be
 /// resurrected (respawn counter > 0) and the final estimates must be
-/// bit-identical to an undisturbed in-process run (`backend=lockstep`,
-/// the old name of the default, must keep working) — the CLI
-/// face of the determinism-under-fire contract, and the same comparison
-/// the `proc-chaos-smoke` CI job makes with `jq`.
+/// bit-identical to an undisturbed in-process run on the default thread
+/// backend — the CLI face of the determinism-under-fire contract, and the
+/// same comparison the `proc-chaos-smoke` CI job makes with `jq`.
 #[test]
 fn slave_processes_chaos_run_matches_lockstep_bit_for_bit() {
     let dir = temp_dir().join("proc-chaos");
@@ -623,7 +622,6 @@ fn slave_processes_chaos_run_matches_lockstep_bit_for_bit() {
             "run",
             spec_path.to_str().unwrap(),
             "seed=7",
-            "backend=lockstep",
             "epoch-events=50000",
             &format!("out={}", clean_path.display()),
         ])

@@ -144,8 +144,10 @@ impl<S: Simulation> Engine<S> {
     /// event sequence as an unguarded one.
     ///
     /// The guard is borrowed, not owned, so one guard can span several
-    /// engine invocations (e.g. chunked or epoch-structured runs) and
-    /// accumulate progress state across them.
+    /// invocations (a chunked run) or several engines (an epoch-structured
+    /// run; tell it with [`ProgressGuard::clock_restarted`] when the next
+    /// engine's clock starts again at zero) and accumulate progress state
+    /// across them.
     pub fn run_guarded(&mut self, max_events: u64, guard: &mut ProgressGuard) -> RunStats {
         let mut stats = RunStats::default();
         while stats.events_fired < max_events {

@@ -74,9 +74,14 @@ pub struct ProgressGuard {
     stall_limit: u64,
     storm_window: u64,
     storm_budget: f64,
+    /// `None` until the current clock's first event.
     last_time: Option<Time>,
     stalled: u64,
+    /// Where on the current clock the storm window began.
     window_start: Time,
+    /// Simulated seconds the storm window covered on clocks that have
+    /// since restarted.
+    window_carried: f64,
     window_events: u64,
     violation: Option<ProgressViolation>,
 }
@@ -106,6 +111,7 @@ impl ProgressGuard {
             last_time: None,
             stalled: 0,
             window_start: Time::ZERO,
+            window_carried: 0.0,
             window_events: 0,
             violation: None,
         }
@@ -135,6 +141,18 @@ impl ProgressGuard {
         self.violation
     }
 
+    /// Tells the guard that the timestamps to come are from a clock that
+    /// starts again at zero (the next epoch's fresh engine). The next event
+    /// is no time regression, and the stall count and storm window carry
+    /// over: reset at every boundary, windows longer than an epoch — both
+    /// defaults — would never close.
+    pub fn clock_restarted(&mut self) {
+        if let Some(last) = self.last_time.take() {
+            self.window_carried += (last.as_seconds() - self.window_start.as_seconds()).max(0.0);
+            self.window_start = Time::ZERO;
+        }
+    }
+
     /// Observes one dispatch timestamp. Returns the violation on the
     /// observation that trips the guard; a tripped guard stays tripped.
     pub fn observe(&mut self, now: Time) -> Option<ProgressViolation> {
@@ -149,7 +167,10 @@ impl ProgressGuard {
                 });
                 return self.violation;
             }
-            Some(last) if now == last => {
+            Some(last) if now > last => self.stalled = 1,
+            // The same timestamp again — or a clock's first event, which
+            // shows no progress either: one event per epoch is a livelock.
+            _ => {
                 self.stalled += 1;
                 if self.stalled >= self.stall_limit {
                     self.violation = Some(ProgressViolation::ZeroAdvance {
@@ -158,16 +179,13 @@ impl ProgressGuard {
                     return self.violation;
                 }
             }
-            _ => self.stalled = 1,
-        }
-        if self.last_time.is_none() {
-            self.window_start = now;
         }
         self.last_time = Some(now);
 
         self.window_events += 1;
         if self.window_events >= self.storm_window {
-            let elapsed = (now.as_seconds() - self.window_start.as_seconds()).max(0.0);
+            let elapsed =
+                self.window_carried + (now.as_seconds() - self.window_start.as_seconds()).max(0.0);
             if self.storm_budget.is_finite()
                 && self.storm_budget > 0.0
                 && (self.window_events as f64) > self.storm_budget * elapsed
@@ -179,6 +197,7 @@ impl ProgressGuard {
                 return self.violation;
             }
             self.window_start = now;
+            self.window_carried = 0.0;
             self.window_events = 0;
         }
         None
@@ -273,6 +292,48 @@ mod tests {
         assert_eq!(guard.observe(Time::from_seconds(2.0)), None);
         let v = guard.observe(Time::from_seconds(1.0));
         assert!(matches!(v, Some(ProgressViolation::TimeRegression { .. })));
+    }
+
+    #[test]
+    fn restarted_clock_is_no_regression_and_the_windows_span_it() {
+        // Two 500-event epochs of one simulated second each, both clocks
+        // starting at zero: no regression at the boundary, and the
+        // 1000-event storm window — longer than either epoch — still
+        // closes, over the two seconds both covered.
+        let mut guard = ProgressGuard::new()
+            .with_stall_limit(u64::MAX)
+            .with_storm_budget(10.0, 1000);
+        let mut violation = None;
+        for i in 0..1000u64 {
+            assert_eq!(violation, None);
+            if i % 500 == 0 {
+                guard.clock_restarted();
+            }
+            violation = guard.observe(Time::from_seconds((i % 500 + 1) as f64 * 2e-3));
+        }
+        assert!(
+            matches!(violation, Some(ProgressViolation::EventStorm { events: 1000, window_seconds })
+                if (window_seconds - 2.0).abs() < 1e-9),
+            "expected the storm window to close over 2 s, got {violation:?}"
+        );
+    }
+
+    #[test]
+    fn one_timestamp_per_epoch_is_a_livelock() {
+        // Four events per epoch, all at one timestamp: no epoch reaches the
+        // stall limit on its own, the run as a whole does.
+        let mut guard = ProgressGuard::new().with_stall_limit(10);
+        let tripped_at = (0..100u64).find(|i| {
+            if i % 4 == 0 {
+                guard.clock_restarted();
+            }
+            guard.observe(Time::from_seconds(1.0)).is_some()
+        });
+        assert_eq!(tripped_at, Some(9));
+        assert_eq!(
+            guard.violation(),
+            Some(ProgressViolation::ZeroAdvance { events: 10 })
+        );
     }
 
     #[test]

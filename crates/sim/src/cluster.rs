@@ -17,7 +17,6 @@ use crate::fastpath::FAST_PATH_MAX_SLOTS;
 use crate::report::{ClusterSummary, FaultSummary};
 use crate::resilience::{AdmissionPolicy, ResilienceState, ResilienceSummary};
 use crate::telemetry::ClusterTelemetry;
-use bighouse_telemetry::Recorder as _;
 
 /// Events dispatched by a [`ClusterSim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,15 +123,8 @@ pub struct ClusterSim {
     /// reused across events instead of a fresh `Vec` per arrival.
     finished: Vec<FinishedJob>,
     stats: StatsCollection,
-    response_id: MetricId,
-    waiting_id: Option<MetricId>,
-    capping_id: Option<MetricId>,
-    power_id: Option<MetricId>,
-    availability_id: Option<MetricId>,
-    shed_id: Option<MetricId>,
-    hedge_win_id: Option<MetricId>,
-    goodput_id: Option<MetricId>,
-    slo_id: Option<MetricId>,
+    /// Where each tracked kind records, indexed by `kind as usize`.
+    metric_ids: [Option<MetricId>; MetricKind::ALL.len()],
     energy_marks: Vec<f64>,
     failed_marks: Vec<f64>,
     job_counter: u64,
@@ -233,34 +225,19 @@ impl ClusterSim {
             ArrivalMode::LoadBalanced(policy) => Some(LoadBalancer::new(policy, config.servers)),
         };
         let mut stats = StatsCollection::new();
-        let mut response_id = None;
-        let mut waiting_id = None;
-        let mut capping_id = None;
-        let mut power_id = None;
-        let mut availability_id = None;
-        let mut shed_id = None;
-        let mut hedge_win_id = None;
-        let mut goodput_id = None;
-        let mut slo_id = None;
+        let mut metric_ids = [None; MetricKind::ALL.len()];
         for (kind, spec) in config.metric_specs() {
             let id = match forced_histograms.get(spec.name()) {
                 Some(&hist) => stats.add_metric_with_histogram(spec, hist),
                 None => stats.add_metric(spec),
             };
-            match kind {
-                MetricKind::ResponseTime => response_id = Some(id),
-                MetricKind::WaitingTime => waiting_id = Some(id),
-                MetricKind::CappingLevel => capping_id = Some(id),
-                MetricKind::ServerPower => power_id = Some(id),
-                MetricKind::Availability => availability_id = Some(id),
-                MetricKind::ShedRate => shed_id = Some(id),
-                MetricKind::HedgeWinRate => hedge_win_id = Some(id),
-                MetricKind::GoodputFraction => goodput_id = Some(id),
-                MetricKind::SloAttainment => slo_id = Some(id),
-            }
+            metric_ids[kind as usize] = Some(id);
         }
-        let response_id = response_id
-            .ok_or_else(|| SimError::InvalidConfig("response time metric missing".into()))?;
+        if metric_ids[MetricKind::ResponseTime as usize].is_none() {
+            return Err(SimError::InvalidConfig(
+                "response time metric missing".into(),
+            ));
+        }
         let n = config.servers;
         let fault_mode = config.faults.is_some() || config.retry.is_some();
         let track_mode = fault_mode || config.resilience.is_some();
@@ -292,15 +269,7 @@ impl ClusterSim {
             interarrival_guide: QuantileGuide::new(config.workload.interarrival()),
             finished: Vec::new(),
             stats,
-            response_id,
-            waiting_id,
-            capping_id,
-            power_id,
-            availability_id,
-            shed_id,
-            hedge_win_id,
-            goodput_id,
-            slo_id,
+            metric_ids,
             energy_marks: vec![0.0; n],
             failed_marks: vec![0.0; n],
             job_counter: 0,
@@ -353,12 +322,7 @@ impl ClusterSim {
         }
         if let Some(capper) = &self.capper {
             cal.schedule_in(capper.epoch_seconds(), ClusterEvent::CappingEpoch);
-        } else if self.power_id.is_some()
-            || self.availability_id.is_some()
-            || self.shed_id.is_some()
-            || self.hedge_win_id.is_some()
-            || self.goodput_id.is_some()
-        {
+        } else if self.tracks_epoch_paced() {
             cal.schedule_in(
                 PowerCapper::DEFAULT_EPOCH_SECONDS,
                 ClusterEvent::ObservationEpoch,
@@ -408,6 +372,18 @@ impl ClusterSim {
         let finished = std::mem::take(&mut self.finished);
         self.record_finished(&finished, cal);
         self.finished = finished;
+    }
+
+    /// Whether `kind` is among the experiment's metrics.
+    fn tracks(&self, kind: MetricKind) -> bool {
+        self.metric_ids[kind as usize].is_some()
+    }
+
+    /// Whether any tracked metric is observed at epoch boundaries.
+    fn tracks_epoch_paced(&self) -> bool {
+        MetricKind::ALL
+            .into_iter()
+            .any(|kind| kind.is_epoch_paced() && self.tracks(kind))
     }
 
     /// The statistics engine (read access).
@@ -575,15 +551,19 @@ impl ClusterSim {
         }
     }
 
-    /// Records an observation, vetting it through the auditor first: a
-    /// non-finite or negative value is dropped (never poisoning an
-    /// estimator) and the recorded violation stops the run at the current
-    /// event boundary. With auditing and telemetry off this is exactly
-    /// `stats.record` plus two null checks.
+    /// Records an observation of `kind` if the experiment tracks it,
+    /// vetting it through the auditor first: a non-finite or negative
+    /// value is dropped (never poisoning an estimator) and the recorded
+    /// violation stops the run at the current event boundary. With
+    /// auditing and telemetry off this is exactly `stats.record` plus
+    /// three null checks.
     #[inline]
-    fn observe(&mut self, id: MetricId, metric: &'static str, x: f64, now: Time) {
+    fn observe(&mut self, kind: MetricKind, x: f64, now: Time) {
+        let Some(id) = self.metric_ids[kind as usize] else {
+            return;
+        };
         if let Some(audit) = self.audit.as_deref_mut() {
-            if !audit.check_observation(metric, x) {
+            if !audit.check_observation(kind.name(), x) {
                 if let Some(t) = self.telemetry.as_deref_mut() {
                     t.note_sample_rejected();
                 }
@@ -635,10 +615,8 @@ impl ClusterSim {
         if self.audit.is_none() {
             return;
         }
-        let mean_response = self
-            .stats
-            .metric(self.response_id)
-            .estimate()
+        let mean_response = self.metric_ids[MetricKind::ResponseTime as usize]
+            .and_then(|id| self.stats.metric(id).estimate())
             .map(|e| e.mean);
         let ledger = self.ledger();
         if let Some(audit) = self.audit.as_deref_mut() {
@@ -678,9 +656,9 @@ impl ClusterSim {
     /// bit-identical estimates either way.
     ///
     /// Eligible configurations use only the arrival/attention event pair:
-    /// no fault process, no retries, no resilience machinery, no auditing,
-    /// no power capper, and no epoch-paced metrics (power, availability,
-    /// capping level, or any resilience rate) — every feature that makes
+    /// no fault process, no retries, no resilience machinery (so no SLO
+    /// metric either), no auditing, no power capper, and no epoch-paced
+    /// metric ([`MetricKind::is_epoch_paced`]) — every feature that makes
     /// remaining-work tracking or epoch boundaries matter. Idle policies,
     /// DVFS, power models, and both arrival modes are all allowed: they
     /// live inside [`Server`]'s own state fold, which the fast path reuses
@@ -696,13 +674,7 @@ impl ClusterSim {
             && self.config.audit.is_none()
             && self.capper.is_none()
             && !self.track_mode
-            && self.capping_id.is_none()
-            && self.power_id.is_none()
-            && self.availability_id.is_none()
-            && self.shed_id.is_none()
-            && self.hedge_win_id.is_none()
-            && self.goodput_id.is_none()
-            && self.slo_id.is_none()
+            && !self.tracks_epoch_paced()
             && self.seeded_bug.is_none()
     }
 
@@ -763,18 +735,22 @@ impl ClusterSim {
             if let Some(audit) = self.audit.as_deref_mut() {
                 audit.note_completion();
             }
-            self.observe(self.response_id, "response_time", response, cal.now());
-            if let Some(id) = self.waiting_id {
-                let wait = f.waiting_time();
-                // Waiting observations exist only for tasks that queued —
-                // the rarity driving Figure 9's "+Waiting" runtimes.
-                if wait > 0.0 {
-                    self.observe(id, "waiting_time", wait, cal.now());
-                }
-            }
+            self.observe_completion(f, response, cal.now());
             if self.track_mode {
                 self.retire_completion(f.id.raw(), response, cal);
             }
+        }
+    }
+
+    /// The two per-completion observations, shared by both engines.
+    #[inline]
+    fn observe_completion(&mut self, f: &FinishedJob, response: f64, now: Time) {
+        self.observe(MetricKind::ResponseTime, response, now);
+        // Waiting observations exist only for tasks that queued — the
+        // rarity driving Figure 9's "+Waiting" runtimes.
+        let wait = f.waiting_time();
+        if wait > 0.0 {
+            self.observe(MetricKind::WaitingTime, wait, now);
         }
     }
 
@@ -882,8 +858,8 @@ impl ClusterSim {
                 None => None,
             }
         };
-        if let (Some(id), Some(met)) = (self.slo_id, met) {
-            self.observe(id, "slo_attainment", f64::from(u8::from(met)), now);
+        if let Some(met) = met {
+            self.observe(MetricKind::SloAttainment, f64::from(u8::from(met)), now);
         }
     }
 
@@ -1332,26 +1308,24 @@ impl ClusterSim {
                     let finished = self.servers[s].set_frequency(outcome.frequencies[s], now);
                     self.record_finished(&finished, cal);
                 }
-                if let Some(id) = self.capping_id {
-                    // One cluster-level observation per budgeting epoch: the
-                    // metric's pace is set by simulated time, not request rate.
-                    self.observe(id, "capping_level", total_capping, now);
-                }
+                // One cluster-level observation per budgeting epoch: the
+                // metric's pace is set by simulated time, not request rate.
+                self.observe(MetricKind::CappingLevel, total_capping, now);
             }
         }
         let epoch = self.capper.as_ref().map_or(
             PowerCapper::DEFAULT_EPOCH_SECONDS,
             PowerCapper::epoch_seconds,
         );
-        if let Some(id) = self.power_id {
+        if self.tracks(MetricKind::ServerPower) {
             for s in 0..self.servers.len() {
                 let energy = self.servers[s].energy_joules();
                 let watts = (energy - self.energy_marks[s]) / epoch;
                 self.energy_marks[s] = energy;
-                self.observe(id, "server_power", watts, now);
+                self.observe(MetricKind::ServerPower, watts, now);
             }
         }
-        if let Some(id) = self.availability_id {
+        if self.tracks(MetricKind::Availability) {
             // Per-server per-epoch fraction of the epoch spent up; the mean
             // converges on MTBF / (MTBF + MTTR) for an alternating renewal
             // failure process.
@@ -1359,12 +1333,8 @@ impl ClusterSim {
                 let failed = self.servers[s].failed_seconds();
                 let delta = failed - self.failed_marks[s];
                 self.failed_marks[s] = failed;
-                self.observe(
-                    id,
-                    "availability",
-                    (1.0 - delta / epoch).clamp(0.0, 1.0),
-                    now,
-                );
+                let up = (1.0 - delta / epoch).clamp(0.0, 1.0);
+                self.observe(MetricKind::Availability, up, now);
             }
         }
         // Resilience rates are epoch-paced like power/availability: one
@@ -1402,14 +1372,14 @@ impl ClusterSim {
                 None => (None, None, None),
             }
         };
-        if let (Some(id), Some(x)) = (self.shed_id, shed_rate) {
-            self.observe(id, "shed_rate", x, now);
-        }
-        if let (Some(id), Some(x)) = (self.hedge_win_id, hedge_win_rate) {
-            self.observe(id, "hedge_win_rate", x, now);
-        }
-        if let (Some(id), Some(x)) = (self.goodput_id, goodput_fraction) {
-            self.observe(id, "goodput_fraction", x, now);
+        for (kind, rate) in [
+            (MetricKind::ShedRate, shed_rate),
+            (MetricKind::HedgeWinRate, hedge_win_rate),
+            (MetricKind::GoodputFraction, goodput_fraction),
+        ] {
+            if let Some(x) = rate {
+                self.observe(kind, x, now);
+            }
         }
         for s in 0..self.servers.len() {
             self.reschedule_attention(s, now, cal);
@@ -1745,14 +1715,7 @@ impl FastEngine {
         }
         for i in 0..n {
             let f = self.sim.finished[i];
-            self.sim
-                .observe(self.sim.response_id, "response_time", f.response_time(), now);
-            if let Some(id) = self.sim.waiting_id {
-                let wait = f.waiting_time();
-                if wait > 0.0 {
-                    self.sim.observe(id, "waiting_time", wait, now);
-                }
-            }
+            self.sim.observe_completion(&f, f.response_time(), now);
         }
         true
     }

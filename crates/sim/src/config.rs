@@ -63,21 +63,85 @@ pub enum MetricKind {
     SloAttainment,
 }
 
+/// What must be configured for a metric to be observable: how to say it,
+/// and how to check it.
+type Prerequisite = Option<(&'static str, fn(&ExperimentConfig) -> bool)>;
+
 impl MetricKind {
+    /// Every kind, in declaration order (`ALL[kind as usize] == kind`).
+    pub const ALL: [MetricKind; 9] = [
+        MetricKind::ResponseTime,
+        MetricKind::WaitingTime,
+        MetricKind::CappingLevel,
+        MetricKind::ServerPower,
+        MetricKind::Availability,
+        MetricKind::ShedRate,
+        MetricKind::HedgeWinRate,
+        MetricKind::GoodputFraction,
+        MetricKind::SloAttainment,
+    ];
+
+    /// The metric table, one row a kind: registered name; whether it is
+    /// observed once per budgeting/observation epoch, not per request;
+    /// whether its quantiles are degenerate (mass on {0, 1}, or a bounded
+    /// epoch fraction), so that by default only the mean carries an
+    /// accuracy target; and its prerequisite.
+    fn row(self) -> (&'static str, bool, bool, Prerequisite) {
+        let capper: Prerequisite = Some(("a PowerCapper", |c| c.capper.is_some()));
+        let power: Prerequisite = Some(("a power model", |c| c.power_model.is_some()));
+        let faults: Prerequisite = Some(("fault injection (with_faults)", |c| c.faults.is_some()));
+        let resilience: Prerequisite = Some(("a resilience config (with_resilience)", |c| {
+            c.resilience.is_some()
+        }));
+        let hedge: Prerequisite = Some(("a hedge policy (resilience.hedge)", |c| {
+            c.resilience.as_ref().is_some_and(|r| r.hedge.is_some())
+        }));
+        let slo: Prerequisite = Some(("resilience.slo_deadline", |c| {
+            let deadline = c.resilience.as_ref().and_then(|r| r.slo_deadline);
+            deadline.is_some()
+        }));
+        match self {
+            MetricKind::ResponseTime => ("response_time", false, false, None),
+            MetricKind::WaitingTime => ("waiting_time", false, false, None),
+            MetricKind::CappingLevel => ("capping_level", true, false, capper),
+            MetricKind::ServerPower => ("server_power", true, false, power),
+            MetricKind::Availability => ("availability", true, true, faults),
+            MetricKind::ShedRate => ("shed_rate", true, true, resilience),
+            MetricKind::HedgeWinRate => ("hedge_win_rate", true, true, hedge),
+            MetricKind::GoodputFraction => ("goodput_fraction", true, true, resilience),
+            MetricKind::SloAttainment => ("slo_attainment", false, true, slo),
+        }
+    }
+
     /// The metric's registered name.
     #[must_use]
     pub fn name(&self) -> &'static str {
-        match self {
-            MetricKind::ResponseTime => "response_time",
-            MetricKind::WaitingTime => "waiting_time",
-            MetricKind::CappingLevel => "capping_level",
-            MetricKind::ServerPower => "server_power",
-            MetricKind::Availability => "availability",
-            MetricKind::ShedRate => "shed_rate",
-            MetricKind::HedgeWinRate => "hedge_win_rate",
-            MetricKind::GoodputFraction => "goodput_fraction",
-            MetricKind::SloAttainment => "slo_attainment",
-        }
+        self.row().0
+    }
+
+    /// The kind registered under `name`.
+    #[must_use]
+    pub fn from_name(name: &str) -> Option<MetricKind> {
+        Self::ALL.into_iter().find(|kind| kind.name() == name)
+    }
+
+    /// Whether observations arrive once per budgeting/observation epoch —
+    /// paced by simulated time — and not once per request.
+    #[must_use]
+    pub fn is_epoch_paced(&self) -> bool {
+        self.row().1
+    }
+
+    /// Whether only the mean carries an accuracy target by default.
+    #[must_use]
+    pub fn is_mean_only(&self) -> bool {
+        self.row().2
+    }
+
+    /// What `config` lacks for this metric to be observable, if anything.
+    fn missing_prerequisite(self, config: &ExperimentConfig) -> Option<&'static str> {
+        let (what, configured) = self.row().3?;
+        (!configured(config)).then_some(what)
     }
 }
 
@@ -435,18 +499,10 @@ impl ExperimentConfig {
                             .with_confidence(self.confidence)
                             .with_warmup(self.warmup)
                             .with_calibration(self.calibration);
-                        // Availability and SLO attainment mass sits on
-                        // {0, 1}, and the resilience rates are bounded
-                        // epoch fractions: their quantiles are degenerate
-                        // (zero density), so by default only the mean
-                        // carries an accuracy target.
-                        match kind {
-                            MetricKind::Availability
-                            | MetricKind::ShedRate
-                            | MetricKind::HedgeWinRate
-                            | MetricKind::GoodputFraction
-                            | MetricKind::SloAttainment => spec.with_quantiles(&[]),
-                            _ => spec.with_quantiles(&[self.quantile]),
+                        if kind.is_mean_only() {
+                            spec.with_quantiles(&[])
+                        } else {
+                            spec.with_quantiles(&[self.quantile])
                         }
                     }
                 };
@@ -464,46 +520,11 @@ impl ExperimentConfig {
     /// without a power model, availability without fault injection).
     pub(crate) fn validate(&self) -> Result<(), SimError> {
         for (kind, _) in &self.metrics {
-            match kind {
-                MetricKind::CappingLevel if self.capper.is_none() => {
-                    return Err(SimError::InvalidConfig(
-                        "capping_level metric requires a PowerCapper".into(),
-                    ));
-                }
-                MetricKind::ServerPower if self.power_model.is_none() => {
-                    return Err(SimError::InvalidConfig(
-                        "server_power metric requires a power model".into(),
-                    ));
-                }
-                MetricKind::Availability if self.faults.is_none() => {
-                    return Err(SimError::InvalidConfig(
-                        "availability metric requires fault injection (with_faults)".into(),
-                    ));
-                }
-                MetricKind::ShedRate | MetricKind::GoodputFraction if self.resilience.is_none() => {
-                    return Err(SimError::InvalidConfig(format!(
-                        "{} metric requires a resilience config (with_resilience)",
-                        kind.name()
-                    )));
-                }
-                MetricKind::HedgeWinRate
-                    if self.resilience.as_ref().is_none_or(|r| r.hedge.is_none()) =>
-                {
-                    return Err(SimError::InvalidConfig(
-                        "hedge_win_rate metric requires a hedge policy (resilience.hedge)".into(),
-                    ));
-                }
-                MetricKind::SloAttainment
-                    if self
-                        .resilience
-                        .as_ref()
-                        .is_none_or(|r| r.slo_deadline.is_none()) =>
-                {
-                    return Err(SimError::InvalidConfig(
-                        "slo_attainment metric requires resilience.slo_deadline".into(),
-                    ));
-                }
-                _ => {}
+            if let Some(what) = kind.missing_prerequisite(self) {
+                return Err(SimError::InvalidConfig(format!(
+                    "{} metric requires {what}",
+                    kind.name()
+                )));
             }
         }
         if let Some(resilience) = &self.resilience {
@@ -555,9 +576,66 @@ mod tests {
     }
 
     #[test]
-    fn capping_metric_without_capper_rejected() {
-        let err = base().with_metric(MetricKind::CappingLevel).validate();
-        assert!(matches!(err, Err(SimError::InvalidConfig(_))), "{err:?}");
+    fn metric_table_is_consistent_and_guards_every_prerequisite() {
+        use crate::resilience::ResilienceConfig;
+        use bighouse_models::{DvfsModel, LinearPowerModel, PowerCapper};
+        for (i, kind) in MetricKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "ALL is in declaration order");
+            assert_eq!(MetricKind::from_name(kind.name()), Some(kind));
+            let same_name = MetricKind::ALL.iter().filter(|k| k.name() == kind.name());
+            assert_eq!(same_name.count(), 1, "{} is not unique", kind.name());
+        }
+        assert_eq!(MetricKind::from_name("latency"), None);
+
+        // Everything any metric needs, every metric tracked: valid.
+        let equipped = base()
+            .with_servers(2)
+            .with_capper(PowerCapper::new(
+                LinearPowerModel::typical_server(),
+                DvfsModel::default(),
+                500.0,
+            ))
+            .with_faults(FaultProcess::exponential(100.0, 10.0).unwrap())
+            .with_resilience(
+                ResilienceConfig::new()
+                    .with_hedge(0.1)
+                    .with_slo_deadline(0.5),
+            );
+        let all = MetricKind::ALL
+            .into_iter()
+            .fold(equipped.clone(), ExperimentConfig::with_metric);
+        all.validate().unwrap();
+        assert_eq!(all.metric_specs().len(), MetricKind::ALL.len());
+        for (kind, spec) in all.metric_specs() {
+            // Availability and the four kinds declared after it.
+            let mean_only = kind as usize >= MetricKind::Availability as usize;
+            assert_eq!(spec.quantiles().is_empty(), mean_only, "{}", kind.name());
+        }
+
+        // Take away the one thing a kind needs and the error names it.
+        for kind in MetricKind::ALL {
+            let mut config = equipped.clone().with_metric(kind);
+            match kind {
+                MetricKind::ResponseTime | MetricKind::WaitingTime => {
+                    base().with_metric(kind).validate().unwrap();
+                    continue;
+                }
+                MetricKind::CappingLevel => config.capper = None,
+                MetricKind::ServerPower => (config.capper, config.power_model) = (None, None),
+                MetricKind::Availability => config.faults = None,
+                MetricKind::ShedRate | MetricKind::GoodputFraction => config.resilience = None,
+                MetricKind::HedgeWinRate => config.resilience.as_mut().unwrap().hedge = None,
+                MetricKind::SloAttainment => {
+                    config.resilience.as_mut().unwrap().slo_deadline = None;
+                }
+            }
+            match config.validate() {
+                Err(SimError::InvalidConfig(msg)) => {
+                    assert!(msg.starts_with(kind.name()), "{}: {msg}", kind.name());
+                }
+                other => panic!("{} without its prerequisite: {other:?}", kind.name()),
+            }
+        }
     }
 
     #[test]
@@ -570,30 +648,6 @@ mod tests {
         ));
         assert!(c.power_model.is_some());
         c.with_metric(MetricKind::CappingLevel).validate().unwrap();
-    }
-
-    #[test]
-    fn availability_metric_requires_faults() {
-        let err = base().with_metric(MetricKind::Availability).validate();
-        assert!(matches!(err, Err(SimError::InvalidConfig(_))), "{err:?}");
-        let ok = base()
-            .with_metric(MetricKind::Availability)
-            .with_faults(FaultProcess::exponential(100.0, 10.0).unwrap())
-            .validate();
-        assert!(ok.is_ok());
-    }
-
-    #[test]
-    fn availability_spec_is_mean_only() {
-        let c = base()
-            .with_metric(MetricKind::Availability)
-            .with_faults(FaultProcess::exponential(100.0, 10.0).unwrap());
-        let specs = c.metric_specs();
-        let (_, spec) = specs
-            .iter()
-            .find(|(kind, _)| *kind == MetricKind::Availability)
-            .unwrap();
-        assert!(spec.quantiles().is_empty());
     }
 
     #[test]
@@ -636,27 +690,6 @@ mod tests {
             .with_resilience(ResilienceConfig::new().with_hedge(0.1))
             .validate();
         assert!(matches!(err, Err(SimError::InvalidConfig(_))), "{err:?}");
-    }
-
-    #[test]
-    fn resilience_rate_specs_are_mean_only() {
-        use crate::resilience::ResilienceConfig;
-        let c = base()
-            .with_servers(2)
-            .with_resilience(
-                ResilienceConfig::new()
-                    .with_hedge(0.1)
-                    .with_slo_deadline(0.5),
-            )
-            .with_metric(MetricKind::ShedRate)
-            .with_metric(MetricKind::HedgeWinRate)
-            .with_metric(MetricKind::GoodputFraction)
-            .with_metric(MetricKind::SloAttainment);
-        for (kind, spec) in c.metric_specs() {
-            if kind != MetricKind::ResponseTime {
-                assert!(spec.quantiles().is_empty(), "{} has quantiles", kind.name());
-            }
-        }
     }
 
     #[test]

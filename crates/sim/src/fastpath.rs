@@ -50,8 +50,9 @@ pub const FAST_PATH_MAX_SLOTS: usize = 64;
 /// epochs that carry the statistics from one to the next.
 ///
 /// [`Epoch::start`] is the only place the engine is picked (and noted on
-/// the telemetry counters `fastpath.entries` / `fastpath.bailouts`),
-/// [`Epoch::advance`] the only place a progress guard meets an engine, and
+/// the telemetry counters `fastpath.entries` / `fastpath.bailouts`) and
+/// a run's progress guard learns of a new clock, [`Epoch::advance`] the
+/// only place the guard meets an engine, and
 /// [`Epoch::finish`] the only place the audit is closed and the
 /// simulation taken apart.
 #[derive(Debug)]
@@ -86,13 +87,18 @@ impl Epoch {
     /// Builds and primes the cluster for one epoch: a slave's when
     /// `slave_bins` carries the master's broadcast bin schemes, and with
     /// `carried` statistics in place of fresh ones when an earlier epoch
-    /// (or a checkpoint) left some.
+    /// (or a checkpoint) left some. The run's `guard`, whose windows span
+    /// epochs, is told here that this epoch's clock starts at zero.
     pub(crate) fn start(
         config: &ExperimentConfig,
         seed: u64,
         slave_bins: Option<&HashMap<String, HistogramSpec>>,
         carried: Option<StatsCollection>,
+        guard: Option<&mut ProgressGuard>,
     ) -> Result<Epoch, SimError> {
+        if let Some(guard) = guard {
+            guard.clock_restarted();
+        }
         let mut sim = match slave_bins {
             Some(bins) => ClusterSim::new_slave(config.clone(), seed, bins)?,
             None => ClusterSim::new(config.clone(), seed)?,

@@ -5,7 +5,12 @@
 //! runnable experiments:
 //!
 //! - [`ExperimentConfig`] describes a simulated cluster, its workload, and
-//!   the output metrics (with accuracy/confidence targets) to observe,
+//!   the output metrics (with accuracy/confidence targets) to observe.
+//!   The metrics are one table, [`MetricKind`] (name, pace, default
+//!   targets, prerequisite), and each is sampled until
+//!   [`bighouse_stats::MetricSpec::satisfied_by`] — paper Eqs. 2–3 with a
+//!   30-sample floor — holds of its kept sample or, in a parallel run, of
+//!   the slaves' merged one,
 //! - [`run_serial`] executes the Figure 2 phase sequence on one thread and
 //!   terminates at convergence,
 //! - [`ParallelRunner`] executes the Figure 3 master/slave protocol across
@@ -43,10 +48,10 @@
 //!   from the configuration ([`ClusterSim::fastpath_eligible`]); there is
 //!   nothing to set.
 //! - [`run_sweep`] orchestrates whole experiment *grids* across a
-//!   work-stealing pool: per-config panic isolation and deadlines,
-//!   bounded retry with quarantine of poison configs, deterministic
-//!   per-config seeds, and a crash-resumable completed-config ledger
-//!   aggregated into one [`SweepReport`].
+//!   thread pool fed from one shared cursor: per-config panic isolation
+//!   and deadlines, bounded retry with quarantine of poison configs,
+//!   deterministic per-config seeds, and a crash-resumable
+//!   completed-config ledger aggregated into one [`SweepReport`].
 //!
 //! # Examples
 //!

@@ -71,10 +71,9 @@ use serde::{Deserialize, Serialize};
 
 use bighouse_des::SeedStream;
 use bighouse_stats::{
-    required_samples_mean, required_samples_quantile, Histogram, HistogramSpec, MetricEstimate,
-    MetricSpec, RunningStats, StatsCollection,
+    Histogram, HistogramSpec, MetricEstimate, MetricSpec, RunningStats, StatsCollection,
 };
-use bighouse_telemetry::{MemoryRecorder, Recorder as _, TelemetrySnapshot};
+use bighouse_telemetry::{MemoryRecorder, TelemetrySnapshot};
 
 use crate::audit::{AuditConfig, AuditReport};
 use crate::checkpoint::fnv1a;
@@ -193,7 +192,8 @@ pub enum Directive {
 }
 
 /// Chaos hooks for crash-safety tests: deterministic faults injected into
-/// exactly one slave's **first** incarnation.
+/// exactly one slave — into its **first** incarnation only, except
+/// [`ProcChaos::PanicOnEverySpawn`].
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProcChaos {
@@ -215,17 +215,22 @@ pub enum ProcChaos {
         /// Victim slave index.
         slave: usize,
     },
+    /// The slave panics before simulating anything — a transient fault the
+    /// supervisor recovers from by resurrection.
+    PanicOnSpawn {
+        /// Victim slave index.
+        slave: usize,
+    },
+    /// The slave panics at the start of **every** incarnation — a hard
+    /// fault that exhausts its restart budget and exercises the fallback
+    /// drop semantics.
+    PanicOnEverySpawn {
+        /// Victim slave index.
+        slave: usize,
+    },
 }
 
 impl ProcChaos {
-    pub(crate) fn victim(&self) -> usize {
-        match *self {
-            ProcChaos::KillMidEpoch { slave }
-            | ProcChaos::AbortAfterFirstEpoch { slave }
-            | ProcChaos::PanicAfterFirstEpoch { slave } => slave,
-        }
-    }
-
     /// Parses the `BIGHOUSE_PROC_CHAOS` environment convention
     /// (`kill:N` / `abort:N` / `panic:N`).
     #[doc(hidden)]
@@ -393,8 +398,6 @@ pub struct ParallelRunner {
     interrupt: Option<Arc<AtomicBool>>,
     backend: ExecBackend,
     proc_chaos: Option<ProcChaos>,
-    forced_panic: Option<usize>,
-    persistent_panic: Option<usize>,
 }
 
 impl ParallelRunner {
@@ -416,8 +419,6 @@ impl ParallelRunner {
             interrupt: None,
             backend: ExecBackend::default(),
             proc_chaos: None,
-            forced_panic: None,
-            persistent_panic: None,
         }
     }
 
@@ -433,8 +434,7 @@ impl ParallelRunner {
     }
 
     /// Chaos hook: injects a deterministic crash (kill/abort/panic) into
-    /// one slave's first incarnation, right after its first epoch
-    /// checkpoint.
+    /// one slave, at the point its [`ProcChaos`] variant names.
     #[doc(hidden)]
     #[must_use]
     pub fn with_proc_chaos(mut self, chaos: ProcChaos) -> Self {
@@ -518,25 +518,6 @@ impl ParallelRunner {
         self
     }
 
-    /// Test hook: the given slave panics on its **first** incarnation only
-    /// — a transient fault the supervisor recovers from by resurrection.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_forced_panic(mut self, slave: usize) -> Self {
-        self.forced_panic = Some(slave);
-        self
-    }
-
-    /// Test hook: the given slave panics on **every** incarnation — a hard
-    /// fault that exhausts its restart budget and exercises the fallback
-    /// drop semantics.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn with_persistent_panic(mut self, slave: usize) -> Self {
-        self.persistent_panic = Some(slave);
-        self
-    }
-
     /// Executes the full Figure 3 protocol and returns merged estimates.
     ///
     /// Slave panics are contained: the supervisor resurrects the slave
@@ -575,7 +556,7 @@ impl ParallelRunner {
         });
         match &self.backend {
             ExecBackend::ThreadLockstep => {
-                let transport = ThreadTransport::new(ctx, self);
+                let transport = ThreadTransport::new(ctx, self.slaves);
                 supervise(self, &specs, transport, master_events, start)
             }
             ExecBackend::Processes(cfg) => {
@@ -654,6 +635,14 @@ pub(crate) fn slave_session<L: SlaveLink>(link: &mut L, p: SessionParams) -> Res
     let mut audit_total: Option<AuditReport> = None;
     let mut audit_tripped = false;
 
+    let panics_on_spawn = match chaos {
+        Some(ProcChaos::PanicOnSpawn { slave: victim }) => victim == slave && incarnation == 0,
+        Some(ProcChaos::PanicOnEverySpawn { slave: victim }) => victim == slave,
+        _ => false,
+    };
+    if panics_on_spawn {
+        panic!("forced slave panic (chaos hook)");
+    }
     if !link.send(UpFrame::Ready { slave, incarnation }) {
         return Ok(());
     }
@@ -661,7 +650,13 @@ pub(crate) fn slave_session<L: SlaveLink>(link: &mut L, p: SessionParams) -> Res
     let mut finalize = winddown;
     while !finalize && !link.should_stop() && !audit_tripped && state.events < config.max_events {
         let seed = epoch_seed(slave_seed, state.epoch);
-        let mut epoch = Epoch::start(&config, seed, Some(&*bin_schemes), state.stats.take())?;
+        let mut epoch = Epoch::start(
+            &config,
+            seed,
+            Some(&*bin_schemes),
+            state.stats.take(),
+            guard.as_mut(),
+        )?;
         let budget = epoch_events.min(config.max_events - state.events);
         let mut fired = 0u64;
         let mut drained = false;
@@ -832,8 +827,6 @@ struct ThreadTransport {
     global_stop: Arc<AtomicBool>,
     slots: Vec<Option<ThreadSlot>>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    forced_panic: Option<usize>,
-    persistent_panic: Option<usize>,
 }
 
 struct ThreadLink {
@@ -871,17 +864,15 @@ impl SlaveLink for ThreadLink {
 }
 
 impl ThreadTransport {
-    fn new(ctx: Arc<SharedCtx>, runner: &ParallelRunner) -> Self {
+    fn new(ctx: Arc<SharedCtx>, slaves: usize) -> Self {
         let (tx, rx) = channel::unbounded();
         ThreadTransport {
             ctx,
             tx,
             rx,
             global_stop: Arc::new(AtomicBool::new(false)),
-            slots: (0..runner.slaves).map(|_| None).collect(),
+            slots: (0..slaves).map(|_| None).collect(),
             handles: Vec::new(),
-            forced_panic: runner.forced_panic,
-            persistent_panic: runner.persistent_panic,
         }
     }
 }
@@ -908,8 +899,6 @@ impl Transport for ThreadTransport {
             }
             other => other,
         });
-        let panic_at_spawn = (self.forced_panic == Some(slave) && incarnation == 0)
-            || self.persistent_panic == Some(slave);
         let params = SessionParams {
             slave,
             incarnation,
@@ -931,12 +920,7 @@ impl Transport for ThreadTransport {
                 global_stop,
                 inc_stop,
             };
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if panic_at_spawn {
-                    panic!("forced slave panic (test hook)");
-                }
-                slave_session(&mut link, params)
-            }));
+            let result = catch_unwind(AssertUnwindSafe(|| slave_session(&mut link, params)));
             if !matches!(result, Ok(Ok(()))) {
                 let _ = gone_tx.send(SlaveEvent::Gone { slave, incarnation });
             }
@@ -1375,44 +1359,15 @@ fn supervise<T: Transport>(
 }
 
 /// Whether the merged sample across slaves satisfies every metric's
-/// requirement (paper Eqs. 2–3 applied to the aggregate).
+/// stopping rule — the serial rule, applied to the aggregate.
 fn aggregate_sufficient(specs: &[MetricSpec], latest: &[Vec<Option<RunningStats>>]) -> bool {
-    for (idx, spec) in specs.iter().enumerate() {
+    specs.iter().enumerate().all(|(idx, spec)| {
         let mut merged = RunningStats::new();
-        for slave in latest {
-            if let Some(Some(m)) = slave.get(idx) {
-                merged.merge(m);
-            }
+        for moments in latest.iter().filter_map(|slave| slave.get(idx)?.as_ref()) {
+            merged.merge(moments);
         }
-        if merged.count() < 30 {
-            return false;
-        }
-        let mut required = 2u64;
-        if spec.tracks_mean() {
-            let mean = merged.mean().abs();
-            let eps = if mean > 0.0 {
-                spec.target_accuracy() * mean
-            } else {
-                spec.target_accuracy()
-            };
-            required = required.max(required_samples_mean(
-                spec.confidence(),
-                merged.std_dev(),
-                eps,
-            ));
-        }
-        for &q in spec.quantiles() {
-            required = required.max(required_samples_quantile(
-                spec.confidence(),
-                q,
-                spec.target_accuracy(),
-            ));
-        }
-        if merged.count() < required {
-            return false;
-        }
-    }
-    true
+        spec.satisfied_by(&merged)
+    })
 }
 
 /// Merge phase: bin-wise histogram merge of the
@@ -1562,7 +1517,7 @@ mod tests {
         // panicking slave is resurrected from its checkpoint, the run
         // converges, and nobody is reported dead.
         let outcome = ParallelRunner::new(quick_config(), 3)
-            .with_forced_panic(1)
+            .with_proc_chaos(ProcChaos::PanicOnSpawn { slave: 1 })
             .run(88)
             .unwrap();
         assert!(
@@ -1616,7 +1571,7 @@ mod tests {
         // budget and the runner degrades to the original drop behavior.
         let outcome = ParallelRunner::new(quick_config(), 3)
             .with_slave_epoch(50_000)
-            .with_persistent_panic(1)
+            .with_proc_chaos(ProcChaos::PanicOnEverySpawn { slave: 1 })
             .with_max_restarts(1)
             .run(88)
             .unwrap();
@@ -1636,7 +1591,7 @@ mod tests {
     #[test]
     fn sole_slave_panicking_is_an_error() {
         let result = ParallelRunner::new(quick_config(), 1)
-            .with_persistent_panic(0)
+            .with_proc_chaos(ProcChaos::PanicOnEverySpawn { slave: 0 })
             .with_max_restarts(1)
             .run(66);
         assert!(matches!(
@@ -1737,8 +1692,16 @@ mod tests {
 
     #[test]
     fn audited_parallel_run_converges_with_clean_report() {
-        let config = quick_config().with_audit(crate::audit::AuditConfig::default());
-        let outcome = ParallelRunner::new(config, 2).run(45).unwrap();
+        // Past one slave epoch: a slave's guard spans its epochs, whose
+        // clocks all start at zero.
+        let config = quick_config()
+            .with_target_accuracy(0.01)
+            .with_audit(crate::audit::AuditConfig::default());
+        let outcome = ParallelRunner::new(config, 2)
+            .with_slave_epoch(50_000)
+            .run(45)
+            .unwrap();
+        assert!(outcome.slave_events[0] >= 2 * 50_000);
         assert!(outcome.converged);
         assert_eq!(outcome.termination, TerminationReason::Converged);
         let audit = outcome.audit.expect("audited slaves must report");

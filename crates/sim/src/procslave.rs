@@ -57,8 +57,9 @@ use crate::runner::{run_resumable, RunOptions};
 
 /// Protocol version stamped into every frame body; a master and a slave
 /// from different builds refuse to talk rather than mis-merge. Version 2
-/// moved the barrier from the epoch to the chunk.
-pub const PROTOCOL_VERSION: u8 = 2;
+/// moved the barrier from the epoch to the chunk; version 3 added the
+/// spawn-time [`ProcChaos`] variants.
+pub const PROTOCOL_VERSION: u8 = 3;
 
 /// Upper bound on a frame body. A corrupted length prefix must not make
 /// the decoder allocate gigabytes before the checksum can reject it.
@@ -246,7 +247,8 @@ pub enum HelloJob {
         /// Deliver the final shard immediately from `state`, without
         /// simulating — used when a respawn lands after wind-down began.
         winddown: bool,
-        /// Child-side chaos hook (first incarnation only).
+        /// Chaos hook; the session decides whether it is the victim and
+        /// which incarnation the fault is due in.
         chaos: Option<ProcChaos>,
     },
     /// A whole self-contained run (used by sweep process isolation): the
@@ -392,10 +394,7 @@ impl Transport for ProcessTransport {
                 bin_schemes: (*self.ctx.bin_schemes).clone(),
                 state,
                 winddown,
-                chaos: self
-                    .ctx
-                    .chaos
-                    .filter(|c| incarnation == 0 && c.victim() == slave),
+                chaos: self.ctx.chaos,
             }),
         };
         if let Err(e) = write_frame(&mut stdin, &hello) {

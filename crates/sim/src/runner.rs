@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use bighouse_des::CalendarStats;
 use bighouse_stats::{HistogramSpec, StatsCollection};
-use bighouse_telemetry::{MemoryRecorder, Recorder as _, TelemetrySnapshot};
+use bighouse_telemetry::{MemoryRecorder, TelemetrySnapshot};
 
 use crate::audit::{AuditConfig, AuditReport};
 use crate::checkpoint::{config_fingerprint, CheckpointConfig, CheckpointStore, RunState};
@@ -32,8 +32,8 @@ use crate::telemetry::assemble_snapshot;
 /// See the [crate-level documentation](crate).
 pub fn run_serial(config: &ExperimentConfig, seed: u64) -> Result<SimulationReport, SimError> {
     let start = Instant::now();
-    let mut epoch = Epoch::start(config, seed, None, None)?;
     let mut guard = config.audit().map(AuditConfig::progress_guard);
+    let mut epoch = Epoch::start(config, seed, None, None, guard.as_mut())?;
     let run = epoch.advance(config.max_events, guard.as_mut());
     let end = epoch.finish();
     let audit_failed = end.audit.as_ref().is_some_and(|a| !a.passed());
@@ -87,10 +87,6 @@ pub struct RunOptions {
     /// the run winds down at the next epoch boundary, writing a final
     /// checkpoint and an honest partial report.
     pub interrupt: Option<Arc<AtomicBool>>,
-    /// Enables the runtime invariant auditor for this run, overriding the
-    /// configuration (paranoid mode is observational, so toggling it never
-    /// invalidates an existing checkpoint).
-    pub audit: Option<AuditConfig>,
 }
 
 impl RunOptions {
@@ -169,13 +165,6 @@ pub fn run_resumable(
     opts: &RunOptions,
 ) -> Result<SimulationReport, SimError> {
     let start = Instant::now();
-    let audited_config;
-    let config = if let Some(audit) = &opts.audit {
-        audited_config = config.clone().with_audit(audit.clone());
-        &audited_config
-    } else {
-        config
-    };
     let fingerprint = config_fingerprint(config, master_seed);
     let store = opts
         .checkpoint
@@ -230,9 +219,10 @@ pub fn run_resumable(
     let base_wall = state.wall_seconds;
     let start_epoch = state.next_epoch;
     // The livelock/storm circuit breaker spans epochs: a run that advances
-    // one event per epoch is just a slow livelock. (The guard is process-
-    // local — a resume restarts its windows, which only makes it *more*
-    // lenient, never spuriously trips it.)
+    // one event per epoch is just a slow livelock, and the default storm
+    // window is longer than an epoch. (The guard is process-local — a
+    // resume restarts its windows, which only makes it *more* lenient,
+    // never spuriously trips it.)
     let mut guard = config.audit().map(AuditConfig::progress_guard);
     let interrupted = loop {
         let audit_failed = state.audit.as_ref().is_some_and(|a| !a.passed());
@@ -249,7 +239,7 @@ pub fn run_resumable(
         }
 
         let seed = state.seeds.next_seed();
-        let mut epoch = Epoch::start(config, seed, None, state.stats.take())?;
+        let mut epoch = Epoch::start(config, seed, None, state.stats.take(), guard.as_mut())?;
         let budget = opts
             .epoch_budget()
             .min(config.max_events - state.events_done);
@@ -343,10 +333,10 @@ pub fn run_until_calibrated(
     config: &ExperimentConfig,
     seed: u64,
 ) -> Result<(HashMap<String, HistogramSpec>, u64), SimError> {
-    let mut epoch = Epoch::start(config, seed, None, None)?;
+    let mut guard = config.audit().map(AuditConfig::progress_guard);
+    let mut epoch = Epoch::start(config, seed, None, None, guard.as_mut())?;
     const CHUNK: u64 = 1_000;
     let mut events = 0u64;
-    let mut guard = config.audit().map(AuditConfig::progress_guard);
     while !epoch.simulation().all_calibrated() {
         let run = epoch.advance(CHUNK, guard.as_mut());
         events += run.events_fired;
@@ -737,17 +727,18 @@ mod tests {
 
     #[test]
     fn resumable_audit_merges_across_epochs_and_stays_clean() {
-        let plain_opts = RunOptions {
+        // Several epochs under the one guard that spans them: every
+        // epoch's clock starts again at zero, which is no time regression.
+        let opts = RunOptions {
             epoch_events: 10_000,
             ..RunOptions::default()
         };
-        let plain = run_resumable(&quick_config(), 63, &plain_opts).unwrap();
-        let audited_opts = RunOptions {
-            epoch_events: 10_000,
-            audit: Some(crate::audit::AuditConfig::default()),
-            ..RunOptions::default()
-        };
-        let audited = run_resumable(&quick_config(), 63, &audited_opts).unwrap();
+        let config = quick_config().with_target_accuracy(0.05);
+        let plain = run_resumable(&config, 63, &opts).unwrap();
+        let audited_cfg = config.with_audit(crate::audit::AuditConfig::default());
+        let audited = run_resumable(&audited_cfg, 63, &opts).unwrap();
+        assert!(audited.events_fired > 2 * opts.epoch_events);
+        assert_eq!(audited.termination, TerminationReason::Converged);
         assert_eq!(plain.events_fired, audited.events_fired);
         assert_eq!(estimates_json(&plain), estimates_json(&audited));
         let audit = audited.audit.expect("audited run must carry a report");

@@ -3,14 +3,13 @@
 //! The paper's workflow runs one SQS experiment at a time; production use
 //! is sweeps — a QPS grid × cluster sizes × power policies rendered into a
 //! figure. [`run_sweep`] runs thousands of configurations across a
-//! work-stealing thread pool and assumes individual configs will panic,
-//! stall, or diverge:
+//! thread pool and assumes individual configs will panic, stall, or
+//! diverge:
 //!
-//! - **Work stealing.** Configs are dealt through a [`crossbeam`] injector
-//!   with per-worker FIFO deques and stealers, so a worker finishing a
-//!   10-second config immediately steals from one stuck behind a
-//!   10-minute config. Workers can optionally be pinned round-robin to
-//!   cores (Linux).
+//! - **One queue.** Undecided configs sit in one list behind a shared
+//!   atomic cursor, and a worker that finishes a config takes the next
+//!   index: a 10-second config never waits behind a 10-minute one, and
+//!   nothing is dealt out in batches that would then need stealing back.
 //! - **Deterministic seeding.** Each config's seed is derived from the
 //!   sweep's master seed and the config's *id* (not its position), so
 //!   editing the grid never reshuffles the seeds of configs that stayed,
@@ -44,11 +43,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crossbeam::deque::{Injector, Stealer, Worker as WorkerQueue};
 use serde::{Deserialize, Serialize};
 
 use bighouse_telemetry::TelemetrySnapshot;
@@ -349,8 +347,6 @@ pub struct SweepOptions {
     /// sweep stops dispatching, cancels in-flight configs at their next
     /// epoch boundary, saves the ledger, and reports partial results.
     pub interrupt: Option<Arc<AtomicBool>>,
-    /// Pin worker `w` to core `w mod cores` (Linux; no-op elsewhere).
-    pub pin_cores: bool,
     /// Stop dispatching after this many configs have been decided
     /// *this invocation* — a deterministic programmatic pause point, the
     /// sweep-level analogue of [`RunOptions::max_epochs`].
@@ -384,7 +380,6 @@ impl Default for SweepOptions {
             checkpoint: None,
             resume: false,
             interrupt: None,
-            pin_cores: false,
             max_decided: None,
             on_event: None,
             isolate_processes: None,
@@ -402,7 +397,6 @@ impl fmt::Debug for SweepOptions {
             .field("epoch_events", &self.epoch_events)
             .field("checkpoint", &self.checkpoint)
             .field("resume", &self.resume)
-            .field("pin_cores", &self.pin_cores)
             .field("max_decided", &self.max_decided)
             .field("on_event", &self.on_event.as_ref().map(|_| "Fn(..)"))
             .field("isolate_processes", &self.isolate_processes)
@@ -449,49 +443,6 @@ enum Attempt {
     Cancelled,
     Failed(SweepError),
 }
-
-/// The crossbeam find-task idiom: local deque first, then batch-steal
-/// from the injector, then steal from siblings.
-fn find_task<T>(
-    local: &WorkerQueue<T>,
-    injector: &Injector<T>,
-    stealers: &[Stealer<T>],
-) -> Option<T> {
-    local.pop().or_else(|| {
-        std::iter::repeat_with(|| {
-            injector
-                .steal_batch_and_pop(local)
-                .or_else(|| stealers.iter().map(Stealer::steal).collect())
-        })
-        .find(|s| !s.is_retry())
-        .and_then(|s| s.success())
-    })
-}
-
-/// Best-effort round-robin core pinning (Linux). Errors are ignored: a
-/// sweep must run the same everywhere, pinning is only a locality hint.
-#[cfg(target_os = "linux")]
-fn pin_to_core(worker: usize) {
-    // Raw libc call, mirroring the CLI's libc-free signal handling: a
-    // cpu_set_t is a 1024-bit mask; set one bit and ask the kernel to
-    // pin the calling thread (pid 0).
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let core = worker % cores;
-    let mut mask = [0u64; 16];
-    if core < mask.len() * 64 {
-        mask[core / 64] = 1u64 << (core % 64);
-        // SAFETY: the mask outlives the call and the length matches.
-        unsafe {
-            let _ = sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr());
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_to_core(_worker: usize) {}
 
 /// Renders a caught panic payload.
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -551,7 +502,6 @@ fn run_attempt(
         resume: false,
         max_epochs: None,
         interrupt: Some(Arc::clone(cancel)),
-        audit: None,
     };
     let result = catch_unwind(AssertUnwindSafe(|| {
         run_resumable(&entry.config, seed, &opts)
@@ -595,8 +545,9 @@ struct WorkerCtx<'a> {
     deadline: Option<Duration>,
     isolate: Option<&'a ProcSlaveConfig>,
     faults: Option<&'a SweepFaultInjection>,
-    injector: &'a Injector<usize>,
-    stealers: &'a [Stealer<usize>],
+    /// Indices into `entries` still to decide, and the next one to take.
+    pending: &'a [usize],
+    cursor: &'a AtomicUsize,
     board: &'a Mutex<Vec<Option<AttemptWatch>>>,
     interrupt: &'a AtomicBool,
     tx: mpsc::Sender<Message>,
@@ -620,11 +571,12 @@ fn backoff_sleep(failed_attempts: u32, interrupt: &AtomicBool, salt: u64) -> boo
     !interrupt.load(Ordering::Relaxed)
 }
 
-/// The worker loop: steal a config, run it with retries, report the
-/// decision, repeat until the queues drain or the sweep is interrupted.
-fn worker_loop(ctx: &WorkerCtx<'_>, local: &WorkerQueue<usize>) {
+/// The worker loop: take the next config, run it with retries, report the
+/// decision, repeat until none is left or the sweep is interrupted.
+fn worker_loop(ctx: &WorkerCtx<'_>) {
     while !ctx.interrupt.load(Ordering::Relaxed) {
-        let Some(index) = find_task(local, ctx.injector, ctx.stealers) else {
+        // Relaxed: the cursor hands out indices into a list nobody writes.
+        let Some(&index) = ctx.pending.get(ctx.cursor.fetch_add(1, Ordering::Relaxed)) else {
             return;
         };
         let entry = &ctx.entries[index];
@@ -900,12 +852,7 @@ fn run_workers(
     interrupt: &Arc<AtomicBool>,
     opts: &SweepOptions,
 ) -> Result<SweepLedger, SimError> {
-    let injector = Injector::new();
-    for &index in pending {
-        injector.push(index);
-    }
-    let locals: Vec<WorkerQueue<usize>> = (0..workers).map(|_| WorkerQueue::new_fifo()).collect();
-    let stealers: Vec<Stealer<usize>> = locals.iter().map(WorkerQueue::stealer).collect();
+    let cursor = AtomicUsize::new(0);
     let board: Mutex<Vec<Option<AttemptWatch>>> = Mutex::new((0..workers).map(|_| None).collect());
     let watchdog_done = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel::<Message>();
@@ -932,7 +879,7 @@ fn run_workers(
             }
         });
 
-        for (index, local) in locals.into_iter().enumerate() {
+        for index in 0..workers {
             let ctx = WorkerCtx {
                 index,
                 entries,
@@ -942,19 +889,13 @@ fn run_workers(
                 deadline: opts.deadline,
                 isolate: opts.isolate_processes.as_ref(),
                 faults: opts.fault_injection.as_ref(),
-                injector: &injector,
-                stealers: &stealers,
+                pending,
+                cursor: &cursor,
                 board: &board,
                 interrupt,
                 tx: tx.clone(),
             };
-            let pin = opts.pin_cores;
-            scope.spawn(move || {
-                if pin {
-                    pin_to_core(ctx.index);
-                }
-                worker_loop(&ctx, &local);
-            });
+            scope.spawn(move || worker_loop(&ctx));
         }
         drop(tx);
 

@@ -26,9 +26,7 @@ use std::time::Instant;
 
 use bighouse_des::{CalendarStats, Time};
 use bighouse_stats::{MetricId, Phase, StatsCollection};
-use bighouse_telemetry::{
-    FixedBinHistogram, MemoryRecorder, PhaseTransition, Recorder, TelemetrySnapshot,
-};
+use bighouse_telemetry::{FixedBinHistogram, MemoryRecorder, PhaseTransition, TelemetrySnapshot};
 
 /// Per-run instrumentation context carried by `ClusterSim`.
 #[derive(Debug)]

@@ -369,6 +369,39 @@ mod tests {
     }
 
     #[test]
+    fn legacy_state_with_retired_kept_keys_continues_bit_identically() {
+        // Checkpoints and `EpochDone` frames written while `OutputMetric`
+        // kept a second Welford accumulator carry `kept` and `min_kept`
+        // per metric; they must load and change nothing.
+        let mut stats = StatsCollection::new();
+        let m = stats.add_metric(spec("m", 10));
+        let mut rng = noise(5);
+        for _ in 0..400 {
+            stats.record(m, rng.next().unwrap());
+        }
+        assert_eq!(stats.metric(m).phase(), Phase::Measurement);
+        let current = serde_json::to_string(&stats).unwrap();
+        let mut legacy: serde_json::Value = serde_json::from_str(&current).unwrap();
+        for metric in legacy["metrics"].as_array_mut().unwrap() {
+            metric["kept"] = metric["histogram"]["moments"].clone();
+            metric["min_kept"] = 30.into();
+        }
+        let mut plain: StatsCollection = serde_json::from_str(&current).unwrap();
+        let mut restored: StatsCollection = serde_json::from_value(legacy).unwrap();
+        while !plain.all_converged() {
+            let x = rng.next().unwrap();
+            plain.record(m, x);
+            restored.record(m, x);
+            assert_eq!(plain.all_converged(), restored.all_converged());
+        }
+        // One metric, so the name map serializes in one order.
+        assert_eq!(
+            serde_json::to_string(&plain).unwrap(),
+            serde_json::to_string(&restored).unwrap()
+        );
+    }
+
+    #[test]
     fn slowest_phase_reports_laggard() {
         let mut stats = StatsCollection::new();
         let a = stats.add_metric(spec("a", 5));

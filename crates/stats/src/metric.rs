@@ -281,6 +281,51 @@ impl MetricSpec {
     pub fn max_lag(&self) -> usize {
         self.max_lag
     }
+
+    /// The sample size this spec's accuracy targets demand (paper
+    /// Eqs. 2–3), at the mean and σ that `sample` — one metric's kept
+    /// observations, or the merge of every slave's — estimates so far.
+    /// `None` before two observations exist.
+    #[must_use]
+    pub fn required_samples(&self, sample: &RunningStats) -> Option<u64> {
+        if sample.count() < 2 {
+            return None;
+        }
+        let mut required = 2u64;
+        if self.track_mean {
+            let mean = sample.mean().abs();
+            // E is relative to the mean (paper Eq. 1); a zero mean makes the
+            // relative target meaningless, so fall back to absolute E.
+            let eps = if mean > 0.0 {
+                self.target_accuracy * mean
+            } else {
+                self.target_accuracy
+            };
+            required = required.max(required_samples_mean(
+                self.confidence,
+                sample.std_dev(),
+                eps,
+            ));
+        }
+        for &q in &self.quantiles {
+            required = required.max(required_samples_quantile(
+                self.confidence,
+                q,
+                self.target_accuracy,
+            ));
+        }
+        Some(required)
+    }
+
+    /// The stopping rule, for a serial metric and for the master's
+    /// aggregate alike: `sample` holds [`MetricSpec::required_samples`] of
+    /// it, and no fewer than 30 observations — so that a lucky early
+    /// variance estimate cannot end a run prematurely.
+    #[must_use]
+    pub fn satisfied_by(&self, sample: &RunningStats) -> bool {
+        self.required_samples(sample)
+            .is_some_and(|required| sample.count() >= required.max(30))
+    }
 }
 
 /// Point estimate with confidence information for one quantile target.
@@ -381,7 +426,9 @@ impl MetricEstimate {
 ///
 /// The whole phase machine serializes with serde: a checkpointed metric —
 /// mid-warm-up, mid-calibration, or mid-measurement — resumes with exactly
-/// the behavior the uninterrupted metric would have had.
+/// the behavior the uninterrupted metric would have had. States written
+/// while the kept sample had a second accumulator carry `kept` and
+/// `min_kept` keys, which are ignored: the histogram's moments are equal.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OutputMetric {
     spec: MetricSpec,
@@ -392,12 +439,10 @@ pub struct OutputMetric {
     forced_histogram: Option<HistogramSpec>,
     lag: usize,
     measurement_seen: u64,
-    kept: RunningStats,
+    /// The kept sample: bins for the quantiles, exact moments for the mean
+    /// and for the stopping rule.
     histogram: Option<Histogram>,
     total_observed: u64,
-    /// Smallest kept-sample size we will ever declare convergence at, so a
-    /// lucky early variance estimate cannot end the run prematurely.
-    min_kept: u64,
 }
 
 impl OutputMetric {
@@ -433,10 +478,8 @@ impl OutputMetric {
             forced_histogram: None,
             lag: 1,
             measurement_seen: 0,
-            kept: RunningStats::new(),
             histogram: None,
             total_observed: 0,
-            min_kept: 30,
         }
     }
 
@@ -485,7 +528,7 @@ impl OutputMetric {
     /// Number of kept (lag-spaced, post-calibration) observations.
     #[must_use]
     pub fn kept_count(&self) -> u64 {
-        self.kept.count()
+        self.histogram.as_ref().map_or(0, Histogram::count)
     }
 
     /// Total observations recorded across all phases.
@@ -581,51 +624,22 @@ impl OutputMetric {
     }
 
     fn keep(&mut self, x: f64) {
-        self.kept.push(x);
-        if let Some(hist) = &mut self.histogram {
-            hist.record(x);
-        }
-        if self.phase == Phase::Measurement {
-            if let Some(required) = self.required_samples() {
-                if self.kept.count() >= required.max(self.min_kept) {
-                    self.phase = Phase::Converged;
-                }
-            }
+        let Some(hist) = &mut self.histogram else {
+            return;
+        };
+        hist.record(x);
+        if self.phase == Phase::Measurement && self.spec.satisfied_by(hist.moments()) {
+            self.phase = Phase::Converged;
         }
     }
 
     /// The kept-sample size currently demanded by the accuracy targets
-    /// (paper Eqs. 2–3), using the present mean/σ estimates. `None` before
+    /// ([`MetricSpec::required_samples`] of the kept sample). `None` before
     /// measurement begins or before two observations exist.
     #[must_use]
     pub fn required_samples(&self) -> Option<u64> {
-        if self.histogram.is_none() || self.kept.count() < 2 {
-            return None;
-        }
-        let mut required = 2u64;
-        if self.spec.track_mean {
-            let mean = self.kept.mean().abs();
-            // E is relative to the mean (paper Eq. 1); a zero mean makes the
-            // relative target meaningless, so fall back to absolute E.
-            let eps = if mean > 0.0 {
-                self.spec.target_accuracy * mean
-            } else {
-                self.spec.target_accuracy
-            };
-            required = required.max(required_samples_mean(
-                self.spec.confidence,
-                self.kept.std_dev(),
-                eps,
-            ));
-        }
-        for &q in &self.spec.quantiles {
-            required = required.max(required_samples_quantile(
-                self.spec.confidence,
-                q,
-                self.spec.target_accuracy,
-            ));
-        }
-        Some(required)
+        let hist = self.histogram.as_ref()?;
+        self.spec.required_samples(hist.moments())
     }
 
     /// The achieved relative accuracy E of the mean estimate so far
@@ -633,11 +647,14 @@ impl OutputMetric {
     /// Figure 8 plots against simulated events.
     #[must_use]
     pub fn current_relative_accuracy(&self) -> f64 {
-        let n = self.kept.count();
-        if n < 2 || self.kept.mean() == 0.0 {
+        let Some(kept) = self.histogram.as_ref().map(Histogram::moments) else {
+            return f64::INFINITY;
+        };
+        let n = kept.count();
+        if n < 2 || kept.mean() == 0.0 {
             return f64::INFINITY;
         }
-        half_width_mean(self.spec.confidence, self.kept.std_dev(), n) / self.kept.mean().abs()
+        half_width_mean(self.spec.confidence, kept.std_dev(), n) / kept.mean().abs()
     }
 
     /// Point estimates with confidence information.
@@ -646,7 +663,7 @@ impl OutputMetric {
     #[must_use]
     pub fn estimate(&self) -> Option<MetricEstimate> {
         let hist = self.histogram.as_ref()?;
-        if self.kept.count() == 0 {
+        if hist.count() == 0 {
             return None;
         }
         Some(MetricEstimate::from_histogram(
@@ -783,6 +800,27 @@ mod tests {
     fn required_samples_none_before_measurement() {
         let metric = OutputMetric::new(quick_spec());
         assert_eq!(metric.required_samples(), None);
+    }
+
+    #[test]
+    fn convergence_is_the_first_kept_count_the_spec_is_satisfied_by() {
+        // The phase machine owns no stopping rule of its own: it converges
+        // on the record where `MetricSpec::satisfied_by` first holds of the
+        // kept sample, and on none before it.
+        let mut metric = OutputMetric::new(quick_spec());
+        let mut stream = lcg_stream(11);
+        loop {
+            metric.record(stream.next().unwrap());
+            let satisfied = metric
+                .histogram()
+                .is_some_and(|kept| metric.spec().satisfied_by(kept.moments()));
+            assert_eq!(metric.is_converged(), satisfied);
+            if satisfied {
+                break;
+            }
+        }
+        assert!(metric.kept_count() >= 30, "the floor is part of the rule");
+        assert!(metric.kept_count() >= metric.required_samples().unwrap());
     }
 
     #[test]

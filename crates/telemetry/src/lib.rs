@@ -1,21 +1,18 @@
-//! Zero-cost-when-off instrumentation for the BigHouse reproduction.
+//! One-branch-when-off instrumentation for the BigHouse reproduction.
 //!
 //! The simulator's value is its statistics engine, yet a run is otherwise a
 //! black box between "started" and "converged". This crate provides the
 //! observability substrate: **monotonic counters**, **gauges**, and
-//! **fixed-bin histograms** behind a [`Recorder`] trait whose methods all
-//! default to inlined no-ops.
+//! **fixed-bin histograms** on one concrete sink, [`MemoryRecorder`].
 //!
 //! Two properties are load-bearing and tested:
 //!
-//! 1. **Zero cost when off.** Code instrumented against a generic
-//!    `R: Recorder` monomorphizes to nothing for [`NoopRecorder`]: every
-//!    default method has an empty `#[inline]` body, so the optimizer deletes
-//!    the call sites outright. Call sites that hold a recorder behind an
-//!    `Option` pay exactly one null check — the same budget the runtime
-//!    auditor proved acceptable ("paranoia is free").
-//! 2. **Observation never perturbs.** A [`Recorder`] receives values; it
-//!    cannot reach back into the simulation, and nothing here draws
+//! 1. **One branch when off.** Telemetry that is off is an absent recorder:
+//!    the simulation layer holds an `Option` and pays exactly one null
+//!    check per call site — the same budget the runtime auditor proved
+//!    acceptable ("paranoia is free").
+//! 2. **Observation never perturbs.** A [`MemoryRecorder`] receives values;
+//!    it cannot reach back into the simulation, and nothing here draws
 //!    randomness or reads wall clocks. Instrumented runs are therefore
 //!    bit-identical to plain runs at the same seed — CI gates on it.
 //!
@@ -33,5 +30,5 @@ mod recorder;
 mod snapshot;
 
 pub use histogram::FixedBinHistogram;
-pub use recorder::{MemoryRecorder, NoopRecorder, Recorder};
+pub use recorder::MemoryRecorder;
 pub use snapshot::{HistogramSnapshot, PhaseTransition, TelemetrySnapshot};

@@ -1,74 +1,15 @@
-//! The `Recorder` trait and its two stock implementations.
+//! The in-memory recorder instrumented runs write into.
 
 use std::collections::BTreeMap;
 
 use crate::histogram::FixedBinHistogram;
 use crate::snapshot::{PhaseTransition, TelemetrySnapshot};
 
-/// Sink for instrumentation events.
-///
-/// Every method has an empty `#[inline]` default body, so code written
-/// against a generic `R: Recorder` monomorphizes to **nothing** for
-/// [`NoopRecorder`] — the disabled-telemetry hot path carries no
-/// instructions at all. Call sites that instead hold a recorder behind an
-/// `Option` (the pattern the simulation layer uses, mirroring the runtime
-/// auditor) pay exactly one branch when telemetry is off.
-///
-/// Recorders only receive values; they cannot perturb the simulation, draw
-/// randomness, or fail. That is what makes the bit-identity guarantee —
-/// instrumented runs produce the same estimates as plain runs — hold by
-/// construction.
-pub trait Recorder {
-    /// Whether this recorder keeps anything. Callers may use this to skip
-    /// the *computation* of an expensive value, not just its recording.
-    #[inline]
-    #[must_use]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    /// Adds `delta` to the named monotonic counter.
-    #[inline]
-    fn counter_add(&mut self, name: &'static str, delta: u64) {
-        let _ = (name, delta);
-    }
-
-    /// Sets the named gauge to `value`.
-    #[inline]
-    fn gauge_set(&mut self, name: &'static str, value: f64) {
-        let _ = (name, value);
-    }
-
-    /// Raises the named gauge to `value` if larger (high-water marks).
-    #[inline]
-    fn gauge_max(&mut self, name: &'static str, value: f64) {
-        let _ = (name, value);
-    }
-
-    /// Records one sample into the named histogram. Histograms must be
-    /// registered up front (see [`MemoryRecorder::with_histogram`]) so this
-    /// stays allocation-free.
-    #[inline]
-    fn observe(&mut self, name: &'static str, value: f64) {
-        let _ = (name, value);
-    }
-
-    /// Records a statistics phase-machine transition.
-    #[inline]
-    fn phase_transition(&mut self, transition: PhaseTransition) {
-        let _ = transition;
-    }
-}
-
-/// The recorder that records nothing. Instrumenting with this type is free:
-/// all trait methods inline to empty bodies.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
-
-/// An in-memory recorder backed by `BTreeMap`s, the implementation used for
-/// real instrumented runs.
+/// An in-memory recorder backed by `BTreeMap`s: the sink for instrumentation
+/// events. It only receives values; it cannot perturb the simulation, draw
+/// randomness, or fail, so instrumented runs produce the same estimates as
+/// plain runs by construction. Telemetry that is off is an absent recorder
+/// (an `Option`, one branch per call site), not a second type.
 ///
 /// Counter and gauge inserts intern `&'static str` names, so steady-state
 /// recording touches no allocator; histograms are fixed-bin and registered
@@ -104,7 +45,7 @@ impl MemoryRecorder {
     }
 
     /// Records a wall-clock-derived value (seconds, rates). Kept in a
-    /// separate namespace from [`gauge_set`](Recorder::gauge_set) because
+    /// separate namespace from [`gauge_set`](MemoryRecorder::gauge_set) because
     /// wall values are non-deterministic and must never leak into the
     /// deterministic sections compared by CI.
     pub fn wall_set(&mut self, name: &'static str, value: f64) {
@@ -185,32 +126,33 @@ impl MemoryRecorder {
     }
 }
 
-impl Recorder for MemoryRecorder {
+impl MemoryRecorder {
+    /// Adds `delta` to the named monotonic counter.
     #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    #[inline]
-    fn counter_add(&mut self, name: &'static str, delta: u64) {
+    pub fn counter_add(&mut self, name: &'static str, delta: u64) {
         *self.counters.entry(name).or_insert(0) += delta;
     }
 
+    /// Sets the named gauge to `value`.
     #[inline]
-    fn gauge_set(&mut self, name: &'static str, value: f64) {
+    pub fn gauge_set(&mut self, name: &'static str, value: f64) {
         self.gauges.insert(name, value);
     }
 
+    /// Raises the named gauge to `value` if larger (high-water marks).
     #[inline]
-    fn gauge_max(&mut self, name: &'static str, value: f64) {
+    pub fn gauge_max(&mut self, name: &'static str, value: f64) {
         let slot = self.gauges.entry(name).or_insert(f64::NEG_INFINITY);
         if value > *slot {
             *slot = value;
         }
     }
 
+    /// Records one sample into the named histogram. Histograms must be
+    /// registered up front (see [`MemoryRecorder::with_histogram`]) so this
+    /// stays allocation-free.
     #[inline]
-    fn observe(&mut self, name: &'static str, value: f64) {
+    pub fn observe(&mut self, name: &'static str, value: f64) {
         match self.histograms.get_mut(name) {
             Some(h) => h.observe(value),
             None => {
@@ -222,8 +164,9 @@ impl Recorder for MemoryRecorder {
         }
     }
 
+    /// Records a statistics phase-machine transition.
     #[inline]
-    fn phase_transition(&mut self, transition: PhaseTransition) {
+    pub fn phase_transition(&mut self, transition: PhaseTransition) {
         self.phases.push(transition);
     }
 }
@@ -232,30 +175,13 @@ impl Recorder for MemoryRecorder {
 mod tests {
     use super::*;
 
-    /// The shape every instrumented hot loop takes: generic over `R`, so
-    /// the no-op case compiles to nothing.
-    fn hot_loop<R: Recorder>(rec: &mut R, iters: u64) -> u64 {
-        let mut acc: u64 = 0;
-        for i in 0..iters {
-            acc = acc.wrapping_add(i);
-            rec.counter_add("loop.iterations", 1);
-        }
-        rec.gauge_set("loop.final", acc as f64);
-        acc
-    }
-
-    #[test]
-    fn noop_recorder_records_nothing_and_costs_nothing() {
-        let mut rec = NoopRecorder;
-        let acc = hot_loop(&mut rec, 1000);
-        assert_eq!(acc, 499_500);
-        assert!(!rec.enabled());
-    }
-
     #[test]
     fn memory_recorder_counts_every_event() {
         let mut rec = MemoryRecorder::new();
-        hot_loop(&mut rec, 1000);
+        for _ in 0..1000 {
+            rec.counter_add("loop.iterations", 1);
+        }
+        rec.gauge_set("loop.final", 499_500.0);
         assert_eq!(rec.counter("loop.iterations"), 1000);
         let snap = rec.snapshot();
         assert_eq!(snap.counters["loop.iterations"], 1000);

@@ -12,10 +12,10 @@
 //! (multiples of 0.25 well inside the 53-bit mantissa), where every
 //! partial sum is exact and associativity holds bit-for-bit.
 
-use bighouse_telemetry::{FixedBinHistogram, MemoryRecorder, PhaseTransition, Recorder};
+use bighouse_telemetry::{FixedBinHistogram, MemoryRecorder, PhaseTransition};
 use proptest::prelude::*;
 
-/// Names are `&'static str` by the `Recorder` contract, so ops pick from
+/// Names are `&'static str` by the `MemoryRecorder` contract, so ops pick from
 /// fixed pools instead of generating strings.
 const COUNTERS: [&str; 3] = ["sim.jobs", "des.events", "stats.samples"];
 const GAUGES: [&str; 2] = ["sim.queue_depth", "stats.lag"];

@@ -17,15 +17,15 @@
 use bighouse::prelude::*;
 
 fn main() {
-    let config = ExperimentConfig::new(Workload::standard(StandardWorkload::Web))
+    let mut config = ExperimentConfig::new(Workload::standard(StandardWorkload::Web))
         .with_cores(4)
         .with_utilization(0.5)
         .with_target_accuracy(0.05);
     let seed = 2012;
     let epoch_events = 100_000;
-    let paranoid = std::env::var_os("BIGHOUSE_PARANOID").is_some();
-    if paranoid {
+    if std::env::var_os("BIGHOUSE_PARANOID").is_some() {
         println!("(paranoid mode: runtime invariant auditor armed)");
+        config = config.with_audit(AuditConfig::default());
     }
 
     // The uninterrupted reference.
@@ -34,7 +34,6 @@ fn main() {
         seed,
         &RunOptions {
             epoch_events,
-            audit: paranoid.then(AuditConfig::default),
             ..RunOptions::default()
         },
     )
@@ -57,7 +56,6 @@ fn main() {
             epoch_events,
             checkpoint: Some(CheckpointConfig::new(&dir)),
             max_epochs: Some(2),
-            audit: paranoid.then(AuditConfig::default),
             ..RunOptions::default()
         },
     )
@@ -78,7 +76,6 @@ fn main() {
             epoch_events,
             checkpoint: Some(CheckpointConfig::new(&dir)),
             resume: true,
-            audit: paranoid.then(AuditConfig::default),
             ..RunOptions::default()
         },
     )

@@ -1,5 +1,5 @@
 //! Fault-tolerant experiment sweeps: run a whole utilization grid on a
-//! work-stealing pool, survive a mid-flight kill, and resume to the
+//! worker pool, survive a mid-flight kill, and resume to the
 //! identical aggregate report.
 //!
 //! The paper's methodology is never one experiment — it is *curves*:

@@ -82,7 +82,7 @@ fn parallel_run_survives_a_panicking_slave() {
         .with_max_events(100_000_000);
 
     let outcome = ParallelRunner::new(config, 3)
-        .with_forced_panic(1)
+        .with_proc_chaos(bighouse::sim::ProcChaos::PanicOnSpawn { slave: 1 })
         .run(29)
         .expect("survivors should carry the run");
 
