@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use bighouse::prelude::*;
 
 /// Pure calendar throughput: schedule + pop, at several pending-set sizes
-/// (the heap depth is the `log N` component of cluster-size scaling).
+/// (flat in the size for a calendar queue, until the slab leaves the cache).
 fn calendar_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("calendar");
     group.sample_size(20);
@@ -34,9 +34,9 @@ fn calendar_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// `peek_time` regression guard: reading the next timestamp must stay O(1)
-/// — flat across pending-set sizes — since the engine consults it between
-/// every pair of events.
+/// `peek_time` makes the bounded search `pop` makes, without unlinking:
+/// usually the bucket under the cursor, so flat across pending-set sizes.
+/// Nothing on a run's hot path calls it.
 fn calendar_peek(c: &mut Criterion) {
     let mut group = c.benchmark_group("calendar");
     for pending in [16usize, 1024, 65_536] {
@@ -78,7 +78,7 @@ fn calendar_cancellation(c: &mut Criterion) {
             }
             assert!(
                 cal.backing_events() <= 1000 && cal.slot_capacity() <= 1000,
-                "cancel churn leaked: {} heap nodes / {} slots for 1000 live events",
+                "cancel churn leaked: {} linked nodes / {} slots for 1000 live events",
                 cal.backing_events(),
                 cal.slot_capacity(),
             );

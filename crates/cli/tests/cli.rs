@@ -69,7 +69,8 @@ fn example_config_is_valid_json() {
 
 #[test]
 fn export_then_run_round_trip() {
-    let dir = temp_dir();
+    let dir = temp_dir().join("round-trip");
+    std::fs::create_dir_all(&dir).expect("temp dir");
     let workload_path = dir.join("dns.json");
     let out = bighouse()
         .args(["export-workload", "dns", workload_path.to_str().unwrap()])
@@ -559,7 +560,8 @@ fn sweep_resume_reemits_identical_results() {
 
 #[test]
 fn export_rejects_unknown_workload() {
-    let dir = temp_dir();
+    let dir = temp_dir().join("unknown-workload");
+    std::fs::create_dir_all(&dir).expect("temp dir");
     let out = bighouse()
         .args([
             "export-workload",

@@ -5,8 +5,9 @@
 //! the engine layer that everything else builds on:
 //!
 //! - [`Time`], a total-ordered simulated-time newtype (seconds),
-//! - [`Calendar`], a cancellable pending-event calendar with deterministic
-//!   FIFO tie-breaking,
+//! - [`Calendar`], a cancellable pending-event calendar — a self-sizing
+//!   calendar queue, O(1) per operation — with deterministic FIFO
+//!   tie-breaking,
 //! - [`Engine`] and the [`Simulation`] trait, the generic event loop,
 //! - [`SeedStream`] and [`SimRng`], deterministic per-component random number
 //!   streams (each slave in a parallel simulation must use a unique seed,

@@ -2,8 +2,112 @@
 
 use proptest::prelude::*;
 
-use bighouse_des::{Calendar, SeedStream, SimRng, Time};
+use bighouse_des::{Calendar, CalendarStats, SeedStream, SimRng, Time};
 use rand::RngCore;
+
+/// One calendar operation: a kind (0 schedule, 1 cancel, 2 pop, else
+/// peek), the delay a schedule uses and the handle a cancel picks.
+type Op = (u8, f64, u16);
+
+/// Delays on a quarter-second grid: ties are the common case.
+fn grid_delay() -> impl Strategy<Value = f64> {
+    (0u8..12).prop_map(|slot| f64::from(slot) / 4.0)
+}
+
+/// The grid, gaps spread evenly in the exponent from a microsecond to an
+/// hour, and one delay in sixteen a million times longer than the grid's.
+fn wide_delay() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        6 => grid_delay(),
+        9 => (-20i32..12, 1.0f64..2.0).prop_map(|(exp, mantissa)| mantissa * 2f64.powi(exp)),
+        1 => (1.0f64..2.0).prop_map(|mantissa| mantissa * 1e6),
+    ]
+}
+
+/// The four kinds equally likely, so the pending set stays small.
+fn tie_ops() -> impl Strategy<Value = Vec<Op>> {
+    prop::collection::vec((0u8..4, grid_delay(), any::<u16>()), 1..400)
+}
+
+/// Five schedules to one cancel, two pops and one peek: the pending set
+/// grows through every resize threshold up to ~2000 buckets, and the
+/// final drain crosses them all again on the way down.
+fn wide_ops() -> impl Strategy<Value = Vec<Op>> {
+    let kind = prop_oneof![5 => Just(0u8), 1 => Just(1u8), 2 => Just(2u8), 1 => Just(3u8)];
+    prop::collection::vec((kind, wide_delay(), any::<u16>()), 1..4000)
+}
+
+/// Replays `ops` on a [`Calendar`] and on a naive reference model — a flat
+/// `Vec<(time, seq, id)>` where pop scans for the minimum `(time, seq)`
+/// and cancel is a linear remove — and returns the calendar's counters.
+/// Any divergence in pop results, cancel outcomes, `peek_time`, or
+/// `pending` falsifies the calendar's bookkeeping (slot reuse, generation
+/// stamps, bucket links, the cursor, resizes).
+fn replay_against_reference(ops: &[Op]) -> Result<CalendarStats, TestCaseError> {
+    let mut cal: Calendar<u64> = Calendar::new();
+    // Reference model: unordered pending list + every handle ever
+    // issued (kept after pop/cancel so stale cancels get exercised).
+    let mut model: Vec<(Time, u64, u64)> = Vec::new();
+    let mut handles: Vec<(u64, bighouse_des::EventHandle)> = Vec::new();
+    let mut next_seq = 0u64;
+    let model_min = |model: &[(Time, u64, u64)]| {
+        model
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.0.cmp(&b.0).then(a.1.cmp(&b.1)))
+            .map(|(pos, _)| pos)
+    };
+    for &(op, delay, pick) in ops {
+        match op {
+            0 => {
+                let at = cal.now() + delay;
+                let id = next_seq;
+                let handle = cal.schedule_in(delay, id);
+                model.push((at, next_seq, id));
+                handles.push((next_seq, handle));
+                next_seq += 1;
+            }
+            1 => {
+                if !handles.is_empty() {
+                    let (seq, handle) = handles[pick as usize % handles.len()];
+                    let expect = model.iter().position(|&(_, s, _)| s == seq);
+                    prop_assert_eq!(
+                        cal.cancel(handle),
+                        expect.is_some(),
+                        "cancel outcome diverged for seq {}",
+                        seq
+                    );
+                    if let Some(pos) = expect {
+                        model.swap_remove(pos);
+                    }
+                }
+            }
+            2 => {
+                let got = cal.pop();
+                let expect = model_min(&model).map(|pos| {
+                    let (at, _, id) = model.remove(pos);
+                    (at, id)
+                });
+                prop_assert_eq!(got, expect, "pop diverged");
+            }
+            _ => {
+                let expect = model_min(&model).map(|pos| model[pos].0);
+                prop_assert_eq!(cal.peek_time(), expect, "peek_time diverged");
+                prop_assert_eq!(cal.backing_events(), model.len(), "bucket lists diverged");
+            }
+        }
+        prop_assert_eq!(cal.pending(), model.len());
+        prop_assert_eq!(cal.peek_time(), model_min(&model).map(|pos| model[pos].0));
+    }
+    // Drain: the tail must replay the reference order exactly.
+    while let Some(pos) = model_min(&model) {
+        let (at, _, id) = model.remove(pos);
+        prop_assert_eq!(cal.pop(), Some((at, id)), "drain diverged");
+    }
+    prop_assert_eq!(cal.pop(), None);
+    prop_assert!(cal.is_empty());
+    Ok(cal.stats())
+}
 
 proptest! {
     /// Events pop in non-decreasing time order for any schedule.
@@ -137,78 +241,22 @@ proptest! {
         }
     }
 
-    /// Differential check against a naive reference model: a flat
-    /// `Vec<(time, seq, id)>` where pop scans for the minimum
-    /// `(time, seq)` and cancel is a linear remove. Any divergence in
-    /// pop results, cancel outcomes, `peek_time`, or `pending` under a
-    /// random interleaving of schedule/cancel/pop falsifies the slab
-    /// heap's bookkeeping (slot reuse, generation stamps, sift-out).
-    /// Delays come from a coarse grid so equal-time ties are common.
+    /// Differential check against [`replay_against_reference`]'s naive
+    /// model, under two operation strategies: short lists with delays on
+    /// a coarse grid, so equal-time ties are common, and long, growing
+    /// ones whose delays span twelve orders of magnitude, so the bucket
+    /// array doubles and halves, the width is refitted, and the next
+    /// event is at times a "year" or more away.
     #[test]
-    fn calendar_matches_sorted_vec_reference(
-        ops in prop::collection::vec((0u8..4, 0u8..12, any::<u16>()), 1..400)
-    ) {
-        let mut cal: Calendar<u64> = Calendar::new();
-        // Reference model: unordered pending list + every handle ever
-        // issued (kept after pop/cancel so stale cancels get exercised).
-        let mut model: Vec<(Time, u64, u64)> = Vec::new();
-        let mut handles: Vec<(u64, bighouse_des::EventHandle)> = Vec::new();
-        let mut next_seq = 0u64;
-        let model_min = |model: &[(Time, u64, u64)]| {
-            model
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.0.cmp(&b.0).then(a.1.cmp(&b.1)))
-                .map(|(pos, _)| pos)
-        };
-        for &(op, slot, pick) in &ops {
-            match op {
-                0 => {
-                    let delay = f64::from(slot) / 4.0;
-                    let at = cal.now() + delay;
-                    let id = next_seq;
-                    let handle = cal.schedule_in(delay, id);
-                    model.push((at, next_seq, id));
-                    handles.push((next_seq, handle));
-                    next_seq += 1;
-                }
-                1 => {
-                    if !handles.is_empty() {
-                        let (seq, handle) = handles[pick as usize % handles.len()];
-                        let expect = model.iter().position(|&(_, s, _)| s == seq);
-                        prop_assert_eq!(cal.cancel(handle), expect.is_some(),
-                            "cancel outcome diverged for seq {}", seq);
-                        if let Some(pos) = expect {
-                            model.swap_remove(pos);
-                        }
-                    }
-                }
-                2 => {
-                    let got = cal.pop();
-                    let expect = model_min(&model).map(|pos| {
-                        let (at, _, id) = model.remove(pos);
-                        (at, id)
-                    });
-                    prop_assert_eq!(got, expect, "pop diverged");
-                }
-                _ => {
-                    let expect = model_min(&model).map(|pos| model[pos].0);
-                    prop_assert_eq!(cal.peek_time(), expect, "peek_time diverged");
-                }
-            }
-            prop_assert_eq!(cal.pending(), model.len());
-            prop_assert_eq!(
-                cal.peek_time(),
-                model_min(&model).map(|pos| model[pos].0)
-            );
-        }
-        // Drain: the tail must replay the reference order exactly.
-        while let Some(pos) = model_min(&model) {
-            let (at, _, id) = model.remove(pos);
-            prop_assert_eq!(cal.pop(), Some((at, id)), "drain diverged");
-        }
-        prop_assert_eq!(cal.pop(), None);
-        prop_assert!(cal.is_empty());
+    fn calendar_matches_sorted_vec_reference(ops in prop_oneof![tie_ops(), wide_ops()]) {
+        replay_against_reference(&ops)?;
+    }
+
+    /// The counters are a pure function of the operation list: bucket
+    /// count, width and every refit included, two replays agree.
+    #[test]
+    fn calendar_stats_repeat_across_replays(ops in wide_ops()) {
+        prop_assert_eq!(replay_against_reference(&ops)?, replay_against_reference(&ops)?);
     }
 
     /// Time arithmetic: (t + a) + b == t + (a + b) up to float assoc.

@@ -664,7 +664,7 @@ impl ClusterSim {
     /// live inside [`Server`]'s own state fold, which the fast path reuses
     /// verbatim. The fast path finds the next event by scanning every
     /// slot, so it also needs `streams + servers` within
-    /// [`FAST_PATH_MAX_SLOTS`]; past that the heap calendar is faster.
+    /// [`FAST_PATH_MAX_SLOTS`]; past that the calendar is faster.
     #[must_use]
     pub fn fastpath_eligible(&self) -> bool {
         self.arrival_streams() + self.servers.len() <= FAST_PATH_MAX_SLOTS
@@ -1491,7 +1491,7 @@ const VACANT: u128 = u128::MAX;
 /// An eligible configuration's calendar only ever holds one arrival event
 /// per stream plus at most one attention event per server — a fixed,
 /// statically known population. The fast engine exploits that: instead of
-/// a 4-ary heap with handle indirection, pending events live in fixed
+/// a calendar queue with handle indirection, pending events live in fixed
 /// slots as packed `(time, seq)` keys (the exact key format the real
 /// [`Calendar`] sorts by), and the next event is a linear minimum scan.
 /// Handler dispatch, event payloads, and `EventHandle` bookkeeping all
@@ -1504,7 +1504,8 @@ const VACANT: u128 = u128::MAX;
 /// observation order into the same [`StatsCollection`], and the same
 /// convergence-stop boundaries. Estimates are bit-identical, not merely
 /// statistically equivalent. The emulated [`CalendarStats`] match the real
-/// engine's except `sift_steps` (always zero: there is no heap to sift).
+/// engine's except `sift_steps` (always zero: there are no buckets to
+/// search).
 #[derive(Debug)]
 pub(crate) struct FastEngine {
     sim: ClusterSim,
@@ -1592,7 +1593,7 @@ impl FastEngine {
         self.sim
     }
 
-    /// The emulated calendar counters (zero sift steps: no heap).
+    /// The emulated calendar counters (zero sift steps: no buckets).
     pub(crate) fn calendar_stats(&self) -> CalendarStats {
         CalendarStats {
             scheduled: self.scheduled,
@@ -1882,7 +1883,7 @@ mod tests {
         assert_eq!(real.fired, emulated.fired);
         assert_eq!(real.cancelled, emulated.cancelled);
         assert_eq!(real.depth_high_water, emulated.depth_high_water);
-        assert_eq!(emulated.sift_steps, 0, "virtual calendar never sifts");
+        assert_eq!(emulated.sift_steps, 0, "virtual calendar never searches");
     }
 
     #[test]
@@ -1947,15 +1948,13 @@ mod tests {
             "seeded bugs disarm the fast path"
         );
 
-        // 32 per-server streams + 32 servers fill the slot cap exactly.
-        let at_cap = ClusterSim::new(quick_config().with_servers(32), 1).unwrap();
-        assert_eq!(32 + 32, FAST_PATH_MAX_SLOTS);
+        // A per-server stream and a server are two slots: half the cap in
+        // servers fills it exactly.
+        let servers = FAST_PATH_MAX_SLOTS / 2;
+        let at_cap = ClusterSim::new(quick_config().with_servers(servers), 1).unwrap();
         assert!(at_cap.fastpath_eligible());
-        let over_cap = ClusterSim::new(quick_config().with_servers(33), 1).unwrap();
-        assert!(
-            !over_cap.fastpath_eligible(),
-            "66 slots exceed the scan cap"
-        );
+        let over_cap = ClusterSim::new(quick_config().with_servers(servers + 1), 1).unwrap();
+        assert!(!over_cap.fastpath_eligible(), "two slots over the scan cap");
     }
 
     #[test]

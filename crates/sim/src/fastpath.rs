@@ -8,7 +8,7 @@
 //! segments the departure process is fully determined by the arrival and
 //! service draws (the queuecomputer observation), so the simulator can
 //! batch-compute departures with a handful of integer operations per event
-//! instead of running the full 4-ary-heap calendar.
+//! instead of running the full calendar queue.
 //!
 //! The contract is strict **bit-identity**: the fast engine consumes the
 //! RNG stream draw-for-draw, fires the same logical events in the same
@@ -37,11 +37,11 @@ use crate::report::ClusterSummary;
 /// The largest pending-event population (`streams + servers`: one arrival
 /// slot per stream, one attention slot per server) the fast path is chosen
 /// for. Its next-event search scans every slot, so its per-event cost grows
-/// with the cluster while the heap calendar's grows with its logarithm.
+/// with the cluster while the calendar queue's does not.
 /// Measured on per-server M/M/4 at `2N` slots, fast-path ÷ calendar
-/// events/s: 16 slots 1.20, 32 → 1.17, 64 → 1.05, 128 → 0.79, 256 → 0.61,
-/// 512 → 0.44 (DESIGN.md "Analytic fast path").
-pub const FAST_PATH_MAX_SLOTS: usize = 64;
+/// events/s: 16 slots 1.24, 32 → 1.10, 64 → 0.93, 128 → 0.71, 256 → 0.51,
+/// 512 → 0.35; the two cross near 48 (DESIGN.md "Analytic fast path").
+pub const FAST_PATH_MAX_SLOTS: usize = 32;
 
 /// One build → run → audit → hand-off pass over a fresh cluster: the unit
 /// every runner is made of. The serial run is one epoch with the whole

@@ -42,7 +42,7 @@
 //!   hang. With auditing off the estimates are bit-identical.
 //! - The analytic fast path runs plain G/G/k FCFS configurations — no
 //!   faults, no capping epochs, no resilience — of at most
-//!   [`FAST_PATH_MAX_SLOTS`] pending events without the 4-ary-heap
+//!   [`FAST_PATH_MAX_SLOTS`] pending events without the event
 //!   calendar, consuming the identical RNG stream so every estimate stays
 //!   bit-identical to the calendar engine. The runners pick the engine
 //!   from the configuration ([`ClusterSim::fastpath_eligible`]); there is

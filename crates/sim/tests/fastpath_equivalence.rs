@@ -131,7 +131,8 @@ fn ineligible_configs_never_enter_fast_path() {
 #[test]
 fn engine_selection_flips_at_the_slot_cap_with_identical_estimates() {
     // Per-server arrivals occupy two slots per server (its stream, its
-    // attention event): 32 servers sit exactly on the cap, 33 are past it.
+    // attention event): half the cap in servers sits exactly on it, one
+    // more is past it.
     let at_cap = FAST_PATH_MAX_SLOTS / 2;
     for (servers, fast) in [(at_cap, true), (at_cap + 1, false)] {
         let config = eligible_config(1.0, 0.6, servers);
