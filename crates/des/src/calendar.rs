@@ -55,6 +55,22 @@ const DRIFT_STEPS_PER_POP: u64 = 16;
 pub struct EventHandle(u64);
 
 impl EventHandle {
+    /// A handle carrying `raw`, for a pending-event store other than
+    /// [`Calendar`] that mints its own. Only the store that minted a handle
+    /// can interpret it.
+    #[inline]
+    #[must_use]
+    pub fn from_raw(raw: u64) -> Self {
+        EventHandle(raw)
+    }
+
+    /// The bits given to [`EventHandle::from_raw`].
+    #[inline]
+    #[must_use]
+    pub fn raw(self) -> u64 {
+        self.0
+    }
+
     #[inline]
     fn new(slot: u32, generation: u32) -> Self {
         EventHandle((u64::from(generation) << 32) | u64::from(slot))

@@ -44,10 +44,40 @@ const MIN_CYCLE_SECONDS: f64 = 1e-9;
 /// let faults = FaultProcess::exponential(1000.0, 50.0).unwrap();
 /// assert!((faults.availability() - 1000.0 / 1050.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone)]
+///
+/// A process serializes as the [`FaultSpec`] that describes it
+/// ([`FaultProcess::spec`]); one built from arbitrary distributions has
+/// none and is refused on deserialization.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "FaultWire", into = "FaultWire")]
 pub struct FaultProcess {
     time_to_failure: DynDistribution,
     time_to_repair: DynDistribution,
+    /// What [`FaultSpec::build`] rebuilds this process from, if anything.
+    spec: Option<FaultSpec>,
+}
+
+/// [`FaultProcess`] on the wire.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct FaultWire {
+    spec: Option<FaultSpec>,
+}
+
+impl From<FaultProcess> for FaultWire {
+    fn from(process: FaultProcess) -> Self {
+        FaultWire { spec: process.spec }
+    }
+}
+
+impl TryFrom<FaultWire> for FaultProcess {
+    type Error = String;
+
+    fn try_from(wire: FaultWire) -> Result<Self, String> {
+        match wire.spec {
+            Some(spec) => spec.build().map_err(|e| e.to_string()),
+            None => Err("fault process was built from distributions no spec describes".into()),
+        }
+    }
 }
 
 impl FaultProcess {
@@ -75,7 +105,16 @@ impl FaultProcess {
         Ok(FaultProcess {
             time_to_failure,
             time_to_repair,
+            spec: None,
         })
+    }
+
+    /// The spec [`FaultSpec::build`] rebuilds this process from: recorded
+    /// by [`FaultProcess::exponential`] and by [`FaultProcess::weibull`]
+    /// with one shape for both phases, `None` for any other process.
+    #[must_use]
+    pub fn spec(&self) -> Option<FaultSpec> {
+        self.spec
     }
 
     /// The memoryless model: exponential uptime with mean `mtbf` and
@@ -85,10 +124,16 @@ impl FaultProcess {
     ///
     /// Returns an error if either mean is non-positive or non-finite.
     pub fn exponential(mtbf: f64, mttr: f64) -> Result<Self, DistributionError> {
-        Self::new(
+        let mut process = Self::new(
             Arc::new(Exponential::from_mean(mtbf)?),
             Arc::new(Exponential::from_mean(mttr)?),
-        )
+        )?;
+        process.spec = Some(FaultSpec {
+            mtbf,
+            mttr,
+            shape: None,
+        });
+        Ok(process)
     }
 
     /// Weibull uptimes/downtimes parameterized by **mean** (not scale):
@@ -104,10 +149,18 @@ impl FaultProcess {
         repair_shape: f64,
         mttr: f64,
     ) -> Result<Self, DistributionError> {
-        Self::new(
+        let mut process = Self::new(
             Arc::new(weibull_from_mean(failure_shape, mtbf)?),
             Arc::new(weibull_from_mean(repair_shape, mttr)?),
-        )
+        )?;
+        if failure_shape == repair_shape {
+            process.spec = Some(FaultSpec {
+                mtbf,
+                mttr,
+                shape: Some(failure_shape),
+            });
+        }
+        Ok(process)
     }
 
     /// Mean time between failures (seconds).
@@ -178,7 +231,10 @@ fn weibull_from_mean(shape: f64, mean: f64) -> Result<Weibull, DistributionError
 /// assert_eq!(retry.backoff_ceiling(2), 0.1);
 /// assert_eq!(retry.backoff_ceiling(20), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+///
+/// A policy serializes as its [`RetrySpec`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[serde(try_from = "RetrySpec", into = "RetrySpec")]
 pub struct RetryPolicy {
     timeout: f64,
     max_retries: u32,
@@ -340,6 +396,26 @@ pub struct RetrySpec {
     pub cancel_on_timeout: bool,
 }
 
+impl From<RetryPolicy> for RetrySpec {
+    fn from(policy: RetryPolicy) -> Self {
+        RetrySpec {
+            timeout: policy.timeout,
+            max_retries: policy.max_retries,
+            backoff_base: Some(policy.backoff_base),
+            backoff_cap: Some(policy.backoff_cap),
+            cancel_on_timeout: policy.cancel_on_timeout,
+        }
+    }
+}
+
+impl TryFrom<RetrySpec> for RetryPolicy {
+    type Error = String;
+
+    fn try_from(spec: RetrySpec) -> Result<Self, String> {
+        spec.build()
+    }
+}
+
 fn default_max_retries() -> u32 {
     3
 }
@@ -494,6 +570,73 @@ mod tests {
         assert_eq!(policy.max_retries(), 2);
         assert!((policy.backoff_ceiling(1) - 0.05).abs() < 1e-12);
         assert!(policy.cancels_on_timeout());
+    }
+
+    #[test]
+    fn retry_policy_round_trips_through_its_spec() {
+        for policy in [
+            RetryPolicy::new(0.5),
+            RetryPolicy::new(2.0)
+                .with_max_retries(0)
+                .with_backoff(0.0, 7.5)
+                .with_cancel_on_timeout(false),
+        ] {
+            assert_eq!(RetryPolicy::try_from(RetrySpec::from(policy)), Ok(policy));
+        }
+    }
+
+    #[test]
+    fn fault_process_round_trips_through_the_spec_it_was_built_from() {
+        for process in [
+            FaultProcess::exponential(900.0, 100.0).unwrap(),
+            FaultProcess::weibull(0.7, 500.0, 0.7, 20.0).unwrap(),
+        ] {
+            let spec = process.spec().expect("a spec constructor was used");
+            assert_eq!(spec.build().unwrap().spec(), Some(spec));
+            let back = FaultProcess::try_from(FaultWire::from(process.clone())).unwrap();
+            assert_eq!(back.spec(), Some(spec));
+            // The rebuilt process draws what the original draws.
+            let (mut a, mut b) = (SimRng::from_seed(9), SimRng::from_seed(9));
+            for _ in 0..100 {
+                assert_eq!(process.sample_uptime(&mut a), back.sample_uptime(&mut b));
+                assert_eq!(
+                    process.sample_downtime(&mut a),
+                    back.sample_downtime(&mut b)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fault_process_no_spec_describes_is_refused_on_the_wire() {
+        let unequal = FaultProcess::weibull(0.7, 500.0, 2.0, 20.0).unwrap();
+        let custom = FaultProcess::new(
+            Arc::new(Exponential::from_mean(10.0).unwrap()),
+            Arc::new(Exponential::from_mean(1.0).unwrap()),
+        )
+        .unwrap();
+        for process in [unequal, custom] {
+            assert_eq!(process.spec(), None);
+            let refused = FaultProcess::try_from(FaultWire::from(process));
+            assert!(refused.unwrap_err().contains("no spec describes"));
+        }
+    }
+
+    #[test]
+    fn processes_and_policies_round_trip_as_json() {
+        let policy = RetryPolicy::new(0.5).with_max_retries(1);
+        let json = serde_json::to_string(&policy).unwrap();
+        assert_eq!(serde_json::from_str::<RetryPolicy>(&json).unwrap(), policy);
+
+        let process = FaultProcess::weibull(1.5, 300.0, 1.5, 30.0).unwrap();
+        let json = serde_json::to_string(&process).unwrap();
+        let back: FaultProcess = serde_json::from_str(&json).unwrap();
+        assert_eq!(back.spec(), process.spec());
+
+        let custom = FaultProcess::weibull(0.7, 500.0, 2.0, 20.0).unwrap();
+        let json = serde_json::to_string(&custom).unwrap();
+        let refused = serde_json::from_str::<FaultProcess>(&json).unwrap_err();
+        assert!(refused.to_string().contains("no spec describes"));
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use bighouse_des::{
-    Calendar, CalendarStats, Control, EventHandle, FastMap, ProgressViolation, RunStats, SimRng,
-    Simulation, Time,
+    Calendar, Control, EventHandle, FastMap, ProgressViolation, SimRng, Simulation, Time,
 };
 use bighouse_dists::QuantileGuide;
 use bighouse_models::{FinishedJob, Job, JobId, LoadBalancer, PowerCapper, Server};
@@ -14,6 +13,7 @@ use crate::audit::{AuditLedger, AuditReport, Auditor, SeededBug};
 use crate::config::{ArrivalMode, ExperimentConfig, MetricKind};
 use crate::error::SimError;
 use crate::fastpath::FAST_PATH_MAX_SLOTS;
+use crate::pending::Pending;
 use crate::report::{ClusterSummary, FaultSummary};
 use crate::resilience::{AdmissionPolicy, ResilienceState, ResilienceSummary};
 use crate::telemetry::ClusterTelemetry;
@@ -115,8 +115,7 @@ pub struct ClusterSim {
     rng: SimRng,
     /// Guided samplers over the workload's two tables: bit-identical to
     /// `Empirical::sample` on the same raw draw, without the full-table
-    /// binary search. Every workload draw of either engine goes through
-    /// them.
+    /// binary search. Every workload draw goes through them.
     service_guide: QuantileGuide,
     interarrival_guide: QuantileGuide,
     /// The one completion buffer `Server::arrive_into`/`sync_into` fill,
@@ -301,6 +300,11 @@ impl ClusterSim {
     /// each server (if faults are configured), and, if needed, the first
     /// budgeting/observation epoch. Call exactly once before running.
     pub fn prime(&mut self, cal: &mut Calendar<ClusterEvent>) {
+        self.prime_on(cal);
+    }
+
+    /// [`ClusterSim::prime`] over either pending-set store.
+    pub(crate) fn prime_on(&mut self, cal: &mut impl Pending) {
         let now = cal.now();
         match self.config.arrival_mode {
             ArrivalMode::PerServer => {
@@ -366,9 +370,13 @@ impl ClusterSim {
         self.servers[server].sync_into(now, &mut self.finished);
     }
 
-    /// Records the shared buffer's completions. The buffer is lent out for
-    /// the call: nothing `record_finished` reaches fills it again.
-    fn record_buffered(&mut self, cal: &mut Calendar<ClusterEvent>) {
+    /// Records the shared buffer's completions (most events leave none).
+    /// The buffer is lent out for the call: nothing `record_finished`
+    /// reaches fills it again.
+    fn record_buffered(&mut self, cal: &mut impl Pending) {
+        if self.finished.is_empty() {
+            return;
+        }
         let finished = std::mem::take(&mut self.finished);
         self.record_finished(&finished, cal);
         self.finished = finished;
@@ -651,47 +659,29 @@ impl ClusterSim {
         }
     }
 
-    /// Whether this configuration is a plain G/G/k FCFS segment small
-    /// enough that the analytic fast path beats the calendar, with
-    /// bit-identical estimates either way.
+    /// Whether this configuration runs on fixed slots rather than the
+    /// calendar, with bit-identical estimates either way: every event it
+    /// can schedule has a slot of its own — the arrival/attention pair of a
+    /// plain G/G/k FCFS segment and nothing else — and there are few enough
+    /// slots that scanning them all beats the calendar queue.
     ///
-    /// Eligible configurations use only the arrival/attention event pair:
-    /// no fault process, no retries, no resilience machinery (so no SLO
-    /// metric either), no auditing, no power capper, and no epoch-paced
-    /// metric ([`MetricKind::is_epoch_paced`]) — every feature that makes
-    /// remaining-work tracking or epoch boundaries matter. Idle policies,
-    /// DVFS, power models, and both arrival modes are all allowed: they
-    /// live inside [`Server`]'s own state fold, which the fast path reuses
-    /// verbatim. The fast path finds the next event by scanning every
-    /// slot, so it also needs `streams + servers` within
-    /// [`FAST_PATH_MAX_SLOTS`]; past that the calendar is faster.
+    /// What has no slot: the failure, repair, timeout, redispatch and hedge
+    /// events of request tracking (faults, retries, resilience — so no SLO
+    /// metric either), the power capper's epoch, the observation epoch of
+    /// an epoch-paced metric ([`MetricKind::is_epoch_paced`]), and the
+    /// seeded livelock's second attention event. Audited runs stay on the
+    /// calendar as well. Idle policies, DVFS, power models and both arrival
+    /// modes live inside [`Server`]'s own state fold and are all allowed.
+    /// The slots are one per arrival stream and one per server, at most
+    /// [`FAST_PATH_MAX_SLOTS`] in all.
     #[must_use]
     pub fn fastpath_eligible(&self) -> bool {
         self.arrival_streams() + self.servers.len() <= FAST_PATH_MAX_SLOTS
-            && self.config.faults.is_none()
-            && self.config.retry.is_none()
-            && self.config.resilience.is_none()
-            && self.config.audit.is_none()
-            && self.capper.is_none()
             && !self.track_mode
+            && self.capper.is_none()
             && !self.tracks_epoch_paced()
             && self.seeded_bug.is_none()
-    }
-
-    /// Counts a fast-path entry on the telemetry recorder (no-op with
-    /// telemetry off).
-    pub(crate) fn note_fastpath_entry(&mut self) {
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.note_fastpath_entry();
-        }
-    }
-
-    /// Counts a fast-path bailout on the telemetry recorder (no-op with
-    /// telemetry off).
-    pub(crate) fn note_fastpath_bailout(&mut self) {
-        if let Some(t) = self.telemetry.as_deref_mut() {
-            t.note_fastpath_bailout();
-        }
+            && self.config.audit.is_none()
     }
 
     /// Mutation-test hook: arms a deliberately seeded accounting bug. The
@@ -703,11 +693,7 @@ impl ClusterSim {
         self.bug_pending = true;
     }
 
-    fn record_finished(
-        &mut self,
-        finished: &[bighouse_models::FinishedJob],
-        cal: &mut Calendar<ClusterEvent>,
-    ) {
+    fn record_finished(&mut self, finished: &[FinishedJob], cal: &mut impl Pending) {
         for f in finished {
             if self.bug_pending && self.seeded_bug == Some(SeededBug::DropCompletion) {
                 // Mutation hook: lose this completion entirely — no stats,
@@ -742,7 +728,7 @@ impl ClusterSim {
         }
     }
 
-    /// The two per-completion observations, shared by both engines.
+    /// The two per-completion observations.
     #[inline]
     fn observe_completion(&mut self, f: &FinishedJob, response: f64, now: Time) {
         self.observe(MetricKind::ResponseTime, response, now);
@@ -759,7 +745,8 @@ impl ClusterSim {
     /// or a primary (retire it and cancel its hedge, if one is running).
     /// Retirement happens exactly when the request leaves the map, so a
     /// hedged pair can never be credited twice.
-    fn retire_completion(&mut self, fid: u64, response: f64, cal: &mut Calendar<ClusterEvent>) {
+    #[inline(never)]
+    fn retire_completion(&mut self, fid: u64, response: f64, cal: &mut impl Pending) {
         if let Some(primary) = self.hedge_of.remove(&fid) {
             // The hedge finished first: its primary is still running.
             let Some(req) = self.requests.remove(&primary) else {
@@ -819,7 +806,7 @@ impl ClusterSim {
         if let Some(hedge) = req.hedge.take() {
             // The primary won: cancel the losing duplicate mid-service —
             // the tail-at-scale bet paying off through the calendar's
-            // O(log n) cancel.
+            // O(1) cancel.
             self.hedge_of.remove(&hedge.job);
             let now = cal.now();
             let (finished, cancelled) =
@@ -863,18 +850,12 @@ impl ClusterSim {
         }
     }
 
-    /// The untracked arrival: one service draw and a fresh job on
-    /// `server`, its completions left in the shared buffer for the calling
-    /// engine to record.
-    fn inject_buffered(&mut self, server: usize, now: Time) {
+    /// The untracked arrival: one service draw and a fresh job on `server`.
+    fn inject(&mut self, server: usize, now: Time, cal: &mut impl Pending) {
         let size = self.draw_service();
         let job = Job::new(JobId::new(self.job_counter), now, size);
         self.job_counter += 1;
         self.land(server, job, now);
-    }
-
-    fn inject(&mut self, server: usize, now: Time, cal: &mut Calendar<ClusterEvent>) {
-        self.inject_buffered(server, now);
         self.record_buffered(cal);
     }
 
@@ -882,7 +863,7 @@ impl ClusterSim {
     /// class shedding, then samples its size, registers it, arms its
     /// timeout (if a retry policy is set), and places it. A shed arrival
     /// consumes no service-time draw: the request never exists.
-    fn admit(&mut self, home: Option<usize>, now: Time, cal: &mut Calendar<ClusterEvent>) {
+    fn admit(&mut self, home: Option<usize>, now: Time, cal: &mut impl Pending) {
         let class = self.draw_class();
         if self.resilience.is_some() && !self.admit_gate(class, now) {
             return;
@@ -982,7 +963,7 @@ impl ClusterSim {
     /// configured. The timeout covers an attempt window: it survives
     /// preemptions and strandings, and is re-armed only after a
     /// backoff/redispatch cycle.
-    fn arm_timeout(&mut self, key: u64, cal: &mut Calendar<ClusterEvent>) {
+    fn arm_timeout(&mut self, key: u64, cal: &mut impl Pending) {
         if let Some(policy) = self.config.retry {
             let handle =
                 cal.schedule_in(policy.timeout(), ClusterEvent::RequestTimeout { job: key });
@@ -994,7 +975,7 @@ impl ClusterSim {
 
     /// Places an unassigned request on a live server, or strands it until
     /// a repair frees capacity.
-    fn try_place(&mut self, key: u64, now: Time, cal: &mut Calendar<ClusterEvent>) {
+    fn try_place(&mut self, key: u64, now: Time, cal: &mut impl Pending) {
         let (job, home) = match self.requests.get(&key) {
             Some(req) => {
                 debug_assert!(req.server.is_none(), "placing an already-placed request");
@@ -1035,7 +1016,7 @@ impl ClusterSim {
     /// Arms the hedge deadline for a freshly placed request, if a hedge
     /// policy is configured and neither a hedge nor a deadline is already
     /// live for it.
-    fn arm_hedge(&mut self, key: u64, cal: &mut Calendar<ClusterEvent>) {
+    fn arm_hedge(&mut self, key: u64, cal: &mut impl Pending) {
         let Some(policy) = self.config.resilience.as_ref().and_then(|r| r.hedge) else {
             return;
         };
@@ -1053,7 +1034,8 @@ impl ClusterSim {
     /// duplicate it to the least-loaded *other* live server. The duplicate
     /// keeps the original arrival time, so whichever copy finishes first
     /// records the true request latency.
-    fn handle_hedge_fire(&mut self, key: u64, now: Time, cal: &mut Calendar<ClusterEvent>) {
+    #[inline(never)]
+    fn handle_hedge_fire(&mut self, key: u64, now: Time, cal: &mut impl Pending) {
         let (arrival, primary_server) = match self.requests.get_mut(&key) {
             Some(req) => {
                 req.hedge_fire = None;
@@ -1103,7 +1085,8 @@ impl ClusterSim {
         self.reschedule_attention(s, now, cal);
     }
 
-    fn handle_failure(&mut self, server: usize, now: Time, cal: &mut Calendar<ClusterEvent>) {
+    #[inline(never)]
+    fn handle_failure(&mut self, server: usize, now: Time, cal: &mut impl Pending) {
         let (finished, lost) = self.servers[server].fail(now);
         self.record_finished(&finished, cal);
         self.n_failures += 1;
@@ -1138,7 +1121,8 @@ impl ClusterSim {
         }
     }
 
-    fn handle_repair(&mut self, server: usize, now: Time, cal: &mut Calendar<ClusterEvent>) {
+    #[inline(never)]
+    fn handle_repair(&mut self, server: usize, now: Time, cal: &mut impl Pending) {
         self.servers[server].repair(now);
         self.reschedule_attention(server, now, cal);
         if let Some(faults) = self.config.faults.as_ref() {
@@ -1162,7 +1146,8 @@ impl ClusterSim {
         self.stranded_scratch = pending;
     }
 
-    fn handle_timeout(&mut self, key: u64, now: Time, cal: &mut Calendar<ClusterEvent>) {
+    #[inline(never)]
+    fn handle_timeout(&mut self, key: u64, now: Time, cal: &mut impl Pending) {
         let Some(policy) = self.config.retry else {
             return;
         };
@@ -1253,7 +1238,8 @@ impl ClusterSim {
         }
     }
 
-    fn handle_redispatch(&mut self, key: u64, now: Time, cal: &mut Calendar<ClusterEvent>) {
+    #[inline(never)]
+    fn handle_redispatch(&mut self, key: u64, now: Time, cal: &mut impl Pending) {
         match self.requests.get_mut(&key) {
             Some(req) => {
                 req.pending_redispatch = false;
@@ -1278,7 +1264,7 @@ impl ClusterSim {
         self.try_place(key, now, cal);
     }
 
-    fn reschedule_attention(&mut self, server: usize, now: Time, cal: &mut Calendar<ClusterEvent>) {
+    fn reschedule_attention(&mut self, server: usize, now: Time, cal: &mut impl Pending) {
         if let Some(handle) = self.attention[server].take() {
             cal.cancel(handle);
         }
@@ -1289,7 +1275,7 @@ impl ClusterSim {
         }
     }
 
-    fn epoch_tick(&mut self, now: Time, rebudget: bool, cal: &mut Calendar<ClusterEvent>) {
+    fn epoch_tick(&mut self, now: Time, rebudget: bool, cal: &mut impl Pending) {
         let mut utilizations = std::mem::take(&mut self.epoch_utilizations);
         utilizations.clear();
         for s in 0..self.servers.len() {
@@ -1386,47 +1372,44 @@ impl ClusterSim {
         }
         self.epoch_utilizations = utilizations;
     }
-}
 
-impl Simulation for ClusterSim {
-    type Event = ClusterEvent;
-
-    fn handle(
+    /// Handles one event popped from `cal`: [`Simulation::handle`] over
+    /// either pending-set store.
+    ///
+    /// The tracked-request handlers are `#[inline(never)]`: inlined here
+    /// they triple this function and the frame every arrival and attention
+    /// event sets up (2.5 % of `fcfs_small`'s event; DESIGN.md "Analytic
+    /// fast path").
+    pub(crate) fn handle_on(
         &mut self,
         now: Time,
         event: ClusterEvent,
-        cal: &mut Calendar<ClusterEvent>,
+        cal: &mut impl Pending,
     ) -> Control {
         match event {
-            ClusterEvent::Arrival { server } => {
+            ClusterEvent::Arrival { .. } | ClusterEvent::BalancedArrival => {
+                let home = match event {
+                    ClusterEvent::Arrival { server } => Some(server),
+                    _ => None,
+                };
                 if self.track_mode {
-                    self.admit(Some(server), now, cal);
-                } else {
-                    self.inject(server, now, cal);
-                    self.reschedule_attention(server, now, cal);
-                }
-                let dt = self.next_interarrival(now);
-                cal.schedule_in(dt, ClusterEvent::Arrival { server });
-            }
-            ClusterEvent::BalancedArrival => {
-                if self.track_mode {
-                    self.admit(None, now, cal);
+                    self.admit(home, now, cal);
                 } else {
                     // Route straight off server state — no per-arrival
                     // queue-length snapshot Vec.
-                    let picked = {
-                        let servers = &self.servers;
+                    let servers = &self.servers;
+                    let target = home.or_else(|| {
                         self.balancer
                             .as_mut()
                             .map(|b| b.pick_by(|i| servers[i].outstanding(), &mut self.rng))
-                    };
-                    if let Some(server) = picked {
+                    });
+                    if let Some(server) = target {
                         self.inject(server, now, cal);
                         self.reschedule_attention(server, now, cal);
                     }
                 }
                 let dt = self.next_interarrival(now);
-                cal.schedule_in(dt, ClusterEvent::BalancedArrival);
+                cal.schedule_in(dt, event);
             }
             ClusterEvent::Attention { server } => {
                 self.attention[server] = None;
@@ -1481,267 +1464,25 @@ impl Simulation for ClusterSim {
     }
 }
 
-/// A vacant slot in the fast engine's virtual calendar. No real key can
-/// collide with it: the high 64 bits of a key are the bit pattern of a
-/// finite timestamp, and all-ones would be NaN.
-const VACANT: u128 = u128::MAX;
+impl Simulation for ClusterSim {
+    type Event = ClusterEvent;
 
-/// The analytic fast-path engine for eligible (plain G/G/k FCFS) clusters.
-///
-/// An eligible configuration's calendar only ever holds one arrival event
-/// per stream plus at most one attention event per server — a fixed,
-/// statically known population. The fast engine exploits that: instead of
-/// a calendar queue with handle indirection, pending events live in fixed
-/// slots as packed `(time, seq)` keys (the exact key format the real
-/// [`Calendar`] sorts by), and the next event is a linear minimum scan.
-/// Handler dispatch, event payloads, and `EventHandle` bookkeeping all
-/// disappear. Workload draws and the completion buffer are the
-/// simulation's own, shared with the calendar engine.
-///
-/// **Bit-identity contract**: the engine replays the calendar engine's
-/// exact semantics — the same RNG draws in the same order, the same
-/// scheduling sequence numbers (so time ties break identically), the same
-/// observation order into the same [`StatsCollection`], and the same
-/// convergence-stop boundaries. Estimates are bit-identical, not merely
-/// statistically equivalent. The emulated [`CalendarStats`] match the real
-/// engine's except `sift_steps` (always zero: there are no buckets to
-/// search).
-#[derive(Debug)]
-pub(crate) struct FastEngine {
-    sim: ClusterSim,
-    now: Time,
-    /// One slot per arrival stream: each server's stream in per-server
-    /// mode, or the single balanced front-end stream (slot 0).
-    arrival_keys: Vec<u128>,
-    /// One slot per server for its pending attention event.
-    attention_keys: Vec<u128>,
-    /// Mirrors the real calendar's scheduling sequence counter, so packed
-    /// keys — and therefore time-tie ordering — are identical.
-    next_seq: u64,
-    /// Occupied slots (the emulated calendar depth).
-    pending: usize,
-    scheduled: u64,
-    fired: u64,
-    cancelled: u64,
-    depth_high_water: usize,
-    /// Cached convergence verdict. `StatsCollection` phases only change
-    /// when an observation is recorded, so the flag is refreshed after
-    /// exactly those events — the stop fires at the same event boundary
-    /// the calendar engine's per-event check would find.
-    should_stop: bool,
-}
-
-impl FastEngine {
-    /// Builds the engine and primes the virtual calendar, replicating
-    /// [`ClusterSim::prime`]'s draw order for an eligible configuration.
-    pub(crate) fn new(mut sim: ClusterSim) -> Self {
-        debug_assert!(sim.fastpath_eligible(), "fast engine on ineligible sim");
-        sim.note_fastpath_entry();
-        let n = sim.servers.len();
-        let streams = sim.arrival_streams();
-        let mut engine = FastEngine {
-            sim,
-            now: Time::ZERO,
-            arrival_keys: vec![VACANT; streams],
-            attention_keys: vec![VACANT; n],
-            next_seq: 0,
-            pending: 0,
-            scheduled: 0,
-            fired: 0,
-            cancelled: 0,
-            depth_high_water: 0,
-            should_stop: false,
-        };
-        for stream in 0..streams {
-            let dt = engine.sim.next_interarrival(engine.now);
-            engine.arrival_keys[stream] = engine.pack(engine.now + dt);
-        }
-        // Restored (resumed-epoch) statistics may already be converged;
-        // the calendar engine would stop at the very first event.
-        engine.should_stop =
-            engine.sim.stop_on_convergence && engine.sim.stats.all_converged();
-        engine
-    }
-
-    /// Mirrors [`Engine::run_with_limit`] exactly.
-    pub(crate) fn run_with_limit(&mut self, max_events: u64) -> RunStats {
-        let mut stats = RunStats::default();
-        while stats.events_fired < max_events {
-            if !self.fire_next() {
-                return stats;
-            }
-            stats.events_fired += 1;
-            if self.should_stop {
-                stats.stopped_by_simulation = true;
-                return stats;
-            }
-        }
-        stats.hit_event_limit = true;
-        stats
-    }
-
-    /// Current simulated time (the timestamp of the last fired event).
-    pub(crate) fn now(&self) -> Time {
-        self.now
-    }
-
-    pub(crate) fn simulation(&self) -> &ClusterSim {
-        &self.sim
-    }
-
-    pub(crate) fn into_simulation(self) -> ClusterSim {
-        self.sim
-    }
-
-    /// The emulated calendar counters (zero sift steps: no buckets).
-    pub(crate) fn calendar_stats(&self) -> CalendarStats {
-        CalendarStats {
-            scheduled: self.scheduled,
-            fired: self.fired,
-            cancelled: self.cancelled,
-            depth_high_water: self.depth_high_water,
-            sift_steps: 0,
-        }
-    }
-
-    /// Packs `(at, seq)` into the real calendar's sort-key format,
-    /// consuming one sequence number and counting the schedule.
-    fn pack(&mut self, at: Time) -> u128 {
-        assert!(
-            at >= self.now,
-            "cannot schedule event at {at} before current time {}",
-            self.now
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled += 1;
-        self.pending += 1;
-        if self.pending > self.depth_high_water {
-            self.depth_high_water = self.pending;
-        }
-        // `+ 0.0` normalizes -0.0 to +0.0, exactly as the real calendar's
-        // key packing does.
-        (u128::from((at.as_seconds() + 0.0).to_bits()) << 64) | u128::from(seq)
-    }
-
-    /// Pops and handles the earliest pending event. Returns `false` when
-    /// the virtual calendar is empty (mirroring a drained real calendar).
-    fn fire_next(&mut self) -> bool {
-        let mut best = VACANT;
-        let mut slot = 0usize;
-        for (i, &k) in self.arrival_keys.iter().enumerate() {
-            if k < best {
-                best = k;
-                slot = i;
-            }
-        }
-        let arrivals = self.arrival_keys.len();
-        for (s, &k) in self.attention_keys.iter().enumerate() {
-            if k < best {
-                best = k;
-                slot = arrivals + s;
-            }
-        }
-        if best == VACANT {
-            return false;
-        }
-        self.now = Time::from_seconds(f64::from_bits((best >> 64) as u64));
-        self.pending -= 1;
-        self.fired += 1;
-        let recorded = if slot < arrivals {
-            self.arrival_keys[slot] = VACANT;
-            self.handle_arrival(slot)
-        } else {
-            let server = slot - arrivals;
-            self.attention_keys[server] = VACANT;
-            self.handle_attention(server)
-        };
-        if recorded && self.sim.stop_on_convergence {
-            self.should_stop = self.sim.stats.all_converged();
-        }
-        true
-    }
-
-    /// Replays `ClusterEvent::Arrival` / `ClusterEvent::BalancedArrival`
-    /// for stream `stream`, in the calendar handler's exact order: inject,
-    /// reschedule attention, draw the next interarrival, schedule it.
-    /// Returns whether any observation was recorded.
-    fn handle_arrival(&mut self, stream: usize) -> bool {
-        let now = self.now;
-        let server = match self.sim.config.arrival_mode {
-            ArrivalMode::PerServer => Some(stream),
-            ArrivalMode::LoadBalanced(_) => {
-                let servers = &self.sim.servers;
-                self.sim
-                    .balancer
-                    .as_mut()
-                    .map(|b| b.pick_by(|i| servers[i].outstanding(), &mut self.sim.rng))
-            }
-        };
-        let mut recorded = false;
-        if let Some(server) = server {
-            self.sim.inject_buffered(server, now);
-            recorded = self.record_finished(now);
-            self.reschedule_attention(server, now);
-        }
-        let dt = self.sim.next_interarrival(now);
-        assert!(
-            dt.is_finite() && dt >= 0.0,
-            "event delay must be finite and non-negative, got {dt}"
-        );
-        self.arrival_keys[stream] = self.pack(now + dt);
-        recorded
-    }
-
-    /// Replays `ClusterEvent::Attention` for `server`: fold the server
-    /// forward, record its completions, re-arm its next event.
-    fn handle_attention(&mut self, server: usize) -> bool {
-        let now = self.now;
-        self.sim.sync_server(server, now);
-        let recorded = self.record_finished(now);
-        self.reschedule_attention(server, now);
-        recorded
-    }
-
-    /// Replays `ClusterSim::record_finished` over the simulation's
-    /// completion buffer for the eligible feature set (no audit vetting,
-    /// no zombies, no request tracking), in the same observation order.
-    fn record_finished(&mut self, now: Time) -> bool {
-        let n = self.sim.finished.len();
-        if n == 0 {
-            return false;
-        }
-        if let Some(t) = self.sim.telemetry.as_deref_mut() {
-            t.note_fastpath_batched_departures(n as u64);
-        }
-        for i in 0..n {
-            let f = self.sim.finished[i];
-            self.sim.observe_completion(&f, f.response_time(), now);
-        }
-        true
-    }
-
-    /// Replays `ClusterSim::reschedule_attention` against the virtual
-    /// calendar: cancel the stale attention (consuming no sequence number,
-    /// like the real `Calendar::cancel`), then schedule the server's next
-    /// internal event, if any.
-    fn reschedule_attention(&mut self, server: usize, now: Time) {
-        if self.attention_keys[server] != VACANT {
-            self.attention_keys[server] = VACANT;
-            self.pending -= 1;
-            self.cancelled += 1;
-        }
-        if let Some(t) = self.sim.servers[server].next_event() {
-            let at = t.max(now);
-            self.attention_keys[server] = self.pack(at);
-        }
+    fn handle(
+        &mut self,
+        now: Time,
+        event: ClusterEvent,
+        cal: &mut Calendar<ClusterEvent>,
+    ) -> Control {
+        self.handle_on(now, event, cal)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bighouse_des::Engine;
+    use crate::fastpath::drive;
+    use crate::pending::FixedSlots;
+    use bighouse_des::{Engine, RunStats};
     use bighouse_dists::Distribution;
     use bighouse_faults::{FaultProcess, RetryPolicy};
     use bighouse_workloads::{StandardWorkload, Workload};
@@ -1764,18 +1505,26 @@ mod tests {
         (engine.into_simulation(), now, stats.events_fired)
     }
 
-    /// Runs `config` through the calendar engine and the fast engine with
-    /// the same seed and asserts bit-identical outcomes: event counts,
-    /// clocks, job counters, RNG stream position, per-metric sample
-    /// bookkeeping, and every estimate down to the last mantissa bit.
+    /// Primes an eligible `sim` on fixed slots and runs it through the
+    /// epoch driver's loop for at most `max_events`.
+    fn run_on_slots(mut sim: ClusterSim, max_events: u64) -> (ClusterSim, FixedSlots, RunStats) {
+        assert!(sim.fastpath_eligible(), "config must be eligible");
+        let balanced = matches!(sim.config.arrival_mode, ArrivalMode::LoadBalanced(_));
+        let mut slots = FixedSlots::new(sim.servers.len(), balanced);
+        sim.prime_on(&mut slots);
+        let run = drive(&mut sim, &mut slots, max_events, None);
+        (sim, slots, run)
+    }
+
+    /// Runs `config` on the calendar engine and on fixed slots with the
+    /// same seed and asserts bit-identical outcomes: event counts, clocks,
+    /// job counters, RNG stream position, per-metric sample bookkeeping,
+    /// and every estimate down to the last mantissa bit.
     fn assert_engines_bit_identical(config: ExperimentConfig, seed: u64) {
         let (mut cal_sim, cal_now, cal_events) = run(config.clone(), seed);
         let fast_sim = ClusterSim::new(config, seed).expect("valid config");
-        assert!(fast_sim.fastpath_eligible(), "config must be eligible");
-        let mut fast = FastEngine::new(fast_sim);
-        let fast_stats = fast.run_with_limit(20_000_000);
-        let fast_now = fast.now();
-        let mut fast_sim = fast.into_simulation();
+        let (mut fast_sim, slots, fast_stats) = run_on_slots(fast_sim, 20_000_000);
+        let fast_now = slots.now();
 
         assert_eq!(cal_events, fast_stats.events_fired, "event count differs");
         assert_eq!(
@@ -1784,7 +1533,7 @@ mod tests {
             "final clock differs"
         );
         assert_eq!(cal_sim.job_counter, fast_sim.job_counter);
-        // Both engines must have consumed the RNG stream draw-for-draw:
+        // Both runs must have consumed the RNG stream draw-for-draw:
         // the next raw output matches only if every position did.
         assert_eq!(cal_sim.rng.raw_u64(), fast_sim.rng.raw_u64());
         for (a, b) in cal_sim.stats.iter().zip(fast_sim.stats.iter()) {
@@ -1803,12 +1552,7 @@ mod tests {
             assert_eq!(ea.mean_half_width.to_bits(), eb.mean_half_width.to_bits());
             assert_eq!(ea.quantiles.len(), eb.quantiles.len());
             for (qa, qb) in ea.quantiles.iter().zip(eb.quantiles.iter()) {
-                assert_eq!(
-                    qa.value.to_bits(),
-                    qb.value.to_bits(),
-                    "q{} differs",
-                    qa.q
-                );
+                assert_eq!(qa.value.to_bits(), qb.value.to_bits(), "q{} differs", qa.q);
             }
         }
     }
@@ -1875,9 +1619,8 @@ mod tests {
         let real = engine.calendar().stats();
 
         let fast_sim = ClusterSim::new(config, 15).expect("valid config");
-        let mut fast = FastEngine::new(fast_sim);
-        fast.run_with_limit(20_000_000);
-        let emulated = fast.calendar_stats();
+        let (_, slots, _) = run_on_slots(fast_sim, 20_000_000);
+        let emulated = slots.stats();
 
         assert_eq!(real.scheduled, emulated.scheduled);
         assert_eq!(real.fired, emulated.fired);
@@ -1889,8 +1632,8 @@ mod tests {
     #[test]
     fn restored_converged_stats_stop_both_engines_at_the_first_event() {
         // A resumed epoch can start on statistics that already converged:
-        // the calendar engine handles one event and stops, and the fast
-        // engine's cached verdict must be primed to do the same.
+        // the shared handler tests convergence after every event, so one
+        // event is handled and the run stops, on either store.
         let (converged, ..) = run(quick_config(), 16);
         assert!(converged.stats().all_converged());
         let stats = converged.into_stats();
@@ -1904,13 +1647,12 @@ mod tests {
 
         let mut fast_sim = ClusterSim::new(quick_config(), 17).unwrap();
         fast_sim.restore_stats(stats).unwrap();
-        let mut fast = FastEngine::new(fast_sim);
-        let fast_run = fast.run_with_limit(1_000);
+        let (_, slots, fast_run) = run_on_slots(fast_sim, 1_000);
 
         assert_eq!(cal_run.events_fired, 1);
         assert_eq!(fast_run.events_fired, 1);
         assert!(cal_run.stopped_by_simulation && fast_run.stopped_by_simulation);
-        assert_eq!(engine.now(), fast.now());
+        assert_eq!(engine.now(), slots.now());
     }
 
     #[test]
@@ -1929,13 +1671,13 @@ mod tests {
 
         let retrying =
             ClusterSim::new(quick_config().with_retry(RetryPolicy::new(1.0)), 1).unwrap();
-        assert!(!retrying.fastpath_eligible(), "retries disarm the fast path");
+        assert!(
+            !retrying.fastpath_eligible(),
+            "retries disarm the fast path"
+        );
 
-        let resilient = ClusterSim::new(
-            quick_config().with_resilience(ResilienceConfig::new()),
-            1,
-        )
-        .unwrap();
+        let resilient =
+            ClusterSim::new(quick_config().with_resilience(ResilienceConfig::new()), 1).unwrap();
         assert!(
             !resilient.fastpath_eligible(),
             "resilience disarms the fast path"

@@ -40,13 +40,13 @@
 //!   before it can poison an estimator, and livelocks/event storms are
 //!   broken with an honest partial report ([`AuditReport`]) instead of a
 //!   hang. With auditing off the estimates are bit-identical.
-//! - The analytic fast path runs plain G/G/k FCFS configurations — no
-//!   faults, no capping epochs, no resilience — of at most
-//!   [`FAST_PATH_MAX_SLOTS`] pending events without the event
-//!   calendar, consuming the identical RNG stream so every estimate stays
-//!   bit-identical to the calendar engine. The runners pick the engine
-//!   from the configuration ([`ClusterSim::fastpath_eligible`]); there is
-//!   nothing to set.
+//! - The analytic fast path holds the pending events of plain G/G/k FCFS
+//!   configurations — no faults, no capping epochs, no resilience — of at
+//!   most [`FAST_PATH_MAX_SLOTS`] of them in fixed slots instead of the
+//!   event calendar. The handlers are the same over either store and both
+//!   pop in the same order, so every estimate is bit-identical. The
+//!   runners pick the store from the configuration
+//!   ([`ClusterSim::fastpath_eligible`]); there is nothing to set.
 //! - [`run_sweep`] orchestrates whole experiment *grids* across a
 //!   thread pool fed from one shared cursor: per-config panic isolation
 //!   and deadlines, bounded retry with quarantine of poison configs,
@@ -81,6 +81,7 @@ mod error;
 mod fastpath;
 mod multitier;
 mod parallel;
+mod pending;
 pub mod procslave;
 mod report;
 mod resilience;

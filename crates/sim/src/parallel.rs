@@ -66,8 +66,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use serde::{Deserialize, Serialize};
+use std::sync::mpsc as channel;
 
 use bighouse_des::SeedStream;
 use bighouse_stats::{
@@ -865,7 +865,7 @@ impl SlaveLink for ThreadLink {
 
 impl ThreadTransport {
     fn new(ctx: Arc<SharedCtx>, slaves: usize) -> Self {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = channel::channel();
         ThreadTransport {
             ctx,
             tx,
@@ -885,7 +885,7 @@ impl Transport for ThreadTransport {
         state: SlaveState,
         winddown: bool,
     ) -> Result<(), SimError> {
-        let (directive_tx, directive_rx) = channel::unbounded();
+        let (directive_tx, directive_rx) = channel::channel();
         let inc_stop = Arc::new(AtomicBool::new(false));
         self.slots[slave] = Some(ThreadSlot {
             directive_tx,

@@ -37,9 +37,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
+use std::sync::mpsc as channel;
 
 use bighouse_stats::HistogramSpec;
 
@@ -330,7 +330,7 @@ pub(crate) struct ProcessTransport {
 
 impl ProcessTransport {
     pub(crate) fn new(ctx: Arc<SharedCtx>, slaves: usize, cfg: ProcSlaveConfig) -> Self {
-        let (tx, rx) = channel::unbounded();
+        let (tx, rx) = channel::channel();
         ProcessTransport {
             ctx,
             cfg,
@@ -363,6 +363,7 @@ impl Transport for ProcessTransport {
         state: SlaveState,
         winddown: bool,
     ) -> Result<(), SimError> {
+        let config = self.ctx.config.for_wire()?;
         let program = match &self.cfg.program {
             Some(p) => p.clone(),
             None => std::env::current_exe().map_err(|e| SimError::SlaveProcess {
@@ -390,7 +391,7 @@ impl Transport for ProcessTransport {
                 incarnation,
                 slave_seed: self.ctx.seeds[slave],
                 epoch_events: self.ctx.epoch_events,
-                config: Box::new((*self.ctx.config).clone()),
+                config,
                 bin_schemes: (*self.ctx.bin_schemes).clone(),
                 state,
                 winddown,
@@ -603,7 +604,7 @@ pub fn slave_main() -> u8 {
 
     // The stdin watcher: directives feed the session's barrier waits;
     // Shutdown, EOF, or corruption all raise the stop flag.
-    let (directive_tx, directive_rx) = channel::unbounded();
+    let (directive_tx, directive_rx) = channel::channel();
     let stop = Arc::new(AtomicBool::new(false));
     let frame_poison = Arc::new(AtomicBool::new(false));
     {
@@ -747,6 +748,7 @@ pub fn run_solo_in_child(
     cancel: Option<&AtomicBool>,
     chaos_abort: bool,
 ) -> Result<SimulationReport, SimError> {
+    let config = config.for_wire()?;
     let program = match &proc_cfg.program {
         Some(p) => p.clone(),
         None => std::env::current_exe().map_err(|e| SimError::SlaveProcess {
@@ -781,7 +783,7 @@ pub fn run_solo_in_child(
         &DownFrame::Hello {
             limits: proc_cfg.limits,
             job: Box::new(HelloJob::Solo {
-                config: Box::new(config.clone()),
+                config,
                 master_seed,
                 epoch_events,
                 chaos_abort,
@@ -791,7 +793,7 @@ pub fn run_solo_in_child(
 
     // Read the child's report on a helper thread so this thread can watch
     // the cancel flag and escalate to SIGKILL after the grace period.
-    let (tx, rx) = channel::unbounded();
+    let (tx, rx) = channel::channel();
     let reader = std::thread::spawn(move || {
         let mut r = BufReader::new(stdout);
         let _ = tx.send(read_frame::<_, UpFrame>(&mut r));

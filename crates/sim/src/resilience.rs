@@ -21,7 +21,7 @@
 //! - **Hedged requests** ([`HedgePolicy`]): a request still unfinished
 //!   `deadline` seconds after placement is duplicated to the least-loaded
 //!   other live server; the first completion wins and the loser is
-//!   cancelled (exercising the calendar's O(log n) `cancel`). The classic
+//!   cancelled (exercising the calendar's O(1) `cancel`). The classic
 //!   tail-at-scale tactic: burn a little capacity to cut the tail.
 //! - **An overload ramp** ([`OverloadRamp`]): a deterministic interval
 //!   during which the arrival rate is multiplied — the stressor that,

@@ -56,13 +56,6 @@ pub(crate) struct ClusterTelemetry {
     utilization_snapshots: u64,
     /// Mean utilization over the most recent epoch.
     last_epoch_utilization_mean: Option<f64>,
-    /// Engine builds that entered the analytic fast path.
-    fastpath_entries: u64,
-    /// Engine builds that ran the calendar: a fast-path-ineligible
-    /// feature, or more pending-event slots than the fast path scans.
-    fastpath_bailouts: u64,
-    /// Departures the fast path batch-processed (hot: plain field).
-    fastpath_batched_departures: u64,
 }
 
 impl ClusterTelemetry {
@@ -79,9 +72,6 @@ impl ClusterTelemetry {
             server_utilization: FixedBinHistogram::linear(0.0, 1.0, 20),
             utilization_snapshots: 0,
             last_epoch_utilization_mean: None,
-            fastpath_entries: 0,
-            fastpath_bailouts: 0,
-            fastpath_batched_departures: 0,
         }
     }
 
@@ -105,23 +95,16 @@ impl ClusterTelemetry {
         self.samples_rejected += 1;
     }
 
-    /// Counts an engine build that entered the analytic fast path.
-    #[inline]
-    pub(crate) fn note_fastpath_entry(&mut self) {
-        self.fastpath_entries += 1;
-    }
-
-    /// Counts an engine build that ran the calendar instead of the fast
-    /// path.
-    #[inline]
-    pub(crate) fn note_fastpath_bailout(&mut self) {
-        self.fastpath_bailouts += 1;
-    }
-
-    /// Counts departures the fast path batch-processed.
-    #[inline]
-    pub(crate) fn note_fastpath_batched_departures(&mut self, n: u64) {
-        self.fastpath_batched_departures += n;
+    /// Records, once per epoch, which pending-set store it ran on and —
+    /// for a fixed-slot epoch — the `completions` it recorded. All three
+    /// keys are always emitted, even at zero: which store ran is part of
+    /// every run's deterministic record.
+    pub(crate) fn note_store(&mut self, fixed_slots: bool, completions: u64) {
+        let slots = u64::from(fixed_slots);
+        self.rec.counter_add("fastpath.entries", slots);
+        self.rec.counter_add("fastpath.bailouts", 1 - slots);
+        self.rec
+            .counter_add("fastpath.batched_departures", slots * completions);
     }
 
     /// Records a queue-depth sample at a dispatch decision.
@@ -191,17 +174,9 @@ impl ClusterTelemetry {
             server_utilization,
             utilization_snapshots,
             last_epoch_utilization_mean,
-            fastpath_entries,
-            fastpath_bailouts,
-            fastpath_batched_departures,
             ..
         } = self;
         rec.counter_add("stats.samples_recorded", samples_recorded);
-        // Always emitted, even at zero: which engine ran is part of every
-        // run's deterministic record.
-        rec.counter_add("fastpath.entries", fastpath_entries);
-        rec.counter_add("fastpath.bailouts", fastpath_bailouts);
-        rec.counter_add("fastpath.batched_departures", fastpath_batched_departures);
         if samples_rejected > 0 {
             rec.counter_add("stats.samples_rejected", samples_rejected);
         }

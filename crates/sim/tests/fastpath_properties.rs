@@ -6,8 +6,7 @@
 //! configurations must never enter it.
 //!
 //! The fixed-matrix companion lives in `fastpath_equivalence.rs`; this
-//! file explores the configuration space proptest-style. Case counts are
-//! kept low because every case is two full (event-capped) runs.
+//! file explores the configuration space proptest-style.
 
 mod common;
 
@@ -25,12 +24,7 @@ const MAX_EVENTS: u64 = 150_000;
 /// A synthesized G/G/k workload: `service_cv` sweeps the moment fitter
 /// across its low-CV (Erlang, near-deterministic), exponential, and
 /// hyperexponential (Pareto-ish heavy-tail) families.
-fn ggk_config(
-    service_cv: f64,
-    utilization: f64,
-    servers: usize,
-    cores: usize,
-) -> ExperimentConfig {
+fn ggk_config(service_cv: f64, utilization: f64, servers: usize, cores: usize) -> ExperimentConfig {
     let mean = 0.02;
     let workload = Workload::synthesize(
         "ggk-prop",
@@ -48,8 +42,17 @@ fn ggk_config(
         .with_max_events(MAX_EVENTS)
 }
 
+/// Cases per property: `PROPTEST_CASES` when set (CI runs 128), else few,
+/// because every case is two full (event-capped) runs.
+fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(8)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// For any seed, load, cluster shape, and service-time family, the
     /// fast path and the calendar engine agree bit-for-bit: identical
