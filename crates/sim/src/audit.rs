@@ -427,6 +427,7 @@ pub enum SeededBug {
 }
 
 /// The cluster-side ledger snapshot handed to each invariant sweep.
+#[derive(Default)]
 pub(crate) struct AuditLedger {
     /// Whether per-request tracking is on (faults, retries, or resilience):
     /// the request ledger replaces raw job conservation then.
@@ -440,6 +441,16 @@ pub(crate) struct AuditLedger {
     pub goodput: u64,
     pub timed_out: u64,
     pub in_flight: u64,
+}
+
+impl AuditLedger {
+    /// A cluster that tracks no requests: raw job conservation applies.
+    pub(crate) fn untracked(injected: u64) -> Self {
+        AuditLedger {
+            injected,
+            ..AuditLedger::default()
+        }
+    }
 }
 
 /// The in-simulation auditor state. Owned by `ClusterSim` when auditing is
@@ -713,20 +724,6 @@ impl Auditor {
 mod tests {
     use super::*;
 
-    fn ledger(injected: u64) -> AuditLedger {
-        AuditLedger {
-            tracked: false,
-            resilience: false,
-            injected,
-            offered: 0,
-            admitted: 0,
-            shed: 0,
-            goodput: 0,
-            timed_out: 0,
-            in_flight: 0,
-        }
-    }
-
     #[test]
     fn defaults_are_loose() {
         let cfg = AuditConfig::default();
@@ -762,7 +759,7 @@ mod tests {
     #[test]
     fn clean_sweep_on_empty_cluster_passes() {
         let mut auditor = Auditor::new(AuditConfig::default(), 0, None);
-        auditor.sweep(Time::from_seconds(1.0), &[], &ledger(0));
+        auditor.sweep(Time::from_seconds(1.0), &[], &AuditLedger::untracked(0));
         assert!(!auditor.failed());
         assert_eq!(auditor.report().checks_run, 1);
     }
@@ -771,7 +768,7 @@ mod tests {
     fn job_conservation_mismatch_is_flagged() {
         let mut auditor = Auditor::new(AuditConfig::default(), 0, None);
         // 5 jobs injected, but no server holds or completed any.
-        auditor.sweep(Time::from_seconds(1.0), &[], &ledger(5));
+        auditor.sweep(Time::from_seconds(1.0), &[], &AuditLedger::untracked(5));
         assert!(auditor.failed());
         assert!(matches!(
             auditor.report().violations[0],
@@ -793,7 +790,7 @@ mod tests {
             goodput: 7,
             timed_out: 1,
             in_flight: 1, // 7 + 1 + 1 != 10
-            ..ledger(10)
+            ..AuditLedger::untracked(10)
         };
         auditor.sweep(Time::from_seconds(1.0), &[], &bad);
         assert!(matches!(
@@ -814,7 +811,7 @@ mod tests {
             goodput: 14,
             timed_out: 0,
             in_flight: 1,
-            ..ledger(20)
+            ..AuditLedger::untracked(20)
         };
         auditor.sweep(Time::from_seconds(1.0), &[], &bad);
         assert!(matches!(
@@ -836,7 +833,7 @@ mod tests {
             goodput: 14,
             timed_out: 0,
             in_flight: 1,
-            ..ledger(20)
+            ..AuditLedger::untracked(20)
         };
         auditor.sweep(Time::from_seconds(1.0), &[], &good);
         assert!(!auditor.failed());
@@ -846,7 +843,7 @@ mod tests {
     fn completion_count_cross_check() {
         let mut auditor = Auditor::new(AuditConfig::default(), 0, None);
         auditor.note_completion(); // claims 1 completion; servers show 0
-        auditor.sweep(Time::from_seconds(1.0), &[], &ledger(0));
+        auditor.sweep(Time::from_seconds(1.0), &[], &AuditLedger::untracked(0));
         assert!(matches!(
             auditor.report().violations[0],
             AuditViolation::CompletionMismatch {

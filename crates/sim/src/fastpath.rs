@@ -187,7 +187,7 @@ impl Epoch {
         let cluster = sim.summary(now);
         let telemetry = sim.take_telemetry().map(|mut t| {
             // Every completion of a fixed-slot epoch was recorded.
-            t.note_store(fixed_slots, cluster.jobs_completed);
+            t.note_epoch_end(fixed_slots, &cluster);
             t.into_recorder()
         });
         EpochEnd {

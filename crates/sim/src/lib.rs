@@ -40,13 +40,13 @@
 //!   before it can poison an estimator, and livelocks/event storms are
 //!   broken with an honest partial report ([`AuditReport`]) instead of a
 //!   hang. With auditing off the estimates are bit-identical.
-//! - The analytic fast path holds the pending events of plain G/G/k FCFS
-//!   configurations — no faults, no capping epochs, no resilience — of at
-//!   most [`FAST_PATH_MAX_SLOTS`] of them in fixed slots instead of the
-//!   event calendar. The handlers are the same over either store and both
-//!   pop in the same order, so every estimate is bit-identical. The
-//!   runners pick the store from the configuration
-//!   ([`ClusterSim::fastpath_eligible`]); there is nothing to set.
+//! - [`ClusterSim`] is a G/G/k FCFS core plus optional components (request
+//!   tracking, epochs, the auditor) installed as the configuration needs
+//!   them. With none installed and at most [`FAST_PATH_MAX_SLOTS`] pending
+//!   events, the runners hold those in fixed slots instead of the event
+//!   calendar ([`ClusterSim::fastpath_eligible`]; there is nothing to set).
+//!   The handlers are the same over either store and both pop in the same
+//!   order, so every estimate is bit-identical.
 //! - [`run_sweep`] orchestrates whole experiment *grids* across a
 //!   thread pool fed from one shared cursor: per-config panic isolation
 //!   and deadlines, bounded retry with quarantine of poison configs,

@@ -331,7 +331,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "has no fixed slot")]
     fn an_event_without_a_slot_is_refused() {
-        FixedSlots::new(2, false).schedule_in(1.0, ClusterEvent::CappingEpoch);
+        FixedSlots::new(2, false).schedule_in(1.0, ClusterEvent::Epoch);
     }
 
     #[test]

@@ -38,8 +38,10 @@
 //! [`ExperimentConfig::with_resilience`]: crate::ExperimentConfig::with_resilience
 //! [`ExperimentConfig::with_retry`]: crate::ExperimentConfig::with_retry
 
+use bighouse_des::{SimRng, Time};
 use serde::{Deserialize, Serialize};
 
+use crate::config::MetricKind;
 use crate::error::SimError;
 
 /// How arrivals are admitted to (or rejected from) the cluster.
@@ -345,9 +347,9 @@ pub struct ResilienceSummary {
     pub per_class: Vec<ClassDisposition>,
 }
 
-/// Live runtime state of the resilience machinery, boxed into the
-/// simulation only when a [`ResilienceConfig`] is present.
-#[derive(Debug)]
+/// Live runtime state of the resilience machinery, held by the tracked-
+/// request component only when a [`ResilienceConfig`] is present.
+#[derive(Debug, Default)]
 pub(crate) struct ResilienceState {
     pub offered: u64,
     pub shed: u64,
@@ -357,20 +359,14 @@ pub(crate) struct ResilienceState {
     pub slo_met: u64,
     pub per_class: Vec<ClassDisposition>,
     /// Token-bucket level; refilled lazily at each arrival.
-    pub tokens: f64,
+    tokens: f64,
     /// Simulated second of the last token refill.
-    pub tokens_at: f64,
+    tokens_at: f64,
     /// Cumulative-weight table for the class draw (empty for one class).
-    pub class_cdf: Vec<f64>,
-    // Epoch marks: previous-epoch cumulative values, one pair per derived
-    // metric so the deltas of different metrics never couple.
-    pub offered_mark: u64,
-    pub shed_rate_mark: u64,
-    pub hedge_launch_mark: u64,
-    pub hedge_win_mark: u64,
-    pub goodput_mark: u64,
-    pub timed_out_mark: u64,
-    pub shed_goodput_mark: u64,
+    class_cdf: Vec<f64>,
+    /// The cumulative counts the epoch rates are deltas of, as they stood
+    /// at the last tick ([`ResilienceState::epoch_rates`]).
+    epoch_marks: [u64; 6],
 }
 
 impl ResilienceState {
@@ -398,24 +394,109 @@ impl ResilienceState {
             Vec::new()
         };
         ResilienceState {
-            offered: 0,
-            shed: 0,
-            hedges_launched: 0,
-            hedge_wins: 0,
-            hedge_cancelled: 0,
-            slo_met: 0,
             per_class: vec![ClassDisposition::default(); config.classes],
             tokens: burst,
-            tokens_at: 0.0,
             class_cdf,
-            offered_mark: 0,
-            shed_rate_mark: 0,
-            hedge_launch_mark: 0,
-            hedge_win_mark: 0,
-            goodput_mark: 0,
-            timed_out_mark: 0,
-            shed_goodput_mark: 0,
+            ..ResilienceState::default()
         }
+    }
+
+    /// Draws an arrival's priority class against the cumulative weights
+    /// (one RNG draw, only with two or more classes).
+    pub(crate) fn draw_class(&self, rng: &mut SimRng) -> u8 {
+        if self.class_cdf.is_empty() {
+            return 0;
+        }
+        let u = rng.half_open01();
+        let last = self.class_cdf.len() - 1;
+        self.class_cdf.iter().position(|&c| u < c).unwrap_or(last) as u8
+    }
+
+    /// The front door: counts the offered arrival and decides whether to
+    /// admit it with `in_flight` requests already tracked. Returns `false`
+    /// when the arrival is shed — by the bounded queue, the token bucket,
+    /// or the class's depth threshold.
+    pub(crate) fn admit_gate(
+        &mut self,
+        policy: &ResilienceConfig,
+        class: u8,
+        in_flight: usize,
+        now: Time,
+    ) -> bool {
+        let admission_sheds = match policy.admission {
+            Some(AdmissionPolicy::BoundedQueue { capacity }) => in_flight >= capacity,
+            Some(AdmissionPolicy::TokenBucket { rate, burst }) => {
+                let t = now.as_seconds();
+                self.tokens = (self.tokens + rate * (t - self.tokens_at).max(0.0)).min(burst);
+                self.tokens_at = t;
+                let empty = self.tokens < 1.0;
+                if !empty {
+                    self.tokens -= 1.0;
+                }
+                empty
+            }
+            None => false,
+        };
+        let threshold = policy
+            .shedding
+            .as_ref()
+            .and_then(|s| s.depth_thresholds.get(class as usize));
+        let shed = admission_sheds || threshold.is_some_and(|&t| in_flight >= t);
+        self.offered += 1;
+        self.shed += u64::from(shed);
+        if let Some(c) = self.per_class.get_mut(class as usize) {
+            c.offered += 1;
+            c.shed += u64::from(shed);
+        }
+        !shed
+    }
+
+    /// Per-class and SLO bookkeeping for one goodput retirement. Returns
+    /// whether `response` met `deadline`, when there is one.
+    pub(crate) fn note_goodput_slo(
+        &mut self,
+        deadline: Option<f64>,
+        class: u8,
+        response: f64,
+    ) -> Option<bool> {
+        let met = deadline.map(|d| response <= d);
+        let hit = u64::from(met == Some(true));
+        self.slo_met += hit;
+        if let Some(c) = self.per_class.get_mut(class as usize) {
+            c.goodput += 1;
+            c.slo_met += hit;
+        }
+        met
+    }
+
+    /// One epoch's resilience rates from the counter deltas since the last
+    /// tick (`None` for a rate whose denominator did not move). `goodput`
+    /// and `timed_out` are the request ledger's running totals.
+    pub(crate) fn epoch_rates(
+        &mut self,
+        goodput: u64,
+        timed_out: u64,
+    ) -> [(MetricKind, Option<f64>); 3] {
+        let totals = [
+            self.offered,
+            self.shed,
+            self.hedges_launched,
+            self.hedge_wins,
+            goodput,
+            timed_out,
+        ];
+        let [offered, shed, launched, wins, goodput, timed_out] =
+            std::array::from_fn(|i| totals[i] - self.epoch_marks[i]);
+        self.epoch_marks = totals;
+        let ratio = |num: u64, den: u64| (den > 0).then(|| num as f64 / den as f64);
+        [
+            (MetricKind::ShedRate, ratio(shed, offered)),
+            (MetricKind::HedgeWinRate, ratio(wins, launched)),
+            (
+                MetricKind::GoodputFraction,
+                ratio(goodput, goodput + timed_out + shed),
+            ),
+        ]
     }
 }
 

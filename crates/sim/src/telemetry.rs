@@ -7,8 +7,8 @@
 //! per-metric phase state — are plain struct fields and a dense `Vec`
 //! indexed by `MetricId`, not name-keyed map entries: recording on the
 //! per-observation path is a couple of integer ops. The name-keyed
-//! [`MemoryRecorder`] is reserved for rare events (failures, retries,
-//! phase transitions) and everything is folded into one recorder by
+//! [`MemoryRecorder`] is reserved for rare events (phase transitions, the
+//! once-per-epoch totals) and everything is folded into one recorder by
 //! [`ClusterTelemetry::into_recorder`] when the run ends.
 //!
 //! Everything recorded here is a pure function of values the simulation
@@ -28,12 +28,14 @@ use bighouse_des::{CalendarStats, Time};
 use bighouse_stats::{MetricId, Phase, StatsCollection};
 use bighouse_telemetry::{FixedBinHistogram, MemoryRecorder, PhaseTransition, TelemetrySnapshot};
 
+use crate::report::ClusterSummary;
+
 /// Per-run instrumentation context carried by `ClusterSim`.
 #[derive(Debug)]
 pub(crate) struct ClusterTelemetry {
-    /// Name-keyed sink for *rare* events only (failures, retries,
-    /// timeouts, phase transitions) — never touched per observation.
-    pub(crate) rec: MemoryRecorder,
+    /// Name-keyed sink for *rare* events only (phase transitions, the
+    /// once-per-epoch notes) — never touched per observation.
+    rec: MemoryRecorder,
     /// When this context was created — phase transitions are stamped with
     /// elapsed wall time (quarantined, see module docs).
     started: Instant,
@@ -95,16 +97,30 @@ impl ClusterTelemetry {
         self.samples_rejected += 1;
     }
 
-    /// Records, once per epoch, which pending-set store it ran on and —
-    /// for a fixed-slot epoch — the `completions` it recorded. All three
-    /// keys are always emitted, even at zero: which store ran is part of
-    /// every run's deterministic record.
-    pub(crate) fn note_store(&mut self, fixed_slots: bool, completions: u64) {
+    /// Records, once per epoch, which pending-set store it ran on (all
+    /// three keys always, even at zero: which store ran is part of every
+    /// run's deterministic record) and the summary's fault and retry totals
+    /// (a key only once its count is non-zero).
+    pub(crate) fn note_epoch_end(&mut self, fixed_slots: bool, cluster: &ClusterSummary) {
         let slots = u64::from(fixed_slots);
         self.rec.counter_add("fastpath.entries", slots);
         self.rec.counter_add("fastpath.bailouts", 1 - slots);
-        self.rec
-            .counter_add("fastpath.batched_departures", slots * completions);
+        self.rec.counter_add(
+            "fastpath.batched_departures",
+            slots * cluster.jobs_completed,
+        );
+        let Some(faults) = &cluster.faults else {
+            return;
+        };
+        for (key, count) in [
+            ("sim.server_failures", faults.server_failures),
+            ("sim.retries", faults.retries),
+            ("sim.timeouts", faults.timed_out),
+        ] {
+            if count > 0 {
+                self.rec.counter_add(key, count);
+            }
+        }
     }
 
     /// Records a queue-depth sample at a dispatch decision.

@@ -2,12 +2,22 @@
 //! hand-driven through the public `ClusterSim::new` + `prime` +
 //! `Engine::from_parts` — the runners choose the engine themselves, so this
 //! is the only way to put a fast-path-sized configuration on the calendar.
+//! Also the case count the property tests share.
 
 #![allow(dead_code)] // each test file uses its own subset
 
 use bighouse_des::{Calendar, Engine, SeedStream};
 use bighouse_sim::{run_serial, ClusterSim, ExperimentConfig, SimulationReport};
 use bighouse_stats::{MetricEstimate, StatsCollection};
+
+/// Cases per property: `PROPTEST_CASES` when set (CI runs 128), else few,
+/// because every case is one or two full (event-capped) runs.
+pub fn cases() -> u32 {
+    std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(8)
+}
 
 /// Everything derived from per-request departure times that the two
 /// engines must agree on.

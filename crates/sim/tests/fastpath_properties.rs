@@ -16,7 +16,7 @@ use bighouse_faults::FaultProcess;
 use bighouse_sim::{run_serial, ExperimentConfig, MetricKind, ResilienceConfig};
 use bighouse_workloads::{TaskMoments, Workload};
 
-use common::{calendar_run, fastpath_counters};
+use common::{calendar_run, cases, fastpath_counters};
 
 /// Event cap of [`ggk_config`] runs.
 const MAX_EVENTS: u64 = 150_000;
@@ -40,15 +40,6 @@ fn ggk_config(service_cv: f64, utilization: f64, servers: usize, cores: usize) -
         .with_warmup(20)
         .with_calibration(200)
         .with_max_events(MAX_EVENTS)
-}
-
-/// Cases per property: `PROPTEST_CASES` when set (CI runs 128), else few,
-/// because every case is two full (event-capped) runs.
-fn cases() -> u32 {
-    std::env::var("PROPTEST_CASES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
 }
 
 proptest! {

@@ -1,5 +1,7 @@
 //! Property-based tests for the simulation orchestration layer.
 
+mod common;
+
 use proptest::prelude::*;
 
 use bighouse_des::{Calendar, Engine};
@@ -19,7 +21,7 @@ fn capped_config(utilization: f64, servers: usize, cores: usize) -> ExperimentCo
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(common::cases()))]
 
     /// For any seed and any reasonable configuration, a (possibly
     /// event-capped) run yields internally consistent results: response
