@@ -34,8 +34,8 @@ use std::time::Duration;
 use bighouse::dists::Distribution;
 use bighouse::sim::{
     run_resumable, run_serial, run_sweep, AuditConfig, CheckpointConfig, ExecBackend,
-    ParallelRunner, ProcChaos, ProcLimits, ProcSlaveConfig, RunOptions, RuntimeStats, SimError,
-    SimulationReport, SweepEntry, SweepEvent, SweepOptions, TerminationReason,
+    ParallelRunner, ProcChaos, ProcLimits, ProcSlaveConfig, RunOptions, SimError, SimulationReport,
+    SweepEntry, SweepEvent, SweepOptions, TerminationReason,
 };
 use bighouse::telemetry::TelemetrySnapshot;
 use bighouse::workloads::{StandardWorkload, Workload};
@@ -396,30 +396,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                     outcome.dead_slaves
                 );
             }
-            // Wrap the merged estimates in a report shell for printing.
-            SimulationReport {
-                converged: outcome.converged,
-                termination: outcome.termination,
-                estimates: outcome.estimates.clone(),
-                events_fired: outcome.total_events(),
-                simulated_seconds: 0.0,
-                runtime: RuntimeStats {
-                    wall_seconds: outcome.wall_seconds,
-                    telemetry: outcome.telemetry.clone(),
-                },
-                cluster: bighouse::sim::ClusterSummary {
-                    servers: spec.servers,
-                    jobs_completed: 0,
-                    mean_full_idle_fraction: 0.0,
-                    mean_nap_fraction: 0.0,
-                    mean_utilization: 0.0,
-                    total_energy_joules: 0.0,
-                    average_power_watts: 0.0,
-                    faults: None,
-                    resilience: None,
-                },
-                audit: outcome.audit.clone(),
-            }
+            outcome.report()
         }
         _ if checkpoint_dir.is_some() => {
             // Resumable serial run: epoch-structured, checkpointed, and

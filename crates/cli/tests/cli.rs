@@ -605,7 +605,7 @@ fn parallel_spec(dir: &std::path::Path, accuracy: f64, slaves: u64) -> std::path
 }
 
 /// A slave SIGKILLed mid-run under the process backend must be
-/// resurrected (respawn counter > 0) and the final estimates must be
+/// resurrected (respawn counter > 0) and the final report must be
 /// bit-identical to an undisturbed in-process run on the default thread
 /// backend — the CLI face of the determinism-under-fire contract, and the
 /// same comparison the `proc-chaos-smoke` CI job makes with `jq`.
@@ -663,10 +663,15 @@ fn slave_processes_chaos_run_matches_lockstep_bit_for_bit() {
         serde_json::from_str(&std::fs::read_to_string(&clean_path).unwrap()).unwrap();
     let chaos_report: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&chaos_path).unwrap()).unwrap();
-    assert_eq!(
-        clean_report["estimates"], chaos_report["estimates"],
-        "a SIGKILLed slave must replay to identical estimates"
-    );
+    // The pooled cluster summary too: a resurrection that counted the
+    // replayed epoch's totals twice would keep the estimates and move it.
+    assert!(clean_report["cluster"]["jobs_completed"].as_u64().unwrap() > 0);
+    for key in ["estimates", "cluster", "simulated_seconds"] {
+        assert_eq!(
+            clean_report[key], chaos_report[key],
+            "a SIGKILLed slave must replay to an identical `{key}`"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

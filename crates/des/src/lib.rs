@@ -16,7 +16,8 @@
 //!   hot-path bookkeeping keyed by trusted ids,
 //! - [`ProgressGuard`], a circuit breaker that stops zero-advance
 //!   livelocks, event storms, and time regressions instead of hanging
-//!   (see [`Engine::run_guarded`]).
+//!   ([`Engine::run_guarded`] consults it per event; `bighouse-sim`'s
+//!   runners do the same from their own loop, `fastpath::drive`).
 //!
 //! # Examples
 //!

@@ -23,8 +23,8 @@
 //! Every observation entering the statistics engine is additionally checked
 //! finite and non-negative *before* it can poison an estimator. Progress
 //! pathologies (livelock, event storm, time regression) are detected by a
-//! [`ProgressGuard`] the runners thread through [`bighouse_des::Engine::run_guarded`];
-//! its violations land in the same [`AuditReport`].
+//! [`ProgressGuard`] the runners thread through their one event loop
+//! (`fastpath::drive`), which records a trip in the same [`AuditReport`].
 //!
 //! The auditor is **purely observational**: it consumes no randomness and
 //! never reorders events, so a run with auditing on produces bit-identical

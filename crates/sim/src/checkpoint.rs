@@ -291,6 +291,12 @@ impl RunState {
             .as_ref()
             .is_some_and(StatsCollection::all_converged)
     }
+
+    /// Whether a completed epoch's audit found a violation: the run must
+    /// stop, and nothing it estimated counts as converged.
+    pub(crate) fn audit_failed(&self) -> bool {
+        self.audit.as_ref().is_some_and(|a| !a.passed())
+    }
 }
 
 /// Atomic, checksummed, rotating checkpoint storage in one directory.

@@ -8,15 +8,21 @@
 //! accuracy. Finally, in the merge phase, each slave sends its histogram to
 //! the master, which aggregates the histograms and reports estimates."
 //!
-//! This module owns that protocol: the messages, the slave's half
-//! ([`slave_session`]), the master's half ([`supervise`]) and the in-thread
-//! transport. [`crate::procslave`] adds what exists because of a process
-//! boundary — the frame codec, the child-process transport and the child's
-//! entry point — on top of the same two halves. The dependency runs one
-//! way: this module names `procslave` only where [`ExecBackend::Processes`]
-//! forces it, for the variant's payload and for the transport constructor
-//! in [`ParallelRunner::run`]. The paper's hosts were separate machines —
-//! see DESIGN.md substitution 3.
+//! "Its own BigHouse instance" is meant literally: a slave is a resumable
+//! run ([`RunState`], seeded with the slave's seed) behind a link, and both
+//! loop over `fastpath::epoch_step` — one step, two callers. A slave adds
+//! the master's bin schemes, no stopping rule of its own, a hook after
+//! every chunk and a link for its checkpoints (DESIGN.md "One epoch loop").
+//!
+//! This module owns the protocol around that loop: the messages, the slave's
+//! half ([`slave_session`]), the master's half ([`supervise`]) and the
+//! in-thread transport. [`crate::procslave`] adds what exists because of a
+//! process boundary — the frame codec, the child-process transport and the
+//! child's entry point — on top of the same two halves. The dependency runs
+//! one way: this module names `procslave` only where
+//! [`ExecBackend::Processes`] forces it, for the variant's payload and for the
+//! transport constructor in [`ParallelRunner::run`]. The paper's hosts were
+//! separate machines — see DESIGN.md substitution 3.
 //!
 //! # Decide at chunks, recover at epochs
 //!
@@ -29,18 +35,20 @@
 //! seeds, epoch size, slave count) — never of wall-clock scheduling — and
 //! a run stops within one chunk per slave of the sample it needed.
 //!
-//! Every `slave_epoch_events` events (a whole number of chunks, the last
-//! one short if need be) the slave ends an *epoch*: it rebuilds its
-//! simulation from a seed derived from (slave seed, epoch index) and ships
-//! an [`UpFrame::EpochDone`] checkpoint of its statistics, which the master
-//! stores and nobody waits on. A slave that panics, is SIGKILLed, or stalls
-//! past the optional per-slave timeout is *resurrected* from that
-//! checkpoint with a fresh incarnation number fencing off stale frames, up
-//! to a bounded number of restarts with full-jitter backoff. It replays the
-//! lost chunks from the same epoch seed, the master answers the barriers
-//! it has already decided the way it decided them, and the final report is
-//! bit-identical to an undisturbed run on either transport. Only when
-//! restarts are exhausted does the runner drop the slave
+//! Every `slave_epoch_events` events (a whole number of chunks, the last one
+//! short if need be) the slave ends an *epoch*: it rebuilds its simulation
+//! from the next seed of its run's seed stream and ships an
+//! [`UpFrame::EpochDone`] checkpoint — the [`RunState`] (statistics, cluster
+//! totals, audit, the stream's position) and the barrier count — which the
+//! master stores and nobody waits on. A slave that panics, is SIGKILLed, or
+//! stalls past the optional per-slave timeout is *resurrected* from that
+//! checkpoint with a fresh incarnation number fencing off stale frames, up to
+//! a bounded number of restarts with full-jitter backoff. It replays the lost
+//! chunks from the same epoch seed, the master answers the barriers it has
+//! already decided the way it decided them, and the final report — estimates
+//! and pooled [`ParallelOutcome::cluster`] alike, a replayed epoch's totals
+//! counted once — is bit-identical to an undisturbed run on either transport.
+//! Only when restarts are exhausted does the runner drop the slave
 //! ([`ParallelOutcome::dead_slaves`]).
 //!
 //! ```text
@@ -70,17 +78,15 @@ use serde::{Deserialize, Serialize};
 use std::sync::mpsc as channel;
 
 use bighouse_des::SeedStream;
-use bighouse_stats::{
-    Histogram, HistogramSpec, MetricEstimate, MetricSpec, RunningStats, StatsCollection,
-};
+use bighouse_stats::{Histogram, HistogramSpec, MetricEstimate, MetricSpec, RunningStats};
 use bighouse_telemetry::{MemoryRecorder, TelemetrySnapshot};
 
 use crate::audit::{AuditConfig, AuditReport};
-use crate::checkpoint::fnv1a;
+use crate::checkpoint::{fnv1a, RunState, RunTotals};
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
-use crate::fastpath::Epoch;
-use crate::report::{SimulationReport, TerminationReason};
+use crate::fastpath::epoch_step;
+use crate::report::{ClusterSummary, RuntimeStats, SimulationReport, TerminationReason};
 use crate::runner::run_until_calibrated;
 
 /// How many events a slave simulates between chunk barriers.
@@ -111,6 +117,13 @@ pub struct ParallelOutcome {
     pub master_calibration_events: u64,
     /// Events simulated by each slave (zero for a slave that died).
     pub slave_events: Vec<u64>,
+    /// Cluster-level facts pooled over the surviving slaves, each of which
+    /// simulates the whole cluster: fractions and average power weighted
+    /// by each replica's simulated seconds, energy and the job, fault and
+    /// resilience counts summed. The master's calibration is not in it.
+    pub cluster: ClusterSummary,
+    /// Simulated seconds summed over the surviving slaves' replicas.
+    pub simulated_seconds: f64,
     /// Slaves that died *permanently* (restarts exhausted); their samples
     /// are excluded from the merge.
     pub dead_slaves: Vec<usize>,
@@ -146,24 +159,39 @@ impl ParallelOutcome {
     pub fn total_events(&self) -> u64 {
         self.master_calibration_events + self.slave_events.iter().sum::<u64>()
     }
+
+    /// The outcome as the report a serial run returns, so one printer and
+    /// one JSON shape serve both.
+    #[must_use]
+    pub fn report(&self) -> SimulationReport {
+        SimulationReport {
+            converged: self.converged,
+            termination: self.termination,
+            estimates: self.estimates.clone(),
+            events_fired: self.total_events(),
+            simulated_seconds: self.simulated_seconds,
+            runtime: RuntimeStats {
+                wall_seconds: self.wall_seconds,
+                telemetry: self.telemetry.clone(),
+            },
+            cluster: self.cluster.clone(),
+            audit: self.audit.clone(),
+        }
+    }
 }
 
 /// A slave's resumable state: everything the master needs to restart it
 /// without losing samples. Checkpointed at epoch boundaries, when no
 /// calendar state is in flight. Serializable so the process transport can
 /// ship it across the IPC fabric verbatim.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SlaveState {
-    /// Next epoch index to simulate.
-    epoch: u64,
-    /// Events simulated across completed epochs.
-    events: u64,
+    /// The slave's own resumable run, seeded with the slave's seed: epoch
+    /// index, events, seed stream, statistics, cluster totals and audit.
+    run: RunState,
     /// Chunk barriers passed across completed epochs, so a resurrection
     /// resumes the barrier numbering where the checkpoint left it.
-    #[serde(default)]
     barriers: u64,
-    /// Statistics accumulated so far (`None` before the first epoch).
-    stats: Option<StatsCollection>,
 }
 
 /// Which transport carries [`ParallelRunner`]'s slaves. Both run the same
@@ -246,20 +274,12 @@ impl ProcChaos {
     }
 }
 
-/// Everything a finished slave delivers for the merge, plus its telemetry
-/// shard. Also the unit [`merge_finals`] consumes.
+/// What a finished slave delivers: the run as it stands — statistics for
+/// the merge, events, cluster totals, audit — and its telemetry shard.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FinalShard {
-    /// Per-metric histograms (`None` where the metric saw no data).
-    pub histograms: Vec<Option<Histogram>>,
-    /// Per-metric autocorrelation lags.
-    pub lags: Vec<usize>,
-    /// Per-metric raw observation counts.
-    pub total_observed: Vec<u64>,
-    /// Events the slave simulated across completed epochs.
-    pub events: u64,
-    /// Merged invariant-audit report for this slave's incarnation.
-    pub audit: Option<AuditReport>,
+    /// The slave's resumable run after its last epoch.
+    pub run: RunState,
     /// The slave's own counters, merged into master telemetry.
     pub telemetry: SlaveTelemetryShard,
 }
@@ -293,8 +313,6 @@ pub enum UpFrame {
         slave: usize,
         /// Sender incarnation.
         incarnation: u32,
-        /// Events simulated so far (cumulative, incl. restored checkpoint).
-        events: u64,
         /// Chunks completed since the run began (cumulative, incl. restored
         /// checkpoint) — the index of the barrier this frame parks at.
         barrier: u64,
@@ -545,40 +563,35 @@ impl ParallelRunner {
             .collect();
 
         // Phases 3–6: slaves with unique seeds, aggregate monitoring, merge.
+        // Each slave is a fresh resumable run of its own seed, whose stream
+        // of epoch seeds its checkpoints carry: a resurrected slave replays
+        // a lost partial epoch exactly as the dead incarnation ran it. (No
+        // fingerprint: a slave's state travels with its config, never apart.)
         let mut seed_stream = SeedStream::new(master_seed ^ 0x5A5A_5A5A_5A5A_5A5A);
-        let seeds: Vec<u64> = (0..self.slaves).map(|_| seed_stream.next_seed()).collect();
-        let ctx = Arc::new(SharedCtx {
-            config: Arc::new(self.config.clone()),
-            bin_schemes: Arc::new(bin_schemes),
-            seeds,
+        let fresh: Vec<SlaveState> = (0..self.slaves)
+            .map(|_| SlaveState {
+                run: RunState::fresh(seed_stream.next_seed(), 0),
+                barriers: 0,
+            })
+            .collect();
+        let ctx = SharedCtx {
+            config: self.config.clone(),
+            bin_schemes,
             epoch_events: self.slave_epoch_events,
             chaos: self.proc_chaos,
-        });
+        };
         match &self.backend {
             ExecBackend::ThreadLockstep => {
                 let transport = ThreadTransport::new(ctx, self.slaves);
-                supervise(self, &specs, transport, master_events, start)
+                supervise(self, &specs, transport, fresh, master_events, start)
             }
             ExecBackend::Processes(cfg) => {
                 let transport =
                     crate::procslave::ProcessTransport::new(ctx, self.slaves, cfg.clone());
-                supervise(self, &specs, transport, master_events, start)
+                supervise(self, &specs, transport, fresh, master_events, start)
             }
         }
     }
-}
-
-/// The seed for one epoch of one slave, derived deterministically from the
-/// slave's seed and the epoch index — so a resurrected slave replays a
-/// lost partial epoch with exactly the trajectory the dead incarnation
-/// would have had.
-fn epoch_seed(slave_seed: u64, epoch: u64) -> u64 {
-    let mut stream = SeedStream::new(slave_seed);
-    let mut seed = stream.next_seed();
-    for _ in 0..epoch {
-        seed = stream.next_seed();
-    }
-    seed
 }
 
 // ---------------------------------------------------------------------------
@@ -590,50 +603,48 @@ fn epoch_seed(slave_seed: u64, epoch: u64) -> u64 {
 pub(crate) trait SlaveLink {
     /// Ships a frame to the master; `false` means the master is gone.
     fn send(&mut self, frame: UpFrame) -> bool;
-    /// Blocks until the master decides the parked barrier. Wind-down
-    /// (Shutdown frame, stop flag, severed link) returns `Finalize`.
-    fn wait_directive(&mut self) -> Directive;
+    /// Where the master's barrier decisions arrive.
+    fn directives(&self) -> &channel::Receiver<Directive>;
     /// Cooperative stop signal (interrupt, kill of this incarnation).
     fn should_stop(&self) -> bool;
     /// Child-side resource-cap check; `Some` means a cap was exceeded, and
-    /// the session ends with [`SimError::SlaveProcess`].
-    fn limit_exceeded(&mut self) -> Option<String>;
+    /// the session ends with [`SimError::SlaveProcess`]. Caps are
+    /// meaningful only across a process boundary.
+    fn limit_exceeded(&mut self) -> Option<String> {
+        None
+    }
+    /// Blocks until the master decides the parked barrier. Wind-down
+    /// (Shutdown frame, stop flag, severed link) returns `Finalize`.
+    fn wait_directive(&mut self) -> Directive {
+        loop {
+            if self.should_stop() {
+                return Directive::Finalize;
+            }
+            match self.directives().recv_timeout(Duration::from_millis(5)) {
+                Ok(d) => return d,
+                Err(channel::RecvTimeoutError::Timeout) => {}
+                Err(channel::RecvTimeoutError::Disconnected) => return Directive::Finalize,
+            }
+        }
+    }
 }
 
-pub(crate) struct SessionParams {
-    pub(crate) slave: usize,
-    pub(crate) incarnation: u32,
-    pub(crate) slave_seed: u64,
-    pub(crate) epoch_events: u64,
-    pub(crate) config: Arc<ExperimentConfig>,
-    pub(crate) bin_schemes: Arc<HashMap<String, HistogramSpec>>,
-    pub(crate) state: SlaveState,
-    pub(crate) winddown: bool,
-    pub(crate) chaos: Option<ProcChaos>,
-}
-
-/// One incarnation of one slave, on either transport: restore the
-/// checkpoint, then simulate chunk by chunk, parking after every chunk
-/// until the master's directive and checkpointing at every epoch boundary.
-pub(crate) fn slave_session<L: SlaveLink>(link: &mut L, p: SessionParams) -> Result<(), SimError> {
-    let SessionParams {
-        slave,
-        incarnation,
-        slave_seed,
-        epoch_events,
-        config,
-        bin_schemes,
-        mut state,
-        winddown,
-        chaos,
-    } = p;
+/// One incarnation of one slave, on either transport: a resumable run
+/// ([`epoch_step`]) resumed from the checkpoint, on the master's bin
+/// schemes, that parks at a barrier after every chunk until the master's
+/// directive and ships its state up the link at every epoch boundary.
+pub(crate) fn slave_session<L: SlaveLink>(
+    link: &mut L,
+    slave: usize,
+    incarnation: u32,
+    ctx: &SharedCtx,
+    mut state: SlaveState,
+) -> Result<(), SimError> {
+    let (config, chaos) = (&ctx.config, ctx.chaos);
     let mut telemetry = SlaveTelemetryShard::default();
-    // The circuit breaker and the audit report span epochs within an
-    // incarnation (a resurrection restarts them — losing sweeps, never
-    // samples).
+    // The circuit breaker spans epochs within an incarnation (a
+    // resurrection restarts its windows, which only makes it more lenient).
     let mut guard = config.audit().map(AuditConfig::progress_guard);
-    let mut audit_total: Option<AuditReport> = None;
-    let mut audit_tripped = false;
 
     let panics_on_spawn = match chaos {
         Some(ProcChaos::PanicOnSpawn { slave: victim }) => victim == slave && incarnation == 0,
@@ -647,68 +658,47 @@ pub(crate) fn slave_session<L: SlaveLink>(link: &mut L, p: SessionParams) -> Res
         return Ok(());
     }
 
-    let mut finalize = winddown;
-    while !finalize && !link.should_stop() && !audit_tripped && state.events < config.max_events {
-        let seed = epoch_seed(slave_seed, state.epoch);
-        let mut epoch = Epoch::start(
-            &config,
-            seed,
-            Some(&*bin_schemes),
-            state.stats.take(),
+    let mut finalize = false;
+    while !finalize
+        && !link.should_stop()
+        && !state.run.audit_failed()
+        && state.run.events_done < config.max_events
+    {
+        let before = state.run.events_done;
+        let barriers = &mut state.barriers;
+        let step = epoch_step(
+            config,
+            &mut state.run,
+            Some(&ctx.bin_schemes),
+            ctx.epoch_events,
+            CHUNK_EVENTS,
             guard.as_mut(),
+            |epoch, fired| {
+                if let Some(detail) = link.limit_exceeded() {
+                    return Err(SimError::SlaveProcess { slave, detail });
+                }
+                telemetry.heartbeats += 1;
+                *barriers += 1;
+                let moments = epoch
+                    .simulation()
+                    .stats()
+                    .iter()
+                    .map(|m| m.histogram().map(|h| *h.moments()))
+                    .collect();
+                // A master that is gone has nothing to merge into: wind down.
+                finalize = !link.send(UpFrame::Heartbeat {
+                    slave,
+                    incarnation,
+                    barrier: *barriers,
+                    moments,
+                    exhausted: before + fired >= config.max_events,
+                }) || link.wait_directive() == Directive::Finalize;
+                Ok(!finalize && !link.should_stop())
+            },
         )?;
-        let budget = epoch_events.min(config.max_events - state.events);
-        let mut fired = 0u64;
-        let mut drained = false;
-        while !finalize && !link.should_stop() && fired < budget {
-            let chunk = CHUNK_EVENTS.min(budget - fired);
-            let run = epoch.advance(chunk, guard.as_mut());
-            fired += run.events_fired;
-            if epoch.tripped(&run) {
-                audit_tripped = true;
-                break;
-            }
-            if run.events_fired == 0 {
-                drained = true; // cannot happen with open arrivals
-                break;
-            }
-            if let Some(detail) = link.limit_exceeded() {
-                return Err(SimError::SlaveProcess { slave, detail });
-            }
-            telemetry.heartbeats += 1;
-            state.barriers += 1;
-            let moments = epoch
-                .simulation()
-                .stats()
-                .iter()
-                .map(|m| m.histogram().map(|h| *h.moments()))
-                .collect();
-            if !link.send(UpFrame::Heartbeat {
-                slave,
-                incarnation,
-                events: state.events + fired,
-                barrier: state.barriers,
-                moments,
-                exhausted: state.events + fired >= config.max_events,
-            }) {
-                // Master gone: nothing to merge into; wind down.
-                return Ok(());
-            }
-            finalize = link.wait_directive() == Directive::Finalize;
-        }
-        state.events += fired;
-        let finished_epoch = fired == budget && !drained && !audit_tripped;
-        let end = epoch.finish();
-        if let Some(epoch_audit) = end.audit {
-            audit_total
-                .get_or_insert_with(AuditReport::default)
-                .merge(&epoch_audit);
-        }
-        state.stats = Some(end.stats);
-        if !finished_epoch || finalize || link.should_stop() {
+        if !step.complete || finalize || link.should_stop() {
             break;
         }
-        state.epoch += 1;
         telemetry.epochs += 1;
         if !link.send(UpFrame::EpochDone {
             slave,
@@ -717,7 +707,7 @@ pub(crate) fn slave_session<L: SlaveLink>(link: &mut L, p: SessionParams) -> Res
         }) {
             return Ok(());
         }
-        if incarnation == 0 && state.epoch == 1 {
+        if incarnation == 0 && state.run.next_epoch == 1 {
             match chaos {
                 Some(ProcChaos::AbortAfterFirstEpoch { slave: victim }) if victim == slave => {
                     // The failure catch_unwind cannot contain.
@@ -731,23 +721,11 @@ pub(crate) fn slave_session<L: SlaveLink>(link: &mut L, p: SessionParams) -> Res
         }
     }
 
-    let (histograms, lags, total_observed) = match &state.stats {
-        Some(stats) => (
-            stats.iter().map(|m| m.histogram().cloned()).collect(),
-            stats.iter().map(|m| m.lag()).collect(),
-            stats.iter().map(|m| m.total_observed()).collect(),
-        ),
-        None => (Vec::new(), Vec::new(), Vec::new()),
-    };
     let _ = link.send(UpFrame::Final {
         slave,
         incarnation,
         shard: Box::new(FinalShard {
-            histograms,
-            lags,
-            total_observed,
-            events: state.events,
-            audit: audit_total,
+            run: state.run,
             telemetry,
         }),
     });
@@ -771,9 +749,8 @@ pub(crate) enum SlaveEvent {
 
 /// What every incarnation of every slave of one run is spawned with.
 pub(crate) struct SharedCtx {
-    pub(crate) config: Arc<ExperimentConfig>,
-    pub(crate) bin_schemes: Arc<HashMap<String, HistogramSpec>>,
-    pub(crate) seeds: Vec<u64>,
+    pub(crate) config: ExperimentConfig,
+    pub(crate) bin_schemes: HashMap<String, HistogramSpec>,
     pub(crate) epoch_events: u64,
     pub(crate) chaos: Option<ProcChaos>,
 }
@@ -790,13 +767,7 @@ pub(crate) struct WireCounters {
 
 pub(crate) trait Transport {
     /// Spawns (or respawns) one incarnation of a slave from a checkpoint.
-    fn spawn(
-        &mut self,
-        slave: usize,
-        incarnation: u32,
-        state: SlaveState,
-        winddown: bool,
-    ) -> Result<(), SimError>;
+    fn spawn(&mut self, slave: usize, incarnation: u32, state: SlaveState) -> Result<(), SimError>;
     /// Answers a parked slave's barrier.
     fn directive(&mut self, slave: usize, d: Directive);
     /// Cooperative wind-down signal to every live slave.
@@ -841,33 +812,28 @@ impl SlaveLink for ThreadLink {
         self.tx.send(SlaveEvent::Up(frame)).is_ok()
     }
 
-    fn wait_directive(&mut self) -> Directive {
-        loop {
-            if self.should_stop() {
-                return Directive::Finalize;
-            }
-            match self.directive_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(d) => return d,
-                Err(channel::RecvTimeoutError::Timeout) => {}
-                Err(channel::RecvTimeoutError::Disconnected) => return Directive::Finalize,
-            }
-        }
+    fn directives(&self) -> &channel::Receiver<Directive> {
+        &self.directive_rx
     }
 
     fn should_stop(&self) -> bool {
         self.global_stop.load(Ordering::Relaxed) || self.inc_stop.load(Ordering::Relaxed)
     }
-
-    fn limit_exceeded(&mut self) -> Option<String> {
-        None // caps are meaningful only across a process boundary
-    }
 }
 
 impl ThreadTransport {
-    fn new(ctx: Arc<SharedCtx>, slaves: usize) -> Self {
+    fn new(mut ctx: SharedCtx, slaves: usize) -> Self {
+        // A thread cannot be SIGKILLed or survive an abort; in-process the
+        // kill/abort chaos hooks degrade to a panic at the same point.
+        ctx.chaos = ctx.chaos.map(|c| match c {
+            ProcChaos::KillMidEpoch { slave } | ProcChaos::AbortAfterFirstEpoch { slave } => {
+                ProcChaos::PanicAfterFirstEpoch { slave }
+            }
+            other => other,
+        });
         let (tx, rx) = channel::channel();
         ThreadTransport {
-            ctx,
+            ctx: Arc::new(ctx),
             tx,
             rx,
             global_stop: Arc::new(AtomicBool::new(false)),
@@ -878,51 +844,26 @@ impl ThreadTransport {
 }
 
 impl Transport for ThreadTransport {
-    fn spawn(
-        &mut self,
-        slave: usize,
-        incarnation: u32,
-        state: SlaveState,
-        winddown: bool,
-    ) -> Result<(), SimError> {
+    fn spawn(&mut self, slave: usize, incarnation: u32, state: SlaveState) -> Result<(), SimError> {
         let (directive_tx, directive_rx) = channel::channel();
         let inc_stop = Arc::new(AtomicBool::new(false));
         self.slots[slave] = Some(ThreadSlot {
             directive_tx,
             inc_stop: Arc::clone(&inc_stop),
         });
-        // A thread cannot be SIGKILLed or survive an abort; in-process the
-        // kill/abort chaos hooks degrade to a panic at the same point.
-        let chaos = self.ctx.chaos.map(|c| match c {
-            ProcChaos::KillMidEpoch { slave } | ProcChaos::AbortAfterFirstEpoch { slave } => {
-                ProcChaos::PanicAfterFirstEpoch { slave }
-            }
-            other => other,
-        });
-        let params = SessionParams {
-            slave,
-            incarnation,
-            slave_seed: self.ctx.seeds[slave],
-            epoch_events: self.ctx.epoch_events,
-            config: Arc::clone(&self.ctx.config),
-            bin_schemes: Arc::clone(&self.ctx.bin_schemes),
-            state,
-            winddown,
-            chaos,
+        let ctx = Arc::clone(&self.ctx);
+        let mut link = ThreadLink {
+            tx: self.tx.clone(),
+            directive_rx,
+            global_stop: Arc::clone(&self.global_stop),
+            inc_stop,
         };
-        let tx = self.tx.clone();
-        let gone_tx = self.tx.clone();
-        let global_stop = Arc::clone(&self.global_stop);
         self.handles.push(std::thread::spawn(move || {
-            let mut link = ThreadLink {
-                tx,
-                directive_rx,
-                global_stop,
-                inc_stop,
-            };
-            let result = catch_unwind(AssertUnwindSafe(|| slave_session(&mut link, params)));
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                slave_session(&mut link, slave, incarnation, &ctx, state)
+            }));
             if !matches!(result, Ok(Ok(()))) {
-                let _ = gone_tx.send(SlaveEvent::Gone { slave, incarnation });
+                let _ = link.tx.send(SlaveEvent::Gone { slave, incarnation });
             }
         }));
         Ok(())
@@ -988,13 +929,13 @@ struct Supervision<'a> {
     incarnations: Vec<u32>,
     /// Restarts still available to each slave.
     restarts_left: Vec<u32>,
-    /// Last epoch checkpoint received from each slave (fresh state
-    /// initially).
+    /// Last epoch checkpoint received from each slave (the fresh run of
+    /// its seed initially).
     checkpoints: Vec<SlaveState>,
-    /// When each slave's pending respawn becomes due.
+    /// When each slave's pending (re)spawn becomes due: at once, to begin.
     respawn_at: Vec<Option<Instant>>,
-    /// Slaves that delivered their Final.
-    finished: Vec<bool>,
+    /// The final shard of each slave that delivered one.
+    shards: Vec<Option<Box<FinalShard>>>,
     /// Slaves that died permanently (restarts exhausted).
     dead: Vec<bool>,
     /// Last time the master heard from each slave's live incarnation.
@@ -1009,15 +950,21 @@ struct Supervision<'a> {
 }
 
 impl<'a> Supervision<'a> {
-    fn new(slaves: usize, specs: &'a [MetricSpec], max_restarts: u32, master_events: u64) -> Self {
+    fn new(
+        fresh: Vec<SlaveState>,
+        specs: &'a [MetricSpec],
+        max_restarts: u32,
+        events: u64,
+    ) -> Self {
+        let slaves = fresh.len();
         Supervision {
             specs,
             max_restarts,
             incarnations: vec![0; slaves],
             restarts_left: vec![max_restarts; slaves],
-            checkpoints: vec![SlaveState::default(); slaves],
-            respawn_at: vec![None; slaves],
-            finished: vec![false; slaves],
+            checkpoints: fresh,
+            respawn_at: vec![Some(Instant::now()); slaves],
+            shards: (0..slaves).map(|_| None).collect(),
             dead: vec![false; slaves],
             last_heard: vec![Instant::now(); slaves],
             barrier: Barrier {
@@ -1031,8 +978,10 @@ impl<'a> Supervision<'a> {
                 estimates: Vec::new(),
                 converged: false,
                 termination: TerminationReason::Deadline,
-                master_calibration_events: master_events,
+                master_calibration_events: events,
                 slave_events: vec![0; slaves],
+                cluster: RunTotals::default().summary(0),
+                simulated_seconds: 0.0,
                 dead_slaves: Vec::new(),
                 resurrections: 0,
                 watchdog_fired: false,
@@ -1047,7 +996,7 @@ impl<'a> Supervision<'a> {
     /// Whether the slave has reached a terminal state (Final delivered or
     /// permanently dead).
     fn settled(&self, slave: usize) -> bool {
-        self.finished[slave] || self.dead[slave]
+        self.shards[slave].is_some() || self.dead[slave]
     }
 
     /// One observed death (crash, stall, severed link, failed spawn): reap
@@ -1076,6 +1025,18 @@ impl<'a> Supervision<'a> {
                 self.outcome.converged = false;
             }
         }
+        self.try_decide(transport);
+    }
+
+    /// A slave's final shard is in: settle it, and wind everyone down if
+    /// its audit failed — one slave's broken invariants poison the merge.
+    fn delivered<T: Transport>(&mut self, slave: usize, shard: Box<FinalShard>, transport: &mut T) {
+        self.barrier.parked[slave] = None;
+        if shard.run.audit_failed() && !self.stop_requested {
+            self.stop_requested = true;
+            transport.interrupt_all();
+        }
+        self.shards[slave] = Some(shard);
         self.try_decide(transport);
     }
 
@@ -1121,12 +1082,12 @@ fn supervise<T: Transport>(
     runner: &ParallelRunner,
     specs: &[MetricSpec],
     mut transport: T,
+    fresh: Vec<SlaveState>,
     master_events: u64,
     start: Instant,
 ) -> Result<ParallelOutcome, SimError> {
     let slaves = runner.slaves;
-    let mut sup = Supervision::new(slaves, specs, runner.max_restarts, master_events);
-    let mut shards: Vec<Option<Box<FinalShard>>> = (0..slaves).map(|_| None).collect();
+    let mut sup = Supervision::new(fresh, specs, runner.max_restarts, master_events);
     let mut interrupted = false;
     // The master-side kill chaos arms on the victim's first epoch
     // checkpoint and fires on its next heartbeat — genuinely mid-epoch.
@@ -1138,16 +1099,37 @@ fn supervise<T: Transport>(
 
     let deadline = runner.watchdog.map(|s| start + Duration::from_secs_f64(s));
 
-    for slave in 0..slaves {
-        if transport
-            .spawn(slave, 0, SlaveState::default(), false)
-            .is_err()
-        {
-            sup.slave_died(slave, &mut transport);
-        }
-    }
-
     while (0..slaves).any(|s| !sup.settled(s)) {
+        // Launch due spawns: every slave's first, from the fresh run of its
+        // seed, and resurrections from the last checkpoint, which proceed
+        // even after stop so the slave's sample pool stays in the merge.
+        let now = Instant::now();
+        for slave in 0..slaves {
+            if sup.respawn_at[slave].is_some_and(|at| now >= at) {
+                sup.respawn_at[slave] = None;
+                sup.last_heard[slave] = now;
+                sup.outcome.resurrections += u64::from(sup.incarnations[slave] > 0);
+                let state = sup.checkpoints[slave].clone();
+                // If wind-down already began (or the run finalized at a
+                // barrier the checkpoint has reached), a respawn must not
+                // simulate past the decided trajectory: the checkpoint is
+                // the slave's final state, and nothing need be spawned.
+                if sup.stop_requested
+                    || sup.barrier.finalize_at.is_some_and(|n| state.barriers >= n)
+                {
+                    let shard = FinalShard {
+                        run: state.run,
+                        telemetry: SlaveTelemetryShard::default(),
+                    };
+                    sup.delivered(slave, Box::new(shard), &mut transport);
+                } else if transport
+                    .spawn(slave, sup.incarnations[slave], state)
+                    .is_err()
+                {
+                    sup.slave_died(slave, &mut transport);
+                }
+            }
+        }
         let event = transport.recv_timeout(WATCHDOG_TICK);
 
         if let Some(flag) = &runner.interrupt {
@@ -1211,19 +1193,7 @@ fn supervise<T: Transport>(
                             kill_chaos_armed = true;
                         }
                     }
-                    UpFrame::Final { shard, .. } => {
-                        sup.finished[slave] = true;
-                        sup.barrier.parked[slave] = None;
-                        if shard.audit.as_ref().is_some_and(|a| !a.passed()) && !sup.stop_requested
-                        {
-                            // One slave's broken invariants poison the
-                            // merge; wind everyone down now.
-                            sup.stop_requested = true;
-                            transport.interrupt_all();
-                        }
-                        shards[slave] = Some(shard);
-                        sup.try_decide(&mut transport);
-                    }
+                    UpFrame::Final { shard, .. } => sup.delivered(slave, shard, &mut transport),
                     UpFrame::Fatal { .. } => sup.slave_died(slave, &mut transport),
                     UpFrame::SoloReport(_) => unreachable!("filtered above"),
                 }
@@ -1253,45 +1223,30 @@ fn supervise<T: Transport>(
                 }
             }
         }
-
-        // Launch due resurrections. Respawns proceed even after stop: a
-        // resurrected slave finalizes from its restored checkpoint, so its
-        // sample pool stays in the merge.
-        let now = Instant::now();
-        for slave in 0..slaves {
-            if sup.respawn_at[slave].is_some_and(|at| now >= at) {
-                sup.respawn_at[slave] = None;
-                sup.last_heard[slave] = now;
-                sup.outcome.resurrections += 1;
-                let state = sup.checkpoints[slave].clone();
-                // If wind-down already began (or the run finalized at a
-                // barrier the checkpoint has reached), the respawn must
-                // not simulate past the decided trajectory.
-                let winddown = sup.stop_requested
-                    || sup.barrier.finalize_at.is_some_and(|n| state.barriers >= n);
-                if transport
-                    .spawn(slave, sup.incarnations[slave], state, winddown)
-                    .is_err()
-                {
-                    sup.slave_died(slave, &mut transport);
-                }
-            }
-        }
     }
 
     transport.reap();
 
-    let mut outcome = sup.outcome;
+    let (mut outcome, shards) = (sup.outcome, sup.shards);
     // Merge phase: combine surviving slave histograms bin-wise.
     outcome.estimates = merge_finals(specs, &shards, &mut outcome.slave_events);
+    let servers = runner.config.servers;
+    let mut pooled = RunTotals::default();
+    let mut told = SlaveTelemetryShard::default();
     for shard in shards.iter().flatten() {
-        if let Some(audit) = &shard.audit {
+        let totals = &shard.run.totals;
+        pooled.absorb(&totals.summary(servers), totals.simulated_seconds);
+        told.epochs += shard.telemetry.epochs;
+        told.heartbeats += shard.telemetry.heartbeats;
+        if let Some(audit) = &shard.run.audit {
             outcome
                 .audit
                 .get_or_insert_with(AuditReport::default)
                 .merge(audit);
         }
     }
+    outcome.simulated_seconds = pooled.simulated_seconds;
+    outcome.cluster = pooled.summary(servers);
     outcome.dead_slaves.sort_unstable();
     if outcome.dead_slaves.len() == slaves {
         return Err(SimError::NoSurvivingSlaves {
@@ -1325,22 +1280,8 @@ fn supervise<T: Transport>(
         );
         rec.counter_add("procslave.respawns", outcome.resurrections);
         rec.counter_add("procslave.cap_kills", wire.cap_kills);
-        rec.counter_add(
-            "procslave.slave_epochs",
-            shards
-                .iter()
-                .flatten()
-                .map(|s| s.telemetry.epochs)
-                .sum::<u64>(),
-        );
-        rec.counter_add(
-            "procslave.slave_heartbeats",
-            shards
-                .iter()
-                .flatten()
-                .map(|s| s.telemetry.heartbeats)
-                .sum::<u64>(),
-        );
+        rec.counter_add("procslave.slave_epochs", told.epochs);
+        rec.counter_add("procslave.slave_heartbeats", told.heartbeats);
         rec.gauge_set(
             "parallel.slave_events_total",
             outcome.slave_events.iter().sum::<u64>() as f64,
@@ -1382,11 +1323,13 @@ fn merge_finals(
     let mut observed: Vec<u64> = vec![0; specs.len()];
     for (slave, shard) in finals.iter().enumerate() {
         let Some(shard) = shard else { continue };
-        slave_events[slave] = shard.events;
-        for (idx, hist) in shard.histograms.iter().enumerate() {
-            let Some(hist) = hist else { continue };
-            observed[idx] += shard.total_observed[idx];
-            lags[idx] = lags[idx].max(shard.lags[idx]);
+        slave_events[slave] = shard.run.events_done;
+        for (idx, metric) in shard.run.stats.iter().flat_map(|s| s.iter()).enumerate() {
+            let Some(hist) = metric.histogram() else {
+                continue;
+            };
+            observed[idx] += metric.total_observed();
+            lags[idx] = lags[idx].max(metric.lag());
             match &mut merged_hists[idx] {
                 Some(acc) => acc.merge(hist),
                 slot @ None => *slot = Some(hist.clone()),
@@ -1452,6 +1395,59 @@ mod tests {
         assert!(a.converged);
         assert_eq!(a.slave_events, b.slave_events);
         assert_eq!(a.estimates, b.estimates, "runs must be bit-identical");
+        assert!(a.cluster.jobs_completed > 0);
+        assert_eq!(a.cluster, b.cluster);
+        assert_eq!(a.simulated_seconds.to_bits(), b.simulated_seconds.to_bits());
+    }
+
+    #[test]
+    fn parallel_run_reports_a_real_cluster() {
+        // The power-capping example (Fig. 10's subject): what the slaves'
+        // replicas did reaches the report, and agrees with a serial run of
+        // the same experiment. The capping metric stays off to keep it short.
+        use bighouse_models::{DvfsModel, LinearPowerModel, PowerCapper};
+        // A budget the four servers overrun at this load, so the capper
+        // throttles and utilization settles above the offered 0.4; tight
+        // enough an accuracy that either run's time averages have settled.
+        let capper = PowerCapper::new(
+            LinearPowerModel::typical_server(),
+            DvfsModel::default(),
+            500.0,
+        );
+        let config = quick_config()
+            .with_servers(4)
+            .with_utilization(0.4)
+            .with_target_accuracy(0.01)
+            .with_capper(capper);
+        let serial = crate::run_serial(&config, 31).unwrap();
+        let outcome = ParallelRunner::new(config, 2).run(31).unwrap();
+        assert!(outcome.converged);
+        assert!(outcome.simulated_seconds > 0.0);
+        assert_eq!(outcome.cluster.servers, 4);
+        assert!(outcome.cluster.jobs_completed > 0);
+        for (what, parallel, reference) in [
+            (
+                "mean_utilization",
+                outcome.cluster.mean_utilization,
+                serial.cluster.mean_utilization,
+            ),
+            (
+                "average_power_watts",
+                outcome.cluster.average_power_watts,
+                serial.cluster.average_power_watts,
+            ),
+        ] {
+            assert!(reference > 0.0, "{what}: serial reports {reference}");
+            let rel = (parallel - reference).abs() / reference;
+            assert!(
+                rel < 0.05,
+                "{what}: parallel {parallel} vs serial {reference}"
+            );
+        }
+        let report = outcome.report();
+        assert_eq!(report.cluster, outcome.cluster);
+        assert_eq!(report.simulated_seconds, outcome.simulated_seconds);
+        assert_eq!(report.events_fired, outcome.total_events());
     }
 
     #[test]
@@ -1561,6 +1557,14 @@ mod tests {
             assert_eq!(
                 clean.estimates, chaotic.estimates,
                 "resurrection must reproduce the undisturbed trajectory ({chaos:?})"
+            );
+            // A replayed epoch's totals are counted once.
+            assert!(clean.cluster.jobs_completed > 0);
+            assert_eq!(clean.cluster, chaotic.cluster, "{chaos:?}");
+            assert_eq!(
+                clean.simulated_seconds.to_bits(),
+                chaotic.simulated_seconds.to_bits(),
+                "{chaos:?}"
             );
         }
     }

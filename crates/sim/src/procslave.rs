@@ -12,11 +12,14 @@
 //!
 //! The protocol itself — the messages, the slave session, the supervisor,
 //! chunk barriers and epoch checkpoints — lives in that module and is the
-//! same on both transports. Here are the frame codec, the
-//! `ProcessTransport` the supervisor drives, the child's half of the
-//! link with its self-enforced resource caps ([`ProcLimits`]), the child
-//! entry point ([`slave_main`]) and whole-run children for sweep isolation
-//! ([`run_solo_in_child`]).
+//! same on both transports; the session is the resumable run's epoch step
+//! with a link attached (one step, two callers: a [`HelloJob::Lockstep`]
+//! child resumes the [`crate::RunState`] in its hello with the step a
+//! [`HelloJob::Solo`] child's `run_resumable` loops over). Here are the
+//! frame codec, the `ProcessTransport` the supervisor drives, the child's
+//! half of the link with its self-enforced resource caps ([`ProcLimits`]),
+//! the child entry point ([`slave_main`]) and whole-run children for sweep
+//! isolation ([`run_solo_in_child`]).
 //!
 //! # Frame format
 //!
@@ -46,9 +49,7 @@ use bighouse_stats::HistogramSpec;
 use crate::checkpoint::fnv1a;
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
-use crate::parallel::{
-    slave_session, SessionParams, SharedCtx, SlaveEvent, SlaveLink, Transport, WireCounters,
-};
+use crate::parallel::{slave_session, SharedCtx, SlaveEvent, SlaveLink, Transport, WireCounters};
 pub use crate::parallel::{
     Directive, ExecBackend, FinalShard, ProcChaos, SlaveState, SlaveTelemetryShard, UpFrame,
 };
@@ -58,8 +59,11 @@ use crate::runner::{run_resumable, RunOptions};
 /// Protocol version stamped into every frame body; a master and a slave
 /// from different builds refuse to talk rather than mis-merge. Version 2
 /// moved the barrier from the epoch to the chunk; version 3 added the
-/// spawn-time [`ProcChaos`] variants.
-pub const PROTOCOL_VERSION: u8 = 3;
+/// spawn-time [`ProcChaos`] variants; version 4 made the checkpoint and the
+/// final shard a [`crate::RunState`] (plus the barrier count and the
+/// telemetry shard), which carries the slave's seed, and dropped the
+/// hello's `slave_seed` and `winddown` and the heartbeat's `events`.
+pub const PROTOCOL_VERSION: u8 = 4;
 
 /// Upper bound on a frame body. A corrupted length prefix must not make
 /// the decoder allocate gigabytes before the checksum can reject it.
@@ -234,19 +238,15 @@ pub enum HelloJob {
         /// Incarnation (respawn generation) — echoed in every up-frame so
         /// the master can fence stragglers.
         incarnation: u32,
-        /// The slave's unique seed (epoch seeds derive from it).
-        slave_seed: u64,
         /// Events per epoch.
         epoch_events: u64,
         /// The experiment to simulate.
         config: Box<ExperimentConfig>,
         /// Master-calibrated histogram bin schemes (Figure 3 broadcast).
         bin_schemes: HashMap<String, HistogramSpec>,
-        /// Checkpoint to resume from (default state for incarnation 0).
-        state: SlaveState,
-        /// Deliver the final shard immediately from `state`, without
-        /// simulating — used when a respawn lands after wind-down began.
-        winddown: bool,
+        /// Checkpoint to resume from (the fresh run of the slave's unique
+        /// seed for incarnation 0).
+        state: Box<SlaveState>,
         /// Chaos hook; the session decides whether it is the victim and
         /// which incarnation the fault is due in.
         chaos: Option<ProcChaos>,
@@ -304,6 +304,29 @@ impl Default for ProcSlaveConfig {
     }
 }
 
+/// Starts one slave child with piped stdin/stdout, marked with
+/// [`SLAVE_ENV_MARKER`]; `slave` names it in the error.
+fn spawn_child(cfg: &ProcSlaveConfig, slave: usize) -> Result<Child, SimError> {
+    let program = match &cfg.program {
+        Some(p) => p.clone(),
+        None => std::env::current_exe().map_err(|e| SimError::SlaveProcess {
+            slave,
+            detail: format!("current_exe: {e}"),
+        })?,
+    };
+    Command::new(&program)
+        .args(&cfg.args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit())
+        .env(SLAVE_ENV_MARKER, std::process::id().to_string())
+        .spawn()
+        .map_err(|e| SimError::SlaveProcess {
+            slave,
+            detail: format!("spawn {}: {e}", program.display()),
+        })
+}
+
 // ---------------------------------------------------------------------------
 // The process transport (master side)
 // ---------------------------------------------------------------------------
@@ -317,7 +340,7 @@ struct ProcSlot {
 /// The supervisor's transport over child processes: one child per
 /// incarnation, a reader thread per child decoding its stdout.
 pub(crate) struct ProcessTransport {
-    ctx: Arc<SharedCtx>,
+    ctx: SharedCtx,
     cfg: ProcSlaveConfig,
     tx: channel::Sender<SlaveEvent>,
     rx: channel::Receiver<SlaveEvent>,
@@ -329,7 +352,7 @@ pub(crate) struct ProcessTransport {
 }
 
 impl ProcessTransport {
-    pub(crate) fn new(ctx: Arc<SharedCtx>, slaves: usize, cfg: ProcSlaveConfig) -> Self {
+    pub(crate) fn new(ctx: SharedCtx, slaves: usize, cfg: ProcSlaveConfig) -> Self {
         let (tx, rx) = channel::channel();
         ProcessTransport {
             ctx,
@@ -356,32 +379,9 @@ impl ProcessTransport {
 }
 
 impl Transport for ProcessTransport {
-    fn spawn(
-        &mut self,
-        slave: usize,
-        incarnation: u32,
-        state: SlaveState,
-        winddown: bool,
-    ) -> Result<(), SimError> {
+    fn spawn(&mut self, slave: usize, incarnation: u32, state: SlaveState) -> Result<(), SimError> {
         let config = self.ctx.config.for_wire()?;
-        let program = match &self.cfg.program {
-            Some(p) => p.clone(),
-            None => std::env::current_exe().map_err(|e| SimError::SlaveProcess {
-                slave,
-                detail: format!("current_exe: {e}"),
-            })?,
-        };
-        let mut child = Command::new(&program)
-            .args(&self.cfg.args)
-            .stdin(Stdio::piped())
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit())
-            .env(SLAVE_ENV_MARKER, std::process::id().to_string())
-            .spawn()
-            .map_err(|e| SimError::SlaveProcess {
-                slave,
-                detail: format!("spawn {}: {e}", program.display()),
-            })?;
+        let mut child = spawn_child(&self.cfg, slave)?;
         let mut stdin = child.stdin.take().expect("stdin was piped");
         let stdout = child.stdout.take().expect("stdout was piped");
         let hello = DownFrame::Hello {
@@ -389,12 +389,10 @@ impl Transport for ProcessTransport {
             job: Box::new(HelloJob::Lockstep {
                 slave,
                 incarnation,
-                slave_seed: self.ctx.seeds[slave],
                 epoch_events: self.ctx.epoch_events,
                 config,
-                bin_schemes: (*self.ctx.bin_schemes).clone(),
-                state,
-                winddown,
+                bin_schemes: self.ctx.bin_schemes.clone(),
+                state: Box::new(state),
                 chaos: self.ctx.chaos,
             }),
         };
@@ -532,17 +530,8 @@ impl SlaveLink for ChildLink {
         write_frame(&mut out, &frame).is_ok()
     }
 
-    fn wait_directive(&mut self) -> Directive {
-        loop {
-            if self.stop.load(Ordering::Relaxed) {
-                return Directive::Finalize;
-            }
-            match self.directive_rx.recv_timeout(Duration::from_millis(5)) {
-                Ok(d) => return d,
-                Err(channel::RecvTimeoutError::Timeout) => {}
-                Err(channel::RecvTimeoutError::Disconnected) => return Directive::Finalize,
-            }
-        }
+    fn directives(&self) -> &channel::Receiver<Directive> {
+        &self.directive_rx
     }
 
     fn should_stop(&self) -> bool {
@@ -630,53 +619,31 @@ pub fn slave_main() -> u8 {
         });
     }
 
-    let code = match *job {
+    // Both jobs talk to the master through the one link.
+    let mut link = ChildLink {
+        stdout: std::io::stdout(),
+        directive_rx,
+        stop: Arc::clone(&stop),
+        limits,
+    };
+    let (slave, incarnation, result) = match *job {
         HelloJob::Lockstep {
             slave,
             incarnation,
-            slave_seed,
             epoch_events,
             config,
             bin_schemes,
             state,
-            winddown,
             chaos,
         } => {
-            let mut link = ChildLink {
-                stdout: std::io::stdout(),
-                directive_rx,
-                stop: Arc::clone(&stop),
-                limits,
-            };
-            let params = SessionParams {
-                slave,
-                incarnation,
-                slave_seed,
+            let ctx = SharedCtx {
+                config: *config,
+                bin_schemes,
                 epoch_events,
-                config: Arc::new(*config),
-                bin_schemes: Arc::new(bin_schemes),
-                state,
-                winddown,
                 chaos,
             };
-            match slave_session(&mut link, params) {
-                Ok(()) => exit_code::OK,
-                Err(e) => {
-                    // An exceeded cap is the one failure of the child's
-                    // own making that the master may cure by respawning.
-                    let code = match e {
-                        SimError::SlaveProcess { .. } => exit_code::RESOURCE,
-                        _ => exit_code::SIM,
-                    };
-                    let _ = link.send(UpFrame::Fatal {
-                        slave,
-                        incarnation,
-                        error: e.to_string(),
-                        code,
-                    });
-                    code
-                }
-            }
+            let done = slave_session(&mut link, slave, incarnation, &ctx, *state);
+            (slave, incarnation, done)
         }
         HelloJob::Solo {
             config,
@@ -689,31 +656,38 @@ pub fn slave_main() -> u8 {
             }
             let opts = RunOptions {
                 epoch_events,
-                interrupt: Some(Arc::clone(&stop)),
+                interrupt: Some(stop),
                 ..RunOptions::default()
             };
-            match run_resumable(&config, master_seed, &opts) {
-                Ok(report) => {
-                    let mut out = std::io::stdout().lock();
-                    match write_frame(&mut out, &UpFrame::SoloReport(Box::new(report))) {
-                        Ok(()) => exit_code::OK,
-                        Err(_) => exit_code::FRAME,
-                    }
+            let sent = run_resumable(&config, master_seed, &opts).and_then(|report| {
+                if link.send(UpFrame::SoloReport(Box::new(report))) {
+                    Ok(())
+                } else {
+                    Err(SimError::Frame {
+                        detail: "the report did not reach the master".to_string(),
+                    })
                 }
-                Err(e) => {
-                    let mut out = std::io::stdout().lock();
-                    let _ = write_frame(
-                        &mut out,
-                        &UpFrame::Fatal {
-                            slave: 0,
-                            incarnation: 0,
-                            error: e.to_string(),
-                            code: exit_code::SIM,
-                        },
-                    );
-                    exit_code::SIM
-                }
-            }
+            });
+            (0, 0, sent)
+        }
+    };
+    let code = match result {
+        Ok(()) => exit_code::OK,
+        Err(e) => {
+            // An exceeded cap is the one failure of the child's own making
+            // that the master may cure by respawning.
+            let code = match e {
+                SimError::SlaveProcess { .. } => exit_code::RESOURCE,
+                SimError::Frame { .. } => exit_code::FRAME,
+                _ => exit_code::SIM,
+            };
+            let _ = link.send(UpFrame::Fatal {
+                slave,
+                incarnation,
+                error: e.to_string(),
+                code,
+            });
+            code
         }
     };
     if frame_poison.load(Ordering::Relaxed) {
@@ -749,24 +723,7 @@ pub fn run_solo_in_child(
     chaos_abort: bool,
 ) -> Result<SimulationReport, SimError> {
     let config = config.for_wire()?;
-    let program = match &proc_cfg.program {
-        Some(p) => p.clone(),
-        None => std::env::current_exe().map_err(|e| SimError::SlaveProcess {
-            slave: 0,
-            detail: format!("current_exe: {e}"),
-        })?,
-    };
-    let mut child = Command::new(&program)
-        .args(&proc_cfg.args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::inherit())
-        .env(SLAVE_ENV_MARKER, std::process::id().to_string())
-        .spawn()
-        .map_err(|e| SimError::SlaveProcess {
-            slave: 0,
-            detail: format!("spawn {}: {e}", program.display()),
-        })?;
+    let mut child = spawn_child(proc_cfg, 0)?;
     // Reap on every exit path below.
     struct Reaper<'a>(&'a mut Child);
     impl Drop for Reaper<'_> {
@@ -868,7 +825,6 @@ mod tests {
         let frame = UpFrame::Heartbeat {
             slave: 3,
             incarnation: 7,
-            events: 123_456,
             barrier: 6,
             moments: vec![Some(stats), None],
             exhausted: true,
@@ -881,12 +837,11 @@ mod tests {
             UpFrame::Heartbeat {
                 slave,
                 incarnation,
-                events,
                 barrier,
                 moments,
                 exhausted,
             } => {
-                assert_eq!((slave, incarnation, events), (3, 7, 123_456));
+                assert_eq!((slave, incarnation), (3, 7));
                 assert_eq!((barrier, exhausted), (6, true));
                 assert_eq!(moments, vec![Some(stats), None]);
             }

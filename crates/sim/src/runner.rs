@@ -10,11 +10,11 @@ use bighouse_des::CalendarStats;
 use bighouse_stats::{HistogramSpec, StatsCollection};
 use bighouse_telemetry::{MemoryRecorder, TelemetrySnapshot};
 
-use crate::audit::{AuditConfig, AuditReport};
+use crate::audit::AuditConfig;
 use crate::checkpoint::{config_fingerprint, CheckpointConfig, CheckpointStore, RunState};
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
-use crate::fastpath::Epoch;
+use crate::fastpath::{epoch_step, Epoch};
 use crate::report::{RuntimeStats, SimulationReport, TerminationReason};
 use crate::telemetry::assemble_snapshot;
 
@@ -34,7 +34,8 @@ pub fn run_serial(config: &ExperimentConfig, seed: u64) -> Result<SimulationRepo
     let start = Instant::now();
     let mut guard = config.audit().map(AuditConfig::progress_guard);
     let mut epoch = Epoch::start(config, seed, None, None, guard.as_mut())?;
-    let run = epoch.advance(config.max_events, guard.as_mut());
+    let budget = config.max_events;
+    let run = epoch.advance(budget, budget, guard.as_mut(), |_, _| Ok(true))?;
     let end = epoch.finish();
     let audit_failed = end.audit.as_ref().is_some_and(|a| !a.passed());
     let converged = end.stats.all_converged() && !audit_failed;
@@ -44,7 +45,7 @@ pub fn run_serial(config: &ExperimentConfig, seed: u64) -> Result<SimulationRepo
             &rec,
             Some(&end.stats),
             &end.calendar,
-            run.events_fired,
+            run.fired,
             wall_seconds,
         )
     });
@@ -52,7 +53,7 @@ pub fn run_serial(config: &ExperimentConfig, seed: u64) -> Result<SimulationRepo
         converged,
         termination: TerminationReason::classify(end.audit.as_ref(), false, converged),
         estimates: end.stats.estimates(),
-        events_fired: run.events_fired,
+        events_fired: run.fired,
         simulated_seconds: end.now.as_seconds(),
         runtime: RuntimeStats {
             wall_seconds,
@@ -94,7 +95,7 @@ impl RunOptions {
     /// small enough that a kill loses at most a few seconds of work.
     pub const DEFAULT_EPOCH_EVENTS: u64 = 1_000_000;
 
-    fn epoch_budget(&self) -> u64 {
+    pub(crate) fn epoch_budget(&self) -> u64 {
         if self.epoch_events == 0 {
             Self::DEFAULT_EPOCH_EVENTS
         } else {
@@ -116,9 +117,8 @@ fn report_from_state(
     termination: TerminationReason,
     telemetry: Option<TelemetrySnapshot>,
 ) -> SimulationReport {
-    let audit_failed = state.audit.as_ref().is_some_and(|a| !a.passed());
     SimulationReport {
-        converged: state.converged() && !audit_failed,
+        converged: state.converged() && !state.audit_failed(),
         termination,
         estimates: state
             .stats
@@ -225,8 +225,7 @@ pub fn run_resumable(
     // never spuriously trips it.)
     let mut guard = config.audit().map(AuditConfig::progress_guard);
     let interrupted = loop {
-        let audit_failed = state.audit.as_ref().is_some_and(|a| !a.passed());
-        if audit_failed || state.converged() || state.events_done >= config.max_events {
+        if state.audit_failed() || state.converged() || state.events_done >= config.max_events {
             break false;
         }
         // A stop request only counts while there is work left to stop.
@@ -238,25 +237,17 @@ pub fn run_resumable(
             break true;
         }
 
-        let seed = state.seeds.next_seed();
-        let mut epoch = Epoch::start(config, seed, None, state.stats.take(), guard.as_mut())?;
-        let budget = opts
-            .epoch_budget()
-            .min(config.max_events - state.events_done);
-        let run = epoch.advance(budget, guard.as_mut());
-        if run.events_fired == 0 && !run.stopped_by_guard {
-            return Err(SimError::CalendarDrained {
-                phase: "measurement",
-            });
-        }
-        let end = epoch.finish();
-        state.totals.absorb(&end.cluster, end.now.as_seconds());
-        if let Some(epoch_audit) = end.audit {
-            state
-                .audit
-                .get_or_insert_with(AuditReport::default)
-                .merge(&epoch_audit);
-        }
+        // One chunk per epoch: nothing happens between an epoch's events.
+        let budget = opts.epoch_budget();
+        let end = epoch_step(
+            config,
+            &mut state,
+            None,
+            budget,
+            budget,
+            guard.as_mut(),
+            |_, _| Ok(true),
+        )?;
         if let Some((rec, cal_acc)) = tel_acc.as_mut() {
             cal_acc.absorb(&end.calendar);
             rec.counter_add("sim.epochs", 1);
@@ -264,9 +255,6 @@ pub fn run_resumable(
                 rec.absorb(&epoch_rec);
             }
         }
-        state.stats = Some(end.stats);
-        state.events_done += run.events_fired;
-        state.next_epoch += 1;
 
         if let Some((store, interval)) = &store {
             if state.next_epoch.is_multiple_of(*interval) {
@@ -336,34 +324,32 @@ pub fn run_until_calibrated(
     let mut guard = config.audit().map(AuditConfig::progress_guard);
     let mut epoch = Epoch::start(config, seed, None, None, guard.as_mut())?;
     const CHUNK: u64 = 1_000;
-    let mut events = 0u64;
-    while !epoch.simulation().all_calibrated() {
-        let run = epoch.advance(CHUNK, guard.as_mut());
-        events += run.events_fired;
-        if epoch.tripped(&run) {
-            let violation = epoch
-                .finish()
-                .audit
-                .and_then(|report| report.violations.first().map(ToString::to_string))
-                .unwrap_or_else(|| "progress guard tripped".to_owned());
-            return Err(SimError::AuditFailed {
-                phase: "calibration",
-                violation,
-            });
-        }
-        if run.events_fired == 0 {
-            return Err(SimError::CalendarDrained {
-                phase: "calibration",
-            });
-        }
-        if events >= config.max_events {
-            return Err(SimError::EventCapExhausted {
-                phase: "calibration",
-                cap: config.max_events,
-            });
-        }
+    let adv = epoch.advance(config.max_events, CHUNK, guard.as_mut(), |epoch, _| {
+        Ok(!epoch.simulation().all_calibrated())
+    })?;
+    if adv.tripped {
+        let violation = epoch
+            .finish()
+            .audit
+            .and_then(|report| report.violations.first().map(ToString::to_string))
+            .unwrap_or_else(|| "progress guard tripped".to_owned());
+        return Err(SimError::AuditFailed {
+            phase: "calibration",
+            violation,
+        });
     }
-    Ok((epoch.simulation().histogram_specs(), events))
+    if adv.drained {
+        return Err(SimError::CalendarDrained {
+            phase: "calibration",
+        });
+    }
+    if adv.fired >= config.max_events {
+        return Err(SimError::EventCapExhausted {
+            phase: "calibration",
+            cap: config.max_events,
+        });
+    }
+    Ok((epoch.simulation().histogram_specs(), adv.fired))
 }
 
 #[cfg(test)]

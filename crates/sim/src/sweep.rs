@@ -683,11 +683,11 @@ pub fn run_sweep(
             });
         }
     }
-    let epoch_events = if opts.epoch_events == 0 {
-        RunOptions::DEFAULT_EPOCH_EVENTS
-    } else {
-        opts.epoch_events
-    };
+    let epoch_events = RunOptions {
+        epoch_events: opts.epoch_events,
+        ..RunOptions::default()
+    }
+    .epoch_budget();
     // The sweep fingerprint chains the per-config fingerprints in id
     // order, so resume rejects a ledger whose grid, seeds, or epoch size
     // differ. Per-config fingerprints already ignore the observational

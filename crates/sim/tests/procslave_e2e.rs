@@ -10,8 +10,9 @@
 //!    in-process thread transport at the same seed.
 //! 2. A slave SIGKILLed mid-epoch — and, separately, one that calls
 //!    `std::process::abort()` (which `catch_unwind` cannot contain) — is
-//!    resurrected from its epoch checkpoint and the merged estimates are
-//!    still bit-identical to the undisturbed run.
+//!    resurrected from its epoch checkpoint and the merged estimates and
+//!    the pooled cluster summary are still bit-identical to the
+//!    undisturbed run.
 //! 3. No zombie or orphan slave children survive any of it.
 
 use bighouse_sim::{
@@ -79,8 +80,16 @@ fn config() -> ExperimentConfig {
         .with_max_events(50_000_000)
 }
 
-fn estimates(outcome: &bighouse_sim::ParallelOutcome) -> String {
-    serde_json::to_string(&outcome.estimates).expect("estimates serialize")
+/// Everything deterministic a run reports: the merged estimates, the
+/// pooled cluster summary and the simulated time, bit for bit.
+fn reported(outcome: &bighouse_sim::ParallelOutcome) -> String {
+    assert!(outcome.cluster.jobs_completed > 0 && outcome.simulated_seconds > 0.0);
+    serde_json::to_string(&(
+        &outcome.estimates,
+        &outcome.cluster,
+        outcome.simulated_seconds.to_bits(),
+    ))
+    .expect("report serializes")
 }
 
 fn lockstep_reference() -> bighouse_sim::ParallelOutcome {
@@ -103,8 +112,8 @@ fn clean_process_run_is_bit_identical_to_lockstep() {
     assert!(proc.converged, "clean run converges");
     assert_eq!(proc.resurrections, 0, "no chaos, no respawns");
     assert_eq!(
-        estimates(&reference),
-        estimates(&proc),
+        reported(&reference),
+        reported(&proc),
         "process backend must reproduce the lockstep trajectory exactly"
     );
 }
@@ -118,9 +127,9 @@ fn sigkilled_slave_is_resurrected_bit_identically() {
     assert!(chaotic.resurrections >= 1, "the SIGKILL chaos never fired");
     assert!(chaotic.dead_slaves.is_empty(), "the victim must come back");
     assert_eq!(
-        estimates(&reference),
-        estimates(&chaotic),
-        "a SIGKILLed-mid-epoch slave must replay to the identical estimates"
+        reported(&reference),
+        reported(&chaotic),
+        "a SIGKILLed-mid-epoch slave must replay to the identical report"
     );
 }
 
@@ -136,9 +145,9 @@ fn aborting_slave_is_resurrected_bit_identically() {
     assert!(chaotic.resurrections >= 1, "the abort chaos never fired");
     assert!(chaotic.dead_slaves.is_empty(), "the victim must come back");
     assert_eq!(
-        estimates(&reference),
-        estimates(&chaotic),
-        "an aborting slave must replay to the identical estimates"
+        reported(&reference),
+        reported(&chaotic),
+        "an aborting slave must replay to the identical report"
     );
 }
 
