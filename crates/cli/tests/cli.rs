@@ -584,7 +584,11 @@ fn slave_entrypoint_without_a_master_fails_closed() {
         .stdin(std::process::Stdio::null())
         .output()
         .expect("spawn");
-    assert_eq!(out.status.code(), Some(65), "EOF before hello is EX_DATAERR");
+    assert_eq!(
+        out.status.code(),
+        Some(65),
+        "EOF before hello is EX_DATAERR"
+    );
     assert!(out.stdout.is_empty(), "no frames may be emitted");
 }
 
@@ -655,7 +659,13 @@ fn slave_processes_chaos_run_matches_lockstep_bit_for_bit() {
     let text = String::from_utf8_lossy(&chaos.stdout);
     let resurrections: u64 = text
         .lines()
-        .find_map(|l| l.strip_prefix("supervision: ")?.split_whitespace().next()?.parse().ok())
+        .find_map(|l| {
+            l.strip_prefix("supervision: ")?
+                .split_whitespace()
+                .next()?
+                .parse()
+                .ok()
+        })
         .expect("supervision line present");
     assert!(resurrections >= 1, "the SIGKILL chaos never fired: {text}");
 
@@ -739,7 +749,10 @@ fn sighup_winds_down_process_backend_without_orphans() {
             }
         }
     }
-    assert!(leftovers.is_empty(), "orphaned slave children: {leftovers:?}");
+    assert!(
+        leftovers.is_empty(),
+        "orphaned slave children: {leftovers:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -479,8 +479,14 @@ fn run_attempt(
         }
     }
     if let Some(proc_cfg) = isolate {
-        return match run_solo_in_child(&entry.config, seed, epoch_events, proc_cfg, Some(cancel), false)
-        {
+        return match run_solo_in_child(
+            &entry.config,
+            seed,
+            epoch_events,
+            proc_cfg,
+            Some(cancel),
+            false,
+        ) {
             Ok(report) => finish_attempt(report),
             // Any child failure after a cancellation request is the
             // cancellation: the worker disambiguates deadline-kill from

@@ -193,7 +193,10 @@ fn fast_path_mmk_estimates_agree_with_closed_forms() {
         .with_calibration(2_000)
         .with_max_events(8_000_000);
     let report = run_serial(&config, 2012).expect("valid config");
-    assert!(report.converged, "the oracle comparison needs a converged run");
+    assert!(
+        report.converged,
+        "the oracle comparison needs a converged run"
+    );
     let est = report.metric("response_time").expect("metric tracked");
 
     let mu = 1.0 / mean_service;

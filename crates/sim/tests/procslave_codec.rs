@@ -32,14 +32,16 @@ fn payload_strategy() -> impl Strategy<Value = Payload> {
         proptest::collection::vec(-1e12f64..1e12, 0..8),
         proptest::option::of("[ -~]{0,16}"),
     )
-        .prop_map(|(slave, incarnation, events, label, moments, note)| Payload {
-            slave,
-            incarnation,
-            events,
-            label,
-            moments,
-            note,
-        })
+        .prop_map(
+            |(slave, incarnation, events, label, moments, note)| Payload {
+                slave,
+                incarnation,
+                events,
+                label,
+                moments,
+                note,
+            },
+        )
 }
 
 fn encode(payload: &Payload) -> Vec<u8> {

@@ -15,9 +15,7 @@
 //!    undisturbed run.
 //! 3. No zombie or orphan slave children survive any of it.
 
-use bighouse_sim::{
-    ExperimentConfig, ExecBackend, ParallelRunner, ProcChaos, ProcSlaveConfig,
-};
+use bighouse_sim::{ExecBackend, ExperimentConfig, ParallelRunner, ProcChaos, ProcSlaveConfig};
 use bighouse_workloads::{StandardWorkload, Workload};
 
 const SEED: u64 = 20_120_613;
@@ -44,7 +42,10 @@ fn main() {
             "aborting_slave_is_resurrected_bit_identically",
             aborting_slave_is_resurrected_bit_identically,
         ),
-        ("no_zombie_or_orphan_children_remain", no_zombie_or_orphan_children_remain),
+        (
+            "no_zombie_or_orphan_children_remain",
+            no_zombie_or_orphan_children_remain,
+        ),
     ];
     let mut failed = 0usize;
     for (name, test) in tests {
@@ -166,7 +167,10 @@ fn no_zombie_or_orphan_children_remain() {
     let me = std::process::id();
     let marker = format!("BIGHOUSE_PROCSLAVE={me}");
     let mut leftovers = Vec::new();
-    for entry in std::fs::read_dir("/proc").expect("/proc readable").flatten() {
+    for entry in std::fs::read_dir("/proc")
+        .expect("/proc readable")
+        .flatten()
+    {
         let name = entry.file_name();
         let Some(pid) = name.to_str().and_then(|s| s.parse::<u32>().ok()) else {
             continue;

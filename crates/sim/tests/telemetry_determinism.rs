@@ -218,9 +218,16 @@ fn fastpath_counters_are_deterministic_and_sit_outside_the_wall_quarantine() {
     let b = run_serial(&config, 85).unwrap();
     let snap_a = a.runtime.telemetry.expect("telemetry on");
     let snap_b = b.runtime.telemetry.expect("telemetry on");
-    for key in ["fastpath.entries", "fastpath.bailouts", "fastpath.batched_departures"] {
+    for key in [
+        "fastpath.entries",
+        "fastpath.bailouts",
+        "fastpath.batched_departures",
+    ] {
         assert!(snap_a.counters.contains_key(key), "{key} must be a counter");
-        assert!(!snap_a.wall.contains_key(key), "{key} must not be wall-quarantined");
+        assert!(
+            !snap_a.wall.contains_key(key),
+            "{key} must not be wall-quarantined"
+        );
         assert_eq!(snap_a.counters[key], snap_b.counters[key], "{key}");
     }
     // quick_config is an eligible plain FCFS scenario.
