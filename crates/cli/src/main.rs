@@ -4,11 +4,13 @@
 //! bighouse run <experiment.json> [seed=N] [out=report.json]
 //!              [checkpoint-dir=DIR] [checkpoint-interval=EPOCHS]
 //!              [epoch-events=N] [telemetry=out.json]
-//!              [backend=threads|processes] [--slave-processes]
+//!              [backend=threads|processes]
 //!              [slave-mem-mb=N] [slave-cpu-secs=S]
 //!              [--resume] [--paranoid] [--telemetry-summary]
 //! bighouse sweep <sweep.json> [seed=N] [out=report.json]
-//!              [checkpoint-dir=DIR] [workers=N] [--isolate]
+//!              [checkpoint-dir=DIR] [workers=N]
+//!              [backend=threads|processes]
+//!              [slave-mem-mb=N] [slave-cpu-secs=S]
 //!              [--resume] [--paranoid] [--telemetry]
 //! bighouse workloads
 //! bighouse export-workload <name> <path>
@@ -21,7 +23,7 @@
 //!
 //! A hidden `bighouse __slave` entrypoint turns the binary into a
 //! sandboxed slave child for the process-isolated execution backend
-//! (`--slave-processes`, `sweep --isolate`); it is spawned by a
+//! (`backend=processes`, on `run` and `sweep` alike); it is spawned by a
 //! supervising `bighouse` master, speaks length-prefixed checksummed
 //! frames on stdin/stdout, and exits 0 ok / 65 corrupt frame stream /
 //! 70 simulation error / 75 resource cap exceeded / 101 panic.
@@ -187,7 +189,7 @@ fn print_usage() {
     println!("  bighouse run <experiment.json> [seed=N] [out=report.json]");
     println!("               [checkpoint-dir=DIR] [checkpoint-interval=EPOCHS]");
     println!("               [epoch-events=N] [telemetry=out.json]");
-    println!("               [backend=threads|processes] [--slave-processes]");
+    println!("               [backend=threads|processes]");
     println!("               [slave-mem-mb=N] [slave-cpu-secs=S]");
     println!("               [--resume] [--paranoid] [--telemetry-summary]");
     println!("      Run the experiment described by a JSON configuration file;");
@@ -202,8 +204,8 @@ fn print_usage() {
     println!("      latency histograms, phase transitions) and writes the snapshot");
     println!("      as JSON; --telemetry-summary prints a human-readable table.");
     println!("      Telemetry is observational: estimates stay bit-identical.");
-    println!("      With slaves > 1 in the spec, --slave-processes (or");
-    println!("      backend=processes) sandboxes every slave in a child OS");
+    println!("      With slaves > 1 in the spec, backend=processes");
+    println!("      sandboxes every slave in a child OS");
     println!("      process over a checksummed IPC fabric: a slave that");
     println!("      segfaults, aborts, or is OOM-killed is respawned from its");
     println!("      epoch checkpoint with bit-identical final estimates.");
@@ -213,18 +215,21 @@ fn print_usage() {
     println!("      per-child resource caps (a slave over its cap exits 75");
     println!("      and is counted, not resurrected).");
     println!("  bighouse sweep <sweep.json> [seed=N] [out=report.json]");
-    println!("               [checkpoint-dir=DIR] [workers=N] [--isolate]");
+    println!("               [checkpoint-dir=DIR] [workers=N]");
+    println!("               [backend=threads|processes]");
+    println!("               [slave-mem-mb=N] [slave-cpu-secs=S]");
     println!("               [--resume] [--paranoid] [--telemetry]");
     println!("      Run an experiment grid (a base spec crossed with value axes)");
-    println!("      on a worker pool. Each config gets a deterministic");
+    println!("      on `workers` transport slots. Each config gets a deterministic");
     println!("      seed derived from its id; panicking or stalling configs are");
     println!("      retried with backoff and quarantined instead of sinking the");
     println!("      sweep. With checkpoint-dir the completed-config ledger is");
     println!("      snapshotted so a killed sweep resumes bit-identically with");
     println!("      --resume; SIGHUP/SIGINT/SIGTERM wind down with a partial");
-    println!("      report. --isolate runs every attempt in a sandboxed child");
-    println!("      process: segfaults, aborts, and wedged configs are killed");
-    println!("      and quarantined as `crashed` instead of sinking the pool.");
+    println!("      report. backend=processes runs every attempt in a sandboxed");
+    println!("      child process: segfaults, aborts, and wedged configs are");
+    println!("      killed and quarantined as `crashed` instead of sinking the");
+    println!("      sweep (`isolate_processes` in the spec makes it the default).");
     println!("      Exits 69 if any config was quarantined (see sysexits note).");
     println!("  bighouse workloads");
     println!("      List the built-in Table 1 workload models and their moments.");
@@ -250,7 +255,7 @@ fn flag_arg(args: &[String], key: &str) -> bool {
 }
 
 /// Parses the per-child resource caps (`slave-mem-mb=`, `slave-cpu-secs=`)
-/// shared by the process backend and `sweep --isolate`.
+/// of the process backend.
 fn limits_args(args: &[String]) -> Result<ProcLimits, CliError> {
     let max_rss_bytes = kv_arg(args, "slave-mem-mb")
         .map(|s| {
@@ -273,24 +278,29 @@ fn limits_args(args: &[String]) -> Result<ProcLimits, CliError> {
     })
 }
 
-/// Parses the transport selection for parallel runs: `--slave-processes`
-/// (or `backend=processes`) sandboxes each slave in a child OS process
-/// behind the checksummed IPC fabric; `backend=threads` (the default) runs
-/// the same deterministic chunk-barrier protocol on in-process threads.
-fn backend_arg(args: &[String]) -> Result<ExecBackend, CliError> {
-    let backend = kv_arg(args, "backend");
-    if flag_arg(args, "slave-processes") || backend.as_deref() == Some("processes") {
-        return Ok(ExecBackend::Processes(ProcSlaveConfig {
+/// Parses the transport selection of a parallel run or a sweep:
+/// `backend=processes` sandboxes each slot in a child OS process behind the
+/// checksummed IPC fabric; `backend=threads` runs the same jobs on
+/// in-process threads. `default_processes` is what no `backend=` means.
+fn backend_arg(args: &[String], default_processes: bool) -> Result<ExecBackend, CliError> {
+    let processes = match kv_arg(args, "backend").as_deref() {
+        None => default_processes,
+        Some("threads") => false,
+        Some("processes") => true,
+        Some(other) => {
+            return Err(CliError::Usage(format!(
+                "bad backend `{other}` (expected threads or processes)"
+            )))
+        }
+    };
+    Ok(if processes {
+        ExecBackend::Processes(ProcSlaveConfig {
             limits: limits_args(args)?,
             ..ProcSlaveConfig::default()
-        }));
-    }
-    match backend.as_deref() {
-        None | Some("threads") => Ok(ExecBackend::ThreadLockstep),
-        Some(other) => Err(CliError::Usage(format!(
-            "bad backend `{other}` (expected threads or processes)"
-        ))),
-    }
+        })
+    } else {
+        ExecBackend::ThreadLockstep
+    })
 }
 
 fn cmd_run(args: &[String]) -> Result<(), CliError> {
@@ -354,7 +364,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                     "resume is only supported for serial runs (slaves=1)".into(),
                 ));
             }
-            let backend = backend_arg(args)?;
+            let backend = backend_arg(args, false)?;
             eprintln!(
                 "running with {slaves} parallel slaves ({} backend, master seed {seed})...",
                 match &backend {
@@ -530,8 +540,8 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         .ok_or_else(|| {
             CliError::Usage(
                 "usage: bighouse sweep <sweep.json> [seed=N] [out=report.json] \
-                 [checkpoint-dir=DIR] [workers=N] [--isolate] [--resume] \
-                 [--paranoid] [--telemetry]"
+                 [checkpoint-dir=DIR] [workers=N] [backend=threads|processes] \
+                 [--resume] [--paranoid] [--telemetry]"
                     .into(),
             )
         })?;
@@ -584,14 +594,6 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
             workers.to_string()
         }
     );
-    let isolate = if flag_arg(args, "isolate") || sweep.isolate_processes {
-        Some(ProcSlaveConfig {
-            limits: limits_args(args)?,
-            ..ProcSlaveConfig::default()
-        })
-    } else {
-        None
-    };
     let opts = SweepOptions {
         workers,
         max_retries: sweep.max_retries,
@@ -600,7 +602,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         checkpoint: checkpoint_dir.map(CheckpointConfig::new),
         resume,
         interrupt: Some(interrupt_flag()),
-        isolate_processes: isolate,
+        backend: backend_arg(args, sweep.isolate_processes)?,
         on_event: Some(Arc::new(|event: &SweepEvent| match event {
             SweepEvent::Completed {
                 id,

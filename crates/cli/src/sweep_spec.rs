@@ -66,11 +66,11 @@ pub struct SweepSpec {
     /// Events per checkpoint epoch inside each config (0 = default).
     #[serde(default)]
     pub epoch_events: u64,
-    /// Run every config attempt in a sandboxed child process (the same
-    /// as passing `--isolate` on the command line): poison configs that
-    /// abort, segfault, or wedge mid-epoch are killed and quarantined as
-    /// `crashed` instead of taking the worker pool down. Estimates are
-    /// bit-identical to in-thread attempts.
+    /// Run every config attempt in a sandboxed child process unless the
+    /// command line says otherwise (`backend=threads|processes`): poison
+    /// configs that abort, segfault, or wedge mid-epoch are killed and
+    /// quarantined as `crashed` instead of taking the sweep down.
+    /// Estimates are bit-identical to in-thread attempts.
     #[serde(default)]
     pub isolate_processes: bool,
 }

@@ -644,7 +644,7 @@ fn slave_processes_chaos_run_matches_lockstep_bit_for_bit() {
             "run",
             spec_path.to_str().unwrap(),
             "seed=7",
-            "--slave-processes",
+            "backend=processes",
             "epoch-events=50000",
             &format!("out={}", chaos_path.display()),
         ])
@@ -701,7 +701,7 @@ fn sighup_winds_down_process_backend_without_orphans() {
             "run",
             spec_path.to_str().unwrap(),
             "seed=11",
-            "--slave-processes",
+            "backend=processes",
             "epoch-events=50000",
         ])
         .stdout(std::process::Stdio::null())
@@ -756,8 +756,8 @@ fn sighup_winds_down_process_backend_without_orphans() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `sweep --isolate` quarantines a config whose child cannot even spawn
-/// the experiment — here the poison is an impossible audit budget, which
+/// `sweep backend=processes` quarantines a config whose child cannot even
+/// spawn the experiment — here the poison is an impossible audit budget, which
 /// under process isolation still ends as a typed quarantine and exit 69,
 /// with the healthy config completing normally.
 #[test]
@@ -789,7 +789,7 @@ fn isolated_sweep_still_quarantines_and_completes_neighbors() {
             "sweep",
             sweep_path.to_str().unwrap(),
             "seed=13",
-            "--isolate",
+            "backend=processes",
             &format!("out={}", report_path.display()),
         ])
         .output()

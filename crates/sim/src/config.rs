@@ -533,21 +533,21 @@ impl ExperimentConfig {
         Ok(())
     }
 
-    /// A copy to send to a child process.
+    /// Whether the configuration can be sent to a child process.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] for a fault process built from
     /// distributions no [`bighouse_faults::FaultSpec`] describes: it does
     /// not serialize, and the child must not run without it.
-    pub(crate) fn for_wire(&self) -> Result<Box<ExperimentConfig>, SimError> {
+    pub(crate) fn check_wire(&self) -> Result<(), SimError> {
         match &self.faults {
             Some(faults) if faults.spec().is_none() => Err(SimError::InvalidConfig(
                 "the process transport cannot carry a fault process built from custom \
                  distributions; use FaultProcess::exponential or an equal-shape weibull"
                     .into(),
             )),
-            _ => Ok(Box::new(self.clone())),
+            _ => Ok(()),
         }
     }
 }
@@ -576,12 +576,12 @@ mod tests {
     #[test]
     fn only_a_fault_process_a_spec_describes_goes_on_the_wire() {
         use bighouse_faults::FaultProcess;
-        assert!(base().for_wire().is_ok());
+        assert!(base().check_wire().is_ok());
         let spec_built = base().with_faults(FaultProcess::exponential(50.0, 2.0).unwrap());
-        assert!(spec_built.for_wire().is_ok());
+        assert!(spec_built.check_wire().is_ok());
         let custom = base().with_faults(FaultProcess::weibull(0.7, 50.0, 2.0, 2.0).unwrap());
         assert!(matches!(
-            custom.for_wire(),
+            custom.check_wire(),
             Err(SimError::InvalidConfig(msg)) if msg.contains("custom distributions")
         ));
     }

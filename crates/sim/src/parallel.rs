@@ -14,14 +14,17 @@
 //! the master's bin schemes, no stopping rule of its own, a hook after
 //! every chunk and a link for its checkpoints (DESIGN.md "One epoch loop").
 //!
-//! This module owns the protocol around that loop: the messages, the slave's
-//! half ([`slave_session`]), the master's half ([`supervise`]) and the
-//! in-thread transport. [`crate::procslave`] adds what exists because of a
-//! process boundary — the frame codec, the child-process transport and the
-//! child's entry point — on top of the same two halves. The dependency runs
-//! one way: this module names `procslave` only where
-//! [`ExecBackend::Processes`] forces it, for the variant's payload and for the
-//! transport constructor in [`ParallelRunner::run`]. The paper's hosts were
+//! This module owns the protocol around that loop: the messages, the job a
+//! slot is spawned with ([`HelloJob`], run by [`run_job`] on either
+//! transport), the slave's half ([`slave_session`]), the lockstep master's
+//! half ([`supervise`]), the [`Transport`] seam with its in-thread
+//! implementation, and the [`AttemptBudget`] both masters — this one and
+//! [`crate::run_sweep`]'s — charge a failure to. [`crate::procslave`] adds
+//! what exists because of a process boundary — the frame codec, the
+//! child-process transport and the child's entry point — on top of the same
+//! halves. The dependency runs one way: this module names `procslave` only
+//! for [`ExecBackend::Processes`] (the variant's payload and its transport)
+//! and for the exit code a [`UpFrame::Fatal`] carries. The paper's hosts were
 //! separate machines — see DESIGN.md substitution 3.
 //!
 //! # Decide at chunks, recover at epochs
@@ -86,20 +89,22 @@ use crate::checkpoint::{fnv1a, RunState, RunTotals};
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
 use crate::fastpath::epoch_step;
+use crate::procslave::exit_code;
 use crate::report::{ClusterSummary, RuntimeStats, SimulationReport, TerminationReason};
-use crate::runner::run_until_calibrated;
+use crate::runner::{run_resumable, run_until_calibrated, RunOptions};
 
 /// How many events a slave simulates between chunk barriers.
 const CHUNK_EVENTS: u64 = 20_000;
 
-/// How often the master re-checks deadlines, interrupts, and due respawns
-/// while waiting for slave messages.
-const WATCHDOG_TICK: Duration = Duration::from_millis(25);
+/// How often a master re-checks deadlines, interrupts, and due respawns
+/// while waiting for messages from its slots.
+pub(crate) const WATCHDOG_TICK: Duration = Duration::from_millis(25);
 
-/// Base delay before a crashed slave's first restart; doubles per attempt
-/// (with full jitter — see [`full_jitter_backoff`] — so a pool of
-/// simultaneously crashed slaves does not respawn in lockstep).
-const RESTART_BACKOFF: Duration = Duration::from_millis(25);
+/// Base delay before failed work runs again; see [`AttemptBudget::fail`].
+const RETRY_BACKOFF: Duration = Duration::from_millis(25);
+
+/// How long a master waits for a cooperative wind-down before it kills.
+pub(crate) const REAP_GRACE: Duration = Duration::from_secs(3);
 
 /// The result of a parallel run.
 #[derive(Debug, Clone)]
@@ -194,8 +199,9 @@ pub struct SlaveState {
     barriers: u64,
 }
 
-/// Which transport carries [`ParallelRunner`]'s slaves. Both run the same
-/// protocol and produce bit-identical results.
+/// Which transport carries a master's slots — [`ParallelRunner`]'s slaves
+/// or [`crate::run_sweep`]'s attempts. Both run the same jobs and produce
+/// bit-identical results.
 #[derive(Debug, Clone, Default)]
 pub enum ExecBackend {
     /// Threads of this process, over in-memory channels.
@@ -204,6 +210,18 @@ pub enum ExecBackend {
     /// Sandboxed child OS processes over the checksummed frame fabric
     /// (see [`crate::procslave`]).
     Processes(crate::procslave::ProcSlaveConfig),
+}
+
+impl ExecBackend {
+    /// The transport this backend names, with `slots` slots.
+    pub(crate) fn transport(&self, slots: usize) -> Box<dyn Transport> {
+        match self {
+            ExecBackend::ThreadLockstep => Box::new(ThreadTransport::new(slots)),
+            ExecBackend::Processes(cfg) => {
+                Box::new(crate::procslave::ProcessTransport::new(slots, cfg.clone()))
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -233,7 +251,7 @@ pub enum ProcChaos {
         slave: usize,
     },
     /// The slave calls `std::process::abort()` right after its first epoch
-    /// checkpoint — the failure `catch_unwind` cannot contain.
+    /// checkpoint — the failure a thread slot cannot contain.
     AbortAfterFirstEpoch {
         /// Victim slave index.
         slave: usize,
@@ -294,25 +312,18 @@ pub struct SlaveTelemetryShard {
     pub heartbeats: u64,
 }
 
-/// Slave → master frames. Every frame carries the sender's incarnation so
-/// the master can fence messages from abandoned incarnations.
+/// Slot → master frames. None names its sender: the transport stamps every
+/// frame with the slot and incarnation it read it from (`SlaveEvent`), so
+/// the master can fence what an abandoned incarnation still sends and no
+/// frame can claim to come from another.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum UpFrame {
     /// The slave accepted its hello and is about to simulate.
-    Ready {
-        /// Sender slave index.
-        slave: usize,
-        /// Sender incarnation.
-        incarnation: u32,
-    },
+    Ready,
     /// Chunk barrier, sent every 20 000 events: liveness for the
     /// stall deadline, plus everything the stopping rule reads. The slave
     /// now blocks until the master answers with a [`Directive`].
     Heartbeat {
-        /// Sender slave index.
-        slave: usize,
-        /// Sender incarnation.
-        incarnation: u32,
         /// Chunks completed since the run began (cumulative, incl. restored
         /// checkpoint) — the index of the barrier this frame parks at.
         barrier: u64,
@@ -321,34 +332,16 @@ pub enum UpFrame {
         /// Whether the slave's event cap is exhausted (it cannot continue).
         exhausted: bool,
     },
-    /// Epoch checkpoint: the slave's full resumable state, stored by the
-    /// master for resurrection. Nobody waits on it.
-    EpochDone {
-        /// Sender slave index.
-        slave: usize,
-        /// Sender incarnation.
-        incarnation: u32,
-        /// Checkpoint at the epoch boundary.
-        state: Box<SlaveState>,
-    },
-    /// Terminal frame of a successful incarnation.
-    Final {
-        /// Sender slave index.
-        slave: usize,
-        /// Sender incarnation.
-        incarnation: u32,
-        /// The merge shard.
-        shard: Box<FinalShard>,
-    },
-    /// The whole-run report of a [`crate::procslave::HelloJob::Solo`] child.
+    /// Epoch checkpoint: the slave's full resumable state at the epoch
+    /// boundary, stored by the master for resurrection. Nobody waits on it.
+    EpochDone(Box<SlaveState>),
+    /// Terminal frame of a successful lockstep incarnation: the merge shard.
+    Final(Box<FinalShard>),
+    /// Terminal frame of a [`HelloJob::Solo`] job: the whole run's report.
     SoloReport(Box<SimulationReport>),
     /// Terminal frame of a failed incarnation: a typed error and the exit
-    /// code the child is about to die with.
+    /// code a child is about to die with.
     Fatal {
-        /// Sender slave index.
-        slave: usize,
-        /// Sender incarnation.
-        incarnation: u32,
         /// Rendering of the error.
         error: String,
         /// The exit code the child will exit with (see
@@ -357,33 +350,95 @@ pub enum UpFrame {
     },
 }
 
-impl UpFrame {
-    fn sender(&self) -> Option<(usize, u32)> {
-        match *self {
-            UpFrame::Ready { slave, incarnation }
-            | UpFrame::Heartbeat {
-                slave, incarnation, ..
-            }
-            | UpFrame::EpochDone {
-                slave, incarnation, ..
-            }
-            | UpFrame::Final {
-                slave, incarnation, ..
-            }
-            | UpFrame::Fatal {
-                slave, incarnation, ..
-            } => Some((slave, incarnation)),
-            UpFrame::SoloReport(_) => None,
+/// A fault injected into a [`HelloJob::Solo`] job, for robustness tests.
+#[doc(hidden)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub enum SoloFault {
+    /// Panic with this message before simulating anything.
+    Panic(String),
+    /// Wedge, simulating nothing, until the slot is killed or interrupted.
+    Stall,
+}
+
+/// The work order a slot is spawned with; `run_job` runs it on either
+/// transport.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub enum HelloJob {
+    /// One lockstep slave of a parallel run.
+    Lockstep {
+        /// What every slave of the run shares (Figure 3's broadcast).
+        ctx: Box<SharedCtx>,
+        /// Checkpoint to resume from (the fresh run of the slave's unique
+        /// seed for incarnation 0).
+        state: Box<SlaveState>,
+    },
+    /// A whole self-contained run — one attempt of one sweep config — with
+    /// estimates bit-identical to [`run_resumable`] at the same seed and
+    /// epoch size, whichever transport carries it.
+    Solo {
+        /// The experiment to run.
+        config: Box<ExperimentConfig>,
+        /// Master seed for the run.
+        master_seed: u64,
+        /// Epoch granularity (also the interrupt-poll granularity).
+        epoch_events: u64,
+        /// Test hook: the fault this attempt suffers.
+        fault: Option<SoloFault>,
+    },
+}
+
+impl HelloJob {
+    /// The experiment the job simulates.
+    pub(crate) fn config(&self) -> &ExperimentConfig {
+        match self {
+            HelloJob::Lockstep { ctx, .. } => &ctx.config,
+            HelloJob::Solo { config, .. } => config,
         }
+    }
+}
+
+/// How often one unit of work — a slave, a sweep config — may fail before
+/// its master gives up on it. Every failure but the last buys a delay, the
+/// same way for both masters.
+#[derive(Debug, Clone)]
+pub(crate) struct AttemptBudget {
+    failed: u32,
+    retries: u32,
+    salt: u64,
+}
+
+impl AttemptBudget {
+    /// A budget of `retries + 1` attempts; `salt` (a slave index, a config
+    /// id's hash) decorrelates its delays from its neighbours'.
+    pub(crate) fn new(retries: u32, salt: u64) -> Self {
+        AttemptBudget {
+            failed: 0,
+            retries,
+            salt,
+        }
+    }
+
+    /// Attempts that have failed so far.
+    pub(crate) fn failed(&self) -> u32 {
+        self.failed
+    }
+
+    /// Charges one failed attempt: `Some(delay)` until the next may start,
+    /// or `None` once `retries + 1` attempts have failed.
+    pub(crate) fn fail(&mut self) -> Option<Duration> {
+        self.failed += 1;
+        (self.failed <= self.retries)
+            .then(|| full_jitter_backoff(RETRY_BACKOFF, self.failed, self.salt))
     }
 }
 
 /// Doubling backoff with **full jitter**: a delay drawn uniformly from
 /// `(0, base·2^min(attempt-1, 6)]`, deterministically from `(salt,
-/// attempt)` — so respawn/retry storms decorrelate across a pool without
-/// introducing nondeterminism. Floored at 1 ms so a respawn can never
-/// hot-loop.
-pub(crate) fn full_jitter_backoff(base: Duration, attempt: u32, salt: u64) -> Duration {
+/// attempt)` — so respawn/retry storms decorrelate across a pool (a
+/// machine-wide hiccup does not make every victim retry in lockstep)
+/// without introducing nondeterminism. Floored at 1 ms so a respawn can
+/// never hot-loop.
+fn full_jitter_backoff(base: Duration, attempt: u32, salt: u64) -> Duration {
     let cap = base * 2u32.pow(attempt.saturating_sub(1).min(6));
     let mut bytes = [0u8; 12];
     bytes[..8].copy_from_slice(&salt.to_le_bytes());
@@ -580,33 +635,36 @@ impl ParallelRunner {
             epoch_events: self.slave_epoch_events,
             chaos: self.proc_chaos,
         };
-        match &self.backend {
-            ExecBackend::ThreadLockstep => {
-                let transport = ThreadTransport::new(ctx, self.slaves);
-                supervise(self, &specs, transport, fresh, master_events, start)
-            }
-            ExecBackend::Processes(cfg) => {
-                let transport =
-                    crate::procslave::ProcessTransport::new(ctx, self.slaves, cfg.clone());
-                supervise(self, &specs, transport, fresh, master_events, start)
-            }
-        }
+        let mut transport = self.backend.transport(self.slaves);
+        supervise(
+            self,
+            &specs,
+            transport.as_mut(),
+            &ctx,
+            fresh,
+            master_events,
+            start,
+        )
     }
 }
 
 // ---------------------------------------------------------------------------
-// Slave session (shared by the in-thread and in-child slave loops)
+// The slot's half (shared by the in-thread and in-child loops)
 // ---------------------------------------------------------------------------
 
-/// The slave's half of the fabric, abstracted over thread channels vs.
+/// The slot's half of the fabric, abstracted over thread channels vs.
 /// stdio frames.
 pub(crate) trait SlaveLink {
     /// Ships a frame to the master; `false` means the master is gone.
     fn send(&mut self, frame: UpFrame) -> bool;
     /// Where the master's barrier decisions arrive.
     fn directives(&self) -> &channel::Receiver<Directive>;
-    /// Cooperative stop signal (interrupt, kill of this incarnation).
-    fn should_stop(&self) -> bool;
+    /// The incarnation's cooperative stop signal (interrupt, kill).
+    fn stop_flag(&self) -> &Arc<AtomicBool>;
+    /// Whether the stop signal is raised.
+    fn should_stop(&self) -> bool {
+        self.stop_flag().load(Ordering::Relaxed)
+    }
     /// Child-side resource-cap check; `Some` means a cap was exceeded, and
     /// the session ends with [`SimError::SlaveProcess`]. Caps are
     /// meaningful only across a process boundary.
@@ -629,11 +687,73 @@ pub(crate) trait SlaveLink {
     }
 }
 
+/// Runs one job on one slot to its terminal frame, on either transport: the
+/// thread transport's closure and [`crate::slave_main`] both end here. A
+/// typed failure is shipped as [`UpFrame::Fatal`]; the return value is the
+/// [`exit_code`] a child dies with. A panic is the caller's to contain.
+pub(crate) fn run_job<L: SlaveLink>(
+    link: &mut L,
+    slave: usize,
+    incarnation: u32,
+    job: HelloJob,
+) -> u8 {
+    let result = match job {
+        HelloJob::Lockstep { ctx, state } => slave_session(link, slave, incarnation, &ctx, *state),
+        HelloJob::Solo {
+            config,
+            master_seed,
+            epoch_events,
+            fault,
+        } => {
+            match fault {
+                Some(SoloFault::Panic(message)) => panic!("{message}"),
+                // Wedge exactly like a non-advancing run would: hold the
+                // slot until the master kills or interrupts it.
+                Some(SoloFault::Stall) => {
+                    while !link.should_stop() {
+                        std::thread::sleep(Duration::from_millis(2));
+                    }
+                }
+                None => {}
+            }
+            let opts = RunOptions {
+                epoch_events,
+                interrupt: Some(Arc::clone(link.stop_flag())),
+                ..RunOptions::default()
+            };
+            run_resumable(&config, master_seed, &opts).and_then(|report| {
+                if link.send(UpFrame::SoloReport(Box::new(report))) {
+                    Ok(())
+                } else {
+                    Err(SimError::Frame {
+                        detail: "the report did not reach the master".to_string(),
+                    })
+                }
+            })
+        }
+    };
+    let Err(e) = result else {
+        return exit_code::OK;
+    };
+    // An exceeded cap is the one failure of the child's own making that
+    // the master may cure by respawning.
+    let code = match e {
+        SimError::SlaveProcess { .. } => exit_code::RESOURCE,
+        SimError::Frame { .. } => exit_code::FRAME,
+        _ => exit_code::SIM,
+    };
+    let _ = link.send(UpFrame::Fatal {
+        error: e.to_string(),
+        code,
+    });
+    code
+}
+
 /// One incarnation of one slave, on either transport: a resumable run
 /// ([`epoch_step`]) resumed from the checkpoint, on the master's bin
 /// schemes, that parks at a barrier after every chunk until the master's
 /// directive and ships its state up the link at every epoch boundary.
-pub(crate) fn slave_session<L: SlaveLink>(
+fn slave_session<L: SlaveLink>(
     link: &mut L,
     slave: usize,
     incarnation: u32,
@@ -654,7 +774,7 @@ pub(crate) fn slave_session<L: SlaveLink>(
     if panics_on_spawn {
         panic!("forced slave panic (chaos hook)");
     }
-    if !link.send(UpFrame::Ready { slave, incarnation }) {
+    if !link.send(UpFrame::Ready) {
         return Ok(());
     }
 
@@ -687,8 +807,6 @@ pub(crate) fn slave_session<L: SlaveLink>(
                     .collect();
                 // A master that is gone has nothing to merge into: wind down.
                 finalize = !link.send(UpFrame::Heartbeat {
-                    slave,
-                    incarnation,
                     barrier: *barriers,
                     moments,
                     exhausted: before + fired >= config.max_events,
@@ -700,17 +818,13 @@ pub(crate) fn slave_session<L: SlaveLink>(
             break;
         }
         telemetry.epochs += 1;
-        if !link.send(UpFrame::EpochDone {
-            slave,
-            incarnation,
-            state: Box::new(state.clone()),
-        }) {
+        if !link.send(UpFrame::EpochDone(Box::new(state.clone()))) {
             return Ok(());
         }
         if incarnation == 0 && state.run.next_epoch == 1 {
             match chaos {
                 Some(ProcChaos::AbortAfterFirstEpoch { slave: victim }) if victim == slave => {
-                    // The failure catch_unwind cannot contain.
+                    // The failure a thread slot cannot contain.
                     std::process::abort();
                 }
                 Some(ProcChaos::PanicAfterFirstEpoch { slave: victim }) if victim == slave => {
@@ -721,14 +835,10 @@ pub(crate) fn slave_session<L: SlaveLink>(
         }
     }
 
-    let _ = link.send(UpFrame::Final {
-        slave,
-        incarnation,
-        shard: Box::new(FinalShard {
-            run: state.run,
-            telemetry,
-        }),
-    });
+    let _ = link.send(UpFrame::Final(Box::new(FinalShard {
+        run: state.run,
+        telemetry,
+    })));
     Ok(())
 }
 
@@ -736,19 +846,33 @@ pub(crate) fn slave_session<L: SlaveLink>(
 // Transports (master side)
 // ---------------------------------------------------------------------------
 
-/// What the supervision loop consumes, regardless of transport.
-pub(crate) enum SlaveEvent {
-    Up(UpFrame),
-    /// The slave's link died without a terminal frame: thread panicked,
-    /// child exited or its stream was severed/corrupted.
-    Gone {
-        slave: usize,
-        incarnation: u32,
-    },
+/// What a master's event loop consumes, regardless of transport: something
+/// that happened to one incarnation of one slot. The transport stamps both,
+/// and the master drops an event whose incarnation is not the slot's
+/// current one — the fence.
+pub(crate) struct SlaveEvent {
+    pub(crate) slave: usize,
+    pub(crate) incarnation: u32,
+    pub(crate) what: Happened,
 }
 
-/// What every incarnation of every slave of one run is spawned with.
-pub(crate) struct SharedCtx {
+/// What a [`SlaveEvent`] reports; all but a non-terminal frame end the
+/// incarnation.
+pub(crate) enum Happened {
+    /// The incarnation sent a frame.
+    Up(UpFrame),
+    /// A thread slot's job panicked (the rendered payload) and is gone.
+    Panicked(String),
+    /// A child process is gone without a terminal frame — it exited, or its
+    /// stream was severed or corrupt: what happened, with the exit status
+    /// once the transport has reaped it.
+    Exited(String),
+}
+
+/// What every incarnation of every slave of one parallel run is spawned
+/// with.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct SharedCtx {
     pub(crate) config: ExperimentConfig,
     pub(crate) bin_schemes: HashMap<String, HistogramSpec>,
     pub(crate) epoch_events: u64,
@@ -765,15 +889,20 @@ pub(crate) struct WireCounters {
     pub(crate) cap_kills: u64,
 }
 
+/// The seam both masters drive: slots that run one [`HelloJob`] at a time.
 pub(crate) trait Transport {
-    /// Spawns (or respawns) one incarnation of a slave from a checkpoint.
-    fn spawn(&mut self, slave: usize, incarnation: u32, state: SlaveState) -> Result<(), SimError>;
+    /// Starts `job` on a free slot as the given incarnation.
+    fn spawn(&mut self, slave: usize, incarnation: u32, job: HelloJob) -> Result<(), SimError>;
     /// Answers a parked slave's barrier.
     fn directive(&mut self, slave: usize, d: Directive);
-    /// Cooperative wind-down signal to every live slave.
+    /// Cooperative wind-down signal to every live slot: each stops at its
+    /// next chunk or epoch boundary and still delivers its terminal frame.
     fn interrupt_all(&mut self);
-    /// Forcefully terminates one slave's current incarnation (SIGKILL for
-    /// processes, flag-abandonment for threads). Always reaps.
+    /// Ends one slot's current incarnation now and frees the slot: SIGKILL
+    /// and reap for a process; for a thread, which cannot be killed, raise
+    /// its stop flag and abandon it (it exits at its next chunk or epoch
+    /// boundary, and the master's fence drops whatever it still sends).
+    /// A no-op on an empty slot, so every settled slot may be passed here.
     fn kill(&mut self, slave: usize);
     /// Waits up to `timeout` for the next event.
     fn recv_timeout(&mut self, timeout: Duration) -> Option<SlaveEvent>;
@@ -788,82 +917,98 @@ pub(crate) trait Transport {
 
 struct ThreadSlot {
     directive_tx: channel::Sender<Directive>,
-    inc_stop: Arc<AtomicBool>,
+    stop: Arc<AtomicBool>,
 }
 
 struct ThreadTransport {
-    ctx: Arc<SharedCtx>,
     tx: channel::Sender<SlaveEvent>,
     rx: channel::Receiver<SlaveEvent>,
-    global_stop: Arc<AtomicBool>,
     slots: Vec<Option<ThreadSlot>>,
     handles: Vec<std::thread::JoinHandle<()>>,
 }
 
 struct ThreadLink {
+    slave: usize,
+    incarnation: u32,
     tx: channel::Sender<SlaveEvent>,
     directive_rx: channel::Receiver<Directive>,
-    global_stop: Arc<AtomicBool>,
-    inc_stop: Arc<AtomicBool>,
+    stop: Arc<AtomicBool>,
+}
+
+impl ThreadLink {
+    fn tell(&self, what: Happened) -> bool {
+        let event = SlaveEvent {
+            slave: self.slave,
+            incarnation: self.incarnation,
+            what,
+        };
+        self.tx.send(event).is_ok()
+    }
 }
 
 impl SlaveLink for ThreadLink {
     fn send(&mut self, frame: UpFrame) -> bool {
-        self.tx.send(SlaveEvent::Up(frame)).is_ok()
+        self.tell(Happened::Up(frame))
     }
 
     fn directives(&self) -> &channel::Receiver<Directive> {
         &self.directive_rx
     }
 
-    fn should_stop(&self) -> bool {
-        self.global_stop.load(Ordering::Relaxed) || self.inc_stop.load(Ordering::Relaxed)
+    fn stop_flag(&self) -> &Arc<AtomicBool> {
+        &self.stop
     }
 }
 
 impl ThreadTransport {
-    fn new(mut ctx: SharedCtx, slaves: usize) -> Self {
-        // A thread cannot be SIGKILLed or survive an abort; in-process the
-        // kill/abort chaos hooks degrade to a panic at the same point.
-        ctx.chaos = ctx.chaos.map(|c| match c {
-            ProcChaos::KillMidEpoch { slave } | ProcChaos::AbortAfterFirstEpoch { slave } => {
-                ProcChaos::PanicAfterFirstEpoch { slave }
-            }
-            other => other,
-        });
+    fn new(slots: usize) -> Self {
         let (tx, rx) = channel::channel();
         ThreadTransport {
-            ctx: Arc::new(ctx),
             tx,
             rx,
-            global_stop: Arc::new(AtomicBool::new(false)),
-            slots: (0..slaves).map(|_| None).collect(),
+            slots: (0..slots).map(|_| None).collect(),
             handles: Vec::new(),
         }
     }
 }
 
 impl Transport for ThreadTransport {
-    fn spawn(&mut self, slave: usize, incarnation: u32, state: SlaveState) -> Result<(), SimError> {
+    fn spawn(&mut self, slave: usize, incarnation: u32, mut job: HelloJob) -> Result<(), SimError> {
+        // A thread cannot be SIGKILLed or survive an abort; in-process the
+        // kill/abort chaos hooks degrade to a panic at the same point.
+        if let HelloJob::Lockstep { ctx, .. } = &mut job {
+            ctx.chaos = ctx.chaos.map(|c| match c {
+                ProcChaos::KillMidEpoch { slave } | ProcChaos::AbortAfterFirstEpoch { slave } => {
+                    ProcChaos::PanicAfterFirstEpoch { slave }
+                }
+                other => other,
+            });
+        }
         let (directive_tx, directive_rx) = channel::channel();
-        let inc_stop = Arc::new(AtomicBool::new(false));
+        let stop = Arc::new(AtomicBool::new(false));
         self.slots[slave] = Some(ThreadSlot {
             directive_tx,
-            inc_stop: Arc::clone(&inc_stop),
+            stop: Arc::clone(&stop),
         });
-        let ctx = Arc::clone(&self.ctx);
         let mut link = ThreadLink {
+            slave,
+            incarnation,
             tx: self.tx.clone(),
             directive_rx,
-            global_stop: Arc::clone(&self.global_stop),
-            inc_stop,
+            stop,
         };
+        // A sweep spawns one thread per attempt: let go of the finished
+        // ones (their closure cannot panic), `reap` joins the rest.
+        self.handles.retain(|handle| !handle.is_finished());
         self.handles.push(std::thread::spawn(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                slave_session(&mut link, slave, incarnation, &ctx, state)
-            }));
-            if !matches!(result, Ok(Ok(()))) {
-                let _ = link.tx.send(SlaveEvent::Gone { slave, incarnation });
+            let run = AssertUnwindSafe(|| run_job(&mut link, slave, incarnation, job));
+            if let Err(payload) = catch_unwind(run) {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(ToString::to_string)
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "non-string panic payload".to_owned());
+                link.tell(Happened::Panicked(message));
             }
         }));
         Ok(())
@@ -876,14 +1021,14 @@ impl Transport for ThreadTransport {
     }
 
     fn interrupt_all(&mut self) {
-        self.global_stop.store(true, Ordering::Relaxed);
+        for slot in self.slots.iter().flatten() {
+            slot.stop.store(true, Ordering::Relaxed);
+        }
     }
 
     fn kill(&mut self, slave: usize) {
-        // Abandon the incarnation: its stop flag makes it exit at the next
-        // chunk or directive wait, and its messages are already fenced.
         if let Some(slot) = self.slots[slave].take() {
-            slot.inc_stop.store(true, Ordering::Relaxed);
+            slot.stop.store(true, Ordering::Relaxed);
         }
     }
 
@@ -892,8 +1037,9 @@ impl Transport for ThreadTransport {
     }
 
     fn reap(&mut self) {
-        self.global_stop.store(true, Ordering::Relaxed);
-        self.slots.iter_mut().for_each(|s| *s = None);
+        for slave in 0..self.slots.len() {
+            self.kill(slave);
+        }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -923,12 +1069,11 @@ struct Barrier {
 /// that a slave's death — wherever it is observed — is one call.
 struct Supervision<'a> {
     specs: &'a [MetricSpec],
-    max_restarts: u32,
     /// Current incarnation of each slave; frames from older incarnations
     /// are fenced off.
     incarnations: Vec<u32>,
-    /// Restarts still available to each slave.
-    restarts_left: Vec<u32>,
+    /// What is left of each slave's restarts.
+    budgets: Vec<AttemptBudget>,
     /// Last epoch checkpoint received from each slave (the fresh run of
     /// its seed initially).
     checkpoints: Vec<SlaveState>,
@@ -959,9 +1104,10 @@ impl<'a> Supervision<'a> {
         let slaves = fresh.len();
         Supervision {
             specs,
-            max_restarts,
             incarnations: vec![0; slaves],
-            restarts_left: vec![max_restarts; slaves],
+            budgets: (0..slaves)
+                .map(|slave| AttemptBudget::new(max_restarts, slave as u64))
+                .collect(),
             checkpoints: fresh,
             respawn_at: vec![Some(Instant::now()); slaves],
             shards: (0..slaves).map(|_| None).collect(),
@@ -1004,14 +1150,11 @@ impl<'a> Supervision<'a> {
     /// a full-jitter-backoff resurrection from the last checkpoint or —
     /// restarts exhausted — mark the slave permanently dead; either way
     /// the pending barrier may now be complete without it.
-    fn slave_died<T: Transport>(&mut self, slave: usize, transport: &mut T) {
+    fn slave_died(&mut self, slave: usize, transport: &mut dyn Transport) {
         transport.kill(slave);
         self.incarnations[slave] += 1;
         self.barrier.parked[slave] = None;
-        if self.restarts_left[slave] > 0 {
-            self.restarts_left[slave] -= 1;
-            let attempt = self.max_restarts - self.restarts_left[slave]; // 1-based
-            let backoff = full_jitter_backoff(RESTART_BACKOFF, attempt, slave as u64);
+        if let Some(backoff) = self.budgets[slave].fail() {
             self.respawn_at[slave] = Some(Instant::now() + backoff);
         } else {
             self.dead[slave] = true;
@@ -1030,7 +1173,7 @@ impl<'a> Supervision<'a> {
 
     /// A slave's final shard is in: settle it, and wind everyone down if
     /// its audit failed — one slave's broken invariants poison the merge.
-    fn delivered<T: Transport>(&mut self, slave: usize, shard: Box<FinalShard>, transport: &mut T) {
+    fn delivered(&mut self, slave: usize, shard: Box<FinalShard>, transport: &mut dyn Transport) {
         self.barrier.parked[slave] = None;
         if shard.run.audit_failed() && !self.stop_requested {
             self.stop_requested = true;
@@ -1043,7 +1186,7 @@ impl<'a> Supervision<'a> {
     /// Completes the pending barrier if every live participant has parked:
     /// evaluates aggregate sufficiency on the moments each sent with that
     /// chunk (the deterministic stopping rule) and broadcasts the directive.
-    fn try_decide<T: Transport>(&mut self, transport: &mut T) {
+    fn try_decide(&mut self, transport: &mut dyn Transport) {
         if self.barrier.finalize_at.is_some() || self.stop_requested {
             // Finalization is already answered per-Heartbeat; wind-down is
             // driven by Shutdown frames.
@@ -1078,10 +1221,11 @@ impl<'a> Supervision<'a> {
 }
 
 #[allow(clippy::too_many_lines)]
-fn supervise<T: Transport>(
+fn supervise(
     runner: &ParallelRunner,
     specs: &[MetricSpec],
-    mut transport: T,
+    transport: &mut dyn Transport,
+    ctx: &SharedCtx,
     fresh: Vec<SlaveState>,
     master_events: u64,
     start: Instant,
@@ -1121,12 +1265,18 @@ fn supervise<T: Transport>(
                         run: state.run,
                         telemetry: SlaveTelemetryShard::default(),
                     };
-                    sup.delivered(slave, Box::new(shard), &mut transport);
-                } else if transport
-                    .spawn(slave, sup.incarnations[slave], state)
-                    .is_err()
-                {
-                    sup.slave_died(slave, &mut transport);
+                    sup.delivered(slave, Box::new(shard), transport);
+                } else {
+                    let job = HelloJob::Lockstep {
+                        ctx: Box::new(ctx.clone()),
+                        state: Box::new(state),
+                    };
+                    if transport
+                        .spawn(slave, sup.incarnations[slave], job)
+                        .is_err()
+                    {
+                        sup.slave_died(slave, transport);
+                    }
                 }
             }
         }
@@ -1147,65 +1297,61 @@ fn supervise<T: Transport>(
             }
         }
 
-        match event {
-            None => {}
-            Some(SlaveEvent::Up(frame)) => {
-                let Some((slave, incarnation)) = frame.sender() else {
-                    continue; // SoloReport has no business in a parallel run
-                };
-                if slave >= slaves || incarnation != sup.incarnations[slave] || sup.settled(slave) {
-                    continue; // fenced: a stale or nonsensical incarnation
-                }
-                sup.last_heard[slave] = Instant::now();
-                match frame {
-                    UpFrame::Ready { .. } => {}
-                    UpFrame::Heartbeat {
-                        barrier: completed,
-                        moments,
-                        exhausted,
-                        ..
-                    } => {
-                        if kill_chaos_armed && kill_chaos_victim == Some(slave) && incarnation == 0
-                        {
-                            kill_chaos_armed = false;
-                            sup.slave_died(slave, &mut transport);
-                        } else if let Some(n) = sup.barrier.finalize_at {
-                            let d = if completed >= n {
-                                Directive::Finalize
-                            } else {
-                                Directive::Continue
-                            };
-                            transport.directive(slave, d);
-                        } else if completed <= sup.barrier.decided {
-                            // A respawn catching up through already-decided
-                            // barriers (deterministic replay).
-                            transport.directive(slave, Directive::Continue);
+        // Fenced: an event from a stale or nonsensical incarnation, or about
+        // a slave that has already settled, is dropped.
+        let event = event.filter(|e| {
+            e.slave < slaves && e.incarnation == sup.incarnations[e.slave] && !sup.settled(e.slave)
+        });
+        if let Some(SlaveEvent {
+            slave,
+            incarnation,
+            what,
+        }) = event
+        {
+            sup.last_heard[slave] = Instant::now();
+            match what {
+                Happened::Up(UpFrame::Ready) => {}
+                Happened::Up(UpFrame::Heartbeat {
+                    barrier: completed,
+                    moments,
+                    exhausted,
+                }) => {
+                    if kill_chaos_armed && kill_chaos_victim == Some(slave) && incarnation == 0 {
+                        kill_chaos_armed = false;
+                        sup.slave_died(slave, transport);
+                    } else if let Some(n) = sup.barrier.finalize_at {
+                        let d = if completed >= n {
+                            Directive::Finalize
                         } else {
-                            sup.latest[slave] = moments;
-                            sup.barrier.exhausted[slave] = exhausted;
-                            sup.barrier.parked[slave] = Some(completed);
-                            sup.try_decide(&mut transport);
-                        }
+                            Directive::Continue
+                        };
+                        transport.directive(slave, d);
+                    } else if completed <= sup.barrier.decided {
+                        // A respawn catching up through already-decided
+                        // barriers (deterministic replay).
+                        transport.directive(slave, Directive::Continue);
+                    } else {
+                        sup.latest[slave] = moments;
+                        sup.barrier.exhausted[slave] = exhausted;
+                        sup.barrier.parked[slave] = Some(completed);
+                        sup.try_decide(transport);
                     }
-                    UpFrame::EpochDone { state, .. } => {
-                        sup.checkpoints[slave] = *state;
-                        if kill_chaos_victim == Some(slave) && incarnation == 0 {
-                            kill_chaos_armed = true;
-                        }
+                }
+                Happened::Up(UpFrame::EpochDone(state)) => {
+                    sup.checkpoints[slave] = *state;
+                    if kill_chaos_victim == Some(slave) && incarnation == 0 {
+                        kill_chaos_armed = true;
                     }
-                    UpFrame::Final { shard, .. } => sup.delivered(slave, shard, &mut transport),
-                    UpFrame::Fatal { .. } => sup.slave_died(slave, &mut transport),
-                    UpFrame::SoloReport(_) => unreachable!("filtered above"),
+                }
+                Happened::Up(UpFrame::Final(shard)) => sup.delivered(slave, shard, transport),
+                // Gone, a typed failure, or a frame no lockstep slave sends
+                // (a protocol violation): either way the incarnation is over.
+                Happened::Panicked(_)
+                | Happened::Exited(_)
+                | Happened::Up(UpFrame::Fatal { .. } | UpFrame::SoloReport(_)) => {
+                    sup.slave_died(slave, transport);
                 }
             }
-            Some(SlaveEvent::Gone { slave, incarnation })
-                if slave < slaves
-                    && incarnation == sup.incarnations[slave]
-                    && !sup.settled(slave) =>
-            {
-                sup.slave_died(slave, &mut transport);
-            }
-            Some(SlaveEvent::Gone { .. }) => {} // stale incarnation or already settled
         }
 
         // Stall watchdog: a slave the master has not heard from in too
@@ -1219,7 +1365,7 @@ fn supervise<T: Transport>(
                     && sup.barrier.parked[slave].is_none()
                     && now.duration_since(sup.last_heard[slave]) > timeout
                 {
-                    sup.slave_died(slave, &mut transport);
+                    sup.slave_died(slave, transport);
                 }
             }
         }
@@ -1717,22 +1863,35 @@ mod tests {
     }
 
     #[test]
-    fn full_jitter_is_deterministic_bounded_and_decorrelated() {
-        let base = Duration::from_millis(25);
-        for attempt in 1..=10u32 {
-            let cap = base * 2u32.pow((attempt - 1).min(6));
-            for salt in 0..8u64 {
-                let d = full_jitter_backoff(base, attempt, salt);
-                assert!(d >= Duration::from_millis(1));
-                assert!(d <= cap, "attempt {attempt} salt {salt}: {d:?} > {cap:?}");
-                assert_eq!(d, full_jitter_backoff(base, attempt, salt));
+    fn attempt_budget_backs_off_with_bounded_decorrelated_jitter_then_exhausts() {
+        // The one retry mechanism, pinned once for both masters: `retries`
+        // failures each buy a deterministic delay in [1 ms, base·2^min(n-1, 6)],
+        // failure `retries + 1` exhausts the budget.
+        let delays = |retries: u32, salt: u64| {
+            let mut budget = AttemptBudget::new(retries, salt);
+            let delays: Vec<Duration> = std::iter::from_fn(|| budget.fail()).collect();
+            assert_eq!(budget.failed(), retries + 1, "exhausted at max + 1");
+            assert_eq!(budget.fail(), None, "and stays exhausted");
+            delays
+        };
+        for salt in 0..8u64 {
+            let run = delays(10, salt);
+            assert_eq!(run.len(), 10);
+            for (n, d) in run.iter().enumerate() {
+                let cap = RETRY_BACKOFF * 2u32.pow((n as u32).min(6));
+                assert!(*d >= Duration::from_millis(1));
+                assert!(*d <= cap, "failure {} salt {salt}: {d:?} > {cap:?}", n + 1);
             }
+            assert_eq!(run, delays(10, salt), "a pure function of (salt, failure)");
         }
+        assert!(
+            delays(0, 3).is_empty(),
+            "no retries: the first failure is final"
+        );
         // Different salts must not synchronize (the respawn-storm fix).
-        let delays: std::collections::HashSet<Duration> = (0..16u64)
-            .map(|s| full_jitter_backoff(base, 3, s))
-            .collect();
-        assert!(delays.len() > 8, "jitter collapsed: {delays:?}");
+        let third: std::collections::HashSet<Duration> =
+            (0..16u64).map(|salt| delays(3, salt)[2]).collect();
+        assert!(third.len() > 8, "jitter collapsed: {third:?}");
     }
 
     #[test]

@@ -1,25 +1,24 @@
-//! Process-isolated slaves: what the parallel runner needs *because of a
+//! Process-isolated slots: what the supervision fabric needs *because of a
 //! process boundary*.
 //!
 //! BigHouse's deployment model (Figure 3) runs slaves as separate
 //! processes on separate machines; the thread transport in
-//! [`crate::parallel`] collapses that into one address space, where a
+//! `crate::parallel` collapses that into one address space, where a
 //! single slave abort, OOM kill, or segfault destroys the whole run. This
 //! module restores the process boundary: slaves run as sandboxed child OS
 //! processes (a re-exec of the current binary via the hidden
 //! `bighouse __slave` entrypoint) speaking a length-prefixed,
 //! FNV-1a-checksummed, versioned frame protocol over stdin/stdout.
 //!
-//! The protocol itself — the messages, the slave session, the supervisor,
-//! chunk barriers and epoch checkpoints — lives in that module and is the
-//! same on both transports; the session is the resumable run's epoch step
-//! with a link attached (one step, two callers: a [`HelloJob::Lockstep`]
-//! child resumes the [`crate::RunState`] in its hello with the step a
-//! [`HelloJob::Solo`] child's `run_resumable` loops over). Here are the
-//! frame codec, the `ProcessTransport` the supervisor drives, the child's
-//! half of the link with its self-enforced resource caps ([`ProcLimits`]),
-//! the child entry point ([`slave_main`]) and whole-run children for sweep
-//! isolation ([`run_solo_in_child`]).
+//! The protocol itself — the messages, the job a slot runs, the slave
+//! session, chunk barriers and epoch checkpoints — lives in that module and
+//! is the same on both transports, and so are the two masters that drive a
+//! transport: the parallel runner's supervisor and [`crate::run_sweep`]'s
+//! event loop, for which a child is one attempt of one config
+//! ([`HelloJob::Solo`]). Here are the frame codec, the `ProcessTransport`
+//! those masters drive when [`ExecBackend::Processes`] is chosen, the
+//! child's half of the link with its self-enforced resource caps
+//! ([`ProcLimits`]) and the child entry point ([`slave_main`]).
 //!
 //! # Frame format
 //!
@@ -32,10 +31,9 @@
 //! a silently-accepted frame ([`read_frame`] / [`write_frame`] are public
 //! precisely so the fuzz suite can attack them directly).
 
-use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -44,17 +42,15 @@ use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use std::sync::mpsc as channel;
 
-use bighouse_stats::HistogramSpec;
-
 use crate::checkpoint::fnv1a;
-use crate::config::ExperimentConfig;
 use crate::error::SimError;
-use crate::parallel::{slave_session, SharedCtx, SlaveEvent, SlaveLink, Transport, WireCounters};
-pub use crate::parallel::{
-    Directive, ExecBackend, FinalShard, ProcChaos, SlaveState, SlaveTelemetryShard, UpFrame,
+use crate::parallel::{
+    run_job, Happened, SlaveEvent, SlaveLink, Transport, WireCounters, REAP_GRACE,
 };
-use crate::report::SimulationReport;
-use crate::runner::{run_resumable, RunOptions};
+pub use crate::parallel::{
+    Directive, ExecBackend, FinalShard, HelloJob, ProcChaos, SharedCtx, SlaveState,
+    SlaveTelemetryShard, SoloFault, UpFrame,
+};
 
 /// Protocol version stamped into every frame body; a master and a slave
 /// from different builds refuse to talk rather than mis-merge. Version 2
@@ -62,8 +58,12 @@ use crate::runner::{run_resumable, RunOptions};
 /// spawn-time [`ProcChaos`] variants; version 4 made the checkpoint and the
 /// final shard a [`crate::RunState`] (plus the barrier count and the
 /// telemetry shard), which carries the slave's seed, and dropped the
-/// hello's `slave_seed` and `winddown` and the heartbeat's `events`.
-pub const PROTOCOL_VERSION: u8 = 4;
+/// hello's `slave_seed` and `winddown` and the heartbeat's `events`; version
+/// 5 moved the slot and incarnation from the lockstep job to the hello and
+/// out of every up-frame (the master's transport stamps what it reads, so a
+/// solo job's report is fenced like any other frame), and made a solo job's
+/// injected fault a [`SoloFault`].
+pub const PROTOCOL_VERSION: u8 = 5;
 
 /// Upper bound on a frame body. A corrupted length prefix must not make
 /// the decoder allocate gigabytes before the checksum can reject it.
@@ -73,10 +73,6 @@ pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 /// operators) can find stragglers: no process carrying it may survive the
 /// master.
 pub const SLAVE_ENV_MARKER: &str = "BIGHOUSE_PROCSLAVE";
-
-/// How long the master waits for children to wind down cooperatively
-/// before escalating to SIGKILL during final reaping.
-const REAP_GRACE: Duration = Duration::from_secs(3);
 
 /// Slave child exit codes (sysexits where one fits). The CLI forwards
 /// these verbatim, and the master's telemetry distinguishes them.
@@ -228,49 +224,16 @@ impl ProcLimits {
     }
 }
 
-/// The work order a freshly spawned child receives in its hello frame.
+/// Master → slave frames.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum HelloJob {
-    /// One lockstep slave of a parallel run.
-    Lockstep {
-        /// Slave index within the run.
+pub enum DownFrame {
+    /// First frame on a child's stdin: identity, resource caps, and job.
+    Hello {
+        /// Slot index within the run.
         slave: usize,
         /// Incarnation (respawn generation) — echoed in every up-frame so
         /// the master can fence stragglers.
         incarnation: u32,
-        /// Events per epoch.
-        epoch_events: u64,
-        /// The experiment to simulate.
-        config: Box<ExperimentConfig>,
-        /// Master-calibrated histogram bin schemes (Figure 3 broadcast).
-        bin_schemes: HashMap<String, HistogramSpec>,
-        /// Checkpoint to resume from (the fresh run of the slave's unique
-        /// seed for incarnation 0).
-        state: Box<SlaveState>,
-        /// Chaos hook; the session decides whether it is the victim and
-        /// which incarnation the fault is due in.
-        chaos: Option<ProcChaos>,
-    },
-    /// A whole self-contained run (used by sweep process isolation): the
-    /// child executes `run_resumable` serially and ships the report up,
-    /// so the estimates stay bit-identical to an in-process attempt.
-    Solo {
-        /// The experiment to run.
-        config: Box<ExperimentConfig>,
-        /// Master seed for the run.
-        master_seed: u64,
-        /// Epoch granularity (also the interrupt-poll granularity).
-        epoch_events: u64,
-        /// When set, abort before simulating — a poison-config stand-in.
-        chaos_abort: bool,
-    },
-}
-
-/// Master → slave frames.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub enum DownFrame {
-    /// First frame on a child's stdin: identity, job, and resource caps.
-    Hello {
         /// Self-enforced resource caps.
         limits: ProcLimits,
         /// The work order (boxed: it dwarfs the other variants).
@@ -332,15 +295,15 @@ fn spawn_child(cfg: &ProcSlaveConfig, slave: usize) -> Result<Child, SimError> {
 // ---------------------------------------------------------------------------
 
 struct ProcSlot {
+    incarnation: u32,
     child: Child,
     stdin: std::process::ChildStdin,
     reader: std::thread::JoinHandle<()>,
 }
 
-/// The supervisor's transport over child processes: one child per
-/// incarnation, a reader thread per child decoding its stdout.
+/// A master's transport over child processes: one child per incarnation,
+/// a reader thread per child decoding its stdout.
 pub(crate) struct ProcessTransport {
-    ctx: SharedCtx,
     cfg: ProcSlaveConfig,
     tx: channel::Sender<SlaveEvent>,
     rx: channel::Receiver<SlaveEvent>,
@@ -352,14 +315,13 @@ pub(crate) struct ProcessTransport {
 }
 
 impl ProcessTransport {
-    pub(crate) fn new(ctx: SharedCtx, slaves: usize, cfg: ProcSlaveConfig) -> Self {
+    pub(crate) fn new(slots: usize, cfg: ProcSlaveConfig) -> Self {
         let (tx, rx) = channel::channel();
         ProcessTransport {
-            ctx,
             cfg,
             tx,
             rx,
-            slots: (0..slaves).map(|_| None).collect(),
+            slots: (0..slots).map(|_| None).collect(),
             frames_sent: 0,
             frames_received: Arc::new(AtomicU64::new(0)),
             decode_failures: Arc::new(AtomicU64::new(0)),
@@ -376,25 +338,31 @@ impl ProcessTransport {
             }
         }
     }
+
+    /// Empties a slot: SIGKILL (a no-op if the child already exited), reap
+    /// — no zombies — and join the reader, which the EOF after the kill
+    /// ends. Returns how the child went.
+    fn reap_slot(&mut self, slave: usize) -> Option<ExitStatus> {
+        let mut slot = self.slots[slave].take()?;
+        let _ = slot.child.kill();
+        let status = slot.child.wait().ok();
+        drop(slot.stdin);
+        let _ = slot.reader.join();
+        status
+    }
 }
 
 impl Transport for ProcessTransport {
-    fn spawn(&mut self, slave: usize, incarnation: u32, state: SlaveState) -> Result<(), SimError> {
-        let config = self.ctx.config.for_wire()?;
+    fn spawn(&mut self, slave: usize, incarnation: u32, job: HelloJob) -> Result<(), SimError> {
+        job.config().check_wire()?;
         let mut child = spawn_child(&self.cfg, slave)?;
         let mut stdin = child.stdin.take().expect("stdin was piped");
         let stdout = child.stdout.take().expect("stdout was piped");
         let hello = DownFrame::Hello {
+            slave,
+            incarnation,
             limits: self.cfg.limits,
-            job: Box::new(HelloJob::Lockstep {
-                slave,
-                incarnation,
-                epoch_events: self.ctx.epoch_events,
-                config,
-                bin_schemes: self.ctx.bin_schemes.clone(),
-                state: Box::new(state),
-                chaos: self.ctx.chaos,
-            }),
+            job: Box::new(job),
         };
         if let Err(e) = write_frame(&mut stdin, &hello) {
             let _ = child.kill();
@@ -408,7 +376,15 @@ impl Transport for ProcessTransport {
         let cap_kills = Arc::clone(&self.cap_kills);
         let reader = std::thread::spawn(move || {
             let mut r = BufReader::new(stdout);
-            loop {
+            let tell = |what| {
+                let event = SlaveEvent {
+                    slave,
+                    incarnation,
+                    what,
+                };
+                tx.send(event).is_ok()
+            };
+            let gone = loop {
                 match read_frame::<_, UpFrame>(&mut r) {
                     Ok(Some(frame)) => {
                         frames.fetch_add(1, Ordering::Relaxed);
@@ -419,25 +395,23 @@ impl Transport for ProcessTransport {
                         {
                             cap_kills.fetch_add(1, Ordering::Relaxed);
                         }
-                        if tx.send(SlaveEvent::Up(frame)).is_err() {
-                            break;
+                        if !tell(Happened::Up(frame)) {
+                            return;
                         }
                     }
-                    Ok(None) => {
-                        let _ = tx.send(SlaveEvent::Gone { slave, incarnation });
-                        break;
-                    }
-                    Err(_) => {
+                    Ok(None) => break "child exited without a terminal frame".to_string(),
+                    Err(e) => {
                         // Corruption on the pipe: indistinguishable from a
                         // crashing child as far as supervision goes.
                         failures.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(SlaveEvent::Gone { slave, incarnation });
-                        break;
+                        break format!("corrupt stream from child: {e}");
                     }
                 }
-            }
+            };
+            tell(Happened::Exited(gone));
         });
         self.slots[slave] = Some(ProcSlot {
+            incarnation,
             child,
             stdin,
             reader,
@@ -456,21 +430,28 @@ impl Transport for ProcessTransport {
     }
 
     fn kill(&mut self, slave: usize) {
-        if let Some(mut slot) = self.slots[slave].take() {
-            let _ = slot.child.kill(); // SIGKILL (no-op if already exited)
-            let _ = slot.child.wait(); // reap: no zombies
-            drop(slot.stdin);
-            let _ = slot.reader.join(); // EOF after the kill ends it
-        }
+        self.reap_slot(slave);
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> Option<SlaveEvent> {
-        self.rx.recv_timeout(timeout).ok()
+        let mut event = self.rx.recv_timeout(timeout).ok()?;
+        // A child whose stream ended is reaped here, so the master learns
+        // its exit status with its death.
+        if let Happened::Exited(detail) = &mut event.what {
+            let live = self.slots[event.slave].as_ref();
+            if live.is_some_and(|slot| slot.incarnation == event.incarnation) {
+                if let Some(status) = self.reap_slot(event.slave) {
+                    *detail = format!("{detail} ({status})");
+                }
+            }
+        }
+        Some(event)
     }
 
     fn reap(&mut self) {
-        // Cooperative first: children that already sent their Final exit
-        // on their own; stragglers get Shutdown and a grace period.
+        // Cooperative first: children that already sent their terminal
+        // frame exit on their own; stragglers get Shutdown and a grace
+        // period.
         self.interrupt_all();
         let deadline = Instant::now() + REAP_GRACE;
         loop {
@@ -505,8 +486,8 @@ impl Transport for ProcessTransport {
 
 impl Drop for ProcessTransport {
     fn drop(&mut self) {
-        // Last line of defense (e.g. an early `?` return in the
-        // supervisor): never leak a child past the master's lifetime.
+        // Last line of defense (e.g. an early `?` return in a master):
+        // never leak a child past the master's lifetime.
         for slave in 0..self.slots.len() {
             self.kill(slave);
         }
@@ -534,8 +515,8 @@ impl SlaveLink for ChildLink {
         &self.directive_rx
     }
 
-    fn should_stop(&self) -> bool {
-        self.stop.load(Ordering::Relaxed)
+    fn stop_flag(&self) -> &Arc<AtomicBool> {
+        &self.stop
     }
 
     fn limit_exceeded(&mut self) -> Option<String> {
@@ -585,10 +566,15 @@ pub fn slave_main() -> u8 {
     // `Stdin` (not its `!Send` lock) moves into the watcher thread below;
     // it buffers internally, so framing survives the handoff.
     let mut stdin = std::io::stdin();
-    let (limits, job) = match read_frame::<_, DownFrame>(&mut stdin) {
-        Ok(Some(DownFrame::Hello { limits, job })) => (limits, job),
-        Ok(_) => return exit_code::FRAME, // EOF or a non-hello first frame
-        Err(_) => return exit_code::FRAME,
+    let hello = read_frame::<_, DownFrame>(&mut stdin);
+    let Ok(Some(DownFrame::Hello {
+        slave,
+        incarnation,
+        limits,
+        job,
+    })) = hello
+    else {
+        return exit_code::FRAME; // EOF, corruption, or a non-hello first frame
     };
 
     // The stdin watcher: directives feed the session's barrier waits;
@@ -619,197 +605,17 @@ pub fn slave_main() -> u8 {
         });
     }
 
-    // Both jobs talk to the master through the one link.
     let mut link = ChildLink {
         stdout: std::io::stdout(),
         directive_rx,
-        stop: Arc::clone(&stop),
+        stop,
         limits,
     };
-    let (slave, incarnation, result) = match *job {
-        HelloJob::Lockstep {
-            slave,
-            incarnation,
-            epoch_events,
-            config,
-            bin_schemes,
-            state,
-            chaos,
-        } => {
-            let ctx = SharedCtx {
-                config: *config,
-                bin_schemes,
-                epoch_events,
-                chaos,
-            };
-            let done = slave_session(&mut link, slave, incarnation, &ctx, *state);
-            (slave, incarnation, done)
-        }
-        HelloJob::Solo {
-            config,
-            master_seed,
-            epoch_events,
-            chaos_abort,
-        } => {
-            if chaos_abort {
-                std::process::abort();
-            }
-            let opts = RunOptions {
-                epoch_events,
-                interrupt: Some(stop),
-                ..RunOptions::default()
-            };
-            let sent = run_resumable(&config, master_seed, &opts).and_then(|report| {
-                if link.send(UpFrame::SoloReport(Box::new(report))) {
-                    Ok(())
-                } else {
-                    Err(SimError::Frame {
-                        detail: "the report did not reach the master".to_string(),
-                    })
-                }
-            });
-            (0, 0, sent)
-        }
-    };
-    let code = match result {
-        Ok(()) => exit_code::OK,
-        Err(e) => {
-            // An exceeded cap is the one failure of the child's own making
-            // that the master may cure by respawning.
-            let code = match e {
-                SimError::SlaveProcess { .. } => exit_code::RESOURCE,
-                SimError::Frame { .. } => exit_code::FRAME,
-                _ => exit_code::SIM,
-            };
-            let _ = link.send(UpFrame::Fatal {
-                slave,
-                incarnation,
-                error: e.to_string(),
-                code,
-            });
-            code
-        }
-    };
+    let code = run_job(&mut link, slave, incarnation, *job);
     if frame_poison.load(Ordering::Relaxed) {
         return exit_code::FRAME;
     }
     code
-}
-
-// ---------------------------------------------------------------------------
-// Solo child runs (sweep process isolation)
-// ---------------------------------------------------------------------------
-
-/// Runs one whole experiment in a sandboxed child process and returns its
-/// report — estimates bit-identical to an in-process `run_resumable` with
-/// the same seed and epoch size. Used by `run_sweep` so a poison config
-/// can segfault or abort without taking its neighbors down.
-///
-/// On cancellation (`cancel` set), a Shutdown frame is written and the
-/// child gets [`REAP_GRACE`] to wind down before SIGKILL. The child is
-/// always reaped.
-///
-/// # Errors
-///
-/// [`SimError::SlaveProcess`] if the child dies without a report (crash,
-/// abort, kill) or its stream is corrupt; [`SimError::InvalidConfig`] and
-/// friends pass through from the child's own typed failure.
-pub fn run_solo_in_child(
-    config: &ExperimentConfig,
-    master_seed: u64,
-    epoch_events: u64,
-    proc_cfg: &ProcSlaveConfig,
-    cancel: Option<&AtomicBool>,
-    chaos_abort: bool,
-) -> Result<SimulationReport, SimError> {
-    let config = config.for_wire()?;
-    let mut child = spawn_child(proc_cfg, 0)?;
-    // Reap on every exit path below.
-    struct Reaper<'a>(&'a mut Child);
-    impl Drop for Reaper<'_> {
-        fn drop(&mut self) {
-            let _ = self.0.kill();
-            let _ = self.0.wait();
-        }
-    }
-    let mut stdin = child.stdin.take().expect("stdin was piped");
-    let stdout = child.stdout.take().expect("stdout was piped");
-    let reaper = Reaper(&mut child);
-    write_frame(
-        &mut stdin,
-        &DownFrame::Hello {
-            limits: proc_cfg.limits,
-            job: Box::new(HelloJob::Solo {
-                config,
-                master_seed,
-                epoch_events,
-                chaos_abort,
-            }),
-        },
-    )?;
-
-    // Read the child's report on a helper thread so this thread can watch
-    // the cancel flag and escalate to SIGKILL after the grace period.
-    let (tx, rx) = channel::channel();
-    let reader = std::thread::spawn(move || {
-        let mut r = BufReader::new(stdout);
-        let _ = tx.send(read_frame::<_, UpFrame>(&mut r));
-    });
-    let mut cancel_sent: Option<Instant> = None;
-    let outcome = loop {
-        match rx.recv_timeout(Duration::from_millis(10)) {
-            Ok(result) => break result,
-            Err(channel::RecvTimeoutError::Disconnected) => {
-                break Err(SimError::SlaveProcess {
-                    slave: 0,
-                    detail: "reader thread died".to_string(),
-                })
-            }
-            Err(channel::RecvTimeoutError::Timeout) => {
-                if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) && cancel_sent.is_none() {
-                    let _ = write_frame(&mut stdin, &DownFrame::Shutdown);
-                    cancel_sent = Some(Instant::now());
-                }
-                if cancel_sent.is_some_and(|at| at.elapsed() > REAP_GRACE) {
-                    // The child ignored the cooperative wind-down (wedged
-                    // mid-epoch, livelocked…): hard-kill. The Reaper
-                    // collects the corpse.
-                    break Err(SimError::SlaveProcess {
-                        slave: 0,
-                        detail: "killed after cancellation grace period".to_string(),
-                    });
-                }
-            }
-        }
-    };
-    drop(stdin);
-    drop(reaper); // kill (no-op if exited) + wait: reaped before status read
-    let status = child.wait().map_err(|e| SimError::SlaveProcess {
-        slave: 0,
-        detail: format!("wait: {e}"),
-    })?;
-    let _ = reader.join();
-    match outcome {
-        Ok(Some(UpFrame::SoloReport(report))) => Ok(*report),
-        Ok(Some(UpFrame::Fatal { error, .. })) => Err(SimError::SlaveProcess {
-            slave: 0,
-            detail: format!("child failed: {error}"),
-        }),
-        Ok(Some(_)) => Err(SimError::Frame {
-            detail: "unexpected frame from solo child".to_string(),
-        }),
-        Ok(None) => Err(SimError::SlaveProcess {
-            slave: 0,
-            detail: format!("child exited without a report ({status})"),
-        }),
-        Err(SimError::SlaveProcess { slave, detail }) => {
-            Err(SimError::SlaveProcess { slave, detail })
-        }
-        Err(e) => Err(SimError::SlaveProcess {
-            slave: 0,
-            detail: format!("corrupt stream from child ({status}): {e}"),
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -823,8 +629,6 @@ mod tests {
         stats.push(1.5);
         stats.push(4.0);
         let frame = UpFrame::Heartbeat {
-            slave: 3,
-            incarnation: 7,
             barrier: 6,
             moments: vec![Some(stats), None],
             exhausted: true,
@@ -835,13 +639,10 @@ mod tests {
         let back: UpFrame = read_frame(&mut cursor).unwrap().expect("one frame");
         match back {
             UpFrame::Heartbeat {
-                slave,
-                incarnation,
                 barrier,
                 moments,
                 exhausted,
             } => {
-                assert_eq!((slave, incarnation), (3, 7));
                 assert_eq!((barrier, exhausted), (6, true));
                 assert_eq!(moments, vec![Some(stats), None]);
             }

@@ -2,49 +2,55 @@
 //!
 //! The paper's workflow runs one SQS experiment at a time; production use
 //! is sweeps — a QPS grid × cluster sizes × power policies rendered into a
-//! figure. [`run_sweep`] runs thousands of configurations across a
-//! thread pool and assumes individual configs will panic, stall, or
-//! diverge:
+//! figure. [`run_sweep`] is the paper's master (§2.4, Fig. 3) with a
+//! different unit of work: where the parallel runner's master hands each
+//! slot one lockstep shard of one run, this one hands each slot one
+//! *attempt* of one config (a [`HelloJob::Solo`]) — over the same
+//! transport, threads or child processes ([`SweepOptions::backend`]) — and
+//! assumes individual configs will panic, stall, or diverge:
 //!
-//! - **One queue.** Undecided configs sit in one list behind a shared
-//!   atomic cursor, and a worker that finishes a config takes the next
-//!   index: a 10-second config never waits behind a 10-minute one, and
-//!   nothing is dealt out in batches that would then need stealing back.
+//! - **One queue.** Undecided configs sit in one list, and a slot that
+//!   falls free takes the next: a 10-second config never waits behind a
+//!   10-minute one, and nothing is dealt out in batches that would then
+//!   need stealing back.
 //! - **Deterministic seeding.** Each config's seed is derived from the
 //!   sweep's master seed and the config's *id* (not its position), so
 //!   editing the grid never reshuffles the seeds of configs that stayed,
 //!   and a config's estimates are bit-identical to running it alone via
-//!   [`run_resumable`] at [`config_seed`].
-//! - **Poison quarantine.** Every attempt runs under
-//!   [`catch_unwind`](std::panic::catch_unwind) with an optional
-//!   wall-clock deadline enforced by a watchdog thread. Failed attempts
-//!   retry with doubling backoff; a config that fails
-//!   `max_retries + 1` times is parked with a typed [`SweepError`]
-//!   instead of sinking the sweep.
+//!   [`run_resumable`](crate::run_resumable) at [`config_seed`], on either
+//!   backend.
+//! - **Poison quarantine.** The transport contains what an attempt does to
+//!   itself: a panic on a thread slot, and also an abort, a segfault or an
+//!   OOM kill in a child process. A failed attempt frees its slot at once
+//!   and runs again after a full-jitter backoff (the parallel runner's
+//!   restart budget, `AttemptBudget`); a config that fails
+//!   `max_retries + 1` times is parked with a typed [`SweepError`] instead
+//!   of sinking the sweep.
 //! - **Crash-resumable.** Completed and quarantined configs land in a
 //!   ledger persisted through the checkpoint store (same magic/checksum/
 //!   atomic-rename framing, `bighouse.sweep` stem), so a SIGKILL'd sweep
 //!   resumes exactly where it was and — because per-config trajectories
 //!   are deterministic — reproduces the identical [`SweepReport`].
-//! - **Graceful wind-down.** A cooperative interrupt (SIGINT/SIGTERM in
-//!   the CLI) stops dispatch, cancels in-flight configs at their next
-//!   epoch boundary, saves the ledger, and reports partial results.
+//! - **Deadlines kill, interrupts ask.** An attempt past its wall-clock
+//!   deadline has failed whatever it would still say, so the master kills
+//!   its slot there and then. An interrupt (SIGINT/SIGTERM in the CLI)
+//!   makes no such judgement: dispatch stops, every attempt in flight is
+//!   asked to stop at its next epoch boundary, one that finishes first
+//!   still counts, and the ledger and a partial report are written.
 //!
-//! One honest limitation of the in-thread mode: cancellation is
-//! cooperative at epoch boundaries. A config wedged *inside* an epoch (a
-//! livelock in the engine itself) cannot be cancelled from outside; arm
-//! paranoid mode ([`ExperimentConfig::with_audit`]) so the in-engine
-//! circuit breakers break such livelocks from within — or turn on
-//! [`SweepOptions::isolate_processes`], which runs every attempt in a
-//! sandboxed child process ([`crate::procslave`]): a wedged, aborting, or
-//! segfaulting config is SIGKILLed after a grace period and surfaces as a
-//! typed [`SweepError::Crashed`], never as a hung or dead sweep.
+//! One honest limitation of a thread slot: a thread cannot be killed, so
+//! "kill" raises its stop flag and abandons it — the attempt is decided at
+//! once, but a config wedged *inside* an epoch (a livelock in the engine
+//! itself) keeps its thread spinning until the process exits. Arm paranoid
+//! mode ([`ExperimentConfig::with_audit`]) so the in-engine circuit
+//! breakers break such livelocks from within — or run the sweep on
+//! [`ExecBackend::Processes`], where a wedged, aborting, or segfaulting
+//! config is SIGKILLed and surfaces as a typed [`SweepError::Crashed`].
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
@@ -55,17 +61,13 @@ use crate::audit::AuditReport;
 use crate::checkpoint::{config_fingerprint, fnv1a, CheckpointConfig, CheckpointStore};
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
-use crate::parallel::full_jitter_backoff;
-use crate::procslave::{run_solo_in_child, ProcSlaveConfig};
+use crate::parallel::{
+    AttemptBudget, ExecBackend, Happened, HelloJob, SlaveEvent, SoloFault, Transport, UpFrame,
+    REAP_GRACE, WATCHDOG_TICK,
+};
+use crate::procslave::exit_code;
 use crate::report::{SimulationReport, TerminationReason};
-use crate::runner::{run_resumable, RunOptions};
-
-/// Base of the retry backoff: the cap doubles per failed attempt (at
-/// most six doublings, 1.6 s) and the actual sleep is drawn full-jitter
-/// in `[0, cap]`, deterministically per (config, attempt).
-const RETRY_BACKOFF: Duration = Duration::from_millis(25);
-/// Watchdog poll cadence for deadlines and interrupt propagation.
-const WATCHDOG_TICK: Duration = Duration::from_millis(10);
+use crate::runner::RunOptions;
 
 /// Derives the deterministic seed for one sweep entry.
 ///
@@ -105,14 +107,14 @@ impl SweepEntry {
 /// panics" from "this config never converges".
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum SweepError {
-    /// The config panicked inside the runner (contained by
-    /// `catch_unwind`); the payload is the rendered panic message.
+    /// The config panicked inside the runner, on a thread slot (which
+    /// contains it); the payload is the rendered panic message.
     Panicked {
         /// Rendered panic payload.
         message: String,
     },
-    /// The config exceeded its per-attempt wall-clock deadline and was
-    /// cancelled at the next epoch boundary.
+    /// The config exceeded its per-attempt wall-clock deadline and its
+    /// slot was killed.
     DeadlineExceeded {
         /// The configured deadline, in seconds.
         seconds: f64,
@@ -129,13 +131,13 @@ pub enum SweepError {
         error: String,
     },
     /// The config's sandboxed child process died without delivering a
-    /// report — segfault, abort, OOM-kill, resource-cap kill, or a
-    /// corrupt IPC stream. Only produced with
-    /// [`SweepOptions::isolate_processes`]; the in-thread mode cannot
-    /// survive (or observe) these failure classes.
+    /// report — panic, segfault, abort, OOM-kill, resource-cap kill, a
+    /// corrupt IPC stream or a frame no solo job sends — or could not be
+    /// spawned. Only produced on [`ExecBackend::Processes`]; a thread slot
+    /// cannot survive (or observe) these failure classes.
     Crashed {
-        /// Rendering of what happened to the child ("exit code 134",
-        /// "killed by signal", "checksum mismatch", …).
+        /// Rendering of what happened to the child ("exit status: 101",
+        /// "signal: 6 (SIGABRT)", "checksum mismatch", …).
         detail: String,
     },
 }
@@ -269,7 +271,7 @@ impl SweepReport {
 }
 
 /// Progress notification streamed to [`SweepOptions::on_event`] from the
-/// collector as configs are decided.
+/// master as configs are decided.
 #[derive(Debug, Clone)]
 pub enum SweepEvent {
     /// A config finished (possibly unconverged, but with valid
@@ -302,13 +304,14 @@ pub enum SweepEvent {
     },
 }
 
-/// Shared progress callback invoked from the collector thread as each
+/// Shared progress callback invoked from the master's thread as each
 /// config is decided (see [`SweepOptions::on_event`]).
 pub type SweepEventHook = Arc<dyn Fn(&SweepEvent) + Send + Sync>;
 
-/// Seeded failures for robustness tests: ids in `panic_ids` panic on
-/// every attempt; ids in `stall_ids` wedge (holding their worker) until
-/// the deadline watchdog or a sweep interrupt cancels them.
+/// Seeded failures for robustness tests, injected into the job each
+/// attempt is spawned with: ids in `panic_ids` panic on every attempt; ids
+/// in `stall_ids` wedge (holding their slot) until the deadline kills them
+/// or a sweep interrupt stops them.
 #[doc(hidden)]
 #[derive(Debug, Clone, Default)]
 pub struct SweepFaultInjection {
@@ -321,19 +324,19 @@ pub struct SweepFaultInjection {
 /// Options for [`run_sweep`].
 #[derive(Clone)]
 pub struct SweepOptions {
-    /// Worker threads (0 = one per available core, clamped to the number
-    /// of pending configs).
+    /// Transport slots — attempts in flight at once (0 = one per available
+    /// core, clamped to the number of pending configs).
     pub workers: usize,
     /// Failed attempts tolerated per config before quarantine: a config
     /// runs at most `max_retries + 1` times.
     pub max_retries: u32,
-    /// Per-attempt wall-clock deadline. When it expires the watchdog arms
-    /// the attempt's cancel flag; the run stops at its next epoch
-    /// boundary and the attempt counts as failed. `None` disables.
+    /// Per-attempt wall-clock deadline. When it expires the master kills
+    /// the attempt's slot and the attempt counts as failed. `None`
+    /// disables.
     pub deadline: Option<Duration>,
     /// Event budget per epoch for every config (0 = the runner default).
     /// Part of the determinism contract: a config's estimates are
-    /// bit-identical to a standalone [`run_resumable`] only at the same
+    /// bit-identical to a standalone [`run_resumable`](crate::run_resumable) only at the same
     /// epoch size.
     pub epoch_events: u64,
     /// Where to persist the resume ledger (`None` disables). The
@@ -344,22 +347,22 @@ pub struct SweepOptions {
     /// `checkpoint` and a loadable ledger from the *same* sweep.
     pub resume: bool,
     /// Cooperative interrupt: set it (e.g. from a SIGINT handler) and the
-    /// sweep stops dispatching, cancels in-flight configs at their next
+    /// sweep stops dispatching, stops in-flight configs at their next
     /// epoch boundary, saves the ledger, and reports partial results.
     pub interrupt: Option<Arc<AtomicBool>>,
     /// Stop dispatching after this many configs have been decided
     /// *this invocation* — a deterministic programmatic pause point, the
     /// sweep-level analogue of [`RunOptions::max_epochs`].
     pub max_decided: Option<usize>,
-    /// Progress callback, invoked from the collector thread.
+    /// Progress callback, invoked from the master's thread.
     pub on_event: Option<SweepEventHook>,
-    /// Run every attempt in a sandboxed child OS process (re-exec via the
-    /// hidden `__slave` entrypoint) instead of in-thread: a poison config
-    /// that aborts, segfaults, or wedges mid-epoch is killed and
-    /// quarantined as [`SweepError::Crashed`] without taking the worker
-    /// pool down. Estimates stay bit-identical to in-thread runs. `None`
-    /// (the default) keeps the in-thread `catch_unwind` isolation.
-    pub isolate_processes: Option<ProcSlaveConfig>,
+    /// The transport attempts run on. [`ExecBackend::Processes`] runs every
+    /// attempt in a sandboxed child OS process (re-exec via the hidden
+    /// `__slave` entrypoint): a poison config that aborts, segfaults, or
+    /// wedges mid-epoch is killed and quarantined as
+    /// [`SweepError::Crashed`] without taking the sweep down. Estimates are
+    /// bit-identical on both; threads (the default) contain panics only.
+    pub backend: ExecBackend,
     /// Test hook: seeded per-id failures.
     #[doc(hidden)]
     pub fault_injection: Option<SweepFaultInjection>,
@@ -382,7 +385,7 @@ impl Default for SweepOptions {
             interrupt: None,
             max_decided: None,
             on_event: None,
-            isolate_processes: None,
+            backend: ExecBackend::default(),
             fault_injection: None,
         }
     }
@@ -399,259 +402,270 @@ impl fmt::Debug for SweepOptions {
             .field("resume", &self.resume)
             .field("max_decided", &self.max_decided)
             .field("on_event", &self.on_event.as_ref().map(|_| "Fn(..)"))
-            .field("isolate_processes", &self.isolate_processes)
+            .field("backend", &self.backend)
             .field("fault_injection", &self.fault_injection)
             .finish_non_exhaustive()
     }
 }
 
-/// One in-flight attempt as the watchdog sees it.
-struct AttemptWatch {
-    /// Cooperative cancel flag handed to the runner as its interrupt.
-    cancel: Arc<AtomicBool>,
-    /// When the attempt must be cancelled (`None` = no deadline).
-    deadline: Option<Instant>,
-    /// Set by the watchdog iff the cancel was *because of* the deadline,
-    /// so the worker can tell a timeout from a sweep-wide wind-down.
-    deadline_hit: Arc<AtomicBool>,
-}
-
-/// What one worker decided about one config.
-enum Decision {
-    Completed(Box<ConfigOutcome>),
-    Quarantined(QuarantinedConfig),
-    /// A sweep interrupt wound the config down mid-run; it stays
-    /// undecided and a resume will run it from scratch.
-    Cancelled,
-}
-
-/// Worker → collector messages.
-enum Message {
-    Retrying {
-        id: String,
-        attempt: u32,
-        error: SweepError,
-    },
-    Decided(Decision),
-}
-
-/// How a single attempt ended, before retry/quarantine policy is applied.
-enum Attempt {
-    Finished(Box<SimulationReport>),
-    /// The runner wound down on the cancel flag (deadline or sweep
-    /// interrupt — the worker disambiguates via `deadline_hit`).
-    Cancelled,
-    Failed(SweepError),
-}
-
-/// Renders a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&str>()
-        .map(ToString::to_string)
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_owned())
-}
-
-/// Runs one attempt of one config under panic isolation (in-thread) or
-/// full process isolation (`isolate` set).
-fn run_attempt(
-    entry: &SweepEntry,
+/// One config on its way to a decision: the entry, its derived seed and
+/// what is left of its retries.
+struct Candidate<'a> {
+    entry: &'a SweepEntry,
     seed: u64,
-    epoch_events: u64,
-    cancel: &Arc<AtomicBool>,
-    isolate: Option<&ProcSlaveConfig>,
-    faults: Option<&SweepFaultInjection>,
-) -> Attempt {
-    if let Some(faults) = faults {
-        if faults.panic_ids.contains(&entry.id) {
-            return Attempt::Failed(SweepError::Panicked {
-                message: format!("injected poison panic for `{}`", entry.id),
-            });
-        }
-        if faults.stall_ids.contains(&entry.id) {
-            // Wedge exactly like a non-advancing run would: hold the
-            // worker until cancelled, then report the wind-down.
-            while !cancel.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            return Attempt::Cancelled;
-        }
-    }
-    if let Some(proc_cfg) = isolate {
-        return match run_solo_in_child(
-            &entry.config,
-            seed,
-            epoch_events,
-            proc_cfg,
-            Some(cancel),
-            false,
-        ) {
-            Ok(report) => finish_attempt(report),
-            // Any child failure after a cancellation request is the
-            // cancellation: the worker disambiguates deadline-kill from
-            // sweep wind-down via its `deadline_hit` flag, exactly as for
-            // a cooperative in-thread wind-down.
-            Err(_) if cancel.load(Ordering::Relaxed) => Attempt::Cancelled,
-            Err(SimError::SlaveProcess { detail, .. }) => {
-                Attempt::Failed(SweepError::Crashed { detail })
-            }
-            Err(SimError::Frame { detail }) => Attempt::Failed(SweepError::Crashed { detail }),
-            Err(e) => Attempt::Failed(SweepError::RunFailed {
-                error: e.to_string(),
-            }),
-        };
-    }
-    let opts = RunOptions {
-        epoch_events,
-        checkpoint: None,
-        resume: false,
-        max_epochs: None,
-        interrupt: Some(Arc::clone(cancel)),
-    };
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        run_resumable(&entry.config, seed, &opts)
-    }));
-    match result {
-        Err(payload) => Attempt::Failed(SweepError::Panicked {
-            message: panic_message(payload.as_ref()),
-        }),
-        Ok(Err(e)) => Attempt::Failed(SweepError::RunFailed {
-            error: e.to_string(),
-        }),
-        Ok(Ok(report)) => finish_attempt(report),
-    }
+    budget: AttemptBudget,
 }
 
-/// Applies the shared termination → attempt mapping to a finished report,
-/// whether it came back in-thread or over the IPC fabric.
-fn finish_attempt(report: SimulationReport) -> Attempt {
-    match report.termination {
-        TerminationReason::Interrupted => Attempt::Cancelled,
-        TerminationReason::AuditViolation | TerminationReason::Livelock => {
-            let violation = report
-                .audit
-                .as_ref()
-                .and_then(|a| a.violations.first().map(ToString::to_string))
-                .unwrap_or_else(|| "unspecified violation".to_owned());
-            Attempt::Failed(SweepError::AuditFailed { violation })
-        }
-        _ => Attempt::Finished(Box::new(report)),
-    }
+/// An attempt in flight on a transport slot.
+struct InFlight<'a> {
+    candidate: Candidate<'a>,
+    /// When the master kills the slot: the attempt's deadline, or the end
+    /// of the grace an interrupt allows.
+    kill_at: Option<Instant>,
 }
 
-/// Everything a worker thread needs, bundled to keep the spawn site
-/// readable.
-struct WorkerCtx<'a> {
-    index: usize,
-    entries: &'a [SweepEntry],
-    master_seed: u64,
+/// The sweep's master: one event loop over the transport that owns
+/// dispatch, deadlines, the interrupt, retry-after-backoff, quarantine, the
+/// ledger and `on_event`.
+struct Master<'a> {
     epoch_events: u64,
-    max_retries: u32,
-    deadline: Option<Duration>,
-    isolate: Option<&'a ProcSlaveConfig>,
-    faults: Option<&'a SweepFaultInjection>,
-    /// Indices into `entries` still to decide, and the next one to take.
-    pending: &'a [usize],
-    cursor: &'a AtomicUsize,
-    board: &'a Mutex<Vec<Option<AttemptWatch>>>,
+    opts: &'a SweepOptions,
+    store: Option<&'a (CheckpointStore, u64)>,
     interrupt: &'a AtomicBool,
-    tx: mpsc::Sender<Message>,
+    transport: Box<dyn Transport>,
+    /// Configs not yet started, in entry order.
+    queue: VecDeque<Candidate<'a>>,
+    /// Configs waiting out a backoff, with the time their retry is due: a
+    /// failed attempt frees its slot for the next config meanwhile.
+    waiting: Vec<(Instant, Candidate<'a>)>,
+    slots: Vec<Option<InFlight<'a>>>,
+    /// Current incarnation of each slot; a settled attempt's is fenced off.
+    incarnations: Vec<u32>,
+    ledger: SweepLedger,
+    since_save: u64,
+    decided_now: usize,
+    save_error: Option<SimError>,
 }
 
-/// Sleeps the full-jitter doubling backoff before retry `attempt + 1`,
-/// waking early on a sweep interrupt. Returns `false` if interrupted. The
-/// salt (the config's id hash) decorrelates retry schedules across
-/// configs, so a batch of configs that all crashed at once (e.g. a
-/// machine-wide hiccup under process isolation) does not retry in
-/// lockstep.
-fn backoff_sleep(failed_attempts: u32, interrupt: &AtomicBool, salt: u64) -> bool {
-    let total = full_jitter_backoff(RETRY_BACKOFF, failed_attempts, salt);
-    let began = Instant::now();
-    while began.elapsed() < total {
-        if interrupt.load(Ordering::Relaxed) {
-            return false;
+impl<'a> Master<'a> {
+    fn emit(&self, event: &SweepEvent) {
+        if let Some(callback) = &self.opts.on_event {
+            callback(event);
         }
-        std::thread::sleep(WATCHDOG_TICK.min(total));
     }
-    !interrupt.load(Ordering::Relaxed)
-}
 
-/// The worker loop: take the next config, run it with retries, report the
-/// decision, repeat until none is left or the sweep is interrupted.
-fn worker_loop(ctx: &WorkerCtx<'_>) {
-    while !ctx.interrupt.load(Ordering::Relaxed) {
-        // Relaxed: the cursor hands out indices into a list nobody writes.
-        let Some(&index) = ctx.pending.get(ctx.cursor.fetch_add(1, Ordering::Relaxed)) else {
-            return;
-        };
-        let entry = &ctx.entries[index];
-        let seed = config_seed(ctx.master_seed, &entry.id);
-        let mut attempts: u32 = 0;
-        let decision = loop {
-            attempts += 1;
-            let cancel = Arc::new(AtomicBool::new(false));
-            let deadline_hit = Arc::new(AtomicBool::new(false));
-            {
-                let mut board = ctx.board.lock().expect("watch board poisoned");
-                board[ctx.index] = Some(AttemptWatch {
-                    cancel: Arc::clone(&cancel),
-                    deadline: ctx.deadline.map(|d| Instant::now() + d),
-                    deadline_hit: Arc::clone(&deadline_hit),
-                });
-            }
-            let attempt = run_attempt(
-                entry,
-                seed,
-                ctx.epoch_events,
-                &cancel,
-                ctx.isolate,
-                ctx.faults,
-            );
-            ctx.board.lock().expect("watch board poisoned")[ctx.index] = None;
-
-            let error = match attempt {
-                Attempt::Finished(report) => {
-                    break Decision::Completed(Box::new(ConfigOutcome {
-                        id: entry.id.clone(),
-                        seed,
-                        attempts,
-                        report: *report,
-                    }));
+    /// Runs the sweep to the end (or to a wind-down) and hands the ledger
+    /// back.
+    fn run(mut self) -> Result<SweepLedger, SimError> {
+        let mut winding_down = false;
+        loop {
+            if !winding_down && self.interrupt.load(Ordering::Relaxed) {
+                winding_down = true;
+                self.transport.interrupt_all();
+                // A child wedged mid-epoch never reaches the boundary it
+                // was asked to stop at.
+                let grace = Instant::now() + REAP_GRACE;
+                for flight in self.slots.iter_mut().flatten() {
+                    flight.kill_at = Some(flight.kill_at.map_or(grace, |at| at.min(grace)));
                 }
-                Attempt::Cancelled => {
-                    if deadline_hit.load(Ordering::Relaxed) {
-                        SweepError::DeadlineExceeded {
-                            seconds: ctx.deadline.map_or(0.0, |d| d.as_secs_f64()),
-                        }
-                    } else {
-                        // Sweep-wide wind-down: hand the config back
-                        // undecided.
-                        break Decision::Cancelled;
+            }
+            for slot in 0..self.slots.len() {
+                if !winding_down && self.slots[slot].is_none() {
+                    if let Some(candidate) = self.next_due() {
+                        self.start(slot, candidate);
                     }
                 }
-                Attempt::Failed(error) => error,
-            };
-            if attempts > ctx.max_retries {
-                break Decision::Quarantined(QuarantinedConfig {
-                    id: entry.id.clone(),
-                    seed,
-                    attempts,
+            }
+            let idle = self.slots.iter().all(Option::is_none);
+            if idle && (winding_down || (self.queue.is_empty() && self.waiting.is_empty())) {
+                break;
+            }
+
+            if let Some(event) = self.transport.recv_timeout(WATCHDOG_TICK) {
+                self.handle(event);
+            }
+            let now = Instant::now();
+            for slot in 0..self.slots.len() {
+                let due = |flight: &InFlight| flight.kill_at.is_some_and(|at| now >= at);
+                if self.slots[slot].as_ref().is_some_and(due) {
+                    let candidate = self.settle(slot).expect("the slot was in flight");
+                    // Wound down on request, the config stays undecided.
+                    if !winding_down {
+                        let seconds = self.opts.deadline.map_or(0.0, |d| d.as_secs_f64());
+                        self.failed(candidate, SweepError::DeadlineExceeded { seconds });
+                    }
+                }
+            }
+        }
+        self.transport.reap();
+        match self.save_error {
+            Some(e) => Err(e),
+            None => Ok(self.ledger),
+        }
+    }
+
+    /// The next config to start: a retry whose backoff has run out, else
+    /// the next fresh one.
+    fn next_due(&mut self) -> Option<Candidate<'a>> {
+        let now = Instant::now();
+        match self.waiting.iter().position(|(due, _)| *due <= now) {
+            Some(at) => Some(self.waiting.remove(at).1),
+            None => self.queue.pop_front(),
+        }
+    }
+
+    /// Spawns the candidate's next attempt on a free slot.
+    fn start(&mut self, slot: usize, candidate: Candidate<'a>) {
+        let entry = candidate.entry;
+        let listed = |ids: &[String]| ids.contains(&entry.id);
+        let fault = match &self.opts.fault_injection {
+            Some(faults) if listed(&faults.panic_ids) => Some(SoloFault::Panic(format!(
+                "injected poison panic for `{}`",
+                entry.id
+            ))),
+            Some(faults) if listed(&faults.stall_ids) => Some(SoloFault::Stall),
+            _ => None,
+        };
+        let job = HelloJob::Solo {
+            config: Box::new(entry.config.clone()),
+            master_seed: candidate.seed,
+            epoch_events: self.epoch_events,
+            fault,
+        };
+        match self.transport.spawn(slot, self.incarnations[slot], job) {
+            Ok(()) => {
+                let kill_at = self.opts.deadline.map(|d| Instant::now() + d);
+                self.slots[slot] = Some(InFlight { candidate, kill_at });
+            }
+            Err(SimError::SlaveProcess { detail, .. } | SimError::Frame { detail }) => {
+                self.failed(candidate, SweepError::Crashed { detail });
+            }
+            Err(e) => {
+                let error = e.to_string();
+                self.failed(candidate, SweepError::RunFailed { error });
+            }
+        }
+    }
+
+    /// Ends the attempt on `slot`: reaps what is left of it, fences its
+    /// incarnation and frees the slot.
+    fn settle(&mut self, slot: usize) -> Option<Candidate<'a>> {
+        self.transport.kill(slot);
+        self.incarnations[slot] += 1;
+        self.slots[slot].take().map(|flight| flight.candidate)
+    }
+
+    /// One event off the transport. Whatever a stale or nonsensical
+    /// incarnation sends is fenced; anything else ends its slot's attempt.
+    fn handle(&mut self, event: SlaveEvent) {
+        let slot = event.slave;
+        if self.incarnations.get(slot) != Some(&event.incarnation) || self.slots[slot].is_none() {
+            return;
+        }
+        let candidate = self.settle(slot).expect("the slot was in flight");
+        let error = match event.what {
+            Happened::Up(UpFrame::SoloReport(report)) => return self.reported(candidate, *report),
+            Happened::Up(UpFrame::Fatal { error, code }) if code == exit_code::SIM => {
+                SweepError::RunFailed { error }
+            }
+            Happened::Up(UpFrame::Fatal { error, .. }) => SweepError::Crashed {
+                detail: format!("child failed: {error}"),
+            },
+            Happened::Up(_) => SweepError::Crashed {
+                detail: "protocol violation: a lockstep frame from a solo job".to_owned(),
+            },
+            Happened::Panicked(message) => SweepError::Panicked { message },
+            Happened::Exited(detail) => SweepError::Crashed { detail },
+        };
+        self.failed(candidate, error);
+    }
+
+    /// An attempt delivered its report: the termination says what it is.
+    fn reported(&mut self, candidate: Candidate<'a>, report: SimulationReport) {
+        match report.termination {
+            // Wound down on request: the config stays undecided and a
+            // resume will run it from scratch.
+            TerminationReason::Interrupted => {}
+            TerminationReason::AuditViolation | TerminationReason::Livelock => {
+                let violation = report
+                    .audit
+                    .as_ref()
+                    .and_then(|a| a.violations.first().map(ToString::to_string))
+                    .unwrap_or_else(|| "unspecified violation".to_owned());
+                self.failed(candidate, SweepError::AuditFailed { violation });
+            }
+            _ => {
+                let outcome = ConfigOutcome {
+                    id: candidate.entry.id.clone(),
+                    seed: candidate.seed,
+                    attempts: candidate.budget.failed() + 1,
+                    report,
+                };
+                let event = SweepEvent::Completed {
+                    id: outcome.id.clone(),
+                    attempts: outcome.attempts,
+                    converged: outcome.report.converged,
+                };
+                self.ledger.completed.insert(outcome.id.clone(), outcome);
+                self.decided(&event);
+            }
+        }
+    }
+
+    /// An attempt failed: charge the budget, then retry after its backoff
+    /// or quarantine.
+    fn failed(&mut self, mut candidate: Candidate<'a>, error: SweepError) {
+        let id = candidate.entry.id.clone();
+        let backoff = candidate.budget.fail();
+        let attempts = candidate.budget.failed();
+        match backoff {
+            Some(backoff) => {
+                self.emit(&SweepEvent::Retrying {
+                    id,
+                    attempt: attempts,
                     error,
                 });
+                self.waiting.push((Instant::now() + backoff, candidate));
             }
-            let _ = ctx.tx.send(Message::Retrying {
-                id: entry.id.clone(),
-                attempt: attempts,
-                error,
-            });
-            if !backoff_sleep(attempts, ctx.interrupt, fnv1a(entry.id.as_bytes())) {
-                break Decision::Cancelled;
+            None => {
+                let event = SweepEvent::Quarantined {
+                    id: id.clone(),
+                    attempts,
+                    error: error.clone(),
+                };
+                let quarantined = QuarantinedConfig {
+                    seed: candidate.seed,
+                    id: id.clone(),
+                    attempts,
+                    error,
+                };
+                self.ledger.quarantined.insert(id, quarantined);
+                self.decided(&event);
             }
-        };
-        // A send can only fail after the collector stopped, which only
-        // happens once every sender hung up — unreachable here.
-        let _ = ctx.tx.send(Message::Decided(decision));
+        }
+    }
+
+    /// A config just entered the ledger: persist on the interval, tell the
+    /// caller, and honour `max_decided`.
+    fn decided(&mut self, event: &SweepEvent) {
+        self.decided_now += 1;
+        self.since_save += 1;
+        if let Some((store, interval)) = self.store {
+            if self.since_save >= *interval && self.save_error.is_none() {
+                // Persistence failing must not lose the in-memory sweep:
+                // finish, then report.
+                self.save_error = store.save_payload(&self.ledger).err();
+                self.since_save = 0;
+            }
+        }
+        self.emit(event);
+        if self
+            .opts
+            .max_decided
+            .is_some_and(|max| self.decided_now >= max)
+        {
+            self.interrupt.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -748,13 +762,19 @@ pub fn run_sweep(
     };
     let resumed = ledger.decided();
 
-    let pending: Vec<usize> = entries
+    // The salt (the config's id hash) decorrelates retry schedules across
+    // configs, so a batch that all crashed at once (a machine-wide hiccup
+    // under process isolation) does not retry in lockstep.
+    let queue: VecDeque<Candidate> = entries
         .iter()
-        .enumerate()
-        .filter(|(_, e)| {
+        .filter(|e| {
             !ledger.completed.contains_key(&e.id) && !ledger.quarantined.contains_key(&e.id)
         })
-        .map(|(i, _)| i)
+        .map(|entry| Candidate {
+            entry,
+            seed: config_seed(master_seed, &entry.id),
+            budget: AttemptBudget::new(opts.max_retries, fnv1a(entry.id.as_bytes())),
+        })
         .collect();
 
     let interrupt = opts
@@ -766,23 +786,24 @@ pub fn run_sweep(
     } else {
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
     }
-    .min(pending.len().max(1));
+    .min(queue.len().max(1));
 
-    let ledger = if pending.is_empty() {
-        ledger
-    } else {
-        run_workers(
-            entries,
-            master_seed,
-            epoch_events,
-            &pending,
-            workers,
-            ledger,
-            store.as_ref(),
-            &interrupt,
-            opts,
-        )?
-    };
+    let ledger = Master {
+        epoch_events,
+        opts,
+        store: store.as_ref(),
+        interrupt: &interrupt,
+        transport: opts.backend.transport(workers),
+        queue,
+        waiting: Vec::new(),
+        slots: (0..workers).map(|_| None).collect(),
+        incarnations: vec![0; workers],
+        ledger,
+        since_save: 0,
+        decided_now: 0,
+        save_error: None,
+    }
+    .run()?;
 
     // Final ledger write, so even a sweep interrupted before its first
     // decision (or one that decided nothing new) leaves a resumable
@@ -845,138 +866,15 @@ pub fn run_sweep(
     })
 }
 
-/// Spawns the pool + watchdog and collects decisions into the ledger.
-#[allow(clippy::too_many_arguments)]
-fn run_workers(
-    entries: &[SweepEntry],
-    master_seed: u64,
-    epoch_events: u64,
-    pending: &[usize],
-    workers: usize,
-    mut ledger: SweepLedger,
-    store: Option<&(CheckpointStore, u64)>,
-    interrupt: &Arc<AtomicBool>,
-    opts: &SweepOptions,
-) -> Result<SweepLedger, SimError> {
-    let cursor = AtomicUsize::new(0);
-    let board: Mutex<Vec<Option<AttemptWatch>>> = Mutex::new((0..workers).map(|_| None).collect());
-    let watchdog_done = AtomicBool::new(false);
-    let (tx, rx) = mpsc::channel::<Message>();
-
-    let mut save_error: Option<SimError> = None;
-    std::thread::scope(|scope| {
-        // Watchdog: expires deadlines and propagates the sweep interrupt
-        // into in-flight attempts' cancel flags.
-        scope.spawn(|| {
-            while !watchdog_done.load(Ordering::Relaxed) {
-                let sweep_down = interrupt.load(Ordering::Relaxed);
-                {
-                    let board = board.lock().expect("watch board poisoned");
-                    for watch in board.iter().flatten() {
-                        if sweep_down {
-                            watch.cancel.store(true, Ordering::Relaxed);
-                        } else if watch.deadline.is_some_and(|d| Instant::now() >= d) {
-                            watch.deadline_hit.store(true, Ordering::Relaxed);
-                            watch.cancel.store(true, Ordering::Relaxed);
-                        }
-                    }
-                }
-                std::thread::sleep(WATCHDOG_TICK);
-            }
-        });
-
-        for index in 0..workers {
-            let ctx = WorkerCtx {
-                index,
-                entries,
-                master_seed,
-                epoch_events,
-                max_retries: opts.max_retries,
-                deadline: opts.deadline,
-                isolate: opts.isolate_processes.as_ref(),
-                faults: opts.fault_injection.as_ref(),
-                pending,
-                cursor: &cursor,
-                board: &board,
-                interrupt,
-                tx: tx.clone(),
-            };
-            scope.spawn(move || worker_loop(&ctx));
-        }
-        drop(tx);
-
-        // Collector: the scope's own thread owns the ledger and the
-        // store, so persistence is single-writer by construction.
-        let mut since_save: u64 = 0;
-        let mut decided_now: usize = 0;
-        while let Ok(message) = rx.recv() {
-            match message {
-                Message::Retrying { id, attempt, error } => {
-                    if let Some(callback) = &opts.on_event {
-                        callback(&SweepEvent::Retrying { id, attempt, error });
-                    }
-                }
-                Message::Decided(Decision::Cancelled) => {}
-                Message::Decided(decision) => {
-                    let event = match decision {
-                        Decision::Completed(outcome) => {
-                            let event = SweepEvent::Completed {
-                                id: outcome.id.clone(),
-                                attempts: outcome.attempts,
-                                converged: outcome.report.converged,
-                            };
-                            ledger.completed.insert(outcome.id.clone(), *outcome);
-                            event
-                        }
-                        Decision::Quarantined(quarantined) => {
-                            let event = SweepEvent::Quarantined {
-                                id: quarantined.id.clone(),
-                                attempts: quarantined.attempts,
-                                error: quarantined.error.clone(),
-                            };
-                            ledger
-                                .quarantined
-                                .insert(quarantined.id.clone(), quarantined);
-                            event
-                        }
-                        Decision::Cancelled => unreachable!("matched above"),
-                    };
-                    decided_now += 1;
-                    since_save += 1;
-                    if let Some((store, interval)) = store {
-                        if since_save >= *interval && save_error.is_none() {
-                            if let Err(e) = store.save_payload(&ledger) {
-                                // Persistence failing must not lose the
-                                // in-memory sweep: finish, then report.
-                                save_error = Some(e);
-                            }
-                            since_save = 0;
-                        }
-                    }
-                    if let Some(callback) = &opts.on_event {
-                        callback(&event);
-                    }
-                    if opts.max_decided.is_some_and(|max| decided_now >= max) {
-                        interrupt.store(true, Ordering::Relaxed);
-                    }
-                }
-            }
-        }
-        watchdog_done.store(true, Ordering::Relaxed);
-    });
-
-    match save_error {
-        Some(e) => Err(e),
-        None => Ok(ledger),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MetricKind;
+    use crate::procslave::ProcSlaveConfig;
+    use crate::runner::run_resumable;
     use bighouse_workloads::{StandardWorkload, Workload};
     use std::path::PathBuf;
+    use std::sync::Mutex;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1077,6 +975,40 @@ mod tests {
         assert_eq!(report.retries, 1);
         assert_eq!(retry_events.lock().unwrap().as_slice(), ["poison"]);
         assert!(!report.interrupted);
+    }
+
+    #[test]
+    fn a_config_waiting_out_its_backoff_does_not_hold_a_slot() {
+        // One slot, the poison config first in line: its failed attempt
+        // frees the slot, so the healthy config runs during the backoff and
+        // is decided before the poison one's last attempt.
+        let mut entries = vec![SweepEntry::new("poison", quick_config(0.5))];
+        entries.extend(grid(&[0.5]));
+        let decided = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&decided);
+        let opts = SweepOptions {
+            workers: 1,
+            max_retries: 1,
+            epoch_events: 50_000,
+            fault_injection: Some(SweepFaultInjection {
+                panic_ids: vec!["poison".to_owned()],
+                stall_ids: vec![],
+            }),
+            on_event: Some(Arc::new(move |event| match event {
+                SweepEvent::Completed { id, .. } | SweepEvent::Quarantined { id, .. } => {
+                    seen.lock().unwrap().push(id.clone());
+                }
+                SweepEvent::Retrying { .. } => {}
+            })),
+            ..SweepOptions::default()
+        };
+        let report = run_sweep(&entries, 3, &opts).unwrap();
+        assert_eq!(report.completed.len(), 1);
+        assert_eq!(report.quarantined[0].attempts, 2);
+        assert_eq!(
+            decided.lock().unwrap().as_slice(),
+            ["utilization=0.5", "poison"]
+        );
     }
 
     #[test]
@@ -1279,7 +1211,7 @@ mod tests {
             workers: 1,
             max_retries: 1,
             epoch_events: 50_000,
-            isolate_processes: Some(ProcSlaveConfig {
+            backend: ExecBackend::Processes(ProcSlaveConfig {
                 program: Some("/nonexistent/bighouse-slave-binary".into()),
                 ..ProcSlaveConfig::default()
             }),

@@ -13,9 +13,16 @@
 //!    resurrected from its epoch checkpoint and the merged estimates and
 //!    the pooled cluster summary are still bit-identical to the
 //!    undisturbed run.
-//! 3. No zombie or orphan slave children survive any of it.
+//! 3. A sweep is the same fabric with a different job: the same grid on the
+//!    thread and the process transport completes the same configs bit for
+//!    bit and quarantines the same poison one — as a contained panic on a
+//!    thread slot, as a crashed child (exit status 101) in a process.
+//! 4. No zombie or orphan slave children survive any of it.
 
-use bighouse_sim::{ExecBackend, ExperimentConfig, ParallelRunner, ProcChaos, ProcSlaveConfig};
+use bighouse_sim::{
+    run_sweep, ExecBackend, ExperimentConfig, ParallelRunner, ProcChaos, ProcSlaveConfig,
+    SweepEntry, SweepError, SweepFaultInjection, SweepOptions,
+};
 use bighouse_workloads::{StandardWorkload, Workload};
 
 const SEED: u64 = 20_120_613;
@@ -41,6 +48,10 @@ fn main() {
         (
             "aborting_slave_is_resurrected_bit_identically",
             aborting_slave_is_resurrected_bit_identically,
+        ),
+        (
+            "sweep_agrees_across_transports_and_quarantines_the_poison_config",
+            sweep_agrees_across_transports_and_quarantines_the_poison_config,
         ),
         (
             "no_zombie_or_orphan_children_remain",
@@ -149,6 +160,70 @@ fn aborting_slave_is_resurrected_bit_identically() {
         reported(&reference),
         reported(&chaotic),
         "an aborting slave must replay to the identical report"
+    );
+}
+
+fn sweep_agrees_across_transports_and_quarantines_the_poison_config() {
+    let quick = |utilization: f64| {
+        ExperimentConfig::new(Workload::standard(StandardWorkload::Web))
+            .with_utilization(utilization)
+            .with_target_accuracy(0.2)
+            .with_warmup(50)
+            .with_calibration(500)
+    };
+    let entries: Vec<SweepEntry> = [0.3, 0.5, 0.7]
+        .iter()
+        .map(|&u| SweepEntry::new(format!("utilization={u}"), quick(u)))
+        .chain([SweepEntry::new("poison", quick(0.5))])
+        .collect();
+    let sweep = |backend: ExecBackend| {
+        let opts = SweepOptions {
+            workers: 2,
+            max_retries: 1,
+            epoch_events: EPOCH,
+            backend,
+            fault_injection: Some(SweepFaultInjection {
+                panic_ids: vec!["poison".to_owned()],
+                stall_ids: vec![],
+            }),
+            ..SweepOptions::default()
+        };
+        run_sweep(&entries, SEED, &opts)
+            .expect("sweep runs")
+            .canonical()
+    };
+    let threads = sweep(ExecBackend::ThreadLockstep);
+    let procs = sweep(ExecBackend::Processes(ProcSlaveConfig::default()));
+    for report in [&threads, &procs] {
+        assert_eq!(
+            report.completed.len(),
+            3,
+            "the poison's neighbours complete"
+        );
+        assert_eq!(report.quarantined.len(), 1);
+        assert_eq!(report.quarantined[0].id, "poison");
+        assert_eq!(report.quarantined[0].attempts, 2, "max_retries = 1");
+        assert_eq!(report.retries, 1);
+        assert!(!report.interrupted);
+    }
+    assert_eq!(
+        serde_json::to_string(&threads.completed).expect("outcomes serialize"),
+        serde_json::to_string(&procs.completed).expect("outcomes serialize"),
+        "every completed config must agree across transports bit for bit"
+    );
+    // The injected fault is a real panic: a thread slot contains it and
+    // keeps its message, a child dies of it with the panic exit status.
+    assert!(
+        matches!(&threads.quarantined[0].error, SweepError::Panicked { message }
+            if message.contains("injected")),
+        "{:?}",
+        threads.quarantined[0].error
+    );
+    assert!(
+        matches!(&procs.quarantined[0].error, SweepError::Crashed { detail }
+            if detail.contains("exit status: 101")),
+        "{:?}",
+        procs.quarantined[0].error
     );
 }
 

@@ -15,8 +15,9 @@
 
 use bighouse_faults::{FaultProcess, RetryPolicy};
 use bighouse_sim::{
-    run_resumable, run_serial, AdmissionPolicy, ArrivalMode, ExperimentConfig, MetricKind,
-    ParallelRunner, ResilienceConfig, RunOptions,
+    run_resumable, run_serial, run_sweep, AdmissionPolicy, ArrivalMode, AuditConfig,
+    ExperimentConfig, MetricKind, ParallelRunner, ResilienceConfig, RunOptions, SweepEntry,
+    SweepOptions,
 };
 use bighouse_telemetry::TelemetrySnapshot;
 use bighouse_workloads::{StandardWorkload, Workload};
@@ -310,6 +311,46 @@ fn parallel_snapshots_are_deterministic_and_every_key_is_documented() {
         );
     }
     assert!(seen >= 15, "twelve fixed keys and one per slave: {seen}");
+}
+
+#[test]
+fn every_emitted_sweep_key_is_documented() {
+    // A sweep with a quarantined config and a retry emits every `sweep.*`
+    // key at a value that says so; TELEMETRY.md must name each one.
+    let documented = include_str!("../../../TELEMETRY.md");
+    let storm = AuditConfig {
+        storm_budget_events_per_sim_second: 0.5,
+        storm_window_events: 1000,
+        ..AuditConfig::default()
+    };
+    let entries = [
+        SweepEntry::new("healthy", quick_config().with_telemetry(true)),
+        SweepEntry::new("storm", quick_config().with_audit(storm)),
+    ];
+    let opts = SweepOptions {
+        max_retries: 1,
+        ..SweepOptions::default()
+    };
+    let snap = run_sweep(&entries, 88, &opts)
+        .unwrap()
+        .telemetry
+        .expect("one config was instrumented");
+    assert_eq!(snap.counters["sweep.configs_completed"], 1);
+    assert_eq!(snap.counters["sweep.configs_quarantined"], 1);
+    assert_eq!(snap.counters["sweep.retries"], 1);
+    let keys = (snap.counters.keys())
+        .chain(snap.gauges.keys())
+        .chain(snap.histograms.keys())
+        .chain(snap.wall.keys());
+    let mut seen = 0;
+    for key in keys.filter(|k| k.starts_with("sweep.")) {
+        seen += 1;
+        assert!(
+            documented.contains(&format!("`{key}`")),
+            "{key} is emitted but absent from TELEMETRY.md"
+        );
+    }
+    assert_eq!(seen, 4, "three counters and the wall time");
 }
 
 #[test]
