@@ -36,7 +36,7 @@ use std::time::Duration;
 use bighouse::dists::Distribution;
 use bighouse::sim::{
     run_resumable, run_serial, run_sweep, AuditConfig, CheckpointConfig, ExecBackend,
-    ParallelRunner, ProcChaos, ProcLimits, ProcSlaveConfig, RunOptions, SimError, SimulationReport,
+    ParallelRunner, ProcLimits, ProcSlaveConfig, RunOptions, SimError, SimulationReport,
     SweepEntry, SweepEvent, SweepOptions, TerminationReason,
 };
 use bighouse::telemetry::TelemetrySnapshot;
@@ -379,15 +379,6 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
             // granularity of crash recovery).
             if kv_arg(args, "epoch-events").is_some() && epoch_events > 0 {
                 runner = runner.with_slave_epoch(epoch_events);
-            }
-            // Chaos-smoke hook for CI: deterministically crash one slave
-            // (kill:N, abort:N, panic:N) to prove supervised recovery.
-            if let Some(chaos) = std::env::var("BIGHOUSE_PROC_CHAOS")
-                .ok()
-                .as_deref()
-                .and_then(ProcChaos::from_env_str)
-            {
-                runner = runner.with_proc_chaos(chaos);
             }
             let outcome = runner.run(seed).map_err(|e| e.to_string())?;
             println!(

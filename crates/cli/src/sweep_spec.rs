@@ -383,6 +383,7 @@ mod tests {
         match overflow {
             Err(SpecError::Format(e)) => {
                 assert_eq!(e.kind(), &bighouse_json::ErrorKind::NumberOutOfRange);
+                assert_eq!(e.path(), "config_deadline_seconds");
             }
             _ => panic!("1e999 must be refused as malformed"),
         }

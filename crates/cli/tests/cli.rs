@@ -1,6 +1,10 @@
 //! End-to-end tests of the `bighouse` binary.
 
+use std::ffi::OsStr;
+use std::path::Path;
 use std::process::Command;
+
+use bighouse_json::Value;
 
 /// Sysexits-style exit codes (mirrors the constants in `main.rs`).
 const EXIT_USAGE: i32 = 64;
@@ -16,6 +20,55 @@ fn temp_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("bighouse-cli-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
+}
+
+/// The path of a checked-in spec under `ci/specs/`.
+fn fixture(name: &str) -> String {
+    format!("{}/../../ci/specs/{name}", env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Runs `bighouse args…`, asserts it exits 0 and returns its stdout.
+fn succeed<S: AsRef<OsStr> + std::fmt::Debug>(args: &[S]) -> String {
+    let out = bighouse().args(args).output().expect("spawn");
+    assert!(
+        out.status.success(),
+        "bighouse {args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// Parses a JSON file the binary wrote.
+fn read_json(path: &Path) -> Value {
+    bighouse_json::from_str(&std::fs::read_to_string(path).expect("file written"))
+        .expect("valid JSON")
+}
+
+/// Starts `bighouse args…`, SIGKILLs it as soon as `marker` (its first
+/// checkpoint or ledger) exists, and asserts that the kill, not the run's
+/// own end, stopped it.
+#[cfg(unix)]
+fn kill_once_written<S: AsRef<OsStr> + std::fmt::Debug>(args: &[S], marker: &Path) {
+    use std::os::unix::process::ExitStatusExt;
+    let mut child = bighouse()
+        .args(args)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn");
+    while !marker.exists() {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            panic!("bighouse {args:?} ended ({status}) without writing {marker:?}");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    child.kill().expect("SIGKILL");
+    let status = child.wait().expect("wait");
+    assert_eq!(
+        status.signal(),
+        Some(9),
+        "bighouse {args:?} ended ({status}) before the kill landed"
+    );
 }
 
 #[test]
@@ -118,140 +171,92 @@ fn export_then_run_round_trip() {
     assert!(text.contains("converged: true"), "output: {text}");
     assert!(text.contains("response_time"));
 
-    let report: bighouse_json::Value =
-        bighouse_json::from_str(&std::fs::read_to_string(&report_path).expect("report written"))
-            .expect("report is JSON");
-    assert_eq!(report["converged"], bighouse_json::Value::Bool(true));
+    let report = read_json(&report_path);
+    assert_eq!(report["converged"], Value::Bool(true));
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A run SIGKILLed mid-flight and resumed from its checkpoint converges
+/// to the estimates of an uninterrupted run, bit for bit; resuming a
+/// finished run re-emits its report without simulating.
+#[cfg(unix)]
 #[test]
 fn checkpointed_run_can_resume() {
     let dir = temp_dir().join("resume-e2e");
+    let _ = std::fs::remove_dir_all(&dir); // the kill waits for a fresh file
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let spec = r#"{
-        "workload": { "standard": "web" },
-        "utilization": 0.5,
-        "accuracy": 0.2,
-        "warmup": 50,
-        "calibration": 500
-    }"#;
-    let spec_path = dir.join("exp.json");
-    std::fs::write(&spec_path, spec).expect("write spec");
-    let ckpt_dir = dir.join("ckpt");
-    let first_out = dir.join("first.json");
-    let out = bighouse()
-        .args([
-            "run",
-            spec_path.to_str().unwrap(),
-            "seed=11",
-            &format!("checkpoint-dir={}", ckpt_dir.display()),
-            "epoch-events=20000",
-            &format!("out={}", first_out.display()),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(ckpt_dir.join("bighouse.ckpt").exists(), "snapshot written");
+    let spec = fixture("crash.json");
+    let run = |ckpt: &str, rest: &[&str]| -> Vec<String> {
+        let mut args = vec![
+            "run".to_owned(),
+            spec.clone(),
+            "seed=2012".to_owned(),
+            format!("checkpoint-dir={}", dir.join(ckpt).display()),
+            "epoch-events=100000".to_owned(),
+        ];
+        args.extend(rest.iter().map(|s| s.to_string()));
+        args
+    };
+    let out = |name: &str| format!("out={}", dir.join(name).display());
+
+    succeed(&run("ref", &[&out("ref.json")]));
+    assert!(dir.join("ref/bighouse.ckpt").exists(), "snapshot written");
+    let reference = read_json(&dir.join("ref.json"));
 
     // Resuming the finished run re-emits its report without simulating.
-    let second_out = dir.join("second.json");
-    let out = bighouse()
-        .args([
-            "run",
-            spec_path.to_str().unwrap(),
-            "seed=11",
-            &format!("checkpoint-dir={}", ckpt_dir.display()),
-            "epoch-events=20000",
-            "--resume",
-            &format!("out={}", second_out.display()),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(String::from_utf8_lossy(&out.stdout).contains("(resumed)"));
-    let read = |p: &std::path::Path| -> bighouse_json::Value {
-        bighouse_json::from_str(&std::fs::read_to_string(p).expect("report written"))
-            .expect("report is JSON")
-    };
-    let (a, b) = (read(&first_out), read(&second_out));
+    let stdout = succeed(&run("ref", &["--resume", &out("again.json")]));
+    assert!(stdout.contains("(resumed)"));
+    let again = read_json(&dir.join("again.json"));
     assert_eq!(
-        a["estimates"], b["estimates"],
+        reference["estimates"], again["estimates"],
         "resume must re-emit the same estimates"
     );
-    assert_eq!(a["events_fired"], b["events_fired"]);
+    assert_eq!(reference["events_fired"], again["events_fired"]);
+
+    kill_once_written(&run("crash", &[]), &dir.join("crash/bighouse.ckpt"));
+    succeed(&run("crash", &["--resume", &out("resumed.json")]));
+    let resumed = read_json(&dir.join("resumed.json"));
+    assert_eq!(
+        reference["estimates"], resumed["estimates"],
+        "a killed and resumed run must match the uninterrupted one"
+    );
+    assert_eq!(resumed["converged"], Value::Bool(true));
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Neither `telemetry=` nor `--paranoid` may change an estimate; the
+/// snapshot covers every layer, and the auditor sweeps and finds the run
+/// clean.
 #[test]
-fn telemetry_flag_writes_snapshot_and_keeps_estimates_identical() {
+fn telemetry_and_paranoid_flags_keep_estimates_identical() {
     let dir = temp_dir().join("telemetry-e2e");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let spec = r#"{
-        "workload": { "standard": "web" },
-        "utilization": 0.5,
-        "accuracy": 0.2,
-        "warmup": 50,
-        "calibration": 500
-    }"#;
-    let spec_path = dir.join("exp.json");
-    std::fs::write(&spec_path, spec).expect("write spec");
-
-    let plain_out = dir.join("plain.json");
-    let out = bighouse()
-        .args([
-            "run",
-            spec_path.to_str().unwrap(),
-            "seed=7",
-            &format!("out={}", plain_out.display()),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let instr_out = dir.join("instrumented.json");
-    let tel_out = dir.join("telemetry.json");
-    let out = bighouse()
-        .args([
-            "run",
-            spec_path.to_str().unwrap(),
-            "seed=7",
-            &format!("out={}", instr_out.display()),
-            &format!("telemetry={}", tel_out.display()),
-            "--telemetry-summary",
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
+    let spec = fixture("paranoid.json");
+    let run = |rest: &[&str]| {
+        let mut args = vec!["run", &spec, "seed=2012"];
+        args.extend_from_slice(rest);
+        succeed(&args)
+    };
+    let out = |name: &str| dir.join(name);
+    run(&[&format!("out={}", out("plain.json").display())]);
+    let text = run(&[
+        &format!("out={}", out("instrumented.json").display()),
+        &format!("telemetry={}", out("telemetry.json").display()),
+        "--telemetry-summary",
+    ]);
     assert!(text.contains("telemetry:"), "summary table missing: {text}");
     assert!(
         text.contains("counters:"),
         "summary table missing counters: {text}"
     );
+    run(&[
+        "--paranoid",
+        &format!("out={}", out("audited.json").display()),
+    ]);
 
-    let read = |p: &std::path::Path| -> bighouse_json::Value {
-        bighouse_json::from_str(&std::fs::read_to_string(p).expect("file written"))
-            .expect("valid JSON")
-    };
     // The tentpole guarantee, end to end: instrumentation changes nothing.
-    let (plain, instrumented) = (read(&plain_out), read(&instr_out));
+    let plain = read_json(&out("plain.json"));
+    let instrumented = read_json(&out("instrumented.json"));
     assert_eq!(
         plain["estimates"], instrumented["estimates"],
         "telemetry must not perturb the estimates"
@@ -260,7 +265,7 @@ fn telemetry_flag_writes_snapshot_and_keeps_estimates_identical() {
     // The plain report carries no telemetry section at all.
     assert!(plain["runtime"].get("telemetry").is_none());
     // The snapshot file is well-formed and covers every layer.
-    let snap = read(&tel_out);
+    let snap = read_json(&out("telemetry.json"));
     assert!(snap["counters"]["des.events_fired"].as_u64().unwrap() > 0);
     assert!(snap["counters"]["stats.samples_recorded"].as_u64().unwrap() > 0);
     assert!(
@@ -269,13 +274,28 @@ fn telemetry_flag_writes_snapshot_and_keeps_estimates_identical() {
             .unwrap()
             > 0
     );
-    assert!(snap["wall"]["wall_seconds"].as_f64().is_some());
+    assert!(snap["wall"]["wall_seconds"].as_f64().unwrap() > 0.0);
     // And the embedded report section matches the standalone file's
     // deterministic parts.
     assert_eq!(
         instrumented["runtime"]["telemetry"]["counters"],
         snap["counters"]
     );
+
+    let audited = read_json(&out("audited.json"));
+    assert_eq!(
+        plain["estimates"], audited["estimates"],
+        "the auditor must not perturb the estimates"
+    );
+    assert_eq!(audited["converged"], Value::Bool(true));
+    let audit = &audited["audit"];
+    assert_eq!(audit["enabled"], Value::Bool(true));
+    assert_eq!(
+        audit["violations"].as_array().unwrap().len(),
+        0,
+        "{audit:?}"
+    );
+    assert!(audit["checks_run"].as_u64().unwrap() > 0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -346,6 +366,15 @@ fn exit_codes_classify_failures() {
         .output()
         .expect("spawn");
     assert_eq!(out.status.code(), Some(EXIT_SPEC), "invalid sweep axis");
+    // A number no f64 holds is refused by the parser, naming its field.
+    let out = bighouse()
+        .args(["run", &fixture("hostile.json")])
+        .output()
+        .expect("spawn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(EXIT_SPEC), "hostile spec: {stderr}");
+    assert!(stderr.contains("accuracy"), "{stderr}");
+    assert!(!stderr.to_lowercase().contains("panic"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -420,9 +449,7 @@ fn sweep_runs_a_grid_and_reports_a_trend() {
     assert!(text.contains("2/2 completed"), "output: {text}");
     assert!(text.contains("utilization=0.3"), "output: {text}");
 
-    let report: bighouse_json::Value =
-        bighouse_json::from_str(&std::fs::read_to_string(&report_path).expect("report written"))
-            .expect("report is JSON");
+    let report = read_json(&report_path);
     assert_eq!(report["total_configs"], 2);
     assert_eq!(report["completed"].as_array().unwrap().len(), 2);
     assert_eq!(report["quarantined"].as_array().unwrap().len(), 0);
@@ -444,31 +471,12 @@ fn sweep_quarantines_poison_configs_and_exits_69() {
     // and exit EX_UNAVAILABLE — after writing the report.
     let dir = temp_dir().join("sweep-poison-e2e");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let sweep = r#"{
-        "base": {
-            "workload": { "standard": "web" },
-            "utilization": 0.5,
-            "accuracy": 0.2,
-            "warmup": 50,
-            "calibration": 500
-        },
-        "axes": {
-            "paranoid": [
-                null,
-                { "storm_budget_events_per_sim_second": 0.5, "storm_window_events": 1000 }
-            ]
-        },
-        "workers": 2,
-        "max_retries": 1
-    }"#;
-    let sweep_path = dir.join("sweep.json");
-    std::fs::write(&sweep_path, sweep).expect("write spec");
     let report_path = dir.join("report.json");
     let out = bighouse()
         .args([
             "sweep",
-            sweep_path.to_str().unwrap(),
-            "seed=5",
+            &fixture("sweep-poison.json"),
+            "seed=7",
             &format!("out={}", report_path.display()),
         ])
         .output()
@@ -479,9 +487,7 @@ fn sweep_quarantines_poison_configs_and_exits_69() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let report: bighouse_json::Value =
-        bighouse_json::from_str(&std::fs::read_to_string(&report_path).expect("report written"))
-            .expect("report is JSON");
+    let report = read_json(&report_path);
     assert_eq!(report["completed"].as_array().unwrap().len(), 1);
     assert_eq!(report["completed"][0]["id"], "paranoid=null");
     let quarantined = report["quarantined"].as_array().unwrap();
@@ -492,72 +498,74 @@ fn sweep_quarantines_poison_configs_and_exits_69() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// What a sweep's results must not owe to how it ran — interrupted or
+/// not, on threads or child processes: each config's id, seed, attempts,
+/// events and estimates.
+fn per_config(report: &Value) -> Vec<[Value; 5]> {
+    report["completed"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|c| {
+            [
+                c["id"].clone(),
+                c["seed"].clone(),
+                c["attempts"].clone(),
+                c["report"]["events_fired"].clone(),
+                c["report"]["estimates"].clone(),
+            ]
+        })
+        .collect()
+}
+
+/// A sweep SIGKILLed mid-flight and resumed from its ledger reports every
+/// config bit for bit as an uninterrupted sweep does, and so does the same
+/// grid with one child process per attempt.
+#[cfg(unix)]
 #[test]
 fn sweep_resume_reemits_identical_results() {
     let dir = temp_dir().join("sweep-resume-e2e");
+    let _ = std::fs::remove_dir_all(&dir); // the kill waits for a fresh file
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let sweep = r#"{
-        "base": {
-            "workload": { "standard": "web" },
-            "accuracy": 0.2,
-            "warmup": 50,
-            "calibration": 500
-        },
-        "axes": { "utilization": [0.4, 0.7] },
-        "workers": 2,
-        "epoch_events": 50000
-    }"#;
-    let sweep_path = dir.join("sweep.json");
-    std::fs::write(&sweep_path, sweep).expect("write spec");
-    let ckpt = dir.join("ckpt");
-    let first = dir.join("first.json");
-    let out = bighouse()
-        .args([
-            "sweep",
-            sweep_path.to_str().unwrap(),
-            "seed=13",
-            &format!("checkpoint-dir={}", ckpt.display()),
-            &format!("out={}", first.display()),
-        ])
-        .output()
-        .expect("spawn");
-    assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+    let spec = fixture("sweep.json");
+    let sweep = |rest: &[&str]| -> Vec<String> {
+        let mut args = vec!["sweep".to_owned(), spec.clone(), "seed=2012".to_owned()];
+        args.extend(rest.iter().map(|s| s.to_string()));
+        args
+    };
+    let ckpt = |name: &str| format!("checkpoint-dir={}", dir.join(name).display());
+    let out = |name: &str| format!("out={}", dir.join(name).display());
+
+    succeed(&sweep(&[&ckpt("ref"), &out("ref.json")]));
+    assert!(
+        dir.join("ref/bighouse.sweep").exists(),
+        "sweep ledger written"
     );
-    assert!(ckpt.join("bighouse.sweep").exists(), "sweep ledger written");
+    let reference = read_json(&dir.join("ref.json"));
+    assert_eq!(reference["completed"].as_array().unwrap().len(), 6);
+    assert_eq!(reference["quarantined"].as_array().unwrap().len(), 0);
 
     // Resuming the finished sweep re-emits every result from the ledger.
-    let second = dir.join("second.json");
-    let out = bighouse()
-        .args([
-            "sweep",
-            sweep_path.to_str().unwrap(),
-            "seed=13",
-            &format!("checkpoint-dir={}", ckpt.display()),
-            "--resume",
-            &format!("out={}", second.display()),
-        ])
-        .output()
-        .expect("spawn");
+    succeed(&sweep(&[&ckpt("ref"), "--resume", &out("again.json")]));
+    let again = read_json(&dir.join("again.json"));
     assert_eq!(
-        out.status.code(),
-        Some(0),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let read = |p: &std::path::Path| -> bighouse_json::Value {
-        bighouse_json::from_str(&std::fs::read_to_string(p).expect("report written"))
-            .expect("report is JSON")
-    };
-    let (a, b) = (read(&first), read(&second));
-    assert_eq!(
-        a["completed"], b["completed"],
+        reference["completed"], again["completed"],
         "resume must be bit-identical"
     );
-    assert_eq!(a["quarantined"], b["quarantined"]);
+    assert_eq!(reference["quarantined"], again["quarantined"]);
+
+    kill_once_written(&sweep(&[&ckpt("crash")]), &dir.join("crash/bighouse.sweep"));
+    succeed(&sweep(&[&ckpt("crash"), "--resume", &out("resumed.json")]));
+    let resumed = read_json(&dir.join("resumed.json"));
+    assert_eq!(per_config(&reference), per_config(&resumed));
+    assert_eq!(resumed["quarantined"].as_array().unwrap().len(), 0);
+
+    succeed(&sweep(&["backend=processes", &out("procs.json")]));
+    assert_eq!(
+        per_config(&reference),
+        per_config(&read_json(&dir.join("procs.json"))),
+        "thread and process transports must agree"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -596,7 +604,7 @@ fn slave_entrypoint_without_a_master_fails_closed() {
 }
 
 /// Writes a parallel experiment spec and returns its path.
-fn parallel_spec(dir: &std::path::Path, accuracy: f64, slaves: u64) -> std::path::PathBuf {
+fn parallel_spec(dir: &Path, accuracy: f64, slaves: u64) -> std::path::PathBuf {
     let spec = format!(
         r#"{{
         "workload": {{ "standard": "web" }},
@@ -613,80 +621,94 @@ fn parallel_spec(dir: &std::path::Path, accuracy: f64, slaves: u64) -> std::path
     path
 }
 
-/// A slave SIGKILLed mid-run under the process backend must be
-/// resurrected (respawn counter > 0) and the final report must be
-/// bit-identical to an undisturbed in-process run on the default thread
-/// backend — the CLI face of the determinism-under-fire contract, and the
-/// same comparison the `proc-chaos-smoke` CI job makes with `jq`.
+/// `backend=processes` runs each slave as a `bighouse __slave` child; its
+/// report must be bit-identical to the default thread backend's. (A slave
+/// SIGKILLed or aborted mid-epoch replays to the same report:
+/// `procslave_e2e` in bighouse-sim.)
 #[test]
-fn slave_processes_chaos_run_matches_lockstep_bit_for_bit() {
-    let dir = temp_dir().join("proc-chaos");
+fn process_backend_run_matches_threads_bit_for_bit() {
+    let dir = temp_dir().join("proc-backend");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    // Tight enough to span several 50 000-event epochs: the kill arms on
-    // the victim's first epoch checkpoint.
-    let spec_path = parallel_spec(&dir, 0.01, 2);
-    let clean_path = dir.join("clean.json");
-    let chaos_path = dir.join("chaos.json");
-
-    let clean = bighouse()
-        .args([
-            "run",
-            spec_path.to_str().unwrap(),
-            "seed=7",
-            "epoch-events=50000",
-            &format!("out={}", clean_path.display()),
-        ])
-        .output()
-        .expect("spawn");
-    assert!(
-        clean.status.success(),
-        "clean run failed: {}",
-        String::from_utf8_lossy(&clean.stderr)
-    );
-
-    let chaos = bighouse()
-        .args([
-            "run",
-            spec_path.to_str().unwrap(),
-            "seed=7",
-            "backend=processes",
-            "epoch-events=50000",
-            &format!("out={}", chaos_path.display()),
-        ])
-        .env("BIGHOUSE_PROC_CHAOS", "kill:1")
-        .output()
-        .expect("spawn");
-    assert!(
-        chaos.status.success(),
-        "chaos run failed: {}",
-        String::from_utf8_lossy(&chaos.stderr)
-    );
-    let text = String::from_utf8_lossy(&chaos.stdout);
-    let resurrections: u64 = text
-        .lines()
-        .find_map(|l| {
-            l.strip_prefix("supervision: ")?
-                .split_whitespace()
-                .next()?
-                .parse()
-                .ok()
-        })
-        .expect("supervision line present");
-    assert!(resurrections >= 1, "the SIGKILL chaos never fired: {text}");
-
-    let clean_report: bighouse_json::Value =
-        bighouse_json::from_str(&std::fs::read_to_string(&clean_path).unwrap()).unwrap();
-    let chaos_report: bighouse_json::Value =
-        bighouse_json::from_str(&std::fs::read_to_string(&chaos_path).unwrap()).unwrap();
-    // The pooled cluster summary too: a resurrection that counted the
-    // replayed epoch's totals twice would keep the estimates and move it.
-    assert!(clean_report["cluster"]["jobs_completed"].as_u64().unwrap() > 0);
+    let spec = fixture("proc.json");
+    let run = |rest: &[&str]| {
+        let mut args = vec!["run", &spec, "seed=7", "epoch-events=50000"];
+        args.extend_from_slice(rest);
+        succeed(&args)
+    };
+    let (threads_out, procs_out) = (dir.join("threads.json"), dir.join("procs.json"));
+    run(&[&format!("out={}", threads_out.display())]);
+    run(&["backend=processes", &format!("out={}", procs_out.display())]);
+    let (threads, procs) = (read_json(&threads_out), read_json(&procs_out));
+    // A parallel report carries the slaves' pooled cluster summary, not a
+    // zero shell.
+    assert!(threads["cluster"]["jobs_completed"].as_u64().unwrap() > 0);
+    assert!(threads["simulated_seconds"].as_f64().unwrap() > 0.0);
     for key in ["estimates", "cluster", "simulated_seconds"] {
         assert_eq!(
-            clean_report[key], chaos_report[key],
-            "a SIGKILLed slave must replay to an identical `{key}`"
+            threads[key], procs[key],
+            "the transports must agree on `{key}`"
         );
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The metastable retry storm behind admission control, through the
+/// spec path: the ramp trips the bounded queue, the queue bound holds,
+/// the disposition ledger balances exactly, and a second run at the same
+/// seed reports the same ledger and estimates.
+#[test]
+fn retry_storm_ledger_balances_and_is_deterministic() {
+    let dir = temp_dir().join("retry-storm");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let run = |name: &str| {
+        let path = dir.join(name);
+        succeed(&[
+            "run",
+            &fixture("retry-storm.json"),
+            "seed=2012",
+            &format!("out={}", path.display()),
+        ]);
+        read_json(&path)
+    };
+    let (first, second) = (run("first.json"), run("second.json"));
+    let rs = &first["cluster"]["resilience"];
+    let n = |key: &str| rs[key].as_u64().unwrap();
+    assert_eq!(n("offered"), n("admitted") + n("shed"), "{rs:?}");
+    assert_eq!(
+        n("admitted"),
+        n("goodput") + n("timed_out") + n("in_flight_at_end"),
+        "{rs:?}"
+    );
+    assert!(n("shed") > 0, "the ramp must trip admission control");
+    assert!(n("in_flight_at_end") <= 12, "the queue bound must hold");
+    assert_eq!(first["estimates"], second["estimates"]);
+    assert_eq!(*rs, second["cluster"]["resilience"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Hedged requests through the spec path: hedges launch, wins stay
+/// bounded by launches, and the ledger balances.
+#[test]
+fn hedged_run_wins_at_most_what_it_launches() {
+    let dir = temp_dir().join("hedged");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("hedged.json");
+    succeed(&[
+        "run",
+        &fixture("hedged.json"),
+        "seed=7",
+        &format!("out={}", path.display()),
+    ]);
+    let report = read_json(&path);
+    let rs = &report["cluster"]["resilience"];
+    let n = |key: &str| rs[key].as_u64().unwrap();
+    assert!(n("hedges_launched") > 0, "{rs:?}");
+    assert!(n("hedge_wins") <= n("hedges_launched"), "{rs:?}");
+    assert_eq!(
+        n("admitted"),
+        n("goodput") + n("timed_out") + n("in_flight_at_end"),
+        "{rs:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -805,8 +827,7 @@ fn isolated_sweep_still_quarantines_and_completes_neighbors() {
         "stderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let report: bighouse_json::Value =
-        bighouse_json::from_str(&std::fs::read_to_string(&report_path).unwrap()).unwrap();
+    let report = read_json(&report_path);
     assert_eq!(report["completed"].as_array().unwrap().len(), 1);
     assert_eq!(report["quarantined"].as_array().unwrap().len(), 1);
     std::fs::remove_dir_all(&dir).ok();

@@ -63,7 +63,7 @@ impl std::fmt::Display for ProgressViolation {
 }
 
 /// Watches dispatch timestamps for livelock, event storms, and time
-/// regressions. See the [module docs](self).
+/// regressions.
 ///
 /// The guard is purely observational: it inspects only the timestamps the
 /// engine was going to dispatch anyway, so a guarded run and an unguarded

@@ -126,7 +126,8 @@ impl Parser<'_> {
                 return Err(self.syntax("expected `:`"));
             }
             self.pos += 1;
-            members.push((key, self.value(depth)?));
+            let value = self.value(depth).map_err(|e| e.within(&key))?;
+            members.push((key, value));
             match self.peek()? {
                 b',' => self.pos += 1,
                 b'}' => {
@@ -347,6 +348,20 @@ mod tests {
         assert_eq!(kind("[1,"), ErrorKind::UnexpectedEnd);
         assert!(parse_slice(b"\"\xff\"").is_err());
         assert!(parse("\"a\u{1}\"").is_err());
+    }
+
+    #[test]
+    fn an_error_inside_a_member_names_its_key() {
+        let err = parse(r#"{"workload": {}, "accuracy": 1e999}"#).unwrap_err();
+        assert_eq!(err.kind(), &ErrorKind::NumberOutOfRange);
+        assert_eq!(err.path(), "accuracy");
+        assert_eq!(
+            err.to_string(),
+            "number out of range at `accuracy` at byte 29"
+        );
+        let err = parse(r#"{"a": [{"b": tru}]}"#).unwrap_err();
+        assert_eq!((err.path(), err.offset()), ("a.b", Some(13)));
+        assert_eq!(parse("[1e999]").unwrap_err().path(), "");
     }
 
     #[test]

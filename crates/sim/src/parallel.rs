@@ -287,22 +287,6 @@ bighouse_json::json_enum!(ProcChaos {
     PanicOnEverySpawn { slave },
 });
 
-impl ProcChaos {
-    /// Parses the `BIGHOUSE_PROC_CHAOS` environment convention
-    /// (`kill:N` / `abort:N` / `panic:N`).
-    #[doc(hidden)]
-    pub fn from_env_str(s: &str) -> Option<ProcChaos> {
-        let (kind, idx) = s.split_once(':')?;
-        let slave = idx.trim().parse().ok()?;
-        match kind.trim() {
-            "kill" => Some(ProcChaos::KillMidEpoch { slave }),
-            "abort" => Some(ProcChaos::AbortAfterFirstEpoch { slave }),
-            "panic" => Some(ProcChaos::PanicAfterFirstEpoch { slave }),
-            _ => None,
-        }
-    }
-}
-
 /// What a finished slave delivers: the run as it stands — statistics for
 /// the merge, events, cluster totals, audit — and its telemetry shard.
 #[derive(Debug, Clone)]
@@ -1931,24 +1915,5 @@ mod tests {
         let third: std::collections::HashSet<Duration> =
             (0..16u64).map(|salt| delays(3, salt)[2]).collect();
         assert!(third.len() > 8, "jitter collapsed: {third:?}");
-    }
-
-    #[test]
-    fn proc_chaos_env_parsing() {
-        assert_eq!(
-            ProcChaos::from_env_str("kill:2"),
-            Some(ProcChaos::KillMidEpoch { slave: 2 })
-        );
-        assert_eq!(
-            ProcChaos::from_env_str("abort:0"),
-            Some(ProcChaos::AbortAfterFirstEpoch { slave: 0 })
-        );
-        assert_eq!(
-            ProcChaos::from_env_str("panic:1"),
-            Some(ProcChaos::PanicAfterFirstEpoch { slave: 1 })
-        );
-        assert_eq!(ProcChaos::from_env_str("frobnicate:1"), None);
-        assert_eq!(ProcChaos::from_env_str("kill"), None);
-        assert_eq!(ProcChaos::from_env_str("kill:x"), None);
     }
 }

@@ -138,6 +138,7 @@ fn sigkilled_slave_is_resurrected_bit_identically() {
         .expect("chaos run survives a SIGKILL");
     assert!(chaotic.resurrections >= 1, "the SIGKILL chaos never fired");
     assert!(chaotic.dead_slaves.is_empty(), "the victim must come back");
+    assert!(chaotic.converged, "the resurrected run converges");
     assert_eq!(
         reported(&reference),
         reported(&chaotic),

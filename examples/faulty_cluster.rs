@@ -7,10 +7,6 @@
 //! request ends as goodput, a timeout drop, or in flight at the end.
 //!
 //! Run with: `cargo run --release --example faulty_cluster`
-//!
-//! Set `BIGHOUSE_PARANOID=1` to run the same sweep with the runtime
-//! invariant auditor armed: conservation sweeps, NaN tripwires, and
-//! livelock breakers, with bit-identical results.
 
 use bighouse::prelude::*;
 
@@ -18,10 +14,6 @@ fn main() {
     let workload = Workload::standard(StandardWorkload::Web);
     let service_mean = workload.service().mean();
     let mttr = 2.0;
-    let paranoid = std::env::var_os("BIGHOUSE_PARANOID").is_some();
-    if paranoid {
-        println!("(paranoid mode: runtime invariant auditor armed)");
-    }
 
     println!("Fault injection: 16-server JSQ cluster, Web workload @ 50% load, MTTR {mttr} s");
     println!("Timeout = 20x mean service time, up to 3 retries with jittered backoff.");
@@ -56,19 +48,7 @@ fn main() {
             .with_metric(MetricKind::Availability)
             .with_target_accuracy(0.05)
             .with_max_events(200_000_000);
-        let config = if paranoid {
-            config.with_audit(AuditConfig::default())
-        } else {
-            config
-        };
         let report = run_serial(&config, 2012).expect("valid config");
-        if let Some(audit) = &report.audit {
-            assert!(
-                audit.passed(),
-                "auditor flagged a healthy run: {:?}",
-                audit.violations
-            );
-        }
         let availability = report.metric("availability").expect("tracked");
         let fs = report.cluster.faults.expect("fault mode on");
         assert_eq!(

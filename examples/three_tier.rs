@@ -10,10 +10,6 @@
 //! tier, and each `with_tier` appends the next.
 //!
 //! Run with: `cargo run --release --example three_tier`
-//!
-//! Set `BIGHOUSE_PARANOID=1` to run the same sweep with the runtime
-//! invariant auditor armed: job conservation counts every tier's visits,
-//! with bit-identical results.
 
 use bighouse::prelude::*;
 use bighouse::sim::TierConfig;
@@ -28,10 +24,6 @@ fn empirical(mean: f64, cv: f64, seed: u64) -> Empirical {
 }
 
 fn main() {
-    let paranoid = std::env::var_os("BIGHOUSE_PARANOID").is_some();
-    if paranoid {
-        println!("(paranoid mode: runtime invariant auditor armed)");
-    }
     // Tier capacities: web 2×2/2ms = 2000/s, app 2×4/10ms = 800/s,
     // db 1×8/15ms ≈ 533/s — the database is the bottleneck by design.
     println!("Three-tier service: web (2x2c, 2ms) -> app (2x4c, 10ms) -> db (1x8c, 15ms)");
@@ -58,19 +50,7 @@ fn main() {
             .with_warmup(500)
             .with_calibration(2000)
             .with_max_events(100_000_000);
-        let config = if paranoid {
-            config.with_audit(AuditConfig::default())
-        } else {
-            config
-        };
         let report = run_serial(&config, 11).expect("valid config");
-        if let Some(audit) = &report.audit {
-            assert!(
-                audit.passed(),
-                "auditor flagged a healthy run: {:?}",
-                audit.violations
-            );
-        }
         assert!(
             report.converged,
             "three-tier run should converge at {rate} req/s"

@@ -37,11 +37,13 @@ fn estimates_json(report: &SimulationReport) -> String {
 
 /// The determinism contract end to end: reference run vs. a run that is
 /// interrupted after two epochs, "killed" (all in-memory state dropped),
-/// and resumed from disk by what is effectively a fresh process.
+/// and resumed from disk by what is effectively a fresh process. Under
+/// the auditor, both ends of the audited case must also come out clean.
 #[test]
 fn killed_and_resumed_run_matches_reference_bit_for_bit() {
     kill_and_resume(&config(), "kill");
     kill_and_resume(&tiered(), "kill-tiered");
+    kill_and_resume(&config().with_audit(AuditConfig::default()), "kill-audited");
 }
 
 fn kill_and_resume(config: &ExperimentConfig, tag: &str) {
@@ -110,6 +112,12 @@ fn kill_and_resume(config: &ExperimentConfig, tag: &str) {
         bighouse_json::to_string(&resumed.cluster),
         "{tag}: cluster summary (energy, utilization, fractions) must match too"
     );
+    if config.audit().is_some() {
+        for report in [&reference, &resumed] {
+            let audit = report.audit.as_ref().expect("audited run");
+            assert!(audit.passed(), "{tag}: {:?}", audit.violations);
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

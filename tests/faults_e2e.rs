@@ -146,4 +146,32 @@ fn paranoid_audit_passes_under_heavy_faults_and_retries() {
         plain.simulated_seconds.to_bits(),
         report.simulated_seconds.to_bits()
     );
+
+    // The `faulty_cluster` example's MTBF sweep, audited: one central
+    // stream carrying a 16-server JSQ cluster at 50% load.
+    let cluster_stream = Workload::standard(StandardWorkload::Web)
+        .at_utilization(0.5, 4)
+        .with_interarrival_scale(1.0 / 16.0)
+        .expect("positive scale");
+    for mtbf in [10.0, 30.0, 100.0, 300.0] {
+        let config = ExperimentConfig::new(cluster_stream.clone())
+            .with_servers(16)
+            .with_cores(4)
+            .with_arrival_mode(ArrivalMode::LoadBalanced(BalancerPolicy::JoinShortestQueue))
+            .with_faults(FaultProcess::exponential(mtbf, 2.0).unwrap())
+            .with_retry(RetryPolicy::new(service_mean * 20.0).with_max_retries(3))
+            .with_metric(MetricKind::Availability)
+            .with_target_accuracy(0.05)
+            .with_max_events(200_000_000)
+            .with_audit(AuditConfig::default());
+        let report = run_serial(&config, 2012).expect("valid config");
+        let audit = report.audit.expect("paranoid mode was on");
+        assert!(audit.passed(), "MTBF {mtbf}: {:?}", audit.violations);
+        let fs = report.cluster.faults.expect("fault mode on");
+        assert_eq!(
+            fs.goodput + fs.timed_out + fs.in_flight_at_end,
+            fs.admitted,
+            "MTBF {mtbf}: request conservation violated: {fs:?}"
+        );
+    }
 }

@@ -223,9 +223,13 @@ fn tandem_mm1_tiers_match_jackson() {
     .with_tier(tier(mus[1], &mut rng))
     .with_tier(tier(mus[2], &mut rng))
     .with_target_accuracy(0.02)
-    .with_max_events(200_000_000);
+    .with_max_events(200_000_000)
+    // Free bit for bit; its job conservation counts every tier's visits.
+    .with_audit(AuditConfig::default());
     let report = run_serial(&config, 22).expect("valid config");
     assert!(report.converged);
+    let audit = report.audit.as_ref().expect("audited run");
+    assert!(audit.passed(), "{:?}", audit.violations);
     let check = |name: &str, theory: f64| {
         let simulated = report.metric(name).unwrap().mean;
         let err = (simulated - theory).abs() / theory;
