@@ -7,16 +7,14 @@
 //! lag it selects, the total events to convergence, and the resulting
 //! estimate — exposing the trade the paper's constant bakes in.
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin ablation_calibration`
-//! Optional: `load=0.7 accuracy=0.05 seed=3`
+//! Run with: `cargo run --release --example ablation_calibration`
 
 use bighouse::prelude::*;
-use bighouse_bench::arg_or;
 
 fn main() {
-    let load: f64 = arg_or("load", 0.7);
-    let accuracy: f64 = arg_or("accuracy", 0.05);
-    let seed: u64 = arg_or("seed", 3);
+    let load: f64 = 0.7;
+    let accuracy: f64 = 0.05;
+    let seed: u64 = 3;
     let workload = Workload::standard(StandardWorkload::Web);
 
     // Reference: a tight estimate to judge each run's error against.

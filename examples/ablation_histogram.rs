@@ -6,31 +6,10 @@
 //! how much quantile error does each bin budget cost relative to the exact
 //! sorted-sample answer, and how many bytes does it spend?
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin ablation_histogram`
-//! Optional: `load=0.7 samples=500000`
+//! Run with: `cargo run --release --example ablation_histogram`
 
-use bighouse::des::{SimRng, Time};
 use bighouse::prelude::*;
-use bighouse_bench::arg_or;
-
-fn response_sample(load: f64, n: usize, seed: u64) -> Vec<f64> {
-    let workload = Workload::standard(StandardWorkload::Web).at_utilization(load, 4);
-    let mut server = Server::new(4);
-    let mut rng = SimRng::from_seed(seed);
-    let mut now = Time::ZERO;
-    let mut responses = Vec::with_capacity(n);
-    let mut id = 0u64;
-    while responses.len() < n {
-        now += workload.interarrival().sample(&mut rng).max(1e-12);
-        let size = workload.service().sample(&mut rng).max(1e-12);
-        for f in server.arrive(Job::new(JobId::new(id), now, size), now) {
-            responses.push(f.response_time());
-        }
-        id += 1;
-    }
-    responses.truncate(n);
-    responses
-}
+use bighouse_repro::response_stream;
 
 fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
     let pos = q * (sorted.len() - 1) as f64;
@@ -44,15 +23,15 @@ fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
 }
 
 fn main() {
-    let load: f64 = arg_or("load", 0.7);
-    let n: usize = arg_or("samples", 500_000);
+    let load: f64 = 0.7;
+    let n: usize = 500_000;
     let quantiles = [0.5, 0.9, 0.95, 0.99, 0.999];
 
     println!(
         "Ablation: histogram bins vs quantile error (Web @ {:.0}%, n = {n})",
         load * 100.0
     );
-    let data = response_sample(load, n, 77);
+    let data = response_stream(load, n, 77);
     let calibration = &data[..5000.min(n)];
     let mut sorted = data.clone();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));

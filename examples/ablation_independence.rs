@@ -9,39 +9,16 @@
 //! cover ~95%; naive analysis of autocorrelated data covers far less —
 //! the reason the calibration phase exists (§2.3).
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin ablation_independence`
-//! Optional: `replications=30 load=0.8 events=60000`
+//! Run with: `cargo run --release --example ablation_independence`
 
-use bighouse::des::{SimRng, Time};
 use bighouse::prelude::*;
 use bighouse::stats::{find_lag, half_width_mean, BatchMeans, RunsUpTest};
-use bighouse_bench::arg_or;
-
-/// Drives a quad-core server arrival by arrival, returning `n` response
-/// times — a raw observation stream all three analyses share.
-fn response_stream(load: f64, n: usize, seed: u64) -> Vec<f64> {
-    let workload = Workload::standard(StandardWorkload::Web).at_utilization(load, 4);
-    let mut server = Server::new(4);
-    let mut rng = SimRng::from_seed(seed);
-    let mut now = Time::ZERO;
-    let mut responses = Vec::with_capacity(n);
-    let mut id = 0u64;
-    while responses.len() < n {
-        now += workload.interarrival().sample(&mut rng).max(1e-12);
-        let size = workload.service().sample(&mut rng).max(1e-12);
-        for f in server.arrive(Job::new(JobId::new(id), now, size), now) {
-            responses.push(f.response_time());
-        }
-        id += 1;
-    }
-    responses.truncate(n);
-    responses
-}
+use bighouse_repro::response_stream;
 
 fn main() {
-    let replications: usize = arg_or("replications", 30);
-    let load: f64 = arg_or("load", 0.8);
-    let n: usize = arg_or("events", 60_000);
+    let replications: usize = 30;
+    let load: f64 = 0.8;
+    let n: usize = 60_000;
 
     println!(
         "Ablation: CI methods on autocorrelated response times (Web @ {:.0}%)",

@@ -14,21 +14,20 @@
 //! work-speedup columns are the same on every run of a given seed; only the
 //! wall columns vary.
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin fig10_parallel`
-//! Optional: `accuracy=0.02 seed=31 max_slaves=16`
+//! Run with: `cargo run --release --example fig10_parallel`
 
 use bighouse::prelude::*;
-use bighouse_bench::{arg_or, fmt_duration, timed};
+use bighouse_repro::fmt_duration;
 
 fn main() {
-    let accuracy: f64 = arg_or("accuracy", 0.02);
-    let seed: u64 = arg_or("seed", 31);
-    let max_slaves: usize = arg_or("max_slaves", 16);
+    let accuracy: f64 = 0.02;
+    let seed: u64 = 31;
+    let max_slaves: usize = 16;
     let workload = Workload::standard(StandardWorkload::Web);
 
     // The paper runs the power-capping example with E = .01 "so that it is
-    // sufficiently long to gain benefit from parallel execution"; we default
-    // to E = .02 to keep the sweep minutes-scale (override with accuracy=).
+    // sufficiently long to gain benefit from parallel execution"; we run
+    // at E = .02 to keep the sweep minutes-scale.
     let config = || {
         ExperimentConfig::new(workload.at_utilization(0.5, 4))
             .with_cores(4)
@@ -38,7 +37,8 @@ fn main() {
 
     println!("Figure 10: parallel speedup vs number of slaves (E = {accuracy})");
     println!();
-    let (serial, serial_wall) = timed(|| run_serial(&config(), seed).expect("valid config"));
+    let serial = run_serial(&config(), seed).expect("valid config");
+    let serial_wall = serial.runtime.wall_seconds;
     println!(
         "serial baseline: {} , {} events",
         fmt_duration(serial_wall),
@@ -52,11 +52,10 @@ fn main() {
 
     let mut slaves = 1usize;
     while slaves <= max_slaves {
-        let (outcome, wall) = timed(|| {
-            ParallelRunner::new(config(), slaves)
-                .run(seed)
-                .expect("valid config")
-        });
+        let outcome = ParallelRunner::new(config(), slaves)
+            .run(seed)
+            .expect("valid config");
+        let wall = outcome.wall_seconds;
         let slowest = outcome.slave_events.iter().copied().max().unwrap_or(0);
         let critical = outcome.master_calibration_events + slowest;
         let work_speedup = serial.events_fired as f64 / critical as f64;

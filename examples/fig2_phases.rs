@@ -7,7 +7,7 @@
 //! simulation: how many observations each phase consumed, the lag spacing
 //! chosen by the runs-up test, and the final estimates with confidence.
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin fig2_phases`
+//! Run with: `cargo run --release --example fig2_phases`
 
 use bighouse::prelude::*;
 

@@ -8,15 +8,13 @@
 //! every load, and each line's knee moves left as the slowdown eats the
 //! server's headroom.
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin fig4_google_scaling`
-//! Optional: `accuracy=0.05 seed=7`
+//! Run with: `cargo run --release --example fig4_google_scaling`
 
 use bighouse::prelude::*;
-use bighouse_bench::arg_or;
 
 fn main() {
-    let accuracy: f64 = arg_or("accuracy", 0.05);
-    let seed: u64 = arg_or("seed", 7);
+    let accuracy: f64 = 0.05;
+    let seed: u64 = 7;
     let google = Workload::standard(StandardWorkload::Google);
     let cores = 4;
     let scpu_values = [1.0, 1.1, 1.3, 1.6, 2.0];

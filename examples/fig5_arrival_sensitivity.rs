@@ -8,11 +8,9 @@
 //! convenient assumptions systematically underestimate the 95th-percentile
 //! latency of real traffic, increasingly so at high load.
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin fig5_arrival_sensitivity`
-//! Optional: `accuracy=0.05 seed=11`
+//! Run with: `cargo run --release --example fig5_arrival_sensitivity`
 
 use bighouse::prelude::*;
-use bighouse_bench::arg_or;
 
 fn synth_arrivals(dist: &dyn Distribution, base: &Workload, name: &str) -> Workload {
     let mut rng = SimRng::from_seed(0xA881_7A15);
@@ -27,8 +25,8 @@ fn synth_arrivals(dist: &dyn Distribution, base: &Workload, name: &str) -> Workl
 }
 
 fn main() {
-    let accuracy: f64 = arg_or("accuracy", 0.05);
-    let seed: u64 = arg_or("seed", 11);
+    let accuracy: f64 = 0.05;
+    let seed: u64 = 11;
     let google = Workload::standard(StandardWorkload::Google);
     let cores = 4u32;
     let service_mean = google.service().mean();

@@ -9,17 +9,15 @@
 //! monotone trade-off curve — more permitted delay buys more coalesced
 //! idleness, saturating as nap opportunities are exhausted.
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin fig6_dreamweaver`
-//! Optional: `cores=16 load=0.3 accuracy=0.05 seed=5`
+//! Run with: `cargo run --release --example fig6_dreamweaver`
 
 use bighouse::prelude::*;
-use bighouse_bench::arg_or;
 
 fn main() {
-    let cores: usize = arg_or("cores", 16);
-    let load: f64 = arg_or("load", 0.3);
-    let accuracy: f64 = arg_or("accuracy", 0.05);
-    let seed: u64 = arg_or("seed", 5);
+    let cores: usize = 16;
+    let load: f64 = 0.3;
+    let accuracy: f64 = 0.05;
+    let seed: u64 = 5;
     let wake_latency = 0.001;
     let workload = Workload::standard(StandardWorkload::Google);
     let service_mean = workload.service().mean();

@@ -7,21 +7,19 @@
 //! metric pins the simulated duration, so the number of task events the
 //! engine must process grows proportionally with the server count.
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin fig7_scaling`
-//! Optional: `max_servers=10000 load=0.3 budget=0.7 seed=17`
-//! (default max_servers=1000; the 10,000-server points take minutes each)
+//! Run with: `cargo run --release --example fig7_scaling`
 
 use bighouse::prelude::*;
-use bighouse_bench::{arg_or, capping_cluster, fmt_duration, timed};
+use bighouse_repro::{capping_cluster, fmt_duration};
+
+/// The cluster sizes swept. Appending `10_000` regenerates the paper's
+/// 10,000-server column; its points take minutes each.
+const SIZES: [usize; 3] = [10, 100, 1000];
 
 fn main() {
-    let max_servers: usize = arg_or("max_servers", 1000);
-    let load: f64 = arg_or("load", 0.3);
-    let budget: f64 = arg_or("budget", 0.7);
-    let seed: u64 = arg_or("seed", 17);
-
-    let mut sizes = vec![10usize, 100, 1000, 10_000];
-    sizes.retain(|&n| n <= max_servers);
+    let load: f64 = 0.3;
+    let budget: f64 = 0.7;
+    let seed: u64 = 17;
 
     println!(
         "Figure 7: time to convergence vs cluster size (power capping, {:.0}% load)",
@@ -40,7 +38,7 @@ fn main() {
         StandardWorkload::Web,
     ] {
         let workload = Workload::standard(which);
-        for &servers in &sizes {
+        for servers in SIZES {
             let config = capping_cluster(&workload, servers, load, budget)
                 .with_target_accuracy(0.05)
                 // The epoch-paced metric that pins simulated duration. Its
@@ -56,12 +54,12 @@ fn main() {
                         .with_max_lag(8),
                 )
                 .with_max_events(4_000_000_000);
-            let (report, wall) = timed(|| run_serial(&config, seed).expect("valid config"));
+            let report = run_serial(&config, seed).expect("valid config");
             println!(
                 "{:>8} {:>10} {:>14} {:>14} {:>12.0} {:>10}",
                 which.name(),
                 servers,
-                fmt_duration(wall),
+                fmt_duration(report.runtime.wall_seconds),
                 report.events_fired,
                 report.events_per_second(),
                 report.converged,

@@ -6,13 +6,11 @@
 //! with σ², so pushing E from 0.1 to 0.05 costs disproportionately more
 //! simulation for high-variance workloads.
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin fig8_cv_sensitivity`
-//! Optional: `load=0.5 seed=23`
+//! Run with: `cargo run --release --example fig8_cv_sensitivity`
 
 use bighouse::des::{Calendar, Engine};
 use bighouse::prelude::*;
 use bighouse::sim::ClusterSim;
-use bighouse_bench::arg_or;
 
 fn synth(mean: f64, cv: f64, interarrival_mean: f64) -> Workload {
     let service = fit_mean_cv(mean, cv).expect("fittable");
@@ -32,8 +30,8 @@ fn synth(mean: f64, cv: f64, interarrival_mean: f64) -> Workload {
 }
 
 fn main() {
-    let load: f64 = arg_or("load", 0.5);
-    let seed: u64 = arg_or("seed", 23);
+    let load: f64 = 0.5;
+    let seed: u64 = 23;
     let cores = 4;
     let service_mean = 0.075; // Web-like 75 ms tasks
     let targets = [0.20, 0.10, 0.05, 0.02];

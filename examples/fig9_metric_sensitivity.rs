@@ -7,11 +7,10 @@
 //! observation — waiting observations occur only when requests queue, and
 //! capping observations only once per simulated second.
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin fig9_metric_sensitivity`
-//! Optional: `servers=16 load=0.5 budget=0.7 seed=29 emin=0.01`
+//! Run with: `cargo run --release --example fig9_metric_sensitivity`
 
 use bighouse::prelude::*;
-use bighouse_bench::{arg_or, capping_cluster, fmt_duration, timed};
+use bighouse_repro::{capping_cluster, fmt_duration};
 
 #[derive(Clone, Copy)]
 enum MetricSet {
@@ -31,16 +30,12 @@ impl MetricSet {
 }
 
 fn main() {
-    let servers: usize = arg_or("servers", 16);
-    let load: f64 = arg_or("load", 0.5);
-    let budget: f64 = arg_or("budget", 0.7);
-    let seed: u64 = arg_or("seed", 29);
-    let emin: f64 = arg_or("emin", 0.01);
+    let servers: usize = 16;
+    let load: f64 = 0.5;
+    let budget: f64 = 0.7;
+    let seed: u64 = 29;
     let workload = Workload::standard(StandardWorkload::Web);
-    let accuracies: Vec<f64> = [0.1, 0.05, 0.01]
-        .into_iter()
-        .filter(|&e| e >= emin)
-        .collect();
+    let accuracies = [0.1, 0.05, 0.01];
 
     println!(
         "Figure 9: runtime vs accuracy and metric set ({servers} servers, {:.0}% load, {:.0}% budget)",
@@ -58,7 +53,7 @@ fn main() {
         MetricSet::PlusWaiting,
         MetricSet::PlusCapping,
     ] {
-        for &e in &accuracies {
+        for e in accuracies {
             let mut config = capping_cluster(&workload, servers, load, budget)
                 .with_target_accuracy(e)
                 .with_max_events(4_000_000_000);
@@ -69,12 +64,12 @@ fn main() {
                     .with_metric(MetricKind::WaitingTime)
                     .with_metric(MetricKind::CappingLevel),
             };
-            let (report, wall) = timed(|| run_serial(&config, seed).expect("valid config"));
+            let report = run_serial(&config, seed).expect("valid config");
             println!(
                 "{:>10} {:>8.2} {:>12} {:>14} {:>10}",
                 set.label(),
                 e,
-                fmt_duration(wall),
+                fmt_duration(report.runtime.wall_seconds),
                 report.events_fired,
                 report.converged,
             );

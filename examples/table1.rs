@@ -3,7 +3,7 @@
 //! the paper's published values against our synthesized empirical
 //! distributions.
 //!
-//! Run with: `cargo run --release -p bighouse-bench --bin table1`
+//! Run with: `cargo run --release --example table1`
 
 use bighouse::prelude::*;
 
