@@ -89,7 +89,7 @@ pub mod prelude {
         Histogram, HistogramSpec, MetricEstimate, MetricSpec, OutputMetric, Phase, RunningStats,
         RunsUpTest, StatsCollection,
     };
-    pub use bighouse_telemetry::{FixedBinHistogram, MemoryRecorder, TelemetrySnapshot};
+    pub use bighouse_telemetry::{FixedBinHistogram, TelemetrySnapshot};
     pub use bighouse_workloads::{StandardWorkload, TaskMoments, Workload};
 }
 

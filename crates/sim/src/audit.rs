@@ -52,10 +52,6 @@ pub struct AuditConfig {
     pub storm_budget_events_per_sim_second: f64,
     /// Window, in events, over which the storm budget is evaluated.
     pub storm_window_events: u64,
-    /// Relative tolerance of the Little's-law probe (`|L − λW| / λW`).
-    pub littles_law_tolerance: f64,
-    /// Relative slack on the energy upper bound (`peak × elapsed`).
-    pub energy_tolerance: f64,
 }
 
 bighouse_json::json_struct!(AuditConfig {
@@ -63,18 +59,19 @@ bighouse_json::json_struct!(AuditConfig {
     stall_limit_events,
     storm_budget_events_per_sim_second,
     storm_window_events,
-    littles_law_tolerance,
-    energy_tolerance,
 });
+
+/// Relative tolerance of the Little's-law probe (`|L − λW| / λW`). Both
+/// sides of `L = λW` are sampled estimates, so the probe is a sanity band,
+/// not an equality.
+const LITTLES_LAW_TOLERANCE: f64 = 0.25;
+
+/// Relative slack on the energy upper bound (`peak × elapsed`).
+const ENERGY_TOLERANCE: f64 = 1e-6;
 
 impl AuditConfig {
     /// Default events between invariant sweeps.
     pub const DEFAULT_CHECK_INTERVAL: u64 = 4_096;
-    /// Default Little's-law relative tolerance. Both sides of `L = λW` are
-    /// sampled estimates, so the probe is a sanity band, not an equality.
-    pub const DEFAULT_LITTLES_LAW_TOLERANCE: f64 = 0.25;
-    /// Default relative slack on the energy upper bound.
-    pub const DEFAULT_ENERGY_TOLERANCE: f64 = 1e-6;
 
     /// Builds the [`ProgressGuard`] configured by this audit.
     #[must_use]
@@ -99,8 +96,6 @@ impl Default for AuditConfig {
             stall_limit_events: ProgressGuard::DEFAULT_STALL_LIMIT,
             storm_budget_events_per_sim_second: ProgressGuard::DEFAULT_STORM_BUDGET,
             storm_window_events: ProgressGuard::DEFAULT_STORM_WINDOW,
-            littles_law_tolerance: Self::DEFAULT_LITTLES_LAW_TOLERANCE,
-            energy_tolerance: Self::DEFAULT_ENERGY_TOLERANCE,
         }
     }
 }
@@ -649,7 +644,7 @@ impl Auditor {
             }
             self.prev_energy[s] = energy;
             if let Some(peak) = self.peak_watts {
-                let bound = peak * seconds * (1.0 + self.config.energy_tolerance) + 1e-6;
+                let bound = peak * seconds * (1.0 + ENERGY_TOLERANCE) + 1e-6;
                 if energy > bound {
                     self.report.violations.push(AuditViolation::EnergyBudget {
                         server: s,
@@ -738,7 +733,7 @@ impl Auditor {
             return;
         }
         let rel = (l - expected).abs() / expected;
-        if rel > self.config.littles_law_tolerance {
+        if rel > LITTLES_LAW_TOLERANCE {
             self.report.warnings.push(AuditWarning::LittlesLaw {
                 mean_in_system: format!("{l:.4}"),
                 arrival_rate: format!("{lambda:.4}"),
@@ -770,7 +765,11 @@ mod tests {
             AuditConfig::DEFAULT_CHECK_INTERVAL
         );
         assert_eq!(cfg.stall_limit_events, ProgressGuard::DEFAULT_STALL_LIMIT);
-        assert!(cfg.littles_law_tolerance > 0.0);
+        assert_eq!(
+            cfg.storm_budget_events_per_sim_second,
+            ProgressGuard::DEFAULT_STORM_BUDGET
+        );
+        assert_eq!(cfg.storm_window_events, ProgressGuard::DEFAULT_STORM_WINDOW);
     }
 
     #[test]

@@ -176,11 +176,11 @@ mod tests {
         assert!(proc.to_string().contains('3'));
         assert!(proc.to_string().contains("signal"));
         let param = SimError::InvalidParameter {
-            name: "watchdog_seconds",
+            name: "sweep.entries",
             value: "NaN".into(),
             requirement: "positive and finite",
         };
-        assert!(param.to_string().contains("watchdog_seconds"));
+        assert!(param.to_string().contains("sweep.entries"));
         assert!(param.to_string().contains("NaN"));
     }
 }

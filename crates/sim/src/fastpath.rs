@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 use bighouse_des::{Calendar, CalendarStats, Control, ProgressGuard, RunStats, Time};
 use bighouse_stats::{HistogramSpec, StatsCollection};
-use bighouse_telemetry::MemoryRecorder;
+use bighouse_telemetry::TelemetrySnapshot;
 
 use crate::audit::AuditReport;
 use crate::checkpoint::RunState;
@@ -82,7 +82,7 @@ pub(crate) struct EpochEnd {
     /// paranoid mode is off).
     pub(crate) audit: Option<AuditReport>,
     /// `None` when telemetry is off.
-    pub(crate) telemetry: Option<MemoryRecorder>,
+    pub(crate) telemetry: Option<TelemetrySnapshot>,
     /// The statistics, to report or to carry into the next epoch.
     pub(crate) stats: StatsCollection,
 }
@@ -107,7 +107,7 @@ pub(crate) struct StepEnd {
     /// As [`EpochEnd::calendar`].
     pub(crate) calendar: CalendarStats,
     /// As [`EpochEnd::telemetry`].
-    pub(crate) telemetry: Option<MemoryRecorder>,
+    pub(crate) telemetry: Option<TelemetrySnapshot>,
 }
 
 /// The event loop: pops `pending` into `sim`'s handlers until a stop
@@ -228,7 +228,7 @@ impl Epoch {
         let telemetry = sim.take_telemetry().map(|mut t| {
             // Every completion of a fixed-slot epoch was recorded.
             t.note_epoch_end(fixed_slots, &cluster);
-            t.into_recorder()
+            t.into_snapshot()
         });
         EpochEnd {
             now,

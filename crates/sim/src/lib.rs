@@ -17,8 +17,8 @@
 //!   threads: the master calibrates and broadcasts the histogram bin
 //!   scheme, each slave simulates with a unique seed, and the master
 //!   monitors aggregate sample size, merges slave histograms, and reports.
-//!   Slave panics are contained, and an optional watchdog bounds
-//!   non-converging runs.
+//!   Slave panics are contained, and an interrupt flag winds a run down
+//!   with partial estimates.
 //! - Fault injection ([`ExperimentConfig::with_faults`]) subjects servers
 //!   to failure/repair processes; [`ExperimentConfig::with_retry`] adds
 //!   client-side request timeouts with capped-exponential-backoff retries.

@@ -8,7 +8,7 @@ use std::time::Instant;
 
 use bighouse_des::CalendarStats;
 use bighouse_stats::{HistogramSpec, StatsCollection};
-use bighouse_telemetry::{MemoryRecorder, TelemetrySnapshot};
+use bighouse_telemetry::TelemetrySnapshot;
 
 use crate::audit::AuditConfig;
 use crate::checkpoint::{config_fingerprint, CheckpointConfig, CheckpointStore, RunState};
@@ -40,9 +40,9 @@ pub fn run_serial(config: &ExperimentConfig, seed: u64) -> Result<SimulationRepo
     let audit_failed = end.audit.as_ref().is_some_and(|a| !a.passed());
     let converged = end.stats.all_converged() && !audit_failed;
     let wall_seconds = start.elapsed().as_secs_f64();
-    let telemetry = end.telemetry.map(|rec| {
+    let telemetry = end.telemetry.map(|snap| {
         assemble_snapshot(
-            &rec,
+            snap,
             Some(&end.stats),
             &end.calendar,
             run.fired,
@@ -210,11 +210,11 @@ pub fn run_resumable(
         ));
     }
 
-    // Telemetry accumulators: each epoch's recorder and calendar counters
+    // Telemetry accumulators: each epoch's snapshot and calendar counters
     // are folded in here so the final snapshot spans the whole run.
     let mut tel_acc = config
         .telemetry_enabled()
-        .then(|| (MemoryRecorder::new(), CalendarStats::default()));
+        .then(|| (TelemetrySnapshot::default(), CalendarStats::default()));
 
     let base_wall = state.wall_seconds;
     let start_epoch = state.next_epoch;
@@ -248,18 +248,18 @@ pub fn run_resumable(
             guard.as_mut(),
             |_, _| Ok(true),
         )?;
-        if let Some((rec, cal_acc)) = tel_acc.as_mut() {
+        if let Some((snap, cal_acc)) = tel_acc.as_mut() {
             cal_acc.absorb(&end.calendar);
-            rec.counter_add("sim.epochs", 1);
-            if let Some(epoch_rec) = end.telemetry {
-                rec.absorb(&epoch_rec);
+            snap.counter_add("sim.epochs", 1);
+            if let Some(epoch_snap) = end.telemetry {
+                snap.absorb(&epoch_snap);
             }
         }
 
         if let Some((store, interval)) = &store {
             if state.next_epoch.is_multiple_of(*interval) {
                 state.wall_seconds = base_wall + start.elapsed().as_secs_f64();
-                timed_save(store, &state, tel_acc.as_mut().map(|(rec, _)| rec))?;
+                timed_save(store, &state, tel_acc.as_mut().map(|(snap, _)| snap))?;
             }
         }
     };
@@ -268,11 +268,11 @@ pub fn run_resumable(
     if let Some((store, _)) = &store {
         // Always persist the final state, whatever the interval: a
         // graceful wind-down must never lose the tail of the run.
-        timed_save(store, &state, tel_acc.as_mut().map(|(rec, _)| rec))?;
+        timed_save(store, &state, tel_acc.as_mut().map(|(snap, _)| snap))?;
     }
-    let telemetry = tel_acc.map(|(rec, cal_acc)| {
+    let telemetry = tel_acc.map(|(snap, cal_acc)| {
         assemble_snapshot(
-            &rec,
+            snap,
             state.stats.as_ref(),
             &cal_acc,
             state.events_done,
@@ -284,24 +284,25 @@ pub fn run_resumable(
     Ok(report_from_state(config, &state, termination, telemetry))
 }
 
-/// Saves a checkpoint, folding its write latency into the telemetry
-/// recorder (wall-clock values land in the quarantined `wall` namespace;
-/// only the deterministic *count* of writes is a counter).
+/// Saves a checkpoint, folding its write latency into the run's telemetry
+/// (wall-clock values land in the quarantined `wall` namespace; only the
+/// deterministic *count* of writes is a counter).
 fn timed_save(
     store: &CheckpointStore,
     state: &RunState,
-    rec: Option<&mut MemoryRecorder>,
+    snap: Option<&mut TelemetrySnapshot>,
 ) -> Result<(), SimError> {
     let t0 = Instant::now();
     store.save(state)?;
-    if let Some(rec) = rec {
+    if let Some(snap) = snap {
         let secs = t0.elapsed().as_secs_f64();
-        rec.counter_add("sim.checkpoint_writes", 1);
-        rec.wall_set("sim.checkpoint_last_write_seconds", secs);
-        let prev = rec
-            .wall("sim.checkpoint_write_seconds_total")
-            .unwrap_or(0.0);
-        rec.wall_set("sim.checkpoint_write_seconds_total", prev + secs);
+        snap.counter_add("sim.checkpoint_writes", 1);
+        snap.wall
+            .insert("sim.checkpoint_last_write_seconds".into(), secs);
+        *snap
+            .wall
+            .entry("sim.checkpoint_write_seconds_total".into())
+            .or_insert(0.0) += secs;
     }
     Ok(())
 }

@@ -7,9 +7,10 @@
 //! per-metric phase state — are plain struct fields and a dense `Vec`
 //! indexed by `MetricId`, not name-keyed map entries: recording on the
 //! per-observation path is a couple of integer ops. The name-keyed
-//! [`MemoryRecorder`] is reserved for rare events (phase transitions, the
-//! once-per-epoch totals) and everything is folded into one recorder by
-//! [`ClusterTelemetry::into_recorder`] when the run ends.
+//! [`TelemetrySnapshot`] the run reports is written only on rare events
+//! (phase transitions, the once-per-epoch totals), and
+//! [`ClusterTelemetry::into_snapshot`] folds the hot fields into it when
+//! the epoch ends.
 //!
 //! Everything recorded here is a pure function of values the simulation
 //! already computes — queue depths, utilizations, phase-machine state. No
@@ -26,16 +27,16 @@ use std::time::Instant;
 
 use bighouse_des::{CalendarStats, Time};
 use bighouse_stats::{MetricId, Phase, StatsCollection};
-use bighouse_telemetry::{FixedBinHistogram, MemoryRecorder, PhaseTransition, TelemetrySnapshot};
+use bighouse_telemetry::{FixedBinHistogram, PhaseTransition, TelemetrySnapshot};
 
 use crate::report::ClusterSummary;
 
 /// Per-run instrumentation context carried by `ClusterSim`.
 #[derive(Debug)]
 pub(crate) struct ClusterTelemetry {
-    /// Name-keyed sink for *rare* events only (phase transitions, the
+    /// Name-keyed record of *rare* events only (phase transitions, the
     /// once-per-epoch notes) — never touched per observation.
-    rec: MemoryRecorder,
+    snap: TelemetrySnapshot,
     /// When this context was created — phase transitions are stamped with
     /// elapsed wall time (quarantined, see module docs).
     started: Instant,
@@ -64,7 +65,7 @@ impl ClusterTelemetry {
     /// Creates a context with the standard cluster histograms registered.
     pub(crate) fn new() -> Self {
         ClusterTelemetry {
-            rec: MemoryRecorder::new(),
+            snap: TelemetrySnapshot::default(),
             started: Instant::now(),
             last_phases: Vec::new(),
             samples_recorded: 0,
@@ -103,9 +104,9 @@ impl ClusterTelemetry {
     /// (a key only once its count is non-zero).
     pub(crate) fn note_epoch_end(&mut self, fixed_slots: bool, cluster: &ClusterSummary) {
         let slots = u64::from(fixed_slots);
-        self.rec.counter_add("fastpath.entries", slots);
-        self.rec.counter_add("fastpath.bailouts", 1 - slots);
-        self.rec.counter_add(
+        self.snap.counter_add("fastpath.entries", slots);
+        self.snap.counter_add("fastpath.bailouts", 1 - slots);
+        self.snap.counter_add(
             "fastpath.batched_departures",
             slots * cluster.jobs_completed,
         );
@@ -118,7 +119,7 @@ impl ClusterTelemetry {
             ("sim.timeouts", faults.timed_out),
         ] {
             if count > 0 {
-                self.rec.counter_add(key, count);
+                self.snap.counter_add(key, count);
             }
         }
     }
@@ -165,8 +166,8 @@ impl ClusterTelemetry {
         let metric = stats.metric(id);
         let phase = metric.phase();
         if phase != self.last_phases[idx] {
-            self.rec.counter_add("stats.phase_transitions", 1);
-            self.rec.phase_transition(PhaseTransition {
+            self.snap.counter_add("stats.phase_transitions", 1);
+            self.snap.phases.push(PhaseTransition {
                 metric: metric.spec().name().to_string(),
                 from: self.last_phases[idx].to_string(),
                 to: phase.to_string(),
@@ -178,11 +179,11 @@ impl ClusterTelemetry {
         }
     }
 
-    /// Folds the hot-path fields into the recorder and returns it — the
+    /// Folds the hot-path fields into the snapshot and returns it — the
     /// single name-keyed view the snapshot assembly works from.
-    pub(crate) fn into_recorder(self) -> MemoryRecorder {
+    pub(crate) fn into_snapshot(self) -> TelemetrySnapshot {
         let ClusterTelemetry {
-            mut rec,
+            mut snap,
             samples_recorded,
             samples_rejected,
             queue_depth,
@@ -192,41 +193,45 @@ impl ClusterTelemetry {
             last_epoch_utilization_mean,
             ..
         } = self;
-        rec.counter_add("stats.samples_recorded", samples_recorded);
+        snap.counter_add("stats.samples_recorded", samples_recorded);
         if samples_rejected > 0 {
-            rec.counter_add("stats.samples_rejected", samples_rejected);
+            snap.counter_add("stats.samples_rejected", samples_rejected);
         }
-        if queue_depth.count() > 0 {
-            rec.gauge_set("sim.queue_depth_high_water", queue_depth_high_water as f64);
+        if queue_depth.count > 0 {
+            snap.gauges.insert(
+                "sim.queue_depth_high_water".into(),
+                queue_depth_high_water as f64,
+            );
         }
-        rec.register_histogram("sim.queue_depth", queue_depth);
+        snap.histograms
+            .insert("sim.queue_depth".into(), queue_depth);
         if utilization_snapshots > 0 {
-            rec.counter_add("sim.utilization_snapshots", utilization_snapshots);
+            snap.counter_add("sim.utilization_snapshots", utilization_snapshots);
         }
         if let Some(mean) = last_epoch_utilization_mean {
-            rec.gauge_set("sim.last_epoch_utilization_mean", mean);
+            snap.gauges
+                .insert("sim.last_epoch_utilization_mean".into(), mean);
         }
-        rec.register_histogram("sim.server_utilization", server_utilization);
-        rec
+        snap.histograms
+            .insert("sim.server_utilization".into(), server_utilization);
+        snap
     }
 }
 
-/// Assembles the final [`TelemetrySnapshot`] for a run: everything the
-/// in-sim recorder gathered, plus the engine counters, per-metric
-/// statistics facts, and (quarantined) wall-clock throughput figures.
+/// Completes a run's [`TelemetrySnapshot`]: to everything the cluster
+/// wrote into `snap` it adds the engine counters, per-metric statistics
+/// facts, and (quarantined) wall-clock throughput figures.
 ///
 /// `stats` is the final collection (if still available), `cal` the summed
 /// calendar counters, `events_fired` the engine total, and `wall_seconds`
 /// the run's wall-clock duration.
 pub(crate) fn assemble_snapshot(
-    rec: &MemoryRecorder,
+    mut snap: TelemetrySnapshot,
     stats: Option<&StatsCollection>,
     cal: &CalendarStats,
     events_fired: u64,
     wall_seconds: f64,
 ) -> TelemetrySnapshot {
-    let mut snap = rec.snapshot();
-
     // Engine layer: deterministic counters straight off the calendar.
     snap.counters
         .insert("des.events_scheduled".into(), cal.scheduled);
@@ -305,7 +310,7 @@ mod tests {
             stats.record(id, 1.0 + f64::from(i % 7) * 0.1);
             tel.sync_phase(&stats, id, Time::from_seconds(f64::from(i)));
         }
-        let snap = tel.into_recorder().snapshot();
+        let snap = tel.into_snapshot();
         let froms: Vec<&str> = snap.phases.iter().map(|p| p.from.as_str()).collect();
         assert!(froms.contains(&"warm-up"), "phases: {froms:?}");
         assert!(froms.contains(&"calibration"), "phases: {froms:?}");
@@ -330,7 +335,6 @@ mod tests {
         for i in 0..2000 {
             stats.record(id, 1.0 + f64::from(i % 11) * 0.01);
         }
-        let rec = MemoryRecorder::new();
         let cal = CalendarStats {
             scheduled: 10,
             fired: 8,
@@ -338,7 +342,7 @@ mod tests {
             depth_high_water: 5,
             sift_steps: 17,
         };
-        let snap = assemble_snapshot(&rec, Some(&stats), &cal, 8, 0.5);
+        let snap = assemble_snapshot(TelemetrySnapshot::default(), Some(&stats), &cal, 8, 0.5);
         assert_eq!(snap.counters["des.events_fired"], 8);
         assert_eq!(snap.counters["des.events_cancelled"], 2);
         assert_eq!(snap.gauges["des.calendar_depth_high_water"], 5.0);
@@ -356,7 +360,7 @@ mod tests {
         tel.note_queue_depth(3);
         tel.note_queue_depth(70); // beyond hi: lands in overflow, no panic
         tel.note_epoch_utilizations(&[0.25, 0.75]);
-        let snap = tel.into_recorder().snapshot();
+        let snap = tel.into_snapshot();
         assert_eq!(snap.histograms["sim.queue_depth"].count, 2);
         assert_eq!(snap.histograms["sim.server_utilization"].count, 2);
         assert_eq!(snap.gauges["sim.queue_depth_high_water"], 70.0);

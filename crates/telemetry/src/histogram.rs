@@ -1,7 +1,5 @@
 //! Fixed-bin histograms for latency and timing telemetry.
 
-use crate::snapshot::HistogramSnapshot;
-
 /// A histogram with a fixed number of bins over a fixed range, sized once at
 /// construction so [`observe`](FixedBinHistogram::observe) never allocates.
 ///
@@ -9,20 +7,30 @@ use crate::snapshot::HistogramSnapshot;
 /// choice for latencies, which span orders of magnitude. Samples outside the
 /// range land in dedicated underflow/overflow counters instead of being
 /// dropped, and the exact min/max/sum/count are tracked so the mean is not
-/// a binning artifact.
+/// a binning artifact. `min`/`max` are `None` when no finite sample was
+/// recorded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedBinHistogram {
-    lo: f64,
-    hi: f64,
-    log_scale: bool,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-    finite: u64,
-    sum: f64,
-    min: f64,
-    max: f64,
+    /// Lower bound of the binned range.
+    pub lo: f64,
+    /// Upper bound of the binned range.
+    pub hi: f64,
+    /// Whether the bins are logarithmically spaced.
+    pub log_scale: bool,
+    /// Per-bin sample counts.
+    pub bins: Vec<u64>,
+    /// Samples below `lo`.
+    pub underflow: u64,
+    /// Samples at or above `hi`, plus non-finite samples.
+    pub overflow: u64,
+    /// Total samples, including under/overflow.
+    pub count: u64,
+    /// Sum of all finite samples.
+    pub sum: f64,
+    /// Smallest finite sample.
+    pub min: Option<f64>,
+    /// Largest finite sample.
+    pub max: Option<f64>,
 }
 
 bighouse_json::json_struct!(FixedBinHistogram {
@@ -33,7 +41,6 @@ bighouse_json::json_struct!(FixedBinHistogram {
     underflow,
     overflow,
     count,
-    finite,
     sum,
     min,
     max,
@@ -57,10 +64,9 @@ impl FixedBinHistogram {
             underflow: 0,
             overflow: 0,
             count: 0,
-            finite: 0,
             sum: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
+            min: None,
+            max: None,
         }
     }
 
@@ -91,10 +97,9 @@ impl FixedBinHistogram {
     pub fn observe(&mut self, x: f64) {
         self.count += 1;
         if x.is_finite() {
-            self.finite += 1;
             self.sum += x;
-            self.min = self.min.min(x);
-            self.max = self.max.max(x);
+            self.min = Some(self.min.map_or(x, |m| m.min(x)));
+            self.max = Some(self.max.map_or(x, |m| m.max(x)));
         }
         if !x.is_finite() || x >= self.hi {
             self.overflow += 1;
@@ -112,32 +117,18 @@ impl FixedBinHistogram {
         }
     }
 
-    /// Total samples recorded, including under/overflow.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of all finite samples, or `None` if none were recorded.
+    /// Mean of the recorded finite samples, or `None` when none was
+    /// recorded. The non-finite count is not kept, so a histogram that saw
+    /// any finite sample divides by `count`.
     #[must_use]
     pub fn mean(&self) -> Option<f64> {
-        (self.finite > 0).then(|| self.sum / self.finite as f64)
+        let finite = if self.min.is_none() { 0 } else { self.count };
+        (finite > 0).then(|| self.sum / finite as f64)
     }
 
-    /// Lower bound of the histogram range.
-    #[must_use]
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Upper bound of the histogram range.
-    #[must_use]
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
-    /// Merges another histogram's samples into this one, bin-wise. Returns
-    /// `false` (and changes nothing) when the shapes differ.
+    /// Merges another histogram of the **same shape** (bounds, spacing, bin
+    /// count) into this one, bin-wise. Returns `false` (and changes
+    /// nothing) when the shapes differ.
     pub fn merge(&mut self, other: &FixedBinHistogram) -> bool {
         let same_shape = self.lo == other.lo
             && self.hi == other.hi
@@ -152,36 +143,16 @@ impl FixedBinHistogram {
         self.underflow += other.underflow;
         self.overflow += other.overflow;
         self.count += other.count;
-        self.finite += other.finite;
         self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
+        self.min = match (self.min, other.min) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        };
+        self.max = match (self.max, other.max) {
+            (Some(a), Some(b)) => Some(a.max(b)),
+            (a, b) => a.or(b),
+        };
         true
-    }
-
-    /// Freezes the histogram into its serializable snapshot form.
-    #[must_use]
-    pub fn snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot {
-            lo: self.lo,
-            hi: self.hi,
-            log_scale: self.log_scale,
-            bins: self.bins.clone(),
-            underflow: self.underflow,
-            overflow: self.overflow,
-            count: self.count,
-            sum: self.sum,
-            min: if self.min.is_finite() {
-                Some(self.min)
-            } else {
-                None
-            },
-            max: if self.max.is_finite() {
-                Some(self.max)
-            } else {
-                None
-            },
-        }
     }
 }
 
@@ -196,12 +167,11 @@ mod tests {
         h.observe(9.99);
         h.observe(-1.0);
         h.observe(10.0);
-        let s = h.snapshot();
-        assert_eq!(s.bins[0], 1);
-        assert_eq!(s.bins[9], 1);
-        assert_eq!(s.underflow, 1);
-        assert_eq!(s.overflow, 1);
-        assert_eq!(s.count, 4);
+        assert_eq!(h.bins[0], 1);
+        assert_eq!(h.bins[9], 1);
+        assert_eq!(h.underflow, 1);
+        assert_eq!(h.overflow, 1);
+        assert_eq!(h.count, 4);
     }
 
     #[test]
@@ -210,10 +180,9 @@ mod tests {
         h.observe(1e-6);
         h.observe(1e-3);
         h.observe(0.999);
-        let s = h.snapshot();
-        assert_eq!(s.bins[0], 1);
-        assert_eq!(s.bins[3], 1);
-        assert_eq!(s.bins[5], 1);
+        assert_eq!(h.bins[0], 1);
+        assert_eq!(h.bins[3], 1);
+        assert_eq!(h.bins[5], 1);
     }
 
     #[test]
@@ -221,9 +190,9 @@ mod tests {
         let mut h = FixedBinHistogram::linear(0.0, 1.0, 4);
         h.observe(f64::NAN);
         h.observe(f64::INFINITY);
-        let s = h.snapshot();
-        assert_eq!(s.overflow, 2);
-        assert_eq!(s.min, None);
+        assert_eq!(h.overflow, 2);
+        assert_eq!(h.min, None);
+        assert_eq!(h.mean(), None);
     }
 
     #[test]
@@ -232,8 +201,8 @@ mod tests {
         for i in 1..100 {
             h.observe(f64::from(i) * 0.1);
         }
-        let json = bighouse_json::to_string(&h.snapshot());
-        let back: HistogramSnapshot = bighouse_json::from_str(&json).unwrap();
-        assert_eq!(back, h.snapshot());
+        let json = bighouse_json::to_string(&h);
+        let back: FixedBinHistogram = bighouse_json::from_str(&json).unwrap();
+        assert_eq!(back, h);
     }
 }

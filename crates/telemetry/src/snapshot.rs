@@ -1,95 +1,8 @@
-//! The serializable, deterministically ordered output of a recorder.
+//! The one telemetry record: what instrumented runs write and report.
 
 use std::collections::BTreeMap;
 
-/// Frozen form of a [`FixedBinHistogram`](crate::FixedBinHistogram).
-///
-/// `min`/`max` are `None` when no finite sample was recorded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HistogramSnapshot {
-    /// Lower bound of the binned range.
-    pub lo: f64,
-    /// Upper bound of the binned range.
-    pub hi: f64,
-    /// Whether the bins are logarithmically spaced.
-    pub log_scale: bool,
-    /// Per-bin sample counts.
-    pub bins: Vec<u64>,
-    /// Samples below `lo`.
-    pub underflow: u64,
-    /// Samples at or above `hi`, plus non-finite samples.
-    pub overflow: u64,
-    /// Total samples, including under/overflow.
-    pub count: u64,
-    /// Sum of all finite samples.
-    pub sum: f64,
-    /// Smallest finite sample.
-    pub min: Option<f64>,
-    /// Largest finite sample.
-    pub max: Option<f64>,
-}
-
-bighouse_json::json_struct!(HistogramSnapshot {
-    lo,
-    hi,
-    log_scale,
-    bins,
-    underflow,
-    overflow,
-    count,
-    sum,
-    min,
-    max,
-});
-
-impl HistogramSnapshot {
-    /// Mean of the recorded finite samples, or `None` when empty.
-    #[must_use]
-    pub fn mean(&self) -> Option<f64> {
-        let finite = self.count - self.nonfinite();
-        (finite > 0).then(|| self.sum / finite as f64)
-    }
-
-    fn nonfinite(&self) -> u64 {
-        // Non-finite samples count toward `count` and `overflow` but never
-        // toward min/max; when min is None, nothing finite was seen.
-        if self.min.is_none() {
-            self.count
-        } else {
-            0
-        }
-    }
-
-    /// Merges another snapshot of the **same shape** (bounds, spacing, bin
-    /// count) into this one, bin-wise — the frozen-form counterpart of
-    /// [`FixedBinHistogram::merge`](crate::FixedBinHistogram::merge).
-    /// Returns `false` (and changes nothing) when the shapes differ.
-    pub fn merge(&mut self, other: &HistogramSnapshot) -> bool {
-        let same_shape = self.lo == other.lo
-            && self.hi == other.hi
-            && self.log_scale == other.log_scale
-            && self.bins.len() == other.bins.len();
-        if !same_shape {
-            return false;
-        }
-        for (slot, add) in self.bins.iter_mut().zip(&other.bins) {
-            *slot += add;
-        }
-        self.underflow += other.underflow;
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = match (self.min, other.min) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.max = match (self.max, other.max) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        true
-    }
-}
+use crate::histogram::FixedBinHistogram;
 
 /// One statistics phase-machine transition (§2.3 of the paper: warm-up →
 /// calibration → measurement → converged), stamped with both clocks.
@@ -122,7 +35,8 @@ bighouse_json::json_struct!(PhaseTransition {
     total_observed,
 });
 
-/// Everything a run's recorder captured, in plain data.
+/// Everything a run's instrumentation captured, in plain data. Runs write
+/// into it directly, and it is what they report.
 ///
 /// All maps are `BTreeMap`s so serialized JSON is deterministically ordered;
 /// two instrumented runs at the same seed produce byte-identical snapshots
@@ -135,7 +49,7 @@ pub struct TelemetrySnapshot {
     /// Point-in-time values, e.g. `stats.response_time.lag`.
     pub gauges: BTreeMap<String, f64>,
     /// Fixed-bin distributions, e.g. `sim.queue_depth`.
-    pub histograms: BTreeMap<String, HistogramSnapshot>,
+    pub histograms: BTreeMap<String, FixedBinHistogram>,
     /// Phase-machine transitions in observation order.
     pub phases: Vec<PhaseTransition>,
     /// Wall-clock gauges (seconds, rates) — non-deterministic by nature,
@@ -166,17 +80,26 @@ impl TelemetrySnapshot {
         clean
     }
 
-    /// Merges another snapshot into this one — the frozen-form analogue of
-    /// [`MemoryRecorder::absorb`](crate::MemoryRecorder::absorb), used when
-    /// a sweep aggregates per-config snapshots that were frozen long before
-    /// aggregation. Counters sum; gauges and wall entries take the other
+    /// Adds `delta` to the named monotonic counter, creating it at zero.
+    pub fn counter_add(&mut self, name: &str, delta: u64) {
+        match self.counters.get_mut(name) {
+            Some(count) => *count += delta,
+            None => {
+                self.counters.insert(name.to_owned(), delta);
+            }
+        }
+    }
+
+    /// Merges another snapshot into this one — the one merge, used when a
+    /// run is stitched from epochs and when a sweep aggregates per-config
+    /// snapshots. Counters sum; gauges and wall entries take the other
     /// snapshot's value (last writer wins); phase logs append in call
     /// order; histograms of matching shape merge bin-wise, and a shape
     /// mismatch keeps ours while noting the loss under the
     /// `telemetry.dropped_samples` counter.
     pub fn absorb(&mut self, other: &TelemetrySnapshot) {
-        for (name, delta) in &other.counters {
-            *self.counters.entry(name.clone()).or_insert(0) += delta;
+        for (name, &delta) in &other.counters {
+            self.counter_add(name, delta);
         }
         for (name, value) in &other.gauges {
             self.gauges.insert(name.clone(), *value);
@@ -186,18 +109,15 @@ impl TelemetrySnapshot {
         }
         self.phases.extend(other.phases.iter().cloned());
         for (name, hist) in &other.histograms {
-            match self.histograms.get_mut(name) {
-                Some(mine) => {
-                    if !mine.merge(hist) {
-                        *self
-                            .counters
-                            .entry("telemetry.dropped_samples".to_owned())
-                            .or_insert(0) += hist.count;
-                    }
-                }
+            let merged = match self.histograms.get_mut(name) {
+                Some(mine) => mine.merge(hist),
                 None => {
                     self.histograms.insert(name.clone(), hist.clone());
+                    true
                 }
+            };
+            if !merged {
+                self.counter_add("telemetry.dropped_samples", hist.count);
             }
         }
     }
@@ -246,12 +166,12 @@ mod tests {
         assert_eq!(clean.counters["des.events_fired"], 10);
     }
 
-    fn hist(bins: usize, samples: &[f64]) -> HistogramSnapshot {
-        let mut h = crate::FixedBinHistogram::linear(0.0, 8.0, bins);
+    fn hist(bins: usize, samples: &[f64]) -> FixedBinHistogram {
+        let mut h = FixedBinHistogram::linear(0.0, 8.0, bins);
         for &s in samples {
             h.observe(s);
         }
-        h.snapshot()
+        h
     }
 
     #[test]
@@ -264,13 +184,41 @@ mod tests {
         b.counters.insert("n".into(), 3);
         b.gauges.insert("g".into(), 9.0);
         b.histograms.insert("h".into(), hist(4, &[5.0]));
+        b.phases.push(PhaseTransition {
+            metric: "m".into(),
+            from: "warm-up".into(),
+            to: "calibration".into(),
+            simulated_seconds: 1.0,
+            wall_seconds: 0.0,
+            total_observed: 10,
+        });
         a.absorb(&b);
         assert_eq!(a.counters["n"], 5);
+        assert_eq!(a.phases, b.phases, "phase logs append");
         assert_eq!(a.gauges["g"], 9.0, "gauges are last-writer-wins");
         assert_eq!(a.histograms["h"].count, 3);
         assert_eq!(a.histograms["h"].sum, 9.0);
         assert_eq!(a.histograms["h"].min, Some(1.0));
         assert_eq!(a.histograms["h"].max, Some(5.0));
+    }
+
+    #[test]
+    fn absorb_sums_counters_and_appends_phases() {
+        let mut a = TelemetrySnapshot::default();
+        a.counter_add("n", 2);
+        let mut b = TelemetrySnapshot::default();
+        b.counter_add("n", 3);
+        b.phases.push(PhaseTransition {
+            metric: "m".into(),
+            from: "warm-up".into(),
+            to: "calibration".into(),
+            simulated_seconds: 1.0,
+            wall_seconds: 0.0,
+            total_observed: 10,
+        });
+        a.absorb(&b);
+        assert_eq!(a.counters["n"], 5);
+        assert_eq!(a.phases.len(), 1);
     }
 
     #[test]
@@ -301,5 +249,60 @@ mod tests {
         snap.counters.insert("a.first".into(), 2);
         let json = bighouse_json::to_string(&snap);
         assert!(json.find("a.first").unwrap() < json.find("z.last").unwrap());
+    }
+
+    #[test]
+    fn counter_add_counts_every_event() {
+        let mut snap = TelemetrySnapshot::default();
+        snap.counter_add("loop.idle", 0);
+        for _ in 0..1000 {
+            snap.counter_add("loop.iterations", 1);
+        }
+        assert_eq!(snap.counters["loop.iterations"], 1000);
+        assert_eq!(
+            snap.counters["loop.idle"], 0,
+            "a zero add still creates the key"
+        );
+    }
+
+    #[test]
+    fn json_shape_is_pinned() {
+        let mut snap = TelemetrySnapshot::default();
+        snap.counters.insert("des.events_fired".into(), 7);
+        snap.gauges.insert("stats.response_time.lag".into(), 2.0);
+        snap.phases.push(PhaseTransition {
+            metric: "response_time".into(),
+            from: "warm-up".into(),
+            to: "calibration".into(),
+            simulated_seconds: 1.5,
+            wall_seconds: 0.25,
+            total_observed: 1000,
+        });
+        snap.wall.insert("wall_seconds".into(), 0.5);
+        let empty = FixedBinHistogram::linear(0.0, 64.0, 64);
+        let mut three = FixedBinHistogram::linear(0.0, 1.0, 4);
+        for x in [0.125, 0.5, 2.0] {
+            three.observe(x);
+        }
+        snap.histograms.insert("sim.queue_depth".into(), empty);
+        snap.histograms
+            .insert("sim.server_utilization".into(), three);
+        let zeros = ["0"; 64].join(",");
+        let expected = format!(
+            concat!(
+                r#"{{"counters":{{"des.events_fired":7}},"#,
+                r#""gauges":{{"stats.response_time.lag":2.0}},"#,
+                r#""histograms":{{"#,
+                r#""sim.queue_depth":{{"lo":0.0,"hi":64.0,"log_scale":false,"bins":[{zeros}],"#,
+                r#""underflow":0,"overflow":0,"count":0,"sum":0.0,"min":null,"max":null}},"#,
+                r#""sim.server_utilization":{{"lo":0.0,"hi":1.0,"log_scale":false,"bins":[1,0,1,0],"#,
+                r#""underflow":0,"overflow":1,"count":3,"sum":2.625,"min":0.125,"max":2.0}}}},"#,
+                r#""phases":[{{"metric":"response_time","from":"warm-up","to":"calibration","#,
+                r#""simulated_seconds":1.5,"wall_seconds":0.25,"total_observed":1000}}],"#,
+                r#""wall":{{"wall_seconds":0.5}}}}"#,
+            ),
+            zeros = zeros
+        );
+        assert_eq!(bighouse_json::to_string(&snap), expected);
     }
 }

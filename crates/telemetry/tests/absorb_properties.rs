@@ -1,9 +1,10 @@
-//! Property tests for [`MemoryRecorder::absorb`]: the merge used to stitch
-//! a run's telemetry from epochs (sequential order) and parallel slaves
-//! (arbitrary order) must not depend on *how* the stitching is bracketed,
-//! and its order-insensitive parts must not depend on the order either —
-//! otherwise an instrumented resumed run and an instrumented parallel run
-//! of the same experiment would disagree about what happened.
+//! Property tests for [`TelemetrySnapshot::absorb`]: the merge used to
+//! stitch a run's telemetry from epochs (sequential order) and a sweep's
+//! from its configs (any completion order) must not depend on *how* the
+//! stitching is bracketed, and its order-insensitive parts must not depend
+//! on the order either — otherwise a resumed run and an uninterrupted run
+//! of the same experiment, or two sweeps of the same grid, would disagree
+//! about what happened.
 //!
 //! Float caveat: `absorb` sums histogram `sum` fields with `f64 +`, which
 //! commutes bitwise but is *not* associative for arbitrary reals. The
@@ -13,10 +14,10 @@
 //! partial sum is exact and associativity holds bit-for-bit.
 
 use bighouse_des::check::{check, Gen};
-use bighouse_telemetry::{FixedBinHistogram, MemoryRecorder, PhaseTransition};
+use bighouse_telemetry::{FixedBinHistogram, PhaseTransition, TelemetrySnapshot};
 
-/// Names are `&'static str` by the `MemoryRecorder` contract, so ops pick from
-/// fixed pools instead of generating strings.
+/// Ops pick names from fixed pools instead of generating strings, so the
+/// shards of one case share keys and the merges collide.
 const COUNTERS: [&str; 3] = ["sim.jobs", "des.events", "stats.samples"];
 const GAUGES: [&str; 2] = ["sim.queue_depth", "stats.lag"];
 
@@ -24,34 +25,33 @@ const GAUGES: [&str; 2] = ["sim.queue_depth", "stats.lag"];
 enum Op {
     Counter(usize, u64),
     GaugeSet(usize, i16),
-    GaugeMax(usize, i16),
     /// Observed as `n * 0.25` — an exact dyadic rational.
     Observe(u8),
     Phase(u8),
 }
 
 fn op(g: &mut Gen) -> Op {
-    match g.range(0..5) {
+    match g.range(0..4) {
         0 => Op::Counter(g.range(0..COUNTERS.len()), g.range(0..1000)),
         1 => Op::GaugeSet(g.range(0..GAUGES.len()), g.any()),
-        2 => Op::GaugeMax(g.range(0..GAUGES.len()), g.any()),
-        3 => Op::Observe(g.any()),
+        2 => Op::Observe(g.any()),
         _ => Op::Phase(g.any()),
     }
 }
 
-/// Builds a recorder from an op list. Every recorder registers the same
-/// histogram shape, as every epoch/slave of one run does.
-fn recorder_from(ops: &[Op]) -> MemoryRecorder {
-    let mut rec =
-        MemoryRecorder::new().with_histogram("lat", FixedBinHistogram::linear(0.0, 32.0, 8));
+/// Builds a snapshot from an op list. Every snapshot carries the same
+/// histogram shape, as every epoch of one run does.
+fn snapshot_from(ops: &[Op]) -> TelemetrySnapshot {
+    let mut snap = TelemetrySnapshot::default();
+    let mut lat = FixedBinHistogram::linear(0.0, 32.0, 8);
     for op in ops {
         match *op {
-            Op::Counter(i, d) => rec.counter_add(COUNTERS[i], d),
-            Op::GaugeSet(i, v) => rec.gauge_set(GAUGES[i], f64::from(v)),
-            Op::GaugeMax(i, v) => rec.gauge_max(GAUGES[i], f64::from(v)),
-            Op::Observe(n) => rec.observe("lat", f64::from(n) * 0.25),
-            Op::Phase(n) => rec.phase_transition(PhaseTransition {
+            Op::Counter(i, d) => snap.counter_add(COUNTERS[i], d),
+            Op::GaugeSet(i, v) => {
+                snap.gauges.insert(GAUGES[i].into(), f64::from(v));
+            }
+            Op::Observe(n) => lat.observe(f64::from(n) * 0.25),
+            Op::Phase(n) => snap.phases.push(PhaseTransition {
                 metric: "response_time".into(),
                 from: "warm-up".into(),
                 to: "calibration".into(),
@@ -61,7 +61,8 @@ fn recorder_from(ops: &[Op]) -> MemoryRecorder {
             }),
         }
     }
-    rec
+    snap.histograms.insert("lat".into(), lat);
+    snap
 }
 
 fn ops(g: &mut Gen) -> Vec<Op> {
@@ -77,17 +78,17 @@ fn absorb_is_associative() {
     check("absorb_is_associative", 256, |g| {
         let (a, b, c) = (ops(g), ops(g), ops(g));
         let left = {
-            let mut ab = recorder_from(&a);
-            ab.absorb(&recorder_from(&b));
-            ab.absorb(&recorder_from(&c));
-            ab.snapshot()
+            let mut ab = snapshot_from(&a);
+            ab.absorb(&snapshot_from(&b));
+            ab.absorb(&snapshot_from(&c));
+            ab
         };
         let right = {
-            let mut bc = recorder_from(&b);
-            bc.absorb(&recorder_from(&c));
-            let mut abc = recorder_from(&a);
+            let mut bc = snapshot_from(&b);
+            bc.absorb(&snapshot_from(&c));
+            let mut abc = snapshot_from(&a);
             abc.absorb(&bc);
-            abc.snapshot()
+            abc
         };
         assert_eq!(&left, &right);
         // Bit-for-bit: the JSON renderings agree byte by byte, the same
@@ -108,39 +109,39 @@ fn counters_and_histograms_commute() {
     check("counters_and_histograms_commute", 256, |g| {
         let (a, b) = (ops(g), ops(g));
         let ab = {
-            let mut r = recorder_from(&a);
-            r.absorb(&recorder_from(&b));
-            r.snapshot()
+            let mut r = snapshot_from(&a);
+            r.absorb(&snapshot_from(&b));
+            r
         };
         let ba = {
-            let mut r = recorder_from(&b);
-            r.absorb(&recorder_from(&a));
-            r.snapshot()
+            let mut r = snapshot_from(&b);
+            r.absorb(&snapshot_from(&a));
+            r
         };
         assert_eq!(&ab.counters, &ba.counters);
         assert_eq!(&ab.histograms, &ba.histograms);
     });
 }
 
-/// The concrete contract the runner relies on: stitching the same
-/// shards in epoch order (a, b, c sequentially) and in a slave
-/// arrival order (c first, then a, then b) agree on every
-/// order-insensitive namespace.
+/// The concrete contract the runner and the sweep rely on: stitching the
+/// same shards in epoch order (a, b, c sequentially) and in an arrival
+/// order (c first, then a, then b) agree on every order-insensitive
+/// namespace.
 #[test]
 fn epoch_and_slave_stitching_orders_agree() {
     check("epoch_and_slave_stitching_orders_agree", 256, |g| {
         let (a, b, c) = (ops(g), ops(g), ops(g));
         let epoch_order = {
-            let mut r = recorder_from(&a);
-            r.absorb(&recorder_from(&b));
-            r.absorb(&recorder_from(&c));
-            r.snapshot()
+            let mut r = snapshot_from(&a);
+            r.absorb(&snapshot_from(&b));
+            r.absorb(&snapshot_from(&c));
+            r
         };
         let slave_order = {
-            let mut r = recorder_from(&c);
-            r.absorb(&recorder_from(&a));
-            r.absorb(&recorder_from(&b));
-            r.snapshot()
+            let mut r = snapshot_from(&c);
+            r.absorb(&snapshot_from(&a));
+            r.absorb(&snapshot_from(&b));
+            r
         };
         assert_eq!(&epoch_order.counters, &slave_order.counters);
         assert_eq!(&epoch_order.histograms, &slave_order.histograms);
