@@ -63,14 +63,12 @@ pub struct PowerCapper {
     power_model: LinearPowerModel,
     dvfs: DvfsModel,
     total_budget_watts: f64,
-    epoch_seconds: f64,
 }
 
 bighouse_json::json_struct!(PowerCapper {
     power_model,
     dvfs,
-    total_budget_watts,
-    epoch_seconds
+    total_budget_watts
 });
 
 impl PowerCapper {
@@ -94,29 +92,14 @@ impl PowerCapper {
             power_model,
             dvfs,
             total_budget_watts,
-            epoch_seconds: Self::DEFAULT_EPOCH_SECONDS,
         }
     }
 
-    /// Overrides the budgeting interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `seconds` is finite and positive.
-    #[must_use]
-    pub fn with_epoch(mut self, seconds: f64) -> Self {
-        assert!(
-            seconds.is_finite() && seconds > 0.0,
-            "epoch must be finite and positive, got {seconds}"
-        );
-        self.epoch_seconds = seconds;
-        self
-    }
-
-    /// The budgeting interval in seconds.
+    /// The budgeting interval in seconds: always
+    /// [`PowerCapper::DEFAULT_EPOCH_SECONDS`].
     #[must_use]
     pub fn epoch_seconds(&self) -> f64 {
-        self.epoch_seconds
+        Self::DEFAULT_EPOCH_SECONDS
     }
 
     /// Total cluster power budget in watts.

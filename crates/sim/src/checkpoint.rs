@@ -31,8 +31,11 @@ use crate::resilience::{ClassDisposition, ResilienceSummary};
 /// Bump the final byte on any incompatible payload change. Version 2 is
 /// the in-tree JSON codec's payload: the metric collection's derived name
 /// index is left out, a non-finite float is a string, and the config
-/// fingerprint hashes the config's JSON.
-const MAGIC: &[u8; 8] = b"BHCKPT\x00\x02";
+/// fingerprint hashes the config's JSON. Version 3 holds the run totals'
+/// resilience section as a `ResilienceSummary` (`in_flight_at_end` in place
+/// of `in_flight_dropped`) and drops the metric spec's `track_mean` and
+/// `histogram_bins`.
+const MAGIC: &[u8; 8] = b"BHCKPT\x00\x03";
 /// Magic (8) + payload length (8, LE) + FNV-1a checksum (8, LE).
 const HEADER_LEN: usize = 24;
 
@@ -68,8 +71,8 @@ impl CheckpointConfig {
     }
 }
 
-/// Exact totals a resumable run accumulates across epochs for the fault
-/// section of the final [`ClusterSummary`].
+/// The fault section of [`RunTotals`]: exact counts, and the failed-server
+/// fraction as a time integral like the other weights.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultTotals {
     /// Server failure events injected.
@@ -102,60 +105,18 @@ bighouse_json::json_struct!(FaultTotals {
     failed_weight,
 });
 
-/// Exact totals a resumable run accumulates across epochs for the
-/// resilience section of the final [`ClusterSummary`]. Pure counts, so
-/// epochs add directly.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ResilienceTotals {
-    /// Arrivals offered to the cluster.
-    pub offered: u64,
-    /// Arrivals admitted past admission control and shedding.
-    pub admitted: u64,
-    /// Arrivals shed at the front door.
-    pub shed: u64,
-    /// Admitted requests that completed.
-    pub goodput: u64,
-    /// Admitted requests dropped after exhausting retries.
-    pub timed_out: u64,
-    /// Requests in flight at an epoch boundary (dropped with the epoch's
-    /// calendar; counted so the disposition invariant still balances).
-    pub in_flight_dropped: u64,
-    /// Hedge duplicates launched.
-    pub hedges_launched: u64,
-    /// Requests whose hedge finished first.
-    pub hedge_wins: u64,
-    /// Losing duplicates cancelled mid-service.
-    pub hedge_cancelled: u64,
-    /// Goodput completions within the SLO deadline.
-    pub slo_met: u64,
-    /// Per-class dispositions (empty for a single class).
-    pub per_class: Vec<ClassDisposition>,
-}
-
-bighouse_json::json_struct!(ResilienceTotals {
-    offered,
-    admitted,
-    shed,
-    goodput,
-    timed_out,
-    in_flight_dropped,
-    hedges_launched,
-    hedge_wins,
-    hedge_cancelled,
-    slo_met,
-    per_class,
-});
-
-/// Time-weighted cluster totals accumulated across epochs.
+/// Cluster-level facts of a run: what one epoch reports
+/// ([`ClusterSim::totals`](crate::ClusterSim::totals)), and what a run's
+/// epochs and a parallel run's slaves pool with [`RunTotals::merge`].
 ///
-/// Each epoch reports time-*fractions* (idle, napping, utilization); the
-/// totals store `fraction × epoch_seconds` so epochs of different lengths
-/// average correctly in the final summary.
+/// Time-*fractions* (idle, napping, utilization, failed) are held as
+/// `fraction × seconds` weights, so parts of different lengths pool by
+/// plain addition; [`RunTotals::summary`] divides them back out.
 #[derive(Debug, Clone, Default)]
 pub struct RunTotals {
-    /// Total simulated seconds across all completed epochs.
+    /// Simulated seconds covered.
     pub simulated_seconds: f64,
-    /// Jobs completed across all epochs.
+    /// Jobs completed.
     pub jobs_completed: u64,
     /// Total energy consumed in joules.
     pub energy_joules: f64,
@@ -167,9 +128,9 @@ pub struct RunTotals {
     pub utilization_weight: f64,
     /// Fault bookkeeping (`None` when fault injection is off).
     pub faults: Option<FaultTotals>,
-    /// Resilience bookkeeping (`None` when resilience is off; absent in
-    /// checkpoints written before the subsystem existed).
-    pub resilience: Option<ResilienceTotals>,
+    /// Resilience bookkeeping: pure counts, so parts add directly (`None`
+    /// when resilience is off).
+    pub resilience: Option<ResilienceSummary>,
 }
 
 bighouse_json::json_struct!(RunTotals {
@@ -184,15 +145,17 @@ bighouse_json::json_struct!(RunTotals {
 });
 
 impl RunTotals {
-    /// Folds one finished epoch's summary into the totals.
-    pub fn absorb(&mut self, summary: &ClusterSummary, seconds: f64) {
-        self.simulated_seconds += seconds;
-        self.jobs_completed += summary.jobs_completed;
-        self.energy_joules += summary.total_energy_joules;
-        self.idle_weight += summary.mean_full_idle_fraction * seconds;
-        self.nap_weight += summary.mean_nap_fraction * seconds;
-        self.utilization_weight += summary.mean_utilization * seconds;
-        if let Some(f) = &summary.faults {
+    /// Folds another part (a later epoch, a slave's run) into the totals:
+    /// weights, seconds, energy and counts add, per-class dispositions
+    /// element-wise.
+    pub fn merge(&mut self, other: &RunTotals) {
+        self.simulated_seconds += other.simulated_seconds;
+        self.jobs_completed += other.jobs_completed;
+        self.energy_joules += other.energy_joules;
+        self.idle_weight += other.idle_weight;
+        self.nap_weight += other.nap_weight;
+        self.utilization_weight += other.utilization_weight;
+        if let Some(f) = &other.faults {
             let totals = self.faults.get_or_insert_with(FaultTotals::default);
             totals.server_failures += f.server_failures;
             totals.admitted += f.admitted;
@@ -200,19 +163,19 @@ impl RunTotals {
             totals.timed_out += f.timed_out;
             totals.retries += f.retries;
             totals.preempted_jobs += f.preempted_jobs;
-            totals.in_flight_dropped += f.in_flight_at_end;
-            totals.failed_weight += f.mean_failed_fraction * seconds;
+            totals.in_flight_dropped += f.in_flight_dropped;
+            totals.failed_weight += f.failed_weight;
         }
-        if let Some(r) = &summary.resilience {
+        if let Some(r) = &other.resilience {
             let totals = self
                 .resilience
-                .get_or_insert_with(ResilienceTotals::default);
+                .get_or_insert_with(ResilienceSummary::default);
             totals.offered += r.offered;
             totals.admitted += r.admitted;
             totals.shed += r.shed;
             totals.goodput += r.goodput;
             totals.timed_out += r.timed_out;
-            totals.in_flight_dropped += r.in_flight_at_end;
+            totals.in_flight_at_end += r.in_flight_at_end;
             totals.hedges_launched += r.hedges_launched;
             totals.hedge_wins += r.hedge_wins;
             totals.hedge_cancelled += r.hedge_cancelled;
@@ -231,7 +194,8 @@ impl RunTotals {
         }
     }
 
-    /// Collapses the totals into a [`ClusterSummary`] for the final report.
+    /// The report's view of the totals: every weight divided by the
+    /// seconds it covers.
     #[must_use]
     pub fn summary(&self, servers: usize) -> ClusterSummary {
         let t = self.simulated_seconds;
@@ -254,19 +218,7 @@ impl RunTotals {
                 in_flight_at_end: f.in_flight_dropped,
                 mean_failed_fraction: frac(f.failed_weight),
             }),
-            resilience: self.resilience.as_ref().map(|r| ResilienceSummary {
-                offered: r.offered,
-                admitted: r.admitted,
-                shed: r.shed,
-                goodput: r.goodput,
-                timed_out: r.timed_out,
-                in_flight_at_end: r.in_flight_dropped,
-                hedges_launched: r.hedges_launched,
-                hedge_wins: r.hedge_wins,
-                hedge_cancelled: r.hedge_cancelled,
-                slo_met: r.slo_met,
-                per_class: r.per_class.clone(),
-            }),
+            resilience: self.resilience.clone(),
         }
     }
 }
@@ -925,21 +877,18 @@ mod tests {
     #[test]
     fn totals_average_time_weighted_fractions() {
         let mut totals = RunTotals::default();
-        let epoch = |idle: f64, util: f64, jobs: u64| ClusterSummary {
-            servers: 2,
+        let epoch = |seconds: f64, idle: f64, util: f64, jobs: u64| RunTotals {
+            simulated_seconds: seconds,
             jobs_completed: jobs,
-            mean_full_idle_fraction: idle,
-            mean_nap_fraction: 0.0,
-            mean_utilization: util,
-            total_energy_joules: 10.0,
-            average_power_watts: 0.0,
-            faults: None,
-            resilience: None,
+            energy_joules: 10.0,
+            idle_weight: idle * seconds,
+            utilization_weight: util * seconds,
+            ..RunTotals::default()
         };
         // A 10-second epoch at 0.8 idle and a 30-second epoch at 0.4 idle
         // must average to 0.5, not the unweighted 0.6.
-        totals.absorb(&epoch(0.8, 0.2, 100), 10.0);
-        totals.absorb(&epoch(0.4, 0.6, 300), 30.0);
+        totals.merge(&epoch(10.0, 0.8, 0.2, 100));
+        totals.merge(&epoch(30.0, 0.4, 0.6, 300));
         let summary = totals.summary(2);
         assert_eq!(summary.servers, 2);
         assert_eq!(summary.jobs_completed, 400);
@@ -947,6 +896,120 @@ mod tests {
         assert!((summary.mean_utilization - 0.5).abs() < 1e-12);
         assert!((summary.total_energy_joules - 20.0).abs() < 1e-12);
         assert!((summary.average_power_watts - 0.5).abs() < 1e-12);
+    }
+
+    /// One epoch's (or one slave's) totals: fractions of random seconds as
+    /// weights, and a fault and a resilience section half the time each.
+    fn random_totals(g: &mut bighouse_des::check::Gen) -> RunTotals {
+        let seconds = g.range(0.5..100.0);
+        let count = |g: &mut bighouse_des::check::Gen| g.range(0..1_000u64);
+        RunTotals {
+            simulated_seconds: seconds,
+            jobs_completed: count(g),
+            energy_joules: g.range(0.0..1e4),
+            idle_weight: g.range(0.0..1.0) * seconds,
+            nap_weight: g.range(0.0..1.0) * seconds,
+            utilization_weight: g.range(0.0..1.0) * seconds,
+            faults: g.option(|g| FaultTotals {
+                server_failures: count(g),
+                admitted: count(g),
+                timed_out: count(g),
+                goodput: count(g),
+                retries: count(g),
+                preempted_jobs: count(g),
+                in_flight_dropped: count(g),
+                failed_weight: g.range(0.0..1.0) * seconds,
+            }),
+            resilience: g.option(|g| ResilienceSummary {
+                offered: count(g),
+                admitted: count(g),
+                shed: count(g),
+                goodput: count(g),
+                timed_out: count(g),
+                in_flight_at_end: count(g),
+                hedges_launched: count(g),
+                hedge_wins: count(g),
+                hedge_cancelled: count(g),
+                slo_met: count(g),
+                per_class: g.vec(0..4, |g| ClassDisposition {
+                    offered: count(g),
+                    shed: count(g),
+                    goodput: count(g),
+                    slo_met: count(g),
+                }),
+            }),
+        }
+    }
+
+    #[test]
+    fn merge_is_one_order_free_fold() {
+        bighouse_des::check::check("merge_is_one_order_free_fold", 256, |g| {
+            let parts = g.vec(1..6, random_totals);
+            let fold = |parts: &[&RunTotals]| {
+                let mut acc = RunTotals::default();
+                for part in parts {
+                    acc.merge(part);
+                }
+                acc
+            };
+            let in_order = fold(&parts.iter().collect::<Vec<_>>());
+
+            // Any order, any grouping: a shuffle cut in two, each side
+            // folded on its own first. Every integer field is equal.
+            let mut shuffled: Vec<&RunTotals> = parts.iter().collect();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, g.range(0..i + 1));
+            }
+            let cut = g.range(0..shuffled.len() + 1);
+            let mut regrouped = fold(&shuffled[cut..]);
+            regrouped.merge(&fold(&shuffled[..cut]));
+            let counts = |t: &RunTotals| {
+                let faults = t.faults.map(|f| FaultTotals {
+                    failed_weight: 0.0,
+                    ..f
+                });
+                (t.jobs_completed, faults, t.resilience.clone())
+            };
+            assert_eq!(counts(&in_order), counts(&regrouped));
+
+            // The fold's fractions are the seconds-weighted mean of the
+            // parts' fractions.
+            let total: f64 = parts.iter().map(|p| p.simulated_seconds).sum();
+            let fractions = |t: &RunTotals| {
+                let s = t.summary(4);
+                [
+                    s.mean_full_idle_fraction,
+                    s.mean_nap_fraction,
+                    s.mean_utilization,
+                    s.average_power_watts,
+                    s.faults.map_or(0.0, |f| f.mean_failed_fraction),
+                ]
+            };
+            let mut expected = [0.0; 5];
+            for part in &parts {
+                for (e, f) in expected.iter_mut().zip(fractions(part)) {
+                    *e += f * part.simulated_seconds / total;
+                }
+            }
+            for (got, want) in fractions(&in_order).into_iter().zip(expected) {
+                assert!(
+                    (got - want).abs() <= 1e-12 * got.abs().max(want.abs()),
+                    "{got} vs {want}"
+                );
+            }
+
+            // The empty totals are the identity, on either side of every
+            // part and of the fold.
+            for part in parts.iter().chain([&in_order]) {
+                let mut right = part.clone();
+                right.merge(&RunTotals::default());
+                let mut left = RunTotals::default();
+                left.merge(part);
+                for merged in [right, left] {
+                    assert_eq!(format!("{merged:?}"), format!("{part:?}"));
+                }
+            }
+        });
     }
 
     #[test]

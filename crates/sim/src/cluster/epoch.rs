@@ -1,7 +1,7 @@
 //! Epochs: the component installed when something is paced by simulated
 //! time and not by requests — the power capper's re-budgeting (§4.1) and
 //! the epoch-paced metrics ([`MetricKind::is_epoch_paced`]). It schedules
-//! one event, [`ClusterEvent::Epoch`], every period.
+//! one event, [`ClusterEvent::Epoch`], every [`PERIOD`].
 
 use bighouse_des::Time;
 use bighouse_models::PowerCapper;
@@ -10,13 +10,15 @@ use super::{ClusterEvent, ClusterSim};
 use crate::config::{ExperimentConfig, MetricKind};
 use crate::pending::Pending;
 
-/// The epoch component: the capper, the period, and the per-server marks
-/// the per-epoch deltas are taken against.
+/// Seconds between ticks: the paper's budgeting interval, with or without
+/// a capper.
+pub(super) const PERIOD: f64 = PowerCapper::DEFAULT_EPOCH_SECONDS;
+
+/// The epoch component: the capper and the per-server marks the per-epoch
+/// deltas are taken against.
 #[derive(Debug)]
 pub(super) struct Epochs {
     capper: Option<PowerCapper>,
-    /// Seconds between ticks: the capper's, or the default without one.
-    pub(super) period: f64,
     energy_marks: Vec<f64>,
     failed_marks: Vec<f64>,
     /// Scratch for the per-server utilizations, reused across ticks.
@@ -29,10 +31,6 @@ impl Epochs {
         let capper = config.capper.clone();
         (capper.is_some() || epoch_paced).then(|| {
             Box::new(Epochs {
-                period: capper.as_ref().map_or(
-                    PowerCapper::DEFAULT_EPOCH_SECONDS,
-                    PowerCapper::epoch_seconds,
-                ),
                 capper,
                 energy_marks: vec![0.0; config.total_servers()],
                 failed_marks: vec![0.0; config.total_servers()],
@@ -73,7 +71,7 @@ impl ClusterSim {
         if self.tracks(MetricKind::ServerPower) {
             for s in 0..self.servers.len() {
                 let energy = self.servers[s].energy_joules();
-                let watts = (energy - epochs.energy_marks[s]) / epochs.period;
+                let watts = (energy - epochs.energy_marks[s]) / PERIOD;
                 epochs.energy_marks[s] = energy;
                 self.observe(MetricKind::ServerPower, watts, now);
             }
@@ -86,7 +84,7 @@ impl ClusterSim {
                 let failed = self.servers[s].failed_seconds();
                 let delta = failed - epochs.failed_marks[s];
                 epochs.failed_marks[s] = failed;
-                let up = (1.0 - delta / epochs.period).clamp(0.0, 1.0);
+                let up = (1.0 - delta / PERIOD).clamp(0.0, 1.0);
                 self.observe(MetricKind::Availability, up, now);
             }
         }
@@ -100,7 +98,7 @@ impl ClusterSim {
         for s in 0..self.servers.len() {
             self.reschedule_attention(s, cal);
         }
-        cal.schedule_in(epochs.period, ClusterEvent::Epoch);
+        cal.schedule_in(PERIOD, ClusterEvent::Epoch);
         self.epochs = Some(epochs);
     }
 }

@@ -26,6 +26,7 @@ use bighouse_models::{FinishedJob, IdlePolicy, LoadBalancer, Server};
 use bighouse_stats::{HistogramSpec, MetricId, MetricSpec, Phase, StatsCollection};
 
 use crate::audit::{AuditLedger, AuditReport, Auditor, SeededBug};
+use crate::checkpoint::RunTotals;
 use crate::config::{ArrivalMode, ExperimentConfig, MetricKind};
 use crate::error::SimError;
 use crate::fastpath::FAST_PATH_MAX_SLOTS;
@@ -267,8 +268,8 @@ impl ClusterSim {
             }
         }
         self.prime_failures(cal);
-        if let Some(epochs) = self.epochs.as_deref() {
-            cal.schedule_in(epochs.period, ClusterEvent::Epoch);
+        if self.epochs.is_some() {
+            cal.schedule_in(epoch::PERIOD, ClusterEvent::Epoch);
         }
     }
 
@@ -344,32 +345,34 @@ impl ClusterSim {
         self.job_counter
     }
 
-    /// Builds the cluster-level summary at time `now`.
+    /// The cluster-level facts of the run up to `now`, each time-fraction
+    /// (mean over servers) weighted by the seconds it covers.
     #[must_use]
-    pub fn summary(&self, now: Time) -> ClusterSummary {
+    pub fn totals(&self, now: Time) -> RunTotals {
         let mean = |of: fn(&Server, Time) -> f64| {
             self.servers.iter().map(|s| of(s, now)).sum::<f64>() / self.servers.len() as f64
         };
-        let total_energy: f64 = self.servers.iter().map(Server::energy_joules).sum();
-        let sim_seconds = now.as_seconds();
+        let seconds = now.as_seconds();
         let requests = self.requests.as_deref();
-        ClusterSummary {
-            servers: self.servers.len(),
+        RunTotals {
+            simulated_seconds: seconds,
             jobs_completed: self.servers.iter().map(Server::completed_jobs).sum(),
-            mean_full_idle_fraction: mean(Server::full_idle_fraction),
-            mean_nap_fraction: mean(Server::nap_fraction),
-            mean_utilization: mean(Server::average_utilization),
-            total_energy_joules: total_energy,
-            average_power_watts: if sim_seconds > 0.0 {
-                total_energy / sim_seconds
-            } else {
-                0.0
-            },
+            energy_joules: self.servers.iter().map(Server::energy_joules).sum(),
+            idle_weight: mean(Server::full_idle_fraction) * seconds,
+            nap_weight: mean(Server::nap_fraction) * seconds,
+            utilization_weight: mean(Server::average_utilization) * seconds,
             faults: requests
                 .filter(|_| self.config.faults.is_some() || self.config.retry.is_some())
-                .map(|rq| rq.fault_summary(mean(Server::failed_fraction))),
+                .map(|rq| rq.fault_totals(mean(Server::failed_fraction) * seconds)),
             resilience: requests.and_then(Requests::resilience_summary),
         }
+    }
+
+    /// The cluster-level summary at time `now`: [`ClusterSim::totals`] as
+    /// the report shows it.
+    #[must_use]
+    pub fn summary(&self, now: Time) -> ClusterSummary {
+        self.totals(now).summary(self.servers.len())
     }
 
     /// The current ledger snapshot for an audit sweep.

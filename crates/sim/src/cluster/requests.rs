@@ -15,9 +15,9 @@ use bighouse_models::{Job, JobId};
 
 use super::{ClusterEvent, ClusterSim};
 use crate::audit::{AuditLedger, SeededBug};
+use crate::checkpoint::FaultTotals;
 use crate::config::{ExperimentConfig, MetricKind};
 use crate::pending::Pending;
-use crate::report::FaultSummary;
 use crate::resilience::{ResilienceState, ResilienceSummary};
 
 /// A live hedge duplicate: its own job id and where it runs.
@@ -98,17 +98,18 @@ impl Requests {
         Some(state.epoch_rates(self.goodput, self.timed_out))
     }
 
-    /// Exact fault and retry accounting.
-    pub(super) fn fault_summary(&self, mean_failed_fraction: f64) -> FaultSummary {
-        FaultSummary {
+    /// Exact fault and retry accounting, with the failed-server fraction's
+    /// integral over the epoch.
+    pub(super) fn fault_totals(&self, failed_weight: f64) -> FaultTotals {
+        FaultTotals {
             server_failures: self.failures,
             admitted: self.admitted,
             goodput: self.goodput,
             timed_out: self.timed_out,
             retries: self.retries,
             preempted_jobs: self.preempted,
-            in_flight_at_end: self.live.len() as u64,
-            mean_failed_fraction,
+            in_flight_dropped: self.live.len() as u64,
+            failed_weight,
         }
     }
 

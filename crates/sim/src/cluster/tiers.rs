@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 
 use bighouse_des::{FastMap, Time};
 use bighouse_dists::QuantileGuide;
-use bighouse_models::{FinishedJob, Job, JobId, LoadBalancer, Server};
+use bighouse_models::{BalancerPolicy, FinishedJob, Job, JobId, LoadBalancer, Server};
 use bighouse_stats::{MetricId, MetricSpec};
 
 use super::{new_server, ClusterSim};
@@ -61,7 +61,7 @@ impl Tiers {
                 );
                 Stage {
                     first,
-                    balancer: LoadBalancer::new(tier.balancer, tier.servers),
+                    balancer: LoadBalancer::new(BalancerPolicy::JoinShortestQueue, tier.servers),
                     service: QuantileGuide::new(&tier.service),
                 }
             })

@@ -168,7 +168,6 @@ pub struct TierConfig {
     pub(crate) servers: usize,
     pub(crate) cores: usize,
     pub(crate) service: Empirical,
-    pub(crate) balancer: BalancerPolicy,
     pub(crate) idle_policy: IdlePolicy,
 }
 
@@ -176,7 +175,6 @@ bighouse_json::json_struct!(TierConfig {
     servers,
     cores,
     service,
-    balancer,
     idle_policy
 });
 
@@ -195,16 +193,8 @@ impl TierConfig {
             servers,
             cores,
             service,
-            balancer: BalancerPolicy::JoinShortestQueue,
             idle_policy: IdlePolicy::AlwaysOn,
         }
-    }
-
-    /// Sets the tier's load-balancing discipline.
-    #[must_use]
-    pub fn with_balancer(mut self, policy: BalancerPolicy) -> Self {
-        self.balancer = policy;
-        self
     }
 
     /// Sets the tier's idle low-power policy.

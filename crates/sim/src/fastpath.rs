@@ -1,5 +1,8 @@
 //! The epoch driver ([`Epoch`]) and the store selection it owns: fixed
 //! slots for plain G/G/k FCFS segments, the calendar for everything else.
+//! Every epoch, whichever runner drives it, ends folded into a
+//! [`RunState`] ([`Epoch::finish`]); [`epoch_step`] is the loop of them a
+//! resumable run and a slave session share.
 //!
 //! BigHouse pays per-event calendar cost even when a cluster segment is a
 //! plain G/G/k FCFS station where nothing interesting can happen — no
@@ -21,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use bighouse_des::{Calendar, CalendarStats, Control, ProgressGuard, RunStats, Time};
+use bighouse_des::{Calendar, CalendarStats, Control, ProgressGuard, RunStats};
 use bighouse_stats::{HistogramSpec, StatsCollection};
 use bighouse_telemetry::TelemetrySnapshot;
 
@@ -31,7 +34,6 @@ use crate::cluster::{ClusterEvent, ClusterSim};
 use crate::config::{ArrivalMode, ExperimentConfig};
 use crate::error::SimError;
 use crate::pending::{FixedSlots, Pending};
-use crate::report::ClusterSummary;
 
 /// The largest pending-event population (`streams + servers`: one arrival
 /// slot per stream, one attention slot per server) held in fixed slots.
@@ -49,7 +51,7 @@ enum Store {
     Slots(FixedSlots),
 }
 
-/// One build → run → audit → hand-off pass over a fresh cluster: the unit
+/// One build → run → audit → fold pass over a fresh cluster: the unit
 /// every runner is made of. The serial run is one epoch with the whole
 /// event budget, the master's calibration one epoch advanced until the
 /// bin schemes are fixed, a resumable run and a slave session one loop of
@@ -60,31 +62,13 @@ enum Store {
 /// progress guard learns of a new clock, [`Epoch::advance`] the only loop
 /// over the event loop, and [`Epoch::finish`] the only place the audit is
 /// closed, the store noted on the telemetry counters (`fastpath.*`) and
-/// the simulation taken apart.
+/// the simulation folded into a [`RunState`].
 #[derive(Debug)]
 pub(crate) struct Epoch {
     sim: ClusterSim,
     pending: Store,
-}
-
-/// What a finished [`Epoch`] hands back.
-#[derive(Debug)]
-pub(crate) struct EpochEnd {
-    /// Simulated time of the last fired event.
-    pub(crate) now: Time,
-    /// The store's activity counters: the two stores count schedules,
-    /// fires, cancels and depth identically; fixed slots take no sift
-    /// steps.
-    pub(crate) calendar: CalendarStats,
-    /// Exact cluster-level facts up to `now`.
-    pub(crate) cluster: ClusterSummary,
-    /// Finalized, with any guard violation already in it (`None` when
-    /// paranoid mode is off).
-    pub(crate) audit: Option<AuditReport>,
-    /// `None` when telemetry is off.
-    pub(crate) telemetry: Option<TelemetrySnapshot>,
-    /// The statistics, to report or to carry into the next epoch.
-    pub(crate) stats: StatsCollection,
+    /// Events fired over every [`Epoch::advance`].
+    fired: u64,
 }
 
 /// What [`Epoch::advance`] reports.
@@ -104,9 +88,11 @@ pub(crate) struct Advanced {
 pub(crate) struct StepEnd {
     /// The epoch ran its whole budget with every invariant intact.
     pub(crate) complete: bool,
-    /// As [`EpochEnd::calendar`].
+    /// The store's activity counters: the two stores count schedules,
+    /// fires, cancels and depth identically; fixed slots take no sift
+    /// steps.
     pub(crate) calendar: CalendarStats,
-    /// As [`EpochEnd::telemetry`].
+    /// `None` when telemetry is off.
     pub(crate) telemetry: Option<TelemetrySnapshot>,
 }
 
@@ -177,7 +163,11 @@ impl Epoch {
             sim.prime_on(&mut cal);
             Store::Calendar(cal)
         };
-        Ok(Epoch { sim, pending })
+        Ok(Epoch {
+            sim,
+            pending,
+            fired: 0,
+        })
     }
 
     /// Runs until a stop condition or `budget` events, whichever first, at
@@ -200,6 +190,7 @@ impl Epoch {
                 Store::Slots(slots) => drive(&mut self.sim, slots, limit, guard),
             };
             adv.fired += run.events_fired;
+            self.fired += run.events_fired;
             adv.tripped = run.stopped_by_guard || self.sim.audit_failed();
             adv.drained = run.events_fired == 0 && !adv.tripped;
             if adv.tripped || adv.drained || run.stopped_by_simulation || !between(self, adv.fired)?
@@ -216,28 +207,39 @@ impl Epoch {
     }
 
     /// Ends the epoch: final audit sweep, then the simulation is taken
-    /// apart. The pending set and every in-flight request are discarded.
-    pub(crate) fn finish(self) -> EpochEnd {
-        let Epoch { mut sim, pending } = self;
+    /// apart and folded into `state` — its statistics, its cluster totals
+    /// ([`RunTotals::merge`](crate::RunTotals::merge)), its audit, the
+    /// events it fired and one more epoch. The pending set and every
+    /// in-flight request are discarded; the store's counters and the
+    /// telemetry (`None` when off) come back.
+    pub(crate) fn finish(self, state: &mut RunState) -> (CalendarStats, Option<TelemetrySnapshot>) {
+        let Epoch {
+            mut sim,
+            pending,
+            fired,
+        } = self;
         let (fixed_slots, now, calendar) = match &pending {
             Store::Calendar(cal) => (false, Pending::now(cal), Pending::stats(cal)),
             Store::Slots(slots) => (true, slots.now(), slots.stats()),
         };
         sim.finalize_audit(now);
-        let cluster = sim.summary(now);
+        let totals = sim.totals(now);
         let telemetry = sim.take_telemetry().map(|mut t| {
             // Every completion of a fixed-slot epoch was recorded.
-            t.note_epoch_end(fixed_slots, &cluster);
+            t.note_epoch_end(fixed_slots, &totals);
             t.into_snapshot()
         });
-        EpochEnd {
-            now,
-            calendar,
-            cluster,
-            audit: sim.take_audit(),
-            telemetry,
-            stats: sim.into_stats(),
+        state.totals.merge(&totals);
+        if let Some(audit) = sim.take_audit() {
+            state
+                .audit
+                .get_or_insert_with(AuditReport::default)
+                .merge(&audit);
         }
+        state.stats = Some(sim.into_stats());
+        state.events_done += fired;
+        state.next_epoch += 1;
+        (calendar, telemetry)
     }
 }
 
@@ -277,21 +279,11 @@ pub(crate) fn epoch_step(
             phase: "measurement",
         });
     }
-    let end = epoch.finish();
-    state.totals.absorb(&end.cluster, end.now.as_seconds());
-    if let Some(epoch_audit) = end.audit {
-        state
-            .audit
-            .get_or_insert_with(AuditReport::default)
-            .merge(&epoch_audit);
-    }
-    state.stats = Some(end.stats);
-    state.events_done += adv.fired;
-    state.next_epoch += 1;
+    let (calendar, telemetry) = epoch.finish(state);
     Ok(StepEnd {
         complete: adv.fired == budget && !adv.tripped,
-        calendar: end.calendar,
-        telemetry: end.telemetry,
+        calendar,
+        telemetry,
     })
 }
 

@@ -97,8 +97,7 @@ mod trace;
 pub use audit::SeededBug;
 pub use audit::{AuditConfig, AuditReport, AuditViolation, AuditWarning};
 pub use checkpoint::{
-    config_fingerprint, CheckpointConfig, CheckpointStore, FaultTotals, ResilienceTotals, RunState,
-    RunTotals,
+    config_fingerprint, CheckpointConfig, CheckpointStore, FaultTotals, RunState, RunTotals,
 };
 pub use cluster::ClusterSim;
 pub use config::{ArrivalMode, ExperimentConfig, MetricKind, TierConfig};

@@ -846,6 +846,7 @@ bighouse_json::json_struct!(SharedCtx {
 /// What only a transport with a wire can count; all zero for threads.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct WireCounters {
+    /// Hello and directive frames written; Shutdowns are not counted.
     pub(crate) frames_sent: u64,
     pub(crate) frames_received: u64,
     pub(crate) frame_decode_failures: u64,
@@ -1308,8 +1309,7 @@ fn supervise(
     let mut pooled = RunTotals::default();
     let mut told = SlaveTelemetryShard::default();
     for shard in shards.iter().flatten() {
-        let totals = &shard.run.totals;
-        pooled.absorb(&totals.summary(servers), totals.simulated_seconds);
+        pooled.merge(&shard.run.totals);
         told.epochs += shard.telemetry.epochs;
         told.heartbeats += shard.telemetry.heartbeats;
         if let Some(audit) = &shard.run.audit {

@@ -65,8 +65,11 @@ pub use crate::parallel::{
 /// injected fault a [`SoloFault`]; version 6 moved the frames onto the
 /// in-tree JSON codec, which leaves the metric collection's derived name
 /// index out of every state it carries and spells a non-finite float as a
-/// string (`"inf"`, `"-inf"`, `"NaN"`) instead of `null`.
-pub const PROTOCOL_VERSION: u8 = 6;
+/// string (`"inf"`, `"-inf"`, `"NaN"`) instead of `null`; version 7 made
+/// the run totals' resilience section a `ResilienceSummary` and dropped
+/// the metric spec's `track_mean` and `histogram_bins`, the capper's
+/// `epoch_seconds` and a tier's `balancer`.
+pub const PROTOCOL_VERSION: u8 = 7;
 
 /// Upper bound on a frame body. A corrupted length prefix must not make
 /// the decoder allocate gigabytes before the checksum can reject it.
@@ -257,26 +260,18 @@ bighouse_json::json_enum!(DownFrame {
     Shutdown,
 });
 
-/// How to spawn the child processes of [`ExecBackend::Processes`].
-#[derive(Debug, Clone)]
+/// The argument that puts the binary into slave mode.
+const SLAVE_ARG: &str = "__slave";
+
+/// How to spawn the child processes of [`ExecBackend::Processes`]: the
+/// binary, run with the `__slave` argument, and its caps.
+#[derive(Debug, Clone, Default)]
 pub struct ProcSlaveConfig {
     /// Binary to execute; `None` re-execs the current binary
     /// (`std::env::current_exe`).
     pub program: Option<PathBuf>,
-    /// Arguments that put the binary into slave mode.
-    pub args: Vec<String>,
     /// Self-enforced resource caps per slave.
     pub limits: ProcLimits,
-}
-
-impl Default for ProcSlaveConfig {
-    fn default() -> Self {
-        ProcSlaveConfig {
-            program: None,
-            args: vec!["__slave".to_string()],
-            limits: ProcLimits::default(),
-        }
-    }
 }
 
 /// Starts one slave child with piped stdin/stdout, marked with
@@ -290,7 +285,7 @@ fn spawn_child(cfg: &ProcSlaveConfig, slave: usize) -> Result<Child, SimError> {
         })?,
     };
     Command::new(&program)
-        .args(&cfg.args)
+        .arg(SLAVE_ARG)
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
@@ -341,14 +336,14 @@ impl ProcessTransport {
         }
     }
 
-    fn send_down(&mut self, slave: usize, frame: &DownFrame) {
-        if let Some(slot) = &mut self.slots[slave] {
-            // A dead child's pipe raises EPIPE; its Gone event is already
-            // in flight, so the failed write is deliberately ignored.
-            if write_frame(&mut slot.stdin, frame).is_ok() {
-                self.frames_sent += 1;
-            }
-        }
+    /// Writes `frame` to the slave's stdin, if it has a child; says
+    /// whether the write landed.
+    fn send_down(&mut self, slave: usize, frame: &DownFrame) -> bool {
+        // A dead child's pipe raises EPIPE; its Gone event is already in
+        // flight, so the failed write is deliberately ignored.
+        self.slots[slave]
+            .as_mut()
+            .is_some_and(|slot| write_frame(&mut slot.stdin, frame).is_ok())
     }
 
     /// Empties a slot: SIGKILL (a no-op if the child already exited), reap
@@ -432,9 +427,13 @@ impl Transport for ProcessTransport {
     }
 
     fn directive(&mut self, slave: usize, d: Directive) {
-        self.send_down(slave, &DownFrame::Directive(d));
+        if self.send_down(slave, &DownFrame::Directive(d)) {
+            self.frames_sent += 1;
+        }
     }
 
+    /// Shutdowns go uncounted: whether one lands before its child exits
+    /// is a race, and `procslave.frames_sent` is deterministic.
     fn interrupt_all(&mut self) {
         for slave in 0..self.slots.len() {
             self.send_down(slave, &DownFrame::Shutdown);

@@ -325,8 +325,9 @@ impl ResilienceConfig {
     }
 }
 
-/// Per-class request disposition counters, used in both the live summary
-/// and the resumable-run totals (pure counts, so they add across epochs).
+/// Per-class request disposition counters of a [`ResilienceSummary`]: pure
+/// counts, so [`crate::RunTotals::merge`] adds them across epochs and
+/// slaves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassDisposition {
     /// Arrivals of this class offered to the cluster.
@@ -352,7 +353,7 @@ bighouse_json::json_struct!(ClassDisposition {
 /// Invariants: `admitted + shed == offered` and
 /// `goodput + timed_out + in_flight_at_end == admitted` (both swept by the
 /// auditor in paranoid mode).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ResilienceSummary {
     /// Arrivals offered to the cluster (admitted + shed).
     pub offered: u64,
@@ -364,7 +365,8 @@ pub struct ResilienceSummary {
     pub goodput: u64,
     /// Admitted requests dropped after exhausting the retry budget.
     pub timed_out: u64,
-    /// Admitted requests still in flight when the run stopped.
+    /// Admitted requests still in flight when the run stopped (summed
+    /// over epochs: each epoch's are dropped with its calendar).
     pub in_flight_at_end: u64,
     /// Hedge duplicates launched.
     pub hedges_launched: u64,

@@ -35,33 +35,21 @@ pub fn run_serial(config: &ExperimentConfig, seed: u64) -> Result<SimulationRepo
     let mut guard = config.audit().map(AuditConfig::progress_guard);
     let mut epoch = Epoch::start(config, seed, None, None, guard.as_mut())?;
     let budget = config.max_events;
-    let run = epoch.advance(budget, budget, guard.as_mut(), |_, _| Ok(true))?;
-    let end = epoch.finish();
-    let audit_failed = end.audit.as_ref().is_some_and(|a| !a.passed());
-    let converged = end.stats.all_converged() && !audit_failed;
-    let wall_seconds = start.elapsed().as_secs_f64();
-    let telemetry = end.telemetry.map(|snap| {
+    epoch.advance(budget, budget, guard.as_mut(), |_, _| Ok(true))?;
+    let mut state = RunState::fresh(seed, 0);
+    let (calendar, telemetry) = epoch.finish(&mut state);
+    state.wall_seconds = start.elapsed().as_secs_f64();
+    let telemetry = telemetry.map(|snap| {
         assemble_snapshot(
             snap,
-            Some(&end.stats),
-            &end.calendar,
-            run.fired,
-            wall_seconds,
+            state.stats.as_ref(),
+            &calendar,
+            state.events_done,
+            state.wall_seconds,
         )
     });
-    Ok(SimulationReport {
-        converged,
-        termination: TerminationReason::classify(end.audit.as_ref(), false, converged),
-        estimates: end.stats.estimates(),
-        events_fired: run.fired,
-        simulated_seconds: end.now.as_seconds(),
-        runtime: RuntimeStats {
-            wall_seconds,
-            telemetry,
-        },
-        cluster: end.cluster,
-        audit: end.audit,
-    })
+    let termination = TerminationReason::classify(state.audit.as_ref(), false, state.converged());
+    Ok(report_from_state(config, &state, termination, telemetry))
 }
 
 /// Options for [`run_resumable`]: epoch structure, checkpointing, resume,
@@ -329,8 +317,9 @@ pub fn run_until_calibrated(
         Ok(!epoch.simulation().all_calibrated())
     })?;
     if adv.tripped {
-        let violation = epoch
-            .finish()
+        let mut state = RunState::fresh(seed, 0);
+        epoch.finish(&mut state);
+        let violation = state
             .audit
             .and_then(|report| report.violations.first().map(ToString::to_string))
             .unwrap_or_else(|| "progress guard tripped".to_owned());

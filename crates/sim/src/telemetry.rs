@@ -29,7 +29,7 @@ use bighouse_des::{CalendarStats, Time};
 use bighouse_stats::{MetricId, Phase, StatsCollection};
 use bighouse_telemetry::{FixedBinHistogram, PhaseTransition, TelemetrySnapshot};
 
-use crate::report::ClusterSummary;
+use crate::checkpoint::RunTotals;
 
 /// Per-run instrumentation context carried by `ClusterSim`.
 #[derive(Debug)]
@@ -100,9 +100,9 @@ impl ClusterTelemetry {
 
     /// Records, once per epoch, which pending-set store it ran on (all
     /// three keys always, even at zero: which store ran is part of every
-    /// run's deterministic record) and the summary's fault and retry totals
+    /// run's deterministic record) and the epoch's fault and retry totals
     /// (a key only once its count is non-zero).
-    pub(crate) fn note_epoch_end(&mut self, fixed_slots: bool, cluster: &ClusterSummary) {
+    pub(crate) fn note_epoch_end(&mut self, fixed_slots: bool, cluster: &RunTotals) {
         let slots = u64::from(fixed_slots);
         self.snap.counter_add("fastpath.entries", slots);
         self.snap.counter_add("fastpath.bailouts", 1 - slots);

@@ -54,6 +54,10 @@ fn main() {
             sweep_agrees_across_transports_and_quarantines_the_poison_config,
         ),
         (
+            "process_snapshots_are_deterministic_and_every_key_is_documented",
+            process_snapshots_are_deterministic_and_every_key_is_documented,
+        ),
+        (
             "no_zombie_or_orphan_children_remain",
             no_zombie_or_orphan_children_remain,
         ),
@@ -226,6 +230,55 @@ fn sweep_agrees_across_transports_and_quarantines_the_poison_config() {
         "{:?}",
         procs.quarantined[0].error
     );
+}
+
+/// The process-transport twin of `telemetry_determinism.rs`'s
+/// `parallel_snapshots_are_deterministic_and_every_key_is_documented`,
+/// which cannot spawn children under libtest: three runs, one snapshot
+/// once wall-clock values are stripped (`procslave.frames_sent` included),
+/// and every `parallel.*`/`procslave.*` key named in TELEMETRY.md.
+fn process_snapshots_are_deterministic_and_every_key_is_documented() {
+    let documented = include_str!("../../../TELEMETRY.md");
+    let run = || {
+        let config = ExperimentConfig::new(Workload::standard(StandardWorkload::Web))
+            .with_utilization(0.5)
+            .with_target_accuracy(0.2)
+            .with_warmup(50)
+            .with_calibration(500)
+            .with_telemetry(true);
+        ParallelRunner::new(config, 2)
+            .with_backend(ExecBackend::Processes(ProcSlaveConfig::default()))
+            .run(SEED)
+            .expect("process-backend run")
+            .telemetry
+            .expect("telemetry on")
+    };
+    let snap = run();
+    for _ in 0..2 {
+        assert_eq!(snap.without_wall_times(), run().without_wall_times());
+    }
+    assert!(snap.counters["procslave.frames_sent"] > 0);
+    let keys = (snap.counters.keys())
+        .chain(snap.gauges.keys())
+        .chain(snap.histograms.keys())
+        .chain(snap.wall.keys());
+    let mut seen = 0;
+    for key in keys.filter(|k| k.starts_with("parallel.") || k.starts_with("procslave.")) {
+        seen += 1;
+        let per_slave = key
+            .strip_prefix("parallel.slave")
+            .and_then(|rest| rest.split_once('.'))
+            .filter(|(index, _)| index.parse::<usize>().is_ok());
+        let listed = match per_slave {
+            Some((_, fact)) => format!("parallel.slave<i>.{fact}"),
+            None => key.clone(),
+        };
+        assert!(
+            documented.contains(&format!("`{listed}`")),
+            "{key} is emitted but absent from TELEMETRY.md"
+        );
+    }
+    assert!(seen >= 14, "twelve fixed keys and one per slave: {seen}");
 }
 
 /// Scans `/proc` for leftover slave children of this process: any process

@@ -88,24 +88,20 @@ pub struct MetricSpec {
     name: String,
     target_accuracy: f64,
     confidence: f64,
-    track_mean: bool,
     quantiles: Vec<f64>,
     warmup: u64,
     calibration: usize,
     max_lag: usize,
-    histogram_bins: usize,
 }
 
 bighouse_json::json_struct!(MetricSpec {
     name,
     target_accuracy,
     confidence,
-    track_mean,
     quantiles,
     warmup,
     calibration,
     max_lag,
-    histogram_bins,
 });
 
 impl MetricSpec {
@@ -134,12 +130,10 @@ impl MetricSpec {
             name,
             target_accuracy: 0.05,
             confidence: 0.95,
-            track_mean: true,
             quantiles: vec![0.95],
             warmup: Self::DEFAULT_WARMUP,
             calibration: Self::DEFAULT_CALIBRATION,
             max_lag: Self::DEFAULT_MAX_LAG,
-            histogram_bins: HistogramSpec::DEFAULT_BINS,
         }
     }
 
@@ -201,13 +195,6 @@ impl MetricSpec {
         self
     }
 
-    /// Enables or disables the mean-accuracy target.
-    #[must_use]
-    pub fn with_mean_tracking(mut self, track: bool) -> Self {
-        self.track_mean = track;
-        self
-    }
-
     /// Sets the number of warm-up observations N_w to discard.
     #[must_use]
     pub fn with_warmup(mut self, warmup: u64) -> Self {
@@ -239,18 +226,6 @@ impl MetricSpec {
         self
     }
 
-    /// Sets the histogram bin count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero.
-    #[must_use]
-    pub fn with_histogram_bins(mut self, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        self.histogram_bins = bins;
-        self
-    }
-
     /// Metric name.
     #[must_use]
     pub fn name(&self) -> &str {
@@ -273,12 +248,6 @@ impl MetricSpec {
     #[must_use]
     pub fn quantiles(&self) -> &[f64] {
         &self.quantiles
-    }
-
-    /// Whether the mean has an accuracy target.
-    #[must_use]
-    pub fn tracks_mean(&self) -> bool {
-        self.track_mean
     }
 
     /// Warm-up observation count N_w.
@@ -308,14 +277,9 @@ impl MetricSpec {
         if sample.count() < 2 {
             return None;
         }
-        let mut required = 2u64;
-        if self.track_mean {
-            required = required.max(required_samples_mean(
-                self.confidence,
-                sample.std_dev(),
-                self.mean_epsilon(sample),
-            ));
-        }
+        let mut required =
+            required_samples_mean(self.confidence, sample.std_dev(), self.mean_epsilon(sample))
+                .max(2);
         for &q in &self.quantiles {
             required = required.max(required_samples_quantile(
                 self.confidence,
@@ -375,9 +339,6 @@ impl MetricSpec {
     /// the exact rule.
     fn mean_rules_out(&self, sample: &RunningStats) -> bool {
         const ONE_PLUS_DELTA: f64 = 1.0 + 1e-9;
-        if !self.track_mean {
-            return false;
-        }
         let z = z_value(self.confidence);
         let n = sample.count() as f64;
         let eps = self.mean_epsilon(sample);
@@ -715,11 +676,8 @@ impl OutputMetric {
         self.lag = find_lag(&self.calibration_buffer, self.spec.max_lag, &test);
         let hist_spec = match self.forced_histogram {
             Some(spec) => spec,
-            None => HistogramSpec::from_calibration_sample_with_bins(
-                &self.calibration_buffer,
-                self.spec.histogram_bins,
-            )
-            .expect("calibration buffer is non-empty"),
+            None => HistogramSpec::from_calibration_sample(&self.calibration_buffer)
+                .expect("calibration buffer is non-empty"),
         };
         self.histogram = Some(Histogram::new(hist_spec));
         self.calibration_buffer = Vec::new();
@@ -822,8 +780,7 @@ mod tests {
             .with_quantile(0.99)
             .with_warmup(123)
             .with_calibration(456)
-            .with_max_lag(7)
-            .with_histogram_bins(99);
+            .with_max_lag(7);
         assert_eq!(spec.name(), "latency");
         assert_eq!(spec.target_accuracy(), 0.01);
         assert_eq!(spec.confidence(), 0.99);
@@ -1029,16 +986,13 @@ mod tests {
         let mut specs = Vec::new();
         for e in [0.0008, 0.05, 0.5] {
             for confidence in [0.9, 0.95, 0.99] {
-                for track_mean in [true, false] {
-                    for quantiles in [&[][..], &[0.95], &[0.5, 0.99]] {
-                        specs.push(
-                            MetricSpec::new("m")
-                                .with_target_accuracy(e)
-                                .with_confidence(confidence)
-                                .with_mean_tracking(track_mean)
-                                .with_quantiles(quantiles),
-                        );
-                    }
+                for quantiles in [&[][..], &[0.95], &[0.5, 0.99]] {
+                    specs.push(
+                        MetricSpec::new("m")
+                            .with_target_accuracy(e)
+                            .with_confidence(confidence)
+                            .with_quantiles(quantiles),
+                    );
                 }
             }
         }
