@@ -13,6 +13,7 @@
 
 use std::fmt;
 
+use crate::engine::Pending;
 use crate::time::Time;
 
 /// "No node" in a bucket list — and slab slot 0, which is never handed out.
@@ -318,11 +319,7 @@ impl<E> Calendar<E> {
     ///
     /// Panics if `delay` is negative, NaN, or infinite.
     pub fn schedule_in(&mut self, delay: f64, payload: E) -> EventHandle {
-        assert!(
-            delay.is_finite() && delay >= 0.0,
-            "event delay must be finite and non-negative, got {delay}"
-        );
-        self.schedule(self.now + delay, payload)
+        Pending::schedule_in(self, delay, payload)
     }
 
     /// Cancels a previously scheduled event.

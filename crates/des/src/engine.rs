@@ -1,8 +1,9 @@
-//! The generic event loop.
+//! The event loop, [`drive`], and the pending-set contract it runs over,
+//! [`Pending`].
 
 use std::fmt;
 
-use crate::calendar::Calendar;
+use crate::calendar::{Calendar, CalendarStats, EventHandle};
 use crate::progress::ProgressGuard;
 use crate::time::Time;
 
@@ -13,6 +14,74 @@ pub enum Control {
     Continue,
     /// Stop the run; remaining events stay in the calendar.
     Stop,
+}
+
+/// A pending-event set of payloads `E`: [`Calendar`]'s own contract,
+/// method for method. Handlers written against it run unchanged over any
+/// store, and [`drive`] pops any store into them. A store pops in the one
+/// total order on `(time, seq)` keys — earliest first, ties in scheduling
+/// order — so which one holds a run's events never shows in the run.
+pub trait Pending<E> {
+    /// The timestamp of the last popped event.
+    fn now(&self) -> Time;
+
+    /// Schedules `event` at `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` precedes [`Pending::now`].
+    fn schedule(&mut self, at: Time, event: E) -> EventHandle;
+
+    /// Schedules `event` `delay` seconds from now.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `delay` is negative, NaN, or infinite.
+    #[inline]
+    fn schedule_in(&mut self, delay: f64, event: E) -> EventHandle {
+        assert!(
+            delay.is_finite() && delay >= 0.0,
+            "event delay must be finite and non-negative, got {delay}"
+        );
+        self.schedule(self.now() + delay, event)
+    }
+
+    /// Cancels a pending event; `false` through a handle whose event
+    /// already fired or was cancelled.
+    fn cancel(&mut self, handle: EventHandle) -> bool;
+
+    /// Removes the earliest event and advances the clock to it.
+    fn pop(&mut self) -> Option<(Time, E)>;
+
+    /// The deterministic activity counters.
+    fn stats(&self) -> CalendarStats;
+}
+
+impl<E> Pending<E> for Calendar<E> {
+    #[inline]
+    fn now(&self) -> Time {
+        Calendar::now(self)
+    }
+
+    #[inline]
+    fn schedule(&mut self, at: Time, event: E) -> EventHandle {
+        Calendar::schedule(self, at, event)
+    }
+
+    #[inline]
+    fn cancel(&mut self, handle: EventHandle) -> bool {
+        Calendar::cancel(self, handle)
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<(Time, E)> {
+        Calendar::pop(self)
+    }
+
+    #[inline]
+    fn stats(&self) -> CalendarStats {
+        Calendar::stats(self)
+    }
 }
 
 /// A model that reacts to events popped from the [`Calendar`].
@@ -29,45 +98,77 @@ pub trait Simulation {
         -> Control;
 }
 
-/// Aggregate statistics for one engine run.
+/// Aggregate statistics for one [`drive`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunStats {
     /// Events dispatched during this run.
     pub events_fired: u64,
-    /// Whether the run ended because the simulation returned [`Control::Stop`]
-    /// (as opposed to draining the calendar or hitting the event limit).
+    /// Whether the run ended because the handler returned [`Control::Stop`]
+    /// (as opposed to draining the pending set or hitting the event limit).
     pub stopped_by_simulation: bool,
     /// Whether the run ended because the event limit was reached.
     pub hit_event_limit: bool,
-    /// Whether the run ended because a [`ProgressGuard`] tripped (see
-    /// [`Engine::run_guarded`]); the violation itself stays on the guard.
+    /// Whether the run ended because a [`ProgressGuard`] tripped; the
+    /// violation itself stays on the guard.
     pub stopped_by_guard: bool,
 }
 
-/// The discrete-event engine: a [`Calendar`] plus a [`Simulation`].
+/// The event loop: pops `pending` into `handle` until the set drains,
+/// `handle` returns [`Control::Stop`] or `budget` events have fired,
+/// whichever comes first.
+///
+/// A `guard` observes each timestamp *before* its handler runs; if it
+/// trips, the run stops with [`RunStats::stopped_by_guard`] set, the
+/// offending event undispatched and uncounted (the run is being abandoned,
+/// so the lost event is moot) and the violation on the guard
+/// ([`ProgressGuard::violation`]). The guard never touches simulation
+/// state or randomness: up to the trip point a guarded run fires the
+/// identical event sequence as an unguarded one.
+///
+/// The guard is borrowed, not owned, so one guard can span several calls
+/// (a chunked run) or several pending sets (an epoch-structured run; tell
+/// it with [`ProgressGuard::clock_restarted`] when the next set's clock
+/// starts again at zero) and accumulate progress state across them.
 ///
 /// # Examples
 ///
-/// See the [crate-level documentation](crate) for a complete example.
+/// See the [crate-level documentation](crate).
+pub fn drive<E, P: Pending<E>>(
+    pending: &mut P,
+    budget: u64,
+    mut guard: Option<&mut ProgressGuard>,
+    mut handle: impl FnMut(Time, E, &mut P) -> Control,
+) -> RunStats {
+    let mut run = RunStats::default();
+    while run.events_fired < budget {
+        let Some((now, event)) = pending.pop() else {
+            return run;
+        };
+        if guard
+            .as_deref_mut()
+            .is_some_and(|g| g.observe(now).is_some())
+        {
+            run.stopped_by_guard = true;
+            return run;
+        }
+        run.events_fired += 1;
+        if handle(now, event, pending) == Control::Stop {
+            run.stopped_by_simulation = true;
+            return run;
+        }
+    }
+    run.hit_event_limit = true;
+    run
+}
+
+/// A [`Calendar`] plus a [`Simulation`], driven by [`drive`].
 pub struct Engine<S: Simulation> {
     calendar: Calendar<S::Event>,
     simulation: S,
 }
 
 impl<S: Simulation> Engine<S> {
-    /// Creates an engine around `simulation` with an empty calendar.
-    #[must_use]
-    pub fn new(simulation: S) -> Self {
-        Engine {
-            calendar: Calendar::new(),
-            simulation,
-        }
-    }
-
     /// Creates an engine from a simulation and an already-primed calendar.
-    ///
-    /// Useful when initial events must be scheduled while the simulation
-    /// state is still being constructed.
     #[must_use]
     pub fn from_parts(simulation: S, calendar: Calendar<S::Event>) -> Self {
         Engine {
@@ -88,20 +189,10 @@ impl<S: Simulation> Engine<S> {
         &self.simulation
     }
 
-    /// Exclusive access to the simulation state.
-    pub fn simulation_mut(&mut self) -> &mut S {
-        &mut self.simulation
-    }
-
     /// Shared access to the calendar.
     #[must_use]
     pub fn calendar(&self) -> &Calendar<S::Event> {
         &self.calendar
-    }
-
-    /// Exclusive access to the calendar (e.g. to seed initial events).
-    pub fn calendar_mut(&mut self) -> &mut Calendar<S::Event> {
-        &mut self.calendar
     }
 
     /// Consumes the engine, returning the simulation state.
@@ -110,71 +201,23 @@ impl<S: Simulation> Engine<S> {
         self.simulation
     }
 
-    /// Runs until the calendar drains or the simulation requests a stop.
-    pub fn run(&mut self) -> RunStats {
-        self.run_with_limit(u64::MAX)
-    }
-
     /// Runs until the calendar drains, the simulation requests a stop, or
-    /// `max_events` events have fired — whichever comes first.
+    /// `max_events` events have fired — whichever comes first ([`drive`]).
     pub fn run_with_limit(&mut self, max_events: u64) -> RunStats {
-        let mut stats = RunStats::default();
-        while stats.events_fired < max_events {
-            let Some((now, event)) = self.calendar.pop() else {
-                return stats;
-            };
-            stats.events_fired += 1;
-            if self.simulation.handle(now, event, &mut self.calendar) == Control::Stop {
-                stats.stopped_by_simulation = true;
-                return stats;
-            }
-        }
-        stats.hit_event_limit = true;
-        stats
+        drive(&mut self.calendar, max_events, None, |now, event, cal| {
+            self.simulation.handle(now, event, cal)
+        })
     }
 
     /// As [`Engine::run_with_limit`], with every dispatch timestamp fed
-    /// through a [`ProgressGuard`] circuit breaker.
-    ///
-    /// The guard observes the timestamp *before* the handler runs; if it
-    /// trips, the run stops with [`RunStats::stopped_by_guard`] set and the
-    /// offending event undispatched (the run is being abandoned, so the
-    /// lost event is moot). The guard never touches simulation state or
-    /// randomness: up to the trip point a guarded run fires the identical
-    /// event sequence as an unguarded one.
-    ///
-    /// The guard is borrowed, not owned, so one guard can span several
-    /// invocations (a chunked run) or several engines (an epoch-structured
-    /// run; tell it with [`ProgressGuard::clock_restarted`] when the next
-    /// engine's clock starts again at zero) and accumulate progress state
-    /// across them.
+    /// through a [`ProgressGuard`] circuit breaker ([`drive`]).
     pub fn run_guarded(&mut self, max_events: u64, guard: &mut ProgressGuard) -> RunStats {
-        let mut stats = RunStats::default();
-        while stats.events_fired < max_events {
-            let Some((now, event)) = self.calendar.pop() else {
-                return stats;
-            };
-            if guard.observe(now).is_some() {
-                stats.stopped_by_guard = true;
-                return stats;
-            }
-            stats.events_fired += 1;
-            if self.simulation.handle(now, event, &mut self.calendar) == Control::Stop {
-                stats.stopped_by_simulation = true;
-                return stats;
-            }
-        }
-        stats.hit_event_limit = true;
-        stats
-    }
-
-    /// Dispatches exactly one event, if any is pending.
-    ///
-    /// Returns the [`Control`] produced by the handler, or `None` if the
-    /// calendar was empty.
-    pub fn step(&mut self) -> Option<Control> {
-        let (now, event) = self.calendar.pop()?;
-        Some(self.simulation.handle(now, event, &mut self.calendar))
+        drive(
+            &mut self.calendar,
+            max_events,
+            Some(guard),
+            |now, event, cal| self.simulation.handle(now, event, cal),
+        )
     }
 }
 
@@ -211,16 +254,21 @@ mod tests {
         }
     }
 
+    /// A calendar holding one event at time zero.
+    fn primed() -> Calendar<()> {
+        let mut cal = Calendar::new();
+        cal.schedule(Time::ZERO, ());
+        cal
+    }
+
     fn chain_engine(target: u64) -> Engine<Chain> {
-        let mut engine = Engine::new(Chain { seen: 0, target });
-        engine.calendar_mut().schedule(Time::ZERO, ());
-        engine
+        Engine::from_parts(Chain { seen: 0, target }, primed())
     }
 
     #[test]
     fn run_drains_until_stop() {
         let mut engine = chain_engine(5);
-        let stats = engine.run();
+        let stats = engine.run_with_limit(u64::MAX);
         assert_eq!(stats.events_fired, 5);
         assert!(stats.stopped_by_simulation);
         assert!(!stats.hit_event_limit);
@@ -239,24 +287,14 @@ mod tests {
 
     #[test]
     fn run_on_empty_calendar_is_noop() {
-        let mut engine = Engine::new(Chain { seen: 0, target: 1 });
-        let stats = engine.run();
+        let mut engine = Engine::from_parts(Chain { seen: 0, target: 1 }, Calendar::new());
+        let stats = engine.run_with_limit(u64::MAX);
         assert_eq!(stats.events_fired, 0);
         assert!(!stats.stopped_by_simulation);
     }
 
-    #[test]
-    fn step_dispatches_one_event() {
-        let mut engine = chain_engine(3);
-        assert_eq!(engine.step(), Some(Control::Continue));
-        assert_eq!(engine.simulation().seen, 1);
-        assert_eq!(engine.step(), Some(Control::Continue));
-        assert_eq!(engine.step(), Some(Control::Stop));
-        assert_eq!(engine.step(), None);
-    }
-
     /// Schedules every follow-up at the *current* time: a zero-advance
-    /// livelock that would spin `run()` forever.
+    /// livelock that would spin an unguarded run forever.
     struct Livelock;
 
     impl Simulation for Livelock {
@@ -270,8 +308,7 @@ mod tests {
 
     #[test]
     fn guard_breaks_zero_advance_livelock() {
-        let mut engine = Engine::new(Livelock);
-        engine.calendar_mut().schedule(Time::ZERO, ());
+        let mut engine = Engine::from_parts(Livelock, primed());
         let mut guard = crate::ProgressGuard::new().with_stall_limit(1000);
         let stats = engine.run_guarded(u64::MAX, &mut guard);
         assert!(stats.stopped_by_guard);
@@ -287,7 +324,7 @@ mod tests {
     #[test]
     fn guarded_run_matches_unguarded_on_healthy_simulation() {
         let mut plain = chain_engine(50);
-        let plain_stats = plain.run();
+        let plain_stats = plain.run_with_limit(u64::MAX);
 
         let mut guarded = chain_engine(50);
         let mut guard = crate::ProgressGuard::new();
@@ -301,8 +338,7 @@ mod tests {
 
     #[test]
     fn guard_state_spans_chunked_runs() {
-        let mut engine = Engine::new(Livelock);
-        engine.calendar_mut().schedule(Time::ZERO, ());
+        let mut engine = Engine::from_parts(Livelock, primed());
         let mut guard = crate::ProgressGuard::new().with_stall_limit(1000);
         let mut total = 0u64;
         let mut tripped = false;
@@ -318,10 +354,41 @@ mod tests {
         assert!(total <= 1001);
     }
 
+    /// Runs `breach` on a calendar whose clock reads 10 s and returns the
+    /// message it panics with.
+    fn breach_message(breach: impl FnOnce(&mut Calendar<()>)) -> String {
+        let mut cal = Calendar::new();
+        cal.schedule(Time::from_seconds(10.0), ());
+        cal.pop();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| breach(&mut cal)))
+            .expect_err("the contract was broken without a panic");
+        *panic.downcast::<String>().expect("a formatted message")
+    }
+
+    #[test]
+    fn calendar_refuses_bad_delays_and_past_times() {
+        // A negative, NaN or infinite delay, then a time before `now`.
+        for delay in [
+            -0.5,
+            -f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let message = breach_message(|s| _ = s.schedule_in(delay, ()));
+            assert!(
+                message.contains("finite and non-negative"),
+                "{delay}: {message}"
+            );
+        }
+        let message = breach_message(|s| _ = s.schedule(Time::from_seconds(5.0), ()));
+        assert!(message.contains("before current time"), "{message}");
+    }
+
     #[test]
     fn into_simulation_returns_state() {
         let mut engine = chain_engine(2);
-        engine.run();
+        engine.run_with_limit(u64::MAX);
         let chain = engine.into_simulation();
         assert_eq!(chain.seen, 2);
     }

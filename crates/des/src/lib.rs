@@ -8,7 +8,9 @@
 //! - [`Calendar`], a cancellable pending-event calendar — a self-sizing
 //!   calendar queue, O(1) per operation — with deterministic FIFO
 //!   tie-breaking,
-//! - [`Engine`] and the [`Simulation`] trait, the generic event loop,
+//! - [`Pending`], the contract every pending-event store keeps (the
+//!   calendar, and `bighouse-sim`'s fixed slots), and [`drive`], the one
+//!   event loop, which pops any of them into a handler,
 //! - [`SeedStream`] and [`SimRng`], deterministic per-component random number
 //!   streams (each slave in a parallel simulation must use a unique seed,
 //!   §2.4 of the paper),
@@ -16,37 +18,33 @@
 //!   hot-path bookkeeping keyed by trusted ids,
 //! - [`ProgressGuard`], a circuit breaker that stops zero-advance
 //!   livelocks, event storms, and time regressions instead of hanging
-//!   ([`Engine::run_guarded`] consults it per event; `bighouse-sim`'s
-//!   runners do the same from their own loop, `fastpath::drive`),
+//!   ([`drive`] consults it per event),
 //! - [`check`], the workspace's property-test harness: seeded cases drawn
 //!   from [`SimRng`], replayable from the seed a failing case prints.
+//!
+//! [`Engine`] and the [`Simulation`] trait wrap [`drive`] over a
+//! [`Calendar`] for callers that hold a model and its calendar together.
 //!
 //! # Examples
 //!
 //! A two-event "hello" simulation:
 //!
 //! ```
-//! use bighouse_des::{Calendar, Control, Engine, Simulation, Time};
+//! use bighouse_des::{drive, Calendar, Control, Time};
 //!
-//! struct Counter(u32);
-//!
-//! impl Simulation for Counter {
-//!     type Event = &'static str;
-//!     fn handle(&mut self, _now: Time, event: &str, cal: &mut Calendar<&'static str>) -> Control {
-//!         self.0 += 1;
-//!         if event == "first" {
-//!             cal.schedule_in(1.0, "second");
-//!         }
-//!         Control::Continue
+//! let mut cal = Calendar::new();
+//! cal.schedule(Time::from_seconds(0.5), "first");
+//! let mut seen = 0;
+//! let stats = drive(&mut cal, u64::MAX, None, |_now, event, cal| {
+//!     seen += 1;
+//!     if event == "first" {
+//!         cal.schedule_in(1.0, "second");
 //!     }
-//! }
-//!
-//! let mut engine = Engine::new(Counter(0));
-//! engine.calendar_mut().schedule(Time::from_seconds(0.5), "first");
-//! let stats = engine.run();
-//! assert_eq!(engine.simulation().0, 2);
+//!     Control::Continue
+//! });
+//! assert_eq!(seen, 2);
 //! assert_eq!(stats.events_fired, 2);
-//! assert_eq!(engine.now(), Time::from_seconds(1.5));
+//! assert_eq!(cal.now(), Time::from_seconds(1.5));
 //! ```
 
 #![warn(missing_docs)]
@@ -61,7 +59,7 @@ mod rng;
 mod time;
 
 pub use calendar::{Calendar, CalendarStats, EventHandle};
-pub use engine::{Control, Engine, RunStats, Simulation};
+pub use engine::{drive, Control, Engine, Pending, RunStats, Simulation};
 pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
 pub use progress::{ProgressGuard, ProgressViolation};
 pub use rng::{SeedStream, SimRng};

@@ -29,7 +29,7 @@ bighouse_json::json_enum!(BalancerPolicy {
 ///
 /// let mut lb = LoadBalancer::new(BalancerPolicy::RoundRobin, 3);
 /// let mut rng = SimRng::from_seed(0); // round-robin never draws
-/// let picks: Vec<usize> = (0..6).map(|_| lb.pick(&[0, 0, 0], &mut rng)).collect();
+/// let picks: Vec<usize> = (0..6).map(|_| lb.pick_by(|_| 0, &mut rng)).collect();
 /// assert_eq!(picks, vec![0, 1, 2, 0, 1, 2]);
 /// ```
 #[derive(Debug, Clone)]
@@ -67,29 +67,10 @@ impl LoadBalancer {
         self.servers
     }
 
-    /// Picks a server for the next arrival. `queue_lengths` must have one
-    /// entry per server (used by [`BalancerPolicy::JoinShortestQueue`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `queue_lengths.len()` disagrees with the server count.
-    pub fn pick(&mut self, queue_lengths: &[usize], rng: &mut SimRng) -> usize {
-        assert_eq!(
-            queue_lengths.len(),
-            self.servers,
-            "queue_lengths has wrong arity"
-        );
-        self.pick_by(|i| queue_lengths[i], rng)
-    }
-
-    /// Picks a server for the next arrival, reading queue lengths through
-    /// `queue_len` instead of a materialized slice. This is the hot-path
-    /// entry point: callers with per-server state can route without building
-    /// a snapshot `Vec` per arrival. `queue_len` is only consulted for
-    /// queue-aware policies, and only for indices in `0..self.servers()`.
-    ///
-    /// Identical pick sequence (including RNG draw order) to
-    /// [`LoadBalancer::pick`] over a slice of the same values.
+    /// Picks a server for the next arrival, reading each server's queue
+    /// length through `queue_len`, so callers route straight off their own
+    /// per-server state. `queue_len` is only consulted for queue-aware
+    /// policies, and only for indices in `0..self.servers()`.
     pub fn pick_by(
         &mut self,
         mut queue_len: impl FnMut(usize) -> usize,
@@ -108,38 +89,12 @@ impl LoadBalancer {
         }
     }
 
-    /// Fault-aware placement: picks a server whose `available` flag is set,
-    /// or `None` if every server is down. Round-robin skips unavailable
-    /// servers without consuming their turn; random draws uniformly over
-    /// the available subset; JSQ minimizes over the available subset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice's length disagrees with the server count.
-    pub fn pick_available(
-        &mut self,
-        queue_lengths: &[usize],
-        available: &[bool],
-        rng: &mut SimRng,
-    ) -> Option<usize> {
-        assert_eq!(
-            queue_lengths.len(),
-            self.servers,
-            "queue_lengths has wrong arity"
-        );
-        assert_eq!(available.len(), self.servers, "available has wrong arity");
-        self.pick_available_by(|i| queue_lengths[i], |i| available[i], rng)
-    }
-
-    /// Fault-aware placement through accessor closures, for callers that
-    /// would otherwise snapshot per-server state into temporary `Vec`s on
-    /// every arrival. Both closures are only called with indices in
-    /// `0..self.servers()`; `available` may be called more than once per
-    /// index.
-    ///
-    /// Identical pick sequence (including RNG draw order — no draw happens
-    /// when every server is down) to [`LoadBalancer::pick_available`] over
-    /// slices of the same values.
+    /// Fault-aware placement: picks a server for which `available` holds,
+    /// or `None` — without drawing — if every server is down. Round-robin
+    /// skips unavailable servers without consuming their turn; random draws
+    /// uniformly over the available subset; JSQ minimizes over it. Both
+    /// closures are only called with indices in `0..self.servers()`;
+    /// `available` may be called more than once per index.
     pub fn pick_available_by(
         &mut self,
         mut queue_len: impl FnMut(usize) -> usize,
@@ -180,7 +135,7 @@ mod tests {
     fn round_robin_cycles() {
         let mut lb = LoadBalancer::new(BalancerPolicy::RoundRobin, 4);
         let mut rng = SimRng::from_seed(0);
-        let picks: Vec<usize> = (0..8).map(|_| lb.pick(&[0; 4], &mut rng)).collect();
+        let picks: Vec<usize> = (0..8).map(|_| lb.pick_by(|_| 0, &mut rng)).collect();
         assert_eq!(picks, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 
@@ -188,8 +143,9 @@ mod tests {
     fn jsq_picks_shortest() {
         let mut lb = LoadBalancer::new(BalancerPolicy::JoinShortestQueue, 3);
         let mut rng = SimRng::from_seed(0);
-        assert_eq!(lb.pick(&[3, 1, 2], &mut rng), 1);
-        assert_eq!(lb.pick(&[0, 0, 0], &mut rng), 0, "ties break low");
+        let queues = [3, 1, 2];
+        assert_eq!(lb.pick_by(|i| queues[i], &mut rng), 1);
+        assert_eq!(lb.pick_by(|_| 0, &mut rng), 0, "ties break low");
     }
 
     #[test]
@@ -198,7 +154,7 @@ mod tests {
         let mut rng = SimRng::from_seed(7);
         let mut seen = [0usize; 5];
         for _ in 0..5000 {
-            seen[lb.pick(&[0; 5], &mut rng)] += 1;
+            seen[lb.pick_by(|_| 0, &mut rng)] += 1;
         }
         for (i, &count) in seen.iter().enumerate() {
             assert!(count > 800, "server {i} picked only {count} times");
@@ -212,13 +168,14 @@ mod tests {
         let mut lb = LoadBalancer::new(BalancerPolicy::RoundRobin, 3);
         let avail = [true, false, true];
         let picks: Vec<usize> = (0..4)
-            .map(|_| lb.pick_available(&[0; 3], &avail, &mut rng).unwrap())
+            .map(|_| lb.pick_available_by(|_| 0, |i| avail[i], &mut rng).unwrap())
             .collect();
         assert_eq!(picks, vec![0, 2, 0, 2]);
         // JSQ: the true shortest queue is down, next-shortest wins.
         let mut lb = LoadBalancer::new(BalancerPolicy::JoinShortestQueue, 3);
+        let queues = [5, 0, 2];
         assert_eq!(
-            lb.pick_available(&[5, 0, 2], &[true, false, true], &mut rng),
+            lb.pick_available_by(|i| queues[i], |i| avail[i], &mut rng),
             Some(2)
         );
     }
@@ -232,7 +189,7 @@ mod tests {
         ] {
             let mut lb = LoadBalancer::new(policy, 2);
             let mut rng = SimRng::from_seed(0);
-            assert_eq!(lb.pick_available(&[0; 2], &[false; 2], &mut rng), None);
+            assert_eq!(lb.pick_available_by(|_| 0, |_| false, &mut rng), None);
         }
     }
 
@@ -243,7 +200,7 @@ mod tests {
         let avail = [true, false, true, true];
         let mut seen = [0usize; 4];
         for _ in 0..3000 {
-            seen[lb.pick_available(&[0; 4], &avail, &mut rng).unwrap()] += 1;
+            seen[lb.pick_available_by(|_| 0, |i| avail[i], &mut rng).unwrap()] += 1;
         }
         assert_eq!(seen[1], 0, "failed server never picked");
         for i in [0, 2, 3] {
@@ -252,49 +209,32 @@ mod tests {
     }
 
     #[test]
-    fn closure_picks_match_slice_picks() {
-        // Same seed, same state: pick_by / pick_available_by must replay the
-        // exact pick and RNG-draw sequence of the slice-based API.
+    fn all_available_picks_match_plain_picks() {
+        // With every server up, fault-aware placement must replay the exact
+        // pick and RNG-draw sequence of the plain pick; with every server
+        // down it picks nothing and draws nothing.
         for policy in [
             BalancerPolicy::Random,
             BalancerPolicy::RoundRobin,
             BalancerPolicy::JoinShortestQueue,
         ] {
             let queues = [4usize, 2, 7, 2, 9];
-            let avail = [true, true, false, true, false];
-            let mut by_slice = LoadBalancer::new(policy, 5);
-            let mut by_closure = LoadBalancer::new(policy, 5);
+            let mut plain = LoadBalancer::new(policy, 5);
+            let mut aware = LoadBalancer::new(policy, 5);
             let mut rng_a = SimRng::from_seed(11);
             let mut rng_b = SimRng::from_seed(11);
             for _ in 0..200 {
                 assert_eq!(
-                    by_slice.pick(&queues, &mut rng_a),
-                    by_closure.pick_by(|i| queues[i], &mut rng_b)
-                );
-                assert_eq!(
-                    by_slice.pick_available(&queues, &avail, &mut rng_a),
-                    by_closure.pick_available_by(|i| queues[i], |i| avail[i], &mut rng_b)
+                    Some(plain.pick_by(|i| queues[i], &mut rng_a)),
+                    aware.pick_available_by(|i| queues[i], |_| true, &mut rng_b)
                 );
             }
-            // All-down: no pick, and crucially no RNG draw on either path.
             assert_eq!(
-                by_slice.pick_available(&queues, &[false; 5], &mut rng_a),
-                None
-            );
-            assert_eq!(
-                by_closure.pick_available_by(|i| queues[i], |_| false, &mut rng_b),
+                aware.pick_available_by(|i| queues[i], |_| false, &mut rng_b),
                 None
             );
             assert_eq!(rng_a.raw_u64(), rng_b.raw_u64(), "RNG streams diverged");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong arity")]
-    fn arity_mismatch_panics() {
-        let mut lb = LoadBalancer::new(BalancerPolicy::Random, 2);
-        let mut rng = SimRng::from_seed(0);
-        let _ = lb.pick(&[0], &mut rng);
     }
 
     #[test]

@@ -320,16 +320,6 @@ impl Server {
         u
     }
 
-    /// Instantaneous utilization: fraction of cores in service right now.
-    #[must_use]
-    pub fn instantaneous_utilization(&self) -> f64 {
-        if self.state == SleepState::Active {
-            self.running.len() as f64 / self.cores as f64
-        } else {
-            0.0
-        }
-    }
-
     /// Delivers an arriving job, returning any jobs that completed when
     /// folding time forward to `now`.
     ///

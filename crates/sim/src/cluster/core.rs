@@ -4,14 +4,13 @@
 //! an arrival, and to forget a zombie's completion or retire a live one; of
 //! a replay or downstream tiers, to hand them each completion.
 
-use bighouse_des::{Control, Time};
+use bighouse_des::{Control, Pending, Time};
 use bighouse_models::{FinishedJob, Job, JobId};
 use bighouse_stats::MetricId;
 
 use super::{ClusterEvent, ClusterSim};
 use crate::audit::SeededBug;
 use crate::config::MetricKind;
-use crate::pending::Pending;
 
 impl ClusterSim {
     /// Samples the next inter-arrival gap, compressed by the overload ramp
@@ -35,7 +34,13 @@ impl ClusterSim {
 
     /// Lands `job` on `server`, records the completions that folding the
     /// server forward to `now` produced, and re-aims its attention event.
-    pub(super) fn place(&mut self, server: usize, job: Job, now: Time, cal: &mut impl Pending) {
+    pub(super) fn place(
+        &mut self,
+        server: usize,
+        job: Job,
+        now: Time,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         if let Some(t) = self.telemetry.as_deref_mut() {
             t.note_queue_depth(self.servers[server].outstanding());
         }
@@ -46,7 +51,12 @@ impl ClusterSim {
     }
 
     /// Folds `server` forward to `now` and records its completions.
-    pub(super) fn sync_server(&mut self, server: usize, now: Time, cal: &mut impl Pending) {
+    pub(super) fn sync_server(
+        &mut self,
+        server: usize,
+        now: Time,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         self.finished.clear();
         self.servers[server].sync_into(now, &mut self.finished);
         self.record_buffered(cal);
@@ -56,7 +66,7 @@ impl ClusterSim {
     /// The buffer is lent out for the call: nothing `record_finished`
     /// reaches fills it again. A downstream tier's placements do, so the
     /// visits it queued are placed once the buffer is back.
-    fn record_buffered(&mut self, cal: &mut impl Pending) {
+    fn record_buffered(&mut self, cal: &mut impl Pending<ClusterEvent>) {
         if self.finished.is_empty() {
             return;
         }
@@ -122,7 +132,11 @@ impl ClusterSim {
         audit.failed()
     }
 
-    pub(super) fn record_finished(&mut self, finished: &[FinishedJob], cal: &mut impl Pending) {
+    pub(super) fn record_finished(
+        &mut self,
+        finished: &[FinishedJob],
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         for f in finished {
             if self.seeded_bug == Some(SeededBug::DropCompletion) {
                 // Mutation hook: lose this completion entirely — no stats,
@@ -171,7 +185,7 @@ impl ClusterSim {
     }
 
     /// The untracked arrival: one service draw and a fresh job on `server`.
-    fn inject(&mut self, server: usize, now: Time, cal: &mut impl Pending) {
+    fn inject(&mut self, server: usize, now: Time, cal: &mut impl Pending<ClusterEvent>) {
         let size = self.draw_service();
         let job = Job::new(JobId::new(self.job_counter), now, size);
         self.job_counter += 1;
@@ -181,7 +195,11 @@ impl ClusterSim {
     /// Re-aims `server`'s attention event at its next instant. An event
     /// already pending at that instant stays where it was filed, keeping
     /// its place among time ties (DESIGN.md "Analytic fast path").
-    pub(super) fn reschedule_attention(&mut self, server: usize, cal: &mut impl Pending) {
+    pub(super) fn reschedule_attention(
+        &mut self,
+        server: usize,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         // Guard against sub-nanosecond floating-point drift below `now`.
         let at = self.servers[server].next_event().map(|t| t.max(cal.now()));
         let pending = &mut self.attention[server];
@@ -209,7 +227,7 @@ impl ClusterSim {
         &mut self,
         now: Time,
         event: ClusterEvent,
-        cal: &mut impl Pending,
+        cal: &mut impl Pending<ClusterEvent>,
     ) -> Control {
         match event {
             ClusterEvent::Arrival { .. } | ClusterEvent::BalancedArrival => {

@@ -3,12 +3,11 @@
 //! the epoch-paced metrics ([`MetricKind::is_epoch_paced`]). It schedules
 //! one event, [`ClusterEvent::Epoch`], every [`PERIOD`].
 
-use bighouse_des::Time;
+use bighouse_des::{Pending, Time};
 use bighouse_models::PowerCapper;
 
 use super::{ClusterEvent, ClusterSim};
 use crate::config::{ExperimentConfig, MetricKind};
-use crate::pending::Pending;
 
 /// Seconds between ticks: the paper's budgeting interval, with or without
 /// a capper.
@@ -44,7 +43,7 @@ impl ClusterSim {
     /// One epoch boundary. The component is lent out for the call: nothing
     /// the tick reaches reads it.
     #[inline(never)]
-    pub(super) fn epoch_tick(&mut self, now: Time, cal: &mut impl Pending) {
+    pub(super) fn epoch_tick(&mut self, now: Time, cal: &mut impl Pending<ClusterEvent>) {
         let Some(mut epochs) = self.epochs.take() else {
             return;
         };

@@ -20,7 +20,9 @@ mod tiers;
 
 use std::collections::BTreeMap;
 
-use bighouse_des::{Calendar, Control, EventHandle, ProgressViolation, SimRng, Simulation, Time};
+use bighouse_des::{
+    Calendar, Control, EventHandle, Pending, ProgressViolation, SimRng, Simulation, Time,
+};
 use bighouse_dists::QuantileGuide;
 use bighouse_models::{FinishedJob, IdlePolicy, LoadBalancer, Server};
 use bighouse_stats::{HistogramSpec, MetricId, MetricSpec, Phase, StatsCollection};
@@ -30,7 +32,6 @@ use crate::checkpoint::RunTotals;
 use crate::config::{ArrivalMode, ExperimentConfig, MetricKind};
 use crate::error::SimError;
 use crate::fastpath::FAST_PATH_MAX_SLOTS;
-use crate::pending::Pending;
 use crate::report::ClusterSummary;
 use crate::telemetry::ClusterTelemetry;
 
@@ -245,12 +246,7 @@ impl ClusterSim {
     /// request), the first failure of each server (if faults are
     /// configured), and, if needed, the first epoch. Call exactly once
     /// before running.
-    pub fn prime(&mut self, cal: &mut Calendar<ClusterEvent>) {
-        self.prime_on(cal);
-    }
-
-    /// [`ClusterSim::prime`] over either pending-set store.
-    pub(crate) fn prime_on(&mut self, cal: &mut impl Pending) {
+    pub fn prime(&mut self, cal: &mut impl Pending<ClusterEvent>) {
         let now = cal.now();
         match (self.replay.as_deref(), self.config.arrival_mode) {
             (Some(replay), _) => {
@@ -337,12 +333,6 @@ impl ClusterSim {
                     .map(|h| (m.spec().name().to_owned(), *h.spec()))
             })
             .collect()
-    }
-
-    /// Jobs injected so far.
-    #[must_use]
-    pub fn jobs_injected(&self) -> u64 {
-        self.job_counter
     }
 
     /// The cluster-level facts of the run up to `now`, each time-fraction

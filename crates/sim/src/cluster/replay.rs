@@ -6,14 +6,13 @@
 
 use std::collections::BTreeMap;
 
-use bighouse_des::Time;
+use bighouse_des::{Pending, Time};
 use bighouse_models::{Job, JobId};
 use bighouse_stats::RunningStats;
 
 use super::{ClusterEvent, ClusterSim};
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
-use crate::pending::Pending;
 use crate::trace::Trace;
 
 /// The replay component: the trace and what its requests measured.
@@ -70,7 +69,12 @@ impl ClusterSim {
     /// instant — absolute, because `now + gap` need not land on it bit for
     /// bit — then route this one and place it at its traced size.
     #[inline(never)]
-    pub(super) fn trace_arrival(&mut self, index: usize, now: Time, cal: &mut impl Pending) {
+    pub(super) fn trace_arrival(
+        &mut self,
+        index: usize,
+        now: Time,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         let replay = self
             .replay
             .as_deref()

@@ -10,14 +10,13 @@
 
 use std::collections::VecDeque;
 
-use bighouse_des::{EventHandle, FastMap, FastSet, Time};
+use bighouse_des::{EventHandle, FastMap, FastSet, Pending, Time};
 use bighouse_models::{Job, JobId};
 
 use super::{ClusterEvent, ClusterSim};
 use crate::audit::{AuditLedger, SeededBug};
 use crate::checkpoint::FaultTotals;
 use crate::config::{ExperimentConfig, MetricKind};
-use crate::pending::Pending;
 use crate::resilience::{ResilienceState, ResilienceSummary};
 
 /// A live hedge duplicate: its own job id and where it runs.
@@ -163,7 +162,7 @@ fn installed(requests: &mut Option<Box<Requests>>) -> &mut Requests {
 
 impl ClusterSim {
     /// Schedules each server's first failure, if faults are configured.
-    pub(super) fn prime_failures(&mut self, cal: &mut impl Pending) {
+    pub(super) fn prime_failures(&mut self, cal: &mut impl Pending<ClusterEvent>) {
         if let Some(faults) = self.config.faults.as_ref() {
             for s in 0..self.servers.len() {
                 let up = faults.sample_uptime(&mut self.rng);
@@ -176,7 +175,12 @@ impl ClusterSim {
     /// class shedding, then samples its size, registers it, arms its
     /// timeout (if a retry policy is set), and places it. A shed arrival
     /// consumes no service-time draw: the request never exists.
-    pub(super) fn admit(&mut self, home: Option<usize>, now: Time, cal: &mut impl Pending) {
+    pub(super) fn admit(
+        &mut self,
+        home: Option<usize>,
+        now: Time,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         let requests = installed(&mut self.requests);
         let mut class = 0;
         if let (Some(policy), Some(state)) = (
@@ -216,14 +220,14 @@ impl ClusterSim {
     /// are configured, for the caller to file with the request. The timeout
     /// covers an attempt window: it survives preemptions and strandings, and
     /// is re-armed only after a backoff/redispatch cycle.
-    fn arm_timeout(&self, key: u64, cal: &mut impl Pending) -> Option<EventHandle> {
+    fn arm_timeout(&self, key: u64, cal: &mut impl Pending<ClusterEvent>) -> Option<EventHandle> {
         let policy = self.config.retry?;
         Some(cal.schedule_in(policy.timeout(), ClusterEvent::RequestTimeout { job: key }))
     }
 
     /// Places an unassigned request on a live server, or strands it until
     /// a repair frees capacity.
-    fn try_place(&mut self, key: u64, now: Time, cal: &mut impl Pending) {
+    fn try_place(&mut self, key: u64, now: Time, cal: &mut impl Pending<ClusterEvent>) {
         let Some(req) = installed(&mut self.requests).live.get_mut(&key) else {
             return;
         };
@@ -254,7 +258,7 @@ impl ClusterSim {
     /// Arms the hedge deadline for a freshly placed request, if a hedge
     /// policy is configured and neither a hedge nor a deadline is already
     /// live for it.
-    fn arm_hedge(&mut self, key: u64, cal: &mut impl Pending) {
+    fn arm_hedge(&mut self, key: u64, cal: &mut impl Pending<ClusterEvent>) {
         let Some(policy) = self.config.resilience.as_ref().and_then(|r| r.hedge) else {
             return;
         };
@@ -271,7 +275,13 @@ impl ClusterSim {
     /// Takes `job` off `server` mid-flight, recording whatever folding the
     /// server forward to `now` completes. Returns `false` when `job` itself
     /// completed in this instant: the completion wins, and has been retired.
-    fn cancel_on(&mut self, server: usize, job: u64, now: Time, cal: &mut impl Pending) -> bool {
+    fn cancel_on(
+        &mut self,
+        server: usize,
+        job: u64,
+        now: Time,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) -> bool {
         let (finished, cancelled) = self.servers[server].cancel_job(JobId::new(job), now);
         self.record_finished(&finished, cal);
         self.reschedule_attention(server, cal);
@@ -280,7 +290,13 @@ impl ClusterSim {
 
     /// [`ClusterSim::cancel_on`] for the losing copy of a hedged pair — the
     /// tail-at-scale bet paying off through the calendar's O(1) cancel.
-    fn cancel_loser(&mut self, server: usize, job: u64, now: Time, cal: &mut impl Pending) -> bool {
+    fn cancel_loser(
+        &mut self,
+        server: usize,
+        job: u64,
+        now: Time,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) -> bool {
         let cancelled = self.cancel_on(server, job, now, cal);
         if cancelled {
             if let Some(state) = installed(&mut self.requests).resilience.as_mut() {
@@ -296,7 +312,12 @@ impl ClusterSim {
     /// Retirement happens exactly when the request leaves the map, so a
     /// hedged pair can never be credited twice.
     #[inline(never)]
-    pub(super) fn retire_completion(&mut self, fid: u64, response: f64, cal: &mut impl Pending) {
+    pub(super) fn retire_completion(
+        &mut self,
+        fid: u64,
+        response: f64,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         let requests = installed(&mut self.requests);
         // A hedge that finished first leaves its primary still running.
         let hedge_won = requests.hedge_of.remove(&fid);
@@ -352,7 +373,12 @@ impl ClusterSim {
     /// keeps the original arrival time, so whichever copy finishes first
     /// records the true request latency.
     #[inline(never)]
-    pub(super) fn handle_hedge_fire(&mut self, key: u64, now: Time, cal: &mut impl Pending) {
+    pub(super) fn handle_hedge_fire(
+        &mut self,
+        key: u64,
+        now: Time,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         let Some(req) = installed(&mut self.requests).live.get_mut(&key) else {
             return; // stale: the request already completed
         };
@@ -391,7 +417,12 @@ impl ClusterSim {
     }
 
     #[inline(never)]
-    pub(super) fn handle_failure(&mut self, server: usize, now: Time, cal: &mut impl Pending) {
+    pub(super) fn handle_failure(
+        &mut self,
+        server: usize,
+        now: Time,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         let (finished, lost) = self.servers[server].fail(now);
         self.record_finished(&finished, cal);
         installed(&mut self.requests).failures += 1;
@@ -430,7 +461,12 @@ impl ClusterSim {
     }
 
     #[inline(never)]
-    pub(super) fn handle_repair(&mut self, server: usize, now: Time, cal: &mut impl Pending) {
+    pub(super) fn handle_repair(
+        &mut self,
+        server: usize,
+        now: Time,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         self.servers[server].repair(now);
         self.reschedule_attention(server, cal);
         if let Some(faults) = self.config.faults.as_ref() {
@@ -456,7 +492,12 @@ impl ClusterSim {
     }
 
     #[inline(never)]
-    pub(super) fn handle_timeout(&mut self, key: u64, now: Time, cal: &mut impl Pending) {
+    pub(super) fn handle_timeout(
+        &mut self,
+        key: u64,
+        now: Time,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         let Some(policy) = self.config.retry else {
             return;
         };
@@ -530,7 +571,12 @@ impl ClusterSim {
     }
 
     #[inline(never)]
-    pub(super) fn handle_redispatch(&mut self, key: u64, now: Time, cal: &mut impl Pending) {
+    pub(super) fn handle_redispatch(
+        &mut self,
+        key: u64,
+        now: Time,
+        cal: &mut impl Pending<ClusterEvent>,
+    ) {
         let Some(req) = installed(&mut self.requests).live.get_mut(&key) else {
             return;
         };

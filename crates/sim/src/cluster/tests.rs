@@ -1,8 +1,7 @@
 use super::*;
-use crate::fastpath::drive;
 use crate::pending::FixedSlots;
 use crate::resilience::AdmissionPolicy;
-use bighouse_des::{CalendarStats, Engine, RunStats};
+use bighouse_des::{drive, CalendarStats, Engine, RunStats};
 use bighouse_dists::Distribution;
 use bighouse_faults::{FaultProcess, RetryPolicy};
 use bighouse_models::PowerCapper;
@@ -32,8 +31,10 @@ fn run_on_slots(mut sim: ClusterSim, max_events: u64) -> (ClusterSim, FixedSlots
     assert!(sim.fastpath_eligible(), "config must be eligible");
     let balanced = matches!(sim.config.arrival_mode, ArrivalMode::LoadBalanced(_));
     let mut slots = FixedSlots::new(sim.servers.len(), balanced);
-    sim.prime_on(&mut slots);
-    let run = drive(&mut sim, &mut slots, max_events, None);
+    sim.prime(&mut slots);
+    let run = drive(&mut slots, max_events, None, |now, event, slots| {
+        sim.handle_on(now, event, slots)
+    });
     (sim, slots, run)
 }
 
@@ -169,7 +170,7 @@ fn single_core_jsq() -> ExperimentConfig {
 
 /// Lands two jobs at once on server 0: the first finds it idle and files
 /// its attention event, the second finds its one core busy.
-fn busy_arrival_leaves_the_pending_set_untouched(pending: &mut impl Pending) {
+fn busy_arrival_leaves_the_pending_set_untouched(pending: &mut impl Pending<ClusterEvent>) {
     let mut sim = ClusterSim::new(single_core_jsq(), 22).unwrap();
     let job = |id| bighouse_models::Job::new(bighouse_models::JobId::new(id), Time::ZERO, 1.0);
     sim.place(0, job(0), Time::ZERO, pending);

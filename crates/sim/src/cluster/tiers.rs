@@ -7,14 +7,13 @@
 
 use std::collections::VecDeque;
 
-use bighouse_des::{FastMap, Time};
+use bighouse_des::{FastMap, Pending, Time};
 use bighouse_dists::QuantileGuide;
 use bighouse_models::{BalancerPolicy, FinishedJob, Job, JobId, LoadBalancer, Server};
 use bighouse_stats::{MetricId, MetricSpec};
 
-use super::{new_server, ClusterSim};
+use super::{new_server, ClusterEvent, ClusterSim};
 use crate::config::{ExperimentConfig, MetricKind};
-use crate::pending::Pending;
 
 /// One tier past the base cluster.
 #[derive(Debug)]
@@ -111,7 +110,7 @@ impl ClusterSim {
     /// Places every queued visit on its tier: a balancer pick within the
     /// tier's servers, then a draw from its service table. A placement that
     /// completes other jobs queues their visits behind these.
-    pub(super) fn forward_due(&mut self, cal: &mut impl Pending) {
+    pub(super) fn forward_due(&mut self, cal: &mut impl Pending<ClusterEvent>) {
         let now = cal.now();
         while let Some((id, tier)) = installed(&mut self.tiers).due.pop_front() {
             let tiers = installed(&mut self.tiers);

@@ -13,7 +13,8 @@
 //! per server — so it can live in [`FixedSlots`] instead of a calendar
 //! queue.
 //!
-//! The handlers are `ClusterSim`'s own on either store: the same RNG draws,
+//! The handlers are `ClusterSim`'s own on either store, and the one event
+//! loop, [`bighouse_des::drive`], pops either into them: the same RNG draws,
 //! the same observations in the same order, the same convergence checks at
 //! the same event boundaries. Both stores pop in the one total order on
 //! `(time, seq)` keys, so every estimate is bit-identical, not merely
@@ -24,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use bighouse_des::{Calendar, CalendarStats, Control, ProgressGuard, RunStats};
+use bighouse_des::{drive, Calendar, CalendarStats, Pending, ProgressGuard};
 use bighouse_stats::{HistogramSpec, StatsCollection};
 use bighouse_telemetry::TelemetrySnapshot;
 
@@ -33,7 +34,7 @@ use crate::checkpoint::RunState;
 use crate::cluster::{ClusterEvent, ClusterSim};
 use crate::config::{ArrivalMode, ExperimentConfig};
 use crate::error::SimError;
-use crate::pending::{FixedSlots, Pending};
+use crate::pending::FixedSlots;
 
 /// The largest pending-event population (`streams + servers`: one arrival
 /// slot per stream, one attention slot per server) held in fixed slots.
@@ -96,40 +97,6 @@ pub(crate) struct StepEnd {
     pub(crate) telemetry: Option<TelemetrySnapshot>,
 }
 
-/// The event loop: pops `pending` into `sim`'s handlers until a stop
-/// condition or `budget` events, whichever first.
-///
-/// A `guard` sees each timestamp *before* its handler runs; if it trips,
-/// the offending event stays undispatched (the run is being abandoned) and
-/// the violation is recorded on the audit report here, so no caller can
-/// stop on it and forget to. It touches neither state nor randomness: up
-/// to the trip a guarded run fires the unguarded one's events.
-pub(crate) fn drive(
-    sim: &mut ClusterSim,
-    pending: &mut impl Pending,
-    budget: u64,
-    mut guard: Option<&mut ProgressGuard>,
-) -> RunStats {
-    let mut run = RunStats::default();
-    while run.events_fired < budget {
-        let Some((now, event)) = pending.pop() else {
-            return run;
-        };
-        if let Some(violation) = guard.as_deref_mut().and_then(|g| g.observe(now)) {
-            sim.record_progress_violation(violation);
-            run.stopped_by_guard = true;
-            return run;
-        }
-        run.events_fired += 1;
-        if sim.handle_on(now, event, pending) == Control::Stop {
-            run.stopped_by_simulation = true;
-            return run;
-        }
-    }
-    run.hit_event_limit = true;
-    run
-}
-
 impl Epoch {
     /// Builds and primes the cluster for one epoch: a slave's when
     /// `slave_bins` carries the master's broadcast bin schemes, and with
@@ -156,11 +123,11 @@ impl Epoch {
         let pending = if sim.fastpath_eligible() {
             let balanced = matches!(config.arrival_mode, ArrivalMode::LoadBalanced(_));
             let mut slots = FixedSlots::new(config.servers, balanced);
-            sim.prime_on(&mut slots);
+            sim.prime(&mut slots);
             Store::Slots(slots)
         } else {
             let mut cal = Calendar::new();
-            sim.prime_on(&mut cal);
+            sim.prime(&mut cal);
             Store::Calendar(cal)
         };
         Ok(Epoch {
@@ -171,10 +138,12 @@ impl Epoch {
     }
 
     /// Runs until a stop condition or `budget` events, whichever first, at
-    /// most `chunk` events at a time ([`drive`]). After every chunk that
-    /// leaves the epoch able to go on, `between` sees the epoch and the
-    /// events fired so far and says whether to. The chunk size never shows
-    /// in the trajectory: an event fires the same whichever chunk it is in.
+    /// most `chunk` events at a time ([`drive`]). A tripped `guard`'s
+    /// violation is recorded on the audit report here, so no caller can
+    /// stop on it and forget to. After every chunk that leaves the epoch
+    /// able to go on, `between` sees the epoch and the events fired so far
+    /// and says whether to. The chunk size never shows in the trajectory:
+    /// an event fires the same whichever chunk it is in.
     pub(crate) fn advance(
         &mut self,
         budget: u64,
@@ -184,11 +153,22 @@ impl Epoch {
     ) -> Result<Advanced, SimError> {
         let mut adv = Advanced::default();
         while adv.fired < budget {
-            let (limit, guard) = (chunk.min(budget - adv.fired), guard.as_deref_mut());
+            let (limit, sim) = (chunk.min(budget - adv.fired), &mut self.sim);
             let run = match &mut self.pending {
-                Store::Calendar(cal) => drive(&mut self.sim, cal, limit, guard),
-                Store::Slots(slots) => drive(&mut self.sim, slots, limit, guard),
+                Store::Calendar(cal) => drive(cal, limit, guard.as_deref_mut(), |now, e, cal| {
+                    sim.handle_on(now, e, cal)
+                }),
+                Store::Slots(slots) => {
+                    drive(slots, limit, guard.as_deref_mut(), |now, e, slots| {
+                        sim.handle_on(now, e, slots)
+                    })
+                }
             };
+            if run.stopped_by_guard {
+                if let Some(violation) = guard.as_deref().and_then(ProgressGuard::violation) {
+                    self.sim.record_progress_violation(violation);
+                }
+            }
             adv.fired += run.events_fired;
             self.fired += run.events_fired;
             adv.tripped = run.stopped_by_guard || self.sim.audit_failed();
@@ -219,7 +199,7 @@ impl Epoch {
             fired,
         } = self;
         let (fixed_slots, now, calendar) = match &pending {
-            Store::Calendar(cal) => (false, Pending::now(cal), Pending::stats(cal)),
+            Store::Calendar(cal) => (false, cal.now(), cal.stats()),
             Store::Slots(slots) => (true, slots.now(), slots.stats()),
         };
         sim.finalize_audit(now);
@@ -321,6 +301,42 @@ mod tests {
             assert!(step.complete);
         }
         (state, barriers)
+    }
+
+    #[test]
+    fn a_tripped_guard_is_recorded_on_the_audit_report() {
+        // The loop leaves the violation on the guard; `Epoch::advance`
+        // files it, once, whichever chunk the trip lands in.
+        let audit = crate::AuditConfig {
+            stall_limit_events: 2_000,
+            ..crate::AuditConfig::default()
+        };
+        let config = ExperimentConfig::new(Workload::standard(StandardWorkload::Web))
+            .with_utilization(0.5)
+            .with_audit(audit.clone());
+        let mut sim = ClusterSim::new(config, 7).unwrap();
+        sim.seed_bug(crate::SeededBug::Livelock);
+        let mut cal = Calendar::new();
+        sim.prime(&mut cal);
+        let mut epoch = Epoch {
+            sim,
+            pending: Store::Calendar(cal),
+            fired: 0,
+        };
+        let mut guard = audit.progress_guard();
+        let adv = epoch
+            .advance(u64::MAX, 300, Some(&mut guard), |_, _| Ok(true))
+            .unwrap();
+        assert!(adv.tripped && !adv.drained);
+        assert!(adv.fired <= 2_001);
+        let mut state = RunState::fresh(7, 0);
+        epoch.finish(&mut state);
+        let report = state.audit.expect("auditing was on");
+        let livelocks = report
+            .violations
+            .iter()
+            .filter(|v| matches!(v, crate::audit::AuditViolation::Livelock { .. }));
+        assert_eq!(livelocks.count(), 1);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! The pending-event set [`ClusterSim`](crate::ClusterSim)'s handlers run
-//! over, and its two stores.
+//! [`FixedSlots`], the second store [`ClusterSim`](crate::ClusterSim)'s
+//! handlers run over.
 //!
 //! The handlers are written once, against [`Pending`]. Which store holds
 //! their events is a fact about the configuration
@@ -8,68 +8,12 @@
 //! is the faster of the two while a scan of all slots is cheaper than the
 //! calendar queue's links. Both pop in the one total order on packed
 //! `(time, seq)` keys, so the choice never reaches an estimate.
+//!
+//! [`Calendar`]: bighouse_des::Calendar
 
-use bighouse_des::{Calendar, CalendarStats, EventHandle, Time};
+use bighouse_des::{CalendarStats, EventHandle, Pending, Time};
 
 use crate::cluster::ClusterEvent;
-
-/// What the cluster handlers need of a pending-event set: [`Calendar`]'s
-/// own contract, method for method.
-pub(crate) trait Pending {
-    /// The timestamp of the last popped event.
-    fn now(&self) -> Time;
-
-    /// Schedules `event` at `at`, which must not precede [`Pending::now`].
-    fn schedule(&mut self, at: Time, event: ClusterEvent) -> EventHandle;
-
-    /// Schedules `event` `delay` seconds (finite, non-negative) from now.
-    #[inline]
-    fn schedule_in(&mut self, delay: f64, event: ClusterEvent) -> EventHandle {
-        assert!(
-            delay.is_finite() && delay >= 0.0,
-            "event delay must be finite and non-negative, got {delay}"
-        );
-        self.schedule(self.now() + delay, event)
-    }
-
-    /// Cancels a pending event; `false` through a handle whose event
-    /// already fired or was cancelled.
-    fn cancel(&mut self, handle: EventHandle) -> bool;
-
-    /// Removes the earliest event — ties in scheduling order — and
-    /// advances the clock to it.
-    fn pop(&mut self) -> Option<(Time, ClusterEvent)>;
-
-    /// The deterministic activity counters.
-    fn stats(&self) -> CalendarStats;
-}
-
-impl Pending for Calendar<ClusterEvent> {
-    #[inline]
-    fn now(&self) -> Time {
-        Calendar::now(self)
-    }
-
-    #[inline]
-    fn schedule(&mut self, at: Time, event: ClusterEvent) -> EventHandle {
-        Calendar::schedule(self, at, event)
-    }
-
-    #[inline]
-    fn cancel(&mut self, handle: EventHandle) -> bool {
-        Calendar::cancel(self, handle)
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<(Time, ClusterEvent)> {
-        Calendar::pop(self)
-    }
-
-    #[inline]
-    fn stats(&self) -> CalendarStats {
-        Calendar::stats(self)
-    }
-}
 
 /// A vacant slot. No real key can collide with it: the high 64 bits of a
 /// key are the bit pattern of a finite timestamp, and all-ones would be NaN.
@@ -85,6 +29,8 @@ const VACANT: u128 = u128::MAX;
 /// Sequence numbers and counters advance exactly as [`Calendar`]'s do, so
 /// time ties break identically and [`Pending::stats`] matches except for
 /// `sift_steps` (always zero: there are no buckets to search).
+///
+/// [`Calendar`]: bighouse_des::Calendar
 #[derive(Debug)]
 pub(crate) struct FixedSlots {
     now: Time,
@@ -143,7 +89,7 @@ impl FixedSlots {
     }
 }
 
-impl Pending for FixedSlots {
+impl Pending<ClusterEvent> for FixedSlots {
     #[inline]
     fn now(&self) -> Time {
         self.now
@@ -222,7 +168,7 @@ impl Pending for FixedSlots {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bighouse_des::SimRng;
+    use bighouse_des::{Calendar, SimRng};
 
     /// Applies one random slot-shaped operation sequence to both stores and
     /// holds them to the same answers at every step.
@@ -326,6 +272,39 @@ mod tests {
             total += 2_000;
         }
         assert!(total >= 100_000);
+    }
+
+    const EVENT: ClusterEvent = ClusterEvent::Attention { server: 0 };
+
+    /// Runs `breach` on a store whose clock reads 10 s and returns the
+    /// message it panics with.
+    fn breach_message(breach: impl FnOnce(&mut FixedSlots)) -> String {
+        let mut slots = FixedSlots::new(2, false);
+        slots.schedule(Time::from_seconds(10.0), EVENT);
+        slots.pop();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| breach(&mut slots)))
+            .expect_err("the contract was broken without a panic");
+        *panic.downcast::<String>().expect("a formatted message")
+    }
+
+    #[test]
+    fn fixed_slots_refuse_bad_delays_and_past_times() {
+        // A negative, NaN or infinite delay, then a time before `now`.
+        for delay in [
+            -0.5,
+            -f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            let message = breach_message(|s| _ = s.schedule_in(delay, EVENT));
+            assert!(
+                message.contains("finite and non-negative"),
+                "{delay}: {message}"
+            );
+        }
+        let message = breach_message(|s| _ = s.schedule(Time::from_seconds(5.0), EVENT));
+        assert!(message.contains("before current time"), "{message}");
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! rather than a statistically rigorous steady-state estimate, so the
 //! report exposes full-sample statistics with exact (sorted) quantiles.
 
-use bighouse_des::{Calendar, SimRng};
+use bighouse_des::{drive, Calendar, SimRng};
 use bighouse_dists::{Distribution, Empirical};
 use bighouse_models::{BalancerPolicy, IdlePolicy};
 use bighouse_stats::RunningStats;
@@ -18,7 +18,6 @@ use bighouse_workloads::Workload;
 
 use crate::cluster::ClusterSim;
 use crate::config::{ArrivalMode, ExperimentConfig};
-use crate::fastpath;
 
 /// One traced request: absolute arrival time and service demand (seconds).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -285,8 +284,10 @@ pub fn replay_trace(
         .with_arrival_mode(ArrivalMode::LoadBalanced(BalancerPolicy::JoinShortestQueue));
     let mut sim = ClusterSim::replaying(config, trace, seed).expect("a replay config is valid");
     let mut cal = Calendar::new();
-    sim.prime_on(&mut cal);
-    fastpath::drive(&mut sim, &mut cal, u64::MAX, None);
+    sim.prime(&mut cal);
+    drive(&mut cal, u64::MAX, None, |now, event, cal| {
+        sim.handle_on(now, event, cal)
+    });
     let now = cal.now();
     let mean_utilization = sim.summary(now).mean_utilization;
     let (responses, waiting) = sim.into_replay();
