@@ -4,7 +4,7 @@
 //! bighouse run <experiment.json> [seed=N] [out=report.json]
 //!              [checkpoint-dir=DIR] [checkpoint-interval=EPOCHS]
 //!              [epoch-events=N] [telemetry=out.json]
-//!              [backend=threads|processes]
+//!              [slaves=N] [backend=threads|processes]
 //!              [slave-mem-mb=N] [slave-cpu-secs=S]
 //!              [--resume] [--paranoid] [--telemetry-summary]
 //! bighouse sweep <sweep.json> [seed=N] [out=report.json]
@@ -16,6 +16,10 @@
 //! bighouse export-workload <name> <path>
 //! bighouse example-config [path]
 //! ```
+//!
+//! An experiment file is `ExperimentConfig`'s JSON, read by
+//! `ExperimentConfig::load`; a sweep file is a `SweepSpec` whose `base` is
+//! one. `bighouse example-config` prints a template.
 //!
 //! Exit codes follow sysexits conventions so scripts can tell failure
 //! classes apart: 64 usage, 65 bad spec/data, 69 quarantined configs in
@@ -36,12 +40,12 @@ use std::time::Duration;
 use bighouse::dists::Distribution;
 use bighouse::sim::{
     run_resumable, run_serial, run_sweep, AuditConfig, CheckpointConfig, ExecBackend,
-    ParallelRunner, ProcLimits, ProcSlaveConfig, RunOptions, SimError, SimulationReport,
-    SweepEntry, SweepEvent, SweepOptions, TerminationReason,
+    ExperimentConfig, ParallelRunner, ProcLimits, ProcSlaveConfig, RunOptions, SimError,
+    SimulationReport, SweepEntry, SweepEvent, SweepOptions, TerminationReason,
 };
 use bighouse::telemetry::TelemetrySnapshot;
-use bighouse::workloads::{StandardWorkload, Workload};
-use bighouse_cli::{ExperimentSpec, SweepSpec};
+use bighouse::workloads::{StandardWorkload, Workload, WorkloadRef};
+use bighouse_cli::{SweepSpec, EXAMPLE_CONFIG};
 
 /// Command line misuse: unknown command, missing/contradictory arguments
 /// (sysexits `EX_USAGE`).
@@ -189,10 +193,11 @@ fn print_usage() {
     println!("  bighouse run <experiment.json> [seed=N] [out=report.json]");
     println!("               [checkpoint-dir=DIR] [checkpoint-interval=EPOCHS]");
     println!("               [epoch-events=N] [telemetry=out.json]");
-    println!("               [backend=threads|processes]");
+    println!("               [slaves=N] [backend=threads|processes]");
     println!("               [slave-mem-mb=N] [slave-cpu-secs=S]");
     println!("               [--resume] [--paranoid] [--telemetry-summary]");
-    println!("      Run the experiment described by a JSON configuration file;");
+    println!("      Run the experiment described by a JSON configuration file");
+    println!("      (ExperimentConfig's keys; see `bighouse example-config`);");
     println!("      prints estimates, optionally writing the full report as JSON.");
     println!("      With checkpoint-dir the run snapshots itself at epoch");
     println!("      boundaries and winds down gracefully on SIGINT/SIGTERM;");
@@ -204,8 +209,8 @@ fn print_usage() {
     println!("      latency histograms, phase transitions) and writes the snapshot");
     println!("      as JSON; --telemetry-summary prints a human-readable table.");
     println!("      Telemetry is observational: estimates stay bit-identical.");
-    println!("      With slaves > 1 in the spec, backend=processes");
-    println!("      sandboxes every slave in a child OS");
+    println!("      slaves=N (N > 1) runs N lockstep parallel slaves; backend=processes");
+    println!("      then sandboxes every slave in a child OS");
     println!("      process over a checksummed IPC fabric: a slave that");
     println!("      segfaults, aborts, or is OOM-killed is respawned from its");
     println!("      epoch checkpoint with bit-identical final estimates.");
@@ -219,7 +224,8 @@ fn print_usage() {
     println!("               [backend=threads|processes]");
     println!("               [slave-mem-mb=N] [slave-cpu-secs=S]");
     println!("               [--resume] [--paranoid] [--telemetry]");
-    println!("      Run an experiment grid (a base spec crossed with value axes)");
+    println!("      Run an experiment grid (a base experiment crossed with axes,");
+    println!("      each a dotted path into it such as capper.total_budget_watts)");
     println!("      on `workers` transport slots. Each config gets a deterministic");
     println!("      seed derived from its id; panicking or stalling configs are");
     println!("      retried with backoff and quarantined instead of sinking the");
@@ -254,16 +260,29 @@ fn flag_arg(args: &[String], key: &str) -> bool {
         || kv_arg(args, key).is_some_and(|v| v == "1" || v == "true")
 }
 
+/// `key=value` parsed as a `T`; a value that does not parse is a usage
+/// error.
+fn parsed_arg<T: std::str::FromStr>(args: &[String], key: &str) -> Result<Option<T>, CliError> {
+    kv_arg(args, key)
+        .map(|s| {
+            s.parse()
+                .map_err(|_| CliError::Usage(format!("bad {key} `{s}`")))
+        })
+        .transpose()
+}
+
+/// Reads and parses the JSON file at `path`; any failure is a data error.
+fn read_json(path: &str) -> Result<bighouse_json::Value, CliError> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| CliError::Spec(format!("cannot read {path}: {e}")))?;
+    bighouse_json::parse(&text).map_err(|e| CliError::Spec(format!("{path} is malformed: {e}")))
+}
+
 /// Parses the per-child resource caps (`slave-mem-mb=`, `slave-cpu-secs=`)
 /// of the process backend.
 fn limits_args(args: &[String]) -> Result<ProcLimits, CliError> {
-    let max_rss_bytes = kv_arg(args, "slave-mem-mb")
-        .map(|s| {
-            s.parse::<u64>()
-                .map_err(|_| CliError::Usage(format!("bad slave-mem-mb `{s}`")))
-        })
-        .transpose()?
-        .map(|mb| mb.saturating_mul(1024 * 1024));
+    let max_rss_bytes =
+        parsed_arg::<u64>(args, "slave-mem-mb")?.map(|mb| mb.saturating_mul(1024 * 1024));
     let max_cpu_seconds = kv_arg(args, "slave-cpu-secs")
         .map(|s| {
             s.parse::<f64>()
@@ -283,6 +302,7 @@ fn limits_args(args: &[String]) -> Result<ProcLimits, CliError> {
 /// checksummed IPC fabric; `backend=threads` runs the same jobs on
 /// in-process threads. `default_processes` is what no `backend=` means.
 fn backend_arg(args: &[String], default_processes: bool) -> Result<ExecBackend, CliError> {
+    let limits = limits_args(args)?;
     let processes = match kv_arg(args, "backend").as_deref() {
         None => default_processes,
         Some("threads") => false,
@@ -295,7 +315,7 @@ fn backend_arg(args: &[String], default_processes: bool) -> Result<ExecBackend, 
     };
     Ok(if processes {
         ExecBackend::Processes(ProcSlaveConfig {
-            limits: limits_args(args)?,
+            limits,
             ..ProcSlaveConfig::default()
         })
     } else {
@@ -310,45 +330,57 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         .ok_or_else(|| CliError::Usage(
             "usage: bighouse run <experiment.json> [seed=N] [out=report.json] [checkpoint-dir=DIR] [--resume]".into(),
         ))?;
-    let seed: u64 = kv_arg(args, "seed")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage(format!("bad seed `{s}`")))
-        })
-        .transpose()?
-        .unwrap_or(2012);
+    let seed: u64 = parsed_arg(args, "seed")?.unwrap_or(2012);
     let checkpoint_dir = kv_arg(args, "checkpoint-dir");
-    let checkpoint_interval: u64 = kv_arg(args, "checkpoint-interval")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage(format!("bad checkpoint-interval `{s}`")))
-        })
-        .transpose()?
-        .unwrap_or(1);
+    let checkpoint_interval: u64 = parsed_arg(args, "checkpoint-interval")?.unwrap_or(1);
     if checkpoint_interval == 0 {
         return Err(CliError::Usage(
             "checkpoint-interval must be at least 1".into(),
         ));
     }
-    let epoch_events: u64 = kv_arg(args, "epoch-events")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage(format!("bad epoch-events `{s}`")))
-        })
-        .transpose()?
-        .unwrap_or(RunOptions::DEFAULT_EPOCH_EVENTS);
+    if kv_arg(args, "checkpoint-interval").is_some() && checkpoint_dir.is_none() {
+        return Err(CliError::Usage(
+            "checkpoint-interval requires checkpoint-dir=DIR".into(),
+        ));
+    }
+    let epoch_events: u64 =
+        parsed_arg(args, "epoch-events")?.unwrap_or(RunOptions::DEFAULT_EPOCH_EVENTS);
+    let slaves: usize = parsed_arg(args, "slaves")?.unwrap_or(1);
+    if slaves == 0 {
+        return Err(CliError::Usage("slaves must be at least 1".into()));
+    }
+    // What only shapes a parallel run must not be dropped silently.
+    let parallel_only = ["backend", "slave-mem-mb", "slave-cpu-secs"];
+    let given = parallel_only.iter().find(|k| kv_arg(args, k).is_some());
+    if let (1, Some(key)) = (slaves, given) {
+        return Err(CliError::Usage(format!(
+            "{key}= applies to parallel slaves: add slaves=N with N > 1"
+        )));
+    }
+    let backend = backend_arg(args, false)?;
     let resume = flag_arg(args, "resume");
     if resume && checkpoint_dir.is_none() {
         return Err(CliError::Usage(
             "--resume requires checkpoint-dir=DIR".into(),
         ));
     }
+    if slaves > 1 && checkpoint_dir.is_some() {
+        return Err(CliError::Usage(
+            "checkpoint-dir and --resume are only supported for serial runs (slaves=1)".into(),
+        ));
+    }
+    if slaves == 1 && checkpoint_dir.is_none() && kv_arg(args, "epoch-events").is_some() {
+        return Err(CliError::Usage(
+            "epoch-events= sizes checkpoint or slave epochs: add checkpoint-dir=DIR or slaves=N"
+                .into(),
+        ));
+    }
     let paranoid = flag_arg(args, "paranoid");
     let telemetry_out = kv_arg(args, "telemetry");
     let telemetry_summary = flag_arg(args, "telemetry-summary");
-    let spec = ExperimentSpec::from_file(path).map_err(|e| CliError::Spec(e.to_string()))?;
-    let mut config = spec.resolve().map_err(|e| CliError::Spec(e.to_string()))?;
-    // --paranoid arms the default auditor; a `paranoid` block in the spec
+    let mut config = ExperimentConfig::load(&read_json(path)?, WorkloadRef::resolve)
+        .map_err(|e| CliError::Spec(e.to_string()))?;
+    // --paranoid arms the default auditor; an `audit` block in the file
     // already configured (possibly tighter) thresholds and wins.
     if paranoid && config.audit().is_none() {
         config = config.with_audit(AuditConfig::default());
@@ -357,14 +389,8 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
         config = config.with_telemetry(true);
     }
 
-    let report: SimulationReport = match spec.slaves {
-        Some(slaves) if slaves > 1 => {
-            if resume {
-                return Err(CliError::Usage(
-                    "resume is only supported for serial runs (slaves=1)".into(),
-                ));
-            }
-            let backend = backend_arg(args, false)?;
+    let report: SimulationReport = match slaves {
+        2.. => {
             eprintln!(
                 "running with {slaves} parallel slaves ({} backend, master seed {seed})...",
                 match &backend {
@@ -536,13 +562,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
                     .into(),
             )
         })?;
-    let seed: u64 = kv_arg(args, "seed")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage(format!("bad seed `{s}`")))
-        })
-        .transpose()?
-        .unwrap_or(2012);
+    let seed: u64 = parsed_arg(args, "seed")?.unwrap_or(2012);
     let checkpoint_dir = kv_arg(args, "checkpoint-dir");
     let resume = flag_arg(args, "resume");
     if resume && checkpoint_dir.is_none() {
@@ -552,14 +572,10 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
     }
     let paranoid = flag_arg(args, "paranoid");
     let telemetry = flag_arg(args, "telemetry");
-    let workers_override: Option<usize> = kv_arg(args, "workers")
-        .map(|s| {
-            s.parse()
-                .map_err(|_| CliError::Usage(format!("bad workers `{s}`")))
-        })
-        .transpose()?;
+    let workers_override: Option<usize> = parsed_arg(args, "workers")?;
 
-    let sweep = SweepSpec::from_file(path).map_err(|e| CliError::Spec(e.to_string()))?;
+    let sweep: SweepSpec = bighouse_json::from_value(&read_json(path)?)
+        .map_err(|e| CliError::Spec(format!("{path} is not a sweep: {e}")))?;
     let resolved = sweep.resolve().map_err(|e| CliError::Spec(e.to_string()))?;
     let mut entries = Vec::with_capacity(resolved.len());
     for (id, mut config) in resolved {
@@ -745,25 +761,21 @@ fn cmd_export(args: &[String]) -> Result<(), CliError> {
             ))
         }
     };
-    let which = StandardWorkload::ALL
-        .into_iter()
-        .find(|w| w.name().eq_ignore_ascii_case(name))
-        .ok_or_else(|| CliError::Spec(format!("unknown workload `{name}`")))?;
-    Workload::standard(which)
-        .save(path)
-        .map_err(|e| e.to_string())?;
-    eprintln!("workload `{}` written to {path}", which.name());
+    let workload = WorkloadRef::Standard(name.clone())
+        .resolve()
+        .map_err(|e| CliError::Spec(e.to_string()))?;
+    workload.save(path).map_err(|e| e.to_string())?;
+    eprintln!("workload `{}` written to {path}", workload.name());
     Ok(())
 }
 
 fn cmd_example_config(args: &[String]) -> Result<(), CliError> {
-    let json = bighouse_json::to_string_pretty(&ExperimentSpec::template());
     match args.first() {
         Some(path) => {
-            std::fs::write(path, &json).map_err(|e| e.to_string())?;
+            std::fs::write(path, EXAMPLE_CONFIG).map_err(|e| e.to_string())?;
             eprintln!("template written to {path}");
         }
-        None => println!("{json}"),
+        None => print!("{EXAMPLE_CONFIG}"),
     }
     Ok(())
 }

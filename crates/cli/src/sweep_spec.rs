@@ -1,12 +1,11 @@
-//! The JSON sweep schema: one base experiment plus named axes whose
-//! cross product spans an experiment grid.
+//! The JSON sweep schema: one base experiment plus axes whose cross
+//! product spans an experiment grid.
 
 use std::collections::{BTreeMap, HashMap};
 
-use bighouse::sim::ExperimentConfig;
-use bighouse::workloads::Workload;
-
-use crate::spec::{ExperimentSpec, SpecError, WorkloadRef};
+use bighouse::sim::{ExperimentConfig, SimError};
+use bighouse::workloads::{Workload, WorkloadRef};
+use bighouse_json::{Map, Value};
 
 /// Largest grid a single sweep spec may span. A cross product is easy to
 /// explode by accident (`6 axes × 10 values = 10^6 configs`); past this
@@ -14,15 +13,18 @@ use crate::spec::{ExperimentSpec, SpecError, WorkloadRef};
 /// checkpoint ledger would be better served by splitting the sweep.
 pub const MAX_SWEEP_CONFIGS: usize = 100_000;
 
-/// A complete sweep description, decodable from JSON: a base
-/// [`ExperimentSpec`] plus axes overriding its fields.
+/// A complete sweep description, decodable from JSON: a base experiment,
+/// in the experiment-file schema [`ExperimentConfig::load`] reads, plus
+/// axes overriding its values.
 ///
-/// Every axis names a field of the experiment schema and lists the JSON
-/// values to substitute; the sweep runs the cross product of all axes.
-/// Axis order in the file does not matter — axes are applied in sorted
-/// name order and every generated config carries a deterministic id like
-/// `servers=2,utilization=0.5`, so the same spec always produces the
-/// same grid (and the same per-config seeds).
+/// An axis is a dotted path into the base's JSON (`servers`,
+/// `capper.total_budget_watts`, `tiers.1.servers`) whose first segment is
+/// one of [`ExperimentConfig::KEYS`], with the JSON values to substitute;
+/// the sweep runs the cross product of all axes. Axis order in the file
+/// does not matter — axes are applied in sorted path order and every
+/// generated config carries a deterministic id like
+/// `servers=2,utilization=0.5`, so the same spec always produces the same
+/// grid (and the same per-config seeds).
 ///
 /// # Examples
 ///
@@ -30,25 +32,25 @@ pub const MAX_SWEEP_CONFIGS: usize = 100_000;
 /// use bighouse_cli::SweepSpec;
 ///
 /// let json = r#"{
-///     "base": { "workload": { "standard": "Web" }, "accuracy": 0.1 },
+///     "base": { "workload": { "standard": "Web" }, "target_accuracy": 0.1 },
 ///     "axes": {
 ///         "utilization": [0.3, 0.5, 0.7],
 ///         "servers": [1, 4]
 ///     },
 ///     "workers": 2
 /// }"#;
-/// let sweep = SweepSpec::from_json(json)?;
+/// let sweep: SweepSpec = bighouse_json::from_str(json)?;
 /// let entries = sweep.render()?;
 /// assert_eq!(entries.len(), 6);
 /// assert_eq!(entries[0].0, "servers=1,utilization=0.3");
-/// # Ok::<(), bighouse_cli::SpecError>(())
+/// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// The experiment every grid point starts from.
-    pub base: ExperimentSpec,
-    /// Field name → values to sweep. Empty means a single-config sweep.
-    pub axes: BTreeMap<String, Vec<bighouse_json::Value>>,
+    pub base: Value,
+    /// Path → values to sweep. Empty means a single-config sweep.
+    pub axes: BTreeMap<String, Vec<Value>>,
     /// Worker threads (0 = one per available core).
     pub workers: usize,
     /// Attempts beyond the first before a failing config is quarantined
@@ -77,59 +79,32 @@ bighouse_json::json_struct!(SweepSpec {
 });
 
 impl SweepSpec {
-    /// Parses a sweep spec from JSON text.
+    /// Checks the sweep's own shape: every axis path must start at an
+    /// experiment key, axis value lists must be non-empty and
+    /// duplicate-free, the grid must stay under [`MAX_SWEEP_CONFIGS`],
+    /// and the deadline must be a positive finite number.
+    ///
+    /// Per-config values are *not* checked here: each grid point is
+    /// loaded and validated by [`SweepSpec::resolve`], which names the
+    /// offending config id.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Format`] for malformed JSON.
-    pub fn from_json(json: &str) -> Result<Self, SpecError> {
-        Ok(bighouse_json::from_str(json)?)
-    }
-
-    /// Loads a sweep spec from a JSON file.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on I/O or parse failure.
-    pub fn from_file(path: impl AsRef<std::path::Path>) -> Result<Self, SpecError> {
-        Self::from_json(&std::fs::read_to_string(path)?)
-    }
-
-    /// Checks the sweep's own shape: axis names must be experiment-spec
-    /// fields, axis value lists must be non-empty and duplicate-free, the
-    /// grid must stay under [`MAX_SWEEP_CONFIGS`], the deadline must be a
-    /// positive finite number, and the base must not ask for parallel
-    /// slaves (the sweep owns the thread pool).
-    ///
-    /// Per-config field values are *not* range-checked here — each grid
-    /// point is validated by [`ExperimentSpec::validate`] during
-    /// [`SweepSpec::render`], which names the offending config id.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpecError::Invalid`] naming the offending axis or field.
-    pub fn validate(&self) -> Result<(), SpecError> {
-        let known: Vec<String> = match bighouse_json::to_value(&ExperimentSpec::template()) {
-            Ok(bighouse_json::Value::Object(map)) => map.keys().cloned().collect(),
-            _ => Vec::new(),
-        };
+    /// Returns [`SimError::InvalidConfig`] naming the offending axis or
+    /// field.
+    pub fn validate(&self) -> Result<(), SimError> {
         let mut combos: usize = 1;
         for (axis, values) in &self.axes {
-            if axis == "slaves" {
-                return Err(SpecError::Invalid(
-                    "axis `slaves`: a sweep owns the worker pool; per-config parallel \
-                     slaves cannot be swept"
-                        .into(),
-                ));
-            }
-            if !known.iter().any(|k| k == axis) {
-                return Err(SpecError::Invalid(format!(
-                    "axis `{axis}` is not an experiment field (expected one of: {})",
-                    known.join(", ")
+            let key = axis.split('.').next().unwrap_or_default();
+            if !ExperimentConfig::KEYS.contains(&key) {
+                return Err(SimError::InvalidConfig(format!(
+                    "axis `{axis}` is not a path into the experiment (its first segment must \
+                     be one of: {})",
+                    ExperimentConfig::KEYS.join(", ")
                 )));
             }
             if values.is_empty() {
-                return Err(SpecError::Invalid(format!(
+                return Err(SimError::InvalidConfig(format!(
                     "axis `{axis}`: value list must be non-empty"
                 )));
             }
@@ -137,73 +112,68 @@ impl SweepSpec {
             rendered.sort();
             rendered.dedup();
             if rendered.len() != values.len() {
-                return Err(SpecError::Invalid(format!(
+                return Err(SimError::InvalidConfig(format!(
                     "axis `{axis}`: values must be unique"
                 )));
             }
             combos = combos.saturating_mul(values.len());
         }
         if combos > MAX_SWEEP_CONFIGS {
-            return Err(SpecError::Invalid(format!(
+            return Err(SimError::InvalidConfig(format!(
                 "sweep spans {combos} configs: must be at most {MAX_SWEEP_CONFIGS}"
             )));
         }
         if let Some(deadline) = self.config_deadline_seconds {
             if !(deadline.is_finite() && deadline > 0.0) {
-                return Err(SpecError::Invalid(format!(
+                return Err(SimError::InvalidConfig(format!(
                     "config_deadline_seconds = {deadline}: must be positive and finite"
                 )));
             }
         }
-        if self.base.slaves.is_some_and(|s| s > 1) {
-            return Err(SpecError::Invalid(
-                "base.slaves > 1: a sweep owns the worker pool; run each config \
-                 serially (omit `slaves` or set it to 1)"
-                    .into(),
-            ));
-        }
         Ok(())
     }
 
-    /// Expands the cross product into `(id, spec)` pairs, sorted by id.
+    /// Expands the cross product into `(id, experiment JSON)` pairs,
+    /// sorted by id.
     ///
-    /// Ids are deterministic — `axis=value` segments joined by commas in
-    /// sorted axis order (`"base"` for an axis-free sweep) — so the same
+    /// Ids are deterministic — `path=value` segments joined by commas in
+    /// sorted path order (`"base"` for an axis-free sweep) — so the same
     /// file always yields the same grid and, through
     /// [`config_seed`](bighouse::sim::config_seed), the same per-config
     /// seeds.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] if the sweep shape is invalid (see
-    /// [`SweepSpec::validate`]) or any grid point fails to decode or
-    /// validate as an experiment, naming the config id.
-    pub fn render(&self) -> Result<Vec<(String, ExperimentSpec)>, SpecError> {
+    /// Returns [`SimError::InvalidConfig`] if the sweep shape is invalid
+    /// (see [`SweepSpec::validate`]) or an axis path leads nowhere in a
+    /// grid point, naming the config id.
+    pub fn render(&self) -> Result<Vec<(String, Value)>, SimError> {
         self.validate()?;
-        let base = bighouse_json::to_value(&self.base)
-            .map_err(|e| SpecError::Invalid(format!("base spec does not serialize: {e}")))?;
-        let axes: Vec<(&String, &Vec<bighouse_json::Value>)> = self.axes.iter().collect();
+        let axes: Vec<(&String, &Vec<Value>)> = self.axes.iter().collect();
         let mut entries = Vec::new();
         let mut indices = vec![0usize; axes.len()];
         loop {
-            let mut value = base.clone();
-            let mut segments = Vec::with_capacity(axes.len());
-            if let bighouse_json::Value::Object(map) = &mut value {
-                for (slot, (axis, values)) in indices.iter().zip(&axes) {
-                    map.insert((*axis).clone(), values[*slot].clone());
-                    segments.push(format!("{axis}={}", render_value(&values[*slot])));
-                }
-            }
-            let id = if segments.is_empty() {
+            let points: Vec<(&String, &Value)> = indices
+                .iter()
+                .zip(&axes)
+                .map(|(&slot, (axis, values))| (*axis, &values[slot]))
+                .collect();
+            let id = if points.is_empty() {
                 "base".to_owned()
             } else {
+                let segments: Vec<String> = points
+                    .iter()
+                    .map(|(axis, value)| format!("{axis}={}", render_value(value)))
+                    .collect();
                 segments.join(",")
             };
-            let spec: ExperimentSpec = bighouse_json::from_value(&value)
-                .map_err(|e| SpecError::Invalid(format!("config `{id}`: {e}")))?;
-            spec.validate()
-                .map_err(|e| SpecError::Invalid(format!("config `{id}`: {e}")))?;
-            entries.push((id, spec));
+            let mut value = self.base.clone();
+            for (axis, point) in points {
+                set_path(&mut value, axis, point.clone()).map_err(|e| {
+                    SimError::InvalidConfig(format!("config `{id}`: axis `{axis}`: {e}"))
+                })?;
+            }
+            entries.push((id, value));
             // Odometer increment over the axis value lists.
             let mut carry = true;
             for (slot, (_, values)) in indices.iter_mut().zip(&axes).rev() {
@@ -225,55 +195,83 @@ impl SweepSpec {
         Ok(entries)
     }
 
-    /// Renders the grid and resolves every point into a runnable config,
-    /// as [`ExperimentSpec::resolve`] would one at a time, but synthesizing
-    /// or loading each distinct workload once.
+    /// Renders the grid and loads every point into a runnable config, as
+    /// [`ExperimentConfig::load`] would one at a time, but synthesizing or
+    /// reading each distinct workload once. Standard names match in any
+    /// case, so they are memoized lower-cased.
     ///
     /// # Errors
     ///
-    /// As [`SweepSpec::render`], plus any resolution error, naming the
-    /// config id.
-    pub fn resolve(&self) -> Result<Vec<(String, ExperimentConfig)>, SpecError> {
-        resolve_grid(self.render()?)
+    /// As [`SweepSpec::render`], plus any load or validation error, naming
+    /// the config id.
+    pub fn resolve(&self) -> Result<Vec<(String, ExperimentConfig)>, SimError> {
+        let mut workloads: HashMap<String, Workload> = HashMap::new();
+        let mut memoized = |reference: &WorkloadRef| {
+            let key = match reference {
+                WorkloadRef::Standard(name) => format!("standard:{}", name.to_ascii_lowercase()),
+                WorkloadRef::File(path) => format!("file:{path}"),
+                WorkloadRef::Inline(workload) => return Ok(workload.clone()),
+            };
+            if let Some(workload) = workloads.get(&key) {
+                return Ok(workload.clone());
+            }
+            let workload = reference.resolve()?;
+            workloads.insert(key, workload.clone());
+            Ok(workload)
+        };
+        self.render()?
+            .into_iter()
+            .map(|(id, value)| {
+                let config =
+                    ExperimentConfig::load(&value, &mut memoized).map_err(|e| match e {
+                        SimError::InvalidConfig(e) => {
+                            SimError::InvalidConfig(format!("config `{id}`: {e}"))
+                        }
+                        other => other,
+                    })?;
+                Ok((id, config))
+            })
+            .collect()
     }
 }
 
-/// Resolves validated `(id, spec)` pairs, as [`SweepSpec::render`] yields
-/// them, each distinct workload once. Standard names match in any case, so
-/// they are memoized lower-cased.
-fn resolve_grid(
-    entries: Vec<(String, ExperimentSpec)>,
-) -> Result<Vec<(String, ExperimentConfig)>, SpecError> {
-    let mut workloads: HashMap<WorkloadRef, Workload> = HashMap::new();
-    entries
-        .into_iter()
-        .map(|(id, spec)| {
-            let named = |e: SpecError| SpecError::Invalid(format!("config `{id}`: {e}"));
-            let key = match &spec.workload {
-                WorkloadRef::Standard(name) => WorkloadRef::Standard(name.to_ascii_lowercase()),
-                file => file.clone(),
-            };
-            let workload = match workloads.get(&key) {
-                Some(workload) => workload.clone(),
-                None => {
-                    let workload = spec.workload.resolve().map_err(named)?;
-                    workloads.insert(key, workload.clone());
-                    workload
+/// Sets the value at dotted `path` in `value`: object members by name
+/// (made, with any object on the way, where absent or `null`), array
+/// elements by index.
+fn set_path(value: &mut Value, path: &str, point: Value) -> Result<(), String> {
+    let mut slot = value;
+    for key in path.split('.') {
+        if slot.is_null() {
+            *slot = Value::Object(Map::new());
+        }
+        slot = match slot {
+            Value::Object(map) => {
+                if map.get(key).is_none() {
+                    map.insert(key, Value::Null);
                 }
-            };
-            let config = spec.config_on(workload).map_err(named)?;
-            Ok((id, config))
-        })
-        .collect()
+                map.get_mut(key).expect("member just set")
+            }
+            Value::Array(items) => {
+                let len = items.len();
+                match key.parse::<usize>().ok().and_then(|i| items.get_mut(i)) {
+                    Some(item) => item,
+                    None => return Err(format!("no element `{key}` in an array of {len}")),
+                }
+            }
+            other => return Err(format!("`{key}` is a member of {other}, not an object")),
+        };
+    }
+    *slot = point;
+    Ok(())
 }
 
 /// Renders an axis value for use in a config id: strings bare, everything
 /// else in compact JSON. A float takes its shortest round-trip text, which
 /// is exponent form below 1e-4 (`5e-5`); the id seeds the config, so this
 /// rendering is pinned by `small_float_axis_values_render_in_exponent_form`.
-fn render_value(value: &bighouse_json::Value) -> String {
+fn render_value(value: &Value) -> String {
     match value {
-        bighouse_json::Value::String(s) => s.clone(),
+        Value::String(s) => s.clone(),
         other => other.to_string(),
     }
 }
@@ -283,10 +281,10 @@ mod tests {
     use super::*;
 
     fn sweep(json: &str) -> SweepSpec {
-        SweepSpec::from_json(json).expect("valid JSON shape")
+        bighouse_json::from_str(json).expect("valid JSON shape")
     }
 
-    const BASE: &str = r#""base": {"workload": {"standard": "web"}, "accuracy": 0.2}"#;
+    const BASE: &str = r#""base": {"workload": {"standard": "web"}, "target_accuracy": 0.2}"#;
 
     #[test]
     fn cross_product_is_sorted_and_deterministic() {
@@ -304,8 +302,8 @@ mod tests {
                 "servers=2,utilization=0.5",
             ]
         );
-        assert_eq!(entries[3].1.servers, 2);
-        assert_eq!(entries[3].1.utilization, Some(0.5));
+        assert_eq!(entries[3].1["servers"], 2);
+        assert_eq!(entries[3].1["utilization"].as_f64(), Some(0.5));
         // Rendering twice yields the identical grid.
         assert_eq!(entries, s.render().unwrap());
     }
@@ -331,10 +329,48 @@ mod tests {
 
     #[test]
     fn unknown_axis_is_rejected_by_name() {
-        let s = sweep(&format!(r#"{{{BASE}, "axes": {{"utilisation": [0.5]}}}}"#));
-        let err = s.render().unwrap_err().to_string();
-        assert!(err.contains("axis `utilisation`"), "{err}");
-        assert!(err.contains("utilization"), "should list fields: {err}");
+        for axis in ["utilisation", "capping.budget_fraction", "paranoid"] {
+            let s = sweep(&format!(r#"{{{BASE}, "axes": {{"{axis}": [0.5]}}}}"#));
+            let err = s.render().unwrap_err().to_string();
+            assert!(err.contains(&format!("axis `{axis}`")), "{err}");
+            assert!(
+                err.contains("tiers, utilization)"),
+                "should list the keys: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_paths_sweep_any_value() {
+        // A path makes the objects it runs through and indexes arrays.
+        let s = sweep(
+            r#"{"base": {"workload": {"standard": "web"}, "servers": 2,
+                "tiers": [{"servers": 1, "cores": 2, "service": null, "idle_policy": "AlwaysOn"}]},
+                "axes": {"capper.total_budget_watts": [300.0], "tiers.0.servers": [3, 4]}}"#,
+        );
+        let entries = s.render().unwrap();
+        assert_eq!(
+            entries[1].0,
+            "capper.total_budget_watts=300.0,tiers.0.servers=4"
+        );
+        assert_eq!(
+            entries[1].1["capper"]["total_budget_watts"].as_f64(),
+            Some(300.0)
+        );
+        assert_eq!(entries[1].1["tiers"][0]["servers"], 4);
+        // A path past the end of an array, or through a number, names its
+        // axis and config.
+        for axis in ["tiers.1.servers", "servers.count"] {
+            let bad = sweep(&format!(
+                r#"{{"base": {{"workload": {{"standard": "web"}}, "servers": 2, "tiers": []}},
+                    "axes": {{"{axis}": [1]}}}}"#
+            ));
+            let err = bad.render().unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("config `{axis}=1`: axis `{axis}`")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -351,13 +387,21 @@ mod tests {
 
     #[test]
     fn slaves_cannot_be_swept_or_set_in_base() {
+        // `slaves` is a run shape, an argument of `bighouse run`: no
+        // experiment key, so neither an axis nor a base value.
         let axis = sweep(&format!(r#"{{{BASE}, "axes": {{"slaves": [2, 4]}}}}"#));
-        assert!(axis.render().unwrap_err().to_string().contains("slaves"));
-        let mut base = sweep(&format!("{{{BASE}}}"));
-        base.base.slaves = Some(4);
-        assert!(base.render().unwrap_err().to_string().contains("slaves"));
-        base.base.slaves = Some(1);
-        assert!(base.render().is_ok(), "slaves=1 is just serial");
+        assert!(axis
+            .render()
+            .unwrap_err()
+            .to_string()
+            .contains("axis `slaves`"));
+        for slaves in [1, 4] {
+            let base = sweep(&format!(
+                r#"{{"base": {{"workload": {{"standard": "web"}}, "slaves": {slaves}}}}}"#
+            ));
+            let err = base.resolve().unwrap_err().to_string();
+            assert!(err.contains("`slaves`"), "{err}");
+        }
     }
 
     #[test]
@@ -365,7 +409,7 @@ mod tests {
         let s = sweep(&format!(
             r#"{{{BASE}, "axes": {{"utilization": [0.5, 1.5]}}}}"#
         ));
-        let err = s.render().unwrap_err().to_string();
+        let err = s.resolve().unwrap_err().to_string();
         assert!(err.contains("config `utilization=1.5`"), "{err}");
         assert!(err.contains("utilization"), "{err}");
     }
@@ -378,15 +422,12 @@ mod tests {
             assert!(err.contains("config_deadline_seconds"), "{bad}: {err}");
         }
         // An overflowing literal never parses: a typed format error.
-        let overflow =
-            SweepSpec::from_json(&format!(r#"{{{BASE}, "config_deadline_seconds": 1e999}}"#));
-        match overflow {
-            Err(SpecError::Format(e)) => {
-                assert_eq!(e.kind(), &bighouse_json::ErrorKind::NumberOutOfRange);
-                assert_eq!(e.path(), "config_deadline_seconds");
-            }
-            _ => panic!("1e999 must be refused as malformed"),
-        }
+        let overflow = bighouse_json::from_str::<SweepSpec>(&format!(
+            r#"{{{BASE}, "config_deadline_seconds": 1e999}}"#
+        ))
+        .expect_err("1e999 must be refused as malformed");
+        assert_eq!(overflow.kind(), &bighouse_json::ErrorKind::NumberOutOfRange);
+        assert_eq!(overflow.path(), "config_deadline_seconds");
     }
 
     #[test]
@@ -394,7 +435,7 @@ mod tests {
         let values: Vec<String> = (0..100).map(|i| format!("{}", i + 1)).collect();
         let axis = values.join(", ");
         let s = sweep(&format!(
-            r#"{{{BASE}, "axes": {{"servers": [{axis}], "cores": [{axis}], "warmup": [{axis}]}}}}"#
+            r#"{{{BASE}, "axes": {{"servers": [{axis}], "cores_per_server": [{axis}], "warmup": [{axis}]}}}}"#
         ));
         let err = s.render().unwrap_err().to_string();
         assert!(err.contains("at most"), "{err}");
@@ -405,16 +446,15 @@ mod tests {
         // Objects and null are legal axis values: this sweeps auditing
         // itself (off vs. a tight storm budget).
         let s = sweep(&format!(
-            r#"{{{BASE}, "axes": {{"paranoid":
+            r#"{{{BASE}, "axes": {{"audit":
                 [null, {{"storm_budget_events_per_sim_second": 0.5,
                          "storm_window_events": 1000}}]}}}}"#
         ));
-        let entries = s.render().unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(
-            entries.iter().filter(|(_, s)| s.paranoid.is_some()).count(),
-            1
-        );
+        let configs = s.resolve().unwrap();
+        assert_eq!(configs.len(), 2);
+        let audited: Vec<_> = configs.iter().filter_map(|(_, c)| c.audit()).collect();
+        assert_eq!(audited.len(), 1);
+        assert_eq!(audited[0].storm_window_events, 1000);
     }
 
     #[test]
@@ -428,12 +468,12 @@ mod tests {
                  {{"admission": {{"BoundedQueue": {{"capacity": 8}}}}}},
                  {{"admission": {{"BoundedQueue": {{"capacity": 32}}}}}}]}}}}"#
         ));
-        let entries = s.render().unwrap();
-        assert_eq!(entries.len(), 3);
+        let configs = s.resolve().unwrap();
+        assert_eq!(configs.len(), 3);
         assert_eq!(
-            entries
+            configs
                 .iter()
-                .filter(|(_, s)| s.resilience.is_some())
+                .filter(|(_, c)| c.resilience().is_some())
                 .count(),
             2
         );
@@ -443,7 +483,7 @@ mod tests {
             r#"{{{BASE}, "axes": {{"resilience":
                 [{{"admission": {{"BoundedQueue": {{"capacity": 0}}}}}}]}}}}"#
         ));
-        let err = bad.render().unwrap_err().to_string();
+        let err = bad.resolve().unwrap_err().to_string();
         assert!(err.contains("config `resilience="), "{err}");
         assert!(err.contains("resilience.admission.capacity"), "{err}");
     }
@@ -456,7 +496,7 @@ mod tests {
                 "config_deadline_seconds": 30.0, "epoch_events": 100000}}"#
         ));
         let json = bighouse_json::to_string_pretty(&s);
-        let back = SweepSpec::from_json(&json).unwrap();
+        let back = sweep(&json);
         assert_eq!(s, back);
         assert_eq!(back.max_retries, 1);
         assert_eq!(back.config_deadline_seconds, Some(30.0));
@@ -474,32 +514,34 @@ mod tests {
 
     #[test]
     fn a_grid_resolves_as_its_configs_do_one_at_a_time() {
-        // Three workloads by two utilizations: each workload is synthesized
-        // once for the grid, whatever the case of its name, and every config
-        // is the one a per-config `resolve` builds.
-        let mut entries = Vec::new();
-        for name in ["Web", "DNS", "Mail"] {
-            for (utilization, spelled) in [(0.3, name.to_owned()), (0.6, name.to_lowercase())] {
-                let mut spec = ExperimentSpec::template();
-                spec.workload = WorkloadRef::Standard(spelled);
-                spec.utilization = Some(utilization);
-                entries.push((format!("{name}@{utilization}"), spec));
-            }
-        }
-        let configs = resolve_grid(entries.clone()).unwrap();
-        assert_eq!(configs.len(), 6);
-        for ((id, spec), (resolved_id, config)) in entries.iter().zip(&configs) {
+        // Three workloads, each spelled in two cases, by two
+        // utilizations: each workload is synthesized once for the grid,
+        // and every config is the one a per-config `load` builds.
+        let s = sweep(
+            r#"{"base": {"workload": {"standard": "web"}, "target_accuracy": 0.2},
+                "axes": {"workload": [{"standard": "Web"}, {"standard": "web"},
+                                      {"standard": "DNS"}, {"standard": "dns"},
+                                      {"standard": "Mail"}, {"standard": "mail"}],
+                         "utilization": [0.3, 0.6]}}"#,
+        );
+        let configs = s.resolve().unwrap();
+        assert_eq!(configs.len(), 12);
+        for ((id, value), (resolved_id, config)) in s.render().unwrap().iter().zip(&configs) {
             assert_eq!(id, resolved_id);
-            assert_eq!(
-                format!("{config:?}"),
-                format!("{:?}", spec.resolve().unwrap()),
-                "{id}"
-            );
+            let one = ExperimentConfig::load(value, WorkloadRef::resolve).unwrap();
+            assert_eq!(format!("{config:?}"), format!("{one:?}"), "{id}");
         }
         // A workload that fails to resolve is named by its config.
-        entries[4].1.workload = WorkloadRef::Standard("nope".into());
-        let err = resolve_grid(entries).unwrap_err().to_string();
-        assert!(err.contains("config `Mail@0.3`"), "{err}");
+        let bad = sweep(
+            r#"{"base": {"workload": {"standard": "web"}},
+                "axes": {"workload": [{"standard": "web"}, {"standard": "nope"}]}}"#,
+        );
+        let err = bad.resolve().unwrap_err().to_string();
+        assert!(
+            err.contains("config `workload={\"standard\":\"nope\"}`"),
+            "{err}"
+        );
+        assert!(err.contains("unknown standard workload `nope`"), "{err}");
     }
 
     #[test]
@@ -507,6 +549,6 @@ mod tests {
         let s = sweep(&format!(r#"{{{BASE}, "isolate_processes": true}}"#));
         assert!(s.isolate_processes);
         let json = bighouse_json::to_string(&s);
-        assert!(SweepSpec::from_json(&json).unwrap().isolate_processes);
+        assert!(sweep(&json).isolate_processes);
     }
 }

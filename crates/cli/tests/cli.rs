@@ -140,9 +140,9 @@ fn export_then_run_round_trip() {
         r#"{{
         "workload": {{ "file": {workload} }},
         "servers": 1,
-        "cores": 4,
+        "cores_per_server": 4,
         "utilization": 0.4,
-        "accuracy": 0.2,
+        "target_accuracy": 0.2,
         "warmup": 50,
         "calibration": 500,
         "max_events": 5000000
@@ -342,7 +342,7 @@ fn exit_codes_classify_failures() {
     let bad_spec = dir.join("bad.json");
     std::fs::write(
         &bad_spec,
-        r#"{"workload": {"standard": "web"}, "accuracy": -0.5}"#,
+        r#"{"workload": {"standard": "web"}, "target_accuracy": -0.5}"#,
     )
     .expect("write spec");
     let out = bighouse()
@@ -354,7 +354,47 @@ fn exit_codes_classify_failures() {
         Some(EXIT_SPEC),
         "invalid experiment spec"
     );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("accuracy"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("target_accuracy"));
+    // A hostile idle policy is refused by name, never a panic.
+    for policy in [
+        r#"{"PowerNap": {"wake_latency": -1.0}}"#,
+        r#"{"DreamWeaver": {"max_delay": "NaN", "wake_latency": 0.001}}"#,
+    ] {
+        let bad_policy = dir.join("bad-policy.json");
+        std::fs::write(
+            &bad_policy,
+            format!(r#"{{"workload": {{"standard": "web"}}, "idle_policy": {policy}}}"#),
+        )
+        .expect("write spec");
+        let out = bighouse()
+            .args(["run", bad_policy.to_str().unwrap()])
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(EXIT_SPEC), "{policy}: {stderr}");
+        assert!(stderr.contains("idle_policy."), "{stderr}");
+    }
+    // A run-shape argument a run would ignore is a usage error, whatever
+    // the file holds.
+    for rest in [
+        &["backend=bogus"][..],
+        &["backend=threads"],
+        &["slave-mem-mb=xyz"],
+        &["slave-cpu-secs=5"],
+        &["checkpoint-interval=5"],
+        &["epoch-events=5"],
+        &["slaves=0"],
+        &["slaves=2", "slave-mem-mb=xyz"],
+        &["slaves=2", "checkpoint-dir=/nonexistent/ckpt"],
+    ] {
+        let out = bighouse()
+            .args(["run", bad_spec.to_str().unwrap()])
+            .args(rest)
+            .output()
+            .expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(EXIT_USAGE), "{rest:?}: {stderr}");
+    }
     let bad_sweep = dir.join("bad-sweep.json");
     std::fs::write(
         &bad_sweep,
@@ -373,7 +413,7 @@ fn exit_codes_classify_failures() {
         .expect("spawn");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(EXIT_SPEC), "hostile spec: {stderr}");
-    assert!(stderr.contains("accuracy"), "{stderr}");
+    assert!(stderr.contains("target_accuracy"), "{stderr}");
     assert!(!stderr.to_lowercase().contains("panic"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -388,10 +428,10 @@ fn audit_violation_exits_70() {
     let spec = r#"{
         "workload": { "standard": "web" },
         "utilization": 0.5,
-        "accuracy": 0.2,
+        "target_accuracy": 0.2,
         "warmup": 50,
         "calibration": 500,
-        "paranoid": {
+        "audit": {
             "storm_budget_events_per_sim_second": 0.5,
             "storm_window_events": 1000
         }
@@ -419,7 +459,7 @@ fn sweep_runs_a_grid_and_reports_a_trend() {
     let sweep = r#"{
         "base": {
             "workload": { "standard": "web" },
-            "accuracy": 0.2,
+            "target_accuracy": 0.2,
             "warmup": 50,
             "calibration": 500
         },
@@ -465,7 +505,7 @@ fn sweep_runs_a_grid_and_reports_a_trend() {
 
 #[test]
 fn sweep_quarantines_poison_configs_and_exits_69() {
-    // Sweeping the paranoid block itself: one grid point is healthy, one
+    // Sweeping the audit block itself: one grid point is healthy, one
     // carries an impossible storm budget that fails every attempt. The
     // sweep must finish the healthy config, quarantine the poison one,
     // and exit EX_UNAVAILABLE — after writing the report.
@@ -489,7 +529,7 @@ fn sweep_quarantines_poison_configs_and_exits_69() {
     );
     let report = read_json(&report_path);
     assert_eq!(report["completed"].as_array().unwrap().len(), 1);
-    assert_eq!(report["completed"][0]["id"], "paranoid=null");
+    assert_eq!(report["completed"][0]["id"], "audit=null");
     let quarantined = report["quarantined"].as_array().unwrap();
     assert_eq!(quarantined.len(), 1);
     // max_retries = 1 → exactly two attempts before quarantine.
@@ -603,16 +643,15 @@ fn slave_entrypoint_without_a_master_fails_closed() {
     assert!(out.stdout.is_empty(), "no frames may be emitted");
 }
 
-/// Writes a parallel experiment spec and returns its path.
-fn parallel_spec(dir: &Path, accuracy: f64, slaves: u64) -> std::path::PathBuf {
+/// Writes an experiment spec for a parallel run and returns its path.
+fn parallel_spec(dir: &Path, accuracy: f64) -> std::path::PathBuf {
     let spec = format!(
         r#"{{
         "workload": {{ "standard": "web" }},
         "utilization": 0.5,
-        "accuracy": {accuracy:?},
+        "target_accuracy": {accuracy:?},
         "warmup": 50,
         "calibration": 500,
-        "slaves": {slaves},
         "max_events": 100000000
     }}"#
     );
@@ -631,7 +670,7 @@ fn process_backend_run_matches_threads_bit_for_bit() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let spec = fixture("proc.json");
     let run = |rest: &[&str]| {
-        let mut args = vec!["run", &spec, "seed=7", "epoch-events=50000"];
+        let mut args = vec!["run", &spec, "seed=7", "slaves=2", "epoch-events=50000"];
         args.extend_from_slice(rest);
         succeed(&args)
     };
@@ -722,12 +761,13 @@ fn sighup_winds_down_process_backend_without_orphans() {
     std::fs::create_dir_all(&dir).expect("temp dir");
     // An accuracy target this run cannot hit quickly: the master will
     // still be supervising when the signal lands.
-    let spec_path = parallel_spec(&dir, 0.005, 2);
+    let spec_path = parallel_spec(&dir, 0.005);
     let mut master = bighouse()
         .args([
             "run",
             spec_path.to_str().unwrap(),
             "seed=11",
+            "slaves=2",
             "backend=processes",
             "epoch-events=50000",
         ])
@@ -794,12 +834,12 @@ fn isolated_sweep_still_quarantines_and_completes_neighbors() {
     let sweep = r#"{
         "base": {
             "workload": { "standard": "web" },
-            "accuracy": 0.2,
+            "target_accuracy": 0.2,
             "warmup": 50,
             "calibration": 500
         },
         "axes": {
-            "paranoid": [
+            "audit": [
                 null,
                 { "storm_budget_events_per_sim_second": 1e-9, "storm_window_events": 100 }
             ]
@@ -830,5 +870,55 @@ fn isolated_sweep_still_quarantines_and_completes_neighbors() {
     let report = read_json(&report_path);
     assert_eq!(report["completed"].as_array().unwrap().len(), 1);
     assert_eq!(report["quarantined"].as_array().unwrap().len(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What the one schema reaches that the old experiment files could not:
+/// `examples/three_tier.rs`'s 400 req/s pipeline (load-balanced arrivals,
+/// two downstream tiers, its own service tables), written by the library,
+/// runs through `bighouse run` to the library's estimates bit for bit.
+#[test]
+fn a_written_three_tier_config_runs_bit_for_bit() {
+    use bighouse::prelude::*;
+    use bighouse::sim::TierConfig;
+
+    fn empirical(mean: f64, cv: f64, seed: u64) -> Empirical {
+        let dist = fit_mean_cv(mean, cv).expect("fittable moments");
+        let mut rng = SimRng::from_seed(seed);
+        let samples: Vec<f64> = (0..100_000)
+            .map(|_| dist.sample(&mut rng).max(1e-12))
+            .collect();
+        Empirical::from_samples(&samples).expect("non-empty")
+    }
+    let web = Workload::new(
+        "three-tier",
+        empirical(1.0 / 400.0, 1.0, 4),
+        empirical(0.002, 1.5, 1),
+    );
+    let config = ExperimentConfig::new(web)
+        .with_servers(2)
+        .with_cores(2)
+        .with_arrival_mode(ArrivalMode::LoadBalanced(BalancerPolicy::JoinShortestQueue))
+        .with_tier(TierConfig::new(2, 4, empirical(0.010, 2.0, 2)))
+        .with_tier(TierConfig::new(1, 8, empirical(0.015, 1.2, 3)))
+        .with_target_accuracy(0.05)
+        .with_warmup(500)
+        .with_calibration(2000)
+        .with_max_events(100_000_000);
+
+    let dir = temp_dir().join("three-tier");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (spec, out) = (dir.join("three_tier.json"), dir.join("report.json"));
+    std::fs::write(&spec, bighouse_json::to_string_pretty(&config)).expect("write spec");
+    succeed(&[
+        "run",
+        spec.to_str().unwrap(),
+        "seed=11",
+        &format!("out={}", out.display()),
+    ]);
+    let expected = run_serial(&config, 11).expect("valid config");
+    assert!(expected.converged);
+    let estimates = bighouse_json::to_value(&expected.estimates).expect("estimates");
+    assert_eq!(read_json(&out)["estimates"], estimates);
     std::fs::remove_dir_all(&dir).ok();
 }

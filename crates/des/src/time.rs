@@ -31,6 +31,12 @@ impl Time {
     /// The simulation start instant.
     pub const ZERO: Time = Time(0.0);
 
+    /// The longest span, in seconds, a configuration may give a latency,
+    /// timeout, deadline, mean time or table value: 10^12 s, some 31 700
+    /// years. No run fires enough events for sums of such spans to reach
+    /// the end of the `f64` range, so every event time stays finite.
+    pub const MAX_SPAN: f64 = 1e12;
+
     /// Creates a `Time` from a number of seconds since simulation start.
     ///
     /// # Panics

@@ -65,9 +65,11 @@ pub struct PowerCapper {
     total_budget_watts: f64,
 }
 
+// A file may name the budget alone: the models default to a typical
+// server at the paper's α.
 bighouse_json::json_struct!(PowerCapper {
-    power_model,
-    dvfs,
+    power_model = LinearPowerModel::typical_server(),
+    dvfs = DvfsModel::default(),
     total_budget_watts
 });
 

@@ -1,5 +1,7 @@
 //! Idle low-power policies.
 
+use bighouse_des::Time;
+
 /// How a server exploits idleness, selecting among the behaviors of the
 /// paper's case studies.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -64,46 +66,38 @@ impl IdlePolicy {
         }
     }
 
-    /// Validates the policy's parameters.
+    /// Checks the policy's parameters: every latency and threshold must lie
+    /// in `[0, Time::MAX_SPAN]`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any latency or threshold is negative or non-finite.
-    pub(crate) fn validate(&self) {
-        match self {
-            IdlePolicy::AlwaysOn => {}
-            IdlePolicy::PowerNap { wake_latency } => {
-                assert!(
-                    wake_latency.is_finite() && *wake_latency >= 0.0,
-                    "wake latency must be finite and non-negative, got {wake_latency}"
-                );
-            }
+    /// Returns a message naming the offending field as
+    /// `idle_policy.<field>`.
+    pub fn validate(&self) -> Result<(), String> {
+        let fields: &[(&str, f64)] = match *self {
+            IdlePolicy::AlwaysOn => &[],
+            IdlePolicy::PowerNap { wake_latency } => &[("wake_latency", wake_latency)],
             IdlePolicy::TimeoutNap {
                 idle_timeout,
                 wake_latency,
-            } => {
-                assert!(
-                    idle_timeout.is_finite() && *idle_timeout >= 0.0,
-                    "idle timeout must be finite and non-negative, got {idle_timeout}"
-                );
-                assert!(
-                    wake_latency.is_finite() && *wake_latency >= 0.0,
-                    "wake latency must be finite and non-negative, got {wake_latency}"
-                );
-            }
+            } => &[
+                ("idle_timeout", idle_timeout),
+                ("wake_latency", wake_latency),
+            ],
             IdlePolicy::DreamWeaver {
                 max_delay,
                 wake_latency,
-            } => {
-                assert!(
-                    max_delay.is_finite() && *max_delay >= 0.0,
-                    "max delay must be finite and non-negative, got {max_delay}"
-                );
-                assert!(
-                    wake_latency.is_finite() && *wake_latency >= 0.0,
-                    "wake latency must be finite and non-negative, got {wake_latency}"
-                );
-            }
+            } => &[("max_delay", max_delay), ("wake_latency", wake_latency)],
+        };
+        match fields
+            .iter()
+            .find(|(_, v)| !(0.0..=Time::MAX_SPAN).contains(v))
+        {
+            Some((name, v)) => Err(format!(
+                "idle_policy.{name} = {v}: must be in [0, {:e}] seconds",
+                Time::MAX_SPAN
+            )),
+            None => Ok(()),
         }
     }
 }
@@ -139,8 +133,27 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wake latency")]
     fn validate_rejects_negative_latency() {
-        IdlePolicy::PowerNap { wake_latency: -1.0 }.validate();
+        assert_eq!(
+            IdlePolicy::PowerNap { wake_latency: -1.0 }.validate(),
+            Err("idle_policy.wake_latency = -1: must be in [0, 1e12] seconds".into())
+        );
+        let nan = IdlePolicy::DreamWeaver {
+            max_delay: f64::NAN,
+            wake_latency: 0.001,
+        };
+        assert!(nan
+            .validate()
+            .unwrap_err()
+            .starts_with("idle_policy.max_delay = NaN"));
+        let timeout = IdlePolicy::TimeoutNap {
+            idle_timeout: 0.5,
+            wake_latency: f64::INFINITY,
+        };
+        assert!(timeout
+            .validate()
+            .unwrap_err()
+            .starts_with("idle_policy.wake_latency"));
+        assert_eq!(IdlePolicy::AlwaysOn.validate(), Ok(()));
     }
 }

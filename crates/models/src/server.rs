@@ -155,10 +155,11 @@ impl Server {
     ///
     /// # Panics
     ///
-    /// Panics if the policy's parameters are invalid (negative latencies).
+    /// Panics if [`IdlePolicy::validate`] refuses the policy (a latency or
+    /// threshold negative, non-finite or above `Time::MAX_SPAN`).
     #[must_use]
     pub fn with_policy(mut self, policy: IdlePolicy) -> Self {
-        policy.validate();
+        policy.validate().expect("valid idle policy");
         self.policy = policy;
         // Eagerly napping policies start asleep; timeout policies start
         // active with the idle clock running.

@@ -55,11 +55,13 @@ pub struct AuditConfig {
     pub storm_window_events: u64,
 }
 
+// Each threshold a file leaves out reads as its default, so
+// `"audit": {}` is `AuditConfig::default()`.
 bighouse_json::json_struct!(AuditConfig {
-    check_interval_events,
-    stall_limit_events,
-    storm_budget_events_per_sim_second,
-    storm_window_events,
+    check_interval_events = Self::DEFAULT_CHECK_INTERVAL,
+    stall_limit_events = ProgressGuard::DEFAULT_STALL_LIMIT,
+    storm_budget_events_per_sim_second = ProgressGuard::DEFAULT_STORM_BUDGET,
+    storm_window_events = ProgressGuard::DEFAULT_STORM_WINDOW,
 });
 
 /// Relative tolerance of the Little's-law probe (`|L − λW| / λW`). Both

@@ -1,10 +1,14 @@
 //! Experiment configuration.
 
+use std::fmt::Display;
+
+use bighouse_des::Time;
 use bighouse_dists::Empirical;
 use bighouse_faults::{FaultProcess, RetryPolicy};
+use bighouse_json::{FromJson, Value};
 use bighouse_models::{BalancerPolicy, DvfsModel, IdlePolicy, LinearPowerModel, PowerCapper};
 use bighouse_stats::MetricSpec;
-use bighouse_workloads::Workload;
+use bighouse_workloads::{Workload, WorkloadError, WorkloadRef};
 
 use crate::audit::AuditConfig;
 use crate::error::SimError;
@@ -238,29 +242,193 @@ pub struct ExperimentConfig {
     pub(crate) tiers: Vec<TierConfig>,
 }
 
+// An absent key reads as what `ExperimentConfig::new` sets
+// (`absent_keys_read_as_new_sets_them` holds the two lists together).
 bighouse_json::json_struct!(ExperimentConfig {
     workload,
-    servers,
-    cores_per_server,
-    idle_policy,
-    dvfs,
+    servers = 1,
+    cores_per_server = 4,
+    idle_policy = IdlePolicy::AlwaysOn,
+    dvfs = DvfsModel::default(),
     power_model,
     capper,
-    arrival_mode,
-    metrics,
-    target_accuracy,
-    confidence,
-    quantile,
-    warmup,
-    calibration,
-    max_events,
+    arrival_mode = ArrivalMode::PerServer,
+    metrics = vec![(MetricKind::ResponseTime, None)],
+    target_accuracy = 0.05,
+    confidence = 0.95,
+    quantile = 0.95,
+    warmup = 1000,
+    calibration = MetricSpec::DEFAULT_CALIBRATION,
+    max_events = u64::MAX,
     faults,
     retry,
     resilience,
     audit,
-    telemetry,
+    telemetry = false,
     tiers = Vec::new(); skip_if Vec::is_empty,
 });
+
+/// Keys of the experiment files `bighouse run` read before they took this
+/// type's JSON, with what replaced each. A file still naming one is
+/// refused: read with the key ignored, it would silently run another
+/// experiment.
+const RENAMED_KEYS: [(&str, &str); 6] = [
+    ("cores", "`cores_per_server`"),
+    ("accuracy", "`target_accuracy`"),
+    ("paranoid", "`audit`"),
+    ("capping", "`capper.total_budget_watts`"),
+    ("slaves", "the `slaves=N` argument of `bighouse run`"),
+    ("resilience.hedge_deadline", "`resilience.hedge.deadline`"),
+];
+
+/// One `metrics` entry of an experiment file: a registered name, or the
+/// `[kind, spec]` pair the config writes.
+struct MetricEntry(MetricKind, Option<MetricSpec>);
+
+impl FromJson for MetricEntry {
+    fn from_json(value: &Value) -> Result<Self, bighouse_json::Error> {
+        let Some(name) = value.as_str() else {
+            let (kind, spec) = FromJson::from_json(value)?;
+            return Ok(MetricEntry(kind, spec));
+        };
+        let kind = MetricKind::from_name(name).ok_or_else(|| {
+            bighouse_json::Error::invalid(format!(
+                "unknown metric `{name}` (expected one of: {})",
+                MetricKind::ALL.map(|kind| kind.name()).join(", ")
+            ))
+        })?;
+        Ok(MetricEntry(kind, None))
+    }
+}
+
+/// `Ok` if `ok`, else an [`SimError::InvalidConfig`] naming `field`, its
+/// value and what it must be.
+fn check(ok: bool, field: impl Display, value: impl Display, must: &str) -> Result<(), SimError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(SimError::InvalidConfig(format!(
+            "{field} = {value}: must be {must}"
+        )))
+    }
+}
+
+/// `value` must be at least `min`.
+fn check_min(field: impl Display, value: u64, min: u64) -> Result<(), SimError> {
+    check(value >= min, field, value, &format!("at least {min}"))
+}
+
+/// A positive, finite amount.
+fn check_positive(field: impl Display, value: f64) -> Result<(), SimError> {
+    check(
+        value.is_finite() && value > 0.0,
+        field,
+        value,
+        "positive and finite",
+    )
+}
+
+/// A count of servers or cores: at least 1, and within the `u32` that
+/// [`Workload::at_utilization`] takes cores as (no allocation holds more
+/// servers).
+fn check_count(field: impl Display, value: usize) -> Result<(), SimError> {
+    check(
+        (1..=u32::MAX as usize).contains(&value),
+        field,
+        value,
+        "at least 1 and at most 2^32 - 1",
+    )
+}
+
+/// A span of simulated seconds: in `[0, Time::MAX_SPAN]`.
+fn check_span(field: impl Display, value: f64) -> Result<(), SimError> {
+    check(
+        (0.0..=Time::MAX_SPAN).contains(&value),
+        field,
+        value,
+        "in [0, 1e12] seconds",
+    )
+}
+
+/// A quantile table's values are spans: its largest must be one.
+fn check_table(field: &str, table: &Empirical) -> Result<(), SimError> {
+    let largest = table.points().last().map_or(0.0, |&(_, v)| v);
+    check_span(format_args!("{field} (its largest value)"), largest)
+}
+
+/// `value` must lie in the open unit interval.
+fn check_unit(field: impl Display, value: f64) -> Result<(), SimError> {
+    check(value > 0.0 && value < 1.0, field, value, "in (0, 1)")
+}
+
+/// An accuracy target E or a confidence level: in (0, 1) and no finer
+/// than an `f64` resolves against 1, so that neither the half-width
+/// `E · mean` underflows to zero nor `1 − confidence` rounds to 1.
+fn check_target(field: impl Display, value: f64) -> Result<(), SimError> {
+    check(
+        (f64::EPSILON..1.0).contains(&value),
+        field,
+        value,
+        "in [2^-52, 1)",
+    )
+}
+
+/// The ranges [`LinearPowerModel::new`] and `with_failed_watts` assert.
+fn check_power_model(path: &str, model: &LinearPowerModel) -> Result<(), SimError> {
+    let watts = [
+        ("idle_watts", model.idle_watts()),
+        ("dynamic_watts", model.dynamic_watts()),
+        ("nap_watts", model.nap_watts()),
+        ("failed_watts", model.failed_watts()),
+    ];
+    for (name, v) in watts {
+        check(
+            v.is_finite() && v >= 0.0,
+            format_args!("{path}.{name}"),
+            v,
+            "finite and non-negative",
+        )?;
+    }
+    check(
+        model.nap_watts() <= model.idle_watts(),
+        format_args!("{path}.nap_watts"),
+        model.nap_watts(),
+        "at most idle_watts",
+    )
+}
+
+/// The range [`DvfsModel::new`] asserts.
+fn check_dvfs(path: &str, dvfs: &DvfsModel) -> Result<(), SimError> {
+    let alpha = dvfs.alpha();
+    check(
+        (0.0..=1.0).contains(&alpha),
+        format_args!("{path}.alpha"),
+        alpha,
+        "in [0, 1]",
+    )
+}
+
+/// The ranges the [`MetricSpec`] `with_*` methods assert, and the name the
+/// simulation wires a kind's observations by.
+fn check_metric_spec(path: &str, kind: MetricKind, spec: &MetricSpec) -> Result<(), SimError> {
+    check(
+        spec.name() == kind.name(),
+        format_args!("{path}.name"),
+        spec.name(),
+        kind.name(),
+    )?;
+    check_target(
+        format_args!("{path}.target_accuracy"),
+        spec.target_accuracy(),
+    )?;
+    check_target(format_args!("{path}.confidence"), spec.confidence())?;
+    for (i, &q) in spec.quantiles().iter().enumerate() {
+        check_unit(format_args!("{path}.quantiles[{i}]"), q)?;
+    }
+    let calibration = spec.calibration() as u64;
+    check_min(format_args!("{path}.calibration"), calibration, 1)?;
+    check_min(format_args!("{path}.max_lag"), spec.max_lag() as u64, 1)
+}
 
 impl ExperimentConfig {
     /// Creates a single quad-core-server experiment at the workload's
@@ -290,6 +458,133 @@ impl ExperimentConfig {
             telemetry: false,
             tiers: Vec::new(),
         }
+    }
+
+    /// The keys of an experiment file: every key the config writes, then
+    /// the load-time `utilization`.
+    pub const KEYS: [&'static str; 22] = [
+        "workload",
+        "servers",
+        "cores_per_server",
+        "idle_policy",
+        "dvfs",
+        "power_model",
+        "capper",
+        "arrival_mode",
+        "metrics",
+        "target_accuracy",
+        "confidence",
+        "quantile",
+        "warmup",
+        "calibration",
+        "max_events",
+        "faults",
+        "retry",
+        "resilience",
+        "audit",
+        "telemetry",
+        "tiers",
+        "utilization",
+    ];
+
+    /// Reads an experiment file: the JSON this type writes, with every key
+    /// but `workload` optional (an absent key is what
+    /// [`ExperimentConfig::new`] sets) and three load-time forms:
+    ///
+    /// - `workload` is a [`WorkloadRef`], which `resolve` turns into the
+    ///   workload (a sweep memoizes it);
+    /// - `utilization` rescales the resolved workload at
+    ///   `cores_per_server`, as [`ExperimentConfig::with_utilization`]
+    ///   does. It is not a field: the config writes the scaled workload;
+    /// - a `metrics` entry is a registered name (`"waiting_time"`) or the
+    ///   `[kind, spec]` pair the config writes, added as
+    ///   [`ExperimentConfig::with_metric`] and
+    ///   [`ExperimentConfig::with_metric_spec`] add them, so
+    ///   `response_time` stays first.
+    ///
+    /// A `capper` brings its power and DVFS models, as
+    /// [`ExperimentConfig::with_capper`] does. The config returned has
+    /// passed [`ExperimentConfig::validate`], and one written by
+    /// `bighouse_json::to_string` loads back to itself.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use bighouse_sim::{ExperimentConfig, MetricKind};
+    /// use bighouse_workloads::WorkloadRef;
+    ///
+    /// let json = bighouse_json::parse(
+    ///     r#"{
+    ///         "workload": {"standard": "Web"},
+    ///         "servers": 4,
+    ///         "utilization": 0.5,
+    ///         "metrics": ["response_time", "waiting_time"],
+    ///         "target_accuracy": 0.05
+    ///     }"#,
+    /// )?;
+    /// let config = ExperimentConfig::load(&json, WorkloadRef::resolve)?;
+    /// assert_eq!(config.servers(), 4);
+    /// assert_eq!(config.metric_specs()[1].0, MetricKind::WaitingTime);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] naming the field path of a
+    /// value the codec, `resolve` or [`ExperimentConfig::validate`]
+    /// refuses, or a key of the old experiment-file schema with what
+    /// replaced it.
+    pub fn load(
+        value: &Value,
+        mut resolve: impl FnMut(&WorkloadRef) -> Result<Workload, WorkloadError>,
+    ) -> Result<Self, SimError> {
+        let invalid = |e: bighouse_json::Error| SimError::InvalidConfig(e.to_string());
+        let object = bighouse_json::object(value).map_err(invalid)?;
+        let renamed = RENAMED_KEYS.into_iter().find(|(old, _)| {
+            old.split('.')
+                .try_fold(value, |v, key| v.get(key))
+                .is_some()
+        });
+        if let Some((old, new)) = renamed {
+            return Err(SimError::InvalidConfig(format!(
+                "`{old}` is no longer read: use {new}"
+            )));
+        }
+        let reference: WorkloadRef = bighouse_json::field(object, "workload").map_err(invalid)?;
+        let workload =
+            resolve(&reference).map_err(|e| SimError::InvalidConfig(format!("workload: {e}")))?;
+        let utilization: Option<f64> =
+            bighouse_json::field(object, "utilization").map_err(invalid)?;
+        let metrics: Vec<MetricEntry> =
+            bighouse_json::field_or(object, "metrics", Vec::new).map_err(invalid)?;
+        let mut fields: bighouse_json::Map = object
+            .iter()
+            .filter(|(key, _)| !matches!(key.as_str(), "workload" | "metrics"))
+            .map(|(key, v)| (key.clone(), v.clone()))
+            .collect();
+        fields.insert(
+            "workload",
+            bighouse_json::to_value(&workload).map_err(invalid)?,
+        );
+        let mut config = Self::from_json(&Value::Object(fields)).map_err(invalid)?;
+        config.workload = workload;
+        for MetricEntry(kind, spec) in metrics {
+            config.put_metric(kind, spec);
+        }
+        if let Some(capper) = &config.capper {
+            config.power_model = Some(*capper.power_model());
+            config.dvfs = *capper.dvfs();
+        }
+        if let Some(u) = utilization {
+            check_unit("utilization", u)?;
+            check_count("cores_per_server", config.cores_per_server)?;
+            config.workload = config
+                .workload
+                .try_at_utilization(u, config.cores_per_server as u32)
+                .map_err(|e| SimError::InvalidConfig(format!("utilization = {u}: {e}")))?;
+        }
+        config.validate()?;
+        Ok(config)
     }
 
     /// Sets the number of servers.
@@ -374,9 +669,7 @@ impl ExperimentConfig {
     /// Response time is always present; adding it again is a no-op.
     #[must_use]
     pub fn with_metric(mut self, kind: MetricKind) -> Self {
-        if !self.metrics.iter().any(|(k, _)| *k == kind) {
-            self.metrics.push((kind, None));
-        }
+        self.put_metric(kind, None);
         self
     }
 
@@ -395,12 +688,21 @@ impl ExperimentConfig {
             kind.name(),
             "metric spec must be named after its kind"
         );
-        if let Some(entry) = self.metrics.iter_mut().find(|(k, _)| *k == kind) {
-            entry.1 = Some(spec);
-        } else {
-            self.metrics.push((kind, Some(spec)));
-        }
+        self.put_metric(kind, Some(spec));
         self
+    }
+
+    /// Tracks `kind`: a custom `spec` replaces the one it has, `None`
+    /// leaves a tracked kind as it is.
+    fn put_metric(&mut self, kind: MetricKind, spec: Option<MetricSpec>) {
+        match self.metrics.iter_mut().find(|(k, _)| *k == kind) {
+            Some(entry) => {
+                if spec.is_some() {
+                    entry.1 = spec;
+                }
+            }
+            None => self.metrics.push((kind, spec)),
+        }
     }
 
     /// Sets the relative accuracy target E for **all** metrics (Eq. 1).
@@ -632,16 +934,67 @@ impl ExperimentConfig {
         }
     }
 
-    /// Validates cross-field constraints.
+    /// Checks every value a `with_*` method or model constructor would
+    /// assert on, naming its field path, then the cross-field constraints.
+    /// A config read from JSON bypasses those asserts, and runs build only
+    /// configs that pass.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] if a metric requires a model
-    /// that is not configured (capping level without a capper, power
-    /// without a power model, availability without fault injection), or
-    /// if a downstream tier is empty or shares the run with request
+    /// Returns [`SimError::InvalidConfig`] for a value out of its range,
+    /// a metric requiring a model that is not configured (capping level
+    /// without a capper, power without a power model, availability
+    /// without fault injection), an invalid resilience config, or a
+    /// downstream tier that is empty or shares the run with request
     /// tracking or a capper, which act on one cluster.
-    pub(crate) fn validate(&self) -> Result<(), SimError> {
+    pub fn validate(&self) -> Result<(), SimError> {
+        check_count("servers", self.servers)?;
+        check_count("cores_per_server", self.cores_per_server)?;
+        check_table("workload.interarrival", self.workload.interarrival())?;
+        check_table("workload.service", self.workload.service())?;
+        check_target("target_accuracy", self.target_accuracy)?;
+        check_target("confidence", self.confidence)?;
+        check_unit("quantile", self.quantile)?;
+        check_min("calibration", self.calibration as u64, 1)?;
+        for (i, (kind, spec)) in self.metrics.iter().enumerate() {
+            if let Some(spec) = spec {
+                check_metric_spec(&format!("metrics[{i}]"), *kind, spec)?;
+            }
+        }
+        self.idle_policy
+            .validate()
+            .map_err(SimError::InvalidConfig)?;
+        // The capper first: a loaded config copies its models.
+        if let Some(capper) = &self.capper {
+            check_positive("capper.total_budget_watts", capper.total_budget_watts())?;
+            check_power_model("capper.power_model", capper.power_model())?;
+            check_dvfs("capper.dvfs", capper.dvfs())?;
+        }
+        check_dvfs("dvfs", &self.dvfs)?;
+        if let Some(model) = &self.power_model {
+            check_power_model("power_model", model)?;
+        }
+        if let Some(faults) = &self.faults {
+            check_span("faults.mtbf", faults.mtbf())?;
+            check_span("faults.mttr", faults.mttr())?;
+        }
+        if let Some(retry) = &self.retry {
+            check_span("retry.timeout", retry.timeout())?;
+            check_span("retry.backoff_cap", retry.backoff_ceiling(u32::MAX))?;
+        }
+        if let Some(audit) = &self.audit {
+            check_min(
+                "audit.check_interval_events",
+                audit.check_interval_events,
+                1,
+            )?;
+            check_min("audit.stall_limit_events", audit.stall_limit_events, 2)?;
+            check_positive(
+                "audit.storm_budget_events_per_sim_second",
+                audit.storm_budget_events_per_sim_second,
+            )?;
+            check_min("audit.storm_window_events", audit.storm_window_events, 2)?;
+        }
         for (kind, _) in &self.metrics {
             if let Some(what) = kind.missing_prerequisite(self) {
                 return Err(SimError::InvalidConfig(format!(
@@ -667,17 +1020,21 @@ impl ExperimentConfig {
                 "downstream tiers cannot be combined with {what}"
             )));
         }
-        match self
-            .tiers
-            .iter()
-            .position(|t| t.servers == 0 || t.cores == 0)
-        {
-            Some(i) => Err(SimError::InvalidConfig(format!(
-                "tier {} needs at least one server and one core",
-                i + 1
-            ))),
-            None => Ok(()),
+        for (i, tier) in self.tiers.iter().enumerate() {
+            if tier.servers == 0 || tier.cores == 0 {
+                return Err(SimError::InvalidConfig(format!(
+                    "tier {} needs at least one server and one core",
+                    i + 1
+                )));
+            }
+            check_count(format_args!("tiers[{i}].servers"), tier.servers)?;
+            check_count(format_args!("tiers[{i}].cores"), tier.cores)?;
+            check_table(&format!("tiers[{i}].service"), &tier.service)?;
+            tier.idle_policy
+                .validate()
+                .map_err(|e| SimError::InvalidConfig(format!("tiers[{i}].{e}")))?;
         }
+        Ok(())
     }
 
     /// Whether the configuration can be sent to a child process.
@@ -929,5 +1286,241 @@ mod tests {
         let c = base();
         let scaled = base().with_utilization(0.5);
         assert!(scaled.workload().interarrival().mean() != c.workload().interarrival().mean());
+    }
+
+    /// Loads `value` with standard names resolved.
+    fn load(value: &Value) -> Result<ExperimentConfig, SimError> {
+        ExperimentConfig::load(value, WorkloadRef::resolve)
+    }
+
+    #[test]
+    fn absent_keys_read_as_new_sets_them() {
+        let web = bighouse_json::to_value(base().workload()).unwrap();
+        let mut object = bighouse_json::Map::new();
+        object.insert("workload", web);
+        let read = ExperimentConfig::from_json(&Value::Object(object)).unwrap();
+        assert_eq!(
+            bighouse_json::to_string(&read),
+            bighouse_json::to_string(&base())
+        );
+    }
+
+    #[test]
+    fn keys_are_what_the_config_writes_and_utilization() {
+        let tiered = base().with_tier(TierConfig::new(1, 2, base().workload().service().clone()));
+        let json = bighouse_json::to_value(&tiered).unwrap();
+        let written: Vec<&str> = json
+            .as_object()
+            .unwrap()
+            .keys()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(written, ExperimentConfig::KEYS[..21]);
+        assert_eq!(ExperimentConfig::KEYS[21], "utilization");
+    }
+
+    #[test]
+    fn a_written_config_loads_back_to_itself() {
+        use crate::checkpoint::config_fingerprint;
+        use crate::resilience::ResilienceConfig;
+        use bighouse_models::{DvfsModel, LinearPowerModel, PowerCapper};
+        let spec = MetricSpec::new("waiting_time")
+            .with_target_accuracy(0.1)
+            .with_quantiles(&[0.5, 0.99]);
+        let equipped = base()
+            .with_servers(3)
+            .with_cores(2)
+            .with_utilization(0.4)
+            .with_idle_policy(IdlePolicy::PowerNap {
+                wake_latency: 0.001,
+            })
+            .with_capper(PowerCapper::new(
+                LinearPowerModel::typical_server().with_failed_watts(20.0),
+                DvfsModel::new(0.7),
+                450.0,
+            ))
+            .with_metric_spec(MetricKind::WaitingTime, spec)
+            .with_metric(MetricKind::CappingLevel)
+            .with_faults(FaultProcess::exponential(500.0, 5.0).unwrap())
+            .with_retry(RetryPolicy::new(1.0).with_max_retries(2))
+            .with_resilience(ResilienceConfig::new().with_hedge(0.1))
+            .with_audit(AuditConfig::default())
+            .with_max_events(1_000_000);
+        let tiered = base()
+            .with_arrival_mode(ArrivalMode::LoadBalanced(BalancerPolicy::JoinShortestQueue))
+            .with_tier(TierConfig::new(2, 4, base().workload().service().clone()));
+        for config in [base(), equipped, tiered] {
+            let written = bighouse_json::to_value(&config).unwrap();
+            let loaded = load(&written).unwrap();
+            assert_eq!(
+                bighouse_json::to_string(&loaded),
+                bighouse_json::to_string(&config)
+            );
+            assert_eq!(
+                config_fingerprint(&loaded, 2012),
+                config_fingerprint(&config, 2012)
+            );
+        }
+    }
+
+    #[test]
+    fn load_matches_the_same_config_built_in_code() {
+        let value = bighouse_json::parse(
+            r#"{"workload": {"standard": "WEB"}, "servers": 4, "cores_per_server": 2,
+                "utilization": 0.3, "metrics": ["waiting_time", "response_time"],
+                "capper": {"total_budget_watts": 600.0}, "target_accuracy": 0.1}"#,
+        )
+        .unwrap();
+        let built = base()
+            .with_servers(4)
+            .with_cores(2)
+            .with_utilization(0.3)
+            .with_metric(MetricKind::WaitingTime)
+            .with_capper(PowerCapper::new(
+                LinearPowerModel::typical_server(),
+                DvfsModel::default(),
+                600.0,
+            ))
+            .with_target_accuracy(0.1);
+        assert_eq!(
+            bighouse_json::to_string(&load(&value).unwrap()),
+            bighouse_json::to_string(&built)
+        );
+    }
+
+    #[test]
+    fn validate_names_the_path_of_every_value_an_assert_guards() {
+        use crate::resilience::ResilienceConfig;
+        let web = base();
+        let tier = || TierConfig::new(1, 2, web.workload().service().clone());
+        let mut cases: Vec<(ExperimentConfig, &str)> = Vec::new();
+        let mut case = |edit: &dyn Fn(&mut ExperimentConfig), path| {
+            let mut config = base();
+            edit(&mut config);
+            cases.push((config, path));
+        };
+        case(&|c| c.servers = 0, "servers = 0");
+        case(
+            &|c| c.cores_per_server = 1 << 32,
+            "cores_per_server = 4294967296",
+        );
+        case(&|c| c.target_accuracy = f64::NAN, "target_accuracy = NaN");
+        case(&|c| c.target_accuracy = 1e-300, "target_accuracy = ");
+        case(&|c| c.confidence = 1.0, "confidence = 1");
+        case(&|c| c.quantile = -0.5, "quantile = -0.5");
+        case(&|c| c.calibration = 0, "calibration = 0");
+        case(
+            &|c| c.metrics[0].1 = Some(MetricSpec::new("waiting_time")),
+            "metrics[0].name = waiting_time",
+        );
+        case(
+            &|c| c.metrics[0].1 = Some(MetricSpec::new("response_time").with_max_lag(1)),
+            "",
+        );
+        case(
+            &|c| {
+                c.idle_policy = IdlePolicy::TimeoutNap {
+                    idle_timeout: 2e12,
+                    wake_latency: 0.0,
+                }
+            },
+            "idle_policy.idle_timeout = 2000000000000",
+        );
+        case(
+            &|c| c.dvfs = bighouse_json::from_str(r#"{"alpha": 2.0}"#).unwrap(),
+            "dvfs.alpha = 2",
+        );
+        case(
+            &|c| {
+                c.power_model = Some(
+                    bighouse_json::from_str(
+                        r#"{"idle_watts": "inf", "dynamic_watts": 1.0, "nap_watts": 0.0}"#,
+                    )
+                    .unwrap(),
+                )
+            },
+            "power_model.idle_watts = inf",
+        );
+        case(
+            &|c| {
+                c.capper = Some(bighouse_json::from_str(r#"{"total_budget_watts": -1.0}"#).unwrap())
+            },
+            "capper.total_budget_watts = -1",
+        );
+        case(
+            &|c| {
+                c.audit = Some(AuditConfig {
+                    stall_limit_events: 1,
+                    ..AuditConfig::default()
+                })
+            },
+            "audit.stall_limit_events = 1",
+        );
+        case(
+            &|c| c.retry = Some(RetryPolicy::new(2e12)),
+            "retry.timeout = 2000000000000",
+        );
+        case(
+            &|c| c.faults = Some(FaultProcess::exponential(2e12, 1.0).unwrap()),
+            "faults.mtbf = 2000000000000",
+        );
+        case(
+            &|c| c.resilience = Some(ResilienceConfig::new().with_ramp(0.0, 1.0, 1e-13)),
+            "resilience.ramp.multiplier",
+        );
+        case(
+            &|c| {
+                let tables = bighouse_json::to_value(c.workload()).unwrap();
+                let scaled = c.workload().with_service_scale(1e12).unwrap();
+                assert_ne!(bighouse_json::to_value(&scaled).unwrap(), tables);
+                c.workload = scaled;
+            },
+            "workload.service (its largest value)",
+        );
+        case(
+            &|c| {
+                c.tiers.push(tier().with_idle_policy(IdlePolicy::PowerNap {
+                    wake_latency: f64::NAN,
+                }));
+            },
+            "tiers[0].idle_policy.wake_latency = NaN",
+        );
+        case(
+            &|c| {
+                let mut t = tier();
+                t.servers = usize::MAX;
+                c.tiers.push(t);
+            },
+            "tiers[0].servers",
+        );
+        for (config, path) in cases {
+            if path.is_empty() {
+                config.validate().unwrap();
+                continue;
+            }
+            match config.validate() {
+                Err(SimError::InvalidConfig(msg)) => {
+                    assert!(msg.starts_with(path), "{path}: {msg}");
+                }
+                other => panic!("{path}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn load_refuses_the_old_schema_keys_by_their_new_names() {
+        for (old, new) in RENAMED_KEYS {
+            let mut json = String::from(r#"{"workload": {"standard": "web"}, "#);
+            match old.split_once('.') {
+                Some((outer, inner)) => json.push_str(&format!(r#""{outer}": {{"{inner}": 1}}}}"#)),
+                None => json.push_str(&format!(r#""{old}": 1}}"#)),
+            }
+            match load(&bighouse_json::parse(&json).unwrap()) {
+                Err(SimError::InvalidConfig(msg)) => {
+                    assert_eq!(msg, format!("`{old}` is no longer read: use {new}"));
+                }
+                other => panic!("{old}: {other:?}"),
+            }
+        }
     }
 }

@@ -150,8 +150,8 @@ bighouse_json::json_struct!(ResilienceConfig {
     admission,
     shedding,
     hedge,
-    classes,
-    class_weights,
+    classes = 1,
+    class_weights = Vec::new(),
     ramp,
     slo_deadline,
 });
@@ -284,9 +284,9 @@ impl ResilienceConfig {
             }
         }
         if let Some(hedge) = &self.hedge {
-            if !(hedge.deadline.is_finite() && hedge.deadline > 0.0) {
+            if !(hedge.deadline > 0.0 && hedge.deadline <= Time::MAX_SPAN) {
                 return bad(format!(
-                    "resilience.hedge.deadline = {}: must be finite and positive",
+                    "resilience.hedge.deadline = {}: must be positive and at most 1e12",
                     hedge.deadline
                 ));
             }
@@ -307,9 +307,11 @@ impl ResilienceConfig {
                     ramp.duration
                 ));
             }
-            if !(ramp.multiplier.is_finite() && ramp.multiplier > 0.0) {
+            // Gaps are divided by the multiplier: at least 1e-12 keeps a
+            // stretched gap a span.
+            if !(ramp.multiplier.is_finite() && ramp.multiplier >= 1.0 / Time::MAX_SPAN) {
                 return bad(format!(
-                    "resilience.ramp.multiplier = {}: must be finite and positive",
+                    "resilience.ramp.multiplier = {}: must be finite and at least 1e-12",
                     ramp.multiplier
                 ));
             }

@@ -32,4 +32,4 @@ mod workload;
 
 pub use moments::TaskMoments;
 pub use table1::StandardWorkload;
-pub use workload::{Workload, WorkloadError};
+pub use workload::{Workload, WorkloadError, WorkloadRef};

@@ -6,6 +6,7 @@ use std::path::Path;
 use bighouse_des::SimRng;
 use bighouse_dists::fit::fit_mean_sigma;
 use bighouse_dists::{Distribution, DistributionError, Empirical};
+use bighouse_json::{FromJson, Value};
 
 use crate::moments::TaskMoments;
 use crate::table1::StandardWorkload;
@@ -19,6 +20,8 @@ pub enum WorkloadError {
     Format(bighouse_json::Error),
     /// The requested moments could not be fit or scaled.
     Distribution(DistributionError),
+    /// A [`WorkloadRef::Standard`] name no Table 1 workload carries.
+    UnknownStandard(String),
 }
 
 impl fmt::Display for WorkloadError {
@@ -27,6 +30,11 @@ impl fmt::Display for WorkloadError {
             WorkloadError::Io(e) => write!(f, "workload file I/O failed: {e}"),
             WorkloadError::Format(e) => write!(f, "workload file is malformed: {e}"),
             WorkloadError::Distribution(e) => write!(f, "workload distribution invalid: {e}"),
+            WorkloadError::UnknownStandard(name) => write!(
+                f,
+                "unknown standard workload `{name}` (expected one of: {})",
+                StandardWorkload::ALL.map(|w| w.name()).join(", ")
+            ),
         }
     }
 }
@@ -37,6 +45,7 @@ impl std::error::Error for WorkloadError {
             WorkloadError::Io(e) => Some(e),
             WorkloadError::Format(e) => Some(e),
             WorkloadError::Distribution(e) => Some(e),
+            WorkloadError::UnknownStandard(_) => None,
         }
     }
 }
@@ -186,10 +195,30 @@ impl Workload {
             utilization > 0.0 && utilization < 1.0,
             "utilization must be in (0, 1) for a steady state, got {utilization}"
         );
+        self.try_at_utilization(utilization, cores)
+            .expect("positive scale factor")
+    }
+
+    /// As [`Workload::at_utilization`], with a utilization outside
+    /// `(0, 1)` or a scale factor that is not finite and positive (zero
+    /// cores, a zero-mean table) as an error instead of a panic.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WorkloadError::Distribution`] naming the rejected value.
+    pub fn try_at_utilization(&self, utilization: f64, cores: u32) -> Result<Self, WorkloadError> {
+        if !(utilization > 0.0 && utilization < 1.0) {
+            return Err(WorkloadError::Distribution(
+                DistributionError::InvalidParameter {
+                    name: "utilization",
+                    value: utilization,
+                    requirement: "must be in (0, 1) for a steady state",
+                },
+            ));
+        }
         let target_interarrival = self.service.mean() / (utilization * f64::from(cores));
         let factor = target_interarrival / self.interarrival.mean();
         self.with_interarrival_scale(factor)
-            .expect("positive scale factor")
     }
 
     /// Returns a copy with the inter-arrival distribution scaled by
@@ -239,6 +268,57 @@ impl Workload {
     pub fn load(path: impl AsRef<Path>) -> Result<Self, WorkloadError> {
         let json = std::fs::read_to_string(path)?;
         Ok(bighouse_json::from_str(&json)?)
+    }
+}
+
+/// How an experiment names its workload: one of the five Table 1
+/// workloads, a file [`Workload::save`] wrote, or the table itself.
+///
+/// In JSON it is `{"standard": "web"}` (any case), `{"file": "w.json"}`,
+/// or an inline table in the form [`Workload`] writes. Decoding never
+/// opens a file; [`WorkloadRef::resolve`] does.
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkloadRef {
+    /// One of the five Table 1 workloads, by name (case-insensitive).
+    Standard(String),
+    /// A workload JSON file written by [`Workload::save`].
+    File(String),
+    /// The workload itself.
+    Inline(Workload),
+}
+
+impl FromJson for WorkloadRef {
+    fn from_json(value: &Value) -> Result<Self, bighouse_json::Error> {
+        let object = bighouse_json::object(value)?;
+        if object.len() == 1 {
+            if object.get("standard").is_some() {
+                return bighouse_json::field(object, "standard").map(WorkloadRef::Standard);
+            }
+            if object.get("file").is_some() {
+                return bighouse_json::field(object, "file").map(WorkloadRef::File);
+            }
+        }
+        Workload::from_json(value).map(WorkloadRef::Inline)
+    }
+}
+
+impl WorkloadRef {
+    /// The workload the reference names.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WorkloadError::UnknownStandard`] for a name no Table 1
+    /// workload carries, and [`Workload::load`]'s errors for a file.
+    pub fn resolve(&self) -> Result<Workload, WorkloadError> {
+        match self {
+            WorkloadRef::Standard(name) => StandardWorkload::ALL
+                .into_iter()
+                .find(|w| w.name().eq_ignore_ascii_case(name))
+                .map(Workload::standard)
+                .ok_or_else(|| WorkloadError::UnknownStandard(name.clone())),
+            WorkloadRef::File(path) => Workload::load(path),
+            WorkloadRef::Inline(workload) => Ok(workload.clone()),
+        }
     }
 }
 
