@@ -15,10 +15,7 @@
 //!   the closed form behind admission-controlled clusters, reducing to
 //!   Erlang-B at `K = k` and approaching M/M/k as `K → ∞`,
 //! - [`mg1`]: the M/G/1 queue via Pollaczek–Khinchine,
-//! - [`erlang_b`]/[`erlang_c`]: the Erlang blocking and delay formulas,
-//! - [`kingman`]: Kingman's G/G/1 heavy-traffic waiting-time
-//!   approximation — the "two-moment approximation" whose inadequacy
-//!   (Gupta et al., the paper's ref. 18) motivates simulation.
+//! - [`erlang_b`]/[`erlang_c`]: the Erlang blocking and delay formulas.
 //!
 //! All functions take rates/moments in consistent units and return times
 //! in those units.
@@ -33,8 +30,8 @@
 //! assert!((t - 0.05).abs() < 1e-12); // 1/(µ−λ) = 50 ms
 //!
 //! // Deterministic service halves the waiting time (P–K with Cv = 0):
-//! let w_md1 = mg1::mean_waiting(80.0, 0.01, 0.0);
-//! let w_mm1 = mg1::mean_waiting(80.0, 0.01, 1.0);
+//! let w_md1 = mg1::mean_response(80.0, 0.01, 0.0) - 0.01;
+//! let w_mm1 = mg1::mean_response(80.0, 0.01, 1.0) - 0.01;
 //! assert!((w_md1 / w_mm1 - 0.5).abs() < 1e-12);
 //! ```
 
@@ -132,28 +129,6 @@ pub mod mm1 {
         1.0 / (mu - lambda)
     }
 
-    /// Mean waiting (queueing) time: `ρ / (µ − λ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-positive rates or an unstable queue.
-    #[must_use]
-    pub fn mean_waiting(lambda: f64, mu: f64) -> f64 {
-        let rho = stable_rho(lambda, mu, 1);
-        rho / (mu - lambda)
-    }
-
-    /// Mean number of jobs in the system: `ρ / (1 − ρ)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-positive rates or an unstable queue.
-    #[must_use]
-    pub fn mean_jobs(lambda: f64, mu: f64) -> f64 {
-        let rho = stable_rho(lambda, mu, 1);
-        rho / (1.0 - rho)
-    }
-
     /// The `q`-quantile of response time (response is exponential with
     /// rate `µ − λ`): `−ln(1 − q) / (µ − λ)`.
     ///
@@ -202,7 +177,7 @@ pub mod mmk {
     ///
     /// Panics for non-positive rates or an unstable queue.
     #[must_use]
-    pub fn mean_waiting(lambda: f64, mu: f64, k: u32) -> f64 {
+    pub(crate) fn mean_waiting(lambda: f64, mu: f64, k: u32) -> f64 {
         let _ = stable_rho(lambda, mu, k);
         let a = lambda / mu;
         erlang_c(a, k) / (f64::from(k) * mu - lambda)
@@ -216,17 +191,6 @@ pub mod mmk {
     #[must_use]
     pub fn mean_response(lambda: f64, mu: f64, k: u32) -> f64 {
         1.0 / mu + mean_waiting(lambda, mu, k)
-    }
-
-    /// Probability an arriving job waits (Erlang-C).
-    ///
-    /// # Panics
-    ///
-    /// Panics for non-positive rates or an unstable queue.
-    #[must_use]
-    pub fn delay_probability(lambda: f64, mu: f64, k: u32) -> f64 {
-        let _ = stable_rho(lambda, mu, k);
-        erlang_c(lambda / mu, k)
     }
 }
 
@@ -293,7 +257,7 @@ pub mod mmkk {
     ///
     /// Panics on the same invalid inputs as [`blocking_probability`].
     #[must_use]
-    pub fn mean_queue_length(a: f64, k: u32, capacity: u32) -> f64 {
+    pub(crate) fn mean_queue_length(a: f64, k: u32, capacity: u32) -> f64 {
         let t = weights(a, k, capacity);
         let sum: f64 = t.iter().sum();
         t.iter()
@@ -311,7 +275,7 @@ pub mod mmkk {
     ///
     /// Panics on invalid inputs or a non-positive arrival rate.
     #[must_use]
-    pub fn mean_waiting(lambda: f64, mu: f64, k: u32, capacity: u32) -> f64 {
+    pub(crate) fn mean_waiting(lambda: f64, mu: f64, k: u32, capacity: u32) -> f64 {
         assert!(
             lambda.is_finite() && lambda > 0.0,
             "arrival rate must be positive, got {lambda}"
@@ -333,7 +297,8 @@ pub mod mmkk {
     ///
     /// # Panics
     ///
-    /// Panics on the same invalid inputs as [`mean_waiting`].
+    /// Panics on the same invalid inputs as [`blocking_probability`], or
+    /// for a non-positive arrival or service rate.
     #[must_use]
     pub fn mean_response(lambda: f64, mu: f64, k: u32, capacity: u32) -> f64 {
         1.0 / mu + mean_waiting(lambda, mu, k, capacity)
@@ -350,7 +315,7 @@ pub mod mg1 {
     ///
     /// Panics for invalid parameters or an unstable queue.
     #[must_use]
-    pub fn mean_waiting(lambda: f64, mean_service: f64, cv: f64) -> f64 {
+    pub(crate) fn mean_waiting(lambda: f64, mean_service: f64, cv: f64) -> f64 {
         assert!(
             lambda.is_finite() && lambda > 0.0,
             "arrival rate must be positive, got {lambda}"
@@ -377,38 +342,6 @@ pub mod mg1 {
     #[must_use]
     pub fn mean_response(lambda: f64, mean_service: f64, cv: f64) -> f64 {
         mean_service + mean_waiting(lambda, mean_service, cv)
-    }
-}
-
-/// Kingman's G/G/1 heavy-traffic approximation.
-pub mod kingman {
-    /// Approximate mean waiting time:
-    /// `W ≈ (ρ/(1−ρ)) · ((C_a² + C_s²)/2) · E[S]`.
-    ///
-    /// This is the classic "two moments of inter-arrival and service"
-    /// formula; the paper's ref. 18 shows two moments are *not enough*
-    /// for accurate G/G/k analysis — which is why BigHouse simulates
-    /// empirical distributions instead. Exact for M/M/1; an approximation
-    /// elsewhere.
-    ///
-    /// # Panics
-    ///
-    /// Panics for invalid parameters or an unstable queue.
-    #[must_use]
-    pub fn mean_waiting(lambda: f64, mean_service: f64, ca: f64, cs: f64) -> f64 {
-        assert!(
-            lambda.is_finite() && lambda > 0.0,
-            "arrival rate must be positive, got {lambda}"
-        );
-        assert!(
-            mean_service.is_finite() && mean_service > 0.0,
-            "mean service must be positive, got {mean_service}"
-        );
-        assert!(ca.is_finite() && ca >= 0.0, "Ca must be non-negative");
-        assert!(cs.is_finite() && cs >= 0.0, "Cs must be non-negative");
-        let rho = lambda * mean_service;
-        assert!(rho < 1.0, "queue is unstable: rho = {rho}");
-        rho / (1.0 - rho) * (ca * ca + cs * cs) / 2.0 * mean_service
     }
 }
 
@@ -444,11 +377,6 @@ mod tests {
     fn mm1_relations() {
         let (lambda, mu) = (8.0, 10.0);
         assert!((mm1::mean_response(lambda, mu) - 0.5).abs() < 1e-12);
-        assert!((mm1::mean_waiting(lambda, mu) - 0.4).abs() < 1e-12);
-        // Little's law: L = λT.
-        assert!(
-            (mm1::mean_jobs(lambda, mu) - lambda * mm1::mean_response(lambda, mu)).abs() < 1e-12
-        );
         // Median < mean for the exponential response.
         assert!(mm1::response_quantile(lambda, mu, 0.5) < mm1::mean_response(lambda, mu));
         // p95 = -ln(0.05)/(µ-λ) ≈ 1.498.
@@ -477,7 +405,8 @@ mod tests {
     fn mmk_reduces_to_mm1() {
         let (lambda, mu) = (0.7, 1.0);
         assert!((mmk::mean_response(lambda, mu, 1) - mm1::mean_response(lambda, mu)).abs() < 1e-12);
-        assert!((mmk::mean_waiting(lambda, mu, 1) - mm1::mean_waiting(lambda, mu)).abs() < 1e-12);
+        let mm1_waiting = mm1::mean_response(lambda, mu) - 1.0 / mu;
+        assert!((mmk::mean_waiting(lambda, mu, 1) - mm1_waiting).abs() < 1e-12);
     }
 
     #[test]
@@ -564,14 +493,6 @@ mod tests {
         let w0 = mg1::mean_waiting(5.0, 0.1, 0.0);
         let w2 = mg1::mean_waiting(5.0, 0.1, 2.0);
         assert!((w2 / w0 - 5.0).abs() < 1e-12); // (1+4)/(1+0)
-    }
-
-    #[test]
-    fn kingman_exact_for_mm1() {
-        let (lambda, mean_s) = (7.0, 0.1);
-        let kng = kingman::mean_waiting(lambda, mean_s, 1.0, 1.0);
-        let exact = mm1::mean_waiting(lambda, 1.0 / mean_s);
-        assert!((kng - exact).abs() < 1e-12);
     }
 
     #[test]

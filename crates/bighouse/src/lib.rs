@@ -62,34 +62,30 @@ pub use bighouse_stats as stats;
 pub use bighouse_telemetry as telemetry;
 pub use bighouse_workloads as workloads;
 
-/// The most commonly used items, for glob import.
+/// The items the examples and tests use most, for glob import. Everything
+/// else is reachable by its crate path (`bighouse::sim::…`).
 pub mod prelude {
-    pub use bighouse_analytic::{erlang_b, erlang_c};
-    pub use bighouse_des::{Calendar, Control, Engine, SeedStream, SimRng, Simulation, Time};
+    pub use bighouse_analytic::erlang_b;
+    pub use bighouse_des::{Calendar, Control, Engine, SimRng, Simulation, Time};
     pub use bighouse_dists::{
-        fit::fit_mean_cv, fit::fit_mean_sigma, Deterministic, Distribution, DynDistribution,
-        Empirical, Erlang, Exponential, Gamma, HyperExponential, LogNormal, Mixture, Pareto,
-        Scaled, Shifted, Uniform, Weibull,
+        fit::fit_mean_cv, Deterministic, Distribution, Empirical, Erlang, Exponential, Gamma,
+        HyperExponential,
     };
     pub use bighouse_faults::{FaultProcess, RetryPolicy};
     pub use bighouse_models::{
-        BalancerPolicy, CappingOutcome, DvfsModel, FinishedJob, IdlePolicy, Job, JobId,
-        LinearPowerModel, LoadBalancer, PowerCapper, Server, SleepState,
+        BalancerPolicy, DvfsModel, IdlePolicy, Job, JobId, LinearPowerModel, LoadBalancer,
+        PowerCapper, Server,
     };
     pub use bighouse_sim::{
-        config_seed, run_resumable, run_serial, run_sweep, run_until_calibrated, AdmissionPolicy,
-        ArrivalMode, AuditConfig, AuditReport, AuditViolation, AuditWarning, CheckpointConfig,
-        ClassDisposition, ClusterSim, ConfigOutcome, ExecBackend, ExperimentConfig, FaultSummary,
-        HedgePolicy, MetricKind, OverloadRamp, ParallelOutcome, ParallelRunner, ProcLimits,
-        ProcSlaveConfig, QuarantinedConfig, ResilienceConfig, ResilienceSummary, RunOptions,
-        RuntimeStats, SheddingPolicy, SimError, SimulationReport, SweepEntry, SweepError,
-        SweepEvent, SweepEventHook, SweepOptions, SweepReport, SweepRuntime, TerminationReason,
+        config_seed, run_resumable, run_serial, run_sweep, AdmissionPolicy, ArrivalMode,
+        AuditConfig, CheckpointConfig, ClusterSim, ExecBackend, ExperimentConfig, MetricKind,
+        ParallelOutcome, ParallelRunner, ResilienceConfig, ResilienceSummary, RunOptions, SimError,
+        SimulationReport, SweepEntry, SweepError, SweepOptions, SweepReport, TerminationReason,
     };
     pub use bighouse_stats::{
         Histogram, HistogramSpec, MetricEstimate, MetricSpec, OutputMetric, Phase, RunningStats,
         RunsUpTest, StatsCollection,
     };
-    pub use bighouse_telemetry::{FixedBinHistogram, TelemetrySnapshot};
     pub use bighouse_workloads::{StandardWorkload, TaskMoments, Workload};
 }
 

@@ -14,7 +14,7 @@
 
 mod sweep_spec;
 
-pub use sweep_spec::{SweepSpec, MAX_SWEEP_CONFIGS};
+pub use sweep_spec::SweepSpec;
 
 /// The experiment file `bighouse example-config` prints: sixteen
 /// quad-core Web servers at half load under a 2240 W cluster power cap

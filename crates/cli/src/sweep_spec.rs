@@ -11,7 +11,7 @@ use bighouse_json::{Map, Value};
 /// explode by accident (`6 axes × 10 values = 10^6 configs`); past this
 /// point the spec is almost certainly a typo, and the orchestrator's
 /// checkpoint ledger would be better served by splitting the sweep.
-pub const MAX_SWEEP_CONFIGS: usize = 100_000;
+pub(crate) const MAX_SWEEP_CONFIGS: usize = 100_000;
 
 /// A complete sweep description, decodable from JSON: a base experiment,
 /// in the experiment-file schema [`ExperimentConfig::load`] reads, plus
@@ -81,7 +81,7 @@ bighouse_json::json_struct!(SweepSpec {
 impl SweepSpec {
     /// Checks the sweep's own shape: every axis path must start at an
     /// experiment key, axis value lists must be non-empty and
-    /// duplicate-free, the grid must stay under [`MAX_SWEEP_CONFIGS`],
+    /// duplicate-free, the grid must stay within 100 000 configs,
     /// and the deadline must be a positive finite number.
     ///
     /// Per-config values are *not* checked here: each grid point is

@@ -442,8 +442,9 @@ impl<E> Calendar<E> {
     /// Number of slab slots ever allocated — the high-water mark of
     /// concurrent pending events. Stays flat under churn because vacated
     /// slots are recycled through the free list.
+    #[cfg(test)]
     #[must_use]
-    pub fn slot_capacity(&self) -> usize {
+    pub(crate) fn slot_capacity(&self) -> usize {
         self.slot_payload.len().saturating_sub(1) // slot 0 is `NIL`
     }
 

@@ -85,7 +85,7 @@ impl Hasher for FastHasher {
 
 /// [`std::hash::BuildHasher`] for [`FastHasher`]; zero-sized and stateless,
 /// so every map built from it hashes identically across runs.
-pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
+pub(crate) type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 /// A `HashMap` using [`FastHasher`]. Drop-in for hot-path maps keyed by
 /// trusted ids.

@@ -60,7 +60,7 @@ mod time;
 
 pub use calendar::{Calendar, CalendarStats, EventHandle};
 pub use engine::{drive, Control, Engine, Pending, RunStats, Simulation};
-pub use hash::{FastBuildHasher, FastHasher, FastMap, FastSet};
+pub use hash::{FastMap, FastSet};
 pub use progress::{ProgressGuard, ProgressViolation};
 pub use rng::{SeedStream, SimRng};
 pub use time::Time;

@@ -150,11 +150,6 @@ impl SeedStream {
     pub fn next_seed(&mut self) -> u64 {
         splitmix64(&mut self.state)
     }
-
-    /// Convenience: returns a [`SimRng`] seeded from [`Self::next_seed`].
-    pub fn next_rng(&mut self) -> SimRng {
-        SimRng::from_seed(self.next_seed())
-    }
 }
 
 #[cfg(test)]
@@ -272,8 +267,8 @@ mod tests {
     #[test]
     fn seed_stream_rngs_are_decorrelated() {
         let mut stream = SeedStream::new(3);
-        let mut a = stream.next_rng();
-        let mut b = stream.next_rng();
+        let mut a = SimRng::from_seed(stream.next_seed());
+        let mut b = SimRng::from_seed(stream.next_seed());
         let same = (0..64).filter(|_| a.raw_u64() == b.raw_u64()).count();
         assert_eq!(same, 0);
     }

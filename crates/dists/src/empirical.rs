@@ -85,7 +85,7 @@ impl FromJson for Empirical {
 
 impl Empirical {
     /// Number of uniform grid points over the body of the distribution.
-    pub const DEFAULT_RESOLUTION: usize = 1024;
+    pub(crate) const DEFAULT_RESOLUTION: usize = 1024;
 
     /// Number of geometric refinement points in the upper tail.
     const TAIL_POINTS: usize = 64;
@@ -112,7 +112,7 @@ impl Empirical {
     ///
     /// As [`Empirical::from_samples`]; additionally errors if
     /// `resolution < 2`.
-    pub fn from_samples_with_resolution(
+    pub(crate) fn from_samples_with_resolution(
         samples: &[f64],
         resolution: usize,
     ) -> Result<Self, DistributionError> {
@@ -200,29 +200,10 @@ impl Empirical {
     ///
     /// Returns [`DistributionError::EmptySample`] if the histogram is empty.
     pub fn from_histogram(histogram: &Histogram) -> Result<Self, DistributionError> {
-        Self::from_histogram_with_resolution(histogram, Self::DEFAULT_RESOLUTION)
-    }
-
-    /// As [`Empirical::from_histogram`] with an explicit body resolution.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the histogram is empty or `resolution < 2`.
-    pub fn from_histogram_with_resolution(
-        histogram: &Histogram,
-        resolution: usize,
-    ) -> Result<Self, DistributionError> {
         if histogram.count() == 0 {
             return Err(DistributionError::EmptySample);
         }
-        if resolution < 2 {
-            return Err(DistributionError::InvalidParameter {
-                name: "resolution",
-                value: resolution as f64,
-                requirement: "must be at least 2",
-            });
-        }
-        let grid = Self::grid(resolution, histogram.count() as usize);
+        let grid = Self::grid(Self::DEFAULT_RESOLUTION, histogram.count() as usize);
         let mut points = Vec::with_capacity(grid.len());
         for q in grid {
             let v = histogram

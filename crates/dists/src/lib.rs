@@ -64,6 +64,6 @@ pub use hyperexp::HyperExponential;
 pub use lognormal::LogNormal;
 pub use mixture::Mixture;
 pub use pareto::Pareto;
-pub use traits::{standard_normal, Distribution, DynDistribution};
+pub use traits::{Distribution, DynDistribution};
 pub use uniform::Uniform;
 pub use weibull::Weibull;

@@ -62,7 +62,7 @@ impl<D: Distribution + ?Sized> Distribution for Arc<D> {
 }
 
 /// Draws a standard normal variate via the Box–Muller transform.
-pub fn standard_normal(rng: &mut SimRng) -> f64 {
+pub(crate) fn standard_normal(rng: &mut SimRng) -> f64 {
     let u1 = rng.open01();
     let u2 = rng.open01();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

@@ -5,7 +5,7 @@ use bighouse_des::SimRng;
 use bighouse_dists::fit::{fit_mean_cv, fit_mean_sigma};
 use bighouse_dists::{
     Deterministic, Distribution, Empirical, Erlang, Exponential, Gamma, HyperExponential,
-    LogNormal, Pareto, Scaled, Shifted, Uniform, Weibull,
+    LogNormal, Mixture, Pareto, Scaled, Shifted, Uniform, Weibull,
 };
 use std::sync::Arc;
 
@@ -88,6 +88,35 @@ fn uniform_valid() {
         for _ in 0..200 {
             let x = d.sample(&mut rng);
             assert!(x >= low && x < low + width);
+        }
+    });
+}
+
+/// A two-component mixture declares the weighted mean of its components
+/// whatever the weights' scale, and samples only what a component can draw.
+#[test]
+fn mixture_valid() {
+    check("mixture_valid", 256, |g| {
+        let (w, scale) = (g.range(0.01..0.99), g.range(1e-3..1e3));
+        let (a, b) = (g.range(1e-3..1e3), g.range(1e-3..1e3));
+        let d = Mixture::new(vec![
+            (w * scale, Arc::new(Deterministic::new(a).unwrap()) as _),
+            (
+                (1.0 - w) * scale,
+                Arc::new(Deterministic::new(b).unwrap()) as _,
+            ),
+        ])
+        .unwrap();
+        let mean = w * a + (1.0 - w) * b;
+        assert!(
+            (d.mean() - mean).abs() <= 1e-9 * mean,
+            "mean {} != {mean}",
+            d.mean()
+        );
+        let mut rng = SimRng::from_seed(g.any());
+        for _ in 0..200 {
+            let x = d.sample(&mut rng);
+            assert!(x == a || x == b, "sample {x} is neither component");
         }
     });
 }

@@ -219,16 +219,18 @@ fn weibull_from_mean(shape: f64, mean: f64) -> Result<Weibull, DistributionError
 /// ```
 /// use bighouse_faults::RetryPolicy;
 ///
-/// let retry = RetryPolicy::new(0.5).with_max_retries(3).with_backoff(0.05, 1.0);
+/// let retry = RetryPolicy::new(0.5).with_max_retries(2);
 /// assert_eq!(retry.timeout(), 0.5);
-/// assert_eq!(retry.max_retries(), 3);
-/// // The backoff ceiling doubles per attempt until the cap.
+/// assert_eq!(retry.max_retries(), 2);
+/// // The backoff ceiling starts at a tenth of the timeout and doubles per
+/// // attempt until it reaches the timeout.
 /// assert_eq!(retry.backoff_ceiling(1), 0.05);
 /// assert_eq!(retry.backoff_ceiling(2), 0.1);
-/// assert_eq!(retry.backoff_ceiling(20), 1.0);
+/// assert_eq!(retry.backoff_ceiling(20), 0.5);
 /// ```
 ///
-/// A policy serializes as its [`RetrySpec`].
+/// A policy serializes as the JSON block `{"timeout", "max_retries",
+/// "backoff_base", "backoff_cap", "cancel_on_timeout"}`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     timeout: f64,
@@ -276,7 +278,7 @@ impl RetryPolicy {
     /// Panics if the base is negative, the cap non-positive, or either is
     /// non-finite.
     #[must_use]
-    pub fn with_backoff(mut self, base: f64, cap: f64) -> Self {
+    pub(crate) fn with_backoff(mut self, base: f64, cap: f64) -> Self {
         assert!(
             base.is_finite() && base >= 0.0,
             "backoff base must be non-negative and finite, got {base}"
@@ -374,7 +376,7 @@ impl FaultSpec {
 /// Serializable description of a [`RetryPolicy`] (the CLI's `retry`
 /// block).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetrySpec {
+pub(crate) struct RetrySpec {
     /// Per-attempt request timeout in seconds.
     pub timeout: f64,
     /// Retries after the initial attempt (default 3).
@@ -397,14 +399,14 @@ bighouse_json::json_struct!(RetrySpec {
 });
 
 impl ToJson for RetryPolicy {
-    /// The policy as the [`RetrySpec`] that rebuilds it.
+    /// The policy as the `retry` block that rebuilds it.
     fn write_json(&self, out: &mut String) {
         RetrySpec::from(*self).write_json(out);
     }
 }
 
 impl FromJson for RetryPolicy {
-    /// Reads a [`RetrySpec`] and builds it.
+    /// Reads a `retry` block and builds the policy.
     fn from_json(value: &Value) -> Result<Self, bighouse_json::Error> {
         RetrySpec::from_json(value)?
             .build()

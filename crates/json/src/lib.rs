@@ -6,8 +6,8 @@
 //! has no dependencies.
 //!
 //! - [`Value`] is a JSON tree whose objects keep insertion order.
-//! - [`parse`] is a recursive-descent parser with a nesting limit of
-//!   [`MAX_DEPTH`]; every failure is a typed [`Error`] carrying the byte
+//! - [`parse`] is a recursive-descent parser with a nesting limit of 128
+//!   levels; every failure is a typed [`Error`] carrying the byte
 //!   offset it was found at.
 //! - [`ToJson`] writes a value straight into a `String`; [`FromJson`]
 //!   reads one back from a [`Value`]. [`json_struct!`], [`json_enum!`] and
@@ -68,7 +68,8 @@ use std::fmt;
 pub use macros::object;
 #[doc(hidden)]
 pub use macros::{__enum_parts, __variant_tag};
-pub use parse::{parse, parse_slice, MAX_DEPTH};
+use parse::MAX_DEPTH;
+pub use parse::{parse, parse_slice};
 pub use value::{Map, Number, Value};
 pub use write::{pretty, write_str, ObjectWriter};
 
@@ -105,7 +106,7 @@ pub enum ErrorKind {
     Syntax(&'static str),
     /// A number literal beyond the `f64` range, such as `1e999`.
     NumberOutOfRange,
-    /// Arrays and objects nested deeper than [`MAX_DEPTH`].
+    /// Arrays and objects nested deeper than 128 levels.
     DepthLimit,
     /// Non-whitespace after the top-level value.
     TrailingCharacters,
@@ -239,8 +240,8 @@ pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
 ///
 /// # Errors
 ///
-/// Returns [`ErrorKind::DepthLimit`] if `value` nests deeper than
-/// [`MAX_DEPTH`].
+/// Returns [`ErrorKind::DepthLimit`] if `value` nests deeper than 128
+/// levels.
 pub fn to_value<T: ToJson + ?Sized>(value: &T) -> Result<Value, Error> {
     parse(&to_string(value))
 }

@@ -4,7 +4,7 @@ use crate::{Error, ErrorKind, Map, Number, Value};
 
 /// Deepest nesting of arrays and objects the parser accepts. Deeper input
 /// is [`ErrorKind::DepthLimit`], not a stack overflow.
-pub const MAX_DEPTH: usize = 128;
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Parses one JSON value from `text`.
 ///

@@ -145,7 +145,7 @@ impl Value {
 
     /// The value, if it is a boolean.
     #[must_use]
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,

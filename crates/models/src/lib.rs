@@ -39,4 +39,4 @@ pub use job::{FinishedJob, Job, JobId};
 pub use loadbalancer::{BalancerPolicy, LoadBalancer};
 pub use policy::IdlePolicy;
 pub use power::{DvfsModel, LinearPowerModel};
-pub use server::{Server, SleepState};
+pub use server::Server;

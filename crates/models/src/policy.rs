@@ -49,12 +49,6 @@ bighouse_json::json_enum!(IdlePolicy {
 });
 
 impl IdlePolicy {
-    /// Whether this policy ever naps.
-    #[must_use]
-    pub fn can_nap(&self) -> bool {
-        !matches!(self, IdlePolicy::AlwaysOn)
-    }
-
     /// The wake transition latency (0 for [`IdlePolicy::AlwaysOn`]).
     #[must_use]
     pub fn wake_latency(&self) -> f64 {
@@ -94,7 +88,7 @@ impl IdlePolicy {
             .find(|(_, v)| !(0.0..=Time::MAX_SPAN).contains(v))
         {
             Some((name, v)) => Err(format!(
-                "idle_policy.{name} = {v}: must be in [0, {:e}] seconds",
+                "idle_policy.{name} = {v:?}: must be in [0, {:e}] seconds",
                 Time::MAX_SPAN
             )),
             None => Ok(()),
@@ -105,20 +99,6 @@ impl IdlePolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn policy_predicates() {
-        assert!(!IdlePolicy::AlwaysOn.can_nap());
-        assert!(IdlePolicy::PowerNap {
-            wake_latency: 0.001
-        }
-        .can_nap());
-        assert!(IdlePolicy::DreamWeaver {
-            max_delay: 0.01,
-            wake_latency: 0.001
-        }
-        .can_nap());
-    }
 
     #[test]
     fn wake_latency_accessor() {
@@ -136,7 +116,7 @@ mod tests {
     fn validate_rejects_negative_latency() {
         assert_eq!(
             IdlePolicy::PowerNap { wake_latency: -1.0 }.validate(),
-            Err("idle_policy.wake_latency = -1: must be in [0, 1e12] seconds".into())
+            Err("idle_policy.wake_latency = -1.0: must be in [0, 1e12] seconds".into())
         );
         let nan = IdlePolicy::DreamWeaver {
             max_delay: f64::NAN,
@@ -155,5 +135,16 @@ mod tests {
             .unwrap_err()
             .starts_with("idle_policy.wake_latency"));
         assert_eq!(IdlePolicy::AlwaysOn.validate(), Ok(()));
+        // `Display` would spell f64::MAX as a 309-digit integer.
+        assert_eq!(
+            IdlePolicy::PowerNap {
+                wake_latency: f64::MAX
+            }
+            .validate(),
+            Err(
+                "idle_policy.wake_latency = 1.7976931348623157e308: must be in [0, 1e12] seconds"
+                    .into()
+            )
+        );
     }
 }

@@ -203,7 +203,7 @@ bighouse_json::json_struct!(DvfsModel { alpha });
 
 impl DvfsModel {
     /// The paper's default CPU-boundedness (§4.1).
-    pub const DEFAULT_ALPHA: f64 = 0.9;
+    const DEFAULT_ALPHA: f64 = 0.9;
 
     /// The paper's idealized continuous frequency range: `f ∈ [0.5, 1.0]`.
     pub const F_MIN: f64 = 0.5;

@@ -15,7 +15,7 @@ const WORK_EPSILON: f64 = 1e-9;
 
 /// Whether the server is awake, napping, or in a wake transition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SleepState {
+pub(crate) enum SleepState {
     /// Awake and processing (or ready to process) jobs.
     Active,
     /// In the idle low-power state; nothing executes.
@@ -197,14 +197,16 @@ impl Server {
     }
 
     /// Jobs waiting in the queue (not receiving service).
+    #[cfg(test)]
     #[must_use]
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.queue.len()
     }
 
     /// Jobs currently receiving service.
+    #[cfg(test)]
     #[must_use]
-    pub fn running_len(&self) -> usize {
+    pub(crate) fn running_len(&self) -> usize {
         self.running.len()
     }
 
@@ -215,8 +217,9 @@ impl Server {
     }
 
     /// Current sleep state.
+    #[cfg(test)]
     #[must_use]
-    pub fn state(&self) -> SleepState {
+    pub(crate) fn state(&self) -> SleepState {
         self.state
     }
 

@@ -74,7 +74,7 @@ const ENERGY_TOLERANCE: f64 = 1e-6;
 
 impl AuditConfig {
     /// Default events between invariant sweeps.
-    pub const DEFAULT_CHECK_INTERVAL: u64 = 4_096;
+    pub(crate) const DEFAULT_CHECK_INTERVAL: u64 = 4_096;
 
     /// Builds the [`ProgressGuard`] configured by this audit.
     #[must_use]

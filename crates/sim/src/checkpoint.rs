@@ -74,7 +74,7 @@ impl CheckpointConfig {
 /// The fault section of [`RunTotals`]: exact counts, and the failed-server
 /// fraction as a time integral like the other weights.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct FaultTotals {
+pub(crate) struct FaultTotals {
     /// Server failure events injected.
     pub server_failures: u64,
     /// Requests admitted to the cluster.
@@ -113,7 +113,7 @@ bighouse_json::json_struct!(FaultTotals {
 /// `fraction × seconds` weights, so parts of different lengths pool by
 /// plain addition; [`RunTotals::summary`] divides them back out.
 #[derive(Debug, Clone, Default)]
-pub struct RunTotals {
+pub(crate) struct RunTotals {
     /// Simulated seconds covered.
     pub simulated_seconds: f64,
     /// Jobs completed.
@@ -230,7 +230,7 @@ impl RunTotals {
 /// so restoring is "rebuild a fresh simulation, hand it these
 /// accumulators, draw the next seed".
 #[derive(Debug, Clone)]
-pub struct RunState {
+pub(crate) struct RunState {
     /// Master seed of the run (resume must match it).
     pub master_seed: u64,
     /// Fingerprint of the experiment configuration + seed; a mismatch on
@@ -306,7 +306,7 @@ impl RunState {
 /// same machinery under the `bighouse.sweep` stem, so a single directory
 /// can hold both a run checkpoint and a sweep ledger without collision.
 #[derive(Debug, Clone)]
-pub struct CheckpointStore {
+pub(crate) struct CheckpointStore {
     dir: PathBuf,
     stem: &'static str,
     /// Test hook: pretend the disk filled after this many payload bytes.
@@ -344,22 +344,22 @@ impl CheckpointStore {
     /// Test hook: makes every subsequent [`save`](Self::save) fail with an
     /// injected out-of-space error after `bytes` bytes have been written —
     /// a deterministic stand-in for ENOSPC / short writes.
-    #[doc(hidden)]
+    #[cfg(test)]
     #[must_use]
-    pub fn with_failing_writes_after(mut self, bytes: usize) -> Self {
+    pub(crate) fn with_failing_writes_after(mut self, bytes: usize) -> Self {
         self.fail_write_after = Some(bytes);
         self
     }
 
     /// Path of the current snapshot.
     #[must_use]
-    pub fn current_path(&self) -> PathBuf {
+    pub(crate) fn current_path(&self) -> PathBuf {
         self.dir.join(self.stem)
     }
 
     /// Path of the previous (fallback) snapshot.
     #[must_use]
-    pub fn previous_path(&self) -> PathBuf {
+    pub(crate) fn previous_path(&self) -> PathBuf {
         self.dir.join(format!("{}.prev", self.stem))
     }
 
@@ -546,7 +546,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// must not invalidate an existing checkpoint — a run started plain can
 /// resume audited or instrumented.
 #[must_use]
-pub fn config_fingerprint(config: &ExperimentConfig, master_seed: u64) -> u64 {
+pub(crate) fn config_fingerprint(config: &ExperimentConfig, master_seed: u64) -> u64 {
     let mut config = config.clone();
     config.audit = None;
     config.telemetry = false;

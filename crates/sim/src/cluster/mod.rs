@@ -316,7 +316,7 @@ impl ClusterSim {
     /// Whether every metric has finished calibration (reached measurement
     /// or convergence) — the master's hand-off point in Figure 3.
     #[must_use]
-    pub fn all_calibrated(&self) -> bool {
+    pub(crate) fn all_calibrated(&self) -> bool {
         self.stats
             .iter()
             .all(|m| matches!(m.phase(), Phase::Measurement | Phase::Converged))
@@ -325,7 +325,7 @@ impl ClusterSim {
     /// The histogram bin schemes chosen during calibration, keyed by metric
     /// name — the payload the master broadcasts to slaves.
     #[must_use]
-    pub fn histogram_specs(&self) -> BTreeMap<String, HistogramSpec> {
+    pub(crate) fn histogram_specs(&self) -> BTreeMap<String, HistogramSpec> {
         self.stats
             .iter()
             .filter_map(|m| {
@@ -338,7 +338,7 @@ impl ClusterSim {
     /// The cluster-level facts of the run up to `now`, each time-fraction
     /// (mean over servers) weighted by the seconds it covers.
     #[must_use]
-    pub fn totals(&self, now: Time) -> RunTotals {
+    pub(crate) fn totals(&self, now: Time) -> RunTotals {
         let mean = |of: fn(&Server, Time) -> f64| {
             self.servers.iter().map(|s| of(s, now)).sum::<f64>() / self.servers.len() as f64
         };
@@ -358,8 +358,8 @@ impl ClusterSim {
         }
     }
 
-    /// The cluster-level summary at time `now`: [`ClusterSim::totals`] as
-    /// the report shows it.
+    /// The cluster-level summary at time `now`: the run totals as the
+    /// report shows them.
     #[must_use]
     pub fn summary(&self, now: Time) -> ClusterSummary {
         self.totals(now).summary(self.servers.len())
@@ -378,7 +378,7 @@ impl ClusterSim {
 
     /// Whether the auditor has recorded an invariant violation.
     #[must_use]
-    pub fn audit_failed(&self) -> bool {
+    pub(crate) fn audit_failed(&self) -> bool {
         self.audit.as_deref().is_some_and(Auditor::failed)
     }
 
@@ -412,12 +412,6 @@ impl ClusterSim {
         self.audit.take().map(|a| a.into_report())
     }
 
-    /// Whether telemetry collection is enabled for this run.
-    #[must_use]
-    pub fn telemetry_enabled(&self) -> bool {
-        self.telemetry.is_some()
-    }
-
     /// Takes the telemetry context (`None` when telemetry is off). Called
     /// by the runners when the run (or epoch) ends.
     pub(crate) fn take_telemetry(&mut self) -> Option<Box<ClusterTelemetry>> {
@@ -439,7 +433,7 @@ impl ClusterSim {
     /// as well. Idle policies, DVFS, power models and both arrival modes
     /// live inside [`Server`]'s own state fold and are all allowed.
     #[must_use]
-    pub fn fastpath_eligible(&self) -> bool {
+    pub(crate) fn fastpath_eligible(&self) -> bool {
         let streams = self.balancer.as_ref().map_or(self.servers.len(), |_| 1);
         self.requests.is_none()
             && self.epochs.is_none()

@@ -1,6 +1,6 @@
 //! Experiment configuration.
 
-use std::fmt::Display;
+use std::fmt::{Debug, Display};
 
 use bighouse_des::Time;
 use bighouse_dists::Empirical;
@@ -147,13 +147,13 @@ impl MetricKind {
     /// Whether observations arrive once per budgeting/observation epoch —
     /// paced by simulated time — and not once per request.
     #[must_use]
-    pub fn is_epoch_paced(&self) -> bool {
+    pub(crate) fn is_epoch_paced(&self) -> bool {
         self.row().1
     }
 
     /// Whether only the mean carries an accuracy target by default.
     #[must_use]
-    pub fn is_mean_only(&self) -> bool {
+    pub(crate) fn is_mean_only(&self) -> bool {
         self.row().2
     }
 
@@ -302,13 +302,15 @@ impl FromJson for MetricEntry {
 }
 
 /// `Ok` if `ok`, else an [`SimError::InvalidConfig`] naming `field`, its
-/// value and what it must be.
-fn check(ok: bool, field: impl Display, value: impl Display, must: &str) -> Result<(), SimError> {
+/// value and what it must be. The value prints as `{:?}`, so a float reads
+/// in its shortest round-trip form (`1.7976931348623157e308`, not 309
+/// digits).
+fn check(ok: bool, field: impl Display, value: impl Debug, must: &str) -> Result<(), SimError> {
     if ok {
         Ok(())
     } else {
         Err(SimError::InvalidConfig(format!(
-            "{field} = {value}: must be {must}"
+            "{field} = {value:?}: must be {must}"
         )))
     }
 }
@@ -414,7 +416,7 @@ fn check_metric_spec(path: &str, kind: MetricKind, spec: &MetricSpec) -> Result<
     check(
         spec.name() == kind.name(),
         format_args!("{path}.name"),
-        spec.name(),
+        format_args!("{}", spec.name()),
         kind.name(),
     )?;
     check_target(
@@ -581,7 +583,7 @@ impl ExperimentConfig {
             config.workload = config
                 .workload
                 .try_at_utilization(u, config.cores_per_server as u32)
-                .map_err(|e| SimError::InvalidConfig(format!("utilization = {u}: {e}")))?;
+                .map_err(|e| SimError::InvalidConfig(format!("utilization = {u:?}: {e}")))?;
         }
         config.validate()?;
         Ok(config)
@@ -839,7 +841,7 @@ impl ExperimentConfig {
 
     /// Whether telemetry collection is enabled.
     #[must_use]
-    pub fn telemetry_enabled(&self) -> bool {
+    pub(crate) fn telemetry_enabled(&self) -> bool {
         self.telemetry
     }
 
@@ -1504,6 +1506,21 @@ mod tests {
                 }
                 other => panic!("{path}: {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_refused_float_prints_in_shortest_form() {
+        // `Display` would spell f64::MAX as a 309-digit integer.
+        let json = r#"{"workload": {"standard": "web"}, "utilization": 1.7976931348623157e308}"#;
+        match load(&bighouse_json::parse(json).unwrap()) {
+            Err(SimError::InvalidConfig(msg)) => {
+                assert_eq!(
+                    msg,
+                    "utilization = 1.7976931348623157e308: must be in (0, 1)"
+                );
+            }
+            other => panic!("{other:?}"),
         }
     }
 

@@ -281,7 +281,7 @@ mod tests {
             .with_warmup(50)
             .with_calibration(500)
             .with_max_events(130_000);
-        let (bins, _) = crate::run_until_calibrated(&config, 7).unwrap();
+        let (bins, _) = crate::runner::run_until_calibrated(&config, 7).unwrap();
         let mut state = RunState::fresh(11, 0);
         let mut barriers = Vec::new();
         while state.events_done < config.max_events {

@@ -47,8 +47,8 @@
 //!   like any other, and [`replay_trace`] runs it with a [`Trace`] as the
 //!   arrival-and-size source. With no component installed and at most
 //!   [`FAST_PATH_MAX_SLOTS`] pending events, the runners hold those in
-//!   fixed slots instead of the event calendar
-//!   ([`ClusterSim::fastpath_eligible`]; there is nothing to set). The
+//!   fixed slots instead of the event calendar (there is nothing to
+//!   set). The
 //!   handlers are the same over either store and both pop in the same
 //!   order, so every estimate is bit-identical.
 //! - [`run_sweep`] orchestrates whole experiment *grids* across a
@@ -96,9 +96,7 @@ mod trace;
 #[doc(hidden)]
 pub use audit::SeededBug;
 pub use audit::{AuditConfig, AuditReport, AuditViolation, AuditWarning};
-pub use checkpoint::{
-    config_fingerprint, CheckpointConfig, CheckpointStore, FaultTotals, RunState, RunTotals,
-};
+pub use checkpoint::CheckpointConfig;
 pub use cluster::ClusterSim;
 pub use config::{ArrivalMode, ExperimentConfig, MetricKind, TierConfig};
 pub use error::SimError;
@@ -112,11 +110,11 @@ pub use resilience::{
     AdmissionPolicy, ClassDisposition, HedgePolicy, OverloadRamp, ResilienceConfig,
     ResilienceSummary, SheddingPolicy,
 };
-pub use runner::{run_resumable, run_serial, run_until_calibrated, RunOptions};
+pub use runner::{run_resumable, run_serial, RunOptions};
 #[doc(hidden)]
 pub use sweep::SweepFaultInjection;
 pub use sweep::{
     config_seed, run_sweep, ConfigOutcome, QuarantinedConfig, SweepEntry, SweepError, SweepEvent,
-    SweepEventHook, SweepOptions, SweepReport, SweepRuntime,
+    SweepOptions, SweepReport, SweepRuntime,
 };
 pub use trace::{replay_trace, Trace, TraceEntry, TraceError, TraceReplayReport};

@@ -188,7 +188,7 @@ impl ParallelOutcome {
 /// calendar state is in flight. Serializable so the process transport can
 /// ship it across the IPC fabric verbatim.
 #[derive(Debug, Clone)]
-pub struct SlaveState {
+pub(crate) struct SlaveState {
     /// The slave's own resumable run, seeded with the slave's seed: epoch
     /// index, events, seed stream, statistics, cluster totals and audit.
     run: RunState,
@@ -230,7 +230,7 @@ impl ExecBackend {
 
 /// Master → slave barrier decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Directive {
+pub(crate) enum Directive {
     /// Simulate the next chunk.
     Continue,
     /// Stop at the parked chunk boundary and deliver the final shard.
@@ -289,7 +289,7 @@ bighouse_json::json_enum!(ProcChaos {
 /// What a finished slave delivers: the run as it stands — statistics for
 /// the merge, events, cluster totals, audit — and its telemetry shard.
 #[derive(Debug, Clone)]
-pub struct FinalShard {
+pub(crate) struct FinalShard {
     /// The slave's resumable run after its last epoch.
     pub run: RunState,
     /// The slave's own counters, merged into master telemetry.
@@ -301,7 +301,7 @@ bighouse_json::json_struct!(FinalShard { run, telemetry });
 /// A slave's self-reported counters; riding the final frame keeps the
 /// fabric's data flow one-directional and cheap.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SlaveTelemetryShard {
+pub(crate) struct SlaveTelemetryShard {
     /// Epochs completed by this incarnation.
     pub epochs: u64,
     /// Heartbeats sent by this incarnation.
@@ -315,7 +315,7 @@ bighouse_json::json_struct!(SlaveTelemetryShard { epochs, heartbeats });
 /// the master can fence what an abandoned incarnation still sends and no
 /// frame can claim to come from another.
 #[derive(Debug, Clone)]
-pub enum UpFrame {
+pub(crate) enum UpFrame {
     /// The slave accepted its hello and is about to simulate.
     Ready,
     /// Chunk barrier, sent every 20 000 events: everything the stopping
@@ -360,7 +360,7 @@ bighouse_json::json_enum!(UpFrame {
 /// A fault injected into a [`HelloJob::Solo`] job, for robustness tests.
 #[doc(hidden)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SoloFault {
+pub(crate) enum SoloFault {
     /// Panic with this message before simulating anything.
     Panic(String),
     /// Wedge, simulating nothing, until the slot is killed or interrupted.
@@ -372,7 +372,7 @@ bighouse_json::json_enum!(SoloFault { Panic(String), Stall });
 /// The work order a slot is spawned with; `run_job` runs it on either
 /// transport.
 #[derive(Debug, Clone)]
-pub enum HelloJob {
+pub(crate) enum HelloJob {
     /// One lockstep slave of a parallel run.
     Lockstep {
         /// What every slave of the run shares (Figure 3's broadcast).
@@ -829,7 +829,7 @@ pub(crate) enum Happened {
 /// What every incarnation of every slave of one parallel run is spawned
 /// with.
 #[derive(Debug, Clone)]
-pub struct SharedCtx {
+pub(crate) struct SharedCtx {
     pub(crate) config: ExperimentConfig,
     pub(crate) bin_schemes: BTreeMap<String, HistogramSpec>,
     pub(crate) epoch_events: u64,

@@ -15,8 +15,8 @@
 //! is the same on both transports, and so are the two masters that drive a
 //! transport: the parallel runner's supervisor and [`crate::run_sweep`]'s
 //! event loop, for which a child is one attempt of one config
-//! ([`HelloJob::Solo`]). Here are the frame codec, the `ProcessTransport`
-//! those masters drive when [`ExecBackend::Processes`] is chosen, the
+//! (`HelloJob::Solo`). Here are the frame codec, the `ProcessTransport`
+//! those masters drive when [`crate::ExecBackend::Processes`] is chosen, the
 //! child's half of the link with its self-enforced resource caps
 //! ([`ProcLimits`]) and the child entry point ([`slave_main`]).
 //!
@@ -45,11 +45,8 @@ use bighouse_json::{FromJson, ToJson};
 use crate::checkpoint::fnv1a;
 use crate::error::SimError;
 use crate::parallel::{
-    run_job, Happened, SlaveEvent, SlaveLink, Transport, WireCounters, REAP_GRACE,
-};
-pub use crate::parallel::{
-    Directive, ExecBackend, FinalShard, HelloJob, ProcChaos, SharedCtx, SlaveState,
-    SlaveTelemetryShard, SoloFault, UpFrame,
+    run_job, Directive, Happened, HelloJob, SlaveEvent, SlaveLink, Transport, UpFrame,
+    WireCounters, REAP_GRACE,
 };
 
 /// Protocol version stamped into every frame body; a master and a slave
@@ -69,29 +66,29 @@ pub use crate::parallel::{
 /// the run totals' resilience section a `ResilienceSummary` and dropped
 /// the metric spec's `track_mean` and `histogram_bins`, the capper's
 /// `epoch_seconds` and a tier's `balancer`.
-pub const PROTOCOL_VERSION: u8 = 7;
+pub(crate) const PROTOCOL_VERSION: u8 = 7;
 
 /// Upper bound on a frame body. A corrupted length prefix must not make
 /// the decoder allocate gigabytes before the checksum can reject it.
-pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
+pub(crate) const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
 /// Environment variable set on every spawned slave child, so tests (and
 /// operators) can find stragglers: no process carrying it may survive the
 /// master.
-pub const SLAVE_ENV_MARKER: &str = "BIGHOUSE_PROCSLAVE";
+pub(crate) const SLAVE_ENV_MARKER: &str = "BIGHOUSE_PROCSLAVE";
 
 /// Slave child exit codes (sysexits where one fits). The CLI forwards
 /// these verbatim, and the master's telemetry distinguishes them.
-pub mod exit_code {
+pub(crate) mod exit_code {
     /// Clean shutdown: final shard delivered (or master vanished).
-    pub const OK: u8 = 0;
+    pub(crate) const OK: u8 = 0;
     /// EX_DATAERR: a frame on stdin was truncated, corrupt, or version-skewed.
-    pub const FRAME: u8 = 65;
+    pub(crate) const FRAME: u8 = 65;
     /// EX_SOFTWARE: the simulation itself failed with a typed [`crate::SimError`].
-    pub const SIM: u8 = 70;
+    pub(crate) const SIM: u8 = 70;
     /// EX_TEMPFAIL: a cooperative memory/CPU cap was exceeded; the master
     /// may respawn the slave from its checkpoint.
-    pub const RESOURCE: u8 = 75;
+    pub(crate) const RESOURCE: u8 = 75;
 }
 
 // ---------------------------------------------------------------------------
@@ -103,8 +100,8 @@ pub mod exit_code {
 ///
 /// # Errors
 ///
-/// Returns [`SimError::Frame`] if the encoded value exceeds
-/// [`MAX_FRAME_BYTES`] or the underlying write fails (a dead pipe).
+/// Returns [`SimError::Frame`] if the encoded value exceeds the 64 MiB
+/// frame cap or the underlying write fails (a dead pipe).
 pub fn write_frame<W: Write, T: ToJson>(w: &mut W, frame: &T) -> Result<(), SimError> {
     let json = bighouse_json::to_vec(frame);
     let mut body = Vec::with_capacity(json.len() + 1);
@@ -212,7 +209,7 @@ pub fn read_frame<R: Read, T: FromJson>(r: &mut R) -> Result<Option<T>, SimError
 
 /// Caps a slave child enforces on itself at chunk boundaries (read from
 /// `/proc/self`; a hard rlimit would need libc). Exceeding a cap exits
-/// with [`exit_code::RESOURCE`], which the master treats as a crash —
+/// with code 75 (`EX_TEMPFAIL`), which the master treats as a crash —
 /// bounded respawn, not a wedged run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ProcLimits {
@@ -235,7 +232,7 @@ impl ProcLimits {
 
 /// Master → slave frames.
 #[derive(Debug, Clone)]
-pub enum DownFrame {
+pub(crate) enum DownFrame {
     /// First frame on a child's stdin: identity, resource caps, and job.
     Hello {
         /// Slot index within the run.
@@ -263,7 +260,7 @@ bighouse_json::json_enum!(DownFrame {
 /// The argument that puts the binary into slave mode.
 const SLAVE_ARG: &str = "__slave";
 
-/// How to spawn the child processes of [`ExecBackend::Processes`]: the
+/// How to spawn the child processes of [`crate::ExecBackend::Processes`]: the
 /// binary, run with the `__slave` argument, and its caps.
 #[derive(Debug, Clone, Default)]
 pub struct ProcSlaveConfig {
@@ -567,7 +564,7 @@ fn check_limits(limits: &ProcLimits) -> Option<String> {
 
 /// The hidden `bighouse __slave` entrypoint: reads its hello frame from
 /// stdin, runs the job, streams frames to stdout, and exits with a mapped
-/// code ([`exit_code`]). EOF on stdin — the master died — winds the child
+/// code (0, or sysexits 65, 70 or 75). EOF on stdin — the master died — winds the child
 /// down, so a SIGKILLed master leaves no orphans behind.
 ///
 /// Deliberately infallible at the API level: every failure maps to an

@@ -113,7 +113,7 @@ bighouse_json::json_struct!(OverloadRamp {
 impl OverloadRamp {
     /// Whether the ramp is active at simulated second `t`.
     #[must_use]
-    pub fn active_at(&self, t: f64) -> bool {
+    pub(crate) fn active_at(&self, t: f64) -> bool {
         t >= self.start && t < self.start + self.duration
     }
 }
@@ -185,8 +185,9 @@ impl ResilienceConfig {
     }
 
     /// Sets per-class shedding thresholds (one per class, class 0 first).
+    #[cfg(test)]
     #[must_use]
-    pub fn with_shedding(mut self, depth_thresholds: Vec<usize>) -> Self {
+    pub(crate) fn with_shedding(mut self, depth_thresholds: Vec<usize>) -> Self {
         self.shedding = Some(SheddingPolicy { depth_thresholds });
         self
     }
@@ -200,8 +201,9 @@ impl ResilienceConfig {
 
     /// Sets the number of priority classes and their arrival weights
     /// (empty = uniform).
+    #[cfg(test)]
     #[must_use]
-    pub fn with_classes(mut self, classes: usize, weights: Vec<f64>) -> Self {
+    pub(crate) fn with_classes(mut self, classes: usize, weights: Vec<f64>) -> Self {
         self.classes = classes;
         self.class_weights = weights;
         self
@@ -262,14 +264,14 @@ impl ResilienceConfig {
                 if !(rate.is_finite() && rate > 0.0) =>
             {
                 return bad(format!(
-                    "resilience.admission.rate = {rate}: must be finite and positive"
+                    "resilience.admission.rate = {rate:?}: must be finite and positive"
                 ));
             }
             Some(AdmissionPolicy::TokenBucket { burst, .. })
                 if !(burst.is_finite() && burst >= 1.0) =>
             {
                 return bad(format!(
-                    "resilience.admission.burst = {burst}: must be finite and at least 1"
+                    "resilience.admission.burst = {burst:?}: must be finite and at least 1"
                 ));
             }
             _ => {}
@@ -286,7 +288,7 @@ impl ResilienceConfig {
         if let Some(hedge) = &self.hedge {
             if !(hedge.deadline > 0.0 && hedge.deadline <= Time::MAX_SPAN) {
                 return bad(format!(
-                    "resilience.hedge.deadline = {}: must be positive and at most 1e12",
+                    "resilience.hedge.deadline = {:?}: must be positive and at most 1e12",
                     hedge.deadline
                 ));
             }
@@ -297,13 +299,13 @@ impl ResilienceConfig {
         if let Some(ramp) = &self.ramp {
             if !(ramp.start.is_finite() && ramp.start >= 0.0) {
                 return bad(format!(
-                    "resilience.ramp.start = {}: must be finite and non-negative",
+                    "resilience.ramp.start = {:?}: must be finite and non-negative",
                     ramp.start
                 ));
             }
             if !(ramp.duration.is_finite() && ramp.duration > 0.0) {
                 return bad(format!(
-                    "resilience.ramp.duration = {}: must be finite and positive",
+                    "resilience.ramp.duration = {:?}: must be finite and positive",
                     ramp.duration
                 ));
             }
@@ -311,7 +313,7 @@ impl ResilienceConfig {
             // stretched gap a span.
             if !(ramp.multiplier.is_finite() && ramp.multiplier >= 1.0 / Time::MAX_SPAN) {
                 return bad(format!(
-                    "resilience.ramp.multiplier = {}: must be finite and at least 1e-12",
+                    "resilience.ramp.multiplier = {:?}: must be finite and at least 1e-12",
                     ramp.multiplier
                 ));
             }
@@ -319,7 +321,7 @@ impl ResilienceConfig {
         if let Some(slo) = self.slo_deadline {
             if !(slo.is_finite() && slo > 0.0) {
                 return bad(format!(
-                    "resilience.slo_deadline = {slo}: must be finite and positive"
+                    "resilience.slo_deadline = {slo:?}: must be finite and positive"
                 ));
             }
         }
@@ -328,8 +330,7 @@ impl ResilienceConfig {
 }
 
 /// Per-class request disposition counters of a [`ResilienceSummary`]: pure
-/// counts, so [`crate::RunTotals::merge`] adds them across epochs and
-/// slaves.
+/// counts, so merging run totals adds them across epochs and slaves.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClassDisposition {
     /// Arrivals of this class offered to the cluster.
@@ -611,6 +612,15 @@ mod tests {
         for d in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let c = ResilienceConfig::new().with_hedge(d);
             assert!(c.validate(4).is_err(), "deadline {d} must be rejected");
+        }
+        // `Display` would spell f64::MAX as a 309-digit integer.
+        match ResilienceConfig::new().with_hedge(f64::MAX).validate(4) {
+            Err(SimError::InvalidConfig(msg)) => assert_eq!(
+                msg,
+                "resilience.hedge.deadline = 1.7976931348623157e308: must be positive and at \
+                 most 1e12"
+            ),
+            other => panic!("{other:?}"),
         }
     }
 

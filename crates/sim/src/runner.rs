@@ -306,7 +306,7 @@ fn timed_save(
 /// [`SimError::CalendarDrained`] if the event calendar empties before
 /// calibration completes, and [`SimError::EventCapExhausted`] if the
 /// configured event cap is reached first.
-pub fn run_until_calibrated(
+pub(crate) fn run_until_calibrated(
     config: &ExperimentConfig,
     seed: u64,
 ) -> Result<(BTreeMap<String, HistogramSpec>, u64), SimError> {

@@ -348,7 +348,7 @@ pub enum SweepEvent {
 
 /// Shared progress callback invoked from the master's thread as each
 /// config is decided (see [`SweepOptions::on_event`]).
-pub type SweepEventHook = Arc<dyn Fn(&SweepEvent) + Send + Sync>;
+pub(crate) type SweepEventHook = Arc<dyn Fn(&SweepEvent) + Send + Sync>;
 
 /// Seeded failures for robustness tests, injected into the job each
 /// attempt is spawned with: ids in `panic_ids` panic on every attempt; ids
@@ -412,7 +412,7 @@ pub struct SweepOptions {
 
 impl SweepOptions {
     /// Default failed attempts tolerated before quarantine.
-    pub const DEFAULT_MAX_RETRIES: u32 = 2;
+    pub(crate) const DEFAULT_MAX_RETRIES: u32 = 2;
 }
 
 impl Default for SweepOptions {

@@ -47,7 +47,7 @@ bighouse_json::json_struct!(BatchMeans {
 impl BatchMeans {
     /// Minimum number of complete batches before an estimate is offered
     /// (below this the normal approximation on batch means is untrustworthy).
-    pub const MIN_BATCHES: usize = 20;
+    const MIN_BATCHES: usize = 20;
 
     /// Creates an accumulator with the given batch size.
     ///
@@ -100,12 +100,6 @@ impl BatchMeans {
         (self.batch_means.len() * self.batch_size) as u64
     }
 
-    /// The batch means collected so far.
-    #[must_use]
-    pub fn batch_means(&self) -> &[f64] {
-        &self.batch_means
-    }
-
     /// The grand mean over complete batches.
     ///
     /// Returns `None` before the first batch completes.
@@ -120,7 +114,7 @@ impl BatchMeans {
     /// The `(mean, confidence-half-width)` estimate at the given confidence
     /// level, treating batch means as i.i.d. normal.
     ///
-    /// Returns `None` until [`Self::MIN_BATCHES`] batches have completed.
+    /// Returns `None` until 20 batches have completed.
     ///
     /// # Panics
     ///

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 
 use bighouse_json::{FromJson, ObjectWriter, ToJson, Value};
 
-use crate::metric::{MetricEstimate, MetricSpec, NonFiniteObservation, OutputMetric, Phase};
+use crate::metric::{MetricEstimate, MetricSpec, OutputMetric};
 
 /// A cheap, copyable handle to a metric inside a [`StatsCollection`].
 ///
@@ -22,19 +22,6 @@ impl MetricId {
     pub fn index(self) -> usize {
         self.0
     }
-}
-
-/// Aggregate phase of a whole simulation's metric set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectionPhase {
-    /// At least one metric has not finished warm-up, so all metrics are
-    /// still discarding (the paper's first global constraint).
-    Warmup,
-    /// All metrics are warm; calibration/measurement in progress.
-    Running,
-    /// Every metric has converged (the paper's second global constraint for
-    /// simulation termination).
-    Converged,
 }
 
 /// The registry of a simulation's output metrics.
@@ -182,37 +169,6 @@ impl StatsCollection {
         }
     }
 
-    /// As [`StatsCollection::record`], but rejects NaN and infinite
-    /// observations with a typed error instead of panicking; the
-    /// collection is unchanged when an error is returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonFiniteObservation`] if `x` is not finite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is stale (from another collection).
-    pub fn try_record(&mut self, id: MetricId, x: f64) -> Result<(), NonFiniteObservation> {
-        self.metrics[id.0].try_record(x)?;
-        if !self.warm {
-            self.check_warmup();
-        }
-        Ok(())
-    }
-
-    /// Records an observation by metric name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no metric has this name.
-    pub fn record_by_name(&mut self, name: &str, x: f64) {
-        let id = self
-            .id(name)
-            .unwrap_or_else(|| panic!("unknown metric: {name}"));
-        self.record(id, x);
-    }
-
     fn check_warmup(&mut self) {
         if self.metrics.iter().all(OutputMetric::warmup_complete) {
             self.warm = true;
@@ -232,18 +188,6 @@ impl StatsCollection {
     #[must_use]
     pub fn all_converged(&self) -> bool {
         !self.metrics.is_empty() && self.metrics.iter().all(OutputMetric::is_converged)
-    }
-
-    /// The aggregate phase across all metrics.
-    #[must_use]
-    pub fn phase(&self) -> CollectionPhase {
-        if self.all_converged() {
-            CollectionPhase::Converged
-        } else if self.warm {
-            CollectionPhase::Running
-        } else {
-            CollectionPhase::Warmup
-        }
     }
 
     /// Access a metric by handle.
@@ -284,25 +228,12 @@ impl StatsCollection {
             .filter_map(OutputMetric::estimate)
             .collect()
     }
-
-    /// The phase of the *least advanced* metric, a useful progress signal.
-    #[must_use]
-    pub fn slowest_phase(&self) -> Option<Phase> {
-        self.metrics
-            .iter()
-            .map(OutputMetric::phase)
-            .min_by_key(|p| match p {
-                Phase::Warmup => 0,
-                Phase::Calibration => 1,
-                Phase::Measurement => 2,
-                Phase::Converged => 3,
-            })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metric::Phase;
 
     fn spec(name: &str, warmup: u64) -> MetricSpec {
         MetricSpec::new(name)
@@ -360,7 +291,6 @@ mod tests {
         while !stats.all_converged() {
             stats.record(b, rng.next().unwrap());
         }
-        assert_eq!(stats.phase(), CollectionPhase::Converged);
     }
 
     #[test]
@@ -368,7 +298,6 @@ mod tests {
         let stats = StatsCollection::new();
         assert!(!stats.all_converged());
         assert!(stats.is_empty());
-        assert_eq!(stats.slowest_phase(), None);
     }
 
     #[test]
@@ -377,22 +306,6 @@ mod tests {
         let mut stats = StatsCollection::new();
         stats.add_metric(spec("x", 1));
         stats.add_metric(spec("x", 1));
-    }
-
-    #[test]
-    fn record_by_name_works() {
-        let mut stats = StatsCollection::new();
-        stats.add_metric(spec("m", 0));
-        stats.record_by_name("m", 1.0);
-        assert_eq!(stats.metric_by_name("m").unwrap().total_observed(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown metric")]
-    fn record_unknown_name_panics() {
-        let mut stats = StatsCollection::new();
-        stats.add_metric(spec("m", 0));
-        stats.record_by_name("nope", 1.0);
     }
 
     #[test]
@@ -487,17 +400,5 @@ mod tests {
             err.to_string().contains("duplicate metric name: m"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn slowest_phase_reports_laggard() {
-        let mut stats = StatsCollection::new();
-        let a = stats.add_metric(spec("a", 5));
-        let _b = stats.add_metric(spec("b", 5));
-        let mut rng = noise(4);
-        for _ in 0..10 {
-            stats.record(a, rng.next().unwrap());
-        }
-        assert_eq!(stats.slowest_phase(), Some(Phase::Warmup));
     }
 }

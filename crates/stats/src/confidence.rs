@@ -29,14 +29,17 @@ thread_local! {
 ///
 /// # Examples
 ///
-/// ```
-/// use bighouse_stats::z_value;
+/// The public formulas apply it: with σ = 1 and one observation, the
+/// half-width is the critical value itself.
 ///
-/// assert!((z_value(0.95) - 1.96).abs() < 1e-2);
-/// assert!((z_value(0.99) - 2.576).abs() < 1e-3);
+/// ```
+/// use bighouse_stats::half_width_mean;
+///
+/// assert!((half_width_mean(0.95, 1.0, 1) - 1.96).abs() < 1e-2);
+/// assert!((half_width_mean(0.99, 1.0, 1) - 2.576).abs() < 1e-3);
 /// ```
 #[must_use]
-pub fn z_value(confidence: f64) -> f64 {
+pub(crate) fn z_value(confidence: f64) -> f64 {
     assert!(
         confidence > 0.0 && confidence < 1.0,
         "confidence must be in (0, 1), got {confidence}"

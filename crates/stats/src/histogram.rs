@@ -24,8 +24,6 @@ use crate::welford::RunningStats;
 ///
 /// let spec = HistogramSpec::new(0.0, 0.5, 20).unwrap();
 /// assert_eq!(spec.high(), 10.0);
-/// assert_eq!(spec.bin_index(3.7), Some(7));
-/// assert_eq!(spec.bin_index(-1.0), None); // underflow
 /// ```
 ///
 /// A spec is usually derived from a calibration sample:
@@ -79,12 +77,12 @@ impl HistogramSpec {
     /// sample. Chen & Kelton recommend on the order of hundreds-to-thousands
     /// of bins; 1000 keeps each histogram well under the paper's "less than
     /// 1 MB" footprint while giving ~0.1% quantile resolution in-range.
-    pub const DEFAULT_BINS: usize = 1000;
+    const DEFAULT_BINS: usize = 1000;
 
     /// Fraction of the calibration sample's range added as padding on each
     /// side, to catch steady-state observations beyond the calibration
     /// extremes.
-    pub const RANGE_PADDING: f64 = 0.5;
+    const RANGE_PADDING: f64 = 0.5;
 
     /// Creates a spec with `bins` equal-width bins starting at `low`.
     ///
@@ -105,10 +103,10 @@ impl HistogramSpec {
         Ok(HistogramSpec { low, width, bins })
     }
 
-    /// Derives a spec from a calibration sample with [`Self::DEFAULT_BINS`]
-    /// bins, padding the observed range by [`Self::RANGE_PADDING`] on each
-    /// side (clamped at zero below, since BigHouse metrics — times, powers —
-    /// are non-negative when the sample is).
+    /// Derives a spec from a calibration sample with 1000 bins, padding the
+    /// observed range by half its width on each side (clamped at zero
+    /// below, since BigHouse metrics — times, powers — are non-negative
+    /// when the sample is).
     ///
     /// # Errors
     ///
@@ -171,7 +169,7 @@ impl HistogramSpec {
     /// Index of the bin containing `x`, or `None` if `x` falls outside
     /// `[low, high)`.
     #[must_use]
-    pub fn bin_index(&self, x: f64) -> Option<usize> {
+    pub(crate) fn bin_index(&self, x: f64) -> Option<usize> {
         if x < self.low {
             return None;
         }
@@ -185,7 +183,7 @@ impl HistogramSpec {
     ///
     /// Panics if `i > bins`.
     #[must_use]
-    pub fn bin_low(&self, i: usize) -> f64 {
+    pub(crate) fn bin_low(&self, i: usize) -> f64 {
         assert!(i <= self.bins, "bin index {i} out of range");
         self.low + self.width * i as f64
     }
@@ -282,16 +280,6 @@ impl Histogram {
         self.overflow
     }
 
-    /// Fraction of observations that fell outside the binned range.
-    #[must_use]
-    pub fn out_of_range_fraction(&self) -> f64 {
-        if self.count() == 0 {
-            0.0
-        } else {
-            (self.underflow + self.overflow) as f64 / self.count() as f64
-        }
-    }
-
     /// Exact running moments of all recorded observations.
     #[must_use]
     pub fn moments(&self) -> &RunningStats {
@@ -353,7 +341,7 @@ impl Histogram {
     /// the sampling error of an estimated quantile in *value* units is the
     /// probability-space error divided by the density at the quantile.
     #[must_use]
-    pub fn density_at(&self, x: f64) -> f64 {
+    pub(crate) fn density_at(&self, x: f64) -> f64 {
         let total = self.count();
         if total == 0 {
             return 0.0;
@@ -362,15 +350,6 @@ impl Histogram {
             Some(i) => self.counts[i] as f64 / (total as f64 * self.spec.width()),
             None => 0.0,
         }
-    }
-
-    /// Iterates over `(bin_low, count)` pairs for non-empty bins.
-    pub fn iter_nonempty(&self) -> impl Iterator<Item = (f64, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (self.spec.bin_low(i), c))
     }
 
     /// Merges another histogram recorded under the **same spec**.
@@ -496,7 +475,6 @@ mod tests {
         hist.record(100.0);
         assert_eq!(hist.underflow(), 1);
         assert_eq!(hist.overflow(), 1);
-        assert!((hist.out_of_range_fraction() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -547,16 +525,6 @@ mod tests {
         let mut a = Histogram::new(HistogramSpec::new(0.0, 1.0, 10).unwrap());
         let b = Histogram::new(HistogramSpec::new(0.0, 2.0, 10).unwrap());
         a.merge(&b);
-    }
-
-    #[test]
-    fn iter_nonempty_skips_empty_bins() {
-        let spec = HistogramSpec::new(0.0, 1.0, 10).unwrap();
-        let mut hist = Histogram::new(spec);
-        hist.record(0.5);
-        hist.record(5.5);
-        let bins: Vec<_> = hist.iter_nonempty().collect();
-        assert_eq!(bins, vec![(0.0, 1), (5.0, 1)]);
     }
 
     #[test]

@@ -31,8 +31,7 @@
 //!     .with_quantile(0.95)
 //!     .with_warmup(100)
 //!     .with_calibration(1000);
-//! let mut metric = OutputMetric::new(spec);
-//! metric.end_warmup(); // single-metric simulation: no global gating needed
+//! let mut metric = OutputMetric::new(spec); // self-gating: one metric alone
 //!
 //! // A deterministic low-discrepancy input converges quickly.
 //! let mut x = 0.0f64;
@@ -50,7 +49,6 @@
 
 pub mod math;
 
-mod autocorr;
 mod batch_means;
 mod collection;
 mod confidence;
@@ -59,13 +57,10 @@ mod metric;
 mod runs_test;
 mod welford;
 
-pub use autocorr::{autocorrelation, effective_sample_size};
 pub use batch_means::BatchMeans;
-pub use collection::{CollectionPhase, MetricId, StatsCollection};
-pub use confidence::{half_width_mean, required_samples_mean, required_samples_quantile, z_value};
+pub use collection::{MetricId, StatsCollection};
+pub use confidence::{half_width_mean, required_samples_mean, required_samples_quantile};
 pub use histogram::{Histogram, HistogramSpec, HistogramSpecError};
-pub use metric::{
-    MetricEstimate, MetricSpec, NonFiniteObservation, OutputMetric, Phase, QuantileEstimate,
-};
+pub use metric::{MetricEstimate, MetricSpec, OutputMetric, Phase, QuantileEstimate};
 pub use runs_test::{find_lag, RunsUpTest};
 pub use welford::RunningStats;

@@ -60,7 +60,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 ///
 /// Panics if `a <= 0` or `x < 0`.
 #[must_use]
-pub fn gamma_p(a: f64, x: f64) -> f64 {
+pub(crate) fn gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "gamma_p requires a > 0, got {a}");
     assert!(x >= 0.0, "gamma_p requires x >= 0, got {x}");
     if x == 0.0 {
@@ -117,7 +117,7 @@ fn gamma_q_continued_fraction(a: f64, x: f64) -> f64 {
 
 /// Standard normal probability density function.
 #[must_use]
-pub fn normal_pdf(x: f64) -> f64 {
+pub(crate) fn normal_pdf(x: f64) -> f64 {
     (-(x * x) / 2.0).exp() / (2.0 * std::f64::consts::PI).sqrt()
 }
 
@@ -248,15 +248,16 @@ pub fn chi_square_cdf(k: u32, x: f64) -> f64 {
 ///
 /// # Examples
 ///
-/// ```
-/// use bighouse_stats::math::chi_square_inverse_cdf;
+/// The runs-up test judges its statistic at 95% against χ²₆(0.95) ≈ 12.592,
+/// the point where the public [`chi_square_cdf`] reaches 0.95.
 ///
-/// // Critical value used to judge the runs-up test at 95%: χ²₆(0.95) ≈ 12.592.
-/// let crit = chi_square_inverse_cdf(6, 0.95);
-/// assert!((crit - 12.5916).abs() < 1e-3);
+/// ```
+/// use bighouse_stats::math::chi_square_cdf;
+///
+/// assert!((chi_square_cdf(6, 12.5916) - 0.95).abs() < 1e-5);
 /// ```
 #[must_use]
-pub fn chi_square_inverse_cdf(k: u32, p: f64) -> f64 {
+pub(crate) fn chi_square_inverse_cdf(k: u32, p: f64) -> f64 {
     assert!(k > 0, "chi-square needs at least 1 degree of freedom");
     assert!(
         p > 0.0 && p < 1.0,
@@ -392,6 +393,8 @@ mod tests {
 
     #[test]
     fn chi_square_inverse_round_trips() {
+        // The runs-up test's 95% critical value: χ²₆(0.95) ≈ 12.592.
+        assert!((chi_square_inverse_cdf(6, 0.95) - 12.5916).abs() < 1e-3);
         for k in [1u32, 2, 6, 10, 100] {
             for p in [0.025, 0.05, 0.5, 0.95, 0.975] {
                 let x = chi_square_inverse_cdf(k, p);

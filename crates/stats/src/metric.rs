@@ -14,24 +14,6 @@ use crate::histogram::{Histogram, HistogramSpec};
 use crate::runs_test::{find_lag, RunsUpTest};
 use crate::welford::RunningStats;
 
-/// A rejected observation: NaN or infinite. Returned by
-/// [`OutputMetric::try_record`] and
-/// [`crate::StatsCollection::try_record`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NonFiniteObservation {
-    /// The offending value rendered as text (NaN and infinities survive
-    /// `Display` but not JSON).
-    pub value: String,
-}
-
-impl std::fmt::Display for NonFiniteObservation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "non-finite observation {}", self.value)
-    }
-}
-
-impl std::error::Error for NonFiniteObservation {}
-
 /// Which phase of the Figure 2 sequence a metric is in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
@@ -111,10 +93,10 @@ impl MetricSpec {
 
     /// Default warm-up observation count N_w. The paper notes no rigorous
     /// automatic method exists; this is the explicit user knob.
-    pub const DEFAULT_WARMUP: u64 = 1000;
+    const DEFAULT_WARMUP: u64 = 1000;
 
     /// Default cap on the lag-spacing search.
-    pub const DEFAULT_MAX_LAG: usize = 32;
+    const DEFAULT_MAX_LAG: usize = 32;
 
     /// Creates a spec with the paper's default targets: mean + 95th
     /// percentile at E = 0.05, 95% confidence.
@@ -523,7 +505,7 @@ impl OutputMetric {
     /// constraint that no metric may calibrate until **all** metrics are
     /// warm. [`crate::StatsCollection`] uses this constructor.
     #[must_use]
-    pub fn new_gated(spec: MetricSpec) -> Self {
+    pub(crate) fn new_gated(spec: MetricSpec) -> Self {
         Self::build(spec, false)
     }
 
@@ -552,7 +534,7 @@ impl OutputMetric {
     /// scheme broadcast by the master (Figure 3): the slave still runs its
     /// own warm-up and lag calibration, but not histogram setup.
     #[must_use]
-    pub fn with_forced_histogram(mut self, spec: HistogramSpec) -> Self {
+    pub(crate) fn with_forced_histogram(mut self, spec: HistogramSpec) -> Self {
         self.forced_histogram = Some(spec);
         self
     }
@@ -572,12 +554,12 @@ impl OutputMetric {
     /// Whether N_w warm-up observations have been seen (the metric may still
     /// be held in warm-up by external gating).
     #[must_use]
-    pub fn warmup_complete(&self) -> bool {
+    pub(crate) fn warmup_complete(&self) -> bool {
         self.warmup_seen >= self.spec.warmup
     }
 
     /// Ends the warm-up phase immediately (idempotent).
-    pub fn end_warmup(&mut self) {
+    pub(crate) fn end_warmup(&mut self) {
         if self.phase == Phase::Warmup {
             self.phase = Phase::Calibration;
         }
@@ -621,24 +603,6 @@ impl OutputMetric {
     #[must_use]
     pub fn histogram(&self) -> Option<&Histogram> {
         self.histogram.as_ref()
-    }
-
-    /// As [`OutputMetric::record`], but rejects non-finite observations
-    /// with a typed error instead of panicking (or, for infinities, instead
-    /// of silently poisoning the running moments). The metric is unchanged
-    /// when an error is returned.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NonFiniteObservation`] if `x` is NaN or infinite.
-    pub fn try_record(&mut self, x: f64) -> Result<(), NonFiniteObservation> {
-        if !x.is_finite() {
-            return Err(NonFiniteObservation {
-                value: format!("{x}"),
-            });
-        }
-        self.record(x);
-        Ok(())
     }
 
     /// Records one observation, advancing the phase machine as needed.

@@ -68,14 +68,13 @@ const B: [f64; 6] = [
 pub struct RunsUpTest {
     lower_critical: f64,
     upper_critical: f64,
-    significance: f64,
 }
 
 impl RunsUpTest {
     /// Minimum observations for the chi-square approximation to be usable.
     /// Knuth recommends n ≥ 4000; we allow shorter subsampled sequences
     /// during lag search but never fewer than this.
-    pub const MIN_OBSERVATIONS: usize = 100;
+    const MIN_OBSERVATIONS: usize = 100;
 
     /// Creates a test at the given two-sided significance level (e.g. 0.05).
     ///
@@ -91,14 +90,7 @@ impl RunsUpTest {
         RunsUpTest {
             lower_critical: chi_square_inverse_cdf(6, significance / 2.0),
             upper_critical: chi_square_inverse_cdf(6, 1.0 - significance / 2.0),
-            significance,
         }
-    }
-
-    /// The configured significance level.
-    #[must_use]
-    pub fn significance(&self) -> f64 {
-        self.significance
     }
 
     /// Counts runs-up of lengths 1..=6 (length-6 bucket includes longer runs).
@@ -126,8 +118,7 @@ impl RunsUpTest {
 
     /// Computes Knuth's quadratic-form statistic `V` for the sequence.
     ///
-    /// Returns `None` if the sequence is shorter than
-    /// [`Self::MIN_OBSERVATIONS`].
+    /// Returns `None` if the sequence is shorter than 100 observations.
     #[must_use]
     pub fn statistic(&self, data: &[f64]) -> Option<f64> {
         if data.len() < Self::MIN_OBSERVATIONS {
@@ -151,7 +142,7 @@ impl RunsUpTest {
 
     /// Whether the sequence is consistent with independence.
     ///
-    /// Sequences shorter than [`Self::MIN_OBSERVATIONS`] fail by definition
+    /// Sequences shorter than 100 observations fail by definition
     /// (we refuse to certify independence from too little data).
     #[must_use]
     pub fn passes(&self, data: &[f64]) -> bool {

@@ -18,7 +18,7 @@
 /// }
 /// assert_eq!(stats.count(), 8);
 /// assert_eq!(stats.mean(), 5.0);
-/// assert_eq!(stats.population_variance(), 4.0);
+/// assert!((stats.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningStats {
@@ -106,16 +106,6 @@ impl RunningStats {
     /// screen.
     pub(crate) fn m2(&self) -> f64 {
         self.m2
-    }
-
-    /// Population variance (divides by `n`). Returns 0 when empty.
-    #[must_use]
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
     }
 
     /// Sample standard deviation (square root of [`Self::sample_variance`]).
@@ -227,7 +217,6 @@ mod tests {
         let stats: RunningStats = [1.0, 2.0, 3.0, 4.0, 5.0].into_iter().collect();
         assert_eq!(stats.mean(), 3.0);
         assert_eq!(stats.sample_variance(), 2.5);
-        assert_eq!(stats.population_variance(), 2.0);
         assert_eq!(stats.sum(), 15.0);
     }
 
@@ -285,6 +274,6 @@ mod tests {
         let stats: RunningStats = (0..1000)
             .map(|i| offset + f64::from(i % 2 == 0) * 2.0 - 1.0)
             .collect();
-        assert!((stats.population_variance() - 1.0).abs() < 1e-6);
+        assert!((stats.sample_variance() - 1000.0 / 999.0).abs() < 1e-6);
     }
 }

@@ -186,7 +186,7 @@ fn collection_round_trip_preserves_behavior() {
                 restored.record(a, x);
             }
         }
-        assert_eq!(stats.phase(), restored.phase());
+        assert_eq!(stats.all_warm(), restored.all_warm());
         assert_eq!(stats.all_converged(), restored.all_converged());
         assert_eq!(json(&stats.estimates()), json(&restored.estimates()));
     });

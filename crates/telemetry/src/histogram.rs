@@ -77,8 +77,9 @@ impl FixedBinHistogram {
     ///
     /// Panics if `bins` is zero, the bounds are not finite, or
     /// `0 < lo < hi` does not hold.
+    #[cfg(test)]
     #[must_use]
-    pub fn log_spaced(lo: f64, hi: f64, bins: usize) -> Self {
+    pub(crate) fn log_spaced(lo: f64, hi: f64, bins: usize) -> Self {
         assert!(bins > 0, "histogram needs at least one bin");
         assert!(
             lo.is_finite() && hi.is_finite() && lo > 0.0 && lo < hi,

@@ -88,7 +88,7 @@ bighouse_json::json_struct!(Workload {
 impl Workload {
     /// Number of synthetic observations drawn when synthesizing an
     /// empirical distribution from published moments.
-    pub const SYNTHESIS_SAMPLES: usize = 200_000;
+    const SYNTHESIS_SAMPLES: usize = 200_000;
 
     /// Creates a workload from existing empirical distributions (e.g.
     /// captured by instrumenting a live system).
@@ -103,7 +103,7 @@ impl Workload {
 
     /// Synthesizes a workload whose empirical distributions match the given
     /// moments (see DESIGN.md substitution 1): an analytic family is
-    /// moment-fit, sampled [`Self::SYNTHESIS_SAMPLES`] times from
+    /// moment-fit, sampled 200 000 times from
     /// `SimRng::from_seed(seed)`, and tabulated into [`Empirical`] form.
     /// The interarrival samples are drawn first, then the service samples,
     /// both into one buffer that each table is sorted in.
@@ -167,18 +167,6 @@ impl Workload {
     #[must_use]
     pub fn service(&self) -> &Empirical {
         &self.service
-    }
-
-    /// Peak sustainable arrival rate (QPS at 100% utilization) for a server
-    /// with `cores` cores: `cores / E[service]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cores` is zero.
-    #[must_use]
-    pub fn peak_qps(&self, cores: u32) -> f64 {
-        assert!(cores > 0, "a server needs at least one core");
-        f64::from(cores) / self.service.mean()
     }
 
     /// Returns a copy whose arrival process is scaled so that a server with
@@ -400,12 +388,6 @@ mod tests {
         let a = Workload::standard(StandardWorkload::Web);
         let b = Workload::standard(StandardWorkload::Web);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn peak_qps_scales_with_cores() {
-        let w = Workload::standard(StandardWorkload::Google);
-        assert!((w.peak_qps(4) / w.peak_qps(1) - 4.0).abs() < 1e-9);
     }
 
     #[test]
