@@ -64,6 +64,7 @@ pub use hyperexp::HyperExponential;
 pub use lognormal::LogNormal;
 pub use mixture::Mixture;
 pub use pareto::Pareto;
-pub use traits::{Distribution, DynDistribution};
+pub use traits::Distribution;
+pub(crate) use traits::DynDistribution;
 pub use uniform::Uniform;
 pub use weibull::Weibull;

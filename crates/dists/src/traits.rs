@@ -10,7 +10,7 @@ use bighouse_des::SimRng;
 /// Workload distributions are shared across many servers (every server in a
 /// Figure 7 cluster draws from the same service distribution), so the
 /// ergonomic currency of the model layer is an `Arc`.
-pub type DynDistribution = Arc<dyn Distribution>;
+pub(crate) type DynDistribution = Arc<dyn Distribution>;
 
 /// A univariate, continuous, non-negative random variable with known
 /// moments.

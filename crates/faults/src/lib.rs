@@ -4,13 +4,17 @@
 //! relaxes that assumption with two composable pieces:
 //!
 //! - [`FaultProcess`]: a per-server alternating renewal process. Uptime
-//!   (time to failure) and downtime (time to repair) are drawn from any
-//!   [`bighouse_dists::Distribution`] — exponential for the classic
-//!   memoryless MTBF/MTTR model, Weibull for wear-out (shape > 1) or
-//!   infant-mortality (shape < 1) failure regimes.
+//!   (time to failure) and downtime (time to repair) are exponential for
+//!   the classic memoryless MTBF/MTTR model, or Weibull for wear-out
+//!   (shape > 1) or infant-mortality (shape < 1) failure regimes, with a
+//!   shape per phase.
 //! - [`RetryPolicy`]: client-side request timeouts with capped exponential
 //!   backoff and full jitter, drawn from the simulation's own seeded RNG so
 //!   runs stay deterministic.
+//!
+//! Both are their parameters: each writes them as JSON and reads them
+//! back into the same process or policy, so every configuration
+//! serializes and runs wherever a config is sent.
 //!
 //! The steady-state availability of an alternating renewal process is the
 //! classic `MTBF / (MTBF + MTTR)` ratio ([`FaultProcess::availability`]),
@@ -19,12 +23,10 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use std::sync::Arc;
-
-use bighouse_json::{FromJson, ObjectWriter, ToJson, Value};
+use bighouse_json::{Error, FromJson, ObjectWriter, ToJson, Value};
 
 use bighouse_des::SimRng;
-use bighouse_dists::{Distribution, DistributionError, DynDistribution, Exponential, Weibull};
+use bighouse_dists::{Distribution, DistributionError, Exponential, Weibull};
 
 /// Smallest duration (seconds) a sampled uptime or downtime can take;
 /// guards against degenerate zero-length failure cycles flooding the
@@ -43,76 +45,109 @@ const MIN_CYCLE_SECONDS: f64 = 1e-9;
 /// assert!((faults.availability() - 1000.0 / 1050.0).abs() < 1e-12);
 /// ```
 ///
-/// A process serializes as the [`FaultSpec`] that describes it
-/// ([`FaultProcess::spec`]); one built from arbitrary distributions has
-/// none and is refused on deserialization.
-#[derive(Debug, Clone)]
+/// A process serializes as `{"spec": {"mtbf", "mttr", "shape"}}`, with
+/// `shape` null for exponential phases, plus `"repair_shape"` when the
+/// downtime's Weibull shape differs from the uptime's.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultProcess {
-    time_to_failure: DynDistribution,
-    time_to_repair: DynDistribution,
-    /// What [`FaultSpec::build`] rebuilds this process from, if anything.
-    spec: Option<FaultSpec>,
+    mtbf: f64,
+    mttr: f64,
+    uptime: Phase,
+    downtime: Phase,
+}
+
+/// The sampler of one phase, built from its mean and optional shape.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Phase {
+    Exponential(Exponential),
+    Weibull(Weibull),
+}
+
+impl Phase {
+    /// The phase with mean `mean`: exponential without a shape, Weibull
+    /// (rescaled to that mean) with one.
+    fn new(name: &'static str, mean: f64, shape: Option<f64>) -> Result<Self, DistributionError> {
+        let phase = match shape {
+            None => Phase::Exponential(Exponential::from_mean(mean)?),
+            Some(shape) => Phase::Weibull(weibull_from_mean(shape, mean)?),
+        };
+        let m = phase.mean();
+        if !(m.is_finite() && m > 0.0) {
+            return Err(DistributionError::InvalidParameter {
+                name,
+                value: m,
+                requirement: "must be finite and positive",
+            });
+        }
+        Ok(phase)
+    }
+
+    fn shape(&self) -> Option<f64> {
+        match self {
+            Phase::Exponential(_) => None,
+            Phase::Weibull(d) => Some(d.shape()),
+        }
+    }
+
+    fn mean(&self) -> f64 {
+        match self {
+            Phase::Exponential(d) => d.mean(),
+            Phase::Weibull(d) => d.mean(),
+        }
+    }
+
+    fn sample(&self, rng: &mut SimRng) -> f64 {
+        let span = match self {
+            Phase::Exponential(d) => d.sample(rng),
+            Phase::Weibull(d) => d.sample(rng),
+        };
+        span.max(MIN_CYCLE_SECONDS)
+    }
 }
 
 impl ToJson for FaultProcess {
-    /// `{"spec": ..}`: the spec the process rebuilds from, or `null`.
     fn write_json(&self, out: &mut String) {
-        let mut object = ObjectWriter::new(out);
-        object.field("spec", &self.spec);
-        object.end();
+        out.push_str(r#"{"spec":"#);
+        let mut spec = ObjectWriter::new(out);
+        spec.field("mtbf", &self.mtbf);
+        spec.field("mttr", &self.mttr);
+        let (shape, repair_shape) = (self.uptime.shape(), self.downtime.shape());
+        spec.field("shape", &shape);
+        if repair_shape != shape {
+            spec.field("repair_shape", &repair_shape);
+        }
+        spec.end();
+        out.push('}');
     }
 }
 
 impl FromJson for FaultProcess {
-    /// Rebuilds the process from its spec; a `null` spec is refused.
-    fn from_json(value: &Value) -> Result<Self, bighouse_json::Error> {
-        let spec: Option<FaultSpec> = bighouse_json::field(bighouse_json::object(value)?, "spec")?;
-        let spec = spec.ok_or_else(|| {
-            bighouse_json::Error::invalid(
-                "fault process was built from distributions no spec describes",
-            )
-        })?;
-        spec.build().map_err(bighouse_json::Error::invalid)
+    /// Reads what [`ToJson`] writes; an absent `repair_shape` is `shape`,
+    /// and one without a `shape` is refused.
+    fn from_json(value: &Value) -> Result<Self, Error> {
+        let spec: Value = bighouse_json::field(bighouse_json::object(value)?, "spec")?;
+        let read = |spec| -> Result<_, Error> {
+            let spec = bighouse_json::object(spec)?;
+            Ok((
+                bighouse_json::field(spec, "mtbf")?,
+                bighouse_json::field(spec, "mttr")?,
+                bighouse_json::field::<Option<f64>>(spec, "shape")?,
+                bighouse_json::field::<Option<f64>>(spec, "repair_shape")?,
+            ))
+        };
+        let (mtbf, mttr, shape, repair_shape) = read(&spec).map_err(|e| e.within("spec"))?;
+        match (shape, repair_shape) {
+            (None, None) => FaultProcess::exponential(mtbf, mttr),
+            (Some(shape), repair_shape) => {
+                FaultProcess::weibull(shape, mtbf, repair_shape.unwrap_or(shape), mttr)
+            }
+            (None, Some(_)) => return Err(Error::invalid("repair_shape needs a shape")),
+        }
+        .map_err(Error::invalid)
     }
 }
 
 impl FaultProcess {
-    /// Builds a fault process from arbitrary uptime and downtime
-    /// distributions.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if either distribution has a non-positive or
-    /// non-finite mean.
-    pub fn new(
-        time_to_failure: DynDistribution,
-        time_to_repair: DynDistribution,
-    ) -> Result<Self, DistributionError> {
-        for (name, dist) in [("mtbf", &time_to_failure), ("mttr", &time_to_repair)] {
-            let m = dist.mean();
-            if !(m.is_finite() && m > 0.0) {
-                return Err(DistributionError::InvalidParameter {
-                    name,
-                    value: m,
-                    requirement: "must be finite and positive",
-                });
-            }
-        }
-        Ok(FaultProcess {
-            time_to_failure,
-            time_to_repair,
-            spec: None,
-        })
-    }
-
-    /// The spec [`FaultSpec::build`] rebuilds this process from: recorded
-    /// by [`FaultProcess::exponential`] and by [`FaultProcess::weibull`]
-    /// with one shape for both phases, `None` for any other process.
-    #[must_use]
-    pub fn spec(&self) -> Option<FaultSpec> {
-        self.spec
-    }
-
     /// The memoryless model: exponential uptime with mean `mtbf` and
     /// exponential downtime with mean `mttr` (both in seconds).
     ///
@@ -120,16 +155,12 @@ impl FaultProcess {
     ///
     /// Returns an error if either mean is non-positive or non-finite.
     pub fn exponential(mtbf: f64, mttr: f64) -> Result<Self, DistributionError> {
-        let mut process = Self::new(
-            Arc::new(Exponential::from_mean(mtbf)?),
-            Arc::new(Exponential::from_mean(mttr)?),
-        )?;
-        process.spec = Some(FaultSpec {
+        Ok(FaultProcess {
             mtbf,
             mttr,
-            shape: None,
-        });
-        Ok(process)
+            uptime: Phase::new("mtbf", mtbf, None)?,
+            downtime: Phase::new("mttr", mttr, None)?,
+        })
     }
 
     /// Weibull uptimes/downtimes parameterized by **mean** (not scale):
@@ -145,48 +176,41 @@ impl FaultProcess {
         repair_shape: f64,
         mttr: f64,
     ) -> Result<Self, DistributionError> {
-        let mut process = Self::new(
-            Arc::new(weibull_from_mean(failure_shape, mtbf)?),
-            Arc::new(weibull_from_mean(repair_shape, mttr)?),
-        )?;
-        if failure_shape == repair_shape {
-            process.spec = Some(FaultSpec {
-                mtbf,
-                mttr,
-                shape: Some(failure_shape),
-            });
-        }
-        Ok(process)
+        Ok(FaultProcess {
+            mtbf,
+            mttr,
+            uptime: Phase::new("mtbf", mtbf, Some(failure_shape))?,
+            downtime: Phase::new("mttr", mttr, Some(repair_shape))?,
+        })
     }
 
     /// Mean time between failures (seconds).
     #[must_use]
     pub fn mtbf(&self) -> f64 {
-        self.time_to_failure.mean()
+        self.mtbf
     }
 
     /// Mean time to repair (seconds).
     #[must_use]
     pub fn mttr(&self) -> f64 {
-        self.time_to_repair.mean()
+        self.mttr
     }
 
     /// Steady-state availability of the renewal process:
     /// `MTBF / (MTBF + MTTR)`.
     #[must_use]
     pub fn availability(&self) -> f64 {
-        let up = self.mtbf();
-        up / (up + self.mttr())
+        self.mtbf / (self.mtbf + self.mttr)
     }
 
     /// Draws the next uptime span (seconds until the server fails).
     pub fn sample_uptime(&self, rng: &mut SimRng) -> f64 {
-        self.time_to_failure.sample(rng).max(MIN_CYCLE_SECONDS)
+        self.uptime.sample(rng)
     }
 
     /// Draws the next downtime span (seconds until the server is repaired).
     pub fn sample_downtime(&self, rng: &mut SimRng) -> f64 {
-        self.time_to_repair.sample(rng).max(MIN_CYCLE_SECONDS)
+        self.downtime.sample(rng)
     }
 }
 
@@ -252,7 +276,7 @@ impl RetryPolicy {
     pub fn new(timeout: f64) -> Self {
         assert!(
             timeout.is_finite() && timeout > 0.0,
-            "request timeout must be positive and finite, got {timeout}"
+            "request timeout must be positive and finite, got {timeout:?}"
         );
         RetryPolicy {
             timeout,
@@ -268,27 +292,6 @@ impl RetryPolicy {
     #[must_use]
     pub fn with_max_retries(mut self, max_retries: u32) -> Self {
         self.max_retries = max_retries;
-        self
-    }
-
-    /// Sets the backoff base (first-retry ceiling) and cap, in seconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the base is negative, the cap non-positive, or either is
-    /// non-finite.
-    #[must_use]
-    pub(crate) fn with_backoff(mut self, base: f64, cap: f64) -> Self {
-        assert!(
-            base.is_finite() && base >= 0.0,
-            "backoff base must be non-negative and finite, got {base}"
-        );
-        assert!(
-            cap.is_finite() && cap > 0.0,
-            "backoff cap must be positive and finite, got {cap}"
-        );
-        self.backoff_base = base;
-        self.backoff_cap = cap;
         self
     }
 
@@ -342,116 +345,54 @@ impl RetryPolicy {
     }
 }
 
-/// Serializable description of a [`FaultProcess`] (the CLI's `faults`
-/// block).
-///
-/// With `shape` omitted both phases are exponential; with `shape` set both
-/// are Weibull with that shape (mean-parameterized).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultSpec {
-    /// Mean time between failures in seconds.
-    pub mtbf: f64,
-    /// Mean time to repair in seconds.
-    pub mttr: f64,
-    /// Optional Weibull shape for both uptime and downtime distributions.
-    pub shape: Option<f64>,
-}
-
-bighouse_json::json_struct!(FaultSpec { mtbf, mttr, shape });
-
-impl FaultSpec {
-    /// Resolves the spec into a runnable [`FaultProcess`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for non-positive means or an invalid shape.
-    pub fn build(&self) -> Result<FaultProcess, DistributionError> {
-        match self.shape {
-            None => FaultProcess::exponential(self.mtbf, self.mttr),
-            Some(shape) => FaultProcess::weibull(shape, self.mtbf, shape, self.mttr),
-        }
-    }
-}
-
-/// Serializable description of a [`RetryPolicy`] (the CLI's `retry`
-/// block).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct RetrySpec {
-    /// Per-attempt request timeout in seconds.
-    pub timeout: f64,
-    /// Retries after the initial attempt (default 3).
-    pub max_retries: u32,
-    /// Backoff base in seconds (default `timeout / 10`).
-    pub backoff_base: Option<f64>,
-    /// Backoff cap in seconds (default `timeout`).
-    pub backoff_cap: Option<f64>,
-    /// Whether a timeout cancels the in-flight attempt (default `true`).
-    /// `false` abandons it to complete as wasted zombie work instead.
-    pub cancel_on_timeout: bool,
-}
-
-bighouse_json::json_struct!(RetrySpec {
-    timeout,
-    max_retries = 3,
-    backoff_base,
-    backoff_cap,
-    cancel_on_timeout = true,
-});
-
 impl ToJson for RetryPolicy {
-    /// The policy as the `retry` block that rebuilds it.
     fn write_json(&self, out: &mut String) {
-        RetrySpec::from(*self).write_json(out);
+        let mut object = ObjectWriter::new(out);
+        object.field("timeout", &self.timeout);
+        object.field("max_retries", &self.max_retries);
+        object.field("backoff_base", &self.backoff_base);
+        object.field("backoff_cap", &self.backoff_cap);
+        object.field("cancel_on_timeout", &self.cancel_on_timeout);
+        object.end();
     }
 }
 
 impl FromJson for RetryPolicy {
-    /// Reads a `retry` block and builds the policy.
-    fn from_json(value: &Value) -> Result<Self, bighouse_json::Error> {
-        RetrySpec::from_json(value)?
-            .build()
-            .map_err(bighouse_json::Error::invalid)
-    }
-}
-
-impl From<RetryPolicy> for RetrySpec {
-    fn from(policy: RetryPolicy) -> Self {
-        RetrySpec {
-            timeout: policy.timeout,
-            max_retries: policy.max_retries,
-            backoff_base: Some(policy.backoff_base),
-            backoff_cap: Some(policy.backoff_cap),
-            cancel_on_timeout: policy.cancel_on_timeout,
+    /// Reads what [`ToJson`] writes. Only `timeout` is required: an absent
+    /// (or null) key is what [`RetryPolicy::new`] sets.
+    fn from_json(value: &Value) -> Result<Self, Error> {
+        let object = bighouse_json::object(value)?;
+        let timeout: f64 = bighouse_json::field(object, "timeout")?;
+        if !(timeout.is_finite() && timeout > 0.0) {
+            return Err(Error::invalid(format!(
+                "retry timeout must be positive and finite, got {timeout:?}"
+            )));
         }
-    }
-}
-
-impl RetrySpec {
-    /// Resolves the spec into a [`RetryPolicy`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error (as a message) for out-of-range values.
-    pub fn build(&self) -> Result<RetryPolicy, String> {
-        if !(self.timeout.is_finite() && self.timeout > 0.0) {
-            return Err(format!(
-                "retry timeout must be positive and finite, got {}",
-                self.timeout
-            ));
+        let default = RetryPolicy::new(timeout);
+        let read_or = |name, default: f64| {
+            bighouse_json::field::<Option<f64>>(object, name).map(|v| v.unwrap_or(default))
+        };
+        let backoff_base = read_or("backoff_base", default.backoff_base)?;
+        if !(backoff_base.is_finite() && backoff_base >= 0.0) {
+            return Err(Error::invalid(format!(
+                "backoff base must be non-negative and finite, got {backoff_base:?}"
+            )));
         }
-        let mut policy = RetryPolicy::new(self.timeout).with_max_retries(self.max_retries);
-        let base = self.backoff_base.unwrap_or(self.timeout / 10.0);
-        let cap = self.backoff_cap.unwrap_or(self.timeout);
-        if !(base.is_finite() && base >= 0.0) {
-            return Err(format!("backoff base must be non-negative, got {base}"));
+        let backoff_cap = read_or("backoff_cap", default.backoff_cap)?;
+        if !(backoff_cap.is_finite() && backoff_cap > 0.0) {
+            return Err(Error::invalid(format!(
+                "backoff cap must be positive and finite, got {backoff_cap:?}"
+            )));
         }
-        if !(cap.is_finite() && cap > 0.0) {
-            return Err(format!("backoff cap must be positive, got {cap}"));
-        }
-        policy = policy
-            .with_backoff(base, cap)
-            .with_cancel_on_timeout(self.cancel_on_timeout);
-        Ok(policy)
+        Ok(RetryPolicy {
+            timeout,
+            max_retries: bighouse_json::field_or(object, "max_retries", || default.max_retries)?,
+            backoff_base,
+            backoff_cap,
+            cancel_on_timeout: bighouse_json::field_or(object, "cancel_on_timeout", || {
+                default.cancel_on_timeout
+            })?,
+        })
     }
 }
 
@@ -508,9 +449,19 @@ mod tests {
         assert!(FaultProcess::exponential(f64::NAN, 1.0).is_err());
     }
 
+    /// A policy with the given backoff base and cap, as a `retry` block
+    /// with those keys reads.
+    fn with_backoff(timeout: f64, base: f64, cap: f64) -> RetryPolicy {
+        RetryPolicy {
+            backoff_base: base,
+            backoff_cap: cap,
+            ..RetryPolicy::new(timeout)
+        }
+    }
+
     #[test]
     fn backoff_ceiling_doubles_then_caps() {
-        let r = RetryPolicy::new(1.0).with_backoff(0.1, 0.5);
+        let r = with_backoff(1.0, 0.1, 0.5);
         assert!((r.backoff_ceiling(1) - 0.1).abs() < 1e-12);
         assert!((r.backoff_ceiling(2) - 0.2).abs() < 1e-12);
         assert!((r.backoff_ceiling(3) - 0.4).abs() < 1e-12);
@@ -520,7 +471,7 @@ mod tests {
 
     #[test]
     fn backoff_delay_is_jittered_within_ceiling() {
-        let r = RetryPolicy::new(1.0).with_backoff(0.1, 10.0);
+        let r = with_backoff(1.0, 0.1, 10.0);
         let mut rng = SimRng::from_seed(11);
         let mut distinct = std::collections::HashSet::new();
         for _ in 0..100 {
@@ -547,42 +498,39 @@ mod tests {
 
     #[test]
     fn specs_build() {
-        let f = FaultSpec {
-            mtbf: 100.0,
-            mttr: 5.0,
-            shape: None,
-        };
-        assert!((f.build().unwrap().availability() - 100.0 / 105.0).abs() < 1e-12);
-        let w = FaultSpec {
-            mtbf: 100.0,
-            mttr: 5.0,
-            shape: Some(0.7),
-        };
-        assert!((w.build().unwrap().mtbf() - 100.0).abs() < 1e-6);
+        let f: FaultProcess = bighouse_json::from_str(r#"{"spec":{"mtbf":100,"mttr":5}}"#).unwrap();
+        assert_eq!(f, FaultProcess::exponential(100.0, 5.0).unwrap());
+        assert!((f.availability() - 100.0 / 105.0).abs() < 1e-12);
+        let w: FaultProcess =
+            bighouse_json::from_str(r#"{"spec":{"mtbf":100,"mttr":5,"shape":0.7}}"#).unwrap();
+        assert_eq!(w, FaultProcess::weibull(0.7, 100.0, 0.7, 5.0).unwrap());
+        let u: FaultProcess = bighouse_json::from_str(
+            r#"{"spec":{"mtbf":100,"mttr":5,"shape":0.7,"repair_shape":2}}"#,
+        )
+        .unwrap();
+        assert_eq!(u, FaultProcess::weibull(0.7, 100.0, 2.0, 5.0).unwrap());
 
-        let r = RetrySpec {
-            timeout: 0.5,
-            max_retries: 2,
-            backoff_base: None,
-            backoff_cap: None,
-            cancel_on_timeout: true,
-        };
-        let policy = r.build().unwrap();
-        assert_eq!(policy.max_retries(), 2);
+        let policy: RetryPolicy =
+            bighouse_json::from_str(r#"{"timeout":0.5,"max_retries":2}"#).unwrap();
+        assert_eq!(policy, RetryPolicy::new(0.5).with_max_retries(2));
         assert!((policy.backoff_ceiling(1) - 0.05).abs() < 1e-12);
         assert!(policy.cancels_on_timeout());
+        let nulls: RetryPolicy =
+            bighouse_json::from_str(r#"{"timeout":0.5,"backoff_base":null,"backoff_cap":null}"#)
+                .unwrap();
+        assert_eq!(nulls, RetryPolicy::new(0.5));
     }
 
     #[test]
     fn retry_policy_round_trips_through_its_spec() {
         for policy in [
             RetryPolicy::new(0.5),
-            RetryPolicy::new(2.0)
+            with_backoff(2.0, 0.0, 7.5)
                 .with_max_retries(0)
-                .with_backoff(0.0, 7.5)
                 .with_cancel_on_timeout(false),
         ] {
-            assert_eq!(RetrySpec::from(policy).build(), Ok(policy));
+            let json = bighouse_json::to_string(&policy);
+            assert_eq!(bighouse_json::from_str(&json), Ok(policy));
         }
     }
 
@@ -591,12 +539,12 @@ mod tests {
         for process in [
             FaultProcess::exponential(900.0, 100.0).unwrap(),
             FaultProcess::weibull(0.7, 500.0, 0.7, 20.0).unwrap(),
+            FaultProcess::weibull(0.7, 500.0, 2.0, 20.0).unwrap(),
         ] {
-            let spec = process.spec().expect("a spec constructor was used");
-            assert_eq!(spec.build().unwrap().spec(), Some(spec));
             let json = bighouse_json::to_string(&process);
             let back: FaultProcess = bighouse_json::from_str(&json).unwrap();
-            assert_eq!(back.spec(), Some(spec));
+            assert_eq!(back, process);
+            assert_eq!(bighouse_json::to_string(&back), json);
             // The rebuilt process draws what the original draws.
             let (mut a, mut b) = (SimRng::from_seed(9), SimRng::from_seed(9));
             for _ in 0..100 {
@@ -610,19 +558,79 @@ mod tests {
     }
 
     #[test]
-    fn fault_process_no_spec_describes_is_refused_on_the_wire() {
+    fn unequal_shapes_add_a_repair_shape_key() {
         let unequal = FaultProcess::weibull(0.7, 500.0, 2.0, 20.0).unwrap();
-        let custom = FaultProcess::new(
-            Arc::new(Exponential::from_mean(10.0).unwrap()),
-            Arc::new(Exponential::from_mean(1.0).unwrap()),
-        )
-        .unwrap();
-        for process in [unequal, custom] {
-            assert_eq!(process.spec(), None);
-            let json = bighouse_json::to_string(&process);
-            assert_eq!(json, r#"{"spec":null}"#);
-            let refused = bighouse_json::from_str::<FaultProcess>(&json).unwrap_err();
-            assert!(refused.to_string().contains("no spec describes"));
+        assert_eq!(
+            bighouse_json::to_string(&unequal),
+            r#"{"spec":{"mtbf":500.0,"mttr":20.0,"shape":0.7,"repair_shape":2.0}}"#
+        );
+        for (refused, message) in [
+            (r#"{"spec":null}"#, "expected an object at `spec`"),
+            (
+                r#"{"spec":{"mtbf":500.0,"mttr":20.0,"repair_shape":2.0}}"#,
+                "repair_shape needs a shape",
+            ),
+        ] {
+            let error = bighouse_json::from_str::<FaultProcess>(refused).unwrap_err();
+            assert_eq!(error.to_string(), message);
+        }
+    }
+
+    #[test]
+    fn printed_bytes_are_pinned() {
+        // Config files, checkpoints and sweep ledgers hold these bytes, and
+        // `config_fingerprint` hashes them: they must not move.
+        let processes = [
+            (
+                FaultProcess::exponential(1000.0, 50.0),
+                r#"{"spec":{"mtbf":1000.0,"mttr":50.0,"shape":null}}"#,
+            ),
+            (
+                FaultProcess::exponential(3600.0, 120.0),
+                r#"{"spec":{"mtbf":3600.0,"mttr":120.0,"shape":null}}"#,
+            ),
+            (
+                FaultProcess::exponential(0.1, 1e-3),
+                r#"{"spec":{"mtbf":0.1,"mttr":0.001,"shape":null}}"#,
+            ),
+            (
+                FaultProcess::weibull(0.7, 500.0, 0.7, 20.0),
+                r#"{"spec":{"mtbf":500.0,"mttr":20.0,"shape":0.7}}"#,
+            ),
+            (
+                FaultProcess::weibull(2.5, 1e6, 2.5, 0.3),
+                r#"{"spec":{"mtbf":1000000.0,"mttr":0.3,"shape":2.5}}"#,
+            ),
+        ];
+        for (process, text) in processes {
+            assert_eq!(bighouse_json::to_string(&process.unwrap()), text);
+        }
+        let policies = [
+            (
+                RetryPolicy::new(0.5),
+                r#"{"timeout":0.5,"max_retries":3,"backoff_base":0.05,"backoff_cap":0.5,"cancel_on_timeout":true}"#,
+            ),
+            (
+                RetryPolicy::new(1.5)
+                    .with_max_retries(5)
+                    .with_cancel_on_timeout(false),
+                r#"{"timeout":1.5,"max_retries":5,"backoff_base":0.15,"backoff_cap":1.5,"cancel_on_timeout":false}"#,
+            ),
+            (
+                RetryPolicy::new(0.3).with_max_retries(0),
+                r#"{"timeout":0.3,"max_retries":0,"backoff_base":0.03,"backoff_cap":0.3,"cancel_on_timeout":true}"#,
+            ),
+            (
+                with_backoff(2.0, 0.0, 7.5).with_max_retries(1),
+                r#"{"timeout":2.0,"max_retries":1,"backoff_base":0.0,"backoff_cap":7.5,"cancel_on_timeout":true}"#,
+            ),
+            (
+                RetryPolicy::new(0.1),
+                r#"{"timeout":0.1,"max_retries":3,"backoff_base":0.01,"backoff_cap":0.1,"cancel_on_timeout":true}"#,
+            ),
+        ];
+        for (policy, text) in policies {
+            assert_eq!(bighouse_json::to_string(&policy), text);
         }
     }
 
@@ -635,34 +643,54 @@ mod tests {
             policy
         );
 
-        let process = FaultProcess::weibull(1.5, 300.0, 1.5, 30.0).unwrap();
-        let json = bighouse_json::to_string(&process);
-        let back: FaultProcess = bighouse_json::from_str(&json).unwrap();
-        assert_eq!(back.spec(), process.spec());
-
-        let custom = FaultProcess::weibull(0.7, 500.0, 2.0, 20.0).unwrap();
-        let json = bighouse_json::to_string(&custom);
-        let refused = bighouse_json::from_str::<FaultProcess>(&json).unwrap_err();
-        assert!(refused.to_string().contains("no spec describes"));
+        for process in [
+            FaultProcess::weibull(1.5, 300.0, 1.5, 30.0).unwrap(),
+            FaultProcess::weibull(0.7, 500.0, 2.0, 20.0).unwrap(),
+        ] {
+            let json = bighouse_json::to_string(&process);
+            assert_eq!(bighouse_json::from_str(&json), Ok(process));
+        }
     }
 
     #[test]
     fn bad_specs_rejected() {
-        assert!(FaultSpec {
-            mtbf: -1.0,
-            mttr: 5.0,
-            shape: None
+        for spec in [
+            r#"{"spec":{"mtbf":-1,"mttr":5}}"#,
+            r#"{"spec":{"mtbf":1,"mttr":0}}"#,
+            r#"{"spec":{"mtbf":1,"mttr":5,"shape":-2}}"#,
+            r#"{"spec":{"mtbf":1,"mttr":5,"shape":2,"repair_shape":0}}"#,
+        ] {
+            assert!(
+                bighouse_json::from_str::<FaultProcess>(spec).is_err(),
+                "{spec}"
+            );
         }
-        .build()
-        .is_err());
-        assert!(RetrySpec {
-            timeout: 0.0,
-            max_retries: 0,
-            backoff_base: None,
-            backoff_cap: None,
-            cancel_on_timeout: true
+        for (retry, message) in [
+            (
+                r#"{"timeout":0}"#,
+                "retry timeout must be positive and finite, got 0.0",
+            ),
+            (
+                r#"{"timeout":-1.7976931348623157e308}"#,
+                "retry timeout must be positive and finite, got -1.7976931348623157e308",
+            ),
+            (
+                r#"{"timeout":1,"backoff_base":-1e300}"#,
+                "backoff base must be non-negative and finite, got -1e300",
+            ),
+            (
+                r#"{"timeout":1,"backoff_cap":0}"#,
+                "backoff cap must be positive and finite, got 0.0",
+            ),
+        ] {
+            let error = bighouse_json::from_str::<RetryPolicy>(retry).unwrap_err();
+            assert_eq!(error.to_string(), message);
         }
-        .build()
-        .is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "request timeout must be positive and finite, got -1e300")]
+    fn a_bad_timeout_panics_in_shortest_form() {
+        let _ = RetryPolicy::new(-1e300);
     }
 }

@@ -537,9 +537,7 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// incompatible statistics. The JSON is the same bytes a config file
 /// reads back from: a key an older build wrote and this one ignores
 /// cannot move it, and neither can a new field that is left out of the
-/// output while it holds its default (as `tiers` is when empty). The one
-/// part of a config its JSON does not describe, a fault process built from
-/// distributions no spec names, is hashed through its `Debug` text.
+/// output while it holds its default (as `tiers` is when empty).
 ///
 /// The audit and telemetry configurations are deliberately excluded: both
 /// are purely observational (bit-identical estimates), so toggling them
@@ -551,11 +549,6 @@ pub(crate) fn config_fingerprint(config: &ExperimentConfig, master_seed: u64) ->
     config.audit = None;
     config.telemetry = false;
     let mut rendered = bighouse_json::to_string(&config);
-    // A fault process no spec describes prints as `{"spec":null}` whatever
-    // its distributions are; their `Debug` text carries the parameters.
-    if let Some(faults) = config.faults.as_ref().filter(|f| f.spec().is_none()) {
-        rendered.push_str(&format!("|faults={faults:?}"));
-    }
     rendered.push_str(&format!("|seed={master_seed}"));
     fnv1a(rendered.as_bytes())
 }
@@ -797,17 +790,19 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_distinguishes_specless_fault_processes() {
+    fn fingerprint_distinguishes_fault_processes() {
         use bighouse_faults::FaultProcess;
-        // Two shapes leave the process without a spec, so its JSON is
-        // `{"spec":null}` for both; the means must still tell them apart.
+        // Every process prints its parameters, unequal shapes included, so
+        // its JSON alone tells means and shapes apart.
         let base = ExperimentConfig::new(Workload::standard(StandardWorkload::Web));
         let short = FaultProcess::weibull(0.7, 500.0, 2.0, 20.0).unwrap();
         let long = FaultProcess::weibull(0.7, 5000.0, 2.0, 200.0).unwrap();
-        assert!(short.spec().is_none() && long.spec().is_none());
-        let a = base.clone().with_faults(short.clone());
-        let b = base.clone().with_faults(long);
-        assert_ne!(config_fingerprint(&a, 1), config_fingerprint(&b, 1));
+        let reshaped = FaultProcess::weibull(0.7, 500.0, 3.0, 20.0).unwrap();
+        let a = base.clone().with_faults(short);
+        for other in [long, reshaped] {
+            let b = base.clone().with_faults(other);
+            assert_ne!(config_fingerprint(&a, 1), config_fingerprint(&b, 1));
+        }
         assert_eq!(
             config_fingerprint(&a, 1),
             config_fingerprint(&base.with_faults(short), 1)

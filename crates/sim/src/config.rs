@@ -1038,24 +1038,6 @@ impl ExperimentConfig {
         }
         Ok(())
     }
-
-    /// Whether the configuration can be sent to a child process.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] for a fault process built from
-    /// distributions no [`bighouse_faults::FaultSpec`] describes: it does
-    /// not serialize, and the child must not run without it.
-    pub(crate) fn check_wire(&self) -> Result<(), SimError> {
-        match &self.faults {
-            Some(faults) if faults.spec().is_none() => Err(SimError::InvalidConfig(
-                "the process transport cannot carry a fault process built from custom \
-                 distributions; use FaultProcess::exponential or an equal-shape weibull"
-                    .into(),
-            )),
-            _ => Ok(()),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1077,19 +1059,6 @@ mod tests {
         assert_eq!(c.confidence, 0.95);
         assert_eq!(c.quantile, 0.95);
         assert_eq!(c.calibration, 5000);
-    }
-
-    #[test]
-    fn only_a_fault_process_a_spec_describes_goes_on_the_wire() {
-        use bighouse_faults::FaultProcess;
-        assert!(base().check_wire().is_ok());
-        let spec_built = base().with_faults(FaultProcess::exponential(50.0, 2.0).unwrap());
-        assert!(spec_built.check_wire().is_ok());
-        let custom = base().with_faults(FaultProcess::weibull(0.7, 50.0, 2.0, 2.0).unwrap());
-        assert!(matches!(
-            custom.check_wire(),
-            Err(SimError::InvalidConfig(msg)) if msg.contains("custom distributions")
-        ));
     }
 
     #[test]
@@ -1521,6 +1490,40 @@ mod tests {
                 );
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_refused_retry_float_prints_in_shortest_form() {
+        let json =
+            r#"{"workload": {"standard": "web"}, "retry": {"timeout": -1.7976931348623157e308}}"#;
+        match load(&bighouse_json::parse(json).unwrap()) {
+            Err(SimError::InvalidConfig(msg)) => {
+                assert_eq!(
+                    msg,
+                    "retry timeout must be positive and finite, got -1.7976931348623157e308 at `retry`"
+                );
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn every_fault_process_goes_on_the_wire() {
+        use bighouse_faults::FaultProcess;
+        for faults in [
+            FaultProcess::exponential(50.0, 2.0),
+            FaultProcess::weibull(0.7, 50.0, 0.7, 2.0),
+            FaultProcess::weibull(0.7, 50.0, 2.0, 2.0),
+        ] {
+            let config = base().with_faults(faults.unwrap());
+            let json = bighouse_json::to_value(&config).unwrap();
+            let back = load(&json).unwrap();
+            assert_eq!(back.faults(), config.faults());
+            assert_eq!(
+                bighouse_json::to_string(&back),
+                bighouse_json::to_string(&config)
+            );
         }
     }
 

@@ -401,16 +401,6 @@ bighouse_json::json_enum!(HelloJob {
     Solo { config, master_seed, epoch_events, fault },
 });
 
-impl HelloJob {
-    /// The experiment the job simulates.
-    pub(crate) fn config(&self) -> &ExperimentConfig {
-        match self {
-            HelloJob::Lockstep { ctx, .. } => &ctx.config,
-            HelloJob::Solo { config, .. } => config,
-        }
-    }
-}
-
 /// How often one unit of work — a slave, a sweep config — may fail before
 /// its master gives up on it. Every failure but the last buys a delay, the
 /// same way for both masters.

@@ -358,7 +358,6 @@ impl ProcessTransport {
 
 impl Transport for ProcessTransport {
     fn spawn(&mut self, slave: usize, incarnation: u32, job: HelloJob) -> Result<(), SimError> {
-        job.config().check_wire()?;
         let mut child = spawn_child(&self.cfg, slave)?;
         let mut stdin = child.stdin.take().expect("stdin was piped");
         let stdout = child.stdout.take().expect("stdout was piped");

@@ -17,11 +17,14 @@
 //!    thread and the process transport completes the same configs bit for
 //!    bit and quarantines the same poison one — as a contained panic on a
 //!    thread slot, as a crashed child (exit status 101) in a process.
-//! 4. No zombie or orphan slave children survive any of it.
+//! 4. Every config crosses the process boundary: a Weibull fault process
+//!    with unequal shapes runs there as it runs on threads.
+//! 5. No zombie or orphan slave children survive any of it.
 
+use bighouse_faults::FaultProcess;
 use bighouse_sim::{
-    run_sweep, ExecBackend, ExperimentConfig, ParallelRunner, ProcChaos, ProcSlaveConfig,
-    SweepEntry, SweepError, SweepFaultInjection, SweepOptions,
+    run_sweep, ExecBackend, ExperimentConfig, MetricKind, ParallelRunner, ProcChaos,
+    ProcSlaveConfig, SweepEntry, SweepError, SweepFaultInjection, SweepOptions,
 };
 use bighouse_workloads::{StandardWorkload, Workload};
 
@@ -56,6 +59,10 @@ fn main() {
         (
             "process_snapshots_are_deterministic_and_every_key_is_documented",
             process_snapshots_are_deterministic_and_every_key_is_documented,
+        ),
+        (
+            "unequal_shape_faults_run_on_processes_as_on_threads",
+            unequal_shape_faults_run_on_processes_as_on_threads,
         ),
         (
             "no_zombie_or_orphan_children_remain",
@@ -132,6 +139,34 @@ fn clean_process_run_is_bit_identical_to_lockstep() {
         reported(&proc),
         "process backend must reproduce the lockstep trajectory exactly"
     );
+}
+
+fn unequal_shape_faults_run_on_processes_as_on_threads() {
+    // Wear-out failures, infant-mortality repairs: the two shapes differ.
+    let config = ExperimentConfig::new(Workload::standard(StandardWorkload::Web))
+        .with_servers(4)
+        .with_utilization(0.5)
+        .with_faults(FaultProcess::weibull(2.0, 30.0, 0.7, 2.0).unwrap())
+        .with_metric(MetricKind::Availability)
+        .with_target_accuracy(0.05)
+        .with_warmup(100)
+        .with_calibration(500)
+        .with_max_events(50_000_000);
+    let run = |backend| {
+        ParallelRunner::new(config.clone(), 2)
+            .with_backend(backend)
+            .with_slave_epoch(EPOCH)
+            .run(SEED)
+            .expect("a fault process of any shape crosses to a child")
+    };
+    let threads = run(ExecBackend::ThreadLockstep);
+    let procs = run(ExecBackend::Processes(ProcSlaveConfig::default()));
+    assert!(procs.converged, "the process run converges");
+    assert!(
+        procs.cluster.faults.is_some(),
+        "fault mode is on in the children"
+    );
+    assert_eq!(reported(&threads), reported(&procs));
 }
 
 fn sigkilled_slave_is_resurrected_bit_identically() {
