@@ -102,6 +102,10 @@ impl Empirical {
     /// Returns [`DistributionError::EmptySample`] for an empty slice,
     /// [`DistributionError::NonFiniteSample`] if any observation is NaN or
     /// infinite, or an error if any observation is negative.
+    ///
+    /// # Panics
+    ///
+    /// For more than `u32::MAX` observations.
     pub fn from_samples(samples: &[f64]) -> Result<Self, DistributionError> {
         Self::from_samples_with_resolution(samples, Self::DEFAULT_RESOLUTION)
     }
@@ -119,21 +123,25 @@ impl Empirical {
         Self::tabulate_in_place(&mut samples.to_vec(), resolution)
     }
 
-    /// As [`Empirical::from_samples`], sorting the caller's buffer instead
-    /// of a copy of it: a caller that fills one buffer per table (workload
-    /// synthesis, trace characterization) builds each table without a
-    /// second allocation. On success the buffer is left sorted ascending;
-    /// on error it is left as it was.
+    /// As [`Empirical::from_samples`], tabulating the caller's buffer
+    /// instead of a copy of it: a caller that fills one buffer per table
+    /// (workload synthesis, trace characterization) builds each table
+    /// without a second allocation. On success the buffer holds the same
+    /// samples in an unspecified order; on error it is left as it was.
     ///
     /// # Errors
+    ///
+    /// As [`Empirical::from_samples`].
+    ///
+    /// # Panics
     ///
     /// As [`Empirical::from_samples`].
     pub fn from_samples_in_place(samples: &mut [f64]) -> Result<Self, DistributionError> {
         Self::tabulate_in_place(samples, Self::DEFAULT_RESOLUTION)
     }
 
-    /// The one tabulation path: validate, sort in place, read the grid's
-    /// quantiles off the sorted samples.
+    /// The one tabulation path: validate, select the order statistics the
+    /// grid reads, and interpolate the grid's quantiles between them.
     fn tabulate_in_place(
         samples: &mut [f64],
         resolution: usize,
@@ -148,6 +156,7 @@ impl Empirical {
                 requirement: "must be at least 2",
             });
         }
+        let mut keys = (u64::MAX, 0);
         for (index, &x) in samples.iter().enumerate() {
             if !x.is_finite() {
                 return Err(DistributionError::NonFiniteSample {
@@ -162,32 +171,22 @@ impl Empirical {
                     requirement: "must be non-negative",
                 });
             }
+            let key = order_key(x);
+            keys = (keys.0.min(key), keys.1.max(key));
         }
-        // Finite, non-negative doubles order as their bit patterns, and
-        // samples that tie are the same bits, so an unstable sort on the
-        // bits yields exactly the array a stable `total_cmp` sort would,
-        // without its scratch buffer. The one exception is -0.0, whose sign
-        // bit sorts it after every other sample: the rotation moves that run
-        // to the front, where `total_cmp` puts it.
-        samples.sort_unstable_by_key(|x| x.to_bits());
-        let negative_zeros = samples
-            .iter()
-            .rev()
-            .take_while(|x| x.is_sign_negative())
-            .count();
-        samples.rotate_right(negative_zeros);
-        let sorted = &*samples;
+        let n = samples.len();
+        let grid = Self::grid(resolution, n);
+        let ranks = ranks_read(&grid, n);
+        let values = order_statistics(samples, keys, &ranks);
+        let at = |rank: usize| values[ranks.binary_search(&rank).expect("a selected rank")];
         let quantile_of = |q: f64| -> f64 {
-            let pos = q * (sorted.len() - 1) as f64;
-            let lo = pos.floor() as usize;
-            let frac = pos - lo as f64;
-            if lo + 1 < sorted.len() {
-                sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac
+            let (lo, frac) = position(q, n);
+            if lo + 1 < n {
+                at(lo) * (1.0 - frac) + at(lo + 1) * frac
             } else {
-                sorted[lo]
+                at(lo)
             }
         };
-        let grid = Self::grid(resolution, sorted.len());
         let points: Vec<(f64, f64)> = grid.into_iter().map(|q| (q, quantile_of(q))).collect();
         Ok(Self::from_points(points))
     }
@@ -372,12 +371,139 @@ impl Distribution for Empirical {
     }
 }
 
+/// Where `q` reads among `n` sorted samples: `frac` of the way from rank
+/// `lo` to rank `lo + 1`.
+fn position(q: f64, n: usize) -> (usize, f64) {
+    let pos = q * (n - 1) as f64;
+    let lo = pos.floor() as usize;
+    (lo, pos - lo as f64)
+}
+
+/// The ranks, ascending and distinct, that a table over `grid` reads among
+/// `n` samples.
+fn ranks_read(grid: &[f64], n: usize) -> Vec<usize> {
+    let mut ranks: Vec<usize> = grid
+        .iter()
+        .flat_map(|&q| {
+            let (lo, _) = position(q, n);
+            [lo, (lo + 1).min(n - 1)]
+        })
+        .collect();
+    ranks.sort_unstable();
+    ranks.dedup();
+    ranks
+}
+
+/// A sample's place in the order a table reads: `-0.0`, then `+0.0`, then
+/// every finite positive double by value, as `f64::total_cmp` orders them.
+/// The sign bit moves to the bottom and is inverted, so `-0.0` keys 0,
+/// `+0.0` keys 1 and a positive double keys its bit pattern shifted up one,
+/// plus 1. Equal keys are equal bits. Defined for finite non-negative
+/// samples only.
+fn order_key(x: f64) -> u64 {
+    x.to_bits().rotate_left(1) ^ 1
+}
+
+/// At most `2^BUCKET_BITS` buckets count the samples for the selection.
+const BUCKET_BITS: u32 = 16;
+
+/// The samples counted into equal-width buckets of order keys that span
+/// the samples' own `[min, max]`, so the count adapts to where the data
+/// lies rather than to the keys' top bits.
+struct Buckets {
+    min: u64,
+    shift: u32,
+    /// `starts[b]` is the rank of bucket `b`'s first sample in sorted
+    /// order, and the last entry is the sample count: one more entry than
+    /// there are buckets.
+    starts: Vec<u32>,
+}
+
+impl Buckets {
+    /// Counts `samples`, whose order keys lie in `[min, max]`.
+    ///
+    /// # Panics
+    ///
+    /// For more than `u32::MAX` samples.
+    fn count(samples: &[f64], (min, max): (u64, u64)) -> Self {
+        assert!(
+            u32::try_from(samples.len()).is_ok(),
+            "cannot tabulate more than u32::MAX samples"
+        );
+        let shift = (64 - (max - min).leading_zeros()).saturating_sub(BUCKET_BITS);
+        let mut buckets = Buckets {
+            min,
+            shift,
+            starts: vec![0; ((max - min) >> shift) as usize + 2],
+        };
+        for &x in samples {
+            let b = buckets.of(x);
+            buckets.starts[b + 1] += 1;
+        }
+        for b in 1..buckets.starts.len() {
+            buckets.starts[b] += buckets.starts[b - 1];
+        }
+        buckets
+    }
+
+    /// The bucket `x` counts in.
+    fn of(&self, x: f64) -> usize {
+        ((order_key(x) - self.min) >> self.shift) as usize
+    }
+}
+
+/// The samples at `ranks` (ascending and distinct) of `samples` in
+/// `f64::total_cmp` order, bit for bit, without sorting them all. `keys` is
+/// the least and greatest [`order_key`] among the samples.
+///
+/// Counting the samples into [`Buckets`] gives each bucket's rank range, so
+/// the buckets holding a wanted rank are known. Their samples are moved to
+/// the front of the buffer and only that front is sorted; a rank's sample
+/// then sits at its offset within its bucket, past the wanted buckets below
+/// it. The buffer ends as the same samples in an unspecified order.
+fn order_statistics(samples: &mut [f64], keys: (u64, u64), ranks: &[usize]) -> Vec<f64> {
+    let buckets = Buckets::count(samples, keys);
+    let starts = &buckets.starts;
+    let mut wanted = vec![0u64; starts.len().div_ceil(64)];
+    let mut b = 0;
+    for &rank in ranks {
+        while starts[b + 1] as usize <= rank {
+            b += 1;
+        }
+        wanted[b / 64] |= 1 << (b % 64);
+    }
+    let is_wanted = |b: usize| wanted[b / 64] >> (b % 64) & 1 == 1;
+    // Every sample in `front..i` is unwanted, so swapping unconditionally
+    // and advancing `front` past a wanted one partitions without a branch
+    // on the data.
+    let mut front = 0;
+    for i in 0..samples.len() {
+        let x = samples[i];
+        samples.swap(front, i);
+        front += usize::from(is_wanted(buckets.of(x)));
+    }
+    let front = &mut samples[..front];
+    front.sort_unstable_by_key(|&x| order_key(x));
+    let mut values = Vec::with_capacity(ranks.len());
+    let (mut b, mut below) = (0, 0);
+    for &rank in ranks {
+        while starts[b + 1] as usize <= rank {
+            if is_wanted(b) {
+                below += (starts[b + 1] - starts[b]) as usize;
+            }
+            b += 1;
+        }
+        values.push(front[below + rank - starts[b] as usize]);
+    }
+    values
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::traits::test_support::{assert_moments_match, assert_samples_valid};
     use crate::{Exponential, HyperExponential, Pareto};
-    use bighouse_des::check::cases;
+    use bighouse_des::check::{cases, check, Gen};
     use bighouse_stats::{Histogram, HistogramSpec};
 
     fn exponential_sample(n: usize, seed: u64) -> Vec<f64> {
@@ -437,7 +563,7 @@ mod tests {
         }
     }
 
-    /// The tabulation as it was before it sorted in place: a copy of the
+    /// The tabulation as it was before it selected ranks: a copy of the
     /// samples, stably sorted by `total_cmp`. Returns the table and the
     /// sorted copy.
     fn stable_sort_tabulation(samples: &[f64], resolution: usize) -> (Empirical, Vec<f64>) {
@@ -506,25 +632,155 @@ mod tests {
             let in_place = Empirical::tabulate_in_place(&mut buffer, resolution).unwrap();
             assert_eq!(table_bits(&in_place), table_bits(&expected), "{what}");
             assert_eq!(table_bits(&copied), table_bits(&expected), "{what}");
-            assert!(
-                buffer
-                    .iter()
-                    .map(|x| x.to_bits())
-                    .eq(sorted.iter().map(|x| x.to_bits())),
-                "{what}: the buffer is not left stably sorted"
+            assert_eq!(
+                bit_multiset(&buffer),
+                bit_multiset(&sorted),
+                "{what}: the buffer lost or changed a sample"
             );
         }
     }
 
+    /// The samples' bit patterns, sorted: equal for two buffers that hold
+    /// the same samples bit for bit, in whatever order.
+    fn bit_multiset(samples: &[f64]) -> Vec<u64> {
+        let mut bits: Vec<u64> = samples.iter().map(|x| x.to_bits()).collect();
+        bits.sort_unstable();
+        bits
+    }
+
     #[test]
-    fn the_buffer_is_kept_on_error_and_sorted_on_success() {
+    fn the_buffer_is_kept_on_error_and_permuted_on_success() {
         let mut buffer = vec![3.0, 1.0, -2.0, 0.5];
         assert!(Empirical::from_samples_in_place(&mut buffer).is_err());
         assert_eq!(buffer, [3.0, 1.0, -2.0, 0.5]);
         let mut buffer = vec![3.0, -0.0, 1.0, 0.0];
         Empirical::from_samples_in_place(&mut buffer).unwrap();
-        let bits: Vec<u64> = buffer.iter().map(|x| x.to_bits()).collect();
-        assert_eq!(bits, [-0.0, 0.0, 1.0, 3.0].map(f64::to_bits));
+        assert_eq!(bit_multiset(&buffer), bit_multiset(&[3.0, -0.0, 1.0, 0.0]));
+    }
+
+    /// The sample whose [`order_key`] is `key`.
+    fn keyed(key: u64) -> f64 {
+        f64::from_bits((key ^ 1).rotate_right(1))
+    }
+
+    /// `2^k` for `k` in `-1074..=1023`, subnormal below `-1022`.
+    fn pow2(k: i32) -> f64 {
+        if k < -1022 {
+            f64::from_bits(1 << (k + 1074))
+        } else {
+            f64::from_bits(((k + 1023) as u64) << 52)
+        }
+    }
+
+    /// Samples that stress the bucketing, and what they are.
+    fn adversarial_samples(g: &mut Gen) -> (Vec<f64>, &'static str) {
+        let spread = |g: &mut Gen, n: std::ops::Range<usize>, centre: f64| {
+            g.vec(n, |g| centre * g.range(0.5..2.0))
+        };
+        match g.range(0..9) {
+            0 => {
+                let mut samples = spread(g, 1..5000, 1.0);
+                let at = g.range(0..samples.len());
+                samples[at] = 1e300;
+                (samples, "one 1e300 among values near 1")
+            }
+            1 => {
+                let mut samples = spread(g, 1..5000, 1e6);
+                let at = g.range(0..samples.len());
+                samples[at] = f64::from_bits(g.range(1..1 << 52));
+                (samples, "one subnormal among values near 1e6")
+            }
+            2 => {
+                let x = g.range(0.0..1e6);
+                (vec![x; g.range(1..5000)], "all equal")
+            }
+            3 => {
+                let zeros = g.vec(1..5000, |g| if g.any() { 0.0 } else { -0.0 });
+                (zeros, "only ±0.0")
+            }
+            4 => {
+                let any = |g: &mut Gen| keyed(g.range(0..order_key(f64::MAX) / 2) * 2 + 1);
+                (g.vec(1..4, any), "n in {1, 2, 3}")
+            }
+            5 => {
+                let powers = g.vec(1..5000, |g| pow2(g.range(-1074..1024)));
+                (powers, "2^k across the exponent range")
+            }
+            6 => {
+                let n = (1 << 16) - 2 + g.range(0..5);
+                (spread(g, n..n + 1, 1.0), "n next to 2^16")
+            }
+            7 => {
+                // Keys `min + m 2^shift`, a bucket's first, and two below,
+                // its predecessor's last; `max` sets the width to
+                // `BUCKET_BITS + shift` bits, so the shift is `shift`.
+                let shift = g.range(1..47);
+                let min = order_key(g.range(1e-300..1.0));
+                let max = min + (((1 << BUCKET_BITS) - 1) << shift);
+                let edges = g.vec(1..64, |g| {
+                    let edge = min + (g.range(0..1u64 << BUCKET_BITS) << shift);
+                    edge.saturating_sub(2 * g.range(0..2)).clamp(min, max)
+                });
+                let mut keys = g.vec(1..5000, |g| edges[g.range(0..edges.len())]);
+                keys.extend([min, max]);
+                assert_eq!(
+                    Buckets::count(
+                        &keys.iter().map(|&k| keyed(k)).collect::<Vec<_>>(),
+                        (min, max)
+                    )
+                    .shift,
+                    shift
+                );
+                (
+                    keys.into_iter().map(keyed).collect(),
+                    "ties on bucket edges",
+                )
+            }
+            _ => {
+                let d = Exponential::new(1.0).unwrap();
+                let mut rng = SimRng::from_seed(g.any());
+                let n = g.range(1..100_000);
+                ((0..n).map(|_| d.sample(&mut rng)).collect(), "exponential")
+            }
+        }
+    }
+
+    #[test]
+    fn selection_matches_a_full_sort_at_every_rank() {
+        check("selection_matches_a_full_sort_at_every_rank", 64, |g| {
+            let (samples, what) = adversarial_samples(g);
+            let n = samples.len();
+            let mut sorted = samples.clone();
+            sorted.sort_by(f64::total_cmp);
+            let ranks = match g.range(0..3) {
+                0 => (0..n).collect(),
+                1 => ranks_read(&Empirical::grid(g.range(2..4097), n), n),
+                _ => {
+                    let mut ranks = g.vec(1..64, |g| g.range(0..n));
+                    ranks.sort_unstable();
+                    ranks.dedup();
+                    ranks
+                }
+            };
+            let keys = samples.iter().map(|&x| order_key(x));
+            let keys = (keys.clone().min().unwrap(), keys.max().unwrap());
+            let counters = Buckets::count(&samples, keys).starts.len();
+            assert!(
+                counters <= (1 << BUCKET_BITS) + 1,
+                "{what}: {counters} counters"
+            );
+            let mut buffer = samples.clone();
+            let values = order_statistics(&mut buffer, keys, &ranks);
+            assert_eq!(values.len(), ranks.len(), "{what}");
+            for (&rank, value) in ranks.iter().zip(values) {
+                assert_eq!(
+                    value.to_bits(),
+                    sorted[rank].to_bits(),
+                    "{what}: n {n}, rank {rank}"
+                );
+            }
+            assert_eq!(bit_multiset(&buffer), bit_multiset(&samples), "{what}");
+        });
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl fmt::Display for DistributionError {
                 name,
                 value,
                 requirement,
-            } => write!(f, "parameter `{name}` = {value} {requirement}"),
+            } => write!(f, "parameter `{name}` = {value:?} {requirement}"),
             DistributionError::EmptySample => {
                 write!(
                     f,
@@ -69,7 +69,10 @@ impl fmt::Display for DistributionError {
                 )
             }
             DistributionError::UnfittableMoments { mean, cv } => {
-                write!(f, "no supported distribution has mean {mean} and cv {cv}")
+                write!(
+                    f,
+                    "no supported distribution has mean {mean:?} and cv {cv:?}"
+                )
             }
         }
     }
@@ -143,7 +146,7 @@ mod tests {
         let err = require_positive("rate", -2.0).unwrap_err();
         assert_eq!(
             err.to_string(),
-            "parameter `rate` = -2 must be finite and positive"
+            "parameter `rate` = -2.0 must be finite and positive"
         );
         assert_eq!(
             DistributionError::EmptySample.to_string(),

@@ -65,8 +65,16 @@ enum Phase {
 
 impl Phase {
     /// The phase with mean `mean`: exponential without a shape, Weibull
-    /// (rescaled to that mean) with one.
+    /// (rescaled to that mean) with one. A refused mean is reported under
+    /// `name`, the phase's own (`mtbf` or `mttr`).
     fn new(name: &'static str, mean: f64, shape: Option<f64>) -> Result<Self, DistributionError> {
+        if !(mean.is_finite() && mean > 0.0) {
+            return Err(DistributionError::InvalidParameter {
+                name,
+                value: mean,
+                requirement: "must be finite and positive",
+            });
+        }
         let phase = match shape {
             None => Phase::Exponential(Exponential::from_mean(mean)?),
             Some(shape) => Phase::Weibull(weibull_from_mean(shape, mean)?),
@@ -214,17 +222,10 @@ impl FaultProcess {
     }
 }
 
-/// Builds a Weibull distribution with the requested shape and **mean**, by
-/// rescaling a unit-scale Weibull (mean of `Weibull(k, c)` is linear in the
-/// scale `c`).
+/// Builds a Weibull distribution with the requested shape and finite
+/// positive **mean**, by rescaling a unit-scale Weibull (mean of
+/// `Weibull(k, c)` is linear in the scale `c`).
 fn weibull_from_mean(shape: f64, mean: f64) -> Result<Weibull, DistributionError> {
-    if !(mean.is_finite() && mean > 0.0) {
-        return Err(DistributionError::InvalidParameter {
-            name: "mean",
-            value: mean,
-            requirement: "must be finite and positive",
-        });
-    }
     let unit = Weibull::new(shape, 1.0)?;
     Weibull::new(shape, mean / unit.mean())
 }
@@ -685,6 +686,23 @@ mod tests {
         ] {
             let error = bighouse_json::from_str::<RetryPolicy>(retry).unwrap_err();
             assert_eq!(error.to_string(), message);
+        }
+    }
+
+    #[test]
+    fn a_refused_mean_names_its_phase_in_shortest_form() {
+        for (spec, message) in [
+            (
+                r#"{"spec":{"mtbf":-1.7976931348623157e308,"mttr":5}}"#,
+                "parameter `mtbf` = -1.7976931348623157e308 must be finite and positive",
+            ),
+            (
+                r#"{"spec":{"mtbf":1,"mttr":0,"shape":2}}"#,
+                "parameter `mttr` = 0.0 must be finite and positive",
+            ),
+        ] {
+            let error = bighouse_json::from_str::<FaultProcess>(spec).unwrap_err();
+            assert!(error.to_string().contains(message), "{spec}: {error}");
         }
     }
 

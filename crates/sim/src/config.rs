@@ -1509,6 +1509,20 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_fault_mean_names_its_phase_in_shortest_form() {
+        let json = r#"{"workload": {"standard": "web"},
+            "faults": {"spec": {"mtbf": -1.7976931348623157e308, "mttr": 1}}}"#;
+        match load(&bighouse_json::parse(json).unwrap()) {
+            Err(SimError::InvalidConfig(msg)) => {
+                assert!(msg.contains("mtbf"), "{msg}");
+                assert!(msg.contains("-1.7976931348623157e308"), "{msg}");
+                assert!(!msg.contains('\n'), "{msg}");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
     fn every_fault_process_goes_on_the_wire() {
         use bighouse_faults::FaultProcess;
         for faults in [

@@ -106,7 +106,7 @@ impl Workload {
     /// moment-fit, sampled 200 000 times from
     /// `SimRng::from_seed(seed)`, and tabulated into [`Empirical`] form.
     /// The interarrival samples are drawn first, then the service samples,
-    /// both into one buffer that each table is sorted in.
+    /// both into one buffer that each table is tabulated in.
     ///
     /// # Errors
     ///
@@ -344,7 +344,7 @@ mod tests {
         // FNV-1a over the bits of every `(q, value)` point, interarrival
         // table first. The constants were computed before synthesis moved
         // to one in-place buffer: any change to the draws, their order, the
-        // sort or the tabulation moves them.
+        // rank selection or the tabulation moves them.
         fn fnv1a(w: &Workload) -> u64 {
             let mut hash = 0xcbf2_9ce4_8422_2325_u64;
             for table in [w.interarrival(), w.service()] {
