@@ -345,6 +345,9 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
     }
     let epoch_events: u64 =
         parsed_arg(args, "epoch-events")?.unwrap_or(RunOptions::DEFAULT_EPOCH_EVENTS);
+    if epoch_events == 0 {
+        return Err(CliError::Usage("epoch-events must be at least 1".into()));
+    }
     let slaves: usize = parsed_arg(args, "slaves")?.unwrap_or(1);
     if slaves == 0 {
         return Err(CliError::Usage("slaves must be at least 1".into()));
@@ -403,7 +406,7 @@ fn cmd_run(args: &[String]) -> Result<(), CliError> {
                 .with_backend(backend);
             // epoch-events also sizes the slaves' checkpoint epochs (the
             // granularity of crash recovery).
-            if kv_arg(args, "epoch-events").is_some() && epoch_events > 0 {
+            if kv_arg(args, "epoch-events").is_some() {
                 runner = runner.with_slave_epoch(epoch_events);
             }
             let outcome = runner.run(seed).map_err(|e| e.to_string())?;

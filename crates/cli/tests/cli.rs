@@ -384,6 +384,8 @@ fn exit_codes_classify_failures() {
         &["checkpoint-interval=5"],
         &["epoch-events=5"],
         &["slaves=0"],
+        &["epoch-events=0", "checkpoint-dir=/nonexistent/ckpt"],
+        &["slaves=2", "epoch-events=0"],
         &["slaves=2", "slave-mem-mb=xyz"],
         &["slaves=2", "checkpoint-dir=/nonexistent/ckpt"],
     ] {

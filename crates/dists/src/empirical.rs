@@ -3,8 +3,6 @@
 use bighouse_des::SimRng;
 use bighouse_json::{FromJson, ObjectWriter, ToJson, Value};
 
-use bighouse_stats::Histogram;
-
 use crate::error::DistributionError;
 use crate::traits::Distribution;
 
@@ -188,34 +186,6 @@ impl Empirical {
             }
         };
         let points: Vec<(f64, f64)> = grid.into_iter().map(|q| (q, quantile_of(q))).collect();
-        Ok(Self::from_points(points))
-    }
-
-    /// Builds an empirical distribution from an already-populated
-    /// measurement [`Histogram`] (e.g. the output of a characterization
-    /// run), by tabulating its quantile function.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DistributionError::EmptySample`] if the histogram is empty.
-    pub fn from_histogram(histogram: &Histogram) -> Result<Self, DistributionError> {
-        if histogram.count() == 0 {
-            return Err(DistributionError::EmptySample);
-        }
-        let grid = Self::grid(Self::DEFAULT_RESOLUTION, histogram.count() as usize);
-        let mut points = Vec::with_capacity(grid.len());
-        for q in grid {
-            let v = histogram
-                .quantile(q)
-                .ok_or(DistributionError::EmptySample)?;
-            if !v.is_finite() {
-                return Err(DistributionError::NonFiniteSample {
-                    index: points.len(),
-                    value: format!("{v}"),
-                });
-            }
-            points.push((q, v));
-        }
         Ok(Self::from_points(points))
     }
 
@@ -504,7 +474,6 @@ mod tests {
     use crate::traits::test_support::{assert_moments_match, assert_samples_valid};
     use crate::{Exponential, HyperExponential, Pareto};
     use bighouse_des::check::{cases, check, Gen};
-    use bighouse_stats::{Histogram, HistogramSpec};
 
     fn exponential_sample(n: usize, seed: u64) -> Vec<f64> {
         let d = Exponential::new(1.0).unwrap();
@@ -799,17 +768,6 @@ mod tests {
         assert!((s.mean() - 3.0 * d.mean()).abs() < 1e-9);
         assert!((s.variance() - 9.0 * d.variance()).abs() < 1e-9);
         assert!((s.cv() - d.cv()).abs() < 1e-9, "scaling must preserve Cv");
-    }
-
-    #[test]
-    fn from_histogram_round_trip() {
-        let spec = HistogramSpec::new(0.0, 0.01, 1000).unwrap();
-        let mut hist = Histogram::new(spec);
-        for x in exponential_sample(50_000, 87) {
-            hist.record(x);
-        }
-        let d = Empirical::from_histogram(&hist).unwrap();
-        assert!((d.mean() - 1.0).abs() < 0.1, "mean {}", d.mean());
     }
 
     #[test]

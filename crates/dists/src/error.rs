@@ -31,8 +31,6 @@ pub enum DistributionError {
         /// What that point must satisfy (e.g. `"must have q in [0, 1]"`).
         requirement: &'static str,
     },
-    /// A mixture was built with no components or non-positive total weight.
-    InvalidMixture,
     /// A moment-matching fit was requested for unreachable moments.
     UnfittableMoments {
         /// Requested mean.
@@ -61,12 +59,6 @@ impl fmt::Display for DistributionError {
             }
             DistributionError::InvalidQuantileTable { index, requirement } => {
                 write!(f, "quantile point [{index}] {requirement}")
-            }
-            DistributionError::InvalidMixture => {
-                write!(
-                    f,
-                    "mixture needs at least one component with positive weight"
-                )
             }
             DistributionError::UnfittableMoments { mean, cv } => {
                 write!(
@@ -109,19 +101,6 @@ pub(crate) fn require_non_negative(
     }
 }
 
-/// Validates that `value` is finite.
-pub(crate) fn require_finite(name: &'static str, value: f64) -> Result<f64, DistributionError> {
-    if value.is_finite() {
-        Ok(value)
-    } else {
-        Err(DistributionError::InvalidParameter {
-            name,
-            value,
-            requirement: "must be finite",
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,7 +109,6 @@ mod tests {
     fn validators_accept_good_values() {
         assert_eq!(require_positive("x", 1.0), Ok(1.0));
         assert_eq!(require_non_negative("x", 0.0), Ok(0.0));
-        assert_eq!(require_finite("x", -5.0), Ok(-5.0));
     }
 
     #[test]
@@ -138,7 +116,6 @@ mod tests {
         assert!(require_positive("x", 0.0).is_err());
         assert!(require_positive("x", f64::NAN).is_err());
         assert!(require_non_negative("x", -1.0).is_err());
-        assert!(require_finite("x", f64::INFINITY).is_err());
     }
 
     #[test]

@@ -71,7 +71,6 @@ pub fn fit_mean_sigma(mean: f64, sigma: f64) -> Result<DynDistribution, Distribu
 mod tests {
     use super::*;
     use crate::traits::test_support::assert_moments_match;
-    use crate::Distribution;
 
     #[test]
     fn fits_are_exact_across_regimes() {

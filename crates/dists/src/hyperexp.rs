@@ -75,24 +75,6 @@ impl HyperExponential {
         let rate2 = 2.0 * (1.0 - p1) / mean;
         Self::new(p1, rate1, rate2)
     }
-
-    /// Probability of drawing from the first phase.
-    #[must_use]
-    pub fn p1(&self) -> f64 {
-        self.p1
-    }
-
-    /// Rate of the first exponential phase.
-    #[must_use]
-    pub fn rate1(&self) -> f64 {
-        self.rate1
-    }
-
-    /// Rate of the second exponential phase.
-    #[must_use]
-    pub fn rate2(&self) -> f64 {
-        self.rate2
-    }
 }
 
 impl Distribution for HyperExponential {
@@ -122,6 +104,7 @@ impl Distribution for HyperExponential {
 mod tests {
     use super::*;
     use crate::traits::test_support::{assert_moments_match, assert_samples_valid};
+    use bighouse_des::check::check;
 
     #[test]
     fn balanced_fit_hits_moments_exactly() {
@@ -139,12 +122,26 @@ mod tests {
     #[test]
     fn balanced_means_property() {
         let d = HyperExponential::from_mean_cv(2.0, 3.0).unwrap();
-        let m1 = d.p1() / d.rate1();
-        let m2 = (1.0 - d.p1()) / d.rate2();
+        let m1 = d.p1 / d.rate1;
+        let m2 = (1.0 - d.p1) / d.rate2;
         assert!(
             (m1 - m2).abs() < 1e-12,
             "phase means not balanced: {m1} vs {m2}"
         );
+    }
+
+    /// Balanced-means fit across its parameter space: phase means equal,
+    /// mean hit.
+    #[test]
+    fn h2_balanced_fit() {
+        check("h2_balanced_fit", 256, |g| {
+            let mean = g.range(1e-3..1e3);
+            let d = HyperExponential::from_mean_cv(mean, g.range(1.001..30.0)).unwrap();
+            let m1 = d.p1 / d.rate1;
+            let m2 = (1.0 - d.p1) / d.rate2;
+            assert!((m1 - m2).abs() <= 1e-9 * m1.max(m2));
+            assert!((d.mean() - mean).abs() <= 1e-9 * mean);
+        });
     }
 
     #[test]

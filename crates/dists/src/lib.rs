@@ -4,18 +4,19 @@
 //! *distributions* of task inter-arrival and service times (§2.2 of the
 //! paper). This crate provides:
 //!
-//! - the object-safe [`Distribution`] trait (sampling + closed-form moments),
-//! - the analytic families needed by the paper's experiments — exponential
-//!   (the "Exponential" arrival scenario of Figure 5), [`Erlang`] (the
-//!   "Low C_v" scenario), [`Gamma`], [`LogNormal`], [`Weibull`], [`Pareto`],
-//!   [`HyperExponential`] (the heavy-tailed C_v > 1 regime of Figure 8),
 //! - [`Empirical`] distributions — the compact, serializable,
 //!   quantile-table representation the paper highlights ("a typical
-//!   distribution occupies less than 1 MB"),
-//! - combinators ([`Scaled`], [`Shifted`], [`Mixture`]) used for QPS load
-//!   scaling and service-time slowdown,
-//! - [`fit::fit_mean_cv`], the moment-matching fitter used to synthesize
-//!   Table 1 workloads from their published moments.
+//!   distribution occupies less than 1 MB"); every arrival and service
+//!   draw the simulator makes comes from one, through its
+//!   [`QuantileGuide`], and [`Empirical::scaled`] does the QPS load scaling,
+//! - the object-safe [`Distribution`] trait (sampling + closed-form moments),
+//! - the analytic families the experiments tabulate or draw from:
+//!   [`Deterministic`], [`Exponential`], [`Gamma`] and [`HyperExponential`]
+//!   (the families [`fit::fit_mean_cv`] picks to synthesize Table 1
+//!   workloads from their published moments), [`Exponential`] and
+//!   [`Weibull`] (fault processes), [`Erlang`] (the "Low C_v" arrivals of
+//!   Figure 5) and [`Pareto`] (heavy-tailed tables for the tabulation and
+//!   guide tests, and the M/G/1 oracle rows to come).
 //!
 //! # Examples
 //!
@@ -35,7 +36,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod combinators;
 mod deterministic;
 mod empirical;
 mod erlang;
@@ -45,14 +45,10 @@ pub mod fit;
 mod gamma;
 mod guide;
 mod hyperexp;
-mod lognormal;
-mod mixture;
 mod pareto;
 mod traits;
-mod uniform;
 mod weibull;
 
-pub use combinators::{Scaled, Shifted};
 pub use deterministic::Deterministic;
 pub use empirical::Empirical;
 pub use erlang::Erlang;
@@ -61,10 +57,7 @@ pub use exponential::Exponential;
 pub use gamma::Gamma;
 pub use guide::QuantileGuide;
 pub use hyperexp::HyperExponential;
-pub use lognormal::LogNormal;
-pub use mixture::Mixture;
 pub use pareto::Pareto;
 pub use traits::Distribution;
 pub(crate) use traits::DynDistribution;
-pub use uniform::Uniform;
 pub use weibull::Weibull;

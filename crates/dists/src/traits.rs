@@ -5,11 +5,8 @@ use std::sync::Arc;
 
 use bighouse_des::SimRng;
 
-/// A shareable, type-erased distribution.
-///
-/// Workload distributions are shared across many servers (every server in a
-/// Figure 7 cluster draws from the same service distribution), so the
-/// ergonomic currency of the model layer is an `Arc`.
+/// A type-erased distribution: what [`crate::fit::fit_mean_cv`] returns,
+/// since the family it picks depends on the requested C_v.
 pub(crate) type DynDistribution = Arc<dyn Distribution>;
 
 /// A univariate, continuous, non-negative random variable with known
@@ -20,8 +17,11 @@ pub(crate) type DynDistribution = Arc<dyn Distribution>;
 /// workload machinery needs first and second moments for moment-matching
 /// and reporting (Table 1 reports avg, σ and C_v for every workload).
 ///
-/// The trait is object-safe: models hold `Arc<dyn Distribution>`, and every
-/// sample is drawn from the engine's deterministic [`SimRng`], the
+/// The trait is object-safe, so a fitted family can be tabulated through
+/// `&dyn Distribution`. No model holds one: workloads hold
+/// [`crate::Empirical`] tables, the cluster draws through their
+/// [`crate::QuantileGuide`]s, and fault processes hold their family by value.
+/// Every sample is drawn from the engine's deterministic [`SimRng`], the
 /// workspace's one generator.
 pub trait Distribution: Debug + Send + Sync {
     /// Draws one sample.
@@ -46,18 +46,6 @@ pub trait Distribution: Debug + Send + Sync {
         } else {
             self.std_dev() / mean.abs()
         }
-    }
-}
-
-impl<D: Distribution + ?Sized> Distribution for Arc<D> {
-    fn sample(&self, rng: &mut SimRng) -> f64 {
-        (**self).sample(rng)
-    }
-    fn mean(&self) -> f64 {
-        (**self).mean()
-    }
-    fn variance(&self) -> f64 {
-        (**self).variance()
     }
 }
 

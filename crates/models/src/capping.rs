@@ -97,13 +97,6 @@ impl PowerCapper {
         }
     }
 
-    /// The budgeting interval in seconds: always
-    /// [`PowerCapper::DEFAULT_EPOCH_SECONDS`].
-    #[must_use]
-    pub fn epoch_seconds(&self) -> f64 {
-        Self::DEFAULT_EPOCH_SECONDS
-    }
-
     /// Total cluster power budget in watts.
     #[must_use]
     pub fn total_budget_watts(&self) -> f64 {

@@ -7,8 +7,10 @@
 //! word in some `.rs` file outside its own crate's `src`: another crate
 //! (`crates/perf` included), a crate's `tests/`, or the root `tests/`,
 //! `examples/` and `src/`. The facade's `pub use` lists do not count: a
-//! re-export is not a caller. A `main.rs` under `src` is a binary crate of
-//! its own, so it counts as a caller of the library beside it.
+//! re-export is not a caller. Nor does a full-line `//` comment, which
+//! compiles to nothing; `///` and `//!` lines do, because their doctests
+//! compile. A `main.rs` under `src` is a binary crate of its own, so it
+//! counts as a caller of the library beside it.
 //!
 //! The scan matches words, so a common name (`new`, `len`) always passes.
 //! What it catches is the specific name that only its own crate knows: make
@@ -22,12 +24,13 @@ use std::path::{Path, PathBuf};
 
 /// Items that stay public although no other crate names them, as
 /// `(crate directory, item, reason)`. All but `erlang_c` are a field,
-/// argument or return type of a public item: narrowing one would trip the
-/// compiler's `private_interfaces` lint.
+/// argument or return type or a bound of a public item: narrowing one would
+/// trip the compiler's `private_interfaces` or `private_bounds` lint.
 #[rustfmt::skip]
 const ALLOWED: &[(&str, &str, &str)] = &[
     ("analytic", "erlang_c", "the Erlang-C closed form beside `erlang_b`, for oracles"),
     ("des", "FastHasher", "the hasher of the public `FastMap` and `FastSet`"),
+    ("des", "Uniform", "the bound on the public `Gen::range`'s argument"),
     ("models", "CappingOutcome", "returned by `PowerCapper::rebudget`"),
     ("stats", "HistogramSpecError", "the error of `HistogramSpec::new`"),
     ("sim", "AuditWarning", "the element type of `AuditReport::warnings`"),
@@ -91,8 +94,14 @@ fn library_of(root: &Path, path: &Path) -> Option<String> {
     Some(krate)
 }
 
+/// The words of `text`, outside full-line plain `//` comments.
 fn words(text: &str) -> impl Iterator<Item = &str> {
-    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+    text.lines()
+        .filter(|line| {
+            let line = line.trim_start();
+            !line.starts_with("//") || line.starts_with("///") || line.starts_with("//!")
+        })
+        .flat_map(|line| line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')))
         .filter(|w| !w.is_empty())
 }
 
