@@ -374,14 +374,6 @@ impl<E> Calendar<E> {
         Some((time, payload))
     }
 
-    /// Returns the timestamp of the next pending event, by the same bounded
-    /// search [`Calendar::pop`] makes (usually the bucket under the cursor).
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Time> {
-        self.find_next()
-            .map(|(slot, _)| key_time(self.nodes[slot as usize].key))
-    }
-
     /// Number of pending events.
     #[must_use]
     pub fn pending(&self) -> usize {
@@ -425,14 +417,14 @@ impl<E> Calendar<E> {
     }
 
     /// Number of nodes linked into the buckets, counted by walking every
-    /// list (O(buckets + pending); for tests and benches).
+    /// list (O(buckets + pending)).
     ///
     /// Always equals [`Calendar::pending`]: cancellation unlinks nodes
-    /// eagerly, so there are no tombstones to accumulate. Exposed so benches
-    /// and tests can assert that cancel/reschedule churn keeps the backing
-    /// storage bounded.
+    /// eagerly, so there are no tombstones to accumulate. Tests assert that
+    /// cancel/reschedule churn keeps the backing storage bounded.
+    #[cfg(test)]
     #[must_use]
-    pub fn backing_events(&self) -> usize {
+    pub(crate) fn backing_events(&self) -> usize {
         self.buckets
             .iter()
             .map(|b| self.bucket(b.head).count())
@@ -661,6 +653,7 @@ impl<E> fmt::Debug for Calendar<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{check, Gen};
     use crate::rng::SimRng;
 
     #[test]
@@ -755,28 +748,6 @@ mod tests {
     fn schedule_in_rejects_negative_delay() {
         let mut cal: Calendar<()> = Calendar::new();
         cal.schedule_in(-0.5, ());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut cal = Calendar::new();
-        let h = cal.schedule(Time::from_seconds(1.0), ());
-        cal.schedule(Time::from_seconds(2.0), ());
-        cal.cancel(h);
-        assert_eq!(cal.peek_time(), Some(Time::from_seconds(2.0)));
-    }
-
-    #[test]
-    fn peek_time_matches_next_pop() {
-        let mut cal = Calendar::new();
-        for i in 0..50u64 {
-            cal.schedule(Time::from_seconds(((i * 37) % 19) as f64), i);
-        }
-        while let Some(peeked) = cal.peek_time() {
-            let (t, _) = cal.pop().expect("peek implied non-empty");
-            assert_eq!(peeked, t);
-        }
-        assert_eq!(cal.peek_time(), None);
     }
 
     #[test]
@@ -964,7 +935,6 @@ mod tests {
         }
         let before = cal.stats();
         for lap in 1..=1000u64 {
-            assert_eq!(cal.peek_time(), Some(Time::from_seconds(lap as f64 * 1e6)));
             let (now, _) = cal.pop().expect("the timer is pending");
             assert_eq!(now, Time::from_seconds(lap as f64 * 1e6));
             cal.schedule_in(1e6, 1000 + lap);
@@ -1053,5 +1023,134 @@ mod tests {
         assert_eq!(cal.slot_capacity(), PEAK);
         assert_eq!(cal.stats().depth_high_water, PEAK);
         assert_steps_per_fired(&cal, 8.0);
+    }
+
+    /// One calendar operation: a kind (0 schedule, 1 cancel, 2 pop, else
+    /// walk the bucket lists), the delay a schedule uses and the handle a
+    /// cancel picks.
+    type Op = (u8, f64, u16);
+
+    /// Delays on a quarter-second grid: ties are the common case.
+    fn grid_delay(g: &mut Gen) -> f64 {
+        f64::from(g.range(0u8..12)) / 4.0
+    }
+
+    /// The grid, gaps spread evenly in the exponent from a microsecond to an
+    /// hour, and one delay in sixteen a million times longer than the grid's.
+    fn wide_delay(g: &mut Gen) -> f64 {
+        match g.weighted(&[6, 9, 1]) {
+            0 => grid_delay(g),
+            1 => g.range(1.0..2.0) * 2f64.powi(g.range(-20..12)),
+            _ => g.range(1.0..2.0) * 1e6,
+        }
+    }
+
+    /// The four kinds equally likely, so the pending set stays small.
+    fn tie_ops(g: &mut Gen) -> Vec<Op> {
+        g.vec(1..400, |g| (g.range(0..4), grid_delay(g), g.any()))
+    }
+
+    /// Five schedules to one cancel, two pops and one walk: the pending set
+    /// grows through every resize threshold up to ~2000 buckets, and the
+    /// final drain crosses them all again on the way down.
+    fn wide_ops(g: &mut Gen) -> Vec<Op> {
+        g.vec(1..4000, |g| {
+            (g.weighted(&[5, 1, 2, 1]) as u8, wide_delay(g), g.any())
+        })
+    }
+
+    /// Replays `ops` on a [`Calendar`] and on a naive reference model — a flat
+    /// `Vec<(time, seq, id)>` where pop scans for the minimum `(time, seq)`
+    /// and cancel is a linear remove — and returns the calendar's counters.
+    /// Any divergence in pop results, cancel outcomes, the linked bucket
+    /// lists or `pending` falsifies the calendar's bookkeeping (slot reuse,
+    /// generation stamps, bucket links, the cursor, resizes).
+    fn replay_against_reference(ops: &[Op]) -> CalendarStats {
+        let mut cal: Calendar<u64> = Calendar::new();
+        // Reference model: unordered pending list + every handle ever
+        // issued (kept after pop/cancel so stale cancels get exercised).
+        let mut model: Vec<(Time, u64, u64)> = Vec::new();
+        let mut handles: Vec<(u64, EventHandle)> = Vec::new();
+        let mut next_seq = 0u64;
+        let model_min = |model: &[(Time, u64, u64)]| {
+            model
+                .iter()
+                .enumerate()
+                .min_by(|(_, a), (_, b)| a.0.cmp(&b.0).then(a.1.cmp(&b.1)))
+                .map(|(pos, _)| pos)
+        };
+        for &(op, delay, pick) in ops {
+            match op {
+                0 => {
+                    let at = cal.now() + delay;
+                    let id = next_seq;
+                    let handle = cal.schedule_in(delay, id);
+                    model.push((at, next_seq, id));
+                    handles.push((next_seq, handle));
+                    next_seq += 1;
+                }
+                1 => {
+                    if !handles.is_empty() {
+                        let (seq, handle) = handles[pick as usize % handles.len()];
+                        let expect = model.iter().position(|&(_, s, _)| s == seq);
+                        assert_eq!(
+                            cal.cancel(handle),
+                            expect.is_some(),
+                            "cancel outcome diverged for seq {seq}"
+                        );
+                        if let Some(pos) = expect {
+                            model.swap_remove(pos);
+                        }
+                    }
+                }
+                2 => {
+                    let got = cal.pop();
+                    let expect = model_min(&model).map(|pos| {
+                        let (at, _, id) = model.remove(pos);
+                        (at, id)
+                    });
+                    assert_eq!(got, expect, "pop diverged");
+                }
+                _ => {
+                    assert_eq!(cal.backing_events(), model.len(), "bucket lists diverged");
+                }
+            }
+            assert_eq!(cal.pending(), model.len());
+        }
+        // Drain: the tail must replay the reference order exactly.
+        while let Some(pos) = model_min(&model) {
+            let (at, _, id) = model.remove(pos);
+            assert_eq!(cal.pop(), Some((at, id)), "drain diverged");
+        }
+        assert_eq!(cal.pop(), None);
+        assert!(cal.is_empty());
+        cal.stats()
+    }
+
+    /// Differential check against [`replay_against_reference`]'s naive
+    /// model, under two operation strategies: short lists with delays on
+    /// a coarse grid, so equal-time ties are common, and long, growing
+    /// ones whose delays span twelve orders of magnitude, so the bucket
+    /// array doubles and halves, the width is refitted, and the next
+    /// event is at times a "year" or more away.
+    #[test]
+    fn calendar_matches_sorted_vec_reference() {
+        check("calendar_matches_sorted_vec_reference", 256, |g| {
+            let ops = if g.any() { tie_ops(g) } else { wide_ops(g) };
+            replay_against_reference(&ops);
+        });
+    }
+
+    /// The counters are a pure function of the operation list: bucket
+    /// count, width and every refit included, two replays agree.
+    #[test]
+    fn calendar_stats_repeat_across_replays() {
+        check("calendar_stats_repeat_across_replays", 256, |g| {
+            let ops = wide_ops(g);
+            assert_eq!(
+                replay_against_reference(&ops),
+                replay_against_reference(&ops)
+            );
+        });
     }
 }

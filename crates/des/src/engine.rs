@@ -211,7 +211,8 @@ impl<S: Simulation> Engine<S> {
 
     /// As [`Engine::run_with_limit`], with every dispatch timestamp fed
     /// through a [`ProgressGuard`] circuit breaker ([`drive`]).
-    pub fn run_guarded(&mut self, max_events: u64, guard: &mut ProgressGuard) -> RunStats {
+    #[cfg(test)]
+    pub(crate) fn run_guarded(&mut self, max_events: u64, guard: &mut ProgressGuard) -> RunStats {
         drive(
             &mut self.calendar,
             max_events,

@@ -14,9 +14,9 @@
 //!   [`Deterministic`], [`Exponential`], [`Gamma`] and [`HyperExponential`]
 //!   (the families [`fit::fit_mean_cv`] picks to synthesize Table 1
 //!   workloads from their published moments), [`Exponential`] and
-//!   [`Weibull`] (fault processes), [`Erlang`] (the "Low C_v" arrivals of
-//!   Figure 5) and [`Pareto`] (heavy-tailed tables for the tabulation and
-//!   guide tests, and the M/G/1 oracle rows to come).
+//!   [`Weibull`] (fault processes) and [`Erlang`] (the "Low C_v" arrivals
+//!   of Figure 5). A family only a test or an oracle needs is drawn inline
+//!   there and tabulated through [`Empirical::from_samples`].
 //!
 //! # Examples
 //!
@@ -45,7 +45,6 @@ pub mod fit;
 mod gamma;
 mod guide;
 mod hyperexp;
-mod pareto;
 mod traits;
 mod weibull;
 
@@ -57,7 +56,6 @@ pub use exponential::Exponential;
 pub use gamma::Gamma;
 pub use guide::QuantileGuide;
 pub use hyperexp::HyperExponential;
-pub use pareto::Pareto;
 pub use traits::Distribution;
 pub(crate) use traits::DynDistribution;
 pub use weibull::Weibull;

@@ -3,9 +3,7 @@
 use bighouse_des::check::check;
 use bighouse_des::SimRng;
 use bighouse_dists::fit::{fit_mean_cv, fit_mean_sigma};
-use bighouse_dists::{
-    Deterministic, Distribution, Empirical, Erlang, Exponential, Gamma, Pareto, Weibull,
-};
+use bighouse_dists::{Deterministic, Distribution, Empirical, Erlang, Exponential, Gamma, Weibull};
 
 fn assert_valid_samples(dist: &dyn Distribution, seed: u64) {
     let mut rng = SimRng::from_seed(seed);
@@ -55,21 +53,6 @@ fn weibull_valid() {
     });
 }
 
-#[test]
-fn pareto_valid() {
-    check("pareto_valid", 256, |g| {
-        let min = g.range(1e-3..1e3);
-        let d = Pareto::new(min, g.range(2.01..20.0)).unwrap();
-        assert!(d.mean() >= min);
-        let mut rng = SimRng::from_seed(g.any());
-        for _ in 0..200 {
-            assert!(d.sample(&mut rng) >= min);
-        }
-    });
-}
-
-/// Moment fitting hits the requested (mean, C_v) exactly across the
-/// entire supported space — the Table 1 synthesis guarantee.
 #[test]
 fn fit_matches_moments() {
     check("fit_matches_moments", 256, |g| {

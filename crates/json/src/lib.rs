@@ -68,10 +68,10 @@ use std::fmt;
 pub use macros::object;
 #[doc(hidden)]
 pub use macros::{__enum_parts, __variant_tag};
+pub use parse::parse;
 use parse::MAX_DEPTH;
-pub use parse::{parse, parse_slice};
 pub use value::{Map, Number, Value};
-pub use write::{pretty, write_str, ObjectWriter};
+pub use write::{write_str, ObjectWriter};
 
 /// Writes a value as compact JSON.
 pub trait ToJson {
@@ -233,7 +233,7 @@ pub fn to_vec<T: ToJson + ?Sized>(value: &T) -> Vec<u8> {
 /// `value` as JSON indented by two spaces per level, one member per line.
 #[must_use]
 pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
-    pretty(&to_string(value))
+    write::pretty(&to_string(value))
 }
 
 /// `value` as a [`Value`] tree.
@@ -263,7 +263,7 @@ pub fn from_str<T: FromJson>(text: &str) -> Result<T, Error> {
 /// As [`from_str`]; bytes that are not UTF-8 inside a string are a syntax
 /// error.
 pub fn from_slice<T: FromJson>(bytes: &[u8]) -> Result<T, Error> {
-    T::from_json(&parse_slice(bytes)?)
+    T::from_json(&parse::parse_slice(bytes)?)
 }
 
 /// Reads a `T` from a [`Value`] tree.

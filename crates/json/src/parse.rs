@@ -20,7 +20,7 @@ pub fn parse(text: &str) -> Result<Value, Error> {
 /// # Errors
 ///
 /// As [`parse`]; a string that is not UTF-8 is a syntax error.
-pub fn parse_slice(bytes: &[u8]) -> Result<Value, Error> {
+pub(crate) fn parse_slice(bytes: &[u8]) -> Result<Value, Error> {
     let mut parser = Parser { bytes, pos: 0 };
     let value = parser.value(0)?;
     parser.skip_whitespace();

@@ -83,7 +83,7 @@ impl<'a> ObjectWriter<'a> {
 /// element per line, `": "` after a key, and `[]`/`{}` for empty
 /// containers.
 #[must_use]
-pub fn pretty(compact: &str) -> String {
+pub(crate) fn pretty(compact: &str) -> String {
     let mut out = String::with_capacity(compact.len() * 2);
     let mut depth = 0usize;
     let mut in_string = false;

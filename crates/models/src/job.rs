@@ -112,12 +112,6 @@ impl FinishedJob {
     pub fn waiting_time(&self) -> f64 {
         self.first_service - self.arrival
     }
-
-    /// Wall-clock time spent in (possibly slowed or preempted) service.
-    #[must_use]
-    pub fn service_span(&self) -> f64 {
-        self.completion - self.first_service
-    }
 }
 
 #[cfg(test)]
@@ -150,6 +144,5 @@ mod tests {
         };
         assert_eq!(f.response_time(), 1.25);
         assert_eq!(f.waiting_time(), 0.5);
-        assert_eq!(f.service_span(), 0.75);
     }
 }

@@ -155,7 +155,7 @@ impl LinearPowerModel {
     ///
     /// Panics if `u` is outside `[0, 1]` or `f_min` outside `(0, 1]`.
     #[must_use]
-    pub fn frequency_for_budget(&self, u: f64, budget_watts: f64, f_min: f64) -> f64 {
+    pub(crate) fn frequency_for_budget(&self, u: f64, budget_watts: f64, f_min: f64) -> f64 {
         assert!(
             (0.0..=1.0).contains(&u),
             "utilization must be in [0, 1], got {u}"
@@ -206,7 +206,7 @@ impl DvfsModel {
     const DEFAULT_ALPHA: f64 = 0.9;
 
     /// The paper's idealized continuous frequency range: `f ∈ [0.5, 1.0]`.
-    pub const F_MIN: f64 = 0.5;
+    pub(crate) const F_MIN: f64 = 0.5;
 
     /// Creates a DVFS model with CPU-boundedness `alpha`.
     ///
@@ -252,6 +252,7 @@ impl Default for DvfsModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bighouse_des::check::check;
 
     #[test]
     fn linear_model_endpoints() {
@@ -345,5 +346,21 @@ mod tests {
     #[should_panic(expected = "utilization must be in [0, 1]")]
     fn power_rejects_bad_utilization() {
         let _ = LinearPowerModel::typical_server().power(1.5, 1.0);
+    }
+
+    /// Power model inversion: the frequency chosen for a budget never
+    /// exceeds the budget's power (when above the floor).
+    #[test]
+    fn budget_inversion_is_safe() {
+        check("budget_inversion_is_safe", 256, |g| {
+            let (u, budget) = (g.range(0.0..1.0), g.range(0.0..300.0));
+            let m = LinearPowerModel::typical_server();
+            let f = m.frequency_for_budget(u, budget, 0.5);
+            assert!((0.5..=1.0).contains(&f));
+            if f > 0.5 && f < 1.0 {
+                // Interior solution: power at f equals the budget.
+                assert!((m.power(u, f) - budget).abs() <= 1e-6 * budget.max(1.0));
+            }
+        });
     }
 }

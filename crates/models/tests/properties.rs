@@ -43,7 +43,7 @@ fn jobs_are_conserved() {
             assert!(f.first_service >= f.arrival);
             assert!(f.completion >= f.first_service);
             // At nominal speed, service span >= demand.
-            assert!(f.service_span() >= f.size - 1e-9);
+            assert!(f.completion - f.first_service >= f.size - 1e-9);
         }
     });
 }
@@ -123,7 +123,7 @@ fn dreamweaver_bounds_added_delay() {
 }
 
 /// The power capper always exhausts exactly its budget pool, assigns
-/// frequencies within [F_MIN, 1], and reports non-negative capping.
+/// frequencies within [0.5, 1], and reports non-negative capping.
 #[test]
 fn capper_invariants() {
     check("capper_invariants", 256, |g| {
@@ -138,7 +138,7 @@ fn capper_invariants() {
         let total: f64 = outcome.budgets.iter().sum();
         assert!((total - budget).abs() <= 1e-6 * budget);
         for &f in &outcome.frequencies {
-            assert!((DvfsModel::F_MIN..=1.0).contains(&f));
+            assert!((0.5..=1.0).contains(&f));
         }
         for &level in &outcome.capping_levels {
             assert!(level >= 0.0);
@@ -150,22 +150,6 @@ fn capper_invariants() {
                     assert!(outcome.budgets[i] >= outcome.budgets[j] - 1e-9);
                 }
             }
-        }
-    });
-}
-
-/// Power model inversion: the frequency chosen for a budget never
-/// exceeds the budget's power (when above the floor).
-#[test]
-fn budget_inversion_is_safe() {
-    check("budget_inversion_is_safe", 256, |g| {
-        let (u, budget) = (g.range(0.0..1.0), g.range(0.0..300.0));
-        let m = LinearPowerModel::typical_server();
-        let f = m.frequency_for_budget(u, budget, 0.5);
-        assert!((0.5..=1.0).contains(&f));
-        if f > 0.5 && f < 1.0 {
-            // Interior solution: power at f equals the budget.
-            assert!((m.power(u, f) - budget).abs() <= 1e-6 * budget.max(1.0));
         }
     });
 }

@@ -78,7 +78,7 @@ impl AuditConfig {
 
     /// Builds the [`ProgressGuard`] configured by this audit.
     #[must_use]
-    pub fn progress_guard(&self) -> ProgressGuard {
+    pub(crate) fn progress_guard(&self) -> ProgressGuard {
         ProgressGuard::new()
             .with_stall_limit(self.stall_limit_events)
             .with_storm_budget(
@@ -422,7 +422,7 @@ impl AuditReport {
     /// Whether any violation is a zero-advance livelock (drives the
     /// [`crate::TerminationReason::Livelock`] classification).
     #[must_use]
-    pub fn livelocked(&self) -> bool {
+    pub(crate) fn livelocked(&self) -> bool {
         self.violations
             .iter()
             .any(|v| matches!(v, AuditViolation::Livelock { .. }))
@@ -441,9 +441,9 @@ impl AuditReport {
 
 /// Test hook: a deliberately seeded accounting bug, used by the mutation
 /// suite to prove the auditor actually catches what it claims to.
-#[doc(hidden)]
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeededBug {
+pub(crate) enum SeededBug {
     /// Silently drop the first completion before it reaches the statistics
     /// and the request ledger.
     DropCompletion,

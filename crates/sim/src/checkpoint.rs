@@ -269,7 +269,7 @@ bighouse_json::json_struct!(RunState {
 impl RunState {
     /// The state of a run that has not simulated anything yet.
     #[must_use]
-    pub fn fresh(master_seed: u64, config_fingerprint: u64) -> Self {
+    pub(crate) fn fresh(master_seed: u64, config_fingerprint: u64) -> Self {
         RunState {
             master_seed,
             config_fingerprint,

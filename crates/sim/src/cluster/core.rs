@@ -9,6 +9,7 @@ use bighouse_models::{FinishedJob, Job, JobId};
 use bighouse_stats::MetricId;
 
 use super::{ClusterEvent, ClusterSim};
+#[cfg(test)]
 use crate::audit::SeededBug;
 use crate::config::MetricKind;
 
@@ -138,6 +139,7 @@ impl ClusterSim {
         cal: &mut impl Pending<ClusterEvent>,
     ) {
         for f in finished {
+            #[cfg(test)]
             if self.seeded_bug == Some(SeededBug::DropCompletion) {
                 // Mutation hook: lose this completion entirely — no stats,
                 // no ledger retirement, no timeout cancellation. The
@@ -157,11 +159,14 @@ impl ClusterSim {
                 // observation, no ledger retirement.
                 continue;
             }
-            let mut response = f.response_time();
-            if self.seeded_bug == Some(SeededBug::NanObservation) {
+            let response = f.response_time();
+            #[cfg(test)]
+            let response = if self.seeded_bug == Some(SeededBug::NanObservation) {
                 self.seeded_bug = None;
-                response = f64::NAN;
-            }
+                f64::NAN
+            } else {
+                response
+            };
             if let Some(replay) = self.replay.as_deref_mut() {
                 replay.keep(response, f.waiting_time());
                 continue;
@@ -266,6 +271,7 @@ impl ClusterSim {
             ClusterEvent::Redispatch { job } => self.handle_redispatch(job, now, cal),
             ClusterEvent::HedgeFire { job } => self.handle_hedge_fire(job, now, cal),
         }
+        #[cfg(test)]
         if self.seeded_bug == Some(SeededBug::Livelock) {
             // Mutation hook: reschedule at `now` from every handler — a
             // zero-advance livelock for the progress guard to break.

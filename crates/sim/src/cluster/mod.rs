@@ -27,7 +27,9 @@ use bighouse_dists::QuantileGuide;
 use bighouse_models::{FinishedJob, IdlePolicy, LoadBalancer, Server};
 use bighouse_stats::{HistogramSpec, MetricId, MetricSpec, Phase, StatsCollection};
 
-use crate::audit::{AuditLedger, AuditReport, Auditor, SeededBug};
+#[cfg(test)]
+use crate::audit::SeededBug;
+use crate::audit::{AuditLedger, AuditReport, Auditor};
 use crate::checkpoint::RunTotals;
 use crate::config::{ArrivalMode, ExperimentConfig, MetricKind};
 use crate::error::SimError;
@@ -139,6 +141,7 @@ pub struct ClusterSim {
     telemetry: Option<Box<ClusterTelemetry>>,
     /// Deliberately seeded accounting bug (mutation-test hook); a one-shot
     /// bug clears it when it fires.
+    #[cfg(test)]
     seeded_bug: Option<SeededBug>,
 }
 
@@ -237,6 +240,7 @@ impl ClusterSim {
             replay: None,
             audit,
             telemetry,
+            #[cfg(test)]
             seeded_bug: None,
             config,
         })
@@ -384,7 +388,7 @@ impl ClusterSim {
 
     /// Folds a progress-guard violation (livelock, event storm, time
     /// regression) into the audit report. No-op when auditing is off.
-    pub fn record_progress_violation(&mut self, violation: ProgressViolation) {
+    pub(crate) fn record_progress_violation(&mut self, violation: ProgressViolation) {
         if let Some(audit) = self.audit.as_deref_mut() {
             audit.record_progress_violation(violation);
         }
@@ -392,7 +396,7 @@ impl ClusterSim {
 
     /// Runs the final audit sweep and the Little's-law probe. Call once
     /// when the run stops, before taking the report.
-    pub fn finalize_audit(&mut self, now: Time) {
+    pub(crate) fn finalize_audit(&mut self, now: Time) {
         if self.audit.is_none() {
             return;
         }
@@ -408,7 +412,7 @@ impl ClusterSim {
     /// Takes the audit report (`None` when paranoid mode is off). The
     /// auditor is consumed; call after [`ClusterSim::finalize_audit`].
     #[must_use]
-    pub fn take_audit(&mut self) -> Option<AuditReport> {
+    pub(crate) fn take_audit(&mut self) -> Option<AuditReport> {
         self.audit.take().map(|a| a.into_report())
     }
 
@@ -434,20 +438,23 @@ impl ClusterSim {
     /// live inside [`Server`]'s own state fold and are all allowed.
     #[must_use]
     pub(crate) fn fastpath_eligible(&self) -> bool {
+        #[cfg(test)]
+        if self.seeded_bug.is_some() {
+            return false;
+        }
         let streams = self.balancer.as_ref().map_or(self.servers.len(), |_| 1);
         self.requests.is_none()
             && self.epochs.is_none()
             && self.tiers.is_none()
             && self.audit.is_none()
-            && self.seeded_bug.is_none()
             && streams + self.servers.len() <= FAST_PATH_MAX_SLOTS
     }
 
     /// Mutation-test hook: arms a deliberately seeded accounting bug. The
     /// audit test suite uses this to prove the auditor catches real
     /// corruption, not just synthetic inputs.
-    #[doc(hidden)]
-    pub fn seed_bug(&mut self, bug: SeededBug) {
+    #[cfg(test)]
+    pub(crate) fn seed_bug(&mut self, bug: SeededBug) {
         self.seeded_bug = Some(bug);
     }
 }

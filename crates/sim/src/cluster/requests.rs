@@ -14,7 +14,9 @@ use bighouse_des::{EventHandle, FastMap, FastSet, Pending, Time};
 use bighouse_models::{Job, JobId};
 
 use super::{ClusterEvent, ClusterSim};
-use crate::audit::{AuditLedger, SeededBug};
+use crate::audit::AuditLedger;
+#[cfg(test)]
+use crate::audit::SeededBug;
 use crate::checkpoint::FaultTotals;
 use crate::config::{ExperimentConfig, MetricKind};
 use crate::resilience::{ResilienceState, ResilienceSummary};
@@ -325,6 +327,7 @@ impl ClusterSim {
         let Some(mut req) = requests.live.remove(&key) else {
             return;
         };
+        #[cfg(test)]
         if self.seeded_bug == Some(SeededBug::DoubleHedgeCompletion)
             && hedge_won.is_none()
             && req.hedge.is_some()

@@ -841,7 +841,10 @@ fn slo_attainment_is_tracked_per_completion() {
     use crate::resilience::ResilienceConfig;
     let service_mean = Workload::standard(StandardWorkload::Web).service().mean();
     let config = quick_config()
-        .with_resilience(ResilienceConfig::new().with_slo_deadline(service_mean * 2.0))
+        .with_resilience(ResilienceConfig {
+            slo_deadline: Some(service_mean * 2.0),
+            ..ResilienceConfig::new()
+        })
         .with_metric(MetricKind::SloAttainment)
         .with_calibration(200)
         .with_max_events(2_000_000);
@@ -862,15 +865,15 @@ fn resilience_mode_is_deterministic_given_seed() {
             .with_servers(2)
             .with_faults(FaultProcess::exponential(15.0, 1.5).unwrap())
             .with_retry(RetryPolicy::new(service_mean * 20.0))
-            .with_resilience(
-                ResilienceConfig::new()
+            .with_resilience(ResilienceConfig {
+                slo_deadline: Some(service_mean * 4.0),
+                ..ResilienceConfig::new()
                     .with_admission(AdmissionPolicy::BoundedQueue { capacity: 32 })
                     .with_classes(2, vec![3.0, 1.0])
                     .with_shedding(vec![32, 8])
                     .with_hedge(service_mean * 2.0)
                     .with_ramp(5.0, 10.0, 2.0)
-                    .with_slo_deadline(service_mean * 4.0),
-            )
+            })
             .with_max_events(2_000_000)
     };
     let (a, now_a, ev_a) = run(make(), 46);

@@ -140,7 +140,7 @@ impl MetricKind {
 
     /// The kind registered under `name`.
     #[must_use]
-    pub fn from_name(name: &str) -> Option<MetricKind> {
+    pub(crate) fn from_name(name: &str) -> Option<MetricKind> {
         Self::ALL.into_iter().find(|kind| kind.name() == name)
     }
 
@@ -1102,11 +1102,10 @@ mod tests {
                 500.0,
             ))
             .with_faults(FaultProcess::exponential(100.0, 10.0).unwrap())
-            .with_resilience(
-                ResilienceConfig::new()
-                    .with_hedge(0.1)
-                    .with_slo_deadline(0.5),
-            );
+            .with_resilience(ResilienceConfig {
+                slo_deadline: Some(0.5),
+                ..ResilienceConfig::new().with_hedge(0.1)
+            });
         let all = MetricKind::ALL
             .into_iter()
             .fold(equipped.clone(), ExperimentConfig::with_metric);

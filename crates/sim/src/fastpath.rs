@@ -43,7 +43,7 @@ use crate::pending::FixedSlots;
 /// Measured on per-server M/M/4 at `2N` slots, fixed-slot ÷ calendar
 /// events/s: 16 slots 1.24, 32 → 1.10, 64 → 0.93, 128 → 0.71, 256 → 0.51,
 /// 512 → 0.35; the two cross near 48 (DESIGN.md "Analytic fast path").
-pub const FAST_PATH_MAX_SLOTS: usize = 32;
+pub(crate) const FAST_PATH_MAX_SLOTS: usize = 32;
 
 /// Where an epoch's pending events are held.
 #[derive(Debug)]
@@ -268,6 +268,9 @@ pub(crate) fn epoch_step(
 }
 
 #[cfg(test)]
+mod audit_mutations;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use bighouse_workloads::{StandardWorkload, Workload};
@@ -315,7 +318,7 @@ mod tests {
             .with_utilization(0.5)
             .with_audit(audit.clone());
         let mut sim = ClusterSim::new(config, 7).unwrap();
-        sim.seed_bug(crate::SeededBug::Livelock);
+        sim.seed_bug(crate::audit::SeededBug::Livelock);
         let mut cal = Calendar::new();
         sim.prime(&mut cal);
         let mut epoch = Epoch {

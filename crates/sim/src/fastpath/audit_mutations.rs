@@ -7,13 +7,20 @@
 //! quiet on a healthy simulation, and a bit-identity check proves paranoid
 //! mode never perturbs the estimates it vets.
 
-use bighouse_des::{Calendar, Engine};
+use bighouse_des::Calendar;
 use bighouse_dists::Distribution;
-use bighouse_sim::{
-    run_serial, AuditConfig, AuditReport, AuditViolation, ClusterSim, ExperimentConfig, SeededBug,
+use bighouse_workloads::{StandardWorkload, Workload};
+
+use super::{Epoch, Store};
+use crate::audit::SeededBug;
+use crate::checkpoint::RunState;
+use crate::{
+    run_serial, AuditConfig, AuditReport, AuditViolation, ClusterSim, ExperimentConfig,
     TerminationReason,
 };
-use bighouse_workloads::{StandardWorkload, Workload};
+
+/// The event cap a seeded bug must stop the run before.
+const EVENT_CAP: u64 = 500_000;
 
 fn base_config() -> ExperimentConfig {
     ExperimentConfig::new(Workload::standard(StandardWorkload::Web))
@@ -23,36 +30,46 @@ fn base_config() -> ExperimentConfig {
         .with_calibration(500)
 }
 
-/// Runs a simulation with `bug` armed and the auditor on, exactly the way
-/// the serial runner drives an audited run, and returns the audit report.
-fn audited_run_with_bug(bug: SeededBug, audit: AuditConfig) -> AuditReport {
-    let config = base_config().with_audit(audit.clone());
-    let mut sim = ClusterSim::new(config, 7).unwrap();
+/// Runs `config` audited by `audit` at seed 7 with `bug` armed, as one
+/// calendar epoch under the audit's progress guard the way the runners
+/// drive it, and returns the audit report.
+fn audited_run_with_bug(
+    config: ExperimentConfig,
+    bug: SeededBug,
+    audit: AuditConfig,
+) -> AuditReport {
+    let mut sim = ClusterSim::new(config.with_audit(audit.clone()), 7).unwrap();
     sim.seed_bug(bug);
     let mut cal = Calendar::new();
     sim.prime(&mut cal);
-    let mut engine = Engine::from_parts(sim, cal);
+    let mut epoch = Epoch {
+        sim,
+        pending: Store::Calendar(cal),
+        fired: 0,
+    };
     let mut guard = audit.progress_guard();
-    let run = engine.run_guarded(500_000, &mut guard);
+    let adv = epoch
+        .advance(EVENT_CAP, EVENT_CAP, Some(&mut guard), |_, _| Ok(true))
+        .unwrap();
     assert!(
-        run.stopped_by_guard || run.stopped_by_simulation,
+        adv.fired < EVENT_CAP,
         "a seeded bug must stop the run before the event cap ({} events fired)",
-        run.events_fired
+        adv.fired
     );
-    let now = engine.now();
-    let mut sim = engine.into_simulation();
-    if let Some(violation) = guard.violation() {
-        sim.record_progress_violation(violation);
-    }
-    sim.finalize_audit(now);
-    sim.take_audit().expect("auditing was enabled")
+    let mut state = RunState::fresh(7, 0);
+    epoch.finish(&mut state);
+    state.audit.expect("auditing was enabled")
 }
 
 #[test]
 fn dropped_completion_is_caught_by_the_cross_check() {
     // A lost completion leaves the server's own books balanced — only the
     // auditor's independent completion count can see the drift.
-    let report = audited_run_with_bug(SeededBug::DropCompletion, AuditConfig::default());
+    let report = audited_run_with_bug(
+        base_config(),
+        SeededBug::DropCompletion,
+        AuditConfig::default(),
+    );
     assert!(!report.passed(), "the drop must not go unnoticed");
     assert!(
         report.violations.iter().any(|v| matches!(
@@ -71,7 +88,11 @@ fn nan_observation_trips_the_tripwire_without_panicking() {
     // The seeded NaN must be intercepted before it reaches an estimator
     // (StatsCollection::record panics on NaN — reaching it fails the test
     // by panic) and must surface as a typed violation.
-    let report = audited_run_with_bug(SeededBug::NanObservation, AuditConfig::default());
+    let report = audited_run_with_bug(
+        base_config(),
+        SeededBug::NanObservation,
+        AuditConfig::default(),
+    );
     assert!(!report.passed());
     assert!(
         report.violations.iter().any(|v| matches!(
@@ -94,7 +115,7 @@ fn zero_advance_livelock_is_broken_not_hung() {
         stall_limit_events: 2_000, // tight limit: fail fast in tests
         ..AuditConfig::default()
     };
-    let report = audited_run_with_bug(SeededBug::Livelock, audit);
+    let report = audited_run_with_bug(base_config(), SeededBug::Livelock, audit);
     assert!(!report.passed());
     assert!(
         report.livelocked(),
@@ -113,36 +134,17 @@ fn double_hedge_completion_is_caught_by_the_request_ledger() {
     // once directly (without clearing the hedge pair) and once again when
     // the live hedge finishes. Only the tracked-request ledger can see the
     // extra retirement — goodput outruns admissions.
-    use bighouse_sim::ResilienceConfig;
+    use crate::ResilienceConfig;
     let service_mean = Workload::standard(StandardWorkload::Web).service().mean();
-    let config = base_config()
-        .with_servers(4)
-        .with_resilience(
-            // An aggressive deadline so hedge pairs form early and often.
-            ResilienceConfig::new().with_hedge(0.5 * service_mean),
-        )
-        .with_audit(AuditConfig::default());
-    let mut sim = ClusterSim::new(config, 7).unwrap();
-    sim.seed_bug(SeededBug::DoubleHedgeCompletion);
-    let mut cal = Calendar::new();
-    sim.prime(&mut cal);
-    let mut engine = Engine::from_parts(sim, cal);
-    let audit = AuditConfig::default();
-    let mut guard = audit.progress_guard();
-    let run = engine.run_guarded(500_000, &mut guard);
-    assert!(
-        run.stopped_by_guard || run.stopped_by_simulation,
-        "the double completion must stop the run before the event cap \
-         ({} events fired)",
-        run.events_fired
+    let config = base_config().with_servers(4).with_resilience(
+        // An aggressive deadline so hedge pairs form early and often.
+        ResilienceConfig::new().with_hedge(0.5 * service_mean),
     );
-    let now = engine.now();
-    let mut sim = engine.into_simulation();
-    if let Some(violation) = guard.violation() {
-        sim.record_progress_violation(violation);
-    }
-    sim.finalize_audit(now);
-    let report = sim.take_audit().expect("auditing was enabled");
+    let report = audited_run_with_bug(
+        config,
+        SeededBug::DoubleHedgeCompletion,
+        AuditConfig::default(),
+    );
     assert!(
         !report.passed(),
         "the double completion must not go unnoticed"

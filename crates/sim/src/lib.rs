@@ -46,7 +46,7 @@
 //!   multi-tier pipeline is an [`ExperimentConfig::with_tier`] config run
 //!   like any other, and [`replay_trace`] runs it with a [`Trace`] as the
 //!   arrival-and-size source. With no component installed and at most
-//!   [`FAST_PATH_MAX_SLOTS`] pending events, the runners hold those in
+//!   32 pending events, the runners hold those in
 //!   fixed slots instead of the event calendar (there is nothing to
 //!   set). The
 //!   handlers are the same over either store and both pop in the same
@@ -85,7 +85,7 @@ mod error;
 mod fastpath;
 mod parallel;
 mod pending;
-pub mod procslave;
+mod procslave;
 mod report;
 mod resilience;
 mod runner;
@@ -93,14 +93,11 @@ mod sweep;
 mod telemetry;
 mod trace;
 
-#[doc(hidden)]
-pub use audit::SeededBug;
 pub use audit::{AuditConfig, AuditReport, AuditViolation, AuditWarning};
 pub use checkpoint::CheckpointConfig;
 pub use cluster::ClusterSim;
 pub use config::{ArrivalMode, ExperimentConfig, MetricKind, TierConfig};
 pub use error::SimError;
-pub use fastpath::FAST_PATH_MAX_SLOTS;
 #[doc(hidden)]
 pub use parallel::ProcChaos;
 pub use parallel::{ExecBackend, ParallelOutcome, ParallelRunner};

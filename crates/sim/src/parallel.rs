@@ -208,7 +208,7 @@ pub enum ExecBackend {
     #[default]
     ThreadLockstep,
     /// Sandboxed child OS processes over the checksummed frame fabric
-    /// (see [`crate::procslave`]).
+    /// (see [`crate::slave_main`]).
     Processes(crate::procslave::ProcSlaveConfig),
 }
 
@@ -495,7 +495,7 @@ impl ParallelRunner {
 
     /// Selects the transport the slaves run on: threads of this process
     /// (the default) or sandboxed child OS processes over the checksummed
-    /// IPC fabric (see [`crate::procslave`]). Both produce bit-identical
+    /// IPC fabric (see [`crate::slave_main`]). Both produce bit-identical
     /// estimates for a given (config, seed, slave count, epoch size) —
     /// even across transports and slave crashes.
     #[must_use]

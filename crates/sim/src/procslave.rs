@@ -102,7 +102,7 @@ pub(crate) mod exit_code {
 ///
 /// Returns [`SimError::Frame`] if the encoded value exceeds the 64 MiB
 /// frame cap or the underlying write fails (a dead pipe).
-pub fn write_frame<W: Write, T: ToJson>(w: &mut W, frame: &T) -> Result<(), SimError> {
+pub(crate) fn write_frame<W: Write, T: ToJson>(w: &mut W, frame: &T) -> Result<(), SimError> {
     let json = bighouse_json::to_vec(frame);
     let mut body = Vec::with_capacity(json.len() + 1);
     body.push(PROTOCOL_VERSION);
@@ -158,7 +158,7 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8], what: &str) -> Result<b
 ///
 /// Returns [`SimError::Frame`] as described above; never panics on
 /// attacker-controlled bytes.
-pub fn read_frame<R: Read, T: FromJson>(r: &mut R) -> Result<Option<T>, SimError> {
+pub(crate) fn read_frame<R: Read, T: FromJson>(r: &mut R) -> Result<Option<T>, SimError> {
     let mut len_buf = [0u8; 4];
     if !read_exact_or_eof(r, &mut len_buf, "length prefix")? {
         return Ok(None);
@@ -710,5 +710,133 @@ mod tests {
             assert!(matches!(err, SimError::Frame { .. }), "{err}");
             assert!(err.to_string().contains("version"), "{err}");
         }
+    }
+}
+
+/// Property-based fuzzing of the master↔slave frame codec: for any
+/// payload, any truncation point, and any single bit flip, the decoder
+/// must either return the exact original frame or a typed
+/// [`SimError::Frame`] — never panic, never silently accept corruption.
+#[cfg(test)]
+mod codec_tests {
+    use super::{read_frame, write_frame};
+    use crate::SimError;
+    use bighouse_des::check::{check, Gen};
+
+    /// A stand-in payload exercising nested structure, strings, floats, and
+    /// optional fields — the same codec surface the real protocol frames use.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Payload {
+        slave: usize,
+        incarnation: u32,
+        events: u64,
+        label: String,
+        moments: Vec<f64>,
+        note: Option<String>,
+    }
+
+    bighouse_json::json_struct!(Payload {
+        slave,
+        incarnation,
+        events,
+        label,
+        moments,
+        note
+    });
+
+    fn payload(g: &mut Gen) -> Payload {
+        // Strings exercise JSON escaping: printable ASCII, quotes and
+        // backslashes included.
+        let printable: Vec<char> = (' '..='~').collect();
+        Payload {
+            slave: g.any(),
+            incarnation: g.any(),
+            events: g.any(),
+            label: g.string(&printable, 0..65),
+            moments: g.vec(0..8, |g| g.range(-1e12..1e12)),
+            note: g.option(|g| g.string(&printable, 0..17)),
+        }
+    }
+
+    fn encode(payload: &Payload) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, payload).expect("encoding to a Vec cannot fail");
+        buf
+    }
+
+    /// Round trip: whatever goes in comes out bit-identical, and the
+    /// stream position lands exactly on the next frame boundary.
+    #[test]
+    fn roundtrip_is_exact() {
+        check("roundtrip_is_exact", 64, |g| {
+            let payload = payload(g);
+            let buf = encode(&payload);
+            let mut cursor = &buf[..];
+            let back: Payload = read_frame(&mut cursor)
+                .expect("valid frame decodes")
+                .expect("one frame present");
+            assert_eq!(back, payload);
+            // The decoder consumed the whole frame: a second read is a clean
+            // end-of-stream, not garbage.
+            assert!(read_frame::<_, Payload>(&mut cursor)
+                .expect("clean EOF")
+                .is_none());
+        });
+    }
+
+    /// Truncation at any interior byte is a typed error; truncation at
+    /// byte zero is a clean end-of-stream.
+    #[test]
+    fn any_truncation_is_typed() {
+        check("any_truncation_is_typed", 64, |g| {
+            let (payload, frac) = (payload(g), g.range(0.0..1.0));
+            let buf = encode(&payload);
+            // Map the fraction onto [0, len): always a strict prefix.
+            let cut = ((buf.len() as f64) * frac) as usize;
+            let mut cursor = &buf[..cut.min(buf.len() - 1)];
+            let result = read_frame::<_, Payload>(&mut cursor);
+            if cut == 0 {
+                assert!(matches!(result, Ok(None)), "empty stream is clean EOF");
+            } else {
+                assert!(
+                    matches!(result, Err(SimError::Frame { .. })),
+                    "truncated at {cut}/{}: {result:?}",
+                    buf.len()
+                );
+            }
+        });
+    }
+
+    /// A single flipped bit anywhere in the frame must never decode back
+    /// to the original payload: the length prefix rejects, the checksum
+    /// trips, or deserialization fails — all typed, none panicking.
+    #[test]
+    fn any_single_bitflip_is_rejected() {
+        check("any_single_bitflip_is_rejected", 64, |g| {
+            let payload = payload(g);
+            let mut buf = encode(&payload);
+            let nbits = buf.len() * 8;
+            let flip = g.range(0..nbits);
+            buf[flip / 8] ^= 1 << (flip % 8);
+            let mut cursor = &buf[..];
+            match read_frame::<_, Payload>(&mut cursor) {
+                Err(SimError::Frame { .. }) => {}
+                Err(other) => panic!("wrong error class: {other}"),
+                Ok(decoded) => assert!(
+                    decoded.as_ref() != Some(&payload),
+                    "flipped bit {flip} decoded silently back to the original"
+                ),
+            }
+        });
+    }
+
+    /// Random garbage (not even a frame) never panics the decoder.
+    #[test]
+    fn arbitrary_bytes_never_panic() {
+        check("arbitrary_bytes_never_panic", 64, |g| {
+            let bytes: Vec<u8> = g.vec(0..256, Gen::any);
+            let mut cursor = &bytes[..];
+            let _ = read_frame::<_, Payload>(&mut cursor);
+        });
     }
 }

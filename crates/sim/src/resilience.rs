@@ -220,13 +220,6 @@ impl ResilienceConfig {
         self
     }
 
-    /// Sets the per-request SLO deadline in seconds.
-    #[must_use]
-    pub fn with_slo_deadline(mut self, deadline: f64) -> Self {
-        self.slo_deadline = Some(deadline);
-        self
-    }
-
     /// Validates every field, including cross-field constraints against
     /// the cluster (`servers`): hedging needs somewhere to hedge *to*.
     ///
@@ -564,13 +557,15 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let c = ResilienceConfig::new()
-            .with_admission(AdmissionPolicy::BoundedQueue { capacity: 8 })
-            .with_classes(2, vec![3.0, 1.0])
-            .with_shedding(vec![16, 8])
-            .with_hedge(0.05)
-            .with_ramp(10.0, 5.0, 3.0)
-            .with_slo_deadline(0.5);
+        let c = ResilienceConfig {
+            slo_deadline: Some(0.5),
+            ..ResilienceConfig::new()
+                .with_admission(AdmissionPolicy::BoundedQueue { capacity: 8 })
+                .with_classes(2, vec![3.0, 1.0])
+                .with_shedding(vec![16, 8])
+                .with_hedge(0.05)
+                .with_ramp(10.0, 5.0, 3.0)
+        };
         c.validate(4).unwrap();
     }
 
@@ -674,7 +669,10 @@ mod tests {
     #[test]
     fn hostile_slo_rejected() {
         for slo in [0.0, -0.1, f64::NAN] {
-            let c = ResilienceConfig::new().with_slo_deadline(slo);
+            let c = ResilienceConfig {
+                slo_deadline: Some(slo),
+                ..ResilienceConfig::new()
+            };
             assert!(c.validate(1).is_err(), "slo {slo} must be rejected");
         }
     }
@@ -717,15 +715,17 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let c = ResilienceConfig::new()
-            .with_admission(AdmissionPolicy::TokenBucket {
-                rate: 50.0,
-                burst: 10.0,
-            })
-            .with_classes(2, vec![2.0, 1.0])
-            .with_shedding(vec![30, 10])
-            .with_hedge(0.02)
-            .with_slo_deadline(0.25);
+        let c = ResilienceConfig {
+            slo_deadline: Some(0.25),
+            ..ResilienceConfig::new()
+                .with_admission(AdmissionPolicy::TokenBucket {
+                    rate: 50.0,
+                    burst: 10.0,
+                })
+                .with_classes(2, vec![2.0, 1.0])
+                .with_shedding(vec![30, 10])
+                .with_hedge(0.02)
+        };
         let json = bighouse_json::to_string(&c);
         let back: ResilienceConfig = bighouse_json::from_str(&json).unwrap();
         assert_eq!(c, back);

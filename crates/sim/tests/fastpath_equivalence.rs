@@ -9,10 +9,9 @@
 //!    engine consumes the same RNG stream in the same order, so every
 //!    per-request departure time matches.
 //! 2. Ineligible configurations (faults armed, hedging on, auditing on,
-//!    downstream tiers, or more pending-event slots than
-//!    `FAST_PATH_MAX_SLOTS`) never enter the
-//!    fast path: the telemetry counters prove the engine selection, and
-//!    the runner's calendar matches the hand-driven one.
+//!    downstream tiers, or more than [`SLOT_CAP`] pending-event slots)
+//!    never enter the fast path: the telemetry counters prove the engine
+//!    selection, and the runner's calendar matches the hand-driven one.
 //! 3. The selection flips exactly at the slot cap, with identical
 //!    estimates on both sides of it.
 //! 4. Fast-path M/M/k estimates agree with the closed forms in
@@ -27,13 +26,18 @@ use bighouse_faults::FaultProcess;
 use bighouse_models::BalancerPolicy;
 use bighouse_sim::{
     run_resumable, run_serial, ArrivalMode, AuditConfig, ExperimentConfig, MetricKind,
-    ResilienceConfig, RunOptions, TierConfig, FAST_PATH_MAX_SLOTS,
+    ResilienceConfig, RunOptions, TierConfig,
 };
 use bighouse_workloads::{StandardWorkload, TaskMoments, Workload};
 
 use common::{
     assert_bit_identical, calendar_run, calendar_run_resumable, fastpath_counters, Outcome,
 };
+
+/// The most pending events the fast path's fixed slots hold (the crate's
+/// `FAST_PATH_MAX_SLOTS`). The slot-cap test pins it: a change to the cap
+/// fails there.
+const SLOT_CAP: usize = 32;
 
 /// A synthesized G/G/k workload with the given service-time shape
 /// (`cv` = σ/mean): 0.3 is nearly deterministic, 1.0 is exponential
@@ -180,7 +184,7 @@ fn engine_selection_flips_at_the_slot_cap_with_identical_estimates() {
     // Per-server arrivals occupy two slots per server (its stream, its
     // attention event): half the cap in servers sits exactly on it, one
     // more is past it.
-    let at_cap = FAST_PATH_MAX_SLOTS / 2;
+    let at_cap = SLOT_CAP / 2;
     for (servers, fast) in [(at_cap, true), (at_cap + 1, false)] {
         let config = eligible_config(1.0, 0.6, servers);
         let (entries, bailouts, _) = fastpath_counters(&config, 64);

@@ -373,12 +373,12 @@ fn every_emitted_fault_resilience_and_capping_key_is_documented() {
             ))
             .with_faults(FaultProcess::exponential(20.0, 2.0).unwrap())
             .with_retry(RetryPolicy::new(1.0))
-            .with_resilience(
-                ResilienceConfig::new()
+            .with_resilience(ResilienceConfig {
+                slo_deadline: Some(0.5),
+                ..ResilienceConfig::new()
                     .with_admission(AdmissionPolicy::BoundedQueue { capacity: 64 })
                     .with_hedge(0.02)
-                    .with_slo_deadline(0.5),
-            )
+            })
             .with_capper(capper)
             .with_max_events(100_000)
             .with_telemetry(true),
@@ -405,7 +405,7 @@ fn every_emitted_fault_resilience_and_capping_key_is_documented() {
             let per_metric = key
                 .strip_prefix("stats.")
                 .and_then(|rest| rest.split_once('.'))
-                .filter(|(name, _)| MetricKind::from_name(name).is_some());
+                .filter(|(name, _)| MetricKind::ALL.iter().any(|kind| kind.name() == *name));
             let listed = match per_metric {
                 Some((_, fact)) => format!("stats.<metric>.{fact}"),
                 None => key.to_string(),

@@ -65,12 +65,6 @@ impl BatchMeans {
         }
     }
 
-    /// The configured batch size.
-    #[must_use]
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
     /// Adds one observation.
     ///
     /// # Panics

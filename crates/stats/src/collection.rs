@@ -178,12 +178,6 @@ impl StatsCollection {
         }
     }
 
-    /// Whether all metrics have left warm-up.
-    #[must_use]
-    pub fn all_warm(&self) -> bool {
-        self.warm
-    }
-
     /// Whether every metric has converged (and at least one exists).
     #[must_use]
     pub fn all_converged(&self) -> bool {
@@ -261,12 +255,12 @@ mod tests {
             stats.record(fast, rng.next().unwrap());
         }
         // `fast` has 50 >= 10 warm-up observations but `slow` has none.
-        assert!(!stats.all_warm());
+        assert!(!stats.warm);
         assert_eq!(stats.metric(fast).phase(), Phase::Warmup);
         for _ in 0..100 {
             stats.record(slow, rng.next().unwrap());
         }
-        assert!(stats.all_warm());
+        assert!(stats.warm);
         assert_eq!(stats.metric(fast).phase(), Phase::Calibration);
         assert_eq!(stats.metric(slow).phase(), Phase::Calibration);
     }

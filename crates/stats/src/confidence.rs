@@ -63,7 +63,7 @@ pub(crate) fn z_value(confidence: f64) -> f64 {
 ///
 /// Panics if `epsilon` is not positive or `std_dev` is negative.
 #[must_use]
-pub fn required_samples_mean(confidence: f64, std_dev: f64, epsilon: f64) -> u64 {
+pub(crate) fn required_samples_mean(confidence: f64, std_dev: f64, epsilon: f64) -> u64 {
     assert!(epsilon > 0.0, "epsilon must be positive, got {epsilon}");
     assert!(std_dev >= 0.0, "standard deviation cannot be negative");
     let z = z_value(confidence);
@@ -79,7 +79,7 @@ pub fn required_samples_mean(confidence: f64, std_dev: f64, epsilon: f64) -> u64
 ///
 /// Panics if `q` is not in `(0, 1)` or `epsilon` is not positive.
 #[must_use]
-pub fn required_samples_quantile(confidence: f64, q: f64, epsilon: f64) -> u64 {
+pub(crate) fn required_samples_quantile(confidence: f64, q: f64, epsilon: f64) -> u64 {
     assert!(q > 0.0 && q < 1.0, "quantile must be in (0, 1), got {q}");
     assert!(epsilon > 0.0, "epsilon must be positive, got {epsilon}");
     let z = z_value(confidence);
@@ -102,6 +102,7 @@ pub fn half_width_mean(confidence: f64, std_dev: f64, n: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bighouse_des::check::check;
 
     #[test]
     fn z_values_match_tables() {
@@ -190,5 +191,31 @@ mod tests {
     #[should_panic(expected = "quantile must be in (0, 1)")]
     fn rejects_bad_quantile() {
         let _ = required_samples_quantile(0.95, 1.0, 0.05);
+    }
+
+    /// Required sample sizes are monotone: tighter accuracy or higher
+    /// variance can never need fewer samples.
+    #[test]
+    fn required_samples_monotone() {
+        check("required_samples_monotone", 256, |g| {
+            let (sigma, eps) = (g.range(0.01..100.0), g.range(0.001..1.0));
+            let factor = g.range(1.0..10.0);
+            let base = required_samples_mean(0.95, sigma, eps);
+            assert!(required_samples_mean(0.95, sigma * factor, eps) >= base);
+            assert!(required_samples_mean(0.95, sigma, eps / factor) >= base);
+        });
+    }
+
+    /// Quantile sample sizes peak at the median and are symmetric.
+    #[test]
+    fn quantile_samples_symmetric() {
+        check("quantile_samples_symmetric", 256, |g| {
+            let q = g.range(0.01..0.5);
+            let lo = required_samples_quantile(0.95, q, 0.01);
+            let hi = required_samples_quantile(0.95, 1.0 - q, 0.01);
+            let median = required_samples_quantile(0.95, 0.5, 0.01);
+            assert_eq!(lo, hi);
+            assert!(median >= lo);
+        });
     }
 }

@@ -23,7 +23,7 @@ use crate::welford::RunningStats;
 /// use bighouse_stats::HistogramSpec;
 ///
 /// let spec = HistogramSpec::new(0.0, 0.5, 20).unwrap();
-/// assert_eq!(spec.high(), 10.0);
+/// assert_eq!(spec.width() * spec.bins() as f64, 10.0);
 /// ```
 ///
 /// A spec is usually derived from a calibration sample:
@@ -32,8 +32,8 @@ use crate::welford::RunningStats;
 /// use bighouse_stats::HistogramSpec;
 ///
 /// let sample: Vec<f64> = (0..1000).map(|i| i as f64 / 100.0).collect();
-/// let spec = HistogramSpec::from_calibration_sample(&sample).unwrap();
-/// assert!(spec.low() <= 0.0 && spec.high() >= 9.99);
+/// let spec = HistogramSpec::from_calibration_sample_with_bins(&sample, 1000).unwrap();
+/// assert!(spec.low() <= 0.0 && spec.low() + spec.width() * 1000.0 >= 9.99);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSpec {
@@ -103,19 +103,19 @@ impl HistogramSpec {
         Ok(HistogramSpec { low, width, bins })
     }
 
-    /// Derives a spec from a calibration sample with 1000 bins, padding the
-    /// observed range by half its width on each side (clamped at zero
-    /// below, since BigHouse metrics — times, powers — are non-negative
-    /// when the sample is).
+    /// As [`Self::from_calibration_sample_with_bins`] with 1000 bins.
     ///
     /// # Errors
     ///
     /// Returns [`HistogramSpecError::EmptySample`] if `sample` is empty.
-    pub fn from_calibration_sample(sample: &[f64]) -> Result<Self, HistogramSpecError> {
+    pub(crate) fn from_calibration_sample(sample: &[f64]) -> Result<Self, HistogramSpecError> {
         Self::from_calibration_sample_with_bins(sample, Self::DEFAULT_BINS)
     }
 
-    /// As [`Self::from_calibration_sample`] with an explicit bin count.
+    /// Derives a spec with `bins` bins from a calibration sample, padding
+    /// the observed range by half its width on each side (clamped at zero
+    /// below, since BigHouse metrics — times, powers — are non-negative
+    /// when the sample is).
     ///
     /// # Errors
     ///
@@ -146,12 +146,6 @@ impl HistogramSpec {
     #[must_use]
     pub fn low(&self) -> f64 {
         self.low
-    }
-
-    /// Upper edge of the last bin.
-    #[must_use]
-    pub fn high(&self) -> f64 {
-        self.low + self.width * self.bins as f64
     }
 
     /// Bin width.
@@ -412,7 +406,7 @@ mod tests {
         let sample = vec![10.0, 20.0, 15.0];
         let spec = HistogramSpec::from_calibration_sample(&sample).unwrap();
         assert!(spec.low() <= 5.0 + 1e-9);
-        assert!(spec.high() >= 25.0 - 1e-9);
+        assert!(spec.low() + spec.width() * spec.bins() as f64 >= 25.0 - 1e-9);
         assert_eq!(spec.bins(), HistogramSpec::DEFAULT_BINS);
     }
 

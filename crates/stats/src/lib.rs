@@ -59,7 +59,7 @@ mod welford;
 
 pub use batch_means::BatchMeans;
 pub use collection::{MetricId, StatsCollection};
-pub use confidence::{half_width_mean, required_samples_mean, required_samples_quantile};
+pub use confidence::half_width_mean;
 pub use histogram::{Histogram, HistogramSpec, HistogramSpecError};
 pub use metric::{MetricEstimate, MetricSpec, OutputMetric, Phase, QuantileEstimate};
 pub use runs_test::{find_lag, RunsUpTest};

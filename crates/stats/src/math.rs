@@ -159,15 +159,17 @@ pub fn normal_cdf(x: f64) -> f64 {
 ///
 /// # Examples
 ///
-/// ```
-/// use bighouse_stats::math::normal_inverse_cdf;
+/// The public [`crate::half_width_mean`] applies it: at 95 % with σ = 1
+/// and one observation, the half-width is the 97.5th percentile of the
+/// standard normal, the famous 1.96.
 ///
-/// // The 97.5th percentile of the standard normal is the famous 1.96.
-/// let z = normal_inverse_cdf(0.975);
-/// assert!((z - 1.959963984540054).abs() < 1e-9);
+/// ```
+/// use bighouse_stats::half_width_mean;
+///
+/// assert!((half_width_mean(0.95, 1.0, 1) - 1.959963984540054).abs() < 1e-9);
 /// ```
 #[must_use]
-pub fn normal_inverse_cdf(p: f64) -> f64 {
+pub(crate) fn normal_inverse_cdf(p: f64) -> f64 {
     assert!(
         p > 0.0 && p < 1.0,
         "normal_inverse_cdf requires p in (0, 1), got {p}"
@@ -232,7 +234,7 @@ pub fn normal_inverse_cdf(p: f64) -> f64 {
 ///
 /// Panics if `k == 0` or `x < 0`.
 #[must_use]
-pub fn chi_square_cdf(k: u32, x: f64) -> f64 {
+pub(crate) fn chi_square_cdf(k: u32, x: f64) -> f64 {
     assert!(k > 0, "chi-square needs at least 1 degree of freedom");
     gamma_p(f64::from(k) / 2.0, x / 2.0)
 }
@@ -248,13 +250,13 @@ pub fn chi_square_cdf(k: u32, x: f64) -> f64 {
 ///
 /// # Examples
 ///
-/// The runs-up test judges its statistic at 95% against χ²₆(0.95) ≈ 12.592,
-/// the point where the public [`chi_square_cdf`] reaches 0.95.
+/// The runs-up test's critical values are χ²₆ quantiles; a test at any
+/// significance in (0, 1) builds.
 ///
 /// ```
-/// use bighouse_stats::math::chi_square_cdf;
+/// use bighouse_stats::RunsUpTest;
 ///
-/// assert!((chi_square_cdf(6, 12.5916) - 0.95).abs() < 1e-5);
+/// assert_ne!(RunsUpTest::new(0.05), RunsUpTest::new(0.01));
 /// ```
 #[must_use]
 pub(crate) fn chi_square_inverse_cdf(k: u32, p: f64) -> f64 {
@@ -293,6 +295,7 @@ pub(crate) fn chi_square_inverse_cdf(k: u32, p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bighouse_des::check::check;
 
     #[test]
     fn ln_gamma_matches_factorials() {
@@ -419,5 +422,27 @@ mod tests {
         }
         integral *= h;
         assert!((integral - (normal_cdf(b) - normal_cdf(a))).abs() < 1e-8);
+    }
+
+    /// Φ and Φ⁻¹ are inverse over the full open interval.
+    #[test]
+    fn normal_round_trip() {
+        check("normal_round_trip", 256, |g| {
+            let p = g.range(0.0001..0.9999);
+            let x = normal_inverse_cdf(p);
+            assert!((normal_cdf(x) - p).abs() < 1e-9);
+        });
+    }
+
+    /// Chi-square CDF is a valid CDF: monotone, in [0, 1].
+    #[test]
+    fn chi_square_cdf_valid() {
+        check("chi_square_cdf_valid", 256, |g| {
+            let (k, x) = (g.range(1..50), g.range(0.0..200.0));
+            let c = chi_square_cdf(k, x);
+            assert!((0.0..=1.0).contains(&c));
+            let c2 = chi_square_cdf(k, x + 1.0);
+            assert!(c2 >= c - 1e-12);
+        });
     }
 }

@@ -45,12 +45,14 @@ const B: [f64; 6] = [
 ///
 /// # Examples
 ///
+/// [`find_lag`] applies it to ever sparser subsamples:
+///
 /// ```
-/// use bighouse_stats::RunsUpTest;
+/// use bighouse_stats::{find_lag, RunsUpTest};
 ///
 /// let test = RunsUpTest::default(); // 5% significance
 ///
-/// // A pseudo-random sequence passes...
+/// // A pseudo-random sequence passes at lag 1...
 /// let mut x = 0.5f64;
 /// let iid: Vec<f64> = (0..5000)
 ///     .map(|_| {
@@ -58,11 +60,11 @@ const B: [f64; 6] = [
 ///         x / 4294967296.0
 ///     })
 ///     .collect();
-/// assert!(test.passes(&iid));
+/// assert_eq!(find_lag(&iid, 8, &test), 1);
 ///
-/// // ...a monotone ramp does not.
+/// // ...a monotone ramp at no lag, so the search stops at its cap.
 /// let ramp: Vec<f64> = (0..5000).map(f64::from).collect();
-/// assert!(!test.passes(&ramp));
+/// assert_eq!(find_lag(&ramp, 8, &test), 8);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunsUpTest {
@@ -98,7 +100,7 @@ impl RunsUpTest {
     /// A run continues while observations strictly increase; ties break runs,
     /// matching Knuth's continuous-distribution assumption conservatively.
     #[must_use]
-    pub fn run_counts(data: &[f64]) -> [u64; 6] {
+    pub(crate) fn run_counts(data: &[f64]) -> [u64; 6] {
         let mut counts = [0u64; 6];
         if data.is_empty() {
             return counts;
@@ -120,7 +122,7 @@ impl RunsUpTest {
     ///
     /// Returns `None` if the sequence is shorter than 100 observations.
     #[must_use]
-    pub fn statistic(&self, data: &[f64]) -> Option<f64> {
+    pub(crate) fn statistic(&self, data: &[f64]) -> Option<f64> {
         if data.len() < Self::MIN_OBSERVATIONS {
             return None;
         }
@@ -145,7 +147,7 @@ impl RunsUpTest {
     /// Sequences shorter than 100 observations fail by definition
     /// (we refuse to certify independence from too little data).
     #[must_use]
-    pub fn passes(&self, data: &[f64]) -> bool {
+    pub(crate) fn passes(&self, data: &[f64]) -> bool {
         match self.statistic(data) {
             Some(v) => v >= self.lower_critical && v <= self.upper_critical,
             None => false,
@@ -205,6 +207,7 @@ pub fn find_lag(calibration_sample: &[f64], max_lag: usize, test: &RunsUpTest) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bighouse_des::check::check;
 
     /// Simple LCG producing u64s, for dependency-free pseudo-random data.
     fn lcg_stream(seed: u64, n: usize) -> Vec<f64> {
@@ -335,5 +338,18 @@ mod tests {
     #[should_panic(expected = "significance must be in (0, 1)")]
     fn rejects_bad_significance() {
         let _ = RunsUpTest::new(1.5);
+    }
+
+    /// Run counts always total the number of runs: sum == number of
+    /// descents + 1.
+    #[test]
+    fn run_counts_sum_matches_descents() {
+        check("run_counts_sum_matches_descents", 256, |g| {
+            let data = g.vec(2..500, |g| g.range(0.0..1.0));
+            let counts = RunsUpTest::run_counts(&data);
+            let runs: u64 = counts.iter().sum();
+            let descents = data.windows(2).filter(|w| w[0] >= w[1]).count() as u64;
+            assert_eq!(runs, descents + 1);
+        });
     }
 }

@@ -18,7 +18,7 @@
 /// }
 /// assert_eq!(stats.count(), 8);
 /// assert_eq!(stats.mean(), 5.0);
-/// assert!((stats.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
+/// assert!((stats.std_dev().powi(2) - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunningStats {
@@ -93,7 +93,7 @@ impl RunningStats {
     ///
     /// Returns 0 with fewer than two observations.
     #[must_use]
-    pub fn sample_variance(&self) -> f64 {
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -108,7 +108,8 @@ impl RunningStats {
         self.m2
     }
 
-    /// Sample standard deviation (square root of [`Self::sample_variance`]).
+    /// Sample standard deviation (square root of the unbiased sample
+    /// variance).
     #[must_use]
     pub fn std_dev(&self) -> f64 {
         self.sample_variance().sqrt()

@@ -6,7 +6,8 @@
 //! default 95 % confidence, the 0.95 quantile and N_c = 5000) at seeds
 //! 1000–1399, each to `is_converged()`. "Mean covers" means
 //! `mean ± mean_half_width` holds the truth; "p95 covers" means
-//! |F(x̂₉₅) − 0.95| ≤ `half_width_probability`, Eq. 3's own contract.
+//! |F(x̂₉₅) − 0.95| ≤ `half_width_probability`, Eq. 3's own contract, on
+//! the streams whose CDF F is known.
 //!
 //! `cargo test -p bighouse-stats --test coverage -- --nocapture` prints
 //! each row as EXPERIMENTS.md records it.
@@ -24,17 +25,18 @@ const COVERAGE_FLOOR: f64 = 0.917;
 struct Row {
     means: Vec<f64>,
     mean_covers: f64,
-    p95_covers: f64,
+    /// `None` for a stream without a closed-form CDF.
+    p95_covers: Option<f64>,
     mean_lag: f64,
     mean_observed: f64,
 }
 
 /// Runs one metric per seed to convergence on the stream `stream` builds,
-/// against the true mean `truth` and the true CDF `cdf`.
+/// against the true mean `truth` and, where known, the true CDF `cdf`.
 fn row(
     name: &str,
     truth: f64,
-    cdf: impl Fn(f64) -> f64,
+    cdf: Option<&dyn Fn(f64) -> f64>,
     stream: impl Fn(SimRng) -> Box<dyn FnMut() -> f64>,
 ) -> Row {
     let runs = SEEDS.end - SEEDS.start;
@@ -56,7 +58,9 @@ fn row(
         let p95 = estimate.quantiles[0];
         assert_eq!(p95.q, 0.95);
         mean_covers += u32::from((estimate.mean - truth).abs() <= estimate.mean_half_width);
-        p95_covers += u32::from((cdf(p95.value) - 0.95).abs() <= p95.half_width_probability);
+        if let Some(cdf) = cdf {
+            p95_covers += u32::from((cdf(p95.value) - 0.95).abs() <= p95.half_width_probability);
+        }
         means.push(estimate.mean);
         lags += estimate.lag;
         observed += estimate.total_observed;
@@ -64,16 +68,18 @@ fn row(
     let row = Row {
         means,
         mean_covers: f64::from(mean_covers) / runs as f64,
-        p95_covers: f64::from(p95_covers) / runs as f64,
+        p95_covers: cdf.map(|_| f64::from(p95_covers) / runs as f64),
         mean_lag: lags as f64 / runs as f64,
         mean_observed: observed as f64 / runs as f64,
     };
+    let p95 = row
+        .p95_covers
+        .map_or("—".to_owned(), |c| format!("{:.1} %", 100.0 * c));
     println!(
-        "| {name} | defaults | {:.2} | {:.0}k | {:.1} % | {:.1} % |",
+        "| {name} | defaults | {:.2} | {:.0}k | {:.2} % | {p95} |",
         row.mean_lag,
         row.mean_observed / 1000.0,
         100.0 * row.mean_covers,
-        100.0 * row.p95_covers
     );
     row
 }
@@ -86,6 +92,7 @@ impl Row {
         let grand = self.means.iter().sum::<f64>() / n;
         let spread = self.means.iter().map(|m| (m - grand).powi(2)).sum::<f64>() / (n - 1.0);
         let standard_error = (spread / n).sqrt();
+        println!("  mean of means {grand:.5}, SE {standard_error:.5}, truth {truth:.5}");
         assert!(
             (grand - truth).abs() <= 3.0 * standard_error,
             "mean of means {grand}, standard error {standard_error}"
@@ -109,7 +116,7 @@ fn iid_exponential_covers_at_nominal() {
     let row = row(
         "i.i.d. Exp(1)",
         1.0,
-        |x| 1.0 - (-x).exp(),
+        Some(&|x| 1.0 - (-x).exp()),
         |mut rng| Box::new(move || exp(&mut rng, 1.0)),
     );
     assert!(
@@ -117,11 +124,8 @@ fn iid_exponential_covers_at_nominal() {
         "mean coverage {}",
         row.mean_covers
     );
-    assert!(
-        row.p95_covers >= COVERAGE_FLOOR,
-        "p95 coverage {}",
-        row.p95_covers
-    );
+    let p95_covers = row.p95_covers.expect("the exponential CDF is known");
+    assert!(p95_covers >= COVERAGE_FLOOR, "p95 coverage {p95_covers}");
 }
 
 /// M/M/1 response times by the Lindley recursion W' = max(0, W + S − A),
@@ -136,7 +140,7 @@ fn mm1_response_time_means_center_on_the_truth() {
     let row = row(
         "M/M/1 T",
         1.0 / (mu - lambda),
-        |x| 1.0 - (-(mu - lambda) * x).exp(),
+        Some(&|x| 1.0 - (-(mu - lambda) * x).exp()),
         |mut rng| {
             let mut wait = 0.0;
             Box::new(move || {
@@ -163,7 +167,7 @@ fn ar1_means_center_on_the_truth() {
     let row = row(
         "AR(1), φ = 0.9",
         10.0,
-        |x| normal_cdf((x - 10.0) / sigma),
+        Some(&|x| normal_cdf((x - 10.0) / sigma)),
         |mut rng| {
             let mut x = 10.0;
             Box::new(move || {
@@ -173,4 +177,39 @@ fn ar1_means_center_on_the_truth() {
         },
     );
     row.assert_means_center_on(10.0);
+}
+
+/// M/G/1 response times by the Lindley recursion at λ = 0.5 with Pareto
+/// service of mean 1 and tail index α = 5: S = x_m · U^(−1/α) with
+/// x_m = (α − 1)/α. The truth is Pollaczek–Khinchine,
+/// E[T] = E[S] + λ E[S²] / (2 (1 − ρ)) with E[S²] = α x_m² / (α − 2) and
+/// ρ = λ E[S] = 0.5; Var(T) is finite because α > 3. T has no closed-form
+/// CDF, so the row reports no p95 coverage.
+///
+/// Like the M/M/1 row its intervals under-cover (EXPERIMENTS.md records
+/// by how much), so it gates only that the mean of the 400 means lies
+/// within 3 standard errors of E[T]. At α = 3.5 the same row misses that
+/// gate too (its means sit 3.2 standard errors low), so EXPERIMENTS.md
+/// records it and no test runs it.
+#[test]
+fn mg1_pareto_means_center_on_the_truth() {
+    let (lambda, alpha) = (0.5, 5.0);
+    let minimum = (alpha - 1.0) / alpha;
+    let second_moment = alpha * minimum * minimum / (alpha - 2.0);
+    let truth = 1.0 + lambda * second_moment / (2.0 * (1.0 - lambda));
+    let row = row(
+        &format!("M/G/1 T, Pareto α = {alpha}"),
+        truth,
+        None,
+        |mut rng| {
+            let mut wait = 0.0;
+            Box::new(move || {
+                let service = minimum * rng.open01().powf(-1.0 / alpha);
+                let response = wait + service;
+                wait = (response - exp(&mut rng, lambda)).max(0.0);
+                response
+            })
+        },
+    );
+    row.assert_means_center_on(truth);
 }

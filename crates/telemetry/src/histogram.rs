@@ -3,20 +3,16 @@
 /// A histogram with a fixed number of bins over a fixed range, sized once at
 /// construction so [`observe`](FixedBinHistogram::observe) never allocates.
 ///
-/// Bins may be spaced linearly or logarithmically; log spacing is the right
-/// choice for latencies, which span orders of magnitude. Samples outside the
-/// range land in dedicated underflow/overflow counters instead of being
-/// dropped, and the exact min/max/sum/count are tracked so the mean is not
-/// a binning artifact. `min`/`max` are `None` when no finite sample was
-/// recorded.
+/// Bins are equal-width. Samples outside the range land in dedicated
+/// underflow/overflow counters instead of being dropped, and the exact
+/// min/max/sum/count are tracked so the mean is not a binning artifact.
+/// `min`/`max` are `None` when no finite sample was recorded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedBinHistogram {
     /// Lower bound of the binned range.
     pub lo: f64,
     /// Upper bound of the binned range.
     pub hi: f64,
-    /// Whether the bins are logarithmically spaced.
-    pub log_scale: bool,
     /// Per-bin sample counts.
     pub bins: Vec<u64>,
     /// Samples below `lo`.
@@ -36,7 +32,6 @@ pub struct FixedBinHistogram {
 bighouse_json::json_struct!(FixedBinHistogram {
     lo,
     hi,
-    log_scale,
     bins,
     underflow,
     overflow,
@@ -59,7 +54,6 @@ impl FixedBinHistogram {
         FixedBinHistogram {
             lo,
             hi,
-            log_scale: false,
             bins: vec![0; bins],
             underflow: 0,
             overflow: 0,
@@ -67,27 +61,6 @@ impl FixedBinHistogram {
             sum: 0.0,
             min: None,
             max: None,
-        }
-    }
-
-    /// Creates a histogram with `bins` logarithmically spaced bins over
-    /// `[lo, hi)` — the natural spacing for latencies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins` is zero, the bounds are not finite, or
-    /// `0 < lo < hi` does not hold.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn log_spaced(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(
-            lo.is_finite() && hi.is_finite() && lo > 0.0 && lo < hi,
-            "log-spaced bounds must satisfy 0 < lo < hi"
-        );
-        FixedBinHistogram {
-            log_scale: true,
-            ..FixedBinHistogram::linear(lo, hi, bins)
         }
     }
 
@@ -108,11 +81,7 @@ impl FixedBinHistogram {
             self.underflow += 1;
         } else {
             let n = self.bins.len() as f64;
-            let frac = if self.log_scale {
-                (x / self.lo).ln() / (self.hi / self.lo).ln()
-            } else {
-                (x - self.lo) / (self.hi - self.lo)
-            };
+            let frac = (x - self.lo) / (self.hi - self.lo);
             let idx = ((frac * n) as usize).min(self.bins.len() - 1);
             self.bins[idx] += 1;
         }
@@ -127,14 +96,12 @@ impl FixedBinHistogram {
         (finite > 0).then(|| self.sum / finite as f64)
     }
 
-    /// Merges another histogram of the **same shape** (bounds, spacing, bin
+    /// Merges another histogram of the **same shape** (bounds and bin
     /// count) into this one, bin-wise. Returns `false` (and changes
     /// nothing) when the shapes differ.
     pub fn merge(&mut self, other: &FixedBinHistogram) -> bool {
-        let same_shape = self.lo == other.lo
-            && self.hi == other.hi
-            && self.log_scale == other.log_scale
-            && self.bins.len() == other.bins.len();
+        let same_shape =
+            self.lo == other.lo && self.hi == other.hi && self.bins.len() == other.bins.len();
         if !same_shape {
             return false;
         }
@@ -176,17 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn log_binning_spans_decades() {
-        let mut h = FixedBinHistogram::log_spaced(1e-6, 1.0, 6);
-        h.observe(1e-6);
-        h.observe(1e-3);
-        h.observe(0.999);
-        assert_eq!(h.bins[0], 1);
-        assert_eq!(h.bins[3], 1);
-        assert_eq!(h.bins[5], 1);
-    }
-
-    #[test]
     fn non_finite_goes_to_overflow_not_panic() {
         let mut h = FixedBinHistogram::linear(0.0, 1.0, 4);
         h.observe(f64::NAN);
@@ -198,7 +154,7 @@ mod tests {
 
     #[test]
     fn snapshot_round_trips_through_serde() {
-        let mut h = FixedBinHistogram::log_spaced(1e-3, 1e3, 12);
+        let mut h = FixedBinHistogram::linear(1e-3, 1e3, 12);
         for i in 1..100 {
             h.observe(f64::from(i) * 0.1);
         }

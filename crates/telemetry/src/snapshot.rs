@@ -293,9 +293,9 @@ mod tests {
                 r#"{{"counters":{{"des.events_fired":7}},"#,
                 r#""gauges":{{"stats.response_time.lag":2.0}},"#,
                 r#""histograms":{{"#,
-                r#""sim.queue_depth":{{"lo":0.0,"hi":64.0,"log_scale":false,"bins":[{zeros}],"#,
+                r#""sim.queue_depth":{{"lo":0.0,"hi":64.0,"bins":[{zeros}],"#,
                 r#""underflow":0,"overflow":0,"count":0,"sum":0.0,"min":null,"max":null}},"#,
-                r#""sim.server_utilization":{{"lo":0.0,"hi":1.0,"log_scale":false,"bins":[1,0,1,0],"#,
+                r#""sim.server_utilization":{{"lo":0.0,"hi":1.0,"bins":[1,0,1,0],"#,
                 r#""underflow":0,"overflow":1,"count":3,"sum":2.625,"min":0.125,"max":2.0}}}},"#,
                 r#""phases":[{{"metric":"response_time","from":"warm-up","to":"calibration","#,
                 r#""simulated_seconds":1.5,"wall_seconds":0.25,"total_observed":1000}}],"#,

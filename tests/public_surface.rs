@@ -2,15 +2,20 @@
 //!
 //! The test walks `crates/*/src`, except `crates/perf` (the benchmark
 //! harness) and the `bighouse` facade (which only re-exports), and collects
-//! every `pub` fn, struct, enum, trait, type alias, const and static that is
-//! not test-only code. An item counts as used when its name appears as a
-//! word in some `.rs` file outside its own crate's `src`: another crate
-//! (`crates/perf` included), a crate's `tests/`, or the root `tests/`,
-//! `examples/` and `src/`. The facade's `pub use` lists do not count: a
-//! re-export is not a caller. Nor does a full-line `//` comment, which
-//! compiles to nothing; `///` and `//!` lines do, because their doctests
-//! compile. A `main.rs` under `src` is a binary crate of its own, so it
+//! every `pub` mod, fn, struct, enum, trait, type alias, const and static
+//! that is not test-only code. An item counts as used when its name appears
+//! as a word of code in some `.rs` file outside its own crate: another
+//! crate's `src` or `tests/` (`crates/perf` included), or the root `tests/`,
+//! `examples/` and `src/`. A crate's own `tests/` is the crate itself, not a
+//! caller. A `main.rs` under `src` is a binary crate of its own, so it
 //! counts as a caller of the library beside it.
+//!
+//! Only code counts. Comments (`//`, trailing or whole-line, and `/* */`)
+//! are skipped. Of a `///` or `//!` doc comment only the lines inside a
+//! doctest fence count, because those compile: a fence tagged `text` or
+//! `json` is prose. The words of a string literal count, as a format
+//! string's `{NAME}` does. The facade's `pub use` lists do not
+//! count either: a re-export is not a caller.
 //!
 //! The scan matches words, so a common name (`new`, `len`) always passes.
 //! What it catches is the specific name that only its own crate knows: make
@@ -23,17 +28,29 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Items that stay public although no other crate names them, as
-/// `(crate directory, item, reason)`. All but `erlang_c` are a field,
-/// argument or return type or a bound of a public item: narrowing one would
-/// trip the compiler's `private_interfaces` or `private_bounds` lint.
+/// `(crate directory, item, reason)`. They are of three kinds:
+/// - a field, argument or return type or a bound of a public item, which
+///   the compiler's `private_interfaces` or `private_bounds` lint keeps
+///   public;
+/// - a closed form kept beside its sibling for oracles (`erlang_c`,
+///   `normal_cdf`);
+/// - `ClusterSim::{into_stats, restore_stats}`, which the calendar-engine
+///   reference in `crates/sim/tests/common` drives until ROADMAP item 7
+///   replaces them.
 #[rustfmt::skip]
 const ALLOWED: &[(&str, &str, &str)] = &[
     ("analytic", "erlang_c", "the Erlang-C closed form beside `erlang_b`, for oracles"),
     ("des", "FastHasher", "the hasher of the public `FastMap` and `FastSet`"),
     ("des", "Uniform", "the bound on the public `Gen::range`'s argument"),
+    ("des", "Arbitrary", "the bound on the public `Gen::any`"),
     ("models", "CappingOutcome", "returned by `PowerCapper::rebudget`"),
     ("stats", "HistogramSpecError", "the error of `HistogramSpec::new`"),
+    ("stats", "normal_cdf", "the normal CDF beside `normal_quantile`, the p95 truth of the AR(1) coverage row"),
+    ("sim", "AuditReport", "the type of the public `SimulationReport::audit`"),
+    ("sim", "AuditViolation", "the element type of `AuditReport::violations`"),
     ("sim", "AuditWarning", "the element type of `AuditReport::warnings`"),
+    ("sim", "into_stats", "the calendar-engine reference of `crates/sim/tests/common` (ROADMAP item 7)"),
+    ("sim", "restore_stats", "the calendar-engine reference of `crates/sim/tests/common` (ROADMAP item 7)"),
     ("sim", "ClusterEvent", "the `Simulation::Event` of `ClusterSim`"),
     ("sim", "ClusterSummary", "the type of `SimulationReport::cluster`"),
     ("sim", "FaultSummary", "the type of `ClusterSummary::faults`"),
@@ -51,7 +68,12 @@ const ALLOWED: &[(&str, &str, &str)] = &[
 ];
 
 /// The declaration keywords the scan collects.
-const KINDS: &[&str] = &["fn", "struct", "enum", "trait", "type", "const", "static"];
+const KINDS: &[&str] = &[
+    "mod", "fn", "struct", "enum", "trait", "type", "const", "static",
+];
+
+/// The doctest fence tags whose block compiles; any other tag is prose.
+const CODE_FENCES: &[&str] = &["", "rust", "no_run", "should_panic", "compile_fail"];
 
 /// A `pub` item declared in a library crate.
 struct Item {
@@ -79,30 +101,138 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The library crate whose `src` holds `path`, if any: `cli` for
-/// `crates/cli/src/lib.rs`, none for `crates/cli/src/main.rs`.
-fn library_of(root: &Path, path: &Path) -> Option<String> {
-    let rel = path.strip_prefix(root).ok()?;
+/// The crate that owns the file at `rel` (relative to the repository root),
+/// and whether the file is in that crate's library `src`: `("cli", true)`
+/// for `crates/cli/src/lib.rs`, `("cli", false)` for `crates/cli/tests/…`,
+/// none for `crates/cli/src/main.rs` or a file outside `crates/*/{src,tests}`.
+fn owner_of(rel: &Path) -> Option<(String, bool)> {
     let mut parts = rel.components().map(|c| c.as_os_str().to_string_lossy());
     if parts.next()? != "crates" {
         return None;
     }
     let krate = parts.next()?.into_owned();
-    if parts.next()? != "src" || path.file_name()? == "main.rs" {
-        return None;
+    match &*parts.next()? {
+        "src" if rel.file_name()? != "main.rs" => Some((krate, true)),
+        "tests" => Some((krate, false)),
+        _ => None,
     }
-    Some(krate)
 }
 
-/// The words of `text`, outside full-line plain `//` comments.
-fn words(text: &str) -> impl Iterator<Item = &str> {
-    text.lines()
-        .filter(|line| {
-            let line = line.trim_start();
-            !line.starts_with("//") || line.starts_with("///") || line.starts_with("//!")
-        })
-        .flat_map(|line| line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')))
+/// Calls `sink` with every word of `text`'s code, string literals
+/// included. Comments are skipped; of `///` and `//!` lines only those
+/// inside a doctest fence count.
+fn code_words(text: &str, sink: &mut dyn FnMut(&str)) {
+    let bytes = text.as_bytes();
+    let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    let mut doctests = String::new();
+    // `Some(true)` inside a doctest fence, `Some(false)` inside a prose one.
+    let mut fence: Option<bool> = None;
+    let mut i = 0;
+    while i < bytes.len() {
+        let rest = &bytes[i..];
+        if rest.starts_with(b"//") {
+            let end = rest
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(bytes.len(), |n| i + n);
+            let line = &text[i..end];
+            let doc =
+                (line.starts_with("///") && !line.starts_with("////")) || line.starts_with("//!");
+            if doc {
+                let content = line[3..].trim_start();
+                if let Some(tag) = content.strip_prefix("```") {
+                    fence = match fence {
+                        Some(_) => None,
+                        None => Some(tag.split(',').all(|t| CODE_FENCES.contains(&t.trim()))),
+                    };
+                } else if fence == Some(true) {
+                    doctests.push_str(content);
+                    doctests.push('\n');
+                }
+            }
+            i = end;
+        } else if rest.starts_with(b"/*") {
+            let mut depth = 0;
+            while i < bytes.len() {
+                if bytes[i..].starts_with(b"/*") {
+                    depth += 1;
+                    i += 2;
+                } else if bytes[i..].starts_with(b"*/") {
+                    depth -= 1;
+                    i += 2;
+                    if depth == 0 {
+                        break;
+                    }
+                } else {
+                    i += 1;
+                }
+            }
+        } else if rest[0] == b'"' {
+            let end = string_end(bytes, i + 1);
+            words_of(&text[i..end], sink);
+            i = end;
+        } else if rest[0] == b'\'' {
+            // A char literal is skipped; a lifetime's name is a word.
+            let c = text[i + 1..].chars().next().unwrap_or(' ');
+            if c == '\\' {
+                i = bytes[i + 3..]
+                    .iter()
+                    .position(|&b| b == b'\'')
+                    .map_or(bytes.len(), |n| i + 4 + n);
+            } else if bytes.get(i + 1 + c.len_utf8()) == Some(&b'\'') {
+                i += 2 + c.len_utf8();
+            } else {
+                i += 1;
+            }
+        } else if is_word(rest[0]) {
+            let len = rest.iter().position(|&b| !is_word(b)).unwrap_or(rest.len());
+            let word = &text[i..i + len];
+            i += len;
+            // A raw string `r#"…"#` (or `br`); `b"…"` is an escaped string.
+            let hashes = bytes[i..].iter().take_while(|&&b| b == b'#').count();
+            if matches!(word, "r" | "br") && bytes.get(i + hashes) == Some(&b'"') {
+                let close = [&b"\""[..], &vec![b'#'; hashes]].concat();
+                let from = i + hashes + 1;
+                let end = bytes[from..]
+                    .windows(close.len())
+                    .position(|w| w == close)
+                    .map_or(bytes.len(), |n| from + n + close.len());
+                words_of(&text[from..end], sink);
+                i = end;
+            } else if word == "b" && bytes.get(i) == Some(&b'"') {
+                let end = string_end(bytes, i + 1);
+                words_of(&text[i..end], sink);
+                i = end;
+            } else {
+                sink(word);
+            }
+        } else {
+            i += 1;
+        }
+    }
+    if !doctests.is_empty() {
+        code_words(&doctests, sink);
+    }
+}
+
+/// Calls `sink` with every word of `text`, a string literal's body.
+fn words_of(text: &str, sink: &mut dyn FnMut(&str)) {
+    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .filter(|w| !w.is_empty())
+        .for_each(sink);
+}
+
+/// The index just past the `"` that closes an escaped string whose body
+/// starts at `from`.
+fn string_end(bytes: &[u8], mut from: usize) -> usize {
+    while from < bytes.len() {
+        match bytes[from] {
+            b'\\' => from += 2,
+            b'"' => return from + 1,
+            _ => from += 1,
+        }
+    }
+    bytes.len()
 }
 
 /// `text` without its `pub use …;` statements.
@@ -183,72 +313,68 @@ fn declarations(krate: &str, file: &Path, text: &str, out: &mut Vec<Item>) {
     }
 }
 
-#[test]
-fn every_public_item_has_a_caller_outside_its_crate() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let this_file = root.join(file!());
-    let mut files = Vec::new();
-    rust_files(root, &mut files);
-    files.retain(|f| *f != this_file);
-
-    // For every word, the libraries whose `src` names it; `None` stands for
-    // any file outside a library's `src`.
+/// Scans `files`, given as (path relative to the repository root, text),
+/// against the allowlist `allowed`. Returns how many `pub` items the scan
+/// collected and one line per problem: an item no other crate's code
+/// names, or an allowlist entry that is stale.
+fn scan(files: &[(PathBuf, String)], allowed: &[(&str, &str, &str)]) -> (usize, Vec<String>) {
+    // For every word, the crates whose code names it; `None` stands for any
+    // file that no crate owns.
     let mut seen_in: BTreeMap<String, BTreeSet<Option<String>>> = BTreeMap::new();
     let mut items = Vec::new();
-    for file in &files {
-        let text = fs::read_to_string(file).expect("readable source file");
-        let krate = library_of(root, file);
-        let text = if krate.as_deref() == Some("bighouse") {
-            without_reexports(&text)
+    for (file, text) in files {
+        let owner = owner_of(file);
+        let krate = owner.as_ref().map(|(k, _)| k.clone());
+        let in_library = owner.as_ref().is_some_and(|&(_, src)| src);
+        let text = if in_library && krate.as_deref() == Some("bighouse") {
+            without_reexports(text)
         } else {
-            text
+            text.clone()
         };
-        for word in words(&text) {
-            seen_in
-                .entry(word.to_owned())
-                .or_default()
-                .insert(krate.clone());
-        }
+        code_words(&text, &mut |word| {
+            if !seen_in.get(word).is_some_and(|s| s.contains(&krate)) {
+                seen_in
+                    .entry(word.to_owned())
+                    .or_default()
+                    .insert(krate.clone());
+            }
+        });
         if let Some(k) = krate
             .as_deref()
-            .filter(|k| !["perf", "bighouse"].contains(k))
+            .filter(|k| in_library && !["perf", "bighouse"].contains(k))
         {
             declarations(k, file, &text, &mut items);
         }
     }
-    assert!(
-        items.len() > 100,
-        "the scan found only {} items",
-        items.len()
-    );
 
     let used_outside = |item: &Item| {
-        seen_in[&item.name]
-            .iter()
-            .any(|owner| owner.as_deref() != Some(item.krate.as_str()))
+        seen_in.get(&item.name).is_some_and(|owners| {
+            owners
+                .iter()
+                .any(|owner| owner.as_deref() != Some(item.krate.as_str()))
+        })
     };
-    let allowed = |item: &Item| {
-        ALLOWED
+    let is_allowed = |item: &Item| {
+        allowed
             .iter()
             .any(|&(k, name, _)| k == item.krate && name == item.name)
     };
 
     let mut problems = Vec::new();
     for item in &items {
-        if !used_outside(item) && !allowed(item) {
+        if !used_outside(item) && !is_allowed(item) {
             problems.push(format!(
                 "{}:{}: `{}` is public but no other crate names it",
-                item.file.strip_prefix(root).unwrap_or(&item.file).display(),
+                item.file.display(),
                 item.line,
                 item.name
             ));
         }
     }
-    for &(k, name, reason) in ALLOWED {
-        assert!(
-            !reason.is_empty(),
-            "allowlist entry `{k}::{name}` gives no reason"
-        );
+    for &(k, name, reason) in allowed {
+        if reason.is_empty() {
+            problems.push(format!("allowlist entry `{k}::{name}` gives no reason"));
+        }
         let matching: Vec<&Item> = items
             .iter()
             .filter(|i| i.krate == k && i.name == name)
@@ -263,10 +389,111 @@ fn every_public_item_has_a_caller_outside_its_crate() {
             ));
         }
     }
+    (items.len(), problems)
+}
+
+#[test]
+fn every_public_item_has_a_caller_outside_its_crate() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let this_file = root.join(file!());
+    let mut paths = Vec::new();
+    rust_files(root, &mut paths);
+    let files: Vec<(PathBuf, String)> = paths
+        .into_iter()
+        .filter(|p| *p != this_file)
+        .map(|p| {
+            let text = fs::read_to_string(&p).expect("readable source file");
+            let rel = p.strip_prefix(root).expect("under the root").to_owned();
+            (rel, text)
+        })
+        .collect();
+
+    let (collected, problems) = scan(&files, ALLOWED);
+    assert!(collected > 100, "the scan found only {collected} items");
     assert!(
         problems.is_empty(),
         "{} public items have no caller outside their crate:\n{}",
         problems.len(),
         problems.join("\n")
+    );
+}
+
+#[test]
+fn the_scan_counts_code_and_not_prose_or_own_tests() {
+    let library = "\
+pub mod used_mod;
+pub fn in_prose() {}
+pub fn in_text_fence() {}
+pub fn in_trailing_comment() {}
+pub fn in_block_comment() {}
+pub fn in_string() {}
+pub fn in_raw_string() {}
+pub fn in_own_tests() {}
+pub fn in_doctest() {}
+pub fn called() {}
+#[cfg(test)]
+pub fn test_only() {}
+";
+    let caller = r##"
+//! Calls `in_prose`.
+//!
+//! ```text
+//! in_text_fence();
+//! ```
+//!
+//! ```no_run
+//! // not in_prose either
+//! in_doctest();
+//! ```
+
+/// ```json
+/// {"in_text_fence": 1}
+/// ```
+pub fn caller() -> &'static str {
+    used_mod::called(); // in_trailing_comment
+    /* in_block_comment /* nested */ */
+    let _ = ('"', '\''); // in_trailing_comment "
+    let _ = r#"in_raw_string "quoted""#;
+    "in_string"
+}
+"##;
+    let fixture = |files: &[(&str, &str)]| {
+        let files: Vec<(PathBuf, String)> = files
+            .iter()
+            .map(|&(path, text)| (PathBuf::from(path), text.to_owned()))
+            .collect();
+        scan(&files, &[]).1
+    };
+    let problems = fixture(&[
+        ("crates/a/src/lib.rs", library),
+        ("crates/a/tests/own.rs", "fn t() { a::in_own_tests(); }"),
+        ("crates/b/src/lib.rs", caller),
+    ]);
+    let named: Vec<&str> = problems
+        .iter()
+        .filter(|p| p.starts_with("crates/a/"))
+        .filter_map(|p| p.split('`').nth(1))
+        .collect();
+    assert_eq!(
+        named,
+        [
+            "in_prose",
+            "in_text_fence",
+            "in_trailing_comment",
+            "in_block_comment",
+            "in_own_tests"
+        ],
+        "{problems:#?}"
+    );
+
+    // The gate: an item whose only mention is prose fails the check, and
+    // the check names it.
+    let problems = fixture(&[
+        ("crates/a/src/lib.rs", "pub fn documented_only() {}"),
+        ("src/main.rs", "/// See `documented_only`.\nfn main() {}"),
+    ]);
+    assert_eq!(
+        problems,
+        ["crates/a/src/lib.rs:1: `documented_only` is public but no other crate names it"]
     );
 }
