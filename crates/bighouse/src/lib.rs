@@ -68,7 +68,7 @@ pub mod prelude {
     pub use bighouse_analytic::erlang_b;
     pub use bighouse_des::{Calendar, Control, Engine, SimRng, Simulation, Time};
     pub use bighouse_dists::{
-        fit::fit_mean_cv, Deterministic, Distribution, Empirical, Erlang, Exponential, Gamma,
+        fit::fit_mean_cv, Deterministic, Distribution, Empirical, Erlang, Exponential,
         HyperExponential,
     };
     pub use bighouse_faults::{FaultProcess, RetryPolicy};

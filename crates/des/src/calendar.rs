@@ -392,18 +392,6 @@ impl<E> Calendar<E> {
         self.fired
     }
 
-    /// Total events ever scheduled.
-    #[must_use]
-    pub fn events_scheduled(&self) -> u64 {
-        self.scheduled
-    }
-
-    /// Total events cancelled before they fired.
-    #[must_use]
-    pub fn events_cancelled(&self) -> u64 {
-        self.cancelled
-    }
-
     /// Snapshot of the calendar's deterministic activity counters.
     #[must_use]
     pub fn stats(&self) -> CalendarStats {
@@ -757,9 +745,10 @@ mod tests {
         cal.schedule(Time::from_seconds(2.0), ());
         cal.cancel(h);
         cal.pop();
-        assert_eq!(cal.events_scheduled(), 2);
+        let stats = cal.stats();
+        assert_eq!(stats.scheduled, 2);
         assert_eq!(cal.events_fired(), 1);
-        assert_eq!(cal.events_cancelled(), 1);
+        assert_eq!(stats.cancelled, 1);
         assert!(cal.is_empty());
     }
 

@@ -158,7 +158,7 @@ fn counters_stay_consistent(ops: &[u8]) {
                 }
             }
         }
-        let expected = cal.events_scheduled() as i64 - cal.events_fired() as i64 - cancelled as i64;
+        let expected = cal.stats().scheduled as i64 - cal.events_fired() as i64 - cancelled as i64;
         assert_eq!(cal.pending() as i64, expected);
     }
 }

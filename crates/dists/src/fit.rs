@@ -20,7 +20,7 @@ const CV_ONE_TOLERANCE: f64 = 1e-9;
 /// | C_v        | family                                         |
 /// |------------|------------------------------------------------|
 /// | 0          | [`Deterministic`]                              |
-/// | (0, 1)     | [`Gamma`] (continuous-shape Erlang)            |
+/// | (0, 1)     | gamma (continuous-shape Erlang)                |
 /// | 1          | [`Exponential`]                                |
 /// | (1, ∞)     | [`HyperExponential`] (balanced means)          |
 ///

@@ -13,16 +13,20 @@ use crate::traits::{standard_normal, Distribution};
 ///
 /// # Examples
 ///
-/// ```
-/// use bighouse_dists::{Distribution, Gamma};
+/// It is crate-private: callers reach it through
+/// [`fit_mean_cv`](crate::fit::fit_mean_cv), which picks it for
+/// 0 < C_v < 1.
 ///
-/// let d = Gamma::from_mean_cv(0.194, 0.7)?; // DNS-like service, lower Cv
+/// ```
+/// use bighouse_dists::fit::fit_mean_cv;
+///
+/// let d = fit_mean_cv(0.194, 0.7)?; // DNS-like service, lower Cv
 /// assert!((d.mean() - 0.194).abs() < 1e-12);
 /// assert!((d.cv() - 0.7).abs() < 1e-12);
 /// # Ok::<(), bighouse_dists::DistributionError>(())
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Gamma {
+pub(crate) struct Gamma {
     shape: f64,
     scale: f64,
 }
@@ -53,18 +57,6 @@ impl Gamma {
         let cv = require_positive("cv", cv)?;
         let shape = 1.0 / (cv * cv);
         Self::new(shape, mean / shape)
-    }
-
-    /// Shape parameter α.
-    #[must_use]
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// Scale parameter θ.
-    #[must_use]
-    pub fn scale(&self) -> f64 {
-        self.scale
     }
 
     /// Marsaglia–Tsang sampler for shape ≥ 1, unit scale.
@@ -143,6 +135,18 @@ mod tests {
         let d = Gamma::new(1.0, 0.25).unwrap();
         assert!((d.mean() - 0.25).abs() < 1e-12);
         assert!((d.cv() - 1.0).abs() < 1e-12);
+    }
+
+    /// Finite, non-negative samples and the exact mean across the whole
+    /// parameter space, shapes below 1 included.
+    #[test]
+    fn gamma_valid() {
+        bighouse_des::check::check("gamma_valid", 256, |g| {
+            let (shape, scale) = (g.range(0.05..50.0), g.range(1e-3..1e3));
+            let d = Gamma::new(shape, scale).unwrap();
+            assert!((d.mean() - shape * scale).abs() < 1e-9 * shape * scale);
+            assert_samples_valid(&d, 200, g.any());
+        });
     }
 
     #[test]

@@ -62,7 +62,8 @@ impl HyperExponential {
     /// # Errors
     ///
     /// Returns [`DistributionError::UnfittableMoments`] if `cv <= 1` (an H₂
-    /// cannot have C_v ≤ 1; use [`crate::Gamma`] or [`crate::Erlang`]),
+    /// cannot have C_v ≤ 1; [`crate::fit::fit_mean_cv`] picks a gamma
+    /// there, and [`crate::Erlang`] has C_v = 1/√k),
     /// or an error if `mean` is not positive and finite.
     pub fn from_mean_cv(mean: f64, cv: f64) -> Result<Self, DistributionError> {
         let mean = require_positive("mean", mean)?;

@@ -11,9 +11,10 @@
 //!   [`QuantileGuide`], and [`Empirical::scaled`] does the QPS load scaling,
 //! - the object-safe [`Distribution`] trait (sampling + closed-form moments),
 //! - the analytic families the experiments tabulate or draw from:
-//!   [`Deterministic`], [`Exponential`], [`Gamma`] and [`HyperExponential`]
-//!   (the families [`fit::fit_mean_cv`] picks to synthesize Table 1
-//!   workloads from their published moments), [`Exponential`] and
+//!   [`Deterministic`], [`Exponential`] and [`HyperExponential`] (with a
+//!   crate-private gamma, the families [`fit::fit_mean_cv`] picks to
+//!   synthesize Table 1 workloads from their published moments),
+//!   [`Exponential`] and
 //!   [`Weibull`] (fault processes) and [`Erlang`] (the "Low C_v" arrivals
 //!   of Figure 5). A family only a test or an oracle needs is drawn inline
 //!   there and tabulated through [`Empirical::from_samples`].
@@ -53,7 +54,7 @@ pub use empirical::Empirical;
 pub use erlang::Erlang;
 pub use error::DistributionError;
 pub use exponential::Exponential;
-pub use gamma::Gamma;
+pub(crate) use gamma::Gamma;
 pub use guide::QuantileGuide;
 pub use hyperexp::HyperExponential;
 pub use traits::Distribution;

@@ -3,7 +3,7 @@
 use bighouse_des::check::check;
 use bighouse_des::SimRng;
 use bighouse_dists::fit::{fit_mean_cv, fit_mean_sigma};
-use bighouse_dists::{Deterministic, Distribution, Empirical, Erlang, Exponential, Gamma, Weibull};
+use bighouse_dists::{Deterministic, Distribution, Empirical, Erlang, Exponential, Weibull};
 
 fn assert_valid_samples(dist: &dyn Distribution, seed: u64) {
     let mut rng = SimRng::from_seed(seed);
@@ -30,16 +30,6 @@ fn erlang_valid() {
         let k = g.range(1..200);
         let d = Erlang::new(k, g.range(1e-3..1e3)).unwrap();
         assert!((d.cv() - 1.0 / f64::from(k).sqrt()).abs() < 1e-9);
-        assert_valid_samples(&d, g.any());
-    });
-}
-
-#[test]
-fn gamma_valid() {
-    check("gamma_valid", 256, |g| {
-        let (shape, scale) = (g.range(0.05..50.0), g.range(1e-3..1e3));
-        let d = Gamma::new(shape, scale).unwrap();
-        assert!((d.mean() - shape * scale).abs() < 1e-9 * shape * scale);
         assert_valid_samples(&d, g.any());
     });
 }

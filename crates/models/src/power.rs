@@ -187,12 +187,14 @@ impl LinearPowerModel {
 /// # Examples
 ///
 /// ```
-/// use bighouse_models::DvfsModel;
+/// use bighouse_des::Time;
+/// use bighouse_models::{DvfsModel, Server};
 ///
 /// // α = 0.9: "typical of a CPU-intense application (e.g., LINPACK)" (§4.1)
-/// let dvfs = DvfsModel::new(0.9);
-/// assert!((dvfs.speedup(1.0) - 1.0).abs() < 1e-12);
-/// assert!((dvfs.speedup(0.5) - 0.55).abs() < 1e-12);
+/// let mut server = Server::new(4).with_dvfs(DvfsModel::new(0.9));
+/// assert!((server.speed() - 1.0).abs() < 1e-12);
+/// server.set_frequency(0.5, Time::ZERO);
+/// assert!((server.speed() - 0.55).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DvfsModel {
@@ -234,7 +236,7 @@ impl DvfsModel {
     ///
     /// Panics unless `0 < f <= 1`.
     #[must_use]
-    pub fn speedup(&self, f: f64) -> f64 {
+    pub(crate) fn speedup(&self, f: f64) -> f64 {
         assert!(
             f > 0.0 && f <= 1.0,
             "frequency factor must be in (0, 1], got {f}"

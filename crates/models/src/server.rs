@@ -247,12 +247,6 @@ impl Server {
         self.failed_seconds / lifetime
     }
 
-    /// Current relative frequency factor `f`.
-    #[must_use]
-    pub fn frequency(&self) -> f64 {
-        self.frequency
-    }
-
     /// Current effective service-rate factor (Eq. 6 applied to `f`).
     #[must_use]
     pub fn speed(&self) -> f64 {

@@ -187,10 +187,14 @@ fn energy_is_monotone() {
 fn dvfs_speedup_monotone() {
     check("dvfs_speedup_monotone", 256, |g| {
         let (alpha, f1, f2) = (g.range(0.0..1.0), g.range(0.01..1.0), g.range(0.01..1.0));
-        let d = DvfsModel::new(alpha);
         let (lo, hi) = if f1 <= f2 { (f1, f2) } else { (f2, f1) };
-        assert!(d.speedup(lo) <= d.speedup(hi) + 1e-12);
-        assert!(d.speedup(lo) >= 1.0 - alpha - 1e-12);
-        assert!(d.speedup(hi) <= 1.0 + 1e-12);
+        let speed_at = |f| {
+            let mut server = Server::new(1).with_dvfs(DvfsModel::new(alpha));
+            server.set_frequency(f, Time::ZERO);
+            server.speed()
+        };
+        assert!(speed_at(lo) <= speed_at(hi) + 1e-12);
+        assert!(speed_at(lo) >= 1.0 - alpha - 1e-12);
+        assert!(speed_at(hi) <= 1.0 + 1e-12);
     });
 }

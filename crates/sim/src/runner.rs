@@ -748,6 +748,48 @@ mod tests {
     }
 
     #[test]
+    fn a_capping_run_converges_when_its_calibration_ends() {
+        // The §4.1 capping cluster at 10 servers. `capping_level` is
+        // observed once per simulated second and varies little, so its 100
+        // calibration observations alone meet E = 0.15: kept as measured
+        // data, they end a serial run no later than the master's
+        // calibration-only run at the same seed. (At 10 servers the
+        // response time needs E = 0.1 to be done by then too.)
+        use bighouse_models::{DvfsModel, LinearPowerModel, PowerCapper};
+        use bighouse_stats::MetricSpec;
+        let servers = 10;
+        let model = LinearPowerModel::typical_server();
+        let capper = PowerCapper::new(
+            model,
+            DvfsModel::new(0.9),
+            model.peak_watts() * servers as f64 * 0.7,
+        );
+        let config = ExperimentConfig::new(
+            Workload::standard(StandardWorkload::Mail).at_utilization(0.3, 4),
+        )
+        .with_servers(servers)
+        .with_cores(4)
+        .with_capper(capper)
+        .with_target_accuracy(0.1)
+        .with_metric_spec(
+            MetricKind::CappingLevel,
+            MetricSpec::new(MetricKind::CappingLevel.name())
+                .with_target_accuracy(0.15)
+                .with_warmup(85)
+                .with_calibration(100)
+                .with_max_lag(1),
+        );
+        let (_, calibration_events) = run_until_calibrated(&config, 26).unwrap();
+        let report = run_serial(&config, 26).unwrap();
+        assert!(report.converged);
+        assert!(
+            report.events_fired <= calibration_events,
+            "the serial run ({}) outran calibration ({calibration_events})",
+            report.events_fired
+        );
+    }
+
+    #[test]
     fn calibration_only_run_stops_early() {
         // Demand a tight full run so measurement dominates calibration.
         let config = quick_config().with_target_accuracy(0.02);

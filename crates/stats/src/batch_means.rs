@@ -82,12 +82,6 @@ impl BatchMeans {
         }
     }
 
-    /// Number of complete batches.
-    #[must_use]
-    pub fn batches(&self) -> usize {
-        self.batch_means.len()
-    }
-
     /// Total observations in complete batches.
     #[must_use]
     pub fn observations(&self) -> u64 {
@@ -153,7 +147,7 @@ mod tests {
         for x in lcg_stream(1, 10 * (BatchMeans::MIN_BATCHES - 1)) {
             bm.push(x);
         }
-        assert_eq!(bm.batches(), BatchMeans::MIN_BATCHES - 1);
+        assert_eq!(bm.batch_means.len(), BatchMeans::MIN_BATCHES - 1);
         assert!(bm.estimate(0.95).is_none());
         bm.push(1.0); // still mid-batch
         assert!(bm.estimate(0.95).is_none());
@@ -190,7 +184,7 @@ mod tests {
         for x in lcg_stream(4, 150) {
             bm.push(x);
         }
-        assert_eq!(bm.batches(), 1);
+        assert_eq!(bm.batch_means.len(), 1);
         assert_eq!(bm.observations(), 100);
     }
 

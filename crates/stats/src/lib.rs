@@ -13,14 +13,17 @@
 //! - [`RunsUpTest`] and [`find_lag`] — Knuth's runs-up independence test,
 //!   used during calibration to find the lag spacing *l*,
 //! - [`OutputMetric`] — the per-metric phase machine (warm-up → calibration
-//!   → measurement → convergence, Figure 2 of the paper),
+//!   → measurement → convergence, Figure 2 of the paper, except that the
+//!   calibration sample is kept as measured data),
 //! - [`StatsCollection`] — the multi-metric registry with the paper's two
 //!   global constraints (leave warm-up only when *all* metrics are warm;
 //!   terminate only when *all* metrics converge).
 //!
 //! # Examples
 //!
-//! Drive a metric through all four phases with i.i.d.-like data:
+//! Drive a metric through the phases with i.i.d.-like data (where the
+//! calibration sample already meets the targets, it converges as
+//! calibration ends):
 //!
 //! ```
 //! use bighouse_stats::{MetricSpec, OutputMetric, Phase};

@@ -6,6 +6,12 @@
 //! histogram binning), **measurement** (every *l*-th observation is kept),
 //! and **convergence** (the kept sample reached the size demanded by the
 //! CLT formulas for the requested accuracy and confidence).
+//!
+//! One departure from the paper's Figure 2: the N_c calibration
+//! observations are measured data, not a cost. Once they have chosen *l*
+//! and the bins, they are replayed through the lag filter into the kept
+//! sample, and the stopping rule looks once at the whole of it; a metric
+//! whose calibration sample already meets its targets converges there.
 
 use crate::confidence::{
     half_width_mean, required_samples_mean, required_samples_quantile, z_value,
@@ -21,7 +27,8 @@ pub enum Phase {
     /// state.
     Warmup,
     /// Observations are buffered to determine lag spacing and histogram
-    /// binning.
+    /// binning; the buffer then becomes the first N_c measurement
+    /// observations.
     Calibration,
     /// Every *l*-th observation is kept into the sample.
     Measurement,
@@ -380,7 +387,8 @@ pub struct MetricEstimate {
     pub relative_accuracy: f64,
     /// Quantile estimates.
     pub quantiles: Vec<QuantileEstimate>,
-    /// Number of kept (lag-spaced) observations in the sample.
+    /// Number of kept (lag-spaced) observations in the sample, the
+    /// calibration sample's included.
     pub samples_kept: u64,
     /// Lag spacing chosen by calibration.
     pub lag: usize,
@@ -532,7 +540,8 @@ impl OutputMetric {
     /// Forces the histogram binning instead of deriving it from this
     /// metric's own calibration sample. This is how slaves adopt the bin
     /// scheme broadcast by the master (Figure 3): the slave still runs its
-    /// own warm-up and lag calibration, but not histogram setup.
+    /// own warm-up and calibration, which chooses its lag and whose
+    /// lag-spaced observations it keeps, but not histogram setup.
     #[must_use]
     pub(crate) fn with_forced_histogram(mut self, spec: HistogramSpec) -> Self {
         self.forced_histogram = Some(spec);
@@ -571,7 +580,9 @@ impl OutputMetric {
         self.lag
     }
 
-    /// Number of kept (lag-spaced, post-calibration) observations.
+    /// Number of kept observations: every *l*-th post-warm-up observation,
+    /// the calibration sample's included, once calibration has ended (0
+    /// before).
     #[must_use]
     pub fn kept_count(&self) -> u64 {
         self.histogram.as_ref().map_or(0, Histogram::count)
@@ -583,7 +594,9 @@ impl OutputMetric {
         self.total_observed
     }
 
-    /// Observations seen during the measurement phase (kept or discarded).
+    /// Observations that have passed the lag filter, kept or discarded:
+    /// the N_c calibration observations, replayed when calibration ends,
+    /// and every one since (0 before calibration ends).
     ///
     /// `measurement_seen() - kept_count()` is the number of samples the
     /// lag-spacing filter dropped to de-correlate the kept stream — the
@@ -635,6 +648,9 @@ impl OutputMetric {
         }
     }
 
+    /// Runs once per metric, so it stays out of `record`'s hot path.
+    #[cold]
+    #[inline(never)]
     fn finish_calibration(&mut self) {
         let test = RunsUpTest::new(1.0 - self.spec.confidence);
         self.lag = find_lag(&self.calibration_buffer, self.spec.max_lag, &test);
@@ -643,9 +659,22 @@ impl OutputMetric {
             None => HistogramSpec::from_calibration_sample(&self.calibration_buffer)
                 .expect("calibration buffer is non-empty"),
         };
-        self.histogram = Some(Histogram::new(hist_spec));
-        self.calibration_buffer = Vec::new();
-        self.phase = Phase::Measurement;
+        // The buffer is the first N_c measurement observations: replay it
+        // through the lag filter, then let the stopping rule look once.
+        let mut hist = Histogram::new(hist_spec);
+        let buffer = std::mem::take(&mut self.calibration_buffer);
+        for (index, &x) in (0..).zip(&buffer) {
+            if lag_keeps(self.lag as u64, index) {
+                hist.record(x);
+            }
+        }
+        self.measurement_seen = buffer.len() as u64;
+        self.phase = if self.spec.satisfied_by(hist.moments()) {
+            Phase::Converged
+        } else {
+            Phase::Measurement
+        };
+        self.histogram = Some(hist);
     }
 
     fn keep(&mut self, x: f64) {
@@ -768,16 +797,22 @@ mod tests {
 
     #[test]
     fn phases_progress_in_order() {
-        let mut metric = OutputMetric::new(quick_spec());
+        let mut metric = OutputMetric::new(quick_spec().with_target_accuracy(0.01));
         assert_eq!(metric.phase(), Phase::Warmup);
         let mut stream = lcg_stream(1);
         for _ in 0..50 {
             metric.record(stream.next().unwrap());
         }
         assert_eq!(metric.phase(), Phase::Calibration);
-        for _ in 0..500 {
+        for _ in 0..499 {
             metric.record(stream.next().unwrap());
         }
+        assert_eq!(metric.phase(), Phase::Calibration);
+        metric.record(stream.next().unwrap());
+        // E = 0.01 needs more than the 500 calibration observations, so the
+        // one look at the end of calibration leaves the metric measuring.
+        let kept = metric.histogram().unwrap().moments();
+        assert!(!metric.spec().satisfied_by(kept));
         assert_eq!(metric.phase(), Phase::Measurement);
         assert!(metric.lag() >= 1);
         while !metric.is_converged() {
@@ -1027,7 +1062,8 @@ mod tests {
     #[test]
     fn lag_spacing_thins_the_kept_sample() {
         // Strongly autocorrelated input should select lag > 1 and keep
-        // roughly measurement_seen / lag observations.
+        // exactly ⌈(N_c + m) / l⌉ of the N_c calibration and m later
+        // observations.
         let mut metric = OutputMetric::new(quick_spec().with_calibration(2000));
         let mut stream = lcg_stream(6);
         let mut x = 0.5;
@@ -1042,8 +1078,11 @@ mod tests {
         for _ in 0..1000 {
             metric.record(next());
         }
-        let expected = 1000 / metric.lag() as u64;
-        assert!(metric.kept_count().abs_diff(expected) <= 1);
+        assert_eq!(metric.measurement_seen(), 2000 + 1000);
+        assert_eq!(
+            metric.kept_count(),
+            (2000 + 1000u64).div_ceil(metric.lag() as u64)
+        );
     }
 
     #[test]
@@ -1054,11 +1093,13 @@ mod tests {
             for _ in 0..50 + 500 {
                 metric.record(stream.next().unwrap());
             }
-            assert_eq!(metric.phase(), Phase::Measurement);
+            // The lag spacing continues from the 500 replayed calibration
+            // observations: the next live one has measurement index 500.
+            assert_eq!(metric.measurement_seen(), 500);
             metric.lag = lag as usize;
             let kept_before = metric.kept_count();
             let mut expected = 0;
-            for index in 0..10_000u64 {
+            for index in 500..10_500u64 {
                 assert_eq!(
                     lag_keeps(lag, index),
                     index.is_multiple_of(lag),
@@ -1069,6 +1110,88 @@ mod tests {
             }
             assert_eq!(metric.kept_count() - kept_before, expected, "lag {lag}");
         }
+    }
+
+    #[test]
+    fn calibration_sample_is_replayed_through_the_lag_filter() {
+        // Right after calibration the kept sample is exactly the buffer's
+        // lag-spaced elements: ⌈N_c / l⌉ of them, in one histogram equal
+        // bit for bit to one built from those elements alone.
+        let mut metric = OutputMetric::new(quick_spec().with_calibration(2000));
+        let mut stream = lcg_stream(6);
+        let mut x = 0.5;
+        for _ in 0..50 {
+            metric.record(x);
+        }
+        let mut buffer = Vec::new();
+        while metric.phase() == Phase::Calibration {
+            x = 0.97 * x + 0.03 * stream.next().unwrap();
+            buffer.push(x);
+            metric.record(x);
+        }
+        assert_eq!(buffer.len(), 2000);
+        let lag = metric.lag();
+        assert!(lag > 1, "expected lag > 1 for AR(1) data");
+        assert_eq!(metric.measurement_seen(), 2000);
+        assert_eq!(metric.kept_count(), 2000u64.div_ceil(lag as u64));
+        let kept = metric.histogram().unwrap();
+        let mut rebuilt = Histogram::new(*kept.spec());
+        for &x in buffer.iter().step_by(lag) {
+            rebuilt.record(x);
+        }
+        assert_eq!(
+            bighouse_json::to_string(kept),
+            bighouse_json::to_string(&rebuilt)
+        );
+    }
+
+    #[test]
+    fn the_stopping_rule_looks_once_when_calibration_ends() {
+        // A spec the buffered sample satisfies converges on the N_c-th
+        // post-warm-up observation, within its accuracy target.
+        let mut metric = OutputMetric::new(quick_spec().with_target_accuracy(0.2));
+        let mut stream = lcg_stream(12);
+        for _ in 0..50 + 499 {
+            metric.record(0.5 + stream.next().unwrap());
+        }
+        assert_eq!(metric.phase(), Phase::Calibration);
+        metric.record(0.5 + stream.next().unwrap());
+        assert_eq!(metric.phase(), Phase::Converged);
+        let est = metric.estimate().unwrap();
+        assert!(
+            est.relative_accuracy <= 0.2,
+            "E achieved {}",
+            est.relative_accuracy
+        );
+
+        // One the buffer does not satisfy keeps measuring.
+        let mut metric = OutputMetric::new(quick_spec().with_target_accuracy(0.001));
+        for _ in 0..50 + 500 {
+            metric.record(0.5 + stream.next().unwrap());
+        }
+        assert_eq!(metric.phase(), Phase::Measurement);
+
+        // The look is at the whole buffer, not at each prefix: 250 tight
+        // observations satisfy E = 0.05 on their own, and the 250 spread
+        // ones after them need ~2 000 more.
+        let spec = MetricSpec::new("m")
+            .with_warmup(0)
+            .with_calibration(500)
+            .with_max_lag(1)
+            .with_quantiles(&[]);
+        let mut metric = OutputMetric::new(spec.clone());
+        let mut prefix = RunningStats::new();
+        for i in 0..500 {
+            let u = stream.next().unwrap();
+            let x = if i < 250 { 0.99 + 0.02 * u } else { 100.0 * u };
+            if i < 250 {
+                prefix.push(x);
+            }
+            metric.record(x);
+        }
+        assert!(spec.satisfied_by(&prefix));
+        assert_eq!(metric.kept_count(), 500);
+        assert_eq!(metric.phase(), Phase::Measurement);
     }
 
     #[test]

@@ -133,8 +133,16 @@ fn metric_conserves_observations() {
             metric.record(x);
         }
         assert_eq!(metric.total_observed(), data.len() as u64);
-        // Kept observations can never exceed post-calibration observations.
-        let measured = data.len().saturating_sub(110) as u64;
-        assert!(metric.kept_count() <= measured + 1);
+        // Once the 100 calibration observations are in, every post-warm-up
+        // observation, the calibration sample included, passes the lag
+        // filter: ⌈(N_c + m) / l⌉ are kept, never more than were measured.
+        let measured = data.len().saturating_sub(10) as u64;
+        if measured < 100 {
+            assert_eq!(metric.kept_count(), 0);
+        } else {
+            assert_eq!(metric.measurement_seen(), measured);
+            assert_eq!(metric.kept_count(), measured.div_ceil(metric.lag() as u64));
+            assert!(metric.kept_count() <= measured);
+        }
     });
 }

@@ -59,7 +59,8 @@ fn main() {
 
     println!();
     println!("Expected: tiny calibration samples can mis-choose the lag (under- or");
-    println!("over-thinning); very large ones waste events that never enter the");
-    println!("estimate and inflate the serial fraction of parallel runs (Fig. 10).");
+    println!("over-thinning); very large ones postpone the stopping rule's first look");
+    println!("until the whole sample is in (it is kept, lag-spaced, as measured data)");
+    println!("and inflate the serial fraction of parallel runs (Fig. 10).");
     println!("The paper's N_c = 5000 sits in the flat middle.");
 }

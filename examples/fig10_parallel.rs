@@ -8,8 +8,9 @@
 //! **work-model speedup** — serial events divided by the parallel critical
 //! path (master calibration + the slowest slave) — which isolates exactly
 //! the protocol overheads the paper discusses: every slave must warm up and
-//! calibrate before contributing samples, so scalability saturates once
-//! per-slave calibration rivals each slave's share of the measurement.
+//! calibrate before contributing samples (its calibration sample is then
+//! kept), so scalability saturates once per-slave warm-up and calibration
+//! rival each slave's share of the measurement.
 //! The master decides at chunk barriers, so the critical-path and
 //! work-speedup columns are the same on every run of a given seed; only the
 //! wall columns vary.
@@ -74,5 +75,6 @@ fn main() {
     println!();
     println!("Expected shape (paper): near-ideal speedup to ~8 slaves, then Amdahl");
     println!("saturation as each slave's fixed warm-up + 5000-observation calibration");
-    println!("becomes comparable to its share of the required sample.");
+    println!("becomes comparable to its share of the required sample. (Here a slave");
+    println!("keeps its calibration sample, so only the wait for it is serial.)");
 }

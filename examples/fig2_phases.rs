@@ -64,17 +64,17 @@ fn main() {
     println!();
     println!("lag spacing l (runs-up test): {}", metric.lag());
     println!(
-        "observations: {} total = {} warm-up (discarded) + {} calibration + {} measured",
+        "observations: {} total = {} warm-up (discarded) + {} calibration + {} measured after it",
         metric.total_observed(),
         metric.spec().warmup(),
         metric.spec().calibration(),
-        metric.total_observed() - metric.spec().warmup() - metric.spec().calibration() as u64,
+        metric.measurement_seen() - metric.spec().calibration() as u64,
     );
     println!(
-        "kept (every {}th): {} of the {} measured",
+        "kept (every {}th): {} of the {} post-warm-up, the calibration sample included",
         metric.lag(),
         metric.kept_count(),
-        metric.total_observed() - metric.spec().warmup() - metric.spec().calibration() as u64,
+        metric.measurement_seen(),
     );
     println!(
         "steady-state inflation factor: x{} (the paper's l-fold cost of independence)",

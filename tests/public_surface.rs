@@ -13,9 +13,10 @@
 //! Only code counts. Comments (`//`, trailing or whole-line, and `/* */`)
 //! are skipped. Of a `///` or `//!` doc comment only the lines inside a
 //! doctest fence count, because those compile: a fence tagged `text` or
-//! `json` is prose. The words of a string literal count, as a format
-//! string's `{NAME}` does. The facade's `pub use` lists do not
-//! count either: a re-export is not a caller.
+//! `json` is prose. Of a string literal only the words inside an inline
+//! format argument, `{NAME}` or `{NAME:>WIDTH$}`, count: the rest of the
+//! string is text. The facade's `pub use` lists do not count either: a
+//! re-export is not a caller.
 //!
 //! The scan matches words, so a common name (`new`, `len`) always passes.
 //! What it catches is the specific name that only its own crate knows: make
@@ -118,9 +119,9 @@ fn owner_of(rel: &Path) -> Option<(String, bool)> {
     }
 }
 
-/// Calls `sink` with every word of `text`'s code, string literals
-/// included. Comments are skipped; of `///` and `//!` lines only those
-/// inside a doctest fence count.
+/// Calls `sink` with every word of `text`'s code and of the inline format
+/// arguments of its string literals. Comments are skipped; of `///` and
+/// `//!` lines only those inside a doctest fence count.
 fn code_words(text: &str, sink: &mut dyn FnMut(&str)) {
     let bytes = text.as_bytes();
     let is_word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
@@ -169,7 +170,7 @@ fn code_words(text: &str, sink: &mut dyn FnMut(&str)) {
             }
         } else if rest[0] == b'"' {
             let end = string_end(bytes, i + 1);
-            words_of(&text[i..end], sink);
+            format_args_of(&text[i..end], sink);
             i = end;
         } else if rest[0] == b'\'' {
             // A char literal is skipped; a lifetime's name is a word.
@@ -197,12 +198,10 @@ fn code_words(text: &str, sink: &mut dyn FnMut(&str)) {
                     .windows(close.len())
                     .position(|w| w == close)
                     .map_or(bytes.len(), |n| from + n + close.len());
-                words_of(&text[from..end], sink);
+                format_args_of(&text[from..end], sink);
                 i = end;
             } else if word == "b" && bytes.get(i) == Some(&b'"') {
-                let end = string_end(bytes, i + 1);
-                words_of(&text[i..end], sink);
-                i = end;
+                i = string_end(bytes, i + 1);
             } else {
                 sink(word);
             }
@@ -215,11 +214,23 @@ fn code_words(text: &str, sink: &mut dyn FnMut(&str)) {
     }
 }
 
-/// Calls `sink` with every word of `text`, a string literal's body.
-fn words_of(text: &str, sink: &mut dyn FnMut(&str)) {
-    text.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|w| !w.is_empty())
-        .for_each(sink);
+/// Calls `sink` with the words a format string reads as code in `text`, a
+/// string literal's body: those inside each `{…}`. `{{` is a literal brace.
+fn format_args_of(text: &str, sink: &mut dyn FnMut(&str)) {
+    let mut rest = text;
+    while let Some(open) = rest.find('{') {
+        rest = &rest[open + 1..];
+        if let Some(escaped) = rest.strip_prefix('{') {
+            rest = escaped;
+            continue;
+        }
+        let close = rest.find('}').unwrap_or(rest.len());
+        rest[..close]
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .for_each(&mut *sink);
+        rest = &rest[close..];
+    }
 }
 
 /// The index just past the `"` that closes an escaped string whose body
@@ -428,6 +439,9 @@ pub fn in_trailing_comment() {}
 pub fn in_block_comment() {}
 pub fn in_string() {}
 pub fn in_raw_string() {}
+pub fn in_escaped_braces() {}
+pub fn in_format_arg() {}
+pub fn in_raw_format_arg() {}
 pub fn in_own_tests() {}
 pub fn in_doctest() {}
 pub fn called() {}
@@ -453,7 +467,8 @@ pub fn caller() -> &'static str {
     used_mod::called(); // in_trailing_comment
     /* in_block_comment /* nested */ */
     let _ = ('"', '\''); // in_trailing_comment "
-    let _ = r#"in_raw_string "quoted""#;
+    let _ = r#"in_raw_string "quoted" {in_raw_format_arg:>8}"#;
+    let _ = format!("{{in_escaped_braces}} {in_format_arg}");
     "in_string"
 }
 "##;
@@ -481,6 +496,9 @@ pub fn caller() -> &'static str {
             "in_text_fence",
             "in_trailing_comment",
             "in_block_comment",
+            "in_string",
+            "in_raw_string",
+            "in_escaped_braces",
             "in_own_tests"
         ],
         "{problems:#?}"
