@@ -25,7 +25,7 @@
 //! | [`faults`] | failure/repair processes, request timeout + retry policies |
 //! | [`sim`] | experiments, serial runner, master/slave parallel runner |
 //! | [`analytic`] | closed-form M/M/1, M/M/k, M/G/1, Erlang B/C baselines |
-//! | [`telemetry`] | counters, gauges, fixed-bin histograms, run snapshots |
+//! | [`telemetry`] | counters, gauges, histograms, run snapshots |
 //!
 //! ## Quickstart
 //!
@@ -83,8 +83,8 @@ pub mod prelude {
         SimulationReport, SweepEntry, SweepError, SweepOptions, SweepReport, TerminationReason,
     };
     pub use bighouse_stats::{
-        Histogram, HistogramSpec, MetricEstimate, MetricSpec, OutputMetric, Phase, RunningStats,
-        RunsUpTest, StatsCollection,
+        Histogram, MetricEstimate, MetricSpec, OutputMetric, Phase, RunningStats, RunsUpTest,
+        StatsCollection,
     };
     pub use bighouse_workloads::{StandardWorkload, TaskMoments, Workload};
 }

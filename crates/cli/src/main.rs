@@ -691,7 +691,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
 }
 
 /// Renders a telemetry snapshot as a human-readable table: counters and
-/// gauges by name, histogram summaries (count/mean/min/max), the phase
+/// gauges by name, histogram summaries (count, p50, p95, max), the phase
 /// transition log, and the quarantined wall-clock figures last.
 fn print_telemetry_summary(snap: &TelemetrySnapshot) {
     println!("telemetry:");
@@ -710,12 +710,16 @@ fn print_telemetry_summary(snap: &TelemetrySnapshot) {
     if !snap.histograms.is_empty() {
         println!("  histograms:");
         for (name, h) in &snap.histograms {
-            let mean = h.mean().map_or_else(|| "-".into(), |m| format!("{m:.4}"));
-            let min = h.min.map_or_else(|| "-".into(), |v| format!("{v:.4}"));
-            let max = h.max.map_or_else(|| "-".into(), |v| format!("{v:.4}"));
+            let at = |q| {
+                h.quantile(q)
+                    .map_or_else(|| "-".into(), |v| format!("{v:.4}"))
+            };
             println!(
-                "    {name:<32} n={:<10} mean={mean} min={min} max={max} overflow={}",
-                h.count, h.overflow
+                "    {name:<32} n={:<10} p50={} p95={} max={}",
+                h.count(),
+                at(0.5),
+                at(0.95),
+                at(1.0)
             );
         }
     }

@@ -36,7 +36,7 @@ macro_rules! integers {
     )*};
 }
 
-integers!(u8, u32, u64, usize, i64);
+integers!(u8, u32, u64, usize, i32, i64);
 
 impl ToJson for f64 {
     fn write_json(&self, out: &mut String) {

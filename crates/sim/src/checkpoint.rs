@@ -34,8 +34,10 @@ use crate::resilience::{ClassDisposition, ResilienceSummary};
 /// fingerprint hashes the config's JSON. Version 3 holds the run totals'
 /// resilience section as a `ResilienceSummary` (`in_flight_at_end` in place
 /// of `in_flight_dropped`) and drops the metric spec's `track_mean` and
-/// `histogram_bins`.
-const MAGIC: &[u8; 8] = b"BHCKPT\x00\x03";
+/// `histogram_bins`. Version 4 holds each metric's kept moments beside
+/// a log-bucketed histogram (`count`, `zeros`, `offset`, `counts`) and
+/// drops `forced_histogram`.
+const MAGIC: &[u8; 8] = b"BHCKPT\x00\x04";
 /// Magic (8) + payload length (8, LE) + FNV-1a checksum (8, LE).
 const HEADER_LEN: usize = 24;
 

@@ -18,14 +18,12 @@ mod replay;
 mod requests;
 mod tiers;
 
-use std::collections::BTreeMap;
-
 use bighouse_des::{
     Calendar, Control, EventHandle, Pending, ProgressViolation, SimRng, Simulation, Time,
 };
 use bighouse_dists::QuantileGuide;
 use bighouse_models::{FinishedJob, IdlePolicy, LoadBalancer, Server};
-use bighouse_stats::{HistogramSpec, MetricId, MetricSpec, Phase, StatsCollection};
+use bighouse_stats::{MetricId, MetricSpec, StatsCollection};
 
 #[cfg(test)]
 use crate::audit::SeededBug;
@@ -153,33 +151,24 @@ impl ClusterSim {
     /// Returns [`SimError::InvalidConfig`] if the configuration is
     /// internally inconsistent (see [`ExperimentConfig`]).
     pub fn new(config: ExperimentConfig, seed: u64) -> Result<Self, SimError> {
-        Self::build(config, seed, &BTreeMap::new())
+        Self::build(config, seed)
     }
 
-    /// Builds a *slave* simulation: histogram bin schemes are forced to the
-    /// master's broadcast values (Figure 3) and the simulation does not
-    /// stop on its own convergence — the master decides when the aggregate
-    /// sample suffices.
+    /// Builds a *slave* simulation: one that does not stop on its own
+    /// convergence — the master decides when the aggregate sample
+    /// suffices (Figure 3).
     ///
     /// # Errors
     ///
     /// Returns [`SimError::InvalidConfig`] if the configuration is
     /// internally inconsistent.
-    pub fn new_slave(
-        config: ExperimentConfig,
-        seed: u64,
-        histogram_specs: &BTreeMap<String, HistogramSpec>,
-    ) -> Result<Self, SimError> {
-        let mut sim = Self::build(config, seed, histogram_specs)?;
+    pub fn new_slave(config: ExperimentConfig, seed: u64) -> Result<Self, SimError> {
+        let mut sim = Self::build(config, seed)?;
         sim.stop_on_convergence = false;
         Ok(sim)
     }
 
-    fn build(
-        config: ExperimentConfig,
-        seed: u64,
-        forced_histograms: &BTreeMap<String, HistogramSpec>,
-    ) -> Result<Self, SimError> {
+    fn build(config: ExperimentConfig, seed: u64) -> Result<Self, SimError> {
         config.validate()?;
         let mut servers: Vec<Server> = (0..config.servers)
             .map(|_| new_server(&config, config.cores_per_server, config.idle_policy))
@@ -189,10 +178,7 @@ impl ClusterSim {
             ArrivalMode::LoadBalanced(policy) => Some(LoadBalancer::new(policy, config.servers)),
         };
         let mut stats = StatsCollection::new();
-        let mut register = |spec: MetricSpec| match forced_histograms.get(spec.name()) {
-            Some(&hist) => stats.add_metric_with_histogram(spec, hist),
-            None => stats.add_metric(spec),
-        };
+        let mut register = |spec: MetricSpec| stats.add_metric(spec);
         let mut metric_ids = [None; MetricKind::ALL.len()];
         let mut epoch_paced = false;
         for (kind, spec) in config.metric_specs() {
@@ -315,28 +301,6 @@ impl ClusterSim {
             t.prime_phases(&self.stats);
         }
         Ok(())
-    }
-
-    /// Whether every metric has finished calibration (reached measurement
-    /// or convergence) — the master's hand-off point in Figure 3.
-    #[must_use]
-    pub(crate) fn all_calibrated(&self) -> bool {
-        self.stats
-            .iter()
-            .all(|m| matches!(m.phase(), Phase::Measurement | Phase::Converged))
-    }
-
-    /// The histogram bin schemes chosen during calibration, keyed by metric
-    /// name — the payload the master broadcasts to slaves.
-    #[must_use]
-    pub(crate) fn histogram_specs(&self) -> BTreeMap<String, HistogramSpec> {
-        self.stats
-            .iter()
-            .filter_map(|m| {
-                m.histogram()
-                    .map(|h| (m.spec().name().to_owned(), *h.spec()))
-            })
-            .collect()
     }
 
     /// The cluster-level facts of the run up to `now`, each time-fraction

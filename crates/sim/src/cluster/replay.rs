@@ -4,8 +4,6 @@
 //! keeps every completion's response and wait in place of the statistics
 //! engine — a replay's answer is the exact sample, not an estimate.
 
-use std::collections::BTreeMap;
-
 use bighouse_des::{Pending, Time};
 use bighouse_models::{Job, JobId};
 use bighouse_stats::RunningStats;
@@ -45,7 +43,7 @@ impl ClusterSim {
         trace: &Trace,
         seed: u64,
     ) -> Result<Self, SimError> {
-        let mut sim = Self::build(config, seed, &BTreeMap::new())?;
+        let mut sim = Self::build(config, seed)?;
         sim.replay = Some(Box::new(Replay {
             trace: trace.clone(),
             responses: Vec::with_capacity(trace.len()),

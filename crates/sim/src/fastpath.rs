@@ -23,10 +23,8 @@
 //! user: any feature whose events have no fixed slot, and any cluster with
 //! more than [`FAST_PATH_MAX_SLOTS`] of them, runs on the calendar.
 
-use std::collections::BTreeMap;
-
 use bighouse_des::{drive, Calendar, CalendarStats, Pending, ProgressGuard};
-use bighouse_stats::{HistogramSpec, StatsCollection};
+use bighouse_stats::StatsCollection;
 use bighouse_telemetry::TelemetrySnapshot;
 
 use crate::audit::AuditReport;
@@ -54,10 +52,9 @@ enum Store {
 
 /// One build → run → audit → fold pass over a fresh cluster: the unit
 /// every runner is made of. The serial run is one epoch with the whole
-/// event budget, the master's calibration one epoch advanced until the
-/// bin schemes are fixed, a resumable run and a slave session one loop of
-/// epochs that carry the statistics from one to the next ([`epoch_step`]:
-/// one step, two callers).
+/// event budget, a resumable run and a slave session one loop of epochs
+/// that carry the statistics from one to the next ([`epoch_step`]: one
+/// step, two callers).
 ///
 /// [`Epoch::start`] is the only place the store is picked and a run's
 /// progress guard learns of a new clock, [`Epoch::advance`] the only loop
@@ -98,24 +95,25 @@ pub(crate) struct StepEnd {
 }
 
 impl Epoch {
-    /// Builds and primes the cluster for one epoch: a slave's when
-    /// `slave_bins` carries the master's broadcast bin schemes, and with
+    /// Builds and primes the cluster for one epoch: a slave's, which does
+    /// not stop on its own convergence, when `slave` is set, and with
     /// `carried` statistics in place of fresh ones when an earlier epoch
     /// (or a checkpoint) left some. The run's `guard`, whose windows span
     /// epochs, is told here that this epoch's clock starts at zero.
     pub(crate) fn start(
         config: &ExperimentConfig,
         seed: u64,
-        slave_bins: Option<&BTreeMap<String, HistogramSpec>>,
+        slave: bool,
         carried: Option<StatsCollection>,
         guard: Option<&mut ProgressGuard>,
     ) -> Result<Epoch, SimError> {
         if let Some(guard) = guard {
             guard.clock_restarted();
         }
-        let mut sim = match slave_bins {
-            Some(bins) => ClusterSim::new_slave(config.clone(), seed, bins)?,
-            None => ClusterSim::new(config.clone(), seed)?,
+        let mut sim = if slave {
+            ClusterSim::new_slave(config.clone(), seed)?
+        } else {
+            ClusterSim::new(config.clone(), seed)?
         };
         if let Some(stats) = carried {
             sim.restore_stats(stats)?;
@@ -224,7 +222,7 @@ impl Epoch {
 }
 
 /// One epoch of an epoch-structured run: the next seed of the carried
-/// stream builds a fresh cluster (a slave's when `slave_bins` is given)
+/// stream builds a fresh cluster (a slave's when `slave` is set)
 /// around the carried statistics, it advances `epoch_events` events — fewer
 /// if the run's event cap comes first — in chunks ([`Epoch::advance`]), and
 /// statistics, cluster totals, audit, event count and epoch index go back
@@ -238,7 +236,7 @@ impl Epoch {
 pub(crate) fn epoch_step(
     config: &ExperimentConfig,
     state: &mut RunState,
-    slave_bins: Option<&BTreeMap<String, HistogramSpec>>,
+    slave: bool,
     epoch_events: u64,
     chunk: u64,
     mut guard: Option<&mut ProgressGuard>,
@@ -248,7 +246,7 @@ pub(crate) fn epoch_step(
     let mut epoch = Epoch::start(
         config,
         seed,
-        slave_bins,
+        slave,
         state.stats.take(),
         guard.as_deref_mut(),
     )?;
@@ -275,7 +273,7 @@ mod tests {
     use super::*;
     use bighouse_workloads::{StandardWorkload, Workload};
 
-    /// Three epochs of a slave-shaped run (forced bins, no self-stop), the
+    /// Three epochs of a slave-shaped run (no self-stop), the
     /// last one cut short by the event cap, advanced `chunk` at a time.
     fn run_chunked(chunk: u64) -> (RunState, Vec<u64>) {
         let config = ExperimentConfig::new(Workload::standard(StandardWorkload::Web))
@@ -284,14 +282,13 @@ mod tests {
             .with_warmup(50)
             .with_calibration(500)
             .with_max_events(130_000);
-        let (bins, _) = crate::runner::run_until_calibrated(&config, 7).unwrap();
         let mut state = RunState::fresh(11, 0);
         let mut barriers = Vec::new();
         while state.events_done < config.max_events {
             let step = epoch_step(
                 &config,
                 &mut state,
-                Some(&bins),
+                true,
                 50_000,
                 chunk,
                 None,

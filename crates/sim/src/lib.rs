@@ -14,8 +14,7 @@
 //! - [`run_serial`] executes the Figure 2 phase sequence on one thread and
 //!   terminates at convergence,
 //! - [`ParallelRunner`] executes the Figure 3 master/slave protocol across
-//!   threads: the master calibrates and broadcasts the histogram bin
-//!   scheme, each slave simulates with a unique seed, and the master
+//!   threads: each slave simulates with a unique seed, and the master
 //!   monitors aggregate sample size, merges slave histograms, and reports.
 //!   Slave panics are contained, and an interrupt flag winds a run down
 //!   with partial estimates.

@@ -1,18 +1,22 @@
 //! The master/slave parallel runner (Figure 3), with supervision.
 //!
-//! "First, the simulation undergoes a warm-up and calibration phase on the
-//! master. A histogram is generated from the calibration sample and the bin
-//! scheme is sent to the slaves. Each slave then executes its own BigHouse
-//! instance … using a unique random seed … Samples are collected at each
-//! slave until their aggregate size is sufficient to achieve the desired
-//! accuracy. Finally, in the merge phase, each slave sends its histogram to
-//! the master, which aggregates the histograms and reports estimates."
+//! "Each slave then executes its own BigHouse instance … using a unique
+//! random seed … Samples are collected at each slave until their aggregate
+//! size is sufficient to achieve the desired accuracy. Finally, in the
+//! merge phase, each slave sends its histogram to the master, which
+//! aggregates the histograms and reports estimates."
+//!
+//! One departure from the figure: the master runs no warm-up and
+//! calibration of its own and broadcasts no bin scheme. Every histogram
+//! has the same log buckets ([`Histogram`]), so the master spawns the
+//! slaves at once and merges whatever they send (DESIGN.md "One
+//! log-bucketed histogram").
 //!
 //! "Its own BigHouse instance" is meant literally: a slave is a resumable
 //! run ([`RunState`], seeded with the slave's seed) behind a link, and both
 //! loop over `fastpath::epoch_step` — one step, two callers. A slave adds
-//! the master's bin schemes, no stopping rule of its own, a hook after
-//! every chunk and a link for its checkpoints (DESIGN.md "One epoch loop").
+//! no stopping rule of its own, a hook after every chunk and a link for
+//! its checkpoints (DESIGN.md "One epoch loop").
 //!
 //! This module owns the protocol around that loop: the messages, the job a
 //! slot is spawned with ([`HelloJob`], run by [`run_job`] on either
@@ -69,7 +73,6 @@
 //! signal handler wind the run down gracefully, with partial estimates and
 //! an honest [`TerminationReason`].
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -78,7 +81,7 @@ use std::time::{Duration, Instant};
 use std::sync::mpsc as channel;
 
 use bighouse_des::SeedStream;
-use bighouse_stats::{Histogram, HistogramSpec, MetricEstimate, MetricSpec, RunningStats};
+use bighouse_stats::{Histogram, MetricEstimate, MetricSpec, RunningStats};
 use bighouse_telemetry::TelemetrySnapshot;
 
 use crate::audit::{AuditConfig, AuditReport};
@@ -88,7 +91,7 @@ use crate::error::SimError;
 use crate::fastpath::epoch_step;
 use crate::procslave::exit_code;
 use crate::report::{ClusterSummary, RuntimeStats, SimulationReport, TerminationReason};
-use crate::runner::{run_resumable, run_until_calibrated, RunOptions};
+use crate::runner::{run_resumable, RunOptions};
 
 /// How many events a slave simulates between chunk barriers.
 const CHUNK_EVENTS: u64 = 20_000;
@@ -117,16 +120,16 @@ pub struct ParallelOutcome {
     pub converged: bool,
     /// Why the run stopped monitoring for new samples.
     pub termination: TerminationReason,
-    /// Events the master consumed for its warm-up + calibration phase —
-    /// the serial fraction (Figure 10's Amdahl bottleneck, together with
-    /// each slave's own calibration).
+    /// Always 0: the master simulates nothing, so a slave's own warm-up
+    /// and calibration are the whole serial fraction (Figure 10's Amdahl
+    /// bottleneck). Kept while the benchmark harness still reads it.
     pub master_calibration_events: u64,
     /// Events simulated by each slave (zero for a slave that died).
     pub slave_events: Vec<u64>,
     /// Cluster-level facts pooled over the surviving slaves, each of which
     /// simulates the whole cluster: fractions and average power weighted
     /// by each replica's simulated seconds, energy and the job, fault and
-    /// resilience counts summed. The master's calibration is not in it.
+    /// resilience counts summed.
     pub cluster: ClusterSummary,
     /// Simulated seconds summed over the surviving slaves' replicas.
     pub simulated_seconds: f64,
@@ -157,10 +160,10 @@ impl ParallelOutcome {
         self.estimates.iter().find(|e| e.name == name)
     }
 
-    /// Total events across master calibration and all slaves.
+    /// Total events across all slaves.
     #[must_use]
     pub fn total_events(&self) -> u64 {
-        self.master_calibration_events + self.slave_events.iter().sum::<u64>()
+        self.slave_events.iter().sum::<u64>()
     }
 
     /// The outcome as the report a serial run returns, so one printer and
@@ -545,15 +548,12 @@ impl ParallelRunner {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] / [`SimError::CalendarDrained`] /
-    /// [`SimError::EventCapExhausted`] if the master's own calibration fails,
-    /// and [`SimError::NoSurvivingSlaves`] if every slave dies permanently
-    /// before delivering results.
+    /// Returns [`SimError::InvalidConfig`] if the configuration is
+    /// internally inconsistent, and [`SimError::NoSurvivingSlaves`] if
+    /// every slave dies permanently before delivering results.
     pub fn run(&self, master_seed: u64) -> Result<ParallelOutcome, SimError> {
         let start = Instant::now();
-
-        // Phase 1–2: master warm-up + calibration fixes the bin schemes.
-        let (bin_schemes, master_events) = run_until_calibrated(&self.config, master_seed)?;
+        self.config.validate()?;
 
         // Derive the merged-estimate bookkeeping order from the config.
         let specs: Vec<MetricSpec> = self
@@ -564,7 +564,7 @@ impl ParallelRunner {
             .chain(self.config.tier_specs())
             .collect();
 
-        // Phases 3–6: slaves with unique seeds, aggregate monitoring, merge.
+        // Slaves with unique seeds, aggregate monitoring, merge.
         // Each slave is a fresh resumable run of its own seed, whose stream
         // of epoch seeds its checkpoints carry: a resurrected slave replays
         // a lost partial epoch exactly as the dead incarnation ran it. (No
@@ -578,20 +578,11 @@ impl ParallelRunner {
             .collect();
         let ctx = SharedCtx {
             config: self.config.clone(),
-            bin_schemes,
             epoch_events: self.slave_epoch_events,
             chaos: self.proc_chaos,
         };
         let mut transport = self.backend.transport(self.slaves);
-        supervise(
-            self,
-            &specs,
-            transport.as_mut(),
-            &ctx,
-            fresh,
-            master_events,
-            start,
-        )
+        supervise(self, &specs, transport.as_mut(), &ctx, fresh, start)
     }
 }
 
@@ -697,9 +688,9 @@ pub(crate) fn run_job<L: SlaveLink>(
 }
 
 /// One incarnation of one slave, on either transport: a resumable run
-/// ([`epoch_step`]) resumed from the checkpoint, on the master's bin
-/// schemes, that parks at a barrier after every chunk until the master's
-/// directive and ships its state up the link at every epoch boundary.
+/// ([`epoch_step`]) resumed from the checkpoint, that parks at a barrier
+/// after every chunk until the master's directive and ships its state up
+/// the link at every epoch boundary.
 fn slave_session<L: SlaveLink>(
     link: &mut L,
     slave: usize,
@@ -736,7 +727,7 @@ fn slave_session<L: SlaveLink>(
         let step = epoch_step(
             config,
             &mut state.run,
-            Some(&ctx.bin_schemes),
+            true,
             ctx.epoch_events,
             CHUNK_EVENTS,
             guard.as_mut(),
@@ -750,7 +741,7 @@ fn slave_session<L: SlaveLink>(
                     .simulation()
                     .stats()
                     .iter()
-                    .map(|m| m.histogram().map(|h| *h.moments()))
+                    .map(|m| m.moments().copied())
                     .collect();
                 // A master that is gone has nothing to merge into: wind down.
                 finalize = !link.send(UpFrame::Heartbeat {
@@ -821,14 +812,12 @@ pub(crate) enum Happened {
 #[derive(Debug, Clone)]
 pub(crate) struct SharedCtx {
     pub(crate) config: ExperimentConfig,
-    pub(crate) bin_schemes: BTreeMap<String, HistogramSpec>,
     pub(crate) epoch_events: u64,
     pub(crate) chaos: Option<ProcChaos>,
 }
 
 bighouse_json::json_struct!(SharedCtx {
     config,
-    bin_schemes,
     epoch_events,
     chaos
 });
@@ -1048,7 +1037,7 @@ struct Supervision<'a> {
 }
 
 impl<'a> Supervision<'a> {
-    fn new(fresh: Vec<SlaveState>, specs: &'a [MetricSpec], events: u64) -> Self {
+    fn new(fresh: Vec<SlaveState>, specs: &'a [MetricSpec]) -> Self {
         let slaves = fresh.len();
         Supervision {
             specs,
@@ -1071,7 +1060,7 @@ impl<'a> Supervision<'a> {
                 estimates: Vec::new(),
                 converged: false,
                 termination: TerminationReason::Deadline,
-                master_calibration_events: events,
+                master_calibration_events: 0,
                 slave_events: vec![0; slaves],
                 cluster: RunTotals::default().summary(0),
                 simulated_seconds: 0.0,
@@ -1173,11 +1162,10 @@ fn supervise(
     transport: &mut dyn Transport,
     ctx: &SharedCtx,
     fresh: Vec<SlaveState>,
-    master_events: u64,
     start: Instant,
 ) -> Result<ParallelOutcome, SimError> {
     let slaves = runner.slaves;
-    let mut sup = Supervision::new(fresh, specs, master_events);
+    let mut sup = Supervision::new(fresh, specs);
     let mut interrupted = false;
     // The master-side kill chaos arms on the victim's first epoch
     // checkpoint and fires on its next heartbeat — genuinely mid-epoch.
@@ -1293,7 +1281,7 @@ fn supervise(
     transport.reap();
 
     let (mut outcome, shards) = (sup.outcome, sup.shards);
-    // Merge phase: combine surviving slave histograms bin-wise.
+    // Merge phase: combine surviving slave histograms bucket-wise.
     outcome.estimates = merge_finals(specs, &shards, &mut outcome.slave_events);
     let servers = runner.config.total_servers();
     let mut pooled = RunTotals::default();
@@ -1331,10 +1319,6 @@ fn supervise(
         let mut snap = TelemetrySnapshot::default();
         for (key, count) in [
             ("parallel.slaves", slaves as u64),
-            (
-                "parallel.master_calibration_events",
-                outcome.master_calibration_events,
-            ),
             ("parallel.resurrections", outcome.resurrections),
             ("parallel.dead_slaves", outcome.dead_slaves.len() as u64),
             ("procslave.frames_sent", wire.frames_sent),
@@ -1378,28 +1362,31 @@ fn aggregate_sufficient(specs: &[MetricSpec], latest: &[Vec<Option<RunningStats>
     })
 }
 
-/// Merge phase: bin-wise histogram merge of the
+/// Merge phase: bucket-wise histogram merge, and moment merge, of the
 /// surviving slaves' final shards (indexed by slave).
 fn merge_finals(
     specs: &[MetricSpec],
     finals: &[Option<Box<FinalShard>>],
     slave_events: &mut [u64],
 ) -> Vec<MetricEstimate> {
-    let mut merged_hists: Vec<Option<Histogram>> = vec![None; specs.len()];
+    let mut merged: Vec<Option<(RunningStats, Histogram)>> = vec![None; specs.len()];
     let mut lags: Vec<usize> = vec![1; specs.len()];
     let mut observed: Vec<u64> = vec![0; specs.len()];
     for (slave, shard) in finals.iter().enumerate() {
         let Some(shard) = shard else { continue };
         slave_events[slave] = shard.run.events_done;
         for (idx, metric) in shard.run.stats.iter().flat_map(|s| s.iter()).enumerate() {
-            let Some(hist) = metric.histogram() else {
+            let (Some(moments), Some(hist)) = (metric.moments(), metric.histogram()) else {
                 continue;
             };
             observed[idx] += metric.total_observed();
             lags[idx] = lags[idx].max(metric.lag());
-            match &mut merged_hists[idx] {
-                Some(acc) => acc.merge(hist),
-                slot @ None => *slot = Some(hist.clone()),
+            match &mut merged[idx] {
+                Some((acc_moments, acc_hist)) => {
+                    acc_moments.merge(moments);
+                    acc_hist.merge(hist);
+                }
+                slot @ None => *slot = Some((*moments, hist.clone())),
             }
         }
     }
@@ -1407,12 +1394,13 @@ fn merge_finals(
         .iter()
         .enumerate()
         .filter_map(|(idx, spec)| {
-            let hist = merged_hists[idx].as_ref()?;
+            let (moments, hist) = merged[idx].as_ref()?;
             if hist.count() == 0 {
                 return None;
             }
             Some(MetricEstimate::from_histogram(
                 spec.name(),
+                moments,
                 hist,
                 spec.confidence(),
                 spec.quantiles(),
@@ -1571,6 +1559,20 @@ mod tests {
         assert!(!outcome.converged);
         assert_eq!(outcome.termination, TerminationReason::Deadline);
         assert_eq!(outcome.slave_events, vec![60_000, 60_000]);
+    }
+
+    #[test]
+    fn a_run_whose_metrics_never_finish_calibrating_reports_no_estimates() {
+        // 100 events end every slave in warm-up: the master has nothing to
+        // merge, and says so rather than failing.
+        let outcome = ParallelRunner::new(quick_config().with_max_events(100), 2)
+            .run(25)
+            .unwrap();
+        assert!(!outcome.converged);
+        assert_eq!(outcome.termination, TerminationReason::Deadline);
+        assert!(outcome.estimates.is_empty());
+        assert_eq!(outcome.slave_events, vec![100, 100]);
+        assert_eq!(outcome.master_calibration_events, 0);
     }
 
     #[test]

@@ -65,8 +65,10 @@ use crate::parallel::{
 /// string (`"inf"`, `"-inf"`, `"NaN"`) instead of `null`; version 7 made
 /// the run totals' resilience section a `ResilienceSummary` and dropped
 /// the metric spec's `track_mean` and `histogram_bins`, the capper's
-/// `epoch_seconds` and a tier's `balancer`.
-pub(crate) const PROTOCOL_VERSION: u8 = 7;
+/// `epoch_seconds` and a tier's `balancer`; version 8 dropped the
+/// hello's `bin_schemes` and made each metric's state the log-bucketed
+/// histogram with its moments beside it.
+pub(crate) const PROTOCOL_VERSION: u8 = 8;
 
 /// Upper bound on a frame body. A corrupted length prefix must not make
 /// the decoder allocate gigabytes before the checksum can reject it.

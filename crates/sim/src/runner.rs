@@ -1,13 +1,12 @@
 //! The serial simulation runner (Figure 2's phase sequence, end to end).
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use bighouse_des::CalendarStats;
-use bighouse_stats::{HistogramSpec, StatsCollection};
+use bighouse_stats::StatsCollection;
 use bighouse_telemetry::TelemetrySnapshot;
 
 use crate::audit::AuditConfig;
@@ -33,7 +32,7 @@ use crate::telemetry::assemble_snapshot;
 pub fn run_serial(config: &ExperimentConfig, seed: u64) -> Result<SimulationReport, SimError> {
     let start = Instant::now();
     let mut guard = config.audit().map(AuditConfig::progress_guard);
-    let mut epoch = Epoch::start(config, seed, None, None, guard.as_mut())?;
+    let mut epoch = Epoch::start(config, seed, false, None, guard.as_mut())?;
     let budget = config.max_events;
     epoch.advance(budget, budget, guard.as_mut(), |_, _| Ok(true))?;
     let mut state = RunState::fresh(seed, 0);
@@ -230,7 +229,7 @@ pub fn run_resumable(
         let end = epoch_step(
             config,
             &mut state,
-            None,
+            false,
             budget,
             budget,
             guard.as_mut(),
@@ -295,53 +294,6 @@ fn timed_save(
     Ok(())
 }
 
-/// Runs the **master's** portion of a parallel simulation (Figure 3): just
-/// warm-up and calibration, returning the histogram bin schemes to
-/// broadcast to slaves, plus the number of events the master consumed (the
-/// serial fraction behind Figure 10's Amdahl bottleneck).
-///
-/// # Errors
-///
-/// Returns [`SimError::InvalidConfig`] for an inconsistent configuration,
-/// [`SimError::CalendarDrained`] if the event calendar empties before
-/// calibration completes, and [`SimError::EventCapExhausted`] if the
-/// configured event cap is reached first.
-pub(crate) fn run_until_calibrated(
-    config: &ExperimentConfig,
-    seed: u64,
-) -> Result<(BTreeMap<String, HistogramSpec>, u64), SimError> {
-    let mut guard = config.audit().map(AuditConfig::progress_guard);
-    let mut epoch = Epoch::start(config, seed, None, None, guard.as_mut())?;
-    const CHUNK: u64 = 1_000;
-    let adv = epoch.advance(config.max_events, CHUNK, guard.as_mut(), |epoch, _| {
-        Ok(!epoch.simulation().all_calibrated())
-    })?;
-    if adv.tripped {
-        let mut state = RunState::fresh(seed, 0);
-        epoch.finish(&mut state);
-        let violation = state
-            .audit
-            .and_then(|report| report.violations.first().map(ToString::to_string))
-            .unwrap_or_else(|| "progress guard tripped".to_owned());
-        return Err(SimError::AuditFailed {
-            phase: "calibration",
-            violation,
-        });
-    }
-    if adv.drained {
-        return Err(SimError::CalendarDrained {
-            phase: "calibration",
-        });
-    }
-    if adv.fired >= config.max_events {
-        return Err(SimError::EventCapExhausted {
-            phase: "calibration",
-            cap: config.max_events,
-        });
-    }
-    Ok((epoch.simulation().histogram_specs(), adv.fired))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -387,23 +339,20 @@ mod tests {
     }
 
     #[test]
+    fn a_run_whose_metrics_never_finish_calibrating_reports_no_estimates() {
+        // 100 events leave every metric in warm-up: no estimate, no error.
+        let report = run_serial(&quick_config().with_max_events(100), 25).unwrap();
+        assert!(!report.converged);
+        assert!(report.estimates.is_empty());
+        assert_eq!(report.events_fired, 100);
+    }
+
+    #[test]
     fn invalid_config_surfaces_as_error() {
         let bad = quick_config().with_metric(MetricKind::CappingLevel);
         assert!(matches!(
             run_serial(&bad, 1),
             Err(SimError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
-    fn calibration_event_cap_is_an_error() {
-        let config = quick_config().with_max_events(100);
-        assert!(matches!(
-            run_until_calibrated(&config, 25),
-            Err(SimError::EventCapExhausted {
-                phase: "calibration",
-                cap: 100
-            })
         ));
     }
 
@@ -752,9 +701,9 @@ mod tests {
         // The §4.1 capping cluster at 10 servers. `capping_level` is
         // observed once per simulated second and varies little, so its 100
         // calibration observations alone meet E = 0.15: kept as measured
-        // data, they end a serial run no later than the master's
-        // calibration-only run at the same seed. (At 10 servers the
-        // response time needs E = 0.1 to be done by then too.)
+        // data, they end the serial run at the observation that ends
+        // calibration. (At 10 servers the response time needs E = 0.1 to
+        // be done by then too.)
         use bighouse_models::{DvfsModel, LinearPowerModel, PowerCapper};
         use bighouse_stats::MetricSpec;
         let servers = 10;
@@ -779,27 +728,10 @@ mod tests {
                 .with_calibration(100)
                 .with_max_lag(1),
         );
-        let (_, calibration_events) = run_until_calibrated(&config, 26).unwrap();
         let report = run_serial(&config, 26).unwrap();
         assert!(report.converged);
-        assert!(
-            report.events_fired <= calibration_events,
-            "the serial run ({}) outran calibration ({calibration_events})",
-            report.events_fired
-        );
-    }
-
-    #[test]
-    fn calibration_only_run_stops_early() {
-        // Demand a tight full run so measurement dominates calibration.
-        let config = quick_config().with_target_accuracy(0.02);
-        let (specs, events) = run_until_calibrated(&config, 24).unwrap();
-        assert!(specs.contains_key("response_time"));
-        let full = run_serial(&config, 24).unwrap();
-        assert!(
-            events < full.events_fired,
-            "calibration ({events}) must cost less than the full run ({})",
-            full.events_fired
-        );
+        // A metric that converged earlier would have kept on recording.
+        let capping = report.metric(MetricKind::CappingLevel.name()).unwrap();
+        assert_eq!(capping.samples_kept, 100);
     }
 }

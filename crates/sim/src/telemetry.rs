@@ -26,8 +26,8 @@
 use std::time::Instant;
 
 use bighouse_des::{CalendarStats, Time};
-use bighouse_stats::{MetricId, Phase, StatsCollection};
-use bighouse_telemetry::{FixedBinHistogram, PhaseTransition, TelemetrySnapshot};
+use bighouse_stats::{Histogram, MetricId, Phase, StatsCollection};
+use bighouse_telemetry::{PhaseTransition, TelemetrySnapshot};
 
 use crate::checkpoint::RunTotals;
 
@@ -47,14 +47,12 @@ pub(crate) struct ClusterTelemetry {
     samples_recorded: u64,
     /// Observations vetoed by the auditor before recording.
     samples_rejected: u64,
-    /// Queue depth observed at each dispatch decision. Depths are small
-    /// integers; 64 unit-wide bins cover any sane cluster and the
-    /// overflow bucket absorbs pathologies.
-    queue_depth: FixedBinHistogram,
+    /// Queue depth observed at each dispatch decision.
+    queue_depth: Histogram,
     /// Deepest queue ever observed.
     queue_depth_high_water: usize,
     /// Per-server busy fraction sampled once per observation epoch.
-    server_utilization: FixedBinHistogram,
+    server_utilization: Histogram,
     /// Observation epochs sampled.
     utilization_snapshots: u64,
     /// Mean utilization over the most recent epoch.
@@ -70,9 +68,9 @@ impl ClusterTelemetry {
             last_phases: Vec::new(),
             samples_recorded: 0,
             samples_rejected: 0,
-            queue_depth: FixedBinHistogram::linear(0.0, 64.0, 64),
+            queue_depth: Histogram::new(),
             queue_depth_high_water: 0,
-            server_utilization: FixedBinHistogram::linear(0.0, 1.0, 20),
+            server_utilization: Histogram::new(),
             utilization_snapshots: 0,
             last_epoch_utilization_mean: None,
         }
@@ -127,7 +125,7 @@ impl ClusterTelemetry {
     /// Records a queue-depth sample at a dispatch decision.
     #[inline]
     pub(crate) fn note_queue_depth(&mut self, depth: usize) {
-        self.queue_depth.observe(depth as f64);
+        self.queue_depth.record(depth as f64);
         if depth > self.queue_depth_high_water {
             self.queue_depth_high_water = depth;
         }
@@ -141,7 +139,7 @@ impl ClusterTelemetry {
         self.utilization_snapshots += 1;
         let mut sum = 0.0;
         for &u in utilizations {
-            self.server_utilization.observe(u);
+            self.server_utilization.record(u);
             sum += u;
         }
         self.last_epoch_utilization_mean = Some(sum / utilizations.len() as f64);
@@ -197,7 +195,7 @@ impl ClusterTelemetry {
         if samples_rejected > 0 {
             snap.counter_add("stats.samples_rejected", samples_rejected);
         }
-        if queue_depth.count > 0 {
+        if queue_depth.count() > 0 {
             snap.gauges.insert(
                 "sim.queue_depth_high_water".into(),
                 queue_depth_high_water as f64,
@@ -358,11 +356,11 @@ mod tests {
     fn queue_depth_and_utilization_feed_histograms() {
         let mut tel = ClusterTelemetry::new();
         tel.note_queue_depth(3);
-        tel.note_queue_depth(70); // beyond hi: lands in overflow, no panic
+        tel.note_queue_depth(70);
         tel.note_epoch_utilizations(&[0.25, 0.75]);
         let snap = tel.into_snapshot();
-        assert_eq!(snap.histograms["sim.queue_depth"].count, 2);
-        assert_eq!(snap.histograms["sim.server_utilization"].count, 2);
+        assert_eq!(snap.histograms["sim.queue_depth"].count(), 2);
+        assert_eq!(snap.histograms["sim.server_utilization"].count(), 2);
         assert_eq!(snap.gauges["sim.queue_depth_high_water"], 70.0);
         assert_eq!(snap.gauges["sim.last_epoch_utilization_mean"], 0.5);
         assert_eq!(snap.counters["sim.utilization_snapshots"], 1);

@@ -313,7 +313,7 @@ fn process_snapshots_are_deterministic_and_every_key_is_documented() {
             "{key} is emitted but absent from TELEMETRY.md"
         );
     }
-    assert!(seen >= 14, "twelve fixed keys and one per slave: {seen}");
+    assert!(seen >= 13, "eleven fixed keys and one per slave: {seen}");
 }
 
 /// Scans `/proc` for leftover slave children of this process: any process

@@ -178,8 +178,8 @@ fn snapshot_carries_every_layer() {
         .iter()
         .any(|p| p.metric == "response_time" && p.from == "warm-up"));
     // sim layer
-    assert!(snap.histograms["sim.queue_depth"].count > 0);
-    assert!(snap.histograms["sim.server_utilization"].count > 0);
+    assert!(snap.histograms["sim.queue_depth"].count() > 0);
+    assert!(snap.histograms["sim.server_utilization"].count() > 0);
     assert!(snap.counters["sim.server_failures"] > 0);
     // wall quarantine
     assert!(snap.wall.contains_key("des.events_per_second"));
@@ -310,7 +310,7 @@ fn parallel_snapshots_are_deterministic_and_every_key_is_documented() {
             "{key} is emitted but absent from TELEMETRY.md"
         );
     }
-    assert!(seen >= 15, "twelve fixed keys and one per slave: {seen}");
+    assert!(seen >= 14, "eleven fixed keys and one per slave: {seen}");
 }
 
 #[test]

@@ -126,30 +126,6 @@ impl StatsCollection {
         id
     }
 
-    /// Registers a metric whose histogram binning is forced (parallel
-    /// slaves adopting the master's broadcast bin scheme).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a metric with the same name is already registered.
-    pub fn add_metric_with_histogram(
-        &mut self,
-        spec: MetricSpec,
-        histogram: crate::HistogramSpec,
-    ) -> MetricId {
-        assert!(
-            !self.by_name.contains_key(spec.name()),
-            "duplicate metric name: {}",
-            spec.name()
-        );
-        let id = MetricId(self.metrics.len());
-        self.by_name.insert(spec.name().to_owned(), id);
-        self.metrics
-            .push(OutputMetric::new_gated(spec).with_forced_histogram(histogram));
-        self.warm = false;
-        id
-    }
-
     /// Looks up a metric handle by name.
     #[must_use]
     pub fn id(&self, name: &str) -> Option<MetricId> {
@@ -161,7 +137,8 @@ impl StatsCollection {
     ///
     /// # Panics
     ///
-    /// Panics if `x` is NaN or the id is stale (from another collection).
+    /// Panics if `x` is NaN or negative, or the id is stale (from another
+    /// collection).
     pub fn record(&mut self, id: MetricId, x: f64) {
         self.metrics[id.0].record(x);
         if !self.warm {
@@ -318,9 +295,10 @@ mod tests {
 
     #[test]
     fn legacy_state_with_retired_kept_keys_continues_bit_identically() {
-        // Checkpoints and `EpochDone` frames written while `OutputMetric`
-        // kept a second Welford accumulator carry `kept` and `min_kept`
-        // per metric; they must load and change nothing.
+        // States written while `OutputMetric` kept a second Welford
+        // accumulator carried `kept` and `min_kept` per metric. Unknown
+        // keys are ignored: with them added, a state loads and changes
+        // nothing.
         let mut stats = StatsCollection::new();
         let m = stats.add_metric(spec("m", 10));
         let mut rng = noise(5);
@@ -332,7 +310,7 @@ mod tests {
         let mut legacy = bighouse_json::parse(&current).unwrap();
         let metrics = legacy.as_object_mut().unwrap().get_mut("metrics").unwrap();
         for metric in metrics.as_array_mut().unwrap() {
-            let kept = metric["histogram"]["moments"].clone();
+            let kept = metric["moments"].clone();
             let fields = metric.as_object_mut().unwrap();
             fields.insert("kept", kept);
             fields.insert("min_kept", Value::Number(bighouse_json::Number::PosInt(30)));

@@ -8,8 +8,9 @@
 //!   via Acklam's approximation + Halley refinement; regularized incomplete
 //!   gamma via series/continued fraction),
 //! - [`RunningStats`] — Welford mean/variance accumulators,
-//! - [`Histogram`]/[`HistogramSpec`] — the mergeable fixed-bin histograms of
-//!   Chen & Kelton used for space-efficient quantile estimation,
+//! - [`Histogram`] — the one mergeable histogram, log-bucketed at a fixed
+//!   relative accuracy, for Chen & Kelton's space-efficient quantile
+//!   estimation,
 //! - [`RunsUpTest`] and [`find_lag`] — Knuth's runs-up independence test,
 //!   used during calibration to find the lag spacing *l*,
 //! - [`OutputMetric`] — the per-metric phase machine (warm-up → calibration
@@ -63,7 +64,7 @@ mod welford;
 pub use batch_means::BatchMeans;
 pub use collection::{MetricId, StatsCollection};
 pub use confidence::half_width_mean;
-pub use histogram::{Histogram, HistogramSpec, HistogramSpecError};
+pub use histogram::Histogram;
 pub use metric::{MetricEstimate, MetricSpec, OutputMetric, Phase, QuantileEstimate};
 pub use runs_test::{find_lag, RunsUpTest};
 pub use welford::RunningStats;

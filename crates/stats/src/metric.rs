@@ -2,21 +2,23 @@
 //!
 //! Every output metric in a BigHouse simulation proceeds through four
 //! phases: **warm-up** (observations discarded to avoid cold-start bias),
-//! **calibration** (a small sample determines the lag spacing *l* and the
-//! histogram binning), **measurement** (every *l*-th observation is kept),
+//! **calibration** (a small sample determines the lag spacing *l*),
+//! **measurement** (every *l*-th observation is kept),
 //! and **convergence** (the kept sample reached the size demanded by the
 //! CLT formulas for the requested accuracy and confidence).
 //!
-//! One departure from the paper's Figure 2: the N_c calibration
-//! observations are measured data, not a cost. Once they have chosen *l*
-//! and the bins, they are replayed through the lag filter into the kept
-//! sample, and the stopping rule looks once at the whole of it; a metric
-//! whose calibration sample already meets its targets converges there.
+//! Two departures from the paper's Figure 2. The histogram's buckets are
+//! fixed in advance ([`Histogram`]), so calibration chooses no bins: the
+//! histogram is built empty when calibration ends. And the N_c calibration
+//! observations are measured data, not a cost. Once they have chosen *l*,
+//! they are replayed through the lag filter into the kept sample, and the
+//! stopping rule looks once at the whole of it; a metric whose calibration
+//! sample already meets its targets converges there.
 
 use crate::confidence::{
     half_width_mean, required_samples_mean, required_samples_quantile, z_value,
 };
-use crate::histogram::{Histogram, HistogramSpec};
+use crate::histogram::Histogram;
 use crate::runs_test::{find_lag, RunsUpTest};
 use crate::welford::RunningStats;
 
@@ -26,9 +28,8 @@ pub enum Phase {
     /// Observations are discarded; the model is still biased by its initial
     /// state.
     Warmup,
-    /// Observations are buffered to determine lag spacing and histogram
-    /// binning; the buffer then becomes the first N_c measurement
-    /// observations.
+    /// Observations are buffered to determine the lag spacing; the buffer
+    /// then becomes the first N_c measurement observations.
     Calibration,
     /// Every *l*-th observation is kept into the sample.
     Measurement,
@@ -409,18 +410,19 @@ bighouse_json::json_struct!(MetricEstimate {
 });
 
 impl MetricEstimate {
-    /// Builds an estimate directly from a (possibly merged) histogram, as
-    /// the parallel runner's master does after the reduce step.
+    /// Builds an estimate from a kept sample's exact `moments` and its
+    /// `histogram`, each possibly merged, as the parallel runner's master
+    /// does after the reduce step.
     #[must_use]
     pub fn from_histogram(
         name: impl Into<String>,
+        moments: &RunningStats,
         histogram: &Histogram,
         confidence: f64,
         quantiles: &[f64],
         lag: usize,
         total_observed: u64,
     ) -> Self {
-        let moments = histogram.moments();
         let n = moments.count();
         let half = half_width_mean(confidence, moments.std_dev(), n);
         let z = z_value(confidence);
@@ -467,9 +469,7 @@ impl MetricEstimate {
 ///
 /// The whole phase machine serializes to JSON: a checkpointed metric —
 /// mid-warm-up, mid-calibration, or mid-measurement — resumes with exactly
-/// the behavior the uninterrupted metric would have had. States written
-/// while the kept sample had a second accumulator carry `kept` and
-/// `min_kept` keys, which are ignored: the histogram's moments are equal.
+/// the behavior the uninterrupted metric would have had.
 #[derive(Debug, Clone)]
 pub struct OutputMetric {
     spec: MetricSpec,
@@ -477,11 +477,13 @@ pub struct OutputMetric {
     self_gating: bool,
     warmup_seen: u64,
     calibration_buffer: Vec<f64>,
-    forced_histogram: Option<HistogramSpec>,
     lag: usize,
     measurement_seen: u64,
-    /// The kept sample: bins for the quantiles, exact moments for the mean
-    /// and for the stopping rule.
+    /// The kept sample's exact moments, for the mean and for the stopping
+    /// rule (empty until calibration ends).
+    moments: RunningStats,
+    /// The kept sample's buckets, for the quantiles (`None` until
+    /// calibration ends).
     histogram: Option<Histogram>,
     total_observed: u64,
 }
@@ -492,9 +494,9 @@ bighouse_json::json_struct!(OutputMetric {
     self_gating,
     warmup_seen,
     calibration_buffer,
-    forced_histogram,
     lag,
     measurement_seen,
+    moments,
     histogram,
     total_observed,
 });
@@ -529,23 +531,12 @@ impl OutputMetric {
             self_gating,
             warmup_seen: 0,
             calibration_buffer: Vec::new(),
-            forced_histogram: None,
             lag: 1,
             measurement_seen: 0,
+            moments: RunningStats::new(),
             histogram: None,
             total_observed: 0,
         }
-    }
-
-    /// Forces the histogram binning instead of deriving it from this
-    /// metric's own calibration sample. This is how slaves adopt the bin
-    /// scheme broadcast by the master (Figure 3): the slave still runs its
-    /// own warm-up and calibration, which chooses its lag and whose
-    /// lag-spaced observations it keeps, but not histogram setup.
-    #[must_use]
-    pub(crate) fn with_forced_histogram(mut self, spec: HistogramSpec) -> Self {
-        self.forced_histogram = Some(spec);
-        self
     }
 
     /// The metric's configuration.
@@ -585,7 +576,7 @@ impl OutputMetric {
     /// before).
     #[must_use]
     pub fn kept_count(&self) -> u64 {
-        self.histogram.as_ref().map_or(0, Histogram::count)
+        self.moments.count()
     }
 
     /// Total observations recorded across all phases.
@@ -612,19 +603,27 @@ impl OutputMetric {
         self.phase == Phase::Converged
     }
 
-    /// The measurement histogram, once calibration has configured it.
+    /// The kept sample's histogram, once calibration has ended.
     #[must_use]
     pub fn histogram(&self) -> Option<&Histogram> {
         self.histogram.as_ref()
+    }
+
+    /// The kept sample's exact moments, once calibration has ended.
+    #[must_use]
+    pub fn moments(&self) -> Option<&RunningStats> {
+        self.histogram.as_ref().map(|_| &self.moments)
     }
 
     /// Records one observation, advancing the phase machine as needed.
     ///
     /// # Panics
     ///
-    /// Panics if `x` is NaN.
+    /// Panics if `x` is NaN or negative, in any phase: every metric is a
+    /// time, a power or a fraction, and the kept sample's [`Histogram`]
+    /// takes no negative value.
     pub fn record(&mut self, x: f64) {
-        assert!(!x.is_nan(), "cannot record NaN observation");
+        assert!(x >= 0.0, "cannot record {x}: observations are non-negative");
         self.total_observed += 1;
         match self.phase {
             Phase::Warmup => {
@@ -654,27 +653,21 @@ impl OutputMetric {
     fn finish_calibration(&mut self) {
         let test = RunsUpTest::new(1.0 - self.spec.confidence);
         self.lag = find_lag(&self.calibration_buffer, self.spec.max_lag, &test);
-        let hist_spec = match self.forced_histogram {
-            Some(spec) => spec,
-            None => HistogramSpec::from_calibration_sample(&self.calibration_buffer)
-                .expect("calibration buffer is non-empty"),
-        };
         // The buffer is the first N_c measurement observations: replay it
         // through the lag filter, then let the stopping rule look once.
-        let mut hist = Histogram::new(hist_spec);
+        self.histogram = Some(Histogram::new());
         let buffer = std::mem::take(&mut self.calibration_buffer);
         for (index, &x) in (0..).zip(&buffer) {
             if lag_keeps(self.lag as u64, index) {
-                hist.record(x);
+                self.keep(x);
             }
         }
         self.measurement_seen = buffer.len() as u64;
-        self.phase = if self.spec.satisfied_by(hist.moments()) {
+        self.phase = if self.spec.satisfied_by(&self.moments) {
             Phase::Converged
         } else {
             Phase::Measurement
         };
-        self.histogram = Some(hist);
     }
 
     fn keep(&mut self, x: f64) {
@@ -682,7 +675,8 @@ impl OutputMetric {
             return;
         };
         hist.record(x);
-        if self.phase == Phase::Measurement && self.spec.satisfied_by(hist.moments()) {
+        self.moments.push(x);
+        if self.phase == Phase::Measurement && self.spec.satisfied_by(&self.moments) {
             self.phase = Phase::Converged;
         }
     }
@@ -692,8 +686,7 @@ impl OutputMetric {
     /// measurement begins or before two observations exist.
     #[must_use]
     pub fn required_samples(&self) -> Option<u64> {
-        let hist = self.histogram.as_ref()?;
-        self.spec.required_samples(hist.moments())
+        self.spec.required_samples(self.moments()?)
     }
 
     /// The achieved relative accuracy E of the mean estimate so far
@@ -701,9 +694,7 @@ impl OutputMetric {
     /// Figure 8 plots against simulated events.
     #[must_use]
     pub fn current_relative_accuracy(&self) -> f64 {
-        let Some(kept) = self.histogram.as_ref().map(Histogram::moments) else {
-            return f64::INFINITY;
-        };
+        let kept = &self.moments;
         let n = kept.count();
         if n < 2 || kept.mean() == 0.0 {
             return f64::INFINITY;
@@ -722,6 +713,7 @@ impl OutputMetric {
         }
         Some(MetricEstimate::from_histogram(
             self.spec.name.clone(),
+            &self.moments,
             hist,
             self.spec.confidence,
             &self.spec.quantiles,
@@ -811,7 +803,7 @@ mod tests {
         metric.record(stream.next().unwrap());
         // E = 0.01 needs more than the 500 calibration observations, so the
         // one look at the end of calibration leaves the metric measuring.
-        let kept = metric.histogram().unwrap().moments();
+        let kept = metric.moments().unwrap();
         assert!(!metric.spec().satisfied_by(kept));
         assert_eq!(metric.phase(), Phase::Measurement);
         assert!(metric.lag() >= 1);
@@ -900,10 +892,17 @@ mod tests {
                 quick_spec(),
                 Box::new(|rng, _| rng.open01().powf(-1.0 / 2.5)),
             ),
+            // Half exact zeros, as a waiting time at light load.
             (
-                "negative",
+                "zero-inflated",
                 quick_spec(),
-                Box::new(|rng, _| -0.5 - rng.half_open01()),
+                Box::new(|rng, _| {
+                    if rng.half_open01() < 0.5 {
+                        0.0
+                    } else {
+                        rng.half_open01()
+                    }
+                }),
             ),
             (
                 "ar(1)",
@@ -923,8 +922,8 @@ mod tests {
             for i in 0.. {
                 metric.record(next(&mut rng, i));
                 let accepted = metric
-                    .histogram()
-                    .is_some_and(|kept| unscreened(metric.spec(), kept.moments()));
+                    .moments()
+                    .is_some_and(|kept| unscreened(metric.spec(), kept));
                 assert_eq!(
                     metric.is_converged(),
                     accepted,
@@ -1049,14 +1048,10 @@ mod tests {
     }
 
     #[test]
-    fn forced_histogram_spec_is_used() {
-        let forced = HistogramSpec::new(0.0, 0.001, 2000).unwrap();
-        let mut metric = OutputMetric::new(quick_spec()).with_forced_histogram(forced);
-        let mut stream = lcg_stream(5);
-        for _ in 0..600 {
-            metric.record(stream.next().unwrap());
-        }
-        assert_eq!(metric.histogram().unwrap().spec(), &forced);
+    #[should_panic(expected = "non-negative")]
+    fn a_negative_observation_is_refused_in_warm_up() {
+        // Refused at once, as NaN is, not when calibration replays it.
+        OutputMetric::new(quick_spec()).record(-1.0);
     }
 
     #[test]
@@ -1115,8 +1110,9 @@ mod tests {
     #[test]
     fn calibration_sample_is_replayed_through_the_lag_filter() {
         // Right after calibration the kept sample is exactly the buffer's
-        // lag-spaced elements: ⌈N_c / l⌉ of them, in one histogram equal
-        // bit for bit to one built from those elements alone.
+        // lag-spaced elements: ⌈N_c / l⌉ of them, in a histogram and
+        // moments equal bit for bit to ones built from those elements
+        // alone.
         let mut metric = OutputMetric::new(quick_spec().with_calibration(2000));
         let mut stream = lcg_stream(6);
         let mut x = 0.5;
@@ -1134,14 +1130,15 @@ mod tests {
         assert!(lag > 1, "expected lag > 1 for AR(1) data");
         assert_eq!(metric.measurement_seen(), 2000);
         assert_eq!(metric.kept_count(), 2000u64.div_ceil(lag as u64));
-        let kept = metric.histogram().unwrap();
-        let mut rebuilt = Histogram::new(*kept.spec());
+        let mut rebuilt = Histogram::new();
         for &x in buffer.iter().step_by(lag) {
             rebuilt.record(x);
         }
+        let moments: RunningStats = buffer.iter().copied().step_by(lag).collect();
+        assert_eq!(metric.histogram(), Some(&rebuilt));
         assert_eq!(
-            bighouse_json::to_string(kept),
-            bighouse_json::to_string(&rebuilt)
+            bighouse_json::to_string(metric.moments().unwrap()),
+            bighouse_json::to_string(&moments)
         );
     }
 
@@ -1232,13 +1229,12 @@ mod tests {
 
     #[test]
     fn estimate_from_histogram_matches_direct() {
-        let spec = HistogramSpec::new(0.0, 0.01, 200).unwrap();
-        let mut hist = Histogram::new(spec);
-        let mut stream = lcg_stream(9);
-        for _ in 0..10_000 {
-            hist.record(stream.next().unwrap());
+        let (mut hist, mut moments) = (Histogram::new(), RunningStats::new());
+        for x in lcg_stream(9).take(10_000) {
+            hist.record(x);
+            moments.push(x);
         }
-        let est = MetricEstimate::from_histogram("m", &hist, 0.95, &[0.5], 3, 12_345);
+        let est = MetricEstimate::from_histogram("m", &moments, &hist, 0.95, &[0.5], 3, 12_345);
         assert!((est.mean - 0.5).abs() < 0.02);
         assert_eq!(est.lag, 3);
         assert_eq!(est.total_observed, 12_345);
@@ -1252,13 +1248,12 @@ mod tests {
     fn quantile_value_ci_scales_with_density() {
         // Uniform data on [0,1): density 1, so the value half-width should
         // approximately equal the probability half-width.
-        let spec = HistogramSpec::new(0.0, 0.001, 1000).unwrap();
-        let mut hist = Histogram::new(spec);
-        let mut stream = lcg_stream(10);
-        for _ in 0..100_000 {
-            hist.record(stream.next().unwrap());
+        let (mut hist, mut moments) = (Histogram::new(), RunningStats::new());
+        for x in lcg_stream(10).take(100_000) {
+            hist.record(x);
+            moments.push(x);
         }
-        let est = MetricEstimate::from_histogram("m", &hist, 0.95, &[0.5], 1, 100_000);
+        let est = MetricEstimate::from_histogram("m", &moments, &hist, 0.95, &[0.5], 1, 100_000);
         let q = &est.quantiles[0];
         let hv = q.half_width_value.expect("density is positive");
         assert!(

@@ -2,10 +2,10 @@
 //!
 //! The simulator's value is its statistics engine, yet a run is otherwise a
 //! black box between "started" and "converged". This crate provides the
-//! observability record: **monotonic counters**, **gauges**, **fixed-bin
-//! histograms** ([`FixedBinHistogram`]) and the statistics phase log
-//! ([`PhaseTransition`]), all in one [`TelemetrySnapshot`] that runs write
-//! into directly and report as is.
+//! observability record: **monotonic counters**, **gauges**, **histograms**
+//! (the statistics package's one [`Histogram`](bighouse_stats::Histogram))
+//! and the statistics phase log ([`PhaseTransition`]), all in one
+//! [`TelemetrySnapshot`] that runs write into directly and report as is.
 //!
 //! Two properties are load-bearing and tested:
 //!
@@ -27,8 +27,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod histogram;
 mod snapshot;
 
-pub use histogram::FixedBinHistogram;
 pub use snapshot::{PhaseTransition, TelemetrySnapshot};

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::histogram::FixedBinHistogram;
+use bighouse_stats::Histogram;
 
 /// One statistics phase-machine transition (§2.3 of the paper: warm-up →
 /// calibration → measurement → converged), stamped with both clocks.
@@ -48,8 +48,8 @@ pub struct TelemetrySnapshot {
     pub counters: BTreeMap<String, u64>,
     /// Point-in-time values, e.g. `stats.response_time.lag`.
     pub gauges: BTreeMap<String, f64>,
-    /// Fixed-bin distributions, e.g. `sim.queue_depth`.
-    pub histograms: BTreeMap<String, FixedBinHistogram>,
+    /// Distributions, e.g. `sim.queue_depth`.
+    pub histograms: BTreeMap<String, Histogram>,
     /// Phase-machine transitions in observation order.
     pub phases: Vec<PhaseTransition>,
     /// Wall-clock gauges (seconds, rates) — non-deterministic by nature,
@@ -94,9 +94,7 @@ impl TelemetrySnapshot {
     /// run is stitched from epochs and when a sweep aggregates per-config
     /// snapshots. Counters sum; gauges and wall entries take the other
     /// snapshot's value (last writer wins); phase logs append in call
-    /// order; histograms of matching shape merge bin-wise, and a shape
-    /// mismatch keeps ours while noting the loss under the
-    /// `telemetry.dropped_samples` counter.
+    /// order; histograms merge bucket-wise.
     pub fn absorb(&mut self, other: &TelemetrySnapshot) {
         for (name, &delta) in &other.counters {
             self.counter_add(name, delta);
@@ -109,15 +107,11 @@ impl TelemetrySnapshot {
         }
         self.phases.extend(other.phases.iter().cloned());
         for (name, hist) in &other.histograms {
-            let merged = match self.histograms.get_mut(name) {
+            match self.histograms.get_mut(name) {
                 Some(mine) => mine.merge(hist),
                 None => {
                     self.histograms.insert(name.clone(), hist.clone());
-                    true
                 }
-            };
-            if !merged {
-                self.counter_add("telemetry.dropped_samples", hist.count);
             }
         }
     }
@@ -166,10 +160,10 @@ mod tests {
         assert_eq!(clean.counters["des.events_fired"], 10);
     }
 
-    fn hist(bins: usize, samples: &[f64]) -> FixedBinHistogram {
-        let mut h = FixedBinHistogram::linear(0.0, 8.0, bins);
+    fn hist(samples: &[f64]) -> Histogram {
+        let mut h = Histogram::new();
         for &s in samples {
-            h.observe(s);
+            h.record(s);
         }
         h
     }
@@ -179,11 +173,11 @@ mod tests {
         let mut a = TelemetrySnapshot::default();
         a.counters.insert("n".into(), 2);
         a.gauges.insert("g".into(), 1.0);
-        a.histograms.insert("h".into(), hist(4, &[1.0, 3.0]));
+        a.histograms.insert("h".into(), hist(&[1.0, 3.0]));
         let mut b = TelemetrySnapshot::default();
         b.counters.insert("n".into(), 3);
         b.gauges.insert("g".into(), 9.0);
-        b.histograms.insert("h".into(), hist(4, &[5.0]));
+        b.histograms.insert("h".into(), hist(&[5.0]));
         b.phases.push(PhaseTransition {
             metric: "m".into(),
             from: "warm-up".into(),
@@ -196,10 +190,7 @@ mod tests {
         assert_eq!(a.counters["n"], 5);
         assert_eq!(a.phases, b.phases, "phase logs append");
         assert_eq!(a.gauges["g"], 9.0, "gauges are last-writer-wins");
-        assert_eq!(a.histograms["h"].count, 3);
-        assert_eq!(a.histograms["h"].sum, 9.0);
-        assert_eq!(a.histograms["h"].min, Some(1.0));
-        assert_eq!(a.histograms["h"].max, Some(5.0));
+        assert_eq!(a.histograms["h"], hist(&[1.0, 3.0, 5.0]));
     }
 
     #[test]
@@ -222,24 +213,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_absorb_drops_mismatched_histograms_loudly() {
-        let mut a = TelemetrySnapshot::default();
-        a.histograms.insert("h".into(), hist(4, &[1.0]));
-        let mut b = TelemetrySnapshot::default();
-        b.histograms.insert("h".into(), hist(8, &[1.0, 2.0]));
-        a.absorb(&b);
-        assert_eq!(a.histograms["h"].bins.len(), 4, "ours is kept");
-        assert_eq!(a.counters["telemetry.dropped_samples"], 2);
-    }
-
-    #[test]
     fn histogram_merge_handles_empty_min_max() {
-        let mut empty = hist(4, &[]);
-        let full = hist(4, &[2.0]);
-        assert!(empty.merge(&full));
-        assert_eq!(empty.min, Some(2.0));
-        assert_eq!(empty.max, Some(2.0));
-        assert_eq!(empty.count, 1);
+        // An empty histogram on either side of a merge leaves the other's
+        // buckets as they were.
+        let mut empty = hist(&[]);
+        let full = hist(&[2.0, 1e6]);
+        empty.merge(&full);
+        assert_eq!(empty, full);
+        let mut full_again = full.clone();
+        full_again.merge(&hist(&[]));
+        assert_eq!(full_again, full);
     }
 
     #[test]
@@ -279,29 +262,23 @@ mod tests {
             total_observed: 1000,
         });
         snap.wall.insert("wall_seconds".into(), 0.5);
-        let empty = FixedBinHistogram::linear(0.0, 64.0, 64);
-        let mut three = FixedBinHistogram::linear(0.0, 1.0, 4);
-        for x in [0.125, 0.5, 2.0] {
-            three.observe(x);
-        }
-        snap.histograms.insert("sim.queue_depth".into(), empty);
         snap.histograms
-            .insert("sim.server_utilization".into(), three);
-        let zeros = ["0"; 64].join(",");
-        let expected = format!(
-            concat!(
-                r#"{{"counters":{{"des.events_fired":7}},"#,
-                r#""gauges":{{"stats.response_time.lag":2.0}},"#,
-                r#""histograms":{{"#,
-                r#""sim.queue_depth":{{"lo":0.0,"hi":64.0,"bins":[{zeros}],"#,
-                r#""underflow":0,"overflow":0,"count":0,"sum":0.0,"min":null,"max":null}},"#,
-                r#""sim.server_utilization":{{"lo":0.0,"hi":1.0,"bins":[1,0,1,0],"#,
-                r#""underflow":0,"overflow":1,"count":3,"sum":2.625,"min":0.125,"max":2.0}}}},"#,
-                r#""phases":[{{"metric":"response_time","from":"warm-up","to":"calibration","#,
-                r#""simulated_seconds":1.5,"wall_seconds":0.25,"total_observed":1000}}],"#,
-                r#""wall":{{"wall_seconds":0.5}}}}"#,
-            ),
-            zeros = zeros
+            .insert("sim.queue_depth".into(), Histogram::new());
+        // 256 buckets an octave, (lo, hi] on the f64 bit pattern: 1.0
+        // tops bucket 261 887, and 1.003 lies in (1, 1 + 1/256], the next.
+        snap.histograms.insert(
+            "sim.server_utilization".into(),
+            hist(&[0.0, 1.0, 1.003, 1.003]),
+        );
+        let expected = concat!(
+            r#"{"counters":{"des.events_fired":7},"#,
+            r#""gauges":{"stats.response_time.lag":2.0},"#,
+            r#""histograms":{"#,
+            r#""sim.queue_depth":{"count":0,"zeros":0,"offset":0,"counts":[]},"#,
+            r#""sim.server_utilization":{"count":4,"zeros":1,"offset":261887,"counts":[1,2]}},"#,
+            r#""phases":[{"metric":"response_time","from":"warm-up","to":"calibration","#,
+            r#""simulated_seconds":1.5,"wall_seconds":0.25,"total_observed":1000}],"#,
+            r#""wall":{"wall_seconds":0.5}}"#,
         );
         assert_eq!(bighouse_json::to_string(&snap), expected);
     }

@@ -6,15 +6,12 @@
 //! of the same experiment, or two sweeps of the same grid, would disagree
 //! about what happened.
 //!
-//! Float caveat: `absorb` sums histogram `sum` fields with `f64 +`, which
-//! commutes bitwise but is *not* associative for arbitrary reals. The
-//! stitching contract only ever sums values the simulator recorded, and
-//! the associativity property below is stated over dyadic-rational samples
-//! (multiples of 0.25 well inside the 53-bit mantissa), where every
-//! partial sum is exact and associativity holds bit-for-bit.
+//! Histograms hold integer counts only, so their merge is exact:
+//! associative and commutative bit for bit on any samples.
 
 use bighouse_des::check::{check, Gen};
-use bighouse_telemetry::{FixedBinHistogram, PhaseTransition, TelemetrySnapshot};
+use bighouse_stats::Histogram;
+use bighouse_telemetry::{PhaseTransition, TelemetrySnapshot};
 
 /// Ops pick names from fixed pools instead of generating strings, so the
 /// shards of one case share keys and the merges collide.
@@ -25,7 +22,7 @@ const GAUGES: [&str; 2] = ["sim.queue_depth", "stats.lag"];
 enum Op {
     Counter(usize, u64),
     GaugeSet(usize, i16),
-    /// Observed as `n * 0.25` — an exact dyadic rational.
+    /// Observed as `n * 0.25`, zero included.
     Observe(u8),
     Phase(u8),
 }
@@ -39,18 +36,17 @@ fn op(g: &mut Gen) -> Op {
     }
 }
 
-/// Builds a snapshot from an op list. Every snapshot carries the same
-/// histogram shape, as every epoch of one run does.
+/// Builds a snapshot from an op list.
 fn snapshot_from(ops: &[Op]) -> TelemetrySnapshot {
     let mut snap = TelemetrySnapshot::default();
-    let mut lat = FixedBinHistogram::linear(0.0, 32.0, 8);
+    let mut lat = Histogram::new();
     for op in ops {
         match *op {
             Op::Counter(i, d) => snap.counter_add(COUNTERS[i], d),
             Op::GaugeSet(i, v) => {
                 snap.gauges.insert(GAUGES[i].into(), f64::from(v));
             }
-            Op::Observe(n) => lat.observe(f64::from(n) * 0.25),
+            Op::Observe(n) => lat.record(f64::from(n) * 0.25),
             Op::Phase(n) => snap.phases.push(PhaseTransition {
                 metric: "response_time".into(),
                 from: "warm-up".into(),
@@ -70,8 +66,8 @@ fn ops(g: &mut Gen) -> Vec<Op> {
 }
 
 /// Bracketing must not matter: `(a ⊕ b) ⊕ c == a ⊕ (b ⊕ c)` for the
-/// *entire* snapshot. Counters are u64 sums, histogram sums are exact
-/// by construction, gauges are last-writer-wins (associative), and
+/// *entire* snapshot. Counters and histogram counts are u64 sums, gauges
+/// are last-writer-wins (associative), and
 /// phase logs concatenate (associative).
 #[test]
 fn absorb_is_associative() {

@@ -28,7 +28,7 @@ fn main() {
 
     // Reference truth from one very long run (warm prefix discarded).
     let reference = {
-        let long = response_stream(load, 3_000_000, 999);
+        let long = response_stream(StandardWorkload::Web, load, 3_000_000, 999);
         long[100_000..].iter().sum::<f64>() / (long.len() - 100_000) as f64
     };
     println!("reference mean: {:.4} ms", reference * 1e3);
@@ -40,7 +40,8 @@ fn main() {
     let test = RunsUpTest::default();
 
     for rep in 0..replications {
-        let data = &response_stream(load, n + warm, rep as u64 * 7 + 1)[warm..];
+        let data =
+            &response_stream(StandardWorkload::Web, load, n + warm, rep as u64 * 7 + 1)[warm..];
 
         // Method 1: naive i.i.d. CI on every observation.
         let stats: RunningStats = data.iter().copied().collect();

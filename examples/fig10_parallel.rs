@@ -6,11 +6,11 @@
 //! (DESIGN.md substitution 3), so on a single-core machine the *wall-clock*
 //! series shows little speedup. We therefore report both wall time and the
 //! **work-model speedup** — serial events divided by the parallel critical
-//! path (master calibration + the slowest slave) — which isolates exactly
-//! the protocol overheads the paper discusses: every slave must warm up and
-//! calibrate before contributing samples (its calibration sample is then
-//! kept), so scalability saturates once per-slave warm-up and calibration
-//! rival each slave's share of the measurement.
+//! path (the slowest slave; the master simulates nothing) — which isolates
+//! exactly the protocol overheads the paper discusses: every slave must
+//! warm up and calibrate before contributing samples (its calibration
+//! sample is then kept), so scalability saturates once per-slave warm-up
+//! and calibration rival each slave's share of the measurement.
 //! The master decides at chunk barriers, so the critical-path and
 //! work-speedup columns are the same on every run of a given seed; only the
 //! wall columns vary.
@@ -57,8 +57,7 @@ fn main() {
             .run(seed)
             .expect("valid config");
         let wall = outcome.wall_seconds;
-        let slowest = outcome.slave_events.iter().copied().max().unwrap_or(0);
-        let critical = outcome.master_calibration_events + slowest;
+        let critical = outcome.slave_events.iter().copied().max().unwrap_or(0);
         let work_speedup = serial.events_fired as f64 / critical as f64;
         println!(
             "{:>8} {:>12} {:>14.2} {:>16} {:>14.2} {:>10}",

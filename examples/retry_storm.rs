@@ -17,8 +17,6 @@
 //!
 //! Run with: `cargo run --release --example retry_storm`
 
-use std::collections::BTreeMap;
-
 use bighouse::prelude::*;
 
 /// Advances an engine until simulated time reaches `t` seconds.
@@ -64,7 +62,7 @@ fn main() {
             .with_resilience(resilience)
     };
     let engine_for = |config: ExperimentConfig| {
-        let mut sim = ClusterSim::new_slave(config, 31, &BTreeMap::new()).expect("valid config");
+        let mut sim = ClusterSim::new_slave(config, 31).expect("valid config");
         let mut cal = Calendar::new();
         sim.prime(&mut cal);
         Engine::from_parts(sim, cal)

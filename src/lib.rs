@@ -56,12 +56,12 @@ pub fn capping_cluster(
         .with_capper(capper)
 }
 
-/// Drives a quad-core server running the Web workload at `load` arrival
-/// by arrival, returning its first `n` response times: a raw, autocorrelated
+/// Drives a quad-core server running `workload` at `load` arrival by
+/// arrival, returning its first `n` response times: a raw, autocorrelated
 /// observation stream for the statistics ablations.
 #[must_use]
-pub fn response_stream(load: f64, n: usize, seed: u64) -> Vec<f64> {
-    let workload = Workload::standard(StandardWorkload::Web).at_utilization(load, 4);
+pub fn response_stream(workload: StandardWorkload, load: f64, n: usize, seed: u64) -> Vec<f64> {
+    let workload = Workload::standard(workload).at_utilization(load, 4);
     let mut server = Server::new(4);
     let mut rng = SimRng::from_seed(seed);
     let mut now = Time::ZERO;

@@ -18,8 +18,6 @@
 //! constructor, which never stops on its own convergence) so goodput can
 //! be sampled at exact simulated-time boundaries.
 
-use std::collections::BTreeMap;
-
 use bighouse::prelude::*;
 
 /// Builds a workload from explicit arrival/service distributions, the way
@@ -87,7 +85,7 @@ fn bounded_queue_blocking_matches_erlang_b() {
             }),
         )
         .with_max_events(20_000_000);
-    let mut sim = ClusterSim::new_slave(config, 22, &BTreeMap::new()).unwrap();
+    let mut sim = ClusterSim::new_slave(config, 22).unwrap();
     let mut cal = Calendar::new();
     sim.prime(&mut cal);
     let mut engine = Engine::from_parts(sim, cal);
@@ -170,7 +168,7 @@ struct Phased {
 }
 
 fn run_phases(storm: &Storm, seed: u64) -> Phased {
-    let sim = ClusterSim::new_slave(storm.config.clone(), seed, &BTreeMap::new()).unwrap();
+    let sim = ClusterSim::new_slave(storm.config.clone(), seed).unwrap();
     let mut cal = Calendar::new();
     let mut sim = sim;
     sim.prime(&mut cal);

@@ -45,7 +45,6 @@ const ALLOWED: &[(&str, &str, &str)] = &[
     ("des", "Uniform", "the bound on the public `Gen::range`'s argument"),
     ("des", "Arbitrary", "the bound on the public `Gen::any`"),
     ("models", "CappingOutcome", "returned by `PowerCapper::rebudget`"),
-    ("stats", "HistogramSpecError", "the error of `HistogramSpec::new`"),
     ("stats", "normal_cdf", "the normal CDF beside `normal_quantile`, the p95 truth of the AR(1) coverage row"),
     ("sim", "AuditReport", "the type of the public `SimulationReport::audit`"),
     ("sim", "AuditViolation", "the element type of `AuditReport::violations`"),
