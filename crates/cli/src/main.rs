@@ -606,7 +606,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), CliError> {
         max_retries: sweep.max_retries,
         deadline: sweep.config_deadline_seconds.map(Duration::from_secs_f64),
         epoch_events: sweep.epoch_events,
-        checkpoint: checkpoint_dir.map(CheckpointConfig::new),
+        checkpoint: checkpoint_dir.map(std::path::PathBuf::from),
         resume,
         interrupt: Some(interrupt_flag()),
         backend: backend_arg(args, sweep.isolate_processes)?,

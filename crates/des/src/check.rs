@@ -30,10 +30,9 @@ pub fn cases(default: u32) -> u32 {
 
 /// FNV-1a over the property's name, then over the case index.
 fn case_seed(name: &str, index: u32) -> u64 {
-    let bytes = name.bytes().chain(index.to_le_bytes());
-    bytes.fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-    })
+    let mut bytes = name.as_bytes().to_vec();
+    bytes.extend_from_slice(&index.to_le_bytes());
+    crate::hash::fnv1a(&bytes)
 }
 
 /// Runs `property` once per case, for [`cases`]`(default_cases)` cases.

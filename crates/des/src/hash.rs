@@ -83,6 +83,17 @@ impl Hasher for FastHasher {
     }
 }
 
+/// FNV-1a, 64-bit, over `bytes`: tiny, unkeyed and stable across builds
+/// and platforms, so what it hashes into a persisted or pinned value (a
+/// checksum, a fingerprint, a derived seed) never moves. It detects every
+/// single-byte change, but it is corruption detection, not security.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// [`std::hash::BuildHasher`] for [`FastHasher`]; zero-sized and stateless,
 /// so every map built from it hashes identically across runs.
 pub(crate) type FastBuildHasher = BuildHasherDefault<FastHasher>;

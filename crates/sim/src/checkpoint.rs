@@ -7,39 +7,28 @@
 //! calendar has been drained into summary statistics, so no in-flight
 //! calendar state needs serializing) and restores it bit-identically.
 //!
-//! The on-disk format is defensive: an 8-byte magic + format-version
-//! header, the payload length, and an FNV-1a checksum, followed by a JSON
-//! payload. Writes are atomic (write to temp file, fsync, rename) and the
-//! previous snapshot is kept as a fallback, so a crash at *any* point —
-//! including mid-checkpoint — leaves at least one loadable snapshot.
+//! A snapshot file is one sealed message (`crate::envelope`: magic and
+//! format version, payload length, FNV-1a checksum, JSON payload), the
+//! same bytes a slave process sends its master. Writes are atomic (write
+//! to temp file, fsync, rename) and the previous snapshot is kept as a
+//! fallback, so a crash at *any* point — including mid-checkpoint — leaves
+//! at least one loadable snapshot.
 
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use bighouse_des::hash::fnv1a;
 use bighouse_des::SeedStream;
 use bighouse_json::{FromJson, ToJson};
 use bighouse_stats::StatsCollection;
 
 use crate::audit::AuditReport;
 use crate::config::ExperimentConfig;
+use crate::envelope;
 use crate::error::SimError;
 use crate::report::{ClusterSummary, FaultSummary};
 use crate::resilience::{ClassDisposition, ResilienceSummary};
-
-/// File magic + format version: `BHCKPT` then a NUL and the version byte.
-/// Bump the final byte on any incompatible payload change. Version 2 is
-/// the in-tree JSON codec's payload: the metric collection's derived name
-/// index is left out, a non-finite float is a string, and the config
-/// fingerprint hashes the config's JSON. Version 3 holds the run totals'
-/// resilience section as a `ResilienceSummary` (`in_flight_at_end` in place
-/// of `in_flight_dropped`) and drops the metric spec's `track_mean` and
-/// `histogram_bins`. Version 4 holds each metric's kept moments beside
-/// a log-bucketed histogram (`count`, `zeros`, `offset`, `counts`) and
-/// drops `forced_histogram`.
-const MAGIC: &[u8; 8] = b"BHCKPT\x00\x04";
-/// Magic (8) + payload length (8, LE) + FNV-1a checksum (8, LE).
-const HEADER_LEN: usize = 24;
 
 /// Where and how often to checkpoint a resumable run.
 #[derive(Debug, Clone)]
@@ -374,24 +363,12 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Checkpoint`] on serialization failure and
-    /// [`SimError::Io`] — naming the offending path — on any filesystem
-    /// failure. A failed write never leaves the in-progress `.tmp` file
-    /// behind: it is garbage by construction, and a later recovery scan
-    /// must not mistake it for salvageable state.
-    pub fn save(&self, state: &RunState) -> Result<(), SimError> {
-        self.save_payload(state)
-    }
-
-    /// Generic form of [`save`](Self::save); the sweep ledger persists
-    /// through this with the same framing, atomicity, and rotation.
-    pub(crate) fn save_payload<T: ToJson>(&self, state: &T) -> Result<(), SimError> {
-        let payload = bighouse_json::to_vec(state);
-        let mut bytes = Vec::with_capacity(HEADER_LEN + payload.len());
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
+    /// Returns [`SimError::Io`] — naming the offending path — on any
+    /// filesystem failure. A failed write never leaves the in-progress
+    /// `.tmp` file behind: it is garbage by construction, and a later
+    /// recovery scan must not mistake it for salvageable state.
+    pub fn save<T: ToJson>(&self, state: &T) -> Result<(), SimError> {
+        let bytes = envelope::seal(state);
 
         let tmp = self.dir.join(format!("{}.tmp", self.stem));
         let current = self.current_path();
@@ -453,81 +430,28 @@ impl CheckpointStore {
     /// Returns [`SimError::Checkpoint`] only when snapshots exist but
     /// *none* of them is loadable — silent restarts from scratch would
     /// discard data the operator believes is safe.
-    pub fn load(&self) -> Result<Option<RunState>, SimError> {
-        self.load_payload()
-    }
-
-    /// Generic form of [`load`](Self::load) for non-`RunState` payloads
-    /// (the sweep ledger).
-    pub(crate) fn load_payload<T: FromJson>(&self) -> Result<Option<T>, SimError> {
-        let mut first_error: Option<SimError> = None;
-        let mut any_present = false;
+    pub fn load<T: FromJson>(&self) -> Result<Option<T>, SimError> {
+        let mut first_error = None;
         for path in [self.current_path(), self.previous_path()] {
-            match Self::read_file(&path) {
-                Ok(Some(state)) => return Ok(Some(state)),
-                Ok(None) => {}
-                Err(e) => {
-                    any_present = true;
-                    first_error.get_or_insert(e);
-                }
-            }
-        }
-        if any_present {
-            Err(first_error.expect("an unreadable snapshot recorded an error"))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Reads and validates one snapshot file. `Ok(None)` means the file
-    /// does not exist; `Err` means it exists but is corrupt or unreadable.
-    fn read_file<T: FromJson>(path: &Path) -> Result<Option<T>, SimError> {
-        let bytes = match fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => {
-                return Err(SimError::Io {
+            let error = match fs::read(&path) {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+                Err(e) => SimError::Io {
                     op: "read",
                     path: path.display().to_string(),
                     cause: e.to_string(),
-                })
-            }
-        };
-        let corrupt = |why: &str| {
-            SimError::Checkpoint(format!("corrupt checkpoint {}: {why}", path.display()))
-        };
-        if bytes.len() < HEADER_LEN {
-            return Err(corrupt("truncated header"));
+                },
+                Ok(bytes) => match envelope::open(&bytes) {
+                    Ok(state) => return Ok(Some(state)),
+                    Err(why) => SimError::Checkpoint(format!(
+                        "corrupt checkpoint {}: {why}",
+                        path.display()
+                    )),
+                },
+            };
+            first_error.get_or_insert(error);
         }
-        if &bytes[..8] != MAGIC {
-            return Err(corrupt("bad magic or unsupported format version"));
-        }
-        let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
-        let payload = &bytes[HEADER_LEN..];
-        if payload.len() != len {
-            return Err(corrupt("truncated payload"));
-        }
-        if fnv1a(payload) != checksum {
-            return Err(corrupt("checksum mismatch"));
-        }
-        let state: T = bighouse_json::from_slice(payload)
-            .map_err(|e| corrupt(&format!("malformed payload: {e}")))?;
-        Ok(Some(state))
+        first_error.map_or(Ok(None), Err)
     }
-}
-
-/// FNV-1a, 64-bit: tiny, dependency-free, and plenty for detecting torn or
-/// bit-rotted snapshots (this is corruption *detection*, not security).
-/// Also the hash behind [`config_fingerprint`] and the sweep orchestrator's
-/// per-config seed derivation.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 /// Fingerprint of an experiment configuration + master seed.
@@ -555,57 +479,26 @@ pub(crate) fn config_fingerprint(config: &ExperimentConfig, master_seed: u64) ->
     fnv1a(rendered.as_bytes())
 }
 
-/// Attacks the payload parser and `T`'s reader through a store: saves
-/// `state` twice, so a good `.prev` exists, then replaces the current file
-/// with a truncated, bit-flipped, overwritten or spliced payload under a
-/// freshly computed checksum, so the checksum passes and the JSON is what
-/// gets read. Loading must yield a state (the mutant, if it still reads as
-/// a `T`, or the previous snapshot) or, with `.prev` removed, a typed
-/// error. It must never panic.
+/// A run a few epochs in with two metrics' statistics: what a snapshot or
+/// a slave's frame carries.
 #[cfg(test)]
-pub(crate) fn check_hostile_payloads<T: ToJson + FromJson>(
-    name: &str,
-    stem: &'static str,
-    state: &T,
-) {
-    use bighouse_des::check::{check, Gen};
-
-    let dir = std::env::temp_dir().join(format!("bighouse-{name}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    let store = CheckpointStore::with_stem(&dir, stem).unwrap();
-    let good = bighouse_json::to_string(state);
-    check(name, 256, |g| {
-        store.save_payload(state).unwrap();
-        store.save_payload(state).unwrap();
-        let mut payload = good.clone().into_bytes();
-        let at = g.range(0..payload.len());
-        match g.range(0..4) {
-            0 => payload.truncate(at),
-            1 => payload[at] ^= 1 << g.range(0..8u32),
-            2 => payload[at] = g.any(),
-            _ => drop(payload.splice(at..at, g.vec(1..9, Gen::any::<u8>))),
-        }
-        let mut bytes = MAGIC.to_vec();
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        fs::write(store.current_path(), bytes).unwrap();
-        let mutant_reads = bighouse_json::from_slice::<T>(&payload).is_ok();
-        let without_prev: bool = g.any();
-        if without_prev {
-            fs::remove_file(store.previous_path()).unwrap();
-        }
-        match store.load_payload::<T>() {
-            Ok(Some(loaded)) => {
-                assert!(mutant_reads || bighouse_json::to_string(&loaded) == good);
-            }
-            Err(SimError::Checkpoint(why)) => {
-                assert!(without_prev && !mutant_reads, "{why}");
-            }
-            other => panic!("neither a state nor a typed error: {:?}", other.map(|_| ())),
-        }
-    });
-    let _ = fs::remove_dir_all(&dir);
+pub(crate) fn sample_state() -> RunState {
+    let mut state = RunState::fresh(42, 777);
+    state.next_epoch = 3;
+    state.events_done = 1_234_567;
+    state.wall_seconds = 12.5;
+    state.seeds.next_seed();
+    state.seeds.next_seed();
+    state.totals.simulated_seconds = 99.25;
+    state.totals.jobs_completed = 4_000;
+    let mut stats = StatsCollection::new();
+    let ids = ["response_time", "waiting_time"]
+        .map(|name| stats.add_metric(bighouse_stats::MetricSpec::new(name).with_warmup(5)));
+    for i in 0..200 {
+        stats.record(ids[i % 2], 1.0 + f64::from(i as u32 % 7));
+    }
+    state.stats = Some(stats);
+    state
 }
 
 #[cfg(test)]
@@ -619,18 +512,6 @@ mod tests {
             std::env::temp_dir().join(format!("bighouse-ckpt-test-{}-{tag}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
-    }
-
-    fn sample_state() -> RunState {
-        let mut state = RunState::fresh(42, 777);
-        state.next_epoch = 3;
-        state.events_done = 1_234_567;
-        state.wall_seconds = 12.5;
-        state.seeds.next_seed();
-        state.seeds.next_seed();
-        state.totals.simulated_seconds = 99.25;
-        state.totals.jobs_completed = 4_000;
-        state
     }
 
     fn json(state: &RunState) -> String {
@@ -678,52 +559,43 @@ mod tests {
         store.save(&sample_state()).unwrap();
         fs::write(store.current_path(), b"garbage").unwrap();
         fs::write(store.previous_path(), b"more garbage").unwrap();
-        assert!(matches!(store.load(), Err(SimError::Checkpoint(_))));
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn checksum_detects_payload_corruption() {
-        let dir = temp_dir("checksum");
-        let store = CheckpointStore::new(&dir).unwrap();
-        store.save(&sample_state()).unwrap();
-        // Flip one payload byte without touching the header.
-        let mut bytes = fs::read(store.current_path()).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x01;
-        fs::write(store.current_path(), &bytes).unwrap();
-        let err = store.load().unwrap_err();
-        assert!(err.to_string().contains("checksum"), "got: {err}");
+        assert!(matches!(
+            store.load::<RunState>(),
+            Err(SimError::Checkpoint(_))
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn hostile_checkpoint_payloads_never_panic() {
-        let mut state = sample_state();
-        let mut stats = StatsCollection::new();
-        let ids = ["response_time", "waiting_time"]
-            .map(|name| stats.add_metric(bighouse_stats::MetricSpec::new(name).with_warmup(5)));
-        for i in 0..200 {
-            stats.record(ids[i % 2], 1.0 + f64::from(i as u32 % 7));
-        }
-        state.stats = Some(stats);
-        check_hostile_payloads(
+        crate::envelope::check_hostile_payloads(
             "hostile_checkpoint_payloads_never_panic",
             "hostile.ckpt",
-            &state,
+            &sample_state(),
         );
     }
 
+    /// A foreign file, and a snapshot an older build wrote at format
+    /// version 4, are refused by their magic with a typed error naming the
+    /// file.
     #[test]
     fn bad_magic_is_rejected() {
         let dir = temp_dir("magic");
         let store = CheckpointStore::new(&dir).unwrap();
         store.save(&sample_state()).unwrap();
-        let mut bytes = fs::read(store.current_path()).unwrap();
-        bytes[0] = b'X';
-        fs::write(store.current_path(), &bytes).unwrap();
-        let err = store.load().unwrap_err();
-        assert!(err.to_string().contains("magic"), "got: {err}");
+        let sealed = fs::read(store.current_path()).unwrap();
+        for (at, byte, why) in [(0, b'X', "bad magic"), (7, 4, "format version 4")] {
+            let mut bytes = sealed.clone();
+            bytes[at] = byte;
+            fs::write(store.current_path(), &bytes).unwrap();
+            match store.load::<RunState>() {
+                Err(SimError::Checkpoint(msg)) => {
+                    assert!(msg.contains(why), "got: {msg}");
+                    assert!(msg.contains("bighouse.ckpt"), "got: {msg}");
+                }
+                other => panic!("not refused: {:?}", other.map(|_| ())),
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -774,10 +646,7 @@ mod tests {
         let sweep_store = CheckpointStore::with_stem(&dir, "bighouse.sweep").unwrap();
         run_store.save(&sample_state()).unwrap();
         // The sweep stem sees nothing: different namespace, same dir.
-        assert_eq!(
-            sweep_store.load_payload::<RunState>().unwrap().map(|_| ()),
-            None
-        );
+        assert_eq!(sweep_store.load::<RunState>().unwrap().map(|_| ()), None);
         assert_ne!(run_store.current_path(), sweep_store.current_path());
         let _ = fs::remove_dir_all(&dir);
     }

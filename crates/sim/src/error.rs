@@ -3,9 +3,9 @@
 /// Error raised while building or running a simulation.
 ///
 /// Replaces the panicking paths on the simulation hot path: invalid
-/// configurations, a drained calendar, an exhausted event cap during
-/// calibration, and a parallel run losing every slave are all reported to
-/// the caller instead of aborting the process.
+/// configurations, a drained calendar, a parallel run losing every slave,
+/// and corrupt checkpoints or frames are all reported to the caller
+/// instead of aborting the process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
     /// The experiment configuration is internally inconsistent (e.g. a
@@ -17,14 +17,6 @@ pub enum SimError {
     CalendarDrained {
         /// The phase that was still running ("calibration", …).
         phase: &'static str,
-    },
-    /// The configured event cap was exhausted before the named phase
-    /// completed.
-    EventCapExhausted {
-        /// The phase that was still running.
-        phase: &'static str,
-        /// The configured cap.
-        cap: u64,
     },
     /// Every slave of a parallel run died before delivering results.
     NoSurvivingSlaves {
@@ -45,18 +37,10 @@ pub enum SimError {
         /// A rendering of the underlying OS error.
         cause: String,
     },
-    /// The runtime invariant auditor (or its progress circuit breaker)
-    /// tripped during the named phase, so the run was stopped rather than
-    /// allowed to hang or converge on corrupt accounting.
-    AuditFailed {
-        /// The phase that was running ("calibration", …).
-        phase: &'static str,
-        /// A rendering of the first violation.
-        violation: String,
-    },
     /// A frame on the master↔slave IPC fabric was malformed: truncated
-    /// mid-frame, failed its FNV-1a checksum, carried an unknown protocol
-    /// version, oversized its declared length, or would not deserialize.
+    /// mid-frame, failed its FNV-1a checksum, carried a foreign magic or
+    /// format version, oversized its declared length, or would not
+    /// deserialize.
     /// Corruption on the pipe is reported as data, never as a panic.
     Frame {
         /// What the decoder rejected ("truncated header", "checksum
@@ -92,9 +76,6 @@ impl std::fmt::Display for SimError {
             SimError::CalendarDrained { phase } => {
                 write!(f, "event calendar drained before {phase} completed")
             }
-            SimError::EventCapExhausted { phase, cap } => {
-                write!(f, "event cap ({cap}) exhausted before {phase} completed")
-            }
             SimError::NoSurvivingSlaves { panicked } => {
                 write!(
                     f,
@@ -104,9 +85,6 @@ impl std::fmt::Display for SimError {
             SimError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
             SimError::Io { op, path, cause } => {
                 write!(f, "I/O error: cannot {op} {path}: {cause}")
-            }
-            SimError::AuditFailed { phase, violation } => {
-                write!(f, "invariant audit failed during {phase}: {violation}")
             }
             SimError::Frame { detail } => {
                 write!(f, "frame protocol error: {detail}")
@@ -141,12 +119,6 @@ mod tests {
         }
         .to_string()
         .contains("calibration"));
-        assert!(SimError::EventCapExhausted {
-            phase: "calibration",
-            cap: 10
-        }
-        .to_string()
-        .contains("10"));
         assert!(SimError::NoSurvivingSlaves { panicked: 4 }
             .to_string()
             .contains('4'));
@@ -160,11 +132,6 @@ mod tests {
         };
         assert!(io.to_string().contains("bighouse.ckpt.tmp"));
         assert!(io.to_string().contains("No space left"));
-        let audit = SimError::AuditFailed {
-            phase: "calibration",
-            violation: "livelock after 65536 events".into(),
-        };
-        assert!(audit.to_string().contains("livelock"));
         let frame = SimError::Frame {
             detail: "checksum mismatch: stored 1 computed 2".into(),
         };

@@ -80,6 +80,7 @@ mod audit;
 mod checkpoint;
 mod cluster;
 mod config;
+mod envelope;
 mod error;
 mod fastpath;
 mod parallel;

@@ -80,12 +80,13 @@ use std::time::{Duration, Instant};
 
 use std::sync::mpsc as channel;
 
+use bighouse_des::hash::fnv1a;
 use bighouse_des::SeedStream;
 use bighouse_stats::{Histogram, MetricEstimate, MetricSpec, RunningStats};
 use bighouse_telemetry::TelemetrySnapshot;
 
 use crate::audit::{AuditConfig, AuditReport};
-use crate::checkpoint::{fnv1a, RunState, RunTotals};
+use crate::checkpoint::{RunState, RunTotals};
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
 use crate::fastpath::epoch_step;
@@ -1327,7 +1328,6 @@ fn supervise(
                 "procslave.frame_decode_failures",
                 wire.frame_decode_failures,
             ),
-            ("procslave.respawns", outcome.resurrections),
             ("procslave.cap_kills", wire.cap_kills),
             ("procslave.slave_epochs", told.epochs),
             ("procslave.slave_heartbeats", told.heartbeats),
@@ -1717,6 +1717,35 @@ mod tests {
         assert!(audit.checks_run > 0);
         // Both slaves contributed sweeps to the merged report.
         assert!(audit.observations_checked > 0);
+    }
+
+    /// Hostile JSON under a valid seal, in both directions: the hello that
+    /// carries a config and a slave's `RunState`, and an epoch checkpoint.
+    #[test]
+    fn hostile_frame_payloads_never_panic() {
+        use crate::envelope::check_hostile_payloads;
+        let ctx = SharedCtx {
+            config: quick_config(),
+            epoch_events: 50_000,
+            chaos: None,
+        };
+        let state = Box::new(SlaveState {
+            run: crate::checkpoint::sample_state(),
+            barriers: 3,
+        });
+        let up = UpFrame::EpochDone(state.clone());
+        let job = HelloJob::Lockstep {
+            ctx: Box::new(ctx),
+            state,
+        };
+        let hello = crate::procslave::DownFrame::Hello {
+            slave: 1,
+            incarnation: 2,
+            limits: crate::procslave::ProcLimits::default(),
+            job: Box::new(job),
+        };
+        check_hostile_payloads("hostile_hello_payloads_never_panic", "hello", &hello);
+        check_hostile_payloads("hostile_up_frame_payloads_never_panic", "up", &up);
     }
 
     #[test]

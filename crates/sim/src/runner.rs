@@ -165,7 +165,7 @@ pub fn run_resumable(
                 "resume requested without a checkpoint directory".into(),
             ));
         };
-        let Some(state) = store.load()? else {
+        let Some(state) = store.load::<RunState>()? else {
             return Err(SimError::Checkpoint(format!(
                 "resume requested but no checkpoint exists in {}",
                 store

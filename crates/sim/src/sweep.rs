@@ -26,9 +26,9 @@
 //!   restart budget, `AttemptBudget`); a config that fails
 //!   `max_retries + 1` times is parked with a typed [`SweepError`] instead
 //!   of sinking the sweep.
-//! - **Crash-resumable.** Completed and quarantined configs land in a
-//!   ledger persisted through the checkpoint store (same magic/checksum/
-//!   atomic-rename framing, `bighouse.sweep` stem), so a SIGKILL'd sweep
+//! - **Crash-resumable.** Every decided config — completed or quarantined —
+//!   lands in a ledger saved at once through the checkpoint store (the same
+//!   sealed bytes and atomic rename, `bighouse.sweep` stem), so a SIGKILL'd sweep
 //!   resumes exactly where it was and — because per-config trajectories
 //!   are deterministic — reproduces the identical [`SweepReport`].
 //! - **Deadlines kill, interrupts ask.** An attempt past its wall-clock
@@ -49,14 +49,16 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use bighouse_des::hash::fnv1a;
 use bighouse_telemetry::TelemetrySnapshot;
 
 use crate::audit::AuditReport;
-use crate::checkpoint::{config_fingerprint, fnv1a, CheckpointConfig, CheckpointStore};
+use crate::checkpoint::{config_fingerprint, CheckpointStore};
 use crate::config::ExperimentConfig;
 use crate::error::SimError;
 use crate::parallel::{
@@ -381,10 +383,9 @@ pub struct SweepOptions {
     /// bit-identical to a standalone [`run_resumable`](crate::run_resumable) only at the same
     /// epoch size.
     pub epoch_events: u64,
-    /// Where to persist the resume ledger (`None` disables). The
-    /// interval counts *decided configs* between saves; the final state
-    /// is always saved.
-    pub checkpoint: Option<CheckpointConfig>,
+    /// Directory of the resume ledger (`None` disables). The ledger is
+    /// saved after every decided config, and once more at the end.
+    pub checkpoint: Option<PathBuf>,
     /// Resume from the ledger instead of starting fresh. Requires
     /// `checkpoint` and a loadable ledger from the *same* sweep.
     pub resume: bool,
@@ -472,7 +473,7 @@ struct InFlight<'a> {
 struct Master<'a> {
     epoch_events: u64,
     opts: &'a SweepOptions,
-    store: Option<&'a (CheckpointStore, u64)>,
+    store: Option<&'a CheckpointStore>,
     interrupt: &'a AtomicBool,
     transport: Box<dyn Transport>,
     /// Configs not yet started, in entry order.
@@ -484,7 +485,6 @@ struct Master<'a> {
     /// Current incarnation of each slot; a settled attempt's is fenced off.
     incarnations: Vec<u32>,
     ledger: SweepLedger,
-    since_save: u64,
     decided_now: usize,
     save_error: Option<SimError>,
 }
@@ -687,18 +687,14 @@ impl<'a> Master<'a> {
         }
     }
 
-    /// A config just entered the ledger: persist on the interval, tell the
-    /// caller, and honour `max_decided`.
+    /// A config just entered the ledger: persist it, tell the caller, and
+    /// honour `max_decided`.
     fn decided(&mut self, event: &SweepEvent) {
         self.decided_now += 1;
-        self.since_save += 1;
-        if let Some((store, interval)) = self.store {
-            if self.since_save >= *interval && self.save_error.is_none() {
-                // Persistence failing must not lose the in-memory sweep:
-                // finish, then report.
-                self.save_error = store.save_payload(&self.ledger).err();
-                self.since_save = 0;
-            }
+        if let (Some(store), None) = (self.store, &self.save_error) {
+            // Persistence failing must not lose the in-memory sweep:
+            // finish, then report.
+            self.save_error = store.save(&self.ledger).err();
         }
         self.emit(event);
         if self
@@ -763,20 +759,16 @@ pub fn run_sweep(
     }
     let sweep_fingerprint = fnv1a(acc.as_bytes());
 
-    let store = match &opts.checkpoint {
-        Some(ckpt) => Some((
-            CheckpointStore::with_stem(&ckpt.dir, "bighouse.sweep")?,
-            ckpt.interval_epochs.max(1),
-        )),
-        None => None,
-    };
+    let store = (opts.checkpoint.as_ref())
+        .map(|dir| CheckpointStore::with_stem(dir, "bighouse.sweep"))
+        .transpose()?;
     let ledger = if opts.resume {
-        let Some((store, _)) = &store else {
+        let Some(store) = &store else {
             return Err(SimError::Checkpoint(
                 "sweep resume requested without a checkpoint directory".to_owned(),
             ));
         };
-        let Some(ledger) = store.load_payload::<SweepLedger>()? else {
+        let Some(ledger) = store.load::<SweepLedger>()? else {
             return Err(SimError::Checkpoint(format!(
                 "resume requested but no sweep ledger exists at {}",
                 store.current_path().display()
@@ -841,7 +833,6 @@ pub fn run_sweep(
         slots: (0..workers).map(|_| None).collect(),
         incarnations: vec![0; workers],
         ledger,
-        since_save: 0,
         decided_now: 0,
         save_error: None,
     }
@@ -850,8 +841,8 @@ pub fn run_sweep(
     // Final ledger write, so even a sweep interrupted before its first
     // decision (or one that decided nothing new) leaves a resumable
     // ledger behind.
-    if let Some((store, _)) = &store {
-        store.save_payload(&ledger)?;
+    if let Some(store) = &store {
+        store.save(&ledger)?;
     }
 
     let completed: Vec<ConfigOutcome> = ledger.completed.into_values().collect();
@@ -1102,7 +1093,7 @@ mod tests {
             &SweepOptions {
                 workers: 2,
                 epoch_events: 50_000,
-                checkpoint: Some(CheckpointConfig::new(&dir)),
+                checkpoint: Some(dir.clone()),
                 max_decided: Some(2),
                 ..SweepOptions::default()
             },
@@ -1119,7 +1110,7 @@ mod tests {
             &SweepOptions {
                 workers: 2,
                 epoch_events: 50_000,
-                checkpoint: Some(CheckpointConfig::new(&dir)),
+                checkpoint: Some(dir.clone()),
                 resume: true,
                 ..SweepOptions::default()
             },
@@ -1161,7 +1152,7 @@ mod tests {
             )]
             .into(),
         };
-        crate::checkpoint::check_hostile_payloads(
+        crate::envelope::check_hostile_payloads(
             "hostile_ledger_payloads_never_panic",
             "hostile.sweep",
             &ledger,
@@ -1175,7 +1166,7 @@ mod tests {
         let opts = SweepOptions {
             workers: 2,
             epoch_events: 50_000,
-            checkpoint: Some(CheckpointConfig::new(&dir)),
+            checkpoint: Some(dir.clone()),
             ..SweepOptions::default()
         };
         run_sweep(&entries, 1, &opts).unwrap();

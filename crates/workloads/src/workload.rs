@@ -346,20 +346,14 @@ mod tests {
         // to one in-place buffer: any change to the draws, their order, the
         // rank selection or the tabulation moves them.
         fn fnv1a(w: &Workload) -> u64 {
-            let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+            let mut bytes = Vec::new();
             for table in [w.interarrival(), w.service()] {
                 for &(q, v) in table.points() {
-                    for byte in q
-                        .to_bits()
-                        .to_le_bytes()
-                        .into_iter()
-                        .chain(v.to_bits().to_le_bytes())
-                    {
-                        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
-                    }
+                    bytes.extend_from_slice(&q.to_bits().to_le_bytes());
+                    bytes.extend_from_slice(&v.to_bits().to_le_bytes());
                 }
             }
-            hash
+            bighouse_des::hash::fnv1a(&bytes)
         }
         let mmk = Workload::synthesize(
             "mmk",

@@ -64,7 +64,7 @@ fn main() {
         &grid(),
         master_seed,
         &SweepOptions {
-            checkpoint: Some(CheckpointConfig::new(&dir)),
+            checkpoint: Some(dir.clone()),
             max_decided: Some(2),
             ..opts.clone()
         },
@@ -82,7 +82,7 @@ fn main() {
         &grid(),
         master_seed,
         &SweepOptions {
-            checkpoint: Some(CheckpointConfig::new(&dir)),
+            checkpoint: Some(dir.clone()),
             resume: true,
             ..opts.clone()
         },

@@ -10,22 +10,11 @@
 //! trace replay to an FCFS recursion that shares no code with the
 //! simulator.
 
+mod common;
+
 use bighouse::prelude::*;
 use bighouse::sim::{replay_trace, TierConfig, Trace};
-
-/// Tabulates 400 000 draws of `dist` as an empirical distribution (as all
-/// BigHouse workloads are).
-fn table(dist: &dyn Distribution, rng: &mut SimRng) -> Empirical {
-    let draws: Vec<f64> = (0..400_000).map(|_| dist.sample(rng).max(1e-12)).collect();
-    Empirical::from_samples(&draws).unwrap()
-}
-
-/// Builds a workload with the given arrival and service distributions.
-fn workload(arrivals: &dyn Distribution, service: &dyn Distribution, seed: u64) -> Workload {
-    let mut rng = SimRng::from_seed(seed);
-    let arr = table(arrivals, &mut rng);
-    Workload::new("validation", arr, table(service, &mut rng))
-}
+use common::{table, workload};
 
 /// Runs a single-server experiment at tight accuracy and returns the mean
 /// response time estimate.

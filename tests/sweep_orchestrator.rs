@@ -116,7 +116,7 @@ fn poison_configs_are_quarantined_and_the_sweep_is_crash_resumable() {
         &grid(),
         MASTER_SEED,
         &SweepOptions {
-            checkpoint: Some(CheckpointConfig::new(&dir)),
+            checkpoint: Some(dir.clone()),
             max_decided: Some(2),
             ..opts()
         },
@@ -130,7 +130,7 @@ fn poison_configs_are_quarantined_and_the_sweep_is_crash_resumable() {
         &grid(),
         MASTER_SEED,
         &SweepOptions {
-            checkpoint: Some(CheckpointConfig::new(&dir)),
+            checkpoint: Some(dir.clone()),
             resume: true,
             ..opts()
         },
@@ -181,7 +181,7 @@ fn torn_ledger_falls_back_to_prev_and_double_corruption_is_typed() {
         &entries,
         MASTER_SEED,
         &SweepOptions {
-            checkpoint: Some(CheckpointConfig::new(&dir)),
+            checkpoint: Some(dir.clone()),
             max_decided: Some(2),
             ..base.clone()
         },
@@ -201,7 +201,7 @@ fn torn_ledger_falls_back_to_prev_and_double_corruption_is_typed() {
         &entries,
         MASTER_SEED,
         &SweepOptions {
-            checkpoint: Some(CheckpointConfig::new(&dir)),
+            checkpoint: Some(dir.clone()),
             resume: true,
             ..base.clone()
         },
@@ -222,7 +222,7 @@ fn torn_ledger_falls_back_to_prev_and_double_corruption_is_typed() {
         &entries,
         MASTER_SEED,
         &SweepOptions {
-            checkpoint: Some(CheckpointConfig::new(&dir)),
+            checkpoint: Some(dir.clone()),
             resume: true,
             ..base
         },
